@@ -81,6 +81,43 @@ let all_kinds =
     Mul Pass_1t; Mul Oai22_fused; Tgmux2; Ptmux2;
   ]
 
+(** [kind_index k] is [k]'s position in {!all_kinds}: a dense id in
+    [0, n_kinds) that per-kind tables index by. *)
+let kind_index = function
+  | Inv -> 0
+  | Buf -> 1
+  | Nand2 -> 2
+  | Nor2 -> 3
+  | And2 -> 4
+  | Or2 -> 5
+  | Xor2 -> 6
+  | Xnor2 -> 7
+  | Mux2 -> 8
+  | Aoi22 -> 9
+  | Oai22 -> 10
+  | Ha -> 11
+  | Fa -> 12
+  | Comp42 -> 13
+  | Dff -> 14
+  | Dff_en -> 15
+  | Sram S6t -> 16
+  | Sram S8t -> 17
+  | Sram S12t -> 18
+  | Mul Tg_nor -> 19
+  | Mul Pass_1t -> 20
+  | Mul Oai22_fused -> 21
+  | Tgmux2 -> 22
+  | Ptmux2 -> 23
+
+let n_kinds = 24
+
+let all_drives = [ X1; X2; X4 ]
+
+(** [drive_index d] is [d]'s position in {!all_drives}. *)
+let drive_index = function X1 -> 0 | X2 -> 1 | X4 -> 2
+
+let n_drives = 3
+
 (** [n_inputs k] is the number of logic input pins (clock excluded). *)
 let n_inputs = function
   | Inv | Buf -> 1

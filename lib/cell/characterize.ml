@@ -91,6 +91,5 @@ let lookup (tab : table) ~slew ~load =
 (** [all lib] characterizes the full library at every drive strength. *)
 let all lib =
   List.concat_map
-    (fun k ->
-      List.map (fun d -> view lib k d) [ Cell.X1; Cell.X2; Cell.X4 ])
+    (fun k -> List.map (fun d -> view lib k d) Cell.all_drives)
     Cell.all_kinds

@@ -155,35 +155,40 @@ let apply_drive (p : params) (d : Cell.drive) : params =
 
 type t = {
   node : Node.t;
-  get : Cell.kind -> Cell.drive -> params;
+  table : params array;
+      (** dense (kind, drive) table: slot
+          [Cell.kind_index k * Cell.n_drives + Cell.drive_index d] *)
 }
 
-(** [n40 ()] builds the synthetic 40 nm library. The per-(kind, drive)
-    table is populated eagerly over {!Cell.all_kinds} x every drive, so
-    lookups never mutate it afterwards — which is what lets parallel
-    searcher domains share one library without locking. *)
+let slot k d = (Cell.kind_index k * Cell.n_drives) + Cell.drive_index d
+
+(** [n40 ()] builds the synthetic 40 nm library. The table is filled
+    eagerly over {!Cell.all_kinds} x {!Cell.all_drives} and never mutated
+    afterwards — which is what lets parallel searcher domains share one
+    library without locking. *)
 let n40 () =
-  let tbl = Hashtbl.create 128 in
+  let table = Array.make (Cell.n_kinds * Cell.n_drives) (base_params Cell.Inv) in
   List.iter
     (fun k ->
       List.iter
-        (fun d -> Hashtbl.replace tbl (k, d) (apply_drive (base_params k) d))
-        [ Cell.X1; Cell.X2; Cell.X4 ])
+        (fun d -> table.(slot k d) <- apply_drive (base_params k) d)
+        Cell.all_drives)
     Cell.all_kinds;
-  let get k d =
-    match Hashtbl.find_opt tbl (k, d) with
-    | Some p -> p
-    | None -> apply_drive (base_params k) d (* unreachable: all_kinds is total *)
-  in
-  { node = Node.n40; get }
+  { node = Node.n40; table }
 
-(** [params t k d] looks up the PPA model of kind [k] at drive [d]. *)
-let params t k d = t.get k d
+(** [params t k d] looks up the PPA model of kind [k] at drive [d]: one
+    array read, on the path every sizing, timing, power and placement
+    pass takes once per instance. *)
+let params t k d = t.table.(slot k d)
+
+(** [map f t] is [t] with every (kind, drive) model passed through [f] —
+    a recharacterized library. *)
+let map f t = { t with table = Array.map f t.table }
 
 (** [delay_ps t ~kind ~drive ~out ~load_ff] is the nominal-voltage delay of
     output pin [out] driving [load_ff]. *)
 let delay_ps t ~kind ~drive ~out ~load_ff =
-  let p = t.get kind drive in
+  let p = params t kind drive in
   let n = Array.length p.intrinsic_ps in
   let out = if out < n then out else n - 1 in
   p.intrinsic_ps.(out) +. (p.drive_res_ps_per_ff *. load_ff)

@@ -25,7 +25,7 @@ let to_string lib (p : Floorplan.t) =
   (* nets, driver first *)
   let live =
     Array.to_list (Array.init d.n_nets Fun.id)
-    |> List.filter (fun n -> n > 1 && d.consumers.(n) <> [])
+    |> List.filter (fun n -> n > 1 && Ir.fanout_count d n > 0)
   in
   Buffer.add_string b (Printf.sprintf "NETS %d ;\n" (List.length live));
   List.iter
@@ -34,10 +34,18 @@ let to_string lib (p : Floorplan.t) =
       (match d.driver.(n) with
       | Some (i, o) -> Buffer.add_string b (Printf.sprintf " ( u%d O%d )" i o)
       | None -> ());
-      List.iter
-        (fun (i, pin) ->
-          Buffer.add_string b (Printf.sprintf " ( u%d I%d )" i pin))
-        d.consumers.(n);
+      (* an instance reading the net on several pins appears once per pin,
+         consecutively: list its pins at its first entry, highest first *)
+      for k = d.fanout_start.(n) to d.fanout_start.(n + 1) - 1 do
+        let i = d.fanout.(k) in
+        if k = d.fanout_start.(n) || d.fanout.(k - 1) <> i then begin
+          let ins = d.insts.(i).ins in
+          for pin = Array.length ins - 1 downto 0 do
+            if ins.(pin) = n then
+              Buffer.add_string b (Printf.sprintf " ( u%d I%d )" i pin)
+          done
+        end
+      done;
       Buffer.add_string b " ;\n")
     live;
   Buffer.add_string b "END NETS\nEND DESIGN\n";

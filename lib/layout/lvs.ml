@@ -38,7 +38,7 @@ let check (p : Floorplan.t) : report =
       if net > 1 && c > 0 then begin
         incr nets_checked;
         let expected =
-          List.length d.consumers.(net)
+          Ir.fanout_count d net
           + match d.driver.(net) with Some _ -> 1 | None -> 0
         in
         if expected <> c then

@@ -28,8 +28,8 @@ let build (p : Floorplan.t) : t =
     d.insts;
   (* primary I/O at the left edge, vertically centered *)
   let edge net = touch net 0.0 (p.die_h /. 2.0) in
-  List.iter (fun (_, bus) -> Array.iter edge bus) d.src.inputs;
-  List.iter (fun (_, bus) -> Array.iter edge bus) d.src.outputs;
+  List.iter (fun (_, bus) -> Array.iter edge bus) (Ir.inputs d.src);
+  List.iter (fun (_, bus) -> Array.iter edge bus) (Ir.outputs d.src);
   let hpwl = Array.make d.n_nets 0.0 in
   let total = ref 0.0 in
   for net = 2 to d.n_nets - 1 do

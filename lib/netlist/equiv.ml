@@ -18,12 +18,12 @@ type verdict =
       b : int;
     }
 
-let bus_names d = List.map fst d.Ir.src.Ir.outputs
+let bus_names d = List.map fst (Ir.outputs d.Ir.src)
 
 let interfaces_match (a : Ir.design) (b : Ir.design) =
   let sig_of d =
-    ( List.map (fun (n, bus) -> (n, Array.length bus)) d.Ir.src.Ir.inputs,
-      List.map (fun (n, bus) -> (n, Array.length bus)) d.Ir.src.Ir.outputs )
+    ( List.map (fun (n, bus) -> (n, Array.length bus)) (Ir.inputs d.Ir.src),
+      List.map (fun (n, bus) -> (n, Array.length bus)) (Ir.outputs d.Ir.src) )
   in
   sig_of a = sig_of b
 
@@ -34,7 +34,7 @@ let draw_round rng (a : Ir.design) =
   List.map
     (fun (name, bus) ->
       (name, Rng.int rng (Intmath.pow2 (min (Array.length bus) 30))))
-    a.Ir.src.Ir.inputs
+    (Ir.inputs a.Ir.src)
 
 (* Scalar engine: one simulator pair, rounds in sequence on the same
    state history. *)
@@ -110,7 +110,7 @@ let check_sliced (module E : Slice.S) ~seed ~vectors ~settle ~hold
           let vs = Array.map (fun values -> List.assoc name values) rounds in
           E.set_bus_lanes sa name vs;
           E.set_bus_lanes sb name vs)
-        a.Ir.src.Ir.inputs;
+        (Ir.inputs a.Ir.src);
       for _ = 1 to settle do
         E.step sa;
         E.step sb

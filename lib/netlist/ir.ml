@@ -30,8 +30,10 @@ type inst = {
 type t = {
   mutable n_nets : int;
   insts : inst Vec.t;
-  mutable inputs : (string * net array) list;  (** named input buses *)
-  mutable outputs : (string * net array) list;  (** named output buses *)
+  mutable rev_inputs : (string * net array) list;
+      (** named input buses, most recently added first ({!inputs} gives
+          declaration order) *)
+  mutable rev_outputs : (string * net array) list;  (** same, outputs *)
   mutable name : string;
 }
 
@@ -42,7 +44,13 @@ let create ?(name = "top") () =
   let dummy =
     { kind = Cell.Inv; drive = Cell.X1; ins = [||]; outs = [||]; tag = Plain }
   in
-  { n_nets = 2; insts = Vec.create dummy; inputs = []; outputs = []; name }
+  {
+    n_nets = 2;
+    insts = Vec.create dummy;
+    rev_inputs = [];
+    rev_outputs = [];
+    name;
+  }
 
 (** [new_net t] allocates a fresh net. *)
 let new_net t =
@@ -59,19 +67,27 @@ let add ?(tag = Plain) ?(drive = Cell.X1) t kind ~ins ~outs =
   assert (Array.length outs = Cell.n_outputs kind);
   Vec.push t.insts { kind; drive; ins; outs; tag }
 
-(** [add_input t name bus] registers a named primary input bus. *)
-let add_input t name bus = t.inputs <- t.inputs @ [ (name, bus) ]
+(** [add_input t name bus] registers a named primary input bus. O(1): a
+    macro declares one bus per row. *)
+let add_input t name bus = t.rev_inputs <- (name, bus) :: t.rev_inputs
 
 (** [add_output t name bus] registers a named primary output bus. *)
-let add_output t name bus = t.outputs <- t.outputs @ [ (name, bus) ]
+let add_output t name bus = t.rev_outputs <- (name, bus) :: t.rev_outputs
+
+(** [inputs t] — the named input buses in declaration order (the order
+    ports are emitted in, e.g. by {!Verilog}). *)
+let inputs t = List.rev t.rev_inputs
+
+(** [outputs t] — the named output buses in declaration order. *)
+let outputs t = List.rev t.rev_outputs
 
 let find_bus buses name =
   match List.assoc_opt name buses with
   | Some b -> b
   | None -> invalid_arg (Printf.sprintf "Ir: no bus named %s" name)
 
-let input_bus t = find_bus t.inputs
-let output_bus t = find_bus t.outputs
+let input_bus t = find_bus t.rev_inputs
+let output_bus t = find_bus t.rev_outputs
 
 (** A frozen, validated netlist with derived connectivity. *)
 type design = {
@@ -79,7 +95,12 @@ type design = {
   insts : inst array;
   n_nets : int;
   driver : (int * int) option array;  (** net -> (inst, out pin) *)
-  consumers : (int * int) list array;  (** net -> [(inst, in pin)] *)
+  fanout_start : int array;
+      (** length [n_nets + 1]: net [n]'s consumers are
+          [fanout.(fanout_start.(n)) .. fanout.(fanout_start.(n + 1) - 1)] *)
+  fanout : int array;
+      (** consumer instance ids, one per (instance, input pin) incidence;
+          within a net in descending (instance, pin) order *)
   comb_order : int array;
       (** combinational instances in topological evaluation order *)
   seq : int array;  (** DFF-like instances *)
@@ -91,13 +112,38 @@ type design = {
 exception Multiple_drivers of net
 exception Combinational_cycle of int
 
+(* Compressed sparse row fanout: count each net's input-pin incidences,
+   prefix-sum the counts into segment starts, then fill every segment
+   from its end while walking instances and pins in ascending order —
+   which lists each net's consumers in descending (instance, pin)
+   order. *)
+let build_fanout (insts : inst array) n_nets =
+  let start = Array.make (n_nets + 1) 0 in
+  Array.iter
+    (fun inst ->
+      Array.iter (fun net -> start.(net + 1) <- start.(net + 1) + 1) inst.ins)
+    insts;
+  for net = 0 to n_nets - 1 do
+    start.(net + 1) <- start.(net + 1) + start.(net)
+  done;
+  let fanout = Array.make start.(n_nets) 0 in
+  let cursor = Array.sub start 1 n_nets in
+  Array.iteri
+    (fun i inst ->
+      Array.iter
+        (fun net ->
+          cursor.(net) <- cursor.(net) - 1;
+          fanout.(cursor.(net)) <- i)
+        inst.ins)
+    insts;
+  (start, fanout)
+
 (** [freeze t] validates and derives the evaluation views. Raises
     {!Multiple_drivers} or {!Combinational_cycle} on malformed input. *)
 let freeze (t : t) : design =
   let insts = Vec.to_array t.insts in
   let n_nets = t.n_nets in
   let driver = Array.make n_nets None in
-  let consumers = Array.make n_nets [] in
   Array.iteri
     (fun i inst ->
       Array.iteri
@@ -106,11 +152,9 @@ let freeze (t : t) : design =
           | Some _ -> raise (Multiple_drivers net)
           | None -> ());
           driver.(net) <- Some (i, o))
-        inst.outs;
-      Array.iteri
-        (fun p net -> consumers.(net) <- (i, p) :: consumers.(net))
-        inst.ins)
+        inst.outs)
     insts;
+  let fanout_start, fanout = build_fanout insts n_nets in
   (* Topological order over combinational instances only: sequential and
      storage outputs are sources, so they never appear in the dependency
      graph as producers. *)
@@ -141,13 +185,13 @@ let freeze (t : t) : design =
     incr seen;
     Array.iter
       (fun net ->
-        List.iter
-          (fun (j, _) ->
-            if is_comb j then begin
-              indeg.(j) <- indeg.(j) - 1;
-              if indeg.(j) = 0 then Queue.add j queue
-            end)
-          consumers.(net))
+        for k = fanout_start.(net) to fanout_start.(net + 1) - 1 do
+          let j = fanout.(k) in
+          if is_comb j then begin
+            indeg.(j) <- indeg.(j) - 1;
+            if indeg.(j) = 0 then Queue.add j queue
+          end
+        done)
       insts.(i).outs
   done;
   if !seen <> !n_comb then begin
@@ -176,7 +220,8 @@ let freeze (t : t) : design =
     insts;
     n_nets;
     driver;
-    consumers;
+    fanout_start;
+    fanout;
     comb_order = Vec.to_array order;
     seq = Vec.to_array seq;
     storage = Vec.to_array storage;
@@ -186,27 +231,26 @@ let freeze (t : t) : design =
 (** [n_insts d] is the number of instances. *)
 let n_insts d = Array.length d.insts
 
+(** [fanout_count d net] is the number of input pins [net] drives. *)
+let fanout_count d net = d.fanout_start.(net + 1) - d.fanout_start.(net)
+
 (** [fanout_load d lib ~wire_cap net] is the capacitive load on [net]: the
     input-pin capacitance of every consumer plus optional routed-wire
     capacitance from the layout. *)
 let fanout_load (d : design) (lib : Library.t) ?(wire_cap = fun _ -> 0.0) net =
-  let pins =
-    List.fold_left
-      (fun acc (i, p) ->
-        let inst = d.insts.(i) in
-        let prm = Library.params lib inst.kind inst.drive in
-        ignore p;
-        acc +. prm.input_cap_ff)
-      0.0 d.consumers.(net)
-  in
-  pins +. wire_cap net
+  let pins = ref 0.0 in
+  for k = d.fanout_start.(net) to d.fanout_start.(net + 1) - 1 do
+    let inst = d.insts.(d.fanout.(k)) in
+    pins := !pins +. (Library.params lib inst.kind inst.drive).input_cap_ff
+  done;
+  !pins +. wire_cap net
 
 (** [fanout_loads d lib ~wire_cap ()] — {!fanout_load} for every net at
     once, as one array indexed by net id. STA forward/backward passes and
     the power estimator all walk loads per net per iteration; computing
     the map once per frozen design (per sizing round — loads depend on
     the mutable instance drives) and sharing it replaces thousands of
-    consumer-list folds per evaluation. *)
+    per-net fanout walks per evaluation. *)
 let fanout_loads (d : design) (lib : Library.t) ?(wire_cap = fun _ -> 0.0) ()
     : float array =
   let loads = Array.make d.n_nets 0.0 in

@@ -6,6 +6,12 @@
     {!set_weight} (the BL-driver write path), and every write that flips a
     bit is charged SRAM write energy.
 
+    The settle is event-driven within one topological pass: a net whose
+    value changes marks its consumers dirty, and {!eval} re-evaluates only
+    dirty cells. A clean cell's inputs are unchanged since its last
+    evaluation, and cells are pure functions of their inputs, so skipping
+    it leaves every value and counter exactly as a full sweep would.
+
     Toggle counts per net accumulate across the run; the power engine
     multiplies them by per-cell switching energies. *)
 
@@ -27,6 +33,9 @@ type t = {
           every instance so the settle loop allocates nothing *)
   scratch_outs : bool array;  (** same, {!Cell.max_outputs} wide *)
   seq_next : bool array;  (** {!clock}'s next-state staging, per seq slot *)
+  dirty : Bytes.t;
+      (** per instance: non-zero when an input changed since the cell was
+          last evaluated; every cell starts dirty *)
 }
 
 let create (d : Ir.design) =
@@ -45,22 +54,35 @@ let create (d : Ir.design) =
       scratch_ins = Array.make Cell.max_inputs false;
       scratch_outs = Array.make Cell.max_outputs false;
       seq_next = Array.make (max (Array.length d.seq) 1) false;
+      dirty = Bytes.make (max n 1) '\001';
     }
   in
   t.values.(Ir.const1) <- true;
   t
 
+(** [set_net t net v] drives [net] to [v], counting a toggle and marking
+    its consumers dirty when the value changes. [net] must not be the
+    output of a combinational cell: {!eval} owns those. *)
 let set_net t net v =
   if t.values.(net) <> v then begin
     t.values.(net) <- v;
-    t.toggles.(net) <- t.toggles.(net) + 1
+    t.toggles.(net) <- t.toggles.(net) + 1;
+    let d = t.d in
+    for k = d.fanout_start.(net) to d.fanout_start.(net + 1) - 1 do
+      Bytes.set t.dirty d.fanout.(k) '\001'
+    done
   end
+
+(** [set_nets t bus v] drives the nets of [bus] (LSB first) with the low
+    bits of the (possibly signed) integer [v]. *)
+let set_nets t (bus : Ir.net array) v =
+  for i = 0 to Array.length bus - 1 do
+    set_net t bus.(i) ((v asr i) land 1 = 1)
+  done
 
 (** [set_bus t name v] drives the named input bus with the low bits of the
     (possibly signed) integer [v]. *)
-let set_bus t name v =
-  let bus = Ir.input_bus t.d.src name in
-  Array.iteri (fun i net -> set_net t net ((v asr i) land 1 = 1)) bus
+let set_bus t name v = set_nets t (Ir.input_bus t.d.src name) v
 
 (** [set_bus_bits t name bits] drives the named input bus bit-by-bit. *)
 let set_bus_bits t name bits =
@@ -68,22 +90,27 @@ let set_bus_bits t name bits =
   assert (Array.length bits = Array.length bus);
   Array.iteri (fun i net -> set_net t net bits.(i)) bus
 
-(** [read_bus t name] reads the named output bus as an unsigned integer.
+(** [read_nets t bus] reads [bus] (LSB first) as an unsigned integer.
     Allocation-free: it runs once per result group per MAC in the bench
     hot path. *)
-let read_bus t name =
-  let bus = Ir.output_bus t.d.src name in
+let read_nets t (bus : Ir.net array) =
   let v = ref 0 in
   for i = 0 to Array.length bus - 1 do
     if t.values.(bus.(i)) then v := !v lor (1 lsl i)
   done;
   !v
 
+(** [read_nets_signed t bus] reads [bus] as a signed two's-complement
+    integer. *)
+let read_nets_signed t (bus : Ir.net array) =
+  Intmath.sign_extend ~width:(Array.length bus) (read_nets t bus)
+
+(** [read_bus t name] reads the named output bus as an unsigned integer. *)
+let read_bus t name = read_nets t (Ir.output_bus t.d.src name)
+
 (** [read_bus_signed t name] reads the named output bus as a signed
     two's-complement integer. *)
-let read_bus_signed t name =
-  let bus = Ir.output_bus t.d.src name in
-  Intmath.sign_extend ~width:(Array.length bus) (read_bus t name)
+let read_bus_signed t name = read_nets_signed t (Ir.output_bus t.d.src name)
 
 (** [set_weight t ~row ~col ~copy bit] writes one SRAM weight bit through
     its (row, col, copy) address. *)
@@ -102,26 +129,31 @@ let set_weight t ~row ~col ~copy bit =
       set_net t t.d.insts.(i).outs.(0) bit
 
 (** [eval t] settles all combinational logic from the current inputs and
-    register/storage state. Allocation-free: inputs and outputs stage
+    register/storage state: one pass in topological order that evaluates
+    the dirty cells only (a changed output dirties its consumers, which
+    come later in the order). Allocation-free: inputs and outputs stage
     through the simulator's scratch buffers ({!Cell.eval_into}), which
-    matters because this loop runs per instance on every cycle of every
-    power simulation the searcher issues. *)
+    matters because this loop runs on every cycle of every power
+    simulation the searcher issues. *)
 let eval t =
   let d = t.d in
   let ins_buf = t.scratch_ins and outs_buf = t.scratch_outs in
-  let values = t.values in
+  let values = t.values and dirty = t.dirty in
   Array.iter
     (fun i ->
-      let inst = d.insts.(i) in
-      let ins = inst.Ir.ins in
-      for p = 0 to Array.length ins - 1 do
-        ins_buf.(p) <- values.(ins.(p))
-      done;
-      Cell.eval_into inst.Ir.kind ins_buf outs_buf;
-      let outs = inst.Ir.outs in
-      for o = 0 to Array.length outs - 1 do
-        set_net t outs.(o) outs_buf.(o)
-      done)
+      if Bytes.get dirty i <> '\000' then begin
+        Bytes.set dirty i '\000';
+        let inst = d.insts.(i) in
+        let ins = inst.Ir.ins in
+        for p = 0 to Array.length ins - 1 do
+          ins_buf.(p) <- values.(ins.(p))
+        done;
+        Cell.eval_into inst.Ir.kind ins_buf outs_buf;
+        let outs = inst.Ir.outs in
+        for o = 0 to Array.length outs - 1 do
+          set_net t outs.(o) outs_buf.(o)
+        done
+      end)
     d.comb_order
 
 (** [clock t] commits every flip-flop: a plain DFF captures D, an

@@ -41,14 +41,13 @@ let emit_inst b idx (inst : Ir.inst) =
 let to_string (d : Ir.design) =
   let b = Buffer.create (Ir.n_insts d * 64) in
   let src = d.src in
-  let ports =
-    ("clk" :: List.map fst src.inputs) @ List.map fst src.outputs
-  in
+  let inputs = Ir.inputs src and outputs = Ir.outputs src in
+  let ports = ("clk" :: List.map fst inputs) @ List.map fst outputs in
   Buffer.add_string b
     (Printf.sprintf "module %s (%s);\n" src.name (String.concat ", " ports));
   Buffer.add_string b "  input clk;\n";
-  List.iter (fun p -> bus_decl b p ~dir:"input") src.inputs;
-  List.iter (fun p -> bus_decl b p ~dir:"output") src.outputs;
+  List.iter (fun p -> bus_decl b p ~dir:"input") inputs;
+  List.iter (fun p -> bus_decl b p ~dir:"output") outputs;
   (* internal wires *)
   for n = 2 to d.n_nets - 1 do
     Buffer.add_string b (Printf.sprintf "  wire n%d;\n" n)
@@ -65,8 +64,8 @@ let to_string (d : Ir.design) =
             (Printf.sprintf "  assign %s[%d] = %s;\n" name i (net_name net)))
       nets
   in
-  List.iter (alias ~input:true) src.inputs;
-  List.iter (alias ~input:false) src.outputs;
+  List.iter (alias ~input:true) inputs;
+  List.iter (alias ~input:false) outputs;
   Array.iteri (emit_inst b) d.insts;
   Buffer.add_string b "endmodule\n";
   Buffer.contents b

@@ -56,11 +56,33 @@ let estimate_activity (d : Ir.design) (lib : Library.t)
   let node = lib.Library.node in
   let esc = Voltage.energy_scale node ~vdd in
   let lsc = Voltage.leakage_scale node ~vdd in
-  let sub = Hashtbl.create 16 in
+  (* per-subcircuit switching energy: one slot per label, each summed in
+     net order. Builders give a block's instances one shared tag, so
+     consecutive toggled nets mostly carry the same tag physically and the
+     label scan runs only when it changes. *)
+  let labels = Vec.create "" and sub_fj = Vec.create 0.0 in
+  let last_tag = ref None and last_slot = ref 0 in
+  let slot_of tag =
+    match !last_tag with
+    | Some t when t == tag -> !last_slot
+    | _ ->
+        let key = tag_label tag in
+        let rec find s =
+          if s = Vec.length labels then begin
+            ignore (Vec.push sub_fj 0.0);
+            Vec.push labels key
+          end
+          else if String.equal (Vec.get labels s) key then s
+          else find (s + 1)
+        in
+        let s = find 0 in
+        last_tag := Some tag;
+        last_slot := s;
+        s
+  in
   let add_sub tag fj =
-    let key = tag_label tag in
-    let cur = try Hashtbl.find sub key with Not_found -> 0.0 in
-    Hashtbl.replace sub key (cur +. fj)
+    let s = slot_of tag in
+    Vec.set sub_fj s (Vec.get sub_fj s +. fj)
   in
   (* switching energy, accumulated in fJ over the whole run *)
   let sw_fj = ref 0.0 in
@@ -121,7 +143,8 @@ let estimate_activity (d : Ir.design) (lib : Library.t)
     total_w;
     energy_per_cycle_fj = (!sw_fj +. clk_fj +. wr_fj) /. cycles;
     by_subcircuit =
-      Hashtbl.fold (fun k fj acc -> (k, to_w fj) :: acc) sub []
+      List.init (Vec.length labels) (fun s ->
+          (Vec.get labels s, to_w (Vec.get sub_fj s)))
       |> List.sort (fun (a, _) (b, _) -> compare a b);
   }
 

@@ -61,9 +61,22 @@ let default ~rows ~cols ~mcr ~input_prec ~weight_prec =
     with_controller = false;
   }
 
+(** The bench-facing primary ports, resolved once at build time so a test
+    bench drives and reads nets directly instead of looking each bus up
+    by name on every cycle. *)
+type ports = {
+  x : Ir.net array array;  (** row input buses, ["x%d"] *)
+  results : Ir.net array array;  (** word result buses, ["result%d"] *)
+  controls : Ir.net array option;
+      (** [load; sa_en; sa_clr; sa_neg]; [None] when the embedded
+          controller drives them *)
+  align_en : Ir.net option;  (** FP aligner enable, when it is an input *)
+}
+
 type t = {
   cfg : config;
   design : Ir.design;
+  ports : ports;
   db : int;  (** serial datapath bits of one input *)
   wb : int;  (** stored bits of one weight *)
   words : int;
@@ -226,6 +239,7 @@ let build (lib : Library.t) (cfg : config) : t =
     if cfg.ofu_extra_pipe then Some (Ofu.n_levels wb / 2) else None
   in
   let post_lat = ref 0 in
+  let results = Array.make words [||] in
   let build_word g =
     let columns = Array.init wb (fun j -> accs.((g * wb) + j)) in
     let result, lat =
@@ -277,6 +291,7 @@ let build (lib : Library.t) (cfg : config) : t =
       else (result, lat)
     in
     post_lat := lat;
+    results.(g) <- result;
     Ir.add_output ir (Printf.sprintf "result%d" g) result
   in
   for g = 0 to words - 1 do
@@ -309,6 +324,15 @@ let build (lib : Library.t) (cfg : config) : t =
   {
     cfg;
     design = Ir.freeze ir;
+    ports =
+      {
+        x = x_buses;
+        results;
+        controls =
+          (if cfg.with_controller then None
+           else Some [| load; sa_en; sa_clr; sa_neg |]);
+        align_en = (if cfg.with_controller then None else !align_en_net);
+      };
     db;
     wb;
     words;

@@ -48,17 +48,38 @@ let is_fp (m : Macro_rtl.t) =
   | Precision.Fp _ -> true
   | Precision.Int _ -> false
 
-let set_controls sim ~load ~sa_en ~sa_clr ~sa_neg =
-  Sim.set_bus sim "load" (if load then 1 else 0);
-  Sim.set_bus sim "sa_en" (if sa_en then 1 else 0);
-  Sim.set_bus sim "sa_clr" (if sa_clr then 1 else 0);
-  Sim.set_bus sim "sa_neg" (if sa_neg then 1 else 0)
+(* The scalar bench drives and reads the macro's ports by net
+   ({!Macro_rtl.ports}): no bus-name lookup per row, word or cycle. *)
+
+let set_controls (m : Macro_rtl.t) sim ~load ~sa_en ~sa_clr ~sa_neg =
+  match m.ports.controls with
+  | None ->
+      raise
+        (Bench_error
+           {
+             op = "set_controls";
+             detail = "macro was built with the controller FSM";
+           })
+  | Some c ->
+      Sim.set_net sim c.(0) load;
+      Sim.set_net sim c.(1) sa_en;
+      Sim.set_net sim c.(2) sa_clr;
+      Sim.set_net sim c.(3) sa_neg
+
+(** [set_align_en m sim v] drives the FP aligner enable; a no-op when
+    the macro has no such input (INT inputs, or the controller drives
+    it). *)
+let set_align_en (m : Macro_rtl.t) sim v =
+  match m.ports.align_en with Some net -> Sim.set_net sim net v | None -> ()
 
 let present_inputs (m : Macro_rtl.t) sim (inputs : int array) =
   assert (Array.length inputs = m.cfg.rows);
-  Array.iteri
-    (fun r v -> Sim.set_bus sim (Printf.sprintf "x%d" r) v)
-    inputs
+  Array.iteri (fun r v -> Sim.set_nets sim m.ports.x.(r) v) inputs
+
+(** [read_results m sim ~shift] — every word's signed result, each
+    arithmetically shifted right by [shift]. *)
+let read_results (m : Macro_rtl.t) sim ~shift =
+  Array.map (fun bus -> Sim.read_nets_signed sim bus asr shift) m.ports.results
 
 (** [run_mac m sim ~inputs] executes one complete MAC with the raw input
     words [inputs] (signed integers for INT, packed bit patterns for FP)
@@ -85,34 +106,32 @@ let run_mac ?active_bits (m : Macro_rtl.t) sim ~(inputs : int array) =
     else Array.map (fun v -> v lsl (m.db - ab)) inputs
   in
   present_inputs m sim inputs;
-  set_controls sim ~load:false ~sa_en:false ~sa_clr:false ~sa_neg:false;
-  if is_fp m then Sim.set_bus sim "align_en" 1;
+  set_controls m sim ~load:false ~sa_en:false ~sa_clr:false ~sa_neg:false;
+  set_align_en m sim true;
   for _ = 1 to m.align_lat do
     Sim.step sim
   done;
-  if is_fp m then Sim.set_bus sim "align_en" 0;
-  set_controls sim ~load:true ~sa_en:false ~sa_clr:false ~sa_neg:false;
+  set_align_en m sim false;
+  set_controls m sim ~load:true ~sa_en:false ~sa_clr:false ~sa_neg:false;
   Sim.step sim;
   let last = m.tree_lat + ab - 1 in
   for k = 0 to last do
     let first = k = m.tree_lat in
     let sign_cycle = if m.neg_on_last then k = last else first in
-    set_controls sim ~load:false
+    set_controls m sim ~load:false
       ~sa_en:(k >= m.tree_lat)
       ~sa_clr:first
       ~sa_neg:(sign_cycle && ab > 1);
     Sim.step sim
   done;
-  set_controls sim ~load:false ~sa_en:false ~sa_clr:false ~sa_neg:false;
+  set_controls m sim ~load:false ~sa_en:false ~sa_clr:false ~sa_neg:false;
   for _ = 1 to m.post_lat do
     Sim.step sim
   done;
   Sim.eval sim;
   (* LSB-first datapaths place a narrow result at the full-width scale
      (each partial sum lands [db - ab] positions higher); exact shift back *)
-  let scale = if m.neg_on_last then m.db - ab else 0 in
-  Array.init m.words (fun g ->
-      Sim.read_bus_signed sim (Printf.sprintf "result%d" g) asr scale)
+  read_results m sim ~shift:(if m.neg_on_last then m.db - ab else 0)
 
 (** [run_mac_auto m sim ~inputs] — the controller-driven variant of
     {!run_mac}: pulse [start], hold the inputs, wait for the [done] pulse
@@ -148,8 +167,7 @@ let run_mac_auto (m : Macro_rtl.t) sim ~(inputs : int array) =
     end
   in
   wait 0;
-  Array.init m.words (fun g ->
-      Sim.read_bus_signed sim (Printf.sprintf "result%d" g))
+  read_results m sim ~shift:0
 
 (** Datapath view of the raw inputs: identity for INT, behavioural
     alignment for FP (also returns the expected group exponent). *)
@@ -556,11 +574,9 @@ let run_stream_with (m : Macro_rtl.t) sim ~(next_inputs : int -> int array)
       sa_en && db > 1
       && k mod db = (if m.neg_on_last then db - 1 else 0)
     in
-    if is_fp m then
-      (* the aligner pipeline advances during each MAC's load window *)
-      Sim.set_bus sim "align_en"
-        (if cyc mod db < max m.align_lat 1 && cyc / db < macs then 1 else 0);
-    set_controls sim ~load ~sa_en ~sa_clr ~sa_neg;
+    (* the aligner pipeline advances during each MAC's load window *)
+    set_align_en m sim (cyc mod db < max m.align_lat 1 && cyc / db < macs);
+    set_controls m sim ~load ~sa_en ~sa_clr ~sa_neg;
     Sim.step sim
   done
 

@@ -78,7 +78,7 @@ let library_fingerprint (lib : Library.t) : string =
                p.Library.drive_res_ps_per_ff p.Library.energy_fj
                p.Library.clock_energy_fj p.Library.leakage_nw
                p.Library.setup_ps p.Library.clk_q_ps))
-        [ Cell.X1; Cell.X2; Cell.X4 ])
+        Cell.all_drives)
     Cell.all_kinds;
   Digest.to_hex (Digest.string (Buffer.contents b))
 

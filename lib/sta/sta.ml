@@ -46,7 +46,7 @@ let analyze ?(wire_cap = fun (_ : Ir.net) -> 0.0)
     (fun (name, bus) ->
       let a = input_arrival name in
       Array.iter (fun net -> arr.(net) <- a) bus)
-    d.src.inputs;
+    (Ir.inputs d.src);
   Array.iter
     (fun i ->
       let inst = d.insts.(i) in
@@ -118,7 +118,7 @@ let analyze ?(wire_cap = fun (_ : Ir.net) -> 0.0)
             worst_net := net
           end)
         bus)
-    d.src.outputs;
+    (Ir.outputs d.src);
   (* Reconstruct the critical path by walking predecessors. *)
   let rec walk net acc =
     if net < 0 then acc
@@ -159,7 +159,7 @@ let slacks (r : report) (d : Ir.design) (lib : Library.t)
     d.seq;
   List.iter
     (fun (_, bus) -> Array.iter (fun net -> relax net target_ps) bus)
-    d.src.outputs;
+    (Ir.outputs d.src);
   (* reverse topological order over combinational instances *)
   for idx = Array.length d.comb_order - 1 downto 0 do
     let i = d.comb_order.(idx) in

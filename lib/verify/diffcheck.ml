@@ -64,14 +64,14 @@ let is_fp (m : Macro_rtl.t) =
 let run_mac ?bug (m : Macro_rtl.t) sim ~(inputs : int array) =
   let db = m.Macro_rtl.db in
   Testbench.present_inputs m sim inputs;
-  Testbench.set_controls sim ~load:false ~sa_en:false ~sa_clr:false
+  Testbench.set_controls m sim ~load:false ~sa_en:false ~sa_clr:false
     ~sa_neg:false;
-  if is_fp m then Sim.set_bus sim "align_en" 1;
+  Testbench.set_align_en m sim true;
   for _ = 1 to m.Macro_rtl.align_lat do
     Sim.step sim
   done;
-  if is_fp m then Sim.set_bus sim "align_en" 0;
-  Testbench.set_controls sim ~load:true ~sa_en:false ~sa_clr:false
+  Testbench.set_align_en m sim false;
+  Testbench.set_controls m sim ~load:true ~sa_en:false ~sa_clr:false
     ~sa_neg:false;
   Sim.step sim;
   let last = m.Macro_rtl.tree_lat + db - 1 in
@@ -83,12 +83,12 @@ let run_mac ?bug (m : Macro_rtl.t) sim ~(inputs : int array) =
     let sa_neg =
       sign_cycle && db > 1 && bug <> Some Skip_sign_cycle
     in
-    Testbench.set_controls sim ~load:false
+    Testbench.set_controls m sim ~load:false
       ~sa_en:(k >= m.Macro_rtl.tree_lat)
       ~sa_clr:first ~sa_neg;
     Sim.step sim
   done;
-  Testbench.set_controls sim ~load:false ~sa_en:false ~sa_clr:false
+  Testbench.set_controls m sim ~load:false ~sa_en:false ~sa_clr:false
     ~sa_neg:false;
   let post =
     match bug with
@@ -99,8 +99,7 @@ let run_mac ?bug (m : Macro_rtl.t) sim ~(inputs : int array) =
     Sim.step sim
   done;
   Sim.eval sim;
-  Array.init m.Macro_rtl.words (fun g ->
-      Sim.read_bus_signed sim (Printf.sprintf "result%d" g))
+  Testbench.read_results m sim ~shift:0
 
 (* Expected datapath values of the raw inputs (identity for INT, aligner
    for FP) plus the expected group exponent. *)

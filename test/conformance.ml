@@ -90,7 +90,7 @@ module Make (P : PAIR) = struct
       let module B = Testbench.Sliced (E) in
       B.load_weights_lanes m psim ~copy weights
     done;
-    let inputs = d.Ir.src.Ir.inputs in
+    let inputs = Ir.inputs d.Ir.src in
     let vs = Array.make n_lanes 0 in
     for cyc = 1 to cycles do
       List.iter
@@ -133,7 +133,7 @@ module Make (P : PAIR) = struct
           then
             QCheck.Test.fail_reportf "%s seed %d: lane %d bus %s diverges"
               label seed l name)
-        d.Ir.src.Ir.outputs
+        (Ir.outputs d.Ir.src)
     done;
     (* lane-summed counters must equal the sums of the scalar counters *)
     let sum f = Array.fold_left (fun acc sim -> acc + f sim) 0 sims in

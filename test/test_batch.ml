@@ -130,13 +130,9 @@ let test_key_library_sensitivity () =
   (* recharacterizing one parameter must invalidate: the key changes
      through the library fingerprint *)
   let lib' =
-    {
-      lib with
-      Library.get =
-        (fun k d ->
-          let p = lib.Library.get k d in
-          { p with Library.area_um2 = p.Library.area_um2 *. (1.0 +. 1e-9) });
-    }
+    Library.map
+      (fun p -> { p with Library.area_um2 = p.Library.area_um2 *. (1.0 +. 1e-9) })
+      lib
   in
   let fp' = Disk_cache.library_fingerprint lib' in
   check_bool "library fingerprint moved" false (fp' = lib_fp);

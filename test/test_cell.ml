@@ -145,6 +145,47 @@ let test_drive_scaling () =
         && x2.Library.area_um2 > x1.Library.area_um2))
     [ Cell.Inv; Cell.Fa; Cell.Dff; Cell.Comp42 ]
 
+let test_kind_index_dense () =
+  (* Cell.kind_index maps all_kinds one-to-one onto 0 .. n_kinds - 1, in
+     list order; drive_index likewise for all_drives *)
+  check_int "kind count" Cell.n_kinds (List.length Cell.all_kinds);
+  List.iteri
+    (fun i k -> check_int (Cell.kind_to_string k) i (Cell.kind_index k))
+    Cell.all_kinds;
+  check_int "drive count" Cell.n_drives (List.length Cell.all_drives);
+  List.iteri
+    (fun i d -> check_int (Cell.drive_to_string d) i (Cell.drive_index d))
+    Cell.all_drives
+
+let test_params_table_matches_model () =
+  (* the dense table holds exactly the analytic model for every slot *)
+  List.iter
+    (fun k ->
+      List.iter
+        (fun d ->
+          check_bool
+            (Cell.kind_to_string k ^ "@" ^ Cell.drive_to_string d)
+            true
+            (Library.params lib k d
+            = Library.apply_drive (Library.base_params k) d))
+        Cell.all_drives)
+    Cell.all_kinds
+
+let test_library_map () =
+  let doubled =
+    Library.map (fun p -> { p with Library.area_um2 = 2.0 *. p.Library.area_um2 }) lib
+  in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun d ->
+          Alcotest.(check (float 0.0))
+            "area doubled"
+            (2.0 *. (Library.params lib k d).Library.area_um2)
+            (Library.params doubled k d).Library.area_um2)
+        Cell.all_drives)
+    Cell.all_kinds
+
 let test_delay_load_dependence () =
   let d load = Library.delay_ps lib ~kind:Cell.Nand2 ~drive:Cell.X1 ~out:0 ~load_ff:load in
   check_bool "monotone in load" true (d 10.0 > d 1.0)
@@ -216,6 +257,11 @@ let () =
           Alcotest.test_case "drive scaling" `Quick test_drive_scaling;
           Alcotest.test_case "load dependence" `Quick
             test_delay_load_dependence;
+          Alcotest.test_case "dense kind/drive index" `Quick
+            test_kind_index_dense;
+          Alcotest.test_case "table matches model" `Quick
+            test_params_table_matches_model;
+          Alcotest.test_case "library map" `Quick test_library_map;
         ] );
       ( "views",
         [

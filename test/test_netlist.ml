@@ -364,6 +364,181 @@ let test_missing_bus () =
        false
      with Invalid_argument _ -> true)
 
+(* ---------------- CSR fanout + dirty-flag settle ---------------- *)
+
+(* small but complete macros: every precision class, MCR and row count
+   the fuzzer draws (built once, shared by the properties below) *)
+let fuzz_macros =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun s -> Macro_rtl.build lib (Spec.initial_config s))
+          (Specgen.generate ~seed:17 ~count:8)))
+
+let test_csr_fanout () =
+  (* the CSR segments list exactly the (instance, pin) incidences read
+     from [insts.(i).ins], in descending (instance, pin) order *)
+  Array.iter
+    (fun (m : Macro_rtl.t) ->
+      let d = m.Macro_rtl.design in
+      let start = d.Ir.fanout_start in
+      check_int "start length" (d.Ir.n_nets + 1) (Array.length start);
+      check_int "first segment at 0" 0 start.(0);
+      check_int "last segment ends the array" (Array.length d.Ir.fanout)
+        start.(d.Ir.n_nets);
+      let expected = Array.make d.Ir.n_nets [] in
+      Array.iteri
+        (fun i (inst : Ir.inst) ->
+          Array.iter (fun net -> expected.(net) <- i :: expected.(net)) inst.ins)
+        d.Ir.insts;
+      for net = 0 to d.Ir.n_nets - 1 do
+        check_bool "segment non-negative" true (start.(net) <= start.(net + 1));
+        check_bool
+          (Printf.sprintf "net %d consumers" net)
+          true
+          (Array.to_list
+             (Array.sub d.Ir.fanout start.(net) (Ir.fanout_count d net))
+          = expected.(net))
+      done)
+    (Lazy.force fuzz_macros)
+
+(* The reference settle: every combinational cell re-evaluated on every
+   [eval], with {!Sim}'s counter semantics (toggles on value changes,
+   enable duty per Dff_en, flips per storage write). *)
+module Full_sweep = struct
+  type t = {
+    d : Ir.design;
+    values : bool array;
+    seq_state : bool array;
+    storage_state : bool array;
+    toggles : int array;
+    en_cycles : int array;
+    mutable weight_flips : int;
+  }
+
+  let create (d : Ir.design) =
+    let n = max (Ir.n_insts d) 1 in
+    let values = Array.make d.Ir.n_nets false in
+    values.(Ir.const1) <- true;
+    {
+      d;
+      values;
+      seq_state = Array.make n false;
+      storage_state = Array.make n false;
+      toggles = Array.make d.Ir.n_nets 0;
+      en_cycles = Array.make n 0;
+      weight_flips = 0;
+    }
+
+  let set_net t net v =
+    if t.values.(net) <> v then begin
+      t.values.(net) <- v;
+      t.toggles.(net) <- t.toggles.(net) + 1
+    end
+
+  let set_bus t name v =
+    Array.iteri
+      (fun i net -> set_net t net ((v asr i) land 1 = 1))
+      (Ir.input_bus t.d.Ir.src name)
+
+  let set_weight t i bit =
+    if t.storage_state.(i) <> bit then begin
+      t.storage_state.(i) <- bit;
+      t.weight_flips <- t.weight_flips + 1
+    end;
+    set_net t t.d.Ir.insts.(i).Ir.outs.(0) bit
+
+  let eval t =
+    Array.iter
+      (fun i ->
+        let inst = t.d.Ir.insts.(i) in
+        let outs =
+          Cell.eval inst.Ir.kind (Array.map (fun n -> t.values.(n)) inst.Ir.ins)
+        in
+        Array.iteri (fun o net -> set_net t net outs.(o)) inst.Ir.outs)
+      t.d.Ir.comb_order
+
+  let clock t =
+    let next =
+      Array.map
+        (fun i ->
+          let inst = t.d.Ir.insts.(i) in
+          match inst.Ir.kind with
+          | Cell.Dff_en ->
+              if t.values.(inst.Ir.ins.(1)) then begin
+                t.en_cycles.(i) <- t.en_cycles.(i) + 1;
+                t.values.(inst.Ir.ins.(0))
+              end
+              else t.seq_state.(i)
+          | _ -> t.values.(inst.Ir.ins.(0)))
+        t.d.Ir.seq
+    in
+    Array.iteri
+      (fun idx i ->
+        t.seq_state.(i) <- next.(idx);
+        set_net t t.d.Ir.insts.(i).Ir.outs.(0) next.(idx))
+      t.d.Ir.seq
+
+  let reset_stats t =
+    Array.fill t.toggles 0 (Array.length t.toggles) 0;
+    Array.fill t.en_cycles 0 (Array.length t.en_cycles) 0;
+    t.weight_flips <- 0
+end
+
+let qtest_settle_matches_full_sweep =
+  QCheck.Test.make ~name:"dirty-flag settle = full sweep" ~count:40
+    QCheck.(pair (int_bound 7) (int_bound 1_000_000))
+    (fun (which, seed) ->
+      let m = (Lazy.force fuzz_macros).(which) in
+      let d = m.Macro_rtl.design in
+      let sim = Sim.create d and full = Full_sweep.create d in
+      let rng = Rng.create seed in
+      let buses = Array.of_list (Ir.inputs d.Ir.src) in
+      let weights =
+        Array.of_list
+          (List.filter_map
+             (fun i ->
+               match d.Ir.insts.(i).Ir.tag with
+               | Ir.Weight_bit { row; col; copy } -> Some (i, row, col, copy)
+               | _ -> None)
+             (Array.to_list d.Ir.storage))
+      in
+      let agree () =
+        sim.Sim.values = full.Full_sweep.values
+        && sim.Sim.toggles = full.Full_sweep.toggles
+        && sim.Sim.en_cycles = full.Full_sweep.en_cycles
+        && sim.Sim.weight_flips = full.Full_sweep.weight_flips
+      in
+      let ok = ref true in
+      for _ = 1 to 300 do
+        (match Rng.int rng 10 with
+        | 0 | 1 | 2 ->
+            (* inputs and control pins alike: every primary input bus *)
+            let name, bus = buses.(Rng.int rng (Array.length buses)) in
+            let v = Rng.int rng (1 lsl min 30 (Array.length bus)) in
+            Sim.set_bus sim name v;
+            Full_sweep.set_bus full name v
+        | 3 when Array.length weights > 0 ->
+            let i, row, col, copy =
+              weights.(Rng.int rng (Array.length weights))
+            in
+            let bit = Rng.bit rng ~p1:0.5 = 1 in
+            Sim.set_weight sim ~row ~col ~copy bit;
+            Full_sweep.set_weight full i bit
+        | 4 ->
+            Sim.eval sim;
+            Full_sweep.eval full
+        | 5 when Rng.int rng 8 = 0 ->
+            Sim.reset_stats sim;
+            Full_sweep.reset_stats full
+        | _ ->
+            Sim.step sim;
+            Full_sweep.eval full;
+            Full_sweep.clock full);
+        ok := !ok && agree ()
+      done;
+      !ok)
+
 let qtest_rca_random =
   QCheck.Test.make ~name:"rca 12-bit random" ~count:200
     QCheck.(pair (int_range 0 4095) (int_range 0 4095))
@@ -387,6 +562,7 @@ let () =
             test_register_feedback_allowed;
           Alcotest.test_case "arity check" `Quick test_arity_checked;
           Alcotest.test_case "fanout load" `Quick test_fanout_load;
+          Alcotest.test_case "CSR fanout" `Quick test_csr_fanout;
         ] );
       ( "builder",
         [
@@ -419,5 +595,9 @@ let () =
           Alcotest.test_case "reset stats" `Quick test_reset_stats;
           Alcotest.test_case "missing bus" `Quick test_missing_bus;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest qtest_rca_random ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest qtest_rca_random;
+          QCheck_alcotest.to_alcotest qtest_settle_matches_full_sweep;
+        ] );
     ]

@@ -346,12 +346,9 @@ let test_fanout_tree_limits () =
       let outs = Array.map (fun l -> Builder.inv c l) leaves in
       Ir.add_output ir "o" outs;
       let d = Ir.freeze ir in
-      Array.iteri
-        (fun n consumers_list ->
-          if n > 1 then
-            check_bool "fanout bounded" true
-              (List.length consumers_list <= 4))
-        d.Ir.consumers;
+      for n = 2 to d.Ir.n_nets - 1 do
+        check_bool "fanout bounded" true (Ir.fanout_count d n <= 4)
+      done;
       let sim = Sim.create d in
       Sim.set_bus sim "a" 1;
       Sim.eval sim;
@@ -463,7 +460,7 @@ let test_macro_mac_write_concurrency () =
   Testbench.load_weights m sim ~copy:0 weights;
   Sim.set_bus sim "copy_sel" 0;
   Testbench.present_inputs m sim (Array.init 8 (fun i -> i - 4));
-  Testbench.set_controls sim ~load:true ~sa_en:false ~sa_clr:false
+  Testbench.set_controls m sim ~load:true ~sa_en:false ~sa_clr:false
     ~sa_neg:false;
   Sim.step sim;
   (* serial cycles, writing copy 1 in the middle *)
@@ -473,12 +470,12 @@ let test_macro_mac_write_concurrency () =
     if k = 2 then
       Testbench.load_weights m sim ~copy:1
         (Testbench.random_weights rng m ~density:1.0);
-    Testbench.set_controls sim ~load:false ~sa_en:(k >= tl)
+    Testbench.set_controls m sim ~load:false ~sa_en:(k >= tl)
       ~sa_clr:(k = tl)
       ~sa_neg:(if m.Macro_rtl.neg_on_last then k = last else k = tl);
     Sim.step sim
   done;
-  Testbench.set_controls sim ~load:false ~sa_en:false ~sa_clr:false
+  Testbench.set_controls m sim ~load:false ~sa_en:false ~sa_clr:false
     ~sa_neg:false;
   for _ = 1 to m.Macro_rtl.post_lat do
     Sim.step sim

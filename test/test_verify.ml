@@ -291,6 +291,13 @@ let test_snapshot_roundtrip_and_missing () =
   | Error msg -> Alcotest.fail msg);
   Sys.remove path
 
+let test_snapshot_matches_committed () =
+  (* the committed golden PPA fingerprints (test/snapshots/ppa.snap):
+     any drift in timing, area, power or structure fails tier-1 *)
+  match Snapshot.check ~dir:"snapshots" ctx with
+  | Ok n -> check_int "fingerprints" (List.length Snapshot.canonical_specs) n
+  | Error report -> Alcotest.fail report
+
 let () =
   Alcotest.run "verify"
     [
@@ -342,5 +349,7 @@ let () =
             test_snapshot_perturbation_diff_readable;
           Alcotest.test_case "roundtrip + missing" `Quick
             test_snapshot_roundtrip_and_missing;
+          Alcotest.test_case "matches committed ppa.snap" `Quick
+            test_snapshot_matches_committed;
         ] );
     ]
