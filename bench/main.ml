@@ -62,8 +62,8 @@ let metrics_max_overhead_pct = 5.0
 let write_results ~jobs ~seq_s ~par_s ~packed_scalar_cps ~packed_cps
     ~signoff_batches ~signoff_scalar_cps ~signoff_packed_cps ~shmoo_lanes
     ~shmoo_scalar_s ~shmoo_packed_s ~mw_packed_cps ~mw_candidates
-    ~mw_default ~mw_autodetect ~service_cold_s ~service_warm_s
-    ~metrics_on_s ~metrics_off_s =
+    ~mw_default ~service_cold_s ~service_warm_s ~metrics_on_s
+    ~metrics_off_s =
   let b = Buffer.create 4096 in
   let entry (name, v) =
     Printf.sprintf "    {\"name\": \"%s\", \"value\": %.6g}" (json_escape name) v
@@ -85,7 +85,7 @@ let write_results ~jobs ~seq_s ~par_s ~packed_scalar_cps ~packed_cps
     (Printf.sprintf
        "  \"packed_sim\": {\"lanes\": %d, \"scalar_lane_cps\": %.6g, \
         \"packed_lane_cps\": %.6g, \"speedup\": %.6g},\n"
-       Sim_packed.lanes packed_scalar_cps packed_cps
+       Sim_multiword.word_lanes packed_scalar_cps packed_cps
        (if packed_scalar_cps > 0.0 then packed_cps /. packed_scalar_cps
         else 0.0));
   Buffer.add_string b
@@ -106,10 +106,8 @@ let write_results ~jobs ~seq_s ~par_s ~packed_scalar_cps ~packed_cps
   Buffer.add_string b
     (Printf.sprintf
        "  \"multiword_sim\": {\"packed_lane_cps\": %.6g, \"min_gain\": %.2f, \
-        \"default_engine\": \"%s\", \"autodetect\": \"%s\", \
-        \"candidates\": [%s]},\n"
+        \"default_engine\": \"%s\", \"candidates\": [%s]},\n"
        mw_packed_cps multiword_min_gain (json_escape mw_default)
-       (json_escape mw_autodetect)
        (String.concat ", "
           (List.map
              (fun (lanes, cps) ->
@@ -220,7 +218,7 @@ let () =
   banner
     (Printf.sprintf
        "Packed simulation — scalar vs %d-lane bit-sliced MAC streaming"
-       Sim_packed.lanes);
+       Sim_multiword.word_lanes);
   (* throughput unit: simulated lane-cycles per second — the scalar
      engine advances 1 lane per cycle, the packed engine 63. Best of
      three runs on the smallest canonical macro, so the CI bound stays
@@ -252,27 +250,27 @@ let () =
           Testbench.run_stream m scalar_sim ~rng ~macs ~input_density:0.5;
           scalar_sim.Sim.cycles)
     in
-    let psim = Sim_packed.create m.Macro_rtl.design in
-    Testbench.load_weights_lanes m psim ~copy:0
-      (Array.init Sim_packed.lanes (fun _ ->
+    let module E = (val Engine.slice `Packed) in
+    let module B = Testbench.Sliced (E) in
+    let psim = E.create m.Macro_rtl.design in
+    B.load_weights_lanes m psim ~copy:0
+      (Array.init E.max_lanes (fun _ ->
            Testbench.random_weights rng m ~density:0.5));
     let packed_cycles, packed_s =
       best_of 3 (fun () ->
-          Sim_packed.reset_stats psim;
-          Testbench.run_stream_packed m psim ~rng ~macs ~input_density:0.5;
-          psim.Sim_packed.cycles)
+          E.reset_stats psim;
+          B.run_stream m psim ~rng ~macs ~input_density:0.5;
+          E.cycles psim)
     in
     let scalar_cps = scalar_cycles /. scalar_s in
-    let packed_cps =
-      packed_cycles *. float_of_int Sim_packed.lanes /. packed_s
-    in
+    let packed_cps = packed_cycles *. float_of_int E.max_lanes /. packed_s in
     Printf.printf
       "16x16 INT8, %d MACs/run, best of 3:\n\
       \  scalar: %.0f cycles in %.3f s  = %.3g lane-cycles/s\n\
       \  packed: %.0f cycles x %d lanes in %.3f s = %.3g lane-cycles/s\n\
        speedup: %.1fx\n\
        %!"
-      macs scalar_cycles scalar_s scalar_cps packed_cycles Sim_packed.lanes
+      macs scalar_cycles scalar_s scalar_cps packed_cycles E.max_lanes
       packed_s packed_cps
       (packed_cps /. scalar_cps);
     (scalar_cps, packed_cps)
@@ -282,14 +280,13 @@ let () =
   banner
     (Printf.sprintf
        "Multi-word simulation — %d-lane packed vs 126/252-lane streaming"
-       Sim_packed.lanes);
+       Sim_multiword.word_lanes);
   (* same unit as the packed section: simulated lane-cycles per second,
      best of three MAC-streaming runs on the 16x16 INT8 macro. The
      recorded default engine only flips away from packed when a wider
-     engine clears the multiword_min_gain bar — the same rule
-     Engine.autodetect applies behind --engine auto, and the rule CI
-     asserts against this JSON. *)
-  let mw_packed_cps, mw_candidates, mw_default, mw_autodetect =
+     engine clears the multiword_min_gain bar — the rule CI asserts
+     against this JSON. *)
+  let mw_packed_cps, mw_candidates, mw_default =
     let m =
       Macro_rtl.build lib
         (Macro_rtl.default ~rows:16 ~cols:16 ~mcr:1
@@ -321,11 +318,11 @@ let () =
       in
       cycles *. float_of_int (E.lanes_of sim) /. s
     in
-    let packed_cps = rate (module Slice.Packed) in
+    let packed_cps = rate (Engine.slice `Packed) in
     let candidates =
       List.map
         (fun w -> (w, rate (Engine.slice (`Multiword w))))
-        [ 2 * Sim_packed.lanes; 4 * Sim_packed.lanes ]
+        [ 2 * Sim_multiword.word_lanes; 4 * Sim_multiword.word_lanes ]
     in
     let default =
       List.fold_left
@@ -335,7 +332,6 @@ let () =
           else acc)
         (Engine.name `Packed) candidates
     in
-    let autodetect = Engine.name (Engine.autodetect () :> Engine.t) in
     Printf.printf "16x16 INT8, %d MACs/run, best of 3:\n" macs;
     Printf.printf "  packed (63 lanes): %.3g lane-cycles/s\n" packed_cps;
     List.iter
@@ -345,11 +341,9 @@ let () =
           (if packed_cps > 0.0 then cps /. packed_cps else 0.0))
       candidates;
     Printf.printf
-      "default engine: %s (gate: >= %.1fx over packed)\n\
-       autodetect (probe netlist): %s\n\
-       %!"
-      default multiword_min_gain autodetect;
-    (packed_cps, candidates, default, autodetect)
+      "default engine: %s (gate: >= %.1fx over packed)\n%!" default
+      multiword_min_gain;
+    (packed_cps, candidates, default)
   in
 
   (* ---------------- packed signoff throughput ---------------- *)
@@ -571,6 +565,6 @@ let () =
   write_results ~jobs ~seq_s ~par_s ~packed_scalar_cps ~packed_cps
     ~signoff_batches ~signoff_scalar_cps ~signoff_packed_cps ~shmoo_lanes
     ~shmoo_scalar_s ~shmoo_packed_s ~mw_packed_cps ~mw_candidates
-    ~mw_default ~mw_autodetect ~service_cold_s ~service_warm_s ~metrics_on_s
+    ~mw_default ~service_cold_s ~service_warm_s ~metrics_on_s
     ~metrics_off_s;
   Printf.printf "\nbench: all experiments regenerated.\n"

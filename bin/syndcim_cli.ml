@@ -80,11 +80,10 @@ let ctx_term =
       & opt (some string) None
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
-            "Batch simulation engine: scalar, packed (63 lanes, the \
-             default), multiword:N (N = 126 or 252 lanes), or auto \
-             (bench-probe the host and keep packed unless a wider \
-             engine wins). All engines are bit-identical; this is a \
-             throughput knob.")
+            "Batch simulation engine: scalar, packed (the 63-lane \
+             bit-sliced simulator, the default) or multiword:N (the \
+             same simulator N lanes wide, e.g. 126 or 252). All \
+             engines are bit-identical; this is a throughput knob.")
   in
   let metrics =
     Arg.(

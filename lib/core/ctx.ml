@@ -34,20 +34,18 @@
       records per-spec traces and merges them in manifest order. *)
 
 type engine = Engine.t
-(** [`Scalar], [`Packed] (63 lanes) or [`Multiword w] (63·k lanes, see
-    {!Sim_multiword}); the conformance suite proves all of them
+(** [`Scalar], [`Packed] (the 63-lane {!Sim_multiword}) or
+    [`Multiword w] ([w] lanes); the conformance suite proves all of them
     bit-identical, so the choice is purely a throughput knob *)
 
 let engine_name : engine -> string = Engine.name
 
 (** [validate_engine s] — parse a CLI [--engine] argument ([scalar],
-    [packed], [multiword:N] or [auto]); [auto] runs the bench-probe
-    {!Engine.autodetect} (the only path that ever calls it). A bad value
-    is a one-line diagnostic, not an exception. *)
+    [packed] or [multiword:N]). A bad value is a one-line diagnostic,
+    not an exception. *)
 let validate_engine (s : string) : (engine, Diag.t) Stdlib.result =
   match Engine.of_string s with
-  | Ok `Auto -> Ok (Engine.autodetect () :> engine)
-  | Ok (#Engine.t as e) -> Ok e
+  | Ok e -> Ok e
   | Error msg ->
       Error (Diag.error ~stage:"ctx" ~payload:[ ("engine", s) ] msg)
 

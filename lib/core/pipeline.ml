@@ -207,7 +207,7 @@ let search_stage lib scl ~boost : (Spec.t, search_art) Stage.t =
 
 (** Stage 2 — functional sign-off against the golden MAC. The default
     [`Packed] engine settles each weight copy's MAC batch as
-    {!Sim_packed} lanes (any failing lane is shrunk back to one scalar
+    {!Sim_multiword} lanes (any failing lane is shrunk back to one scalar
     transaction); [`Scalar] is the reference engine the equivalence
     property pins it against. Both produce bit-identical verdicts. *)
 let verify_stage ?(engine = `Packed) ~enabled () :

@@ -121,10 +121,10 @@ type measured = {
     stimulus (seeded from [seed] and the column index), pre-drawn so
     both engines replay identical streams:
 
-    - [`Packed] (default) — one bit-sliced {!Sim_packed} run per
-      column, replicas as lanes;
-    - [`Multiword w] — the same through a [w]-lane {!Sim_multiword}
-      (pass [~n_lanes] up to [w] to widen the ensemble);
+    - [`Packed] (default) — one 63-lane bit-sliced {!Sim_multiword}
+      run per column, replicas as lanes;
+    - [`Multiword w] — the same through a [w]-lane slice (pass
+      [~n_lanes] up to [w] to widen the ensemble);
     - [`Scalar] — the reference: [n_lanes] scalar runs per column with
       element-wise-summed counters, bit-identical to the sliced
       counters by the lane-equivalence property, hence bit-identical
@@ -136,7 +136,7 @@ type measured = {
     Columns fan out over the pool; the fanout-load map is built once
     and shared by every column and engine. *)
 let measure ?(vdds = default_vdds) ?(freqs_mhz = default_freqs_mhz)
-    ?engine ?(n_lanes = Sim_packed.lanes) ?(seed = 0xF19) ?(macs = 4) ?jobs
+    ?engine ?(n_lanes = Sim_multiword.word_lanes) ?(seed = 0xF19) ?(macs = 4) ?jobs
     (ctx : Ctx.t) (m : Macro_rtl.t) ~crit_ps =
   let lib = Ctx.lib ctx in
   let engine =

@@ -1,20 +1,16 @@
 (** Simulation-engine selection: which backend batch consumers run on.
 
-    Three engines exist: the scalar reference {!Sim}, the 63-lane
-    bit-sliced {!Sim_packed}, and the 63·k-lane {!Sim_multiword}. The
-    batch consumers (sign-off verification, differential checking,
-    equivalence checking, shmoo power sweeps) only need the {!Slice.S}
-    contract, so an engine value is just a name for which implementation
-    {!slice} hands them.
+    Two simulators exist: the scalar reference {!Sim} and the bit-sliced
+    {!Sim_multiword}. The batch consumers (sign-off verification,
+    differential checking, equivalence checking, shmoo power sweeps)
+    only need the {!Slice.S} contract, so an engine value is just a name
+    for which slice width {!slice} hands them: [`Packed] is the one-word
+    63-lane slice, [`Multiword w] a [w]-lane one.
 
-    The default stays [`Packed] everywhere: multi-word slices trade more
-    work per net for fewer passes per job batch, and whether that wins
-    depends on the host's ALU/vector pipelining. {!autodetect} settles
-    the question empirically — it times a synthetic probe netlist on
-    each candidate width and only returns a wider engine on a clear
-    (≥ [min_gain], default 1.5×) lane-cycles/s win, mirroring the CI
-    bench gate on the [multiword_sim] section of BENCH_RESULTS.json.
-    Nothing calls it implicitly; it runs only behind [--engine auto]. *)
+    The default stays [`Packed] everywhere: wider slices trade more work
+    per net for fewer passes per job batch, and measured lane-cycles/s
+    has never cleared the bench's 1.5× gate over one word (the
+    [multiword_sim] section of BENCH_RESULTS.json records it per host). *)
 
 type batch = [ `Packed | `Multiword of int ]
 (** engines that run many lanes per pass — the ones {!slice} serves *)
@@ -39,131 +35,29 @@ let validate (e : t) : (t, string) Stdlib.result =
              "multiword width %d out of range (1..%d)" w
              Sim_multiword.max_lanes)
 
-(** [of_string s] parses an [--engine] argument: [scalar], [packed],
-    [multiword:N] (N lanes, e.g. 126 or 252), or [auto] (probe the host
-    with {!autodetect}). *)
-let of_string (s : string) : ([ `Auto | t ], string) Stdlib.result =
+(** [of_string s] parses an [--engine] argument: [scalar], [packed]
+    (63 lanes) or [multiword:N] (N lanes, e.g. 126 or 252). *)
+let of_string (s : string) : (t, string) Stdlib.result =
   match String.lowercase_ascii (String.trim s) with
   | "scalar" -> Ok `Scalar
   | "packed" -> Ok `Packed
-  | "auto" -> Ok `Auto
   | s -> (
       match String.index_opt s ':' with
       | Some i when String.sub s 0 i = "multiword" -> (
           let rest = String.sub s (i + 1) (String.length s - i - 1) in
           match int_of_string_opt rest with
-          | Some w -> (
-              match validate (`Multiword w) with
-              | Ok e -> Ok (e :> [ `Auto | t ])
-              | Error msg -> Error msg)
+          | Some w -> validate (`Multiword w)
           | None ->
               Error (Printf.sprintf "bad multiword width %S" rest))
       | _ ->
           Error
-            (Printf.sprintf
-               "unknown engine %S (scalar|packed|multiword:N|auto)" s))
+            (Printf.sprintf "unknown engine %S (scalar|packed|multiword:N)"
+               s))
 
 (** [slice e] — the {!Slice.S} implementation behind a batch engine. *)
-let slice : batch -> (module Slice.S) = function
-  | `Packed -> (module Slice.Packed)
-  | `Multiword w ->
-      let (module M) = Slice.multiword w in
-      (module M)
-
-(* ---------------- bench-probe autodetection ---------------- *)
-
-(* A synthetic netlist with the mix that dominates real macros: an XOR
-   reduction layer, a register row, a full-adder carry chain and an
-   output register row — enough sequential and combinational work that
-   per-word evaluation cost, not harness overhead, dominates. *)
-let probe_design () =
-  let t = Ir.create ~name:"engine-probe" () in
-  let n = 24 in
-  let a = Ir.new_bus t n and b = Ir.new_bus t n in
-  Ir.add_input t "a" a;
-  Ir.add_input t "b" b;
-  let mixed =
-    Array.init n (fun i ->
-        let x = Ir.new_net t in
-        ignore (Ir.add t Cell.Xor2 ~ins:[| a.(i); b.(i) |] ~outs:[| x |]);
-        let y = Ir.new_net t in
-        ignore
-          (Ir.add t Cell.Nand2 ~ins:[| x; a.((i + 1) mod n) |] ~outs:[| y |]);
-        y)
+let slice (e : batch) : (module Slice.S) =
+  let w =
+    match e with `Packed -> Sim_multiword.word_lanes | `Multiword w -> w
   in
-  let regs =
-    Array.map
-      (fun x ->
-        let q = Ir.new_net t in
-        ignore (Ir.add t Cell.Dff ~ins:[| x |] ~outs:[| q |]);
-        q)
-      mixed
-  in
-  let carry = ref Ir.const0 in
-  let sums =
-    Array.init n (fun i ->
-        let s = Ir.new_net t and co = Ir.new_net t in
-        ignore
-          (Ir.add t Cell.Fa ~ins:[| regs.(i); b.(i); !carry |]
-             ~outs:[| s; co |]);
-        carry := co;
-        s)
-  in
-  let outs =
-    Array.map
-      (fun s ->
-        let q = Ir.new_net t in
-        ignore (Ir.add t Cell.Dff ~ins:[| s |] ~outs:[| q |]);
-        q)
-      sums
-  in
-  Ir.add_output t "s" outs;
-  Ir.freeze t
-
-(* Lane-cycles per second of one engine on the probe: full-width sim,
-   fresh input pattern each cycle, best of [reps] timed runs. *)
-let probe_rate (module E : Slice.S) (d : Ir.design) ~cycles ~reps =
-  let rng = Rng.create 0xBE7C in
-  let sim = E.create d in
-  let lanes = E.lanes_of sim in
-  let vs = Array.init lanes (fun _ -> Rng.int rng 0x1000000) in
-  (* warm-up pass so allocation and code paths are hot before timing *)
-  E.set_bus_lanes sim "a" vs;
-  E.set_bus_lanes sim "b" vs;
-  E.step sim;
-  let best = ref 0.0 in
-  for _ = 1 to reps do
-    let t0 = Sys.time () in
-    for c = 0 to cycles - 1 do
-      E.set_bus sim "a" (0x5A5A5A lxor c);
-      E.set_bus sim "b" (0x33CC33 + c);
-      E.step sim
-    done;
-    let dt = Sys.time () -. t0 in
-    if dt > 0.0 then begin
-      let rate = float_of_int (lanes * cycles) /. dt in
-      if rate > !best then best := rate
-    end
-  done;
-  !best
-
-(** [autodetect ()] — time the probe netlist on [`Packed] and each
-    candidate multi-word width (default 126 and 252 lanes) and return
-    the widest candidate that beats packed by at least [min_gain]
-    (default 1.5×) in lane-cycles/s, or [`Packed] when none does. This
-    is deliberately conservative: equal-rate hosts keep the engine the
-    whole test suite exercises hardest. *)
-let autodetect ?(candidates = [ 2 * Sim_multiword.word_lanes; 4 * Sim_multiword.word_lanes ])
-    ?(min_gain = 1.5) ?(cycles = 2000) ?(reps = 3) () : batch =
-  let d = probe_design () in
-  let packed_rate = probe_rate (module Slice.Packed) d ~cycles ~reps in
-  if packed_rate <= 0.0 then `Packed
-  else
-    List.fold_left
-      (fun acc w ->
-        match validate (`Multiword w) with
-        | Error _ -> acc
-        | Ok _ ->
-            let rate = probe_rate (slice (`Multiword w)) d ~cycles ~reps in
-            if rate >= min_gain *. packed_rate then `Multiword w else acc)
-      `Packed candidates
+  let (module M) = Slice.multiword w in
+  (module M)

@@ -1,27 +1,38 @@
-(** Multi-word bit-sliced cycle simulator: [k] native words per net, so
-    up to [63 * k] independent lanes of one design advance together.
+(** Bit-sliced cycle simulator: up to [63 * k] independent simulations of
+    one design, packed one lane per bit of [k] native words per net.
 
-    {!Sim_packed} tops out at {!Sim_packed.lanes} (= [Sys.int_size] = 63)
-    lanes because it stores one word per net. This simulator widens the
-    slice: lane [l] lives in word [l / 63], bit [l mod 63], and every net
-    holds its [k] words contiguously in one flat array ([net * words + w]),
-    so gate evaluation is the same {!Cell.eval_word_into} expression run
-    [k] times per instance with no per-net indirection. A host whose
-    vector units can keep 2 or 4 scalar ALU chains in flight gets 126 or
-    252 lanes for close to the 63-lane wall clock; whether that pays on a
-    given machine is exactly what {!Engine.autodetect} and the
-    [multiword_sim] bench section measure, and the default engine stays
-    {!Sim_packed} until the gate shows a win.
+    Gate evaluation is word-level ({!Cell.eval_word_into}): one bitwise
+    expression settles a cell for 63 lanes at once, so a run advances
+    [63 * k] simulations for roughly [k] times the cost the scalar {!Sim}
+    pays for one. The lanes are completely independent — different
+    inputs, different weights, different register histories — which is
+    exactly the shape of the two workloads that dominate the compiler:
 
-    Semantics are lane-for-lane identical to {!Sim_packed} (and therefore
-    to the scalar {!Sim}): toggle accounting stays exact per lane by
-    summing [popcount ((old lxor new) land mask)] over the words of a
-    net, enabled-DFF duty sums enable popcounts per word, and weight
-    writes charge every active lane. The cross-engine conformance suite
-    in test/ proves the equivalence bit-for-bit per width. *)
+    - power Monte Carlo: one random MAC replica per lane, so toggle
+      statistics converge with a fraction of the wall clock;
+    - verification fan-out: spec-fuzzer vectors checked against
+      {!Golden} one per lane, with a failing lane shrunk back to a
+      single scalar reproduction.
+
+    Lane [l] lives in word [l / 63], bit [l mod 63], and every net holds
+    its [k] words contiguously in one flat array ([net * words + w]), so
+    a [k]-word slice runs the same gate expression [k] times per
+    instance with no per-net indirection. The one-word slice (63 lanes,
+    the [packed] engine) is the default everywhere; {!eval} and {!clock}
+    take a dedicated single-word loop for it, chosen from the lane
+    count.
+
+    Toggle accounting stays exact per lane: a net's counter advances by
+    [popcount ((old lxor new) land mask)] summed over its words, which is
+    bit-for-bit the sum of the per-lane scalar counters; enabled-DFF duty
+    sums enable popcounts per word, and weight writes charge every active
+    lane. OCaml's boxed-free [int] has 63 usable bits (one bit of the
+    machine word is the pointer tag), hence 63 lanes per word, not 64.
+    The cross-engine conformance suite in test/ proves the equivalence
+    with the scalar {!Sim} bit-for-bit per width. *)
 
 (** Lanes carried per word: the native [int] width (63 on 64-bit hosts),
-    matching {!Sim_packed.lanes}. *)
+    and the width of the default [packed] engine. *)
 let word_lanes = Sys.int_size
 
 (** Hard cap on the slice width — 64 words (4032 lanes on 64-bit hosts).
@@ -180,36 +191,29 @@ let extract_lane t lane : bool array =
     register / SRAM state, for cross-checking against [Sim.seq_state] /
     [Sim.storage_state]. *)
 let seq_state_lane t lane : bool array =
+  assert (lane >= 0 && lane < t.n_lanes);
   let n = Array.length t.seq_state / t.words in
   Array.init n (fun i -> lane_bit t.words t.seq_state lane i)
 
 let storage_state_lane t lane : bool array =
+  assert (lane >= 0 && lane < t.n_lanes);
   let n = Array.length t.storage_state / t.words in
   Array.init n (fun i -> lane_bit t.words t.storage_state lane i)
 
-(** [set_weight_lanes t ~row ~col ~copy bits] writes one SRAM weight bit
-    per lane through its (row, col, copy) address: [bits.(l)] is lane
-    [l]'s bit. Lanes beyond [Array.length bits] store [false]. Every
-    active lane performs a write; only flipped lanes are charged a
-    flip. *)
-let set_weight_lanes t ~row ~col ~copy (bits : bool array) =
+(* Write the SRAM weight bit at (row, col, copy) in every active lane:
+   [word_of w] is the bit pattern of word [w]. Every active lane is
+   charged a write, only flipped lanes a flip. *)
+let write_weight t ~row ~col ~copy word_of =
   match Hashtbl.find_opt t.d.weight_index (row, col, copy) with
   | None ->
       invalid_arg
-        (Printf.sprintf "Sim_multiword.set_weight_lanes: no weight bit (%d,%d,%d)"
-           row col copy)
+        (Printf.sprintf "Sim_multiword: no weight bit (%d,%d,%d)" row col
+           copy)
   | Some i ->
       t.weight_writes <- t.weight_writes + t.n_lanes;
-      let n = min (Array.length bits) t.n_lanes in
       let out = t.d.insts.(i).outs.(0) in
       for w = 0 to t.words - 1 do
-        let lo = w * word_lanes in
-        let hi = min n (lo + word_lanes) in
-        let v = ref 0 in
-        for l = lo to hi - 1 do
-          if bits.(l) then v := !v lor (1 lsl (l - lo))
-        done;
-        let v = !v land t.masks.(w) in
+        let v = word_of w land t.masks.(w) in
         let idx = (i * t.words) + w in
         let old = t.storage_state.(idx) in
         if old <> v then begin
@@ -218,89 +222,141 @@ let set_weight_lanes t ~row ~col ~copy (bits : bool array) =
         end;
         set_net_word t out w v
       done
+
+(** [set_weight_lanes t ~row ~col ~copy bits] writes one SRAM weight bit
+    per lane through its (row, col, copy) address: [bits.(l)] is lane
+    [l]'s bit. Lanes beyond [Array.length bits] store [false]. *)
+let set_weight_lanes t ~row ~col ~copy (bits : bool array) =
+  let n = min (Array.length bits) t.n_lanes in
+  write_weight t ~row ~col ~copy (fun w ->
+      let lo = w * word_lanes in
+      let v = ref 0 in
+      for l = lo to min n (lo + word_lanes) - 1 do
+        if bits.(l) then v := !v lor (1 lsl (l - lo))
+      done;
+      !v)
 
 (** [set_weight_all t ~row ~col ~copy bit] — the broadcast form: every
     lane stores the same [bit]. *)
 let set_weight_all t ~row ~col ~copy bit =
-  match Hashtbl.find_opt t.d.weight_index (row, col, copy) with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Sim_multiword.set_weight_all: no weight bit (%d,%d,%d)"
-           row col copy)
-  | Some i ->
-      t.weight_writes <- t.weight_writes + t.n_lanes;
-      let out = t.d.insts.(i).outs.(0) in
-      for w = 0 to t.words - 1 do
-        let v = if bit then t.masks.(w) else 0 in
-        let idx = (i * t.words) + w in
-        let old = t.storage_state.(idx) in
-        if old <> v then begin
-          t.storage_state.(idx) <- v;
-          t.weight_flips <- t.weight_flips + Intmath.popcount (old lxor v)
-        end;
-        set_net_word t out w v
-      done
+  write_weight t ~row ~col ~copy (fun w ->
+      if bit then t.masks.(w) else 0)
 
 (** [eval t] settles all combinational logic, all lanes at once: one
     {!Cell.eval_word_into} per instance per word. Complemented cell
     outputs may carry set bits above the active lanes (see {!Cell}), so
-    commits mask per word. *)
+    commits mask per word. A one-word slice takes its own loop: with no
+    word index to scale, every net read and commit is a direct array
+    access. *)
 let eval t =
   let d = t.d in
   let ins_buf = t.scratch_ins and outs_buf = t.scratch_outs in
   let values = t.values in
   let words = t.words in
-  Array.iter
-    (fun i ->
-      let inst = d.insts.(i) in
-      let ins = inst.Ir.ins in
-      let outs = inst.Ir.outs in
-      let n_ins = Array.length ins and n_outs = Array.length outs in
-      for w = 0 to words - 1 do
-        for p = 0 to n_ins - 1 do
-          ins_buf.(p) <- values.((ins.(p) * words) + w)
+  if words = 1 then begin
+    let mask = t.masks.(0) and toggles = t.toggles in
+    Array.iter
+      (fun i ->
+        let inst = d.insts.(i) in
+        let ins = inst.Ir.ins in
+        for p = 0 to Array.length ins - 1 do
+          ins_buf.(p) <- values.(ins.(p))
         done;
         Cell.eval_word_into inst.Ir.kind ins_buf outs_buf;
-        for o = 0 to n_outs - 1 do
-          set_net_word t outs.(o) w outs_buf.(o)
-        done
-      done)
-    d.comb_order
+        let outs = inst.Ir.outs in
+        for o = 0 to Array.length outs - 1 do
+          let net = outs.(o) in
+          let v = outs_buf.(o) land mask in
+          let old = values.(net) in
+          if old <> v then begin
+            values.(net) <- v;
+            toggles.(net) <- toggles.(net) + Intmath.popcount (old lxor v)
+          end
+        done)
+      d.comb_order
+  end
+  else
+    Array.iter
+      (fun i ->
+        let inst = d.insts.(i) in
+        let ins = inst.Ir.ins in
+        let outs = inst.Ir.outs in
+        let n_ins = Array.length ins and n_outs = Array.length outs in
+        for w = 0 to words - 1 do
+          for p = 0 to n_ins - 1 do
+            ins_buf.(p) <- values.((ins.(p) * words) + w)
+          done;
+          Cell.eval_word_into inst.Ir.kind ins_buf outs_buf;
+          for o = 0 to n_outs - 1 do
+            set_net_word t outs.(o) w outs_buf.(o)
+          done
+        done)
+      d.comb_order
 
 (** [clock t] commits every flip-flop in every lane of every word: a
     plain DFF captures D, an enabled DFF captures D lane-wise where EN is
     high and holds elsewhere. Enabled-cycle accounting advances by the
     popcount of each enable word, the lane-summed duty the power model
-    charges. *)
+    charges. Like {!eval}, a one-word slice takes its own loop. *)
 let clock t =
   let d = t.d in
   let next = t.seq_next in
+  let values = t.values and seq_state = t.seq_state in
   let words = t.words in
-  Array.iteri
-    (fun idx i ->
-      let inst = d.insts.(i) in
-      for w = 0 to words - 1 do
-        next.((idx * words) + w) <-
+  if words = 1 then begin
+    Array.iteri
+      (fun idx i ->
+        let inst = d.insts.(i) in
+        next.(idx) <-
           (match inst.kind with
-          | Cell.Dff -> t.values.((inst.ins.(0) * words) + w)
+          | Cell.Dff -> values.(inst.ins.(0))
           | Cell.Dff_en ->
-              let en = t.values.((inst.ins.(1) * words) + w) in
+              let en = values.(inst.ins.(1)) in
               if en <> 0 then
                 t.en_cycles.(i) <- t.en_cycles.(i) + Intmath.popcount en;
-              (en land t.values.((inst.ins.(0) * words) + w))
-              lor (lnot en land t.seq_state.((i * words) + w))
-          | _ -> assert false)
-      done)
-    d.seq;
-  Array.iteri
-    (fun idx i ->
-      let out = t.d.insts.(i).outs.(0) in
-      for w = 0 to words - 1 do
-        let v = next.((idx * words) + w) land t.masks.(w) in
-        t.seq_state.((i * words) + w) <- v;
-        set_net_word t out w v
-      done)
-    d.seq;
+              (en land values.(inst.ins.(0))) lor (lnot en land seq_state.(i))
+          | _ -> assert false))
+      d.seq;
+    let mask = t.masks.(0) and toggles = t.toggles in
+    Array.iteri
+      (fun idx i ->
+        let v = next.(idx) land mask in
+        seq_state.(i) <- v;
+        let net = d.insts.(i).outs.(0) in
+        let old = values.(net) in
+        if old <> v then begin
+          values.(net) <- v;
+          toggles.(net) <- toggles.(net) + Intmath.popcount (old lxor v)
+        end)
+      d.seq
+  end
+  else begin
+    Array.iteri
+      (fun idx i ->
+        let inst = d.insts.(i) in
+        for w = 0 to words - 1 do
+          next.((idx * words) + w) <-
+            (match inst.kind with
+            | Cell.Dff -> values.((inst.ins.(0) * words) + w)
+            | Cell.Dff_en ->
+                let en = values.((inst.ins.(1) * words) + w) in
+                if en <> 0 then
+                  t.en_cycles.(i) <- t.en_cycles.(i) + Intmath.popcount en;
+                (en land values.((inst.ins.(0) * words) + w))
+                lor (lnot en land seq_state.((i * words) + w))
+            | _ -> assert false)
+        done)
+      d.seq;
+    Array.iteri
+      (fun idx i ->
+        let out = d.insts.(i).outs.(0) in
+        for w = 0 to words - 1 do
+          let v = next.((idx * words) + w) land t.masks.(w) in
+          seq_state.((i * words) + w) <- v;
+          set_net_word t out w v
+        done)
+      d.seq
+  end;
   t.cycles <- t.cycles + 1
 
 (** [step t] = eval then clock: one full cycle with inputs already set. *)

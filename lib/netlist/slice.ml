@@ -1,15 +1,15 @@
 (** The bit-sliced simulator abstraction every batch consumer drives.
 
-    {!Sim_packed} (63 lanes, one word per net) and {!Sim_multiword}
-    (63·k lanes, k words per net) expose the same semantics: independent
-    lanes, broadcast or per-lane bus drives, exact lane-summed toggle
-    accounting. This module captures that contract as a module type so
-    the sign-off bench, the differential checker, the equivalence
-    checker and the shmoo harness are each written once against {!S}
-    and instantiated per engine — which is also what makes the
-    cross-engine conformance suite in test/ parametric: any two
-    implementations of {!S} can be checked lane-for-lane against each
-    other and against the scalar {!Sim}.
+    {!Sim_multiword} at any width (63 lanes for the default [packed]
+    engine, 63·k lanes for [multiword:N]) and the scalar {!Sim} expose
+    the same semantics: independent lanes, broadcast or per-lane bus
+    drives, exact lane-summed toggle accounting. This module captures
+    that contract as a module type so the sign-off bench, the
+    differential checker, the equivalence checker and the shmoo harness
+    are each written once against {!S} and instantiated per engine —
+    which is also what makes the cross-engine conformance suite in test/
+    parametric: any two implementations of {!S} can be checked
+    lane-for-lane against each other and against the scalar {!Sim}.
 
     [max_lanes] is the implementation's configured slice width (the
     chunk size batch consumers fan jobs out by), and [create]'s default
@@ -62,46 +62,9 @@ module type S = sig
   val weight_writes : t -> int
 end
 
-(** The 63-lane single-word engine: {!Sim_packed} verbatim; per-lane
-    weight bits pack into one native word. *)
-module Packed : S with type t = Sim_packed.t = struct
-  type t = Sim_packed.t
-
-  let name = "packed"
-  let max_lanes = Sim_packed.lanes
-  let create = Sim_packed.create
-  let lanes_of = Sim_packed.lanes_of
-  let set_bus = Sim_packed.set_bus
-  let set_bus_lanes = Sim_packed.set_bus_lanes
-  let read_bus_lane = Sim_packed.read_bus_lane
-  let read_bus_signed_lane = Sim_packed.read_bus_signed_lane
-  let extract_lane = Sim_packed.extract_lane
-  let seq_state_lane = Sim_packed.seq_state_lane
-  let storage_state_lane = Sim_packed.storage_state_lane
-
-  let set_weight_lanes t ~row ~col ~copy (bits : bool array) =
-    let n = min (Array.length bits) (Sim_packed.lanes_of t) in
-    let w = ref 0 in
-    for l = 0 to n - 1 do
-      if bits.(l) then w := !w lor (1 lsl l)
-    done;
-    Sim_packed.set_weight t ~row ~col ~copy !w
-
-  let set_weight_all = Sim_packed.set_weight_all
-  let eval = Sim_packed.eval
-  let clock = Sim_packed.clock
-  let step = Sim_packed.step
-  let reset_stats = Sim_packed.reset_stats
-  let toggles (t : t) = t.Sim_packed.toggles
-  let en_cycles (t : t) = t.Sim_packed.en_cycles
-  let cycles (t : t) = t.Sim_packed.cycles
-  let weight_flips (t : t) = t.Sim_packed.weight_flips
-  let weight_writes (t : t) = t.Sim_packed.weight_writes
-end
-
-(** A width-[w] multi-word engine over {!Sim_multiword}: [multiword w]
-    is a first-class {!S} whose [max_lanes] (and default [create]
-    width) is [w]. *)
+(** A width-[w] engine over {!Sim_multiword}: [multiword w] is a
+    first-class {!S} whose [max_lanes] (and default [create] width) is
+    [w]. The one-word width is the [packed] engine and is labelled so. *)
 let multiword (w : int) : (module S with type t = Sim_multiword.t) =
   if w < 1 || w > Sim_multiword.max_lanes then
     invalid_arg
@@ -110,12 +73,15 @@ let multiword (w : int) : (module S with type t = Sim_multiword.t) =
   (module struct
     type t = Sim_multiword.t
 
-    let name = Printf.sprintf "multiword:%d" w
+    let name =
+      if w = Sim_multiword.word_lanes then "packed"
+      else Printf.sprintf "multiword:%d" w
+
     let max_lanes = w
 
     let create ?n_lanes d =
       let n_lanes = match n_lanes with None -> w | Some l -> l in
-      if n_lanes > w then
+      if n_lanes < 1 || n_lanes > w then
         invalid_arg
           (Printf.sprintf "%s.create: requested %d lanes, valid range is 1..%d"
              name n_lanes w);

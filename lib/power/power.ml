@@ -37,10 +37,12 @@ let tag_label = function
     ~freq_hz ~vdd ?wire_cap ?loads ()] converts raw switching-activity
     counters into a power report at the given operating point. This is
     the accounting core both simulators share: the scalar {!Sim} passes
-    its counters through {!estimate}; the bit-sliced {!Sim_packed} passes
-    lane-summed counters with [cycles] inflated by the lane count
-    ({!estimate_packed}), which yields the *average* power of one macro
-    replica over the whole lane ensemble. [cycles] must be positive.
+    its counters through {!estimate}; a bit-sliced {!Sim_multiword} run
+    passes lane-summed counters with [cycles] inflated by the lane count
+    ([Design_point.measure_power_sliced]), which yields the *average*
+    power of one macro replica over the whole lane ensemble — the Monte
+    Carlo estimate, converged over [lanes ×] the sample mass per
+    simulated cycle. [cycles] must be positive.
     [loads] is the per-net fanout-load map ({!Ir.fanout_loads}); pass the
     one the timing pass already computed to avoid rebuilding it here. *)
 let estimate_activity (d : Ir.design) (lib : Library.t)
@@ -180,18 +182,3 @@ let estimate (d : Ir.design) (lib : Library.t) (sim : Sim.t) ~freq_hz ~vdd
   estimate_activity d lib ~toggles:sim.Sim.toggles
     ~en_cycles:sim.Sim.en_cycles ~cycles:sim.Sim.cycles
     ~weight_flips:sim.Sim.weight_flips ~freq_hz ~vdd ?wire_cap ?loads ()
-
-(** [estimate_packed d lib psim ~freq_hz ~vdd ?wire_cap ?loads ()] — the
-    bit-sliced entry point: a finished {!Sim_packed} run is an ensemble
-    of [lanes_of psim] independent replicas, so its lane-summed toggle /
-    enable / flip counters are divided by the ensemble by charging them
-    against [lanes × cycles] effective cycles. The report is the average
-    power of one replica — the Monte Carlo estimate the search loop
-    wants, converged over 63× the sample mass per simulated cycle. *)
-let estimate_packed (d : Ir.design) (lib : Library.t) (psim : Sim_packed.t)
-    ~freq_hz ~vdd ?wire_cap ?loads () =
-  estimate_activity d lib ~toggles:psim.Sim_packed.toggles
-    ~en_cycles:psim.Sim_packed.en_cycles
-    ~cycles:(psim.Sim_packed.cycles * Sim_packed.lanes_of psim)
-    ~weight_flips:psim.Sim_packed.weight_flips ~freq_hz ~vdd ?wire_cap
-    ?loads ()

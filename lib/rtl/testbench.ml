@@ -261,13 +261,12 @@ let verify_scalar (m : Macro_rtl.t) ~seed ~batches =
 
 (* ---------------- bit-sliced bench path ---------------- *)
 
-(** The lane-parallel bench, written once against {!Slice.S}: the
-    63-lane {!Sim_packed} engine and every {!Sim_multiword} width share
-    this single implementation, so their sign-off verdicts, Mismatch
-    payloads and activity counters agree by construction — the property
-    the cross-engine conformance suite pins. [Packed_bench] below
-    instantiates it for {!Slice.Packed}; the historical [*_packed]
-    top-level names are aliases into that instance. *)
+(** The lane-parallel bench, written once against {!Slice.S}: every
+    {!Sim_multiword} width (63 lanes for the default [packed] engine)
+    shares this single implementation, so their sign-off verdicts,
+    Mismatch payloads and activity counters agree by construction — the
+    property the cross-engine conformance suite pins. Instantiate it
+    with [Sliced ((val Engine.slice e))]. *)
 module Sliced (E : Slice.S) = struct
   (* the scalar single-MAC checker, before this module shadows the name
      with its sliced counterpart: the reproducer path re-runs through it *)
@@ -510,26 +509,12 @@ module Sliced (E : Slice.S) = struct
                 random_input ~realistic:true rng m ~density:input_density)))
 end
 
-(** The {!Sliced} bench over {!Sim_packed} — the default engine. *)
-module Packed_bench = Sliced (Slice.Packed)
-
-(* Historical names for the packed instance, kept for direct callers. *)
-let set_controls_packed = Packed_bench.set_controls
-let present_inputs_lanes = Packed_bench.present_inputs_lanes
-let load_weights_lanes = Packed_bench.load_weights_lanes
-let run_mac_packed = Packed_bench.run_mac
-let judge_mac_lane = Packed_bench.judge_mac_lane
-let check_mac_packed = Packed_bench.check_mac
-let verify_packed = Packed_bench.verify
-let run_stream_packed_with = Packed_bench.run_stream_with
-let run_stream_packed = Packed_bench.run_stream
-
 (** [verify ?engine m ~seed ~batches] — functional sign-off: random
     weights into every copy, [batches] random MACs per copy checked
-    against {!Golden}. Returns unit or raises {!Mismatch}. The default
-    [`Packed] engine batches each copy's MACs as {!Sim_packed} lanes
+    against {!Golden}. Returns unit or raises {!Mismatch}. A batch
+    engine ({!Sliced}) packs each copy's MACs as {!Sim_multiword} lanes
+    — 63 at a time for the default [`Packed], [w] for [`Multiword w] —
     and shrinks any failing lane back to one scalar transaction;
-    [`Multiword w] does the same [w] lanes at a time ({!Sim_multiword});
     [`Scalar] checks one MAC at a time (the reference the conformance
     suite pins every sliced engine against). All engines draw one
     identical RNG stream, so the verdict — and any Mismatch payload —
@@ -544,8 +529,7 @@ let verify ?(engine : Engine.t = `Packed) (m : Macro_rtl.t) ~seed ~batches =
   Metrics.add m_macs_checked (batches * m.cfg.Macro_rtl.mcr);
   match engine with
   | `Scalar -> verify_scalar m ~seed ~batches
-  | `Packed -> verify_packed m ~seed ~batches
-  | `Multiword _ as e ->
+  | #Engine.batch as e ->
       let module E = (val Engine.slice e) in
       let module B = Sliced (E) in
       B.verify m ~seed ~batches
@@ -590,7 +574,7 @@ let run_stream (m : Macro_rtl.t) sim ~rng ~macs ~input_density =
           random_input ~realistic:true rng m ~density:input_density))
 
 (** [stream_cycles m ~macs] — total simulated cycles of one
-    {!run_stream}/{!run_stream_packed} run of [macs] MACs; the
+    {!run_stream}/{!Sliced.run_stream} run of [macs] MACs; the
     denominator energy-per-MAC accounting divides by. *)
 let stream_cycles (m : Macro_rtl.t) ~macs =
   m.align_lat + (macs * m.db) + m.tree_lat + m.post_lat + 1

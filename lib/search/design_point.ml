@@ -51,34 +51,18 @@ let measure_power ?(seed = 0xD1C) ?loads lib (m : Macro_rtl.t) ~freq_hz ~vdd
   Testbench.run_stream m sim ~rng ~macs ~input_density;
   Power.estimate m.design lib sim ~freq_hz ~vdd ?loads ()
 
-(** [measure_power_packed lib m ~freq_hz ~vdd ~input_density
+(** [measure_power_sliced (module E) lib m ~freq_hz ~vdd ~input_density
     ~weight_density ~macs] — the bit-sliced Monte Carlo form of
-    {!measure_power}: one {!Sim_packed} run streams [macs] MACs in
-    [n_lanes] (default all 63) concurrent replicas, each with its own
-    random weights and input stream, and the lane-summed toggle
-    statistics fold into the standard accounting as the average power of
-    one replica ({!Power.estimate_packed}). Same simulated cycle count,
-    [n_lanes ×] the sample mass. *)
-let measure_power_packed ?(seed = 0xD1C) ?loads ?n_lanes lib
-    (m : Macro_rtl.t) ~freq_hz ~vdd ~input_density ~weight_density ~macs =
-  let rng = Rng.create seed in
-  let sim = Sim_packed.create ?n_lanes m.Macro_rtl.design in
-  if m.cfg.mcr > 1 then Sim_packed.set_bus sim "copy_sel" 0;
-  Testbench.load_weights_lanes m sim ~copy:0
-    (Array.init (Sim_packed.lanes_of sim) (fun _ ->
-         Testbench.random_weights rng m ~density:weight_density));
-  Sim_packed.reset_stats sim;
-  Testbench.run_stream_packed m sim ~rng ~macs ~input_density;
-  Power.estimate_packed m.design lib sim ~freq_hz ~vdd ?loads ()
-
-(** [measure_power_sliced (module E) lib m ...] — {!measure_power_packed}
-    generalized over the slice engine: any {!Slice.S} implementation
-    (63-lane packed, 126/252-lane multi-word) streams the same Monte
-    Carlo workload and folds its lane-summed counters through
-    {!Power.estimate_activity} with [lanes × cycles] effective cycles.
-    Given the same [n_lanes], every engine draws the identical stimulus
-    and produces bit-identical counters, hence bit-identical reports —
-    the conformance property the test suite pins. *)
+    {!measure_power}: one run of any {!Slice.S} engine streams [macs]
+    MACs in [n_lanes] (default the engine's width, 63 for [packed])
+    concurrent replicas, each with its own random weights and input
+    stream, and folds the lane-summed counters through
+    {!Power.estimate_activity} with [lanes × cycles] effective cycles:
+    the average power of one replica. Same simulated cycle count,
+    [n_lanes ×] the sample mass. Given the same [n_lanes], every engine
+    draws the identical stimulus and produces bit-identical counters,
+    hence bit-identical reports — the conformance property the test
+    suite pins. *)
 let measure_power_sliced (module E : Slice.S) ?(seed = 0xD1C) ?loads
     ?n_lanes lib (m : Macro_rtl.t) ~freq_hz ~vdd ~input_density
     ~weight_density ~macs =

@@ -408,29 +408,20 @@ module Sliced_engine (E : Slice.S) = struct
     { checks = !checks; failure = !failure }
 end
 
-module Packed_engine = Sliced_engine (Slice.Packed)
-
-(** [check_macro_packed ?bug ~seed ~random_batches m] — the 63-lane
-    {!Sliced_engine} instance over {!Sim_packed}. *)
-let check_macro_packed ?bug ~seed ~random_batches (m : Macro_rtl.t) :
-    outcome =
-  Packed_engine.check_macro ?bug ~seed ~random_batches m
-
 (** [check_macro ?engine ?bug ~seed ~random_batches m] — drive a built
     macro through every directed corner set plus [random_batches] random
     sets, comparing every transaction against {!Golden}. With MCR > 1
     each set is additionally checked on the last weight copy (with
-    row-rotated weights), covering the copy-select mux. The default
-    [`Packed] engine batches the transactions {!Sim_packed.lanes} at a
-    time; [`Multiword w] batches them [w] at a time ({!Sim_multiword});
+    row-rotated weights), covering the copy-select mux. A batch engine
+    ({!Sliced_engine}) packs the transactions as {!Sim_multiword} lanes
+    — 63 at a time for the default [`Packed], [w] for [`Multiword w];
     [`Scalar] runs them one by one (the reference the conformance suite
     pins the sliced engines against). *)
 let check_macro ?(engine : Engine.t = `Packed) ?bug ~seed ~random_batches
     (m : Macro_rtl.t) : outcome =
   match engine with
   | `Scalar -> check_macro_scalar ?bug ~seed ~random_batches m
-  | `Packed -> check_macro_packed ?bug ~seed ~random_batches m
-  | `Multiword _ as e ->
+  | #Engine.batch as e ->
       let module E = (val Engine.slice e) in
       let module D = Sliced_engine (E) in
       D.check_macro ?bug ~seed ~random_batches m

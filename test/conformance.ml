@@ -8,9 +8,11 @@
 
    [Make] is instantiated per engine pair in test_conformance.ml:
    (scalar, packed), (scalar, multiword:126), (scalar, multiword:252),
-   (packed, multiword:126). The same checks that once lived ad hoc in
+   (packed, multiword:126). Both batch engines are Sim_multiword, so the
+   last pair checks its one-word (63-lane) loops against the general
+   multi-word path. The same checks that once lived ad hoc in
    test_sim_packed.ml and test_lane_parallel.ml run here for every
-   pair, so a new engine earns its place by passing the identical
+   pair, so a new width earns its place by passing the identical
    battery the packed engine passed. *)
 
 let lib = lazy (Library.n40 ())

@@ -308,6 +308,8 @@ let test_ctx_builders () =
     (Ctx.validate_engine "multiword:252" = Ok (`Multiword 252));
   check_bool "validate_engine rejects junk" true
     (match Ctx.validate_engine "vliw" with Error _ -> true | Ok _ -> false);
+  check_bool "validate_engine rejects auto" true
+    (match Ctx.validate_engine "auto" with Error _ -> true | Ok _ -> false);
   check_bool "validate_engine rejects out-of-range width" true
     (match Ctx.validate_engine "multiword:0" with
     | Error _ -> true

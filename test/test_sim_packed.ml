@@ -1,9 +1,10 @@
-(* Tests for the bit-sliced simulators: popcount (single- and
+(* Tests for the bit-sliced simulator: popcount (single- and
    multi-word), exhaustive word-level cell evaluation (all input
    combinations packed as lanes), directed lane edge tests at both ends
-   of each native word (lanes 0/62 for Sim_packed, 62..126 for
-   Sim_multiword), lane-count validation including the full-width
-   mask = -1 edge, and packed power accounting.
+   of each native word (lanes 0/62 for the one-word packed engine,
+   62..126 for wider slices), lane-count and lane-index validation
+   including the full-width mask = -1 edge, and packed power
+   accounting.
 
    The cross-engine equivalence battery (per-lane state, counters,
    verify/diffcheck/equiv verdict parity) lives in conformance.ml and
@@ -12,6 +13,9 @@
 let lib = Library.n40 ()
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+
+(* The default engine: the one-word (63-lane) slice of Sim_multiword. *)
+module P = (val Engine.slice `Packed)
 
 (* ---------------- popcount ---------------- *)
 
@@ -56,7 +60,7 @@ let test_eval_word_exhaustive () =
       if not (Cell.is_sequential k || Cell.is_storage k) then begin
         let n = Cell.n_inputs k in
         let combos = 1 lsl n in
-        assert (combos <= Sim_packed.lanes);
+        assert (combos <= Sim_multiword.word_lanes);
         let ins_w =
           Array.init n (fun p ->
               let w = ref 0 in
@@ -103,31 +107,30 @@ let inverter_harness () =
 
 let test_lane_edges () =
   let d = inverter_harness () in
-  let psim = Sim_packed.create d in
-  check_int "full width" Sys.int_size (Sim_packed.lanes_of psim);
-  let vs = Array.make Sim_packed.lanes 0 in
+  let psim = P.create d in
+  check_int "full width" Sys.int_size (P.lanes_of psim);
+  let vs = Array.make P.max_lanes 0 in
   vs.(0) <- 5;
-  vs.(Sim_packed.lanes - 1) <- 2;
-  Sim_packed.set_bus_lanes psim "a" vs;
-  Sim_packed.eval psim;
-  check_int "lane 0" (lnot 5 land 7) (Sim_packed.read_bus_lane psim "out" 0);
+  vs.(P.max_lanes - 1) <- 2;
+  P.set_bus_lanes psim "a" vs;
+  P.eval psim;
+  check_int "lane 0" (lnot 5 land 7) (P.read_bus_lane psim "out" 0);
   check_int "lane 62"
     (lnot 2 land 7)
-    (Sim_packed.read_bus_lane psim "out" (Sim_packed.lanes - 1));
-  check_int "idle middle lane" 7 (Sim_packed.read_bus_lane psim "out" 31);
+    (P.read_bus_lane psim "out" (P.max_lanes - 1));
+  check_int "idle middle lane" 7 (P.read_bus_lane psim "out" 31);
   (* toggle accounting is exact per lane: only the two driven lanes
      toggled bits 0 and 2 of the input bus *)
   let bus = Ir.input_bus d.Ir.src "a" in
   check_int "bit0 toggles (only lane 0's 0b101)" 1
-    psim.Sim_packed.toggles.(bus.(0));
+    (P.toggles psim).(bus.(0));
   check_int "bit1 toggles (only lane 62's 0b010)" 1
-    psim.Sim_packed.toggles.(bus.(1));
+    (P.toggles psim).(bus.(1));
   check_int "bit2 toggles (only lane 0's 0b101)" 1
-    psim.Sim_packed.toggles.(bus.(2));
+    (P.toggles psim).(bus.(2));
   (* re-driving the identical pattern adds no toggles *)
-  Sim_packed.set_bus_lanes psim "a" vs;
-  check_int "no toggle on identical drive" 1
-    psim.Sim_packed.toggles.(bus.(0))
+  P.set_bus_lanes psim "a" vs;
+  check_int "no toggle on identical drive" 1 (P.toggles psim).(bus.(0))
 
 let contains s sub =
   let n = String.length sub and m = String.length s in
@@ -154,32 +157,31 @@ let test_lane_count_validation () =
   (* the rejection message reports the caller's requested width and the
      engine's valid range *)
   check_rejects "0 lanes rejected"
-    (fun () -> ignore (Sim_packed.create ~n_lanes:0 d))
-    (Printf.sprintf "requested 0 lanes, valid range is 1..%d"
-       Sim_packed.lanes);
+    (fun () -> ignore (P.create ~n_lanes:0 d))
+    (Printf.sprintf "requested 0 lanes, valid range is 1..%d" P.max_lanes);
   check_rejects "64 lanes rejected"
-    (fun () -> ignore (Sim_packed.create ~n_lanes:(Sim_packed.lanes + 1) d))
+    (fun () -> ignore (P.create ~n_lanes:(P.max_lanes + 1) d))
     (Printf.sprintf "requested %d lanes, valid range is 1..%d"
-       (Sim_packed.lanes + 1) Sim_packed.lanes);
-  let one = Sim_packed.create ~n_lanes:1 d in
-  check_int "single lane" 1 (Sim_packed.lanes_of one)
+       (P.max_lanes + 1) P.max_lanes);
+  let one = P.create ~n_lanes:1 d in
+  check_int "single lane" 1 (P.lanes_of one)
 
-(* Explicitly requesting all [lanes] lanes takes the mask = -1 branch
-   (all 63 bits set, which is the all-ones native int): every lane must
-   drive, read back and account toggles independently — in particular
-   lane 62, whose bit reaches the word's sign position. *)
+(* Explicitly requesting all 63 lanes takes the mask = -1 branch (all 63
+   bits set, which is the all-ones native int): every lane must drive,
+   read back and account toggles independently — in particular lane 62,
+   whose bit reaches the word's sign position. *)
 let test_full_width_mask_edge () =
   let d = inverter_harness () in
-  let psim = Sim_packed.create ~n_lanes:Sim_packed.lanes d in
-  check_int "explicit full width" Sys.int_size (Sim_packed.lanes_of psim);
-  let vs = Array.init Sim_packed.lanes (fun l -> l land 7) in
-  Sim_packed.set_bus_lanes psim "a" vs;
-  Sim_packed.eval psim;
-  for l = 0 to Sim_packed.lanes - 1 do
+  let psim = P.create ~n_lanes:P.max_lanes d in
+  check_int "explicit full width" Sys.int_size (P.lanes_of psim);
+  let vs = Array.init P.max_lanes (fun l -> l land 7) in
+  P.set_bus_lanes psim "a" vs;
+  P.eval psim;
+  for l = 0 to P.max_lanes - 1 do
     check_int
       (Printf.sprintf "lane %d inverted" l)
       (lnot vs.(l) land 7)
-      (Sim_packed.read_bus_lane psim "out" l)
+      (P.read_bus_lane psim "out" l)
   done;
   (* per-bit toggles: bit [b] of the input bus toggled once in every
      lane whose payload has bit [b] set *)
@@ -194,8 +196,38 @@ let test_full_width_mask_edge () =
       check_int
         (Printf.sprintf "bit %d toggles" b)
         expected
-        psim.Sim_packed.toggles.(net))
+        (P.toggles psim).(net))
     bus
+
+(* Per-lane register / SRAM snapshots reject a lane outside the active
+   range, like every other per-lane read: on a full 63-lane word, lane 63
+   would otherwise index the next slot's word, and on a partial last word
+   (100 lanes) lane 100 would read a masked-off bit as [false]. *)
+let test_state_lane_bounds () =
+  let d = inverter_harness () in
+  let rejects name f =
+    match f () with
+    | (_ : bool array) -> Alcotest.failf "%s: accepted" name
+    | exception Assert_failure _ -> ()
+  in
+  List.iter
+    (fun (n_lanes, bad) ->
+      let sim = Sim_multiword.create ~n_lanes d in
+      check_int
+        (Printf.sprintf "lane %d of %d: seq slots" (n_lanes - 1) n_lanes)
+        (Ir.n_insts d)
+        (Array.length (Sim_multiword.seq_state_lane sim (n_lanes - 1)));
+      List.iter
+        (fun lane ->
+          rejects
+            (Printf.sprintf "seq_state_lane %d of %d" lane n_lanes)
+            (fun () -> Sim_multiword.seq_state_lane sim lane);
+          rejects
+            (Printf.sprintf "storage_state_lane %d of %d" lane n_lanes)
+            (fun () -> Sim_multiword.storage_state_lane sim lane))
+        bad)
+    [ (Sim_multiword.word_lanes, [ -1; Sim_multiword.word_lanes ]);
+      (100, [ 100; 126 ]) ]
 
 (* ---------------- multi-word lane boundaries ---------------- *)
 
@@ -206,7 +238,7 @@ let test_full_width_mask_edge () =
    exactly. *)
 let test_multiword_word_boundaries () =
   let d = inverter_harness () in
-  let n = 4 * Sim_packed.lanes in
+  let n = 4 * Sim_multiword.word_lanes in
   let sim = Sim_multiword.create ~n_lanes:n d in
   check_int "252 lanes" n (Sim_multiword.lanes_of sim);
   check_int "4 words" 4 (Sim_multiword.words_of sim);
@@ -286,44 +318,21 @@ let test_multiword_partial_last_word () =
 (* ---------------- packed power accounting ---------------- *)
 
 (* With a single lane, the packed Monte Carlo path must reproduce the
-   scalar power estimate to float tolerance: same counters, same
-   effective cycles. *)
+   scalar power estimate to float tolerance: same seed, same weight and
+   input draws, same counters, same effective cycles. *)
 let test_packed_power_single_lane () =
   let m =
     Macro_rtl.build lib
       (Macro_rtl.default ~rows:8 ~cols:16 ~mcr:1
          ~input_prec:Precision.int4 ~weight_prec:Precision.int4)
   in
-  let run estimate create load stream =
-    let rng = Rng.create 0xACC in
-    let sim = create m.Macro_rtl.design in
-    load rng sim;
-    stream rng sim;
-    estimate sim
-  in
   let scalar =
-    run
-      (fun sim -> Power.estimate m.Macro_rtl.design lib sim ~freq_hz:5e8 ~vdd:0.9 ())
-      Sim.create
-      (fun rng sim ->
-        Testbench.load_weights m sim ~copy:0
-          (Testbench.random_weights rng m ~density:0.5);
-        Sim.reset_stats sim)
-      (fun rng sim ->
-        Testbench.run_stream m sim ~rng ~macs:3 ~input_density:0.5)
+    Design_point.measure_power ~seed:0xACC lib m ~freq_hz:5e8 ~vdd:0.9
+      ~input_density:0.5 ~weight_density:0.5 ~macs:3
   in
   let packed =
-    run
-      (fun sim ->
-        Power.estimate_packed m.Macro_rtl.design lib sim ~freq_hz:5e8
-          ~vdd:0.9 ())
-      (Sim_packed.create ~n_lanes:1)
-      (fun rng sim ->
-        Testbench.load_weights_lanes m sim ~copy:0
-          [| Testbench.random_weights rng m ~density:0.5 |];
-        Sim_packed.reset_stats sim)
-      (fun rng sim ->
-        Testbench.run_stream_packed m sim ~rng ~macs:3 ~input_density:0.5)
+    Design_point.measure_power_sliced (module P) ~seed:0xACC ~n_lanes:1 lib
+      m ~freq_hz:5e8 ~vdd:0.9 ~input_density:0.5 ~weight_density:0.5 ~macs:3
   in
   let close a b =
     abs_float (a -. b) <= 1e-9 *. (abs_float a +. abs_float b +. 1.0)
@@ -343,7 +352,7 @@ let test_packed_power_full_width () =
          ~input_prec:Precision.int4 ~weight_prec:Precision.int4)
   in
   let p =
-    Design_point.measure_power_packed lib m ~freq_hz:5e8 ~vdd:0.9
+    Design_point.measure_power_sliced (module P) lib m ~freq_hz:5e8 ~vdd:0.9
       ~input_density:0.5 ~weight_density:0.5 ~macs:3
   in
   check_bool "positive total" true (p.Power.total_w > 0.0);
@@ -377,6 +386,8 @@ let () =
             test_multiword_word_boundaries;
           Alcotest.test_case "multi-word partial last word" `Quick
             test_multiword_partial_last_word;
+          Alcotest.test_case "state snapshots reject out-of-range lanes"
+            `Quick test_state_lane_bounds;
         ] );
       ( "power",
         [
