@@ -36,37 +36,18 @@ let time_section name f =
 (* (name, ns/run) for every Bechamel kernel *)
 let kernel_times : (string * float) list ref = ref []
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* the multiword default-flip gate: a wider engine must beat packed by
-   at least this factor in lane-cycles/s before it may become the
-   default (CI asserts the recorded default obeys this) *)
-let multiword_min_gain = 1.5
-
 (* the metrics-overhead gate: full instrumentation may cost at most this
    much over the registry-disabled run of the same search workload *)
 let metrics_max_overhead_pct = 5.0
 
 let write_results ~jobs ~seq_s ~par_s ~packed_scalar_cps ~packed_cps
     ~signoff_batches ~signoff_scalar_cps ~signoff_packed_cps ~shmoo_lanes
-    ~shmoo_scalar_s ~shmoo_packed_s ~mw_packed_cps ~mw_candidates
-    ~mw_default ~service_cold_s ~service_warm_s ~metrics_on_s
-    ~metrics_off_s =
+    ~shmoo_scalar_s ~shmoo_packed_s ~service_cold_s ~service_warm_s
+    ~metrics_on_s ~metrics_off_s =
   let b = Buffer.create 4096 in
   let entry (name, v) =
-    Printf.sprintf "    {\"name\": \"%s\", \"value\": %.6g}" (json_escape name) v
+    Printf.sprintf "    {\"name\": \"%s\", \"value\": %.6g}"
+      (Metrics.json_escape name) v
   in
   Buffer.add_string b "{\n";
   Buffer.add_string b
@@ -103,20 +84,6 @@ let write_results ~jobs ~seq_s ~par_s ~packed_scalar_cps ~packed_cps
        shmoo_lanes shmoo_scalar_s shmoo_packed_s
        (if shmoo_packed_s > 0.0 then shmoo_scalar_s /. shmoo_packed_s
         else 0.0));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"multiword_sim\": {\"packed_lane_cps\": %.6g, \"min_gain\": %.2f, \
-        \"default_engine\": \"%s\", \"candidates\": [%s]},\n"
-       mw_packed_cps multiword_min_gain (json_escape mw_default)
-       (String.concat ", "
-          (List.map
-             (fun (lanes, cps) ->
-               Printf.sprintf
-                 "{\"lanes\": %d, \"lane_cps\": %.6g, \
-                  \"speedup_vs_packed\": %.6g}"
-                 lanes cps
-                 (if mw_packed_cps > 0.0 then cps /. mw_packed_cps else 0.0))
-             mw_candidates)));
   Buffer.add_string b
     (Printf.sprintf
        "  \"service_warm\": {\"cold_s\": %.6g, \"warm_s\": %.6g, \
@@ -274,76 +241,6 @@ let () =
       packed_s packed_cps
       (packed_cps /. scalar_cps);
     (scalar_cps, packed_cps)
-  in
-
-  (* ---------------- multi-word simulation throughput ---------------- *)
-  banner
-    (Printf.sprintf
-       "Multi-word simulation — %d-lane packed vs 126/252-lane streaming"
-       Sim_multiword.word_lanes);
-  (* same unit as the packed section: simulated lane-cycles per second,
-     best of three MAC-streaming runs on the 16x16 INT8 macro. The
-     recorded default engine only flips away from packed when a wider
-     engine clears the multiword_min_gain bar — the rule CI asserts
-     against this JSON. *)
-  let mw_packed_cps, mw_candidates, mw_default =
-    let m =
-      Macro_rtl.build lib
-        (Macro_rtl.default ~rows:16 ~cols:16 ~mcr:1
-           ~input_prec:Precision.int8 ~weight_prec:Precision.int8)
-    in
-    let macs = if quick then 100 else 300 in
-    let best_of n f =
-      let best = ref infinity and cycles = ref 0 in
-      for _ = 1 to n do
-        let t0 = Unix.gettimeofday () in
-        cycles := f ();
-        let dt = Unix.gettimeofday () -. t0 in
-        if dt < !best then best := dt
-      done;
-      (float_of_int !cycles, !best)
-    in
-    let rate (module E : Slice.S) =
-      let module B = Testbench.Sliced (E) in
-      let rng = Rng.create 0xB175 in
-      let sim = E.create m.Macro_rtl.design in
-      B.load_weights_lanes m sim ~copy:0
-        (Array.init (E.lanes_of sim) (fun _ ->
-             Testbench.random_weights rng m ~density:0.5));
-      let cycles, s =
-        best_of 3 (fun () ->
-            E.reset_stats sim;
-            B.run_stream m sim ~rng ~macs ~input_density:0.5;
-            E.cycles sim)
-      in
-      cycles *. float_of_int (E.lanes_of sim) /. s
-    in
-    let packed_cps = rate (Engine.slice `Packed) in
-    let candidates =
-      List.map
-        (fun w -> (w, rate (Engine.slice (`Multiword w))))
-        [ 2 * Sim_multiword.word_lanes; 4 * Sim_multiword.word_lanes ]
-    in
-    let default =
-      List.fold_left
-        (fun acc (w, cps) ->
-          if cps >= multiword_min_gain *. packed_cps then
-            Engine.name (`Multiword w)
-          else acc)
-        (Engine.name `Packed) candidates
-    in
-    Printf.printf "16x16 INT8, %d MACs/run, best of 3:\n" macs;
-    Printf.printf "  packed (63 lanes): %.3g lane-cycles/s\n" packed_cps;
-    List.iter
-      (fun (w, cps) ->
-        Printf.printf "  multiword:%-3d      %.3g lane-cycles/s (%.2fx)\n" w
-          cps
-          (if packed_cps > 0.0 then cps /. packed_cps else 0.0))
-      candidates;
-    Printf.printf
-      "default engine: %s (gate: >= %.1fx over packed)\n%!" default
-      multiword_min_gain;
-    (packed_cps, candidates, default)
   in
 
   (* ---------------- packed signoff throughput ---------------- *)
@@ -564,7 +461,6 @@ let () =
     tests;
   write_results ~jobs ~seq_s ~par_s ~packed_scalar_cps ~packed_cps
     ~signoff_batches ~signoff_scalar_cps ~signoff_packed_cps ~shmoo_lanes
-    ~shmoo_scalar_s ~shmoo_packed_s ~mw_packed_cps ~mw_candidates
-    ~mw_default ~service_cold_s ~service_warm_s ~metrics_on_s
-    ~metrics_off_s;
+    ~shmoo_scalar_s ~shmoo_packed_s ~service_cold_s ~service_warm_s
+    ~metrics_on_s ~metrics_off_s;
   Printf.printf "\nbench: all experiments regenerated.\n"

@@ -80,10 +80,10 @@ let ctx_term =
       & opt (some string) None
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
-            "Batch simulation engine: scalar, packed (the 63-lane \
-             bit-sliced simulator, the default) or multiword:N (the \
-             same simulator N lanes wide, e.g. 126 or 252). All \
-             engines are bit-identical; this is a throughput knob.")
+            "Batch simulation engine: scalar (the reference \
+             simulator) or packed (the 63-lane bit-sliced simulator, \
+             the default). Both engines are bit-identical; this is a \
+             throughput knob.")
   in
   let metrics =
     Arg.(

@@ -381,21 +381,6 @@ let render_ppa (r : result) : string =
   in
   String.concat "\n" (List.map line r.items) ^ "\n"
 
-let json_escape (s : string) : string =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (** [manifest_json r] — the machine-readable batch manifest: per-spec
     status, cache participation, wall time and full-precision PPA. *)
 let manifest_json (r : result) : string =
@@ -427,7 +412,7 @@ let manifest_json (r : result) : string =
                 %.17g, \"tops_per_mm2\": %.17g, \"ops_norm\": %.17g }, \
                 \"wall_s\": %.6f }"
                it.index
-               (json_escape (Spec.describe it.spec))
+               (Metrics.json_escape (Spec.describe it.spec))
                (cache_word s) s.Pipeline.sum_timing_closed
                s.Pipeline.sum_attempts s.Pipeline.sum_boost
                s.Pipeline.sum_insts s.Pipeline.sum_nets m.Pipeline.crit_ps
@@ -440,8 +425,8 @@ let manifest_json (r : result) : string =
                "    { \"index\": %d, \"spec\": \"%s\", \"status\": \
                 \"failed\", \"diagnostic\": \"%s\", \"wall_s\": %.6f }"
                it.index
-               (json_escape (Spec.describe it.spec))
-               (json_escape (Diag.to_string d))
+               (Metrics.json_escape (Spec.describe it.spec))
+               (Metrics.json_escape (Diag.to_string d))
                it.wall_s));
       Buffer.add_string b (comma ^ "\n"))
     r.items;

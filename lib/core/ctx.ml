@@ -34,15 +34,14 @@
       records per-spec traces and merges them in manifest order. *)
 
 type engine = Engine.t
-(** [`Scalar], [`Packed] (the 63-lane {!Sim_multiword}) or
-    [`Multiword w] ([w] lanes); the conformance suite proves all of them
-    bit-identical, so the choice is purely a throughput knob *)
+(** [`Scalar] or [`Packed] (the 63-lane {!Sim_multiword}); the
+    conformance suite proves them bit-identical, so the choice is purely
+    a throughput knob *)
 
 let engine_name : engine -> string = Engine.name
 
-(** [validate_engine s] — parse a CLI [--engine] argument ([scalar],
-    [packed] or [multiword:N]). A bad value is a one-line diagnostic,
-    not an exception. *)
+(** [validate_engine s] — parse a CLI [--engine] argument ([scalar] or
+    [packed]). A bad value is a one-line diagnostic, not an exception. *)
 let validate_engine (s : string) : (engine, Diag.t) Stdlib.result =
   match Engine.of_string s with
   | Ok e -> Ok e
@@ -147,9 +146,6 @@ let validate_jobs (j : int) : (int, Diag.t) Stdlib.result =
       (Diag.error ~stage:"ctx"
          ~payload:[ ("jobs", string_of_int j) ]
          "jobs must be >= 1")
-
-let with_engine engine t = { t with engine }
-let with_verify_engine verify_engine t = { t with verify_engine }
 
 (** [with_engines e t] — set both the sweep and sign-off engines. *)
 let with_engines e t = { t with engine = e; verify_engine = e }

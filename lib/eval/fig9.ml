@@ -121,17 +121,15 @@ type measured = {
     stimulus (seeded from [seed] and the column index), pre-drawn so
     both engines replay identical streams:
 
-    - [`Packed] (default) — one 63-lane bit-sliced {!Sim_multiword}
-      run per column, replicas as lanes;
-    - [`Multiword w] — the same through a [w]-lane slice (pass
-      [~n_lanes] up to [w] to widen the ensemble);
+    - [`Packed] (default) — one bit-sliced {!Sim_multiword} run per
+      column, replicas as lanes ([n_lanes] at most 63);
     - [`Scalar] — the reference: [n_lanes] scalar runs per column with
       element-wise-summed counters, bit-identical to the sliced
       counters by the lane-equivalence property, hence bit-identical
       energies.
 
-    The stimulus is indexed by [n_lanes], never by the engine, so any
-    two engines at the same [n_lanes] replay identical streams.
+    The stimulus is indexed by [n_lanes], never by the engine, so both
+    engines at the same [n_lanes] replay identical streams.
 
     Columns fan out over the pool; the fanout-load map is built once
     and shared by every column and engine. *)

@@ -161,10 +161,9 @@ let check_sliced (module E : Slice.S) ~seed ~vectors ~settle ~hold
     comparison grid.
 
     [engine] selects the simulation backend. [`Packed] (the default)
-    packs vectors as bit-slice lanes, amortizing gate evaluation ~63x;
-    [`Multiword w] packs them [w] lanes wide ({!Sim_multiword});
-    [`Scalar] is the reference implementation. All engines consume the
-    same RNG stream and report mismatches in the same vector/cycle/bus
+    packs vectors as the 63 lanes of {!Sim_multiword}, amortizing gate
+    evaluation ~63x; [`Scalar] is the reference implementation. Both
+    engines consume the same RNG stream and report mismatches in the same vector/cycle/bus
     order; sliced rounds each start from reset instead of inheriting
     the previous round's pipeline state. *)
 let check ?(engine : Engine.t = `Packed) ?(seed = 0xE9) ?(vectors = 24)

@@ -1,31 +1,30 @@
 (** The bit-sliced simulator abstraction every batch consumer drives.
 
-    {!Sim_multiword} at any width (63 lanes for the default [packed]
-    engine, 63·k lanes for [multiword:N]) and the scalar {!Sim} expose
-    the same semantics: independent lanes, broadcast or per-lane bus
-    drives, exact lane-summed toggle accounting. This module captures
-    that contract as a module type so the sign-off bench, the
-    differential checker, the equivalence checker and the shmoo harness
-    are each written once against {!S} and instantiated per engine —
-    which is also what makes the cross-engine conformance suite in test/
-    parametric: any two implementations of {!S} can be checked
-    lane-for-lane against each other and against the scalar {!Sim}.
+    The 63-lane {!Sim_multiword} ({!Packed}) and the scalar {!Sim}
+    ({!Scalar}) expose the same semantics: independent lanes, broadcast
+    or per-lane bus drives, exact lane-summed toggle accounting. This
+    module captures that contract as a module type so the sign-off
+    bench, the differential checker, the equivalence checker and the
+    shmoo harness are each written once against {!S} and instantiated
+    per engine — which is also what makes the cross-engine conformance
+    suite in test/ parametric: the two implementations of {!S} are
+    checked lane-for-lane against each other.
 
-    [max_lanes] is the implementation's configured slice width (the
-    chunk size batch consumers fan jobs out by), and [create]'s default
-    width. A 1-lane {!Scalar} adapter over {!Sim} closes the family, so
-    the reference engine participates in the same generic harnesses. *)
+    [max_lanes] is the implementation's slice width (the chunk size
+    batch consumers fan jobs out by), and [create]'s default width. The
+    1-lane {!Scalar} adapter over {!Sim} lets the reference engine run
+    through the same generic harnesses. *)
 
 module type S = sig
   type t
 
   val name : string
-  (** engine label for traces and error messages, e.g. ["packed"],
-      ["multiword:126"] *)
+  (** engine label for traces and error messages: ["packed"] or
+      ["scalar"] *)
 
   val max_lanes : int
-  (** configured slice width: the widest [create] this engine accepts,
-      and the chunk size consumers batch jobs by *)
+  (** slice width: the widest [create] this engine accepts, and the
+      chunk size consumers batch jobs by *)
 
   val create : ?n_lanes:int -> Ir.design -> t
   (** fresh simulator, [n_lanes] defaulting to [max_lanes] *)
@@ -62,55 +61,37 @@ module type S = sig
   val weight_writes : t -> int
 end
 
-(** A width-[w] engine over {!Sim_multiword}: [multiword w] is a
-    first-class {!S} whose [max_lanes] (and default [create] width) is
-    [w]. The one-word width is the [packed] engine and is labelled so. *)
-let multiword (w : int) : (module S with type t = Sim_multiword.t) =
-  if w < 1 || w > Sim_multiword.max_lanes then
-    invalid_arg
-      (Printf.sprintf "Slice.multiword: requested %d lanes, valid range is 1..%d"
-         w Sim_multiword.max_lanes);
-  (module struct
-    type t = Sim_multiword.t
+(** The 63-lane {!Sim_multiword} slice: the [packed] engine. *)
+module Packed : S with type t = Sim_multiword.t = struct
+  type t = Sim_multiword.t
 
-    let name =
-      if w = Sim_multiword.word_lanes then "packed"
-      else Printf.sprintf "multiword:%d" w
+  let name = "packed"
+  let max_lanes = Sim_multiword.word_lanes
+  let create = Sim_multiword.create
+  let lanes_of = Sim_multiword.lanes_of
+  let set_bus = Sim_multiword.set_bus
+  let set_bus_lanes = Sim_multiword.set_bus_lanes
+  let read_bus_lane = Sim_multiword.read_bus_lane
+  let read_bus_signed_lane = Sim_multiword.read_bus_signed_lane
+  let extract_lane = Sim_multiword.extract_lane
+  let seq_state_lane = Sim_multiword.seq_state_lane
+  let storage_state_lane = Sim_multiword.storage_state_lane
+  let set_weight_lanes = Sim_multiword.set_weight_lanes
+  let set_weight_all = Sim_multiword.set_weight_all
+  let eval = Sim_multiword.eval
+  let clock = Sim_multiword.clock
+  let step = Sim_multiword.step
+  let reset_stats = Sim_multiword.reset_stats
+  let toggles (t : t) = t.Sim_multiword.toggles
+  let en_cycles (t : t) = t.Sim_multiword.en_cycles
+  let cycles (t : t) = t.Sim_multiword.cycles
+  let weight_flips (t : t) = t.Sim_multiword.weight_flips
+  let weight_writes (t : t) = t.Sim_multiword.weight_writes
+end
 
-    let max_lanes = w
-
-    let create ?n_lanes d =
-      let n_lanes = match n_lanes with None -> w | Some l -> l in
-      if n_lanes < 1 || n_lanes > w then
-        invalid_arg
-          (Printf.sprintf "%s.create: requested %d lanes, valid range is 1..%d"
-             name n_lanes w);
-      Sim_multiword.create ~n_lanes d
-
-    let lanes_of = Sim_multiword.lanes_of
-    let set_bus = Sim_multiword.set_bus
-    let set_bus_lanes = Sim_multiword.set_bus_lanes
-    let read_bus_lane = Sim_multiword.read_bus_lane
-    let read_bus_signed_lane = Sim_multiword.read_bus_signed_lane
-    let extract_lane = Sim_multiword.extract_lane
-    let seq_state_lane = Sim_multiword.seq_state_lane
-    let storage_state_lane = Sim_multiword.storage_state_lane
-    let set_weight_lanes = Sim_multiword.set_weight_lanes
-    let set_weight_all = Sim_multiword.set_weight_all
-    let eval = Sim_multiword.eval
-    let clock = Sim_multiword.clock
-    let step = Sim_multiword.step
-    let reset_stats = Sim_multiword.reset_stats
-    let toggles (t : t) = t.Sim_multiword.toggles
-    let en_cycles (t : t) = t.Sim_multiword.en_cycles
-    let cycles (t : t) = t.Sim_multiword.cycles
-    let weight_flips (t : t) = t.Sim_multiword.weight_flips
-    let weight_writes (t : t) = t.Sim_multiword.weight_writes
-  end)
-
-(** The scalar {!Sim} as a 1-lane slice, closing the family: the
-    conformance harness runs the reference engine through the same
-    generic code path it runs every wide engine through. *)
+(** The scalar {!Sim} as a 1-lane slice: the conformance harness runs
+    the reference engine through the same generic code path it runs the
+    packed engine through. *)
 module Scalar : S with type t = Sim.t = struct
   type t = Sim.t
 

@@ -261,12 +261,11 @@ let verify_scalar (m : Macro_rtl.t) ~seed ~batches =
 
 (* ---------------- bit-sliced bench path ---------------- *)
 
-(** The lane-parallel bench, written once against {!Slice.S}: every
-    {!Sim_multiword} width (63 lanes for the default [packed] engine)
-    shares this single implementation, so their sign-off verdicts,
-    Mismatch payloads and activity counters agree by construction — the
-    property the cross-engine conformance suite pins. Instantiate it
-    with [Sliced ((val Engine.slice e))]. *)
+(** The lane-parallel bench, written once against {!Slice.S} and run by
+    the 63-lane [packed] engine; the cross-engine conformance suite pins
+    its sign-off verdicts, Mismatch payloads and activity counters to
+    the scalar reference. Instantiate it with
+    [Sliced ((val Engine.slice e))]. *)
 module Sliced (E : Slice.S) = struct
   (* the scalar single-MAC checker, before this module shadows the name
      with its sliced counterpart: the reproducer path re-runs through it *)
@@ -512,13 +511,12 @@ end
 (** [verify ?engine m ~seed ~batches] — functional sign-off: random
     weights into every copy, [batches] random MACs per copy checked
     against {!Golden}. Returns unit or raises {!Mismatch}. A batch
-    engine ({!Sliced}) packs each copy's MACs as {!Sim_multiword} lanes
-    — 63 at a time for the default [`Packed], [w] for [`Multiword w] —
-    and shrinks any failing lane back to one scalar transaction;
-    [`Scalar] checks one MAC at a time (the reference the conformance
-    suite pins every sliced engine against). All engines draw one
-    identical RNG stream, so the verdict — and any Mismatch payload —
-    is engine-independent. *)
+    engine ({!Sliced}) packs each copy's MACs as {!Sim_multiword} lanes,
+    63 at a time for the default [`Packed], and shrinks any failing lane
+    back to one scalar transaction; [`Scalar] checks one MAC at a time
+    (the reference the conformance suite pins the sliced engine
+    against). Both engines draw one identical RNG stream, so the
+    verdict — and any Mismatch payload — is engine-independent. *)
 let m_verify_runs = Metrics.counter "signoff.verify_runs"
 let m_macs_checked = Metrics.counter "signoff.macs_checked"
 

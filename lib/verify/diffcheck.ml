@@ -413,10 +413,10 @@ end
     sets, comparing every transaction against {!Golden}. With MCR > 1
     each set is additionally checked on the last weight copy (with
     row-rotated weights), covering the copy-select mux. A batch engine
-    ({!Sliced_engine}) packs the transactions as {!Sim_multiword} lanes
-    — 63 at a time for the default [`Packed], [w] for [`Multiword w];
-    [`Scalar] runs them one by one (the reference the conformance suite
-    pins the sliced engines against). *)
+    ({!Sliced_engine}) packs the transactions as {!Sim_multiword} lanes,
+    63 at a time for the default [`Packed]; [`Scalar] runs them one by
+    one (the reference the conformance suite pins the sliced engine
+    against). *)
 let check_macro ?(engine : Engine.t = `Packed) ?bug ~seed ~random_batches
     (m : Macro_rtl.t) : outcome =
   match engine with

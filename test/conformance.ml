@@ -6,14 +6,13 @@
    faults, reproducer parity included), equivalence-check verdicts and
    measured shmoo energy floats.
 
-   [Make] is instantiated per engine pair in test_conformance.ml:
-   (scalar, packed), (scalar, multiword:126), (scalar, multiword:252),
-   (packed, multiword:126). Both batch engines are Sim_multiword, so the
-   last pair checks its one-word (63-lane) loops against the general
-   multi-word path. The same checks that once lived ad hoc in
-   test_sim_packed.ml and test_lane_parallel.ml run here for every
-   pair, so a new width earns its place by passing the identical
-   battery the packed engine passed. *)
+   [Make] is instantiated in test_conformance.ml for the (scalar,
+   packed) pair at one 63-lane word and again with the packed engine
+   driven across a two-word (126-lane) ensemble, the way every batch
+   consumer runs work wider than one word: as consecutive one-word
+   slices. The same checks that once lived ad hoc in test_sim_packed.ml
+   and test_lane_parallel.ml run here, so any future engine earns its
+   place by passing the identical battery the packed engine passed. *)
 
 let lib = lazy (Library.n40 ())
 
@@ -36,49 +35,70 @@ let slice_of : Engine.t -> (module Slice.S) = function
   | `Scalar -> (module Slice.Scalar)
   | #Engine.batch as e -> Engine.slice e
 
-(* Lane widths every wide engine must survive: both ends of each native
-   word plus the full configured width, clamped to what the engine
-   accepts. *)
-let lane_edges max_lanes =
-  List.filter
-    (fun n -> n >= 1 && n <= max_lanes)
-    [ 1; 2; 63; 64; 126; 127; 252 ]
-  |> List.sort_uniq compare
-  |> fun l -> List.sort_uniq compare (max_lanes :: l)
+(* Lane widths an ensemble must survive: one lane, both ends of each
+   63-lane word and the full ensemble width. *)
+let lane_edges lanes =
+  List.filter (fun n -> n <= lanes) [ 1; 62; 63; 64; 126 ]
+  |> fun l -> List.sort_uniq compare (lanes :: l)
 
 module type PAIR = sig
   val reference : Engine.t
   val candidate : Engine.t
 
+  val lanes : int
+  (** ensemble width the candidate is driven at; beyond one slice it
+      runs as consecutive [max_lanes]-wide slices, each lane's stimulus
+      unchanged *)
+
   val fuzz_count : int
-  (** QCheck iteration budget for the fuzzed-spec properties; the wide
-      engines pay [n_lanes] scalar replicas per iteration, so the
-      instantiation picks the budget per pair *)
+  (** QCheck iteration budget for the fuzzed-spec properties; a sliced
+      engine pays [n_lanes] scalar replicas per iteration, so the
+      instantiation picks the budget *)
 end
 
-module Make (P : PAIR) = struct
+module Make (P : PAIR) () = struct
+  module C = (val slice_of P.candidate)
+
+  (* slices of the ensemble: lane [l] is lane [l mod C.max_lanes] of
+     slice [l / C.max_lanes] *)
+  let n_slices = (P.lanes + C.max_lanes - 1) / C.max_lanes
+
   let label =
     Printf.sprintf "%s-vs-%s" (Engine.name P.reference)
-      (Engine.name P.candidate)
+      (if n_slices = 1 then Engine.name P.candidate
+       else Printf.sprintf "multiword:%d" P.lanes)
 
   let named s = Printf.sprintf "%s: %s" label s
 
   (* ---------------- per-lane state equivalence ---------------- *)
 
-  (* Drive the candidate engine and [n_lanes] scalar replicas with
+  (* Drive the candidate ensemble and [n_lanes] scalar replicas with
      identical per-lane stimulus — random values on every input bus,
      every cycle, plus a mid-run weight write — then require bit-exact
      agreement on everything the engines expose. The scalar replicas
      are the ground truth both pair members are pinned to. *)
   let run_equivalence ~seed ~cycles ~n_lanes =
-    let module E = (val slice_of P.candidate) in
-    let n_lanes = min n_lanes E.max_lanes in
+    let module B = Testbench.Sliced (C) in
+    let n_lanes = min n_lanes P.lanes in
     let spec = gen_spec seed in
     let m = Macro_rtl.build (Lazy.force lib) (Spec.initial_config spec) in
     let d = m.Macro_rtl.design in
     let rng = Rng.create (seed lxor 0x5EED) in
-    let psim = E.create ~n_lanes d in
-    check_int (named "lanes_of") n_lanes (E.lanes_of psim);
+    let slices =
+      Array.init
+        ((n_lanes + C.max_lanes - 1) / C.max_lanes)
+        (fun i ->
+          C.create ~n_lanes:(min C.max_lanes (n_lanes - (i * C.max_lanes))) d)
+    in
+    (* [per_slice a] cuts a per-lane array into the slices' lane ranges *)
+    let per_slice a =
+      Array.mapi
+        (fun i psim -> Array.sub a (i * C.max_lanes) (C.lanes_of psim))
+        slices
+    in
+    let psim_of l = slices.(l / C.max_lanes) and lane_of l = l mod C.max_lanes in
+    check_int (named "lanes_of") n_lanes
+      (Array.fold_left (fun acc psim -> acc + C.lanes_of psim) 0 slices);
     let sims = Array.init n_lanes (fun _ -> Sim.create d) in
     (* per-lane random weights into every copy, same write order *)
     for copy = 0 to m.Macro_rtl.cfg.Macro_rtl.mcr - 1 do
@@ -89,8 +109,9 @@ module Make (P : PAIR) = struct
       Array.iteri
         (fun l sim -> Testbench.load_weights m sim ~copy weights.(l))
         sims;
-      let module B = Testbench.Sliced (E) in
-      B.load_weights_lanes m psim ~copy weights
+      Array.iter2
+        (fun psim w -> B.load_weights_lanes m psim ~copy w)
+        slices (per_slice weights)
     done;
     let inputs = Ir.inputs d.Ir.src in
     let vs = Array.make n_lanes 0 in
@@ -101,73 +122,81 @@ module Make (P : PAIR) = struct
           for l = 0 to n_lanes - 1 do
             vs.(l) <- Rng.int rng bound
           done;
-          E.set_bus_lanes psim name vs;
+          Array.iter2
+            (fun psim v -> C.set_bus_lanes psim name v)
+            slices (per_slice vs);
           Array.iteri (fun l sim -> Sim.set_bus sim name vs.(l)) sims)
         inputs;
       (* a weight write mid-stream exercises the flip/write counters *)
       if cyc = cycles / 2 then begin
         let bits = Array.init n_lanes (fun _ -> Rng.int rng 2 = 1) in
-        E.set_weight_lanes psim ~row:0 ~col:0 ~copy:0 bits;
+        Array.iter2
+          (fun psim b -> C.set_weight_lanes psim ~row:0 ~col:0 ~copy:0 b)
+          slices (per_slice bits);
         Array.iteri
           (fun l sim -> Sim.set_weight sim ~row:0 ~col:0 ~copy:0 bits.(l))
           sims
       end;
-      E.step psim;
+      Array.iter C.step slices;
       Array.iter Sim.step sims
     done;
     (* per-lane state must be bit-exact *)
     for l = 0 to n_lanes - 1 do
-      if E.extract_lane psim l <> sims.(l).Sim.values then
+      let psim = psim_of l and pl = lane_of l in
+      if C.extract_lane psim pl <> sims.(l).Sim.values then
         QCheck.Test.fail_reportf "%s seed %d: lane %d net values diverge"
           label seed l;
-      if E.seq_state_lane psim l <> sims.(l).Sim.seq_state then
+      if C.seq_state_lane psim pl <> sims.(l).Sim.seq_state then
         QCheck.Test.fail_reportf "%s seed %d: lane %d seq state diverges"
           label seed l;
-      if E.storage_state_lane psim l <> sims.(l).Sim.storage_state then
+      if C.storage_state_lane psim pl <> sims.(l).Sim.storage_state then
         QCheck.Test.fail_reportf "%s seed %d: lane %d storage diverges" label
           seed l;
       List.iter
         (fun (name, _) ->
           if
-            E.read_bus_lane psim name l <> Sim.read_bus sims.(l) name
-            || E.read_bus_signed_lane psim name l
+            C.read_bus_lane psim name pl <> Sim.read_bus sims.(l) name
+            || C.read_bus_signed_lane psim name pl
                <> Sim.read_bus_signed sims.(l) name
           then
             QCheck.Test.fail_reportf "%s seed %d: lane %d bus %s diverges"
               label seed l name)
         (Ir.outputs d.Ir.src)
     done;
-    (* lane-summed counters must equal the sums of the scalar counters *)
+    (* lane-summed counters, summed again over the slices, must equal
+       the sums of the scalar counters *)
     let sum f = Array.fold_left (fun acc sim -> acc + f sim) 0 sims in
-    let toggles = E.toggles psim and en_cycles = E.en_cycles psim in
+    let slice_sum f = Array.fold_left (fun acc psim -> acc + f psim) 0 slices in
     for net = 0 to d.Ir.n_nets - 1 do
       let scalar = sum (fun sim -> sim.Sim.toggles.(net)) in
-      if scalar <> toggles.(net) then
+      let sliced = slice_sum (fun psim -> (C.toggles psim).(net)) in
+      if scalar <> sliced then
         QCheck.Test.fail_reportf
           "%s seed %d: net %d toggles: %s %d, scalar lanes sum %d" label seed
-          net E.name toggles.(net) scalar
+          net C.name sliced scalar
     done;
-    for i = 0 to Array.length en_cycles - 1 do
+    for i = 0 to Array.length (C.en_cycles slices.(0)) - 1 do
       let scalar = sum (fun sim -> sim.Sim.en_cycles.(i)) in
-      if scalar <> en_cycles.(i) then
+      if scalar <> slice_sum (fun psim -> (C.en_cycles psim).(i)) then
         QCheck.Test.fail_reportf "%s seed %d: inst %d en_cycles diverge" label
           seed i
     done;
     check_int (named "weight_flips lane sum")
       (sum (fun sim -> sim.Sim.weight_flips))
-      (E.weight_flips psim);
+      (slice_sum C.weight_flips);
     check_int (named "weight_writes lane sum")
       (sum (fun sim -> sim.Sim.weight_writes))
-      (E.weight_writes psim);
-    check_int (named "cycles") sims.(0).Sim.cycles (E.cycles psim);
+      (slice_sum C.weight_writes);
+    Array.iter
+      (fun psim -> check_int (named "cycles") sims.(0).Sim.cycles (C.cycles psim))
+      slices;
     true
 
   let test_lane_edges_directed () =
-    let module E = (val slice_of P.candidate) in
     List.iter
       (fun n_lanes ->
         ignore (run_equivalence ~seed:11 ~cycles:6 ~n_lanes))
-      (lane_edges E.max_lanes)
+      (lane_edges P.lanes)
 
   let lane_equivalence_prop =
     QCheck.Test.make ~count:P.fuzz_count
@@ -178,12 +207,17 @@ module Make (P : PAIR) = struct
 
   (* ---------------- sign-off verification parity ---------------- *)
 
+  (* Sign-off batches per weight copy: two on one word; on a wider
+     ensemble enough MACs to fill every slice, so the sliced engine
+     crosses its chunk boundary mid-copy. *)
+  let signoff_batches = if n_slices = 1 then 2 else P.lanes
+
   (* A verify run's observable outcome: None for a pass, the full
      Mismatch payload for a failure. Engine equivalence = equal
      outcomes — verdict, word index, expected/got values and the
      shrunk reproducer detail string. *)
-  let verify_outcome engine (m : Macro_rtl.t) ~seed ~batches =
-    match Testbench.verify ~engine m ~seed ~batches with
+  let verify_outcome engine (m : Macro_rtl.t) ~seed =
+    match Testbench.verify ~engine m ~seed ~batches:signoff_batches with
     | () -> None
     | exception Testbench.Mismatch { word; expected; got; detail } ->
         Some (word, expected, got, detail)
@@ -192,8 +226,8 @@ module Make (P : PAIR) = struct
     List.iter
       (fun (name, spec) ->
         let m = macro_of spec in
-        let r = verify_outcome P.reference m ~seed:0xACC ~batches:2 in
-        let c = verify_outcome P.candidate m ~seed:0xACC ~batches:2 in
+        let r = verify_outcome P.reference m ~seed:0xACC in
+        let c = verify_outcome P.candidate m ~seed:0xACC in
         check_bool (named (name ^ ": reference passes")) true (r = None);
         check_bool (named (name ^ ": verdicts identical")) true (r = c))
       Snapshot.canonical_specs
@@ -204,8 +238,8 @@ module Make (P : PAIR) = struct
       QCheck.small_nat
       (fun seed ->
         let m = macro_of (gen_spec seed) in
-        verify_outcome P.reference m ~seed:(seed + 3) ~batches:2
-        = verify_outcome P.candidate m ~seed:(seed + 3) ~batches:2)
+        verify_outcome P.reference m ~seed:(seed + 3)
+        = verify_outcome P.candidate m ~seed:(seed + 3))
 
   (* An early-sampled post pipeline (the Retime_early_sample fault
      class) must be caught by both engines with the exact same
@@ -220,8 +254,8 @@ module Make (P : PAIR) = struct
     check_bool (named "macro has a post pipeline stage") true
       (m.Macro_rtl.post_lat >= 1);
     let buggy = { m with Macro_rtl.post_lat = m.Macro_rtl.post_lat - 1 } in
-    let r = verify_outcome P.reference buggy ~seed:7 ~batches:2 in
-    let c = verify_outcome P.candidate buggy ~seed:7 ~batches:2 in
+    let r = verify_outcome P.reference buggy ~seed:7 in
+    let c = verify_outcome P.candidate buggy ~seed:7 in
     check_bool (named "reference engine catches the fault") true (r <> None);
     check_bool (named "reproducers identical") true (r = c);
     match c with
@@ -292,11 +326,13 @@ module Make (P : PAIR) = struct
       (fun seed ->
         let spec = gen_spec seed in
         let r =
-          Diffcheck.check_spec ~engine:P.reference ~seed:(seed + 100)
+          Diffcheck.check_spec ~engine:P.reference
+            ~random_batches:signoff_batches ~seed:(seed + 100)
             (Lazy.force ctx) spec
         in
         let c =
-          Diffcheck.check_spec ~engine:P.candidate ~seed:(seed + 100)
+          Diffcheck.check_spec ~engine:P.candidate
+            ~random_batches:signoff_batches ~seed:(seed + 100)
             (Lazy.force ctx) spec
         in
         check_bool
@@ -316,7 +352,8 @@ module Make (P : PAIR) = struct
           (fun seed ->
             let spec = gen_spec seed in
             let fails engine =
-              (Diffcheck.check_spec ~engine ~bug ~seed:(seed + 7)
+              (Diffcheck.check_spec ~engine ~bug
+                 ~random_batches:signoff_batches ~seed:(seed + 7)
                  (Lazy.force ctx) spec)
                 .Diffcheck.failure
               <> None
@@ -368,6 +405,9 @@ module Make (P : PAIR) = struct
     | Equiv.Equivalent _ -> Alcotest.fail (named "inverter equals buffer?"));
     check_bool (named "identical mismatch payload") true (r = c)
 
+  (* one word's worth of vectors, or the whole ensemble *)
+  let equiv_vectors = if n_slices = 1 then 8 else P.lanes
+
   let equiv_agree_prop =
     QCheck.Test.make ~count:(max 3 (P.fuzz_count / 2))
       ~name:(named "Equiv verdict engine-invariant on generated macro pairs")
@@ -384,10 +424,11 @@ module Make (P : PAIR) = struct
         let l = Lazy.force lib in
         let a = (Macro_rtl.build l base).Macro_rtl.design in
         let b = (Macro_rtl.build l sub).Macro_rtl.design in
-        Equiv.check ~engine:P.reference ~seed ~vectors:8 ~settle:12 ~hold:3 a
-          b
-        = Equiv.check ~engine:P.candidate ~seed ~vectors:8 ~settle:12 ~hold:3
-            a b)
+        let check engine =
+          Equiv.check ~engine ~seed ~vectors:equiv_vectors ~settle:12 ~hold:3
+            a b
+        in
+        check P.reference = check P.candidate)
 
   (* ---------------- measured shmoo energy parity ---------------- *)
 

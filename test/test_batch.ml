@@ -456,6 +456,78 @@ let test_failed_spec_is_an_item () =
         | _ -> false)
   | _ -> Alcotest.fail "bad spec did not fail its item"
 
+(* Decode the JSON string literal whose opening quote is at [i]:
+   [Some (decoded, index after the closing quote)], or [None] when a raw
+   control character or a bad escape makes it invalid JSON. *)
+let json_string_at s i =
+  let b = Buffer.create 64 in
+  let rec go j =
+    if j >= String.length s then None
+    else
+      match s.[j] with
+      | '"' -> Some (Buffer.contents b, j + 1)
+      | '\\' when j + 1 < String.length s -> (
+          match s.[j + 1] with
+          | ('"' | '\\' | '/') as c ->
+              Buffer.add_char b c;
+              go (j + 2)
+          | 'n' ->
+              Buffer.add_char b '\n';
+              go (j + 2)
+          | 't' ->
+              Buffer.add_char b '\t';
+              go (j + 2)
+          | 'u' when j + 5 < String.length s -> (
+              match int_of_string_opt ("0x" ^ String.sub s (j + 2) 4) with
+              | Some c when c < 0x80 ->
+                  Buffer.add_char b (Char.chr c);
+                  go (j + 6)
+              | Some _ | None -> None)
+          | _ -> None)
+      | c when Char.code c < 0x20 -> None
+      | c ->
+          Buffer.add_char b c;
+          go (j + 1)
+  in
+  if i < String.length s && s.[i] = '"' then go (i + 1) else None
+
+let test_manifest_json_escapes_diagnostic () =
+  let d =
+    Diag.error ~stage:"test"
+      ~payload:[ ("path", "C:\\tmp\\\"x\"") ]
+      "line one\nline \"two\" with \\ and a tab\t"
+  in
+  let r =
+    {
+      Batch.items =
+        [
+          { Batch.index = 0; spec = small_spec; outcome = Error d; wall_s = 0.0 };
+        ];
+      hits = 0;
+      misses = 0;
+      corrupt = 0;
+      uncached = 1;
+      failed = 1;
+      wall_s = 0.0;
+      warnings = [];
+    }
+  in
+  let json = Batch.manifest_json r in
+  let key = "\"diagnostic\": " in
+  let rec find i =
+    if i + String.length key > String.length json then
+      Alcotest.fail "manifest has no diagnostic field"
+    else if String.sub json i (String.length key) = key then
+      i + String.length key
+    else find (i + 1)
+  in
+  match json_string_at json (find 0) with
+  | None -> Alcotest.fail "diagnostic is not a valid JSON string"
+  | Some (decoded, next) ->
+      check_str "diagnostic round-trips" (Diag.to_string d) decoded;
+      check_bool "field ends where the next one starts" true
+        (String.sub json next 2 = ", ")
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_key_field_order; prop_key_perturbation; prop_value_roundtrip ]
@@ -495,5 +567,7 @@ let () =
             test_batch_determinism;
           Alcotest.test_case "per-spec failure isolation" `Quick
             test_failed_spec_is_an_item;
+          Alcotest.test_case "manifest JSON escapes diagnostics" `Quick
+            test_manifest_json_escapes_diagnostic;
         ] );
     ]

@@ -1,39 +1,28 @@
 (* Cross-engine conformance: the one battery from Conformance.Make
-   instantiated per engine pair. The scalar engine is the semantic
-   ground truth; the packed engine is the long-standing production
-   default; the multi-word engines (126 and 252 lanes) are admitted
-   only because they pass the identical battery at every width CI
-   cares about — 63, 126 and 252 lanes.
+   instantiated for the scalar/packed pair. The scalar engine is the
+   semantic ground truth; the packed engine (the 63-lane bit-sliced
+   simulator) is the production default and the only sliced engine.
 
-   Fuzz budgets shrink as the ensembles widen: every QCheck iteration
-   of a wide pair pays one scalar replica per lane, so the 252-lane
-   pair runs fewer (but still multi-seed) iterations. *)
+   The second instantiation drives the packed engine across a two-word
+   (126-lane) ensemble, as consecutive one-word slices — how sign-off,
+   differential and equivalence checking run any batch wider than one
+   word. Its wider runs pay one scalar replica per lane, so it runs
+   fewer fuzz iterations. *)
 
 module Scalar_vs_packed = Conformance.Make (struct
   let reference = `Scalar
   let candidate = `Packed
-  let fuzz_count = 8
-end)
+  let lanes = Sim_multiword.word_lanes
+  let fuzz_count = 21
+end) ()
 
-module Scalar_vs_multiword126 = Conformance.Make (struct
+module Scalar_vs_packed_two_words = Conformance.Make (struct
   let reference = `Scalar
-  let candidate = `Multiword 126
+  let candidate = `Packed
+  let lanes = 2 * Sim_multiword.word_lanes
   let fuzz_count = 4
-end)
-
-module Scalar_vs_multiword252 = Conformance.Make (struct
-  let reference = `Scalar
-  let candidate = `Multiword 252
-  let fuzz_count = 3
-end)
-
-module Packed_vs_multiword126 = Conformance.Make (struct
-  let reference = `Packed
-  let candidate = `Multiword 126
-  let fuzz_count = 6
-end)
+end) ()
 
 let () =
   Alcotest.run "conformance"
-    (Scalar_vs_packed.suite @ Scalar_vs_multiword126.suite
-   @ Scalar_vs_multiword252.suite @ Packed_vs_multiword126.suite)
+    (Scalar_vs_packed.suite @ Scalar_vs_packed_two_words.suite)

@@ -7,6 +7,11 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
+let contains s sub =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let small_spec =
   {
     Spec.rows = 16;
@@ -152,7 +157,7 @@ let rec rm_rf path =
    deliberately excludes the engine, because engines never change the
    result. *)
 let test_service_engine_overrides () =
-  let engines : Ctx.engine list = [ `Scalar; `Packed; `Multiword 126 ] in
+  let engines : Ctx.engine list = [ `Scalar; `Packed ] in
   (* uncached service: every engine compiles, summaries identical *)
   let svc = Service.create (Ctx.with_jobs 2 (Ctx.fresh ())) in
   let sums =
@@ -192,8 +197,8 @@ let test_service_engine_overrides () =
         (Trace.fingerprint tr) (Trace.fingerprint trace))
     sums;
   let st = Service.stats svc in
-  check_int "requests counted" 3 st.Service.requests;
-  check_int "all compiled (no cache)" 3 st.Service.compiled;
+  check_int "requests counted" 2 st.Service.requests;
+  check_int "all compiled (no cache)" 2 st.Service.compiled;
   check_int "no cache hits without a cache" 0 st.Service.cache_hits;
   check_int "no failures" 0 st.Service.failures;
   (* cached service: one miss compiles, the other engines hit *)
@@ -220,9 +225,9 @@ let test_service_engine_overrides () =
                 (Ctx.engine_name e) (Diag.to_string d))
         engines;
       let st = Service.stats svc in
-      check_int "cached: requests counted" 3 st.Service.requests;
+      check_int "cached: requests counted" 2 st.Service.requests;
       check_int "cached: one compile" 1 st.Service.compiled;
-      check_int "cached: two hits" 2 st.Service.cache_hits;
+      check_int "cached: one hit" 1 st.Service.cache_hits;
       check_int "cached: no failures" 0 st.Service.failures)
 
 (* ---------------- source guard ---------------- *)
@@ -299,21 +304,24 @@ let test_ctx_builders () =
   check_string "engine builder" "scalar" (Ctx.engine_name (Ctx.engine e));
   check_string "verify engine follows" "scalar"
     (Ctx.engine_name (Ctx.verify_engine e));
-  let mw = Ctx.with_engines (`Multiword 126) ctx in
-  check_string "multiword engine name" "multiword:126"
-    (Ctx.engine_name (Ctx.engine mw));
   check_bool "validate_engine parses packed" true
     (Ctx.validate_engine "packed" = Ok `Packed);
-  check_bool "validate_engine parses multiword:252" true
-    (Ctx.validate_engine "multiword:252" = Ok (`Multiword 252));
+  check_bool "validate_engine parses scalar" true
+    (Ctx.validate_engine "scalar" = Ok `Scalar);
   check_bool "validate_engine rejects junk" true
     (match Ctx.validate_engine "vliw" with Error _ -> true | Ok _ -> false);
   check_bool "validate_engine rejects auto" true
     (match Ctx.validate_engine "auto" with Error _ -> true | Ok _ -> false);
-  check_bool "validate_engine rejects out-of-range width" true
-    (match Ctx.validate_engine "multiword:0" with
-    | Error _ -> true
-    | Ok _ -> false);
+  (* the removed multi-word spelling is a one-line error naming the
+     two engines that exist *)
+  (match Ctx.validate_engine "multiword:126" with
+  | Ok _ -> Alcotest.fail "validate_engine accepted multiword:126"
+  | Error d ->
+      let msg = Diag.to_string d in
+      check_bool "multiword:126 error names scalar|packed" true
+        (contains msg "scalar|packed");
+      check_bool "multiword:126 error is one line" false
+        (String.contains msg '\n'));
   let s = Ctx.with_seed 42 ctx in
   check_int "seed builder" 42 (Ctx.seed s);
   check_bool "default shares the world" true

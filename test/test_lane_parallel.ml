@@ -4,8 +4,8 @@
 
    The per-engine equivalence battery (lane state, counters, verify /
    diffcheck / equiv verdict parity, measured-energy bit-identity)
-   lives in conformance.ml and runs from test_conformance.ml for every
-   engine pair, multi-word engines included. *)
+   lives in conformance.ml and runs from test_conformance.ml for the
+   scalar/packed pair. *)
 
 let lib = Library.n40 ()
 let scl = Scl.create lib
@@ -18,17 +18,10 @@ let test_pipeline_verify_engine_invariant () =
   let spec = snd (List.hd Snapshot.canonical_specs) in
   let a = Pipeline.artifact_exn (Pipeline.run ~verify_engine:`Scalar ctx spec) in
   let b = Pipeline.artifact_exn (Pipeline.run ~verify_engine:`Packed ctx spec) in
-  let c =
-    Pipeline.artifact_exn
-      (Pipeline.run ~verify_engine:(`Multiword 126) ctx spec)
-  in
   check_bool "packed metrics identical" true
     (a.Pipeline.metrics = b.Pipeline.metrics);
-  check_bool "multiword metrics identical" true
-    (a.Pipeline.metrics = c.Pipeline.metrics);
   check_bool "verdicts identical" true
-    (a.Pipeline.timing_closed = b.Pipeline.timing_closed
-    && a.Pipeline.timing_closed = c.Pipeline.timing_closed)
+    (a.Pipeline.timing_closed = b.Pipeline.timing_closed)
 
 (* ---------------- metamorphic checking ---------------- *)
 
@@ -37,25 +30,17 @@ let test_check_moves_engine_and_jobs_invariant () =
   let scalar = Metamorph.check_moves ~jobs:1 ~engine:`Scalar ~seed:13 ctx spec in
   let p1 = Metamorph.check_moves ~jobs:1 ~engine:`Packed ~seed:13 ctx spec in
   let p4 = Metamorph.check_moves ~jobs:4 ~engine:`Packed ~seed:13 ctx spec in
-  let m1 =
-    Metamorph.check_moves ~jobs:1 ~engine:(`Multiword 126) ~seed:13 ctx spec
-  in
   check_bool "all variants pass" true
     (List.for_all (fun r -> r.Metamorph.ok) scalar);
   check_bool "engine-invariant (packed)" true (scalar = p1);
-  check_bool "engine-invariant (multiword)" true (scalar = m1);
   check_bool "job-count-invariant" true (p1 = p4)
 
 let test_check_equiv_pair_engine_invariant () =
   let spec = snd (List.hd Snapshot.canonical_specs) in
   let s = Metamorph.check_equiv_pair ~engine:`Scalar ~seed:5 ctx spec in
   let p = Metamorph.check_equiv_pair ~engine:`Packed ~seed:5 ctx spec in
-  let m =
-    Metamorph.check_equiv_pair ~engine:(`Multiword 252) ~seed:5 ctx spec
-  in
   check_bool "pair equivalent" true p.Metamorph.ok;
-  check_bool "engine-invariant (packed)" true (s = p);
-  check_bool "engine-invariant (multiword)" true (s = m)
+  check_bool "engine-invariant (packed)" true (s = p)
 
 (* ---------------- Fig. 9 rendering ---------------- *)
 

@@ -3,7 +3,7 @@
    enabled switch), concurrent recording through the domain pool, the
    pool helper-domain cap regression (3 items at jobs=16 must spawn 2
    helpers, not 15), and the determinism contract — jobs=1 vs jobs=4
-   and scalar vs packed vs multiword:126 runs of the canonical snapshot
+   and scalar vs packed runs of the canonical snapshot
    specs must produce byte-identical deterministic-subset fingerprints,
    mirroring the Trace.fingerprint discipline. *)
 
@@ -208,9 +208,7 @@ let test_determinism_jobs_and_engines () =
   check_str "jobs=4 fingerprint matches jobs=1" reference
     (fingerprint_of ~jobs:4 ~engine:`Packed ());
   check_str "scalar engine fingerprint matches packed" reference
-    (fingerprint_of ~jobs:4 ~engine:`Scalar ());
-  check_str "multiword:126 fingerprint matches packed" reference
-    (fingerprint_of ~jobs:4 ~engine:(`Multiword 126) ())
+    (fingerprint_of ~jobs:4 ~engine:`Scalar ())
 
 (* ---------------- service surface ------------------------------------ *)
 

@@ -1,20 +1,18 @@
-(* Tests for the bit-sliced simulator: popcount (single- and
-   multi-word), exhaustive word-level cell evaluation (all input
-   combinations packed as lanes), directed lane edge tests at both ends
-   of each native word (lanes 0/62 for the one-word packed engine,
-   62..126 for wider slices), lane-count and lane-index validation
-   including the full-width mask = -1 edge, and packed power
-   accounting.
+(* Tests for the bit-sliced simulator: popcount, exhaustive word-level
+   cell evaluation (all input combinations packed as lanes), directed
+   lane edge tests at both ends of the 63-lane word, lane-count and
+   lane-index validation including the full-width mask = -1 edge and a
+   partial word, and packed power accounting.
 
    The cross-engine equivalence battery (per-lane state, counters,
    verify/diffcheck/equiv verdict parity) lives in conformance.ml and
-   runs from test_conformance.ml for every engine pair. *)
+   runs from test_conformance.ml for the scalar/packed pair. *)
 
 let lib = Library.n40 ()
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* The default engine: the one-word (63-lane) slice of Sim_multiword. *)
+(* The default engine: the 63-lane Sim_multiword slice. *)
 module P = (val Engine.slice `Packed)
 
 (* ---------------- popcount ---------------- *)
@@ -37,17 +35,6 @@ let test_popcount_directed () =
 let popcount_prop =
   QCheck.Test.make ~count:500 ~name:"popcount matches bit loop"
     QCheck.int (fun w -> Intmath.popcount w = naive_popcount w)
-
-(* Multi-word arrays, as Sim_multiword accounts toggles: the popcount
-   of a k-word lane vector is the sum of the per-word popcounts, and it
-   must match one naive bit loop over the whole array. *)
-let popcount_multiword_prop =
-  QCheck.Test.make ~count:300
-    ~name:"multi-word popcount sum matches naive bit loop over the array"
-    QCheck.(array_of_size (Gen.int_range 1 4) int)
-    (fun ws ->
-      Array.fold_left (fun acc w -> acc + Intmath.popcount w) 0 ws
-      = Array.fold_left (fun acc w -> acc + naive_popcount w) 0 ws)
 
 (* ---------------- word-level cell eval, exhaustive ---------------- *)
 
@@ -159,10 +146,10 @@ let test_lane_count_validation () =
   check_rejects "0 lanes rejected"
     (fun () -> ignore (P.create ~n_lanes:0 d))
     (Printf.sprintf "requested 0 lanes, valid range is 1..%d" P.max_lanes);
+  (* the simulator itself (P.create) caps a slice at one word *)
   check_rejects "64 lanes rejected"
-    (fun () -> ignore (P.create ~n_lanes:(P.max_lanes + 1) d))
-    (Printf.sprintf "requested %d lanes, valid range is 1..%d"
-       (P.max_lanes + 1) P.max_lanes);
+    (fun () -> ignore (Sim_multiword.create ~n_lanes:64 d))
+    "requested 64 lanes, valid range is 1..63";
   let one = P.create ~n_lanes:1 d in
   check_int "single lane" 1 (P.lanes_of one)
 
@@ -201,8 +188,8 @@ let test_full_width_mask_edge () =
 
 (* Per-lane register / SRAM snapshots reject a lane outside the active
    range, like every other per-lane read: on a full 63-lane word, lane 63
-   would otherwise index the next slot's word, and on a partial last word
-   (100 lanes) lane 100 would read a masked-off bit as [false]. *)
+   would otherwise shift past the word, and on a partial word (40 lanes)
+   lanes 40 and 62 would read masked-off bits as [false]. *)
 let test_state_lane_bounds () =
   let d = inverter_harness () in
   let rejects name f =
@@ -227,93 +214,7 @@ let test_state_lane_bounds () =
             (fun () -> Sim_multiword.storage_state_lane sim lane))
         bad)
     [ (Sim_multiword.word_lanes, [ -1; Sim_multiword.word_lanes ]);
-      (100, [ 100; 126 ]) ]
-
-(* ---------------- multi-word lane boundaries ---------------- *)
-
-(* Payloads pinned to both sides of every 63-lane word boundary of a
-   252-lane Sim_multiword: lanes 62/63 straddle the first boundary,
-   125/126 the second, 251 is the last lane of the last word. No lane
-   may leak into a neighbour, and word-local toggle accounting must sum
-   exactly. *)
-let test_multiword_word_boundaries () =
-  let d = inverter_harness () in
-  let n = 4 * Sim_multiword.word_lanes in
-  let sim = Sim_multiword.create ~n_lanes:n d in
-  check_int "252 lanes" n (Sim_multiword.lanes_of sim);
-  check_int "4 words" 4 (Sim_multiword.words_of sim);
-  let driven = [ 0; 62; 63; 64; 125; 126; 251 ] in
-  let vs = Array.make n 0 in
-  List.iteri (fun i l -> vs.(l) <- (i + 1) land 7) driven;
-  Sim_multiword.set_bus_lanes sim "a" vs;
-  Sim_multiword.eval sim;
-  List.iter
-    (fun l ->
-      check_int
-        (Printf.sprintf "lane %d inverted" l)
-        (lnot vs.(l) land 7)
-        (Sim_multiword.read_bus_lane sim "out" l))
-    driven;
-  (* neighbours of each boundary lane stay idle *)
-  List.iter
-    (fun l ->
-      check_int
-        (Printf.sprintf "idle lane %d" l)
-        7
-        (Sim_multiword.read_bus_lane sim "out" l))
-    [ 1; 61; 65; 124; 127; 250 ];
-  let bus = Ir.input_bus d.Ir.src "a" in
-  Array.iteri
-    (fun b net ->
-      let expected =
-        Array.fold_left (fun acc v -> acc + ((v lsr b) land 1)) 0 vs
-      in
-      check_int
-        (Printf.sprintf "bit %d toggles across words" b)
-        expected
-        sim.Sim_multiword.toggles.(net))
-    bus;
-  (* re-driving the identical pattern adds no toggles *)
-  let before = Array.copy sim.Sim_multiword.toggles in
-  Sim_multiword.set_bus_lanes sim "a" vs;
-  check_bool "no toggle on identical drive" true
-    (before = sim.Sim_multiword.toggles)
-
-(* extract_lane / per-lane reads at the word-boundary lanes of a
-   partial last word (127 lanes = 2 words + 1 lane) *)
-let test_multiword_partial_last_word () =
-  let d = inverter_harness () in
-  let sim = Sim_multiword.create ~n_lanes:127 d in
-  check_int "3 words for 127 lanes" 3 (Sim_multiword.words_of sim);
-  let vs = Array.make 127 0 in
-  List.iter (fun l -> vs.(l) <- l land 7) [ 62; 63; 64; 125; 126 ];
-  Sim_multiword.set_bus_lanes sim "a" vs;
-  Sim_multiword.eval sim;
-  List.iter
-    (fun l ->
-      check_int
-        (Printf.sprintf "lane %d read" l)
-        (lnot vs.(l) land 7)
-        (Sim_multiword.read_bus_lane sim "out" l);
-      let values = Sim_multiword.extract_lane sim l in
-      let bus = Ir.input_bus d.Ir.src "a" in
-      Array.iteri
-        (fun b net ->
-          check_bool
-            (Printf.sprintf "lane %d extract bit %d" l b)
-            ((vs.(l) lsr b) land 1 = 1)
-            values.(net))
-        bus)
-    [ 62; 63; 64; 125; 126 ];
-  check_rejects "128 lanes rejected at width 127"
-    (fun () ->
-      let module E = (val Slice.multiword 127) in
-      ignore (E.create ~n_lanes:128 d))
-    "requested 128 lanes, valid range is 1..127";
-  check_rejects "beyond max_lanes rejected"
-    (fun () -> ignore (Sim_multiword.create ~n_lanes:(Sim_multiword.max_lanes + 1) d))
-    (Printf.sprintf "requested %d lanes, valid range is 1..%d"
-       (Sim_multiword.max_lanes + 1) Sim_multiword.max_lanes)
+      (40, [ 40; 62 ]) ]
 
 (* ---------------- packed power accounting ---------------- *)
 
@@ -368,7 +269,6 @@ let () =
         [
           Alcotest.test_case "directed" `Quick test_popcount_directed;
           QCheck_alcotest.to_alcotest popcount_prop;
-          QCheck_alcotest.to_alcotest popcount_multiword_prop;
         ] );
       ( "eval_word",
         [
@@ -382,10 +282,6 @@ let () =
             test_lane_count_validation;
           Alcotest.test_case "full-width mask = -1 edge" `Quick
             test_full_width_mask_edge;
-          Alcotest.test_case "multi-word 63-lane boundaries" `Quick
-            test_multiword_word_boundaries;
-          Alcotest.test_case "multi-word partial last word" `Quick
-            test_multiword_partial_last_word;
           Alcotest.test_case "state snapshots reject out-of-range lanes"
             `Quick test_state_lane_bounds;
         ] );
