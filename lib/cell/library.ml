@@ -186,7 +186,8 @@ let params t k d = t.table.(slot k d)
 let map f t = { t with table = Array.map f t.table }
 
 (** [delay_ps t ~kind ~drive ~out ~load_ff] is the nominal-voltage delay of
-    output pin [out] driving [load_ff]. *)
+    output pin [out] driving [load_ff]. [Sta.analyze] and [Sta.slacks]
+    inline this exact expression in their loops; change them with it. *)
 let delay_ps t ~kind ~drive ~out ~load_ff =
   let p = params t kind drive in
   let n = Array.length p.intrinsic_ps in

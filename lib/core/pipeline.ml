@@ -280,7 +280,9 @@ let backend_stage ?spec lib ~style ~budget_ps ~max_eco_iters :
                           crit next_crit sized.Sizing.upsized;
                     }
                     :: !iters;
-                  Post_layout.run lib macro ~style
+                  (* the restored drives are the ones [pass] placed,
+                     routed and timed: it is that run's result *)
+                  pass
                 end
                 else begin
                   iters :=

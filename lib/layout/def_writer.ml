@@ -31,7 +31,7 @@ let to_string lib (p : Floorplan.t) =
   List.iter
     (fun n ->
       Buffer.add_string b (Printf.sprintf "  - n%d" n);
-      (match d.driver.(n) with
+      (match Ir.driver d n with
       | Some (i, o) -> Buffer.add_string b (Printf.sprintf " ( u%d O%d )" i o)
       | None -> ());
       (* an instance reading the net on several pins appears once per pin,

@@ -39,7 +39,7 @@ let check (p : Floorplan.t) : report =
         incr nets_checked;
         let expected =
           Ir.fanout_count d net
-          + match d.driver.(net) with Some _ -> 1 | None -> 0
+          + match Ir.driver d net with Some _ -> 1 | None -> 0
         in
         if expected <> c then
           errors := Printf.sprintf "net %d pin mismatch" net :: !errors

@@ -94,7 +94,12 @@ type design = {
   src : t;
   insts : inst array;
   n_nets : int;
-  driver : (int * int) option array;  (** net -> (inst, out pin) *)
+  driver_inst : int array;
+      (** net -> driving instance id, [-1] when nothing drives the net
+          (the constants and primary inputs) *)
+  driver_pin : int array;
+      (** net -> the output pin of [driver_inst] that drives it; [-1]
+          where [driver_inst] is [-1] *)
   fanout_start : int array;
       (** length [n_nets + 1]: net [n]'s consumers are
           [fanout.(fanout_start.(n)) .. fanout.(fanout_start.(n + 1) - 1)] *)
@@ -105,8 +110,15 @@ type design = {
       (** combinational instances in topological evaluation order *)
   seq : int array;  (** DFF-like instances *)
   storage : int array;  (** SRAM storage instances *)
-  weight_index : (int * int * int, int) Hashtbl.t;
-      (** (row, col, copy) -> storage instance id *)
+  weight_rows : int;
+  weight_cols : int;
+  weight_copies : int;
+      (** one more than the largest [Weight_bit] row, column and copy;
+          all zero in a design without weights *)
+  weight_index : int array;
+      (** [(row * weight_cols + col) * weight_copies + copy] -> storage
+          instance id, or [-1] where no [Weight_bit] has that address;
+          read it through {!weight_inst} *)
 }
 
 exception Multiple_drivers of net
@@ -119,114 +131,175 @@ exception Combinational_cycle of int
    order. *)
 let build_fanout (insts : inst array) n_nets =
   let start = Array.make (n_nets + 1) 0 in
-  Array.iter
-    (fun inst ->
-      Array.iter (fun net -> start.(net + 1) <- start.(net + 1) + 1) inst.ins)
-    insts;
+  for i = 0 to Array.length insts - 1 do
+    let ins = insts.(i).ins in
+    for p = 0 to Array.length ins - 1 do
+      let net = ins.(p) in
+      start.(net + 1) <- start.(net + 1) + 1
+    done
+  done;
   for net = 0 to n_nets - 1 do
     start.(net + 1) <- start.(net + 1) + start.(net)
   done;
   let fanout = Array.make start.(n_nets) 0 in
   let cursor = Array.sub start 1 n_nets in
-  Array.iteri
-    (fun i inst ->
-      Array.iter
-        (fun net ->
-          cursor.(net) <- cursor.(net) - 1;
-          fanout.(cursor.(net)) <- i)
-        inst.ins)
-    insts;
+  for i = 0 to Array.length insts - 1 do
+    let ins = insts.(i).ins in
+    for p = 0 to Array.length ins - 1 do
+      let net = ins.(p) in
+      cursor.(net) <- cursor.(net) - 1;
+      fanout.(cursor.(net)) <- i
+    done
+  done;
   (start, fanout)
 
 (** [freeze t] validates and derives the evaluation views. Raises
-    {!Multiple_drivers} or {!Combinational_cycle} on malformed input. *)
+    {!Multiple_drivers} or {!Combinational_cycle} on malformed input, and
+    [Invalid_argument] on a [Weight_bit] with a negative coordinate. *)
 let freeze (t : t) : design =
   let insts = Vec.to_array t.insts in
+  let n_insts = Array.length insts in
   let n_nets = t.n_nets in
-  let driver = Array.make n_nets None in
-  Array.iteri
-    (fun i inst ->
-      Array.iteri
-        (fun o net ->
-          (match driver.(net) with
-          | Some _ -> raise (Multiple_drivers net)
-          | None -> ());
-          driver.(net) <- Some (i, o))
-        inst.outs)
-    insts;
+  let driver_inst = Array.make n_nets (-1) in
+  let driver_pin = Array.make n_nets (-1) in
+  for i = 0 to n_insts - 1 do
+    let outs = insts.(i).outs in
+    for o = 0 to Array.length outs - 1 do
+      let net = outs.(o) in
+      if driver_inst.(net) >= 0 then raise (Multiple_drivers net);
+      driver_inst.(net) <- i;
+      driver_pin.(net) <- o
+    done
+  done;
   let fanout_start, fanout = build_fanout insts n_nets in
   (* Topological order over combinational instances only: sequential and
      storage outputs are sources, so they never appear in the dependency
-     graph as producers. *)
-  let is_comb i =
+     graph as producers. [comb] is the combinational mask; [queue] is the
+     Kahn FIFO, and since every combinational instance enters it at most
+     once, its popped prefix is the evaluation order itself. *)
+  let comb = Bytes.make n_insts '\000' in
+  let n_comb = ref 0 and n_seq = ref 0 and n_storage = ref 0 in
+  for i = 0 to n_insts - 1 do
     let k = insts.(i).kind in
-    (not (Cell.is_sequential k)) && not (Cell.is_storage k)
-  in
-  let indeg = Array.make (Array.length insts) 0 in
-  Array.iteri
-    (fun i inst ->
-      if is_comb i then
-        Array.iter
-          (fun net ->
-            match driver.(net) with
-            | Some (j, _) when is_comb j -> indeg.(i) <- indeg.(i) + 1
-            | Some _ | None -> ())
-          inst.ins)
-    insts;
-  let queue = Queue.create () in
-  Array.iteri (fun i d -> if is_comb i && d = 0 then Queue.add i queue) indeg;
-  let order = Vec.create 0 in
-  let seen = ref 0 in
-  let n_comb = ref 0 in
-  Array.iteri (fun i _ -> if is_comb i then incr n_comb) insts;
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    ignore (Vec.push order i);
-    incr seen;
-    Array.iter
-      (fun net ->
-        for k = fanout_start.(net) to fanout_start.(net + 1) - 1 do
-          let j = fanout.(k) in
-          if is_comb j then begin
-            indeg.(j) <- indeg.(j) - 1;
-            if indeg.(j) = 0 then Queue.add j queue
-          end
-        done)
-      insts.(i).outs
+    if Cell.is_sequential k then incr n_seq
+    else if Cell.is_storage k then incr n_storage
+    else begin
+      Bytes.unsafe_set comb i '\001';
+      incr n_comb
+    end
   done;
-  if !seen <> !n_comb then begin
+  let is_comb i = Bytes.unsafe_get comb i = '\001' in
+  let indeg = Array.make n_insts 0 in
+  for i = 0 to n_insts - 1 do
+    if is_comb i then begin
+      let ins = insts.(i).ins in
+      for p = 0 to Array.length ins - 1 do
+        let j = driver_inst.(ins.(p)) in
+        if j >= 0 && is_comb j then indeg.(i) <- indeg.(i) + 1
+      done
+    end
+  done;
+  let queue = Array.make !n_comb 0 in
+  let tail = ref 0 in
+  for i = 0 to n_insts - 1 do
+    if is_comb i && indeg.(i) = 0 then begin
+      queue.(!tail) <- i;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let outs = insts.(queue.(!head)).outs in
+    incr head;
+    for o = 0 to Array.length outs - 1 do
+      let net = outs.(o) in
+      for k = fanout_start.(net) to fanout_start.(net + 1) - 1 do
+        let j = fanout.(k) in
+        if is_comb j then begin
+          indeg.(j) <- indeg.(j) - 1;
+          if indeg.(j) = 0 then begin
+            queue.(!tail) <- j;
+            incr tail
+          end
+        end
+      done
+    done
+  done;
+  if !tail <> !n_comb then begin
     (* find one instance stuck in a cycle for the error message *)
     let stuck = ref (-1) in
-    Array.iteri
-      (fun i d -> if is_comb i && d > 0 && !stuck < 0 then stuck := i)
-      indeg;
+    for i = n_insts - 1 downto 0 do
+      if is_comb i && indeg.(i) > 0 then stuck := i
+    done;
     raise (Combinational_cycle !stuck)
   end;
-  let seq = Vec.create 0 and storage = Vec.create 0 in
-  let weight_index = Hashtbl.create 1024 in
-  Array.iteri
-    (fun i inst ->
-      if Cell.is_sequential inst.kind then ignore (Vec.push seq i);
-      if Cell.is_storage inst.kind then begin
-        ignore (Vec.push storage i);
-        match inst.tag with
-        | Weight_bit { row; col; copy } ->
-            Hashtbl.replace weight_index (row, col, copy) i
-        | Plain | Pipeline_reg _ | Subcircuit _ -> ()
-      end)
-    insts;
+  let seq = Array.make !n_seq 0 and storage = Array.make !n_storage 0 in
+  let rows = ref 0 and cols = ref 0 and copies = ref 0 in
+  n_seq := 0;
+  n_storage := 0;
+  for i = 0 to n_insts - 1 do
+    let inst = insts.(i) in
+    if Cell.is_sequential inst.kind then begin
+      seq.(!n_seq) <- i;
+      incr n_seq
+    end
+    else if Cell.is_storage inst.kind then begin
+      storage.(!n_storage) <- i;
+      incr n_storage;
+      match inst.tag with
+      | Weight_bit { row; col; copy } ->
+          if row < 0 || col < 0 || copy < 0 then
+            invalid_arg
+              (Printf.sprintf "Ir.freeze: negative weight address (%d,%d,%d)"
+                 row col copy);
+          rows := max !rows (row + 1);
+          cols := max !cols (col + 1);
+          copies := max !copies (copy + 1)
+      | Plain | Pipeline_reg _ | Subcircuit _ -> ()
+    end
+  done;
+  let rows = !rows and cols = !cols and copies = !copies in
+  let weight_index = Array.make (rows * cols * copies) (-1) in
+  Array.iter
+    (fun i ->
+      match insts.(i).tag with
+      | Weight_bit { row; col; copy } ->
+          weight_index.((((row * cols) + col) * copies) + copy) <- i
+      | Plain | Pipeline_reg _ | Subcircuit _ -> ())
+    storage;
   {
     src = t;
     insts;
     n_nets;
-    driver;
+    driver_inst;
+    driver_pin;
     fanout_start;
     fanout;
-    comb_order = Vec.to_array order;
-    seq = Vec.to_array seq;
-    storage = Vec.to_array storage;
+    comb_order = queue;
+    seq;
+    storage;
+    weight_rows = rows;
+    weight_cols = cols;
+    weight_copies = copies;
     weight_index;
   }
+
+(** [driver d net] is [Some (inst, out_pin)] for the instance output
+    driving [net], [None] for an undriven net. *)
+let driver d net =
+  let i = d.driver_inst.(net) in
+  if i < 0 then None else Some (i, d.driver_pin.(net))
+
+(** [weight_inst d ~row ~col ~copy] is the storage instance holding the
+    weight bit at that address, or [-1] when there is none — including
+    any negative or out-of-range coordinate, each checked on its own so
+    no address aliases another cell. *)
+let weight_inst d ~row ~col ~copy =
+  if
+    row < 0 || row >= d.weight_rows || col < 0 || col >= d.weight_cols
+    || copy < 0 || copy >= d.weight_copies
+  then -1
+  else d.weight_index.((((row * d.weight_cols) + col) * d.weight_copies) + copy)
 
 (** [n_insts d] is the number of instances. *)
 let n_insts d = Array.length d.insts
@@ -254,12 +327,15 @@ let fanout_load (d : design) (lib : Library.t) ?(wire_cap = fun _ -> 0.0) net =
 let fanout_loads (d : design) (lib : Library.t) ?(wire_cap = fun _ -> 0.0) ()
     : float array =
   let loads = Array.make d.n_nets 0.0 in
-  Array.iter
-    (fun inst ->
-      let prm = Library.params lib inst.kind inst.drive in
-      let cap = prm.Library.input_cap_ff in
-      Array.iter (fun net -> loads.(net) <- loads.(net) +. cap) inst.ins)
-    d.insts;
+  for i = 0 to Array.length d.insts - 1 do
+    let inst = d.insts.(i) in
+    let cap = (Library.params lib inst.kind inst.drive).Library.input_cap_ff in
+    let ins = inst.ins in
+    for p = 0 to Array.length ins - 1 do
+      let net = ins.(p) in
+      loads.(net) <- loads.(net) +. cap
+    done
+  done;
   for net = 0 to d.n_nets - 1 do
     loads.(net) <- loads.(net) +. wire_cap net
   done;

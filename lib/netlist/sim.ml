@@ -115,18 +115,16 @@ let read_bus_signed t name = read_nets_signed t (Ir.output_bus t.d.src name)
 (** [set_weight t ~row ~col ~copy bit] writes one SRAM weight bit through
     its (row, col, copy) address. *)
 let set_weight t ~row ~col ~copy bit =
-  match Hashtbl.find_opt t.d.weight_index (row, col, copy) with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Sim.set_weight: no weight bit (%d,%d,%d)" row col
-           copy)
-  | Some i ->
-      t.weight_writes <- t.weight_writes + 1;
-      if t.storage_state.(i) <> bit then begin
-        t.storage_state.(i) <- bit;
-        t.weight_flips <- t.weight_flips + 1
-      end;
-      set_net t t.d.insts.(i).outs.(0) bit
+  let i = Ir.weight_inst t.d ~row ~col ~copy in
+  if i < 0 then
+    invalid_arg
+      (Printf.sprintf "Sim.set_weight: no weight bit (%d,%d,%d)" row col copy);
+  t.weight_writes <- t.weight_writes + 1;
+  if t.storage_state.(i) <> bit then begin
+    t.storage_state.(i) <- bit;
+    t.weight_flips <- t.weight_flips + 1
+  end;
+  set_net t t.d.insts.(i).outs.(0) bit
 
 (** [eval t] settles all combinational logic from the current inputs and
     register/storage state: one pass in topological order that evaluates

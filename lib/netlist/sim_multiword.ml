@@ -159,20 +159,19 @@ let storage_state_lane t lane : bool array =
    with the lane word [v]. Every active lane is charged a write, only
    flipped lanes a flip. *)
 let write_weight t ~row ~col ~copy v =
-  match Hashtbl.find_opt t.d.weight_index (row, col, copy) with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Sim_multiword.write_weight: no weight bit (%d,%d,%d)"
-           row col copy)
-  | Some i ->
-      t.weight_writes <- t.weight_writes + t.n_lanes;
-      let v = v land t.mask in
-      let old = t.storage_state.(i) in
-      if old <> v then begin
-        t.storage_state.(i) <- v;
-        t.weight_flips <- t.weight_flips + Intmath.popcount (old lxor v)
-      end;
-      set_net t t.d.insts.(i).outs.(0) v
+  let i = Ir.weight_inst t.d ~row ~col ~copy in
+  if i < 0 then
+    invalid_arg
+      (Printf.sprintf "Sim_multiword.write_weight: no weight bit (%d,%d,%d)"
+         row col copy);
+  t.weight_writes <- t.weight_writes + t.n_lanes;
+  let v = v land t.mask in
+  let old = t.storage_state.(i) in
+  if old <> v then begin
+    t.storage_state.(i) <- v;
+    t.weight_flips <- t.weight_flips + Intmath.popcount (old lxor v)
+  end;
+  set_net t t.d.insts.(i).outs.(0) v
 
 (** [set_weight_lanes t ~row ~col ~copy bits] writes one SRAM weight bit
     per lane through its (row, col, copy) address: [bits.(l)] is lane

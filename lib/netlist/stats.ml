@@ -11,14 +11,14 @@ type t = {
 let of_design (d : Ir.design) (lib : Library.t) =
   let tbl = Hashtbl.create 32 in
   let area = ref 0.0 and leak = ref 0.0 in
-  Array.iter
-    (fun (inst : Ir.inst) ->
-      let n = try Hashtbl.find tbl inst.kind with Not_found -> 0 in
-      Hashtbl.replace tbl inst.kind (n + 1);
-      let p = Library.params lib inst.kind inst.drive in
-      area := !area +. p.area_um2;
-      leak := !leak +. p.leakage_nw)
-    d.insts;
+  for i = 0 to Array.length d.insts - 1 do
+    let inst = d.insts.(i) in
+    let n = try Hashtbl.find tbl inst.kind with Not_found -> 0 in
+    Hashtbl.replace tbl inst.kind (n + 1);
+    let p = Library.params lib inst.kind inst.drive in
+    area := !area +. p.area_um2;
+    leak := !leak +. p.leakage_nw
+  done;
   let by_kind =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
     |> List.sort (fun (_, a) (_, b) -> compare b a)

@@ -62,76 +62,78 @@ let estimate_activity (d : Ir.design) (lib : Library.t)
      net order. Builders give a block's instances one shared tag, so
      consecutive toggled nets mostly carry the same tag physically and the
      label scan runs only when it changes. *)
-  let labels = Vec.create "" and sub_fj = Vec.create 0.0 in
-  let last_tag = ref None and last_slot = ref 0 in
+  let labels = Vec.create "" and sub_fj = ref (Array.make 8 0.0) in
+  let last_tag = ref Ir.Plain and last_slot = ref (-1) in
   let slot_of tag =
-    match !last_tag with
-    | Some t when t == tag -> !last_slot
-    | _ ->
-        let key = tag_label tag in
-        let rec find s =
-          if s = Vec.length labels then begin
-            ignore (Vec.push sub_fj 0.0);
-            Vec.push labels key
-          end
-          else if String.equal (Vec.get labels s) key then s
-          else find (s + 1)
-        in
-        let s = find 0 in
-        last_tag := Some tag;
-        last_slot := s;
-        s
+    if !last_slot >= 0 && !last_tag == tag then !last_slot
+    else begin
+      let key = tag_label tag in
+      let s = ref 0 in
+      while !s < Vec.length labels && not (String.equal (Vec.get labels !s) key)
+      do
+        incr s
+      done;
+      if !s = Vec.length labels then begin
+        if !s = Array.length !sub_fj then begin
+          let grown = Array.make (2 * !s) 0.0 in
+          Array.blit !sub_fj 0 grown 0 !s;
+          sub_fj := grown
+        end;
+        ignore (Vec.push labels key)
+      end;
+      last_tag := tag;
+      last_slot := !s;
+      !s
+    end
   in
-  let add_sub tag fj =
-    let s = slot_of tag in
-    Vec.set sub_fj s (Vec.get sub_fj s +. fj)
-  in
-  (* switching energy, accumulated in fJ over the whole run *)
+  (* switching energy, accumulated in fJ over the whole run; a primary
+     input (no driver) is charged to the driver upstream *)
   let sw_fj = ref 0.0 in
-  Array.iteri
-    (fun net count ->
-      if count > 0 then
-        match d.driver.(net) with
-        | None -> () (* primary input: charged to the driver upstream *)
-        | Some (i, _o) ->
-            let inst = d.insts.(i) in
-            let p = Library.params lib inst.kind inst.drive in
-            let load = loads.(net) in
-            let per_toggle =
-              (p.energy_fj *. esc) +. (0.5 *. load *. vdd *. vdd)
-            in
-            let fj = float_of_int count *. per_toggle in
-            sw_fj := !sw_fj +. fj;
-            add_sub inst.tag fj)
-    toggles;
+  for net = 0 to Array.length toggles - 1 do
+    let count = toggles.(net) in
+    if count > 0 then begin
+      let i = d.driver_inst.(net) in
+      if i >= 0 then begin
+        let inst = d.insts.(i) in
+        let p = Library.params lib inst.kind inst.drive in
+        let load = loads.(net) in
+        let per_toggle = (p.energy_fj *. esc) +. (0.5 *. load *. vdd *. vdd) in
+        let fj = float_of_int count *. per_toggle in
+        sw_fj := !sw_fj +. fj;
+        let s = slot_of inst.tag in
+        let sub = !sub_fj in
+        sub.(s) <- sub.(s) +. fj
+      end
+    end
+  done;
   (* clock network: plain flip-flops see every edge; enabled flip-flops
      sit behind integrated clock gates and are only charged for their
      enabled cycles *)
   let cycles = float_of_int cycles in
-  let clk_fj =
-    Array.fold_left
-      (fun acc i ->
-        let inst = d.insts.(i) in
-        let p = Library.params lib inst.kind inst.drive in
-        let active =
-          match inst.kind with
-          | Cell.Dff_en -> float_of_int en_cycles.(i)
-          | _ -> cycles
-        in
-        acc +. (p.clock_energy_fj *. esc *. clock_tree_factor *. active))
-      0.0 d.seq
-  in
+  let clk_fj = ref 0.0 in
+  for k = 0 to Array.length d.seq - 1 do
+    let i = d.seq.(k) in
+    let inst = d.insts.(i) in
+    let p = Library.params lib inst.kind inst.drive in
+    let active =
+      match inst.kind with
+      | Cell.Dff_en -> float_of_int en_cycles.(i)
+      | _ -> cycles
+    in
+    clk_fj :=
+      !clk_fj +. (p.clock_energy_fj *. esc *. clock_tree_factor *. active)
+  done;
+  let clk_fj = !clk_fj in
   (* weight updates through the BL drivers *)
   let wr_fj = float_of_int weight_flips *. sram_write_fj *. esc in
   let time_s = cycles /. freq_hz in
   let to_w fj = fj *. 1e-15 /. time_s in
-  let leak_nw =
-    Array.fold_left
-      (fun acc (inst : Ir.inst) ->
-        let p = Library.params lib inst.kind inst.drive in
-        acc +. p.leakage_nw)
-      0.0 d.insts
-  in
+  let leak_nw = ref 0.0 in
+  for i = 0 to Array.length d.insts - 1 do
+    let inst = d.insts.(i) in
+    leak_nw := !leak_nw +. (Library.params lib inst.kind inst.drive).leakage_nw
+  done;
+  let leak_nw = !leak_nw in
   let leakage_w = leak_nw *. 1e-9 *. lsc in
   let dynamic_w = to_w !sw_fj in
   let clock_w = to_w clk_fj in
@@ -146,7 +148,7 @@ let estimate_activity (d : Ir.design) (lib : Library.t)
     energy_per_cycle_fj = (!sw_fj +. clk_fj +. wr_fj) /. cycles;
     by_subcircuit =
       List.init (Vec.length labels) (fun s ->
-          (Vec.get labels s, to_w (Vec.get sub_fj s)))
+          (Vec.get labels s, to_w !sub_fj.(s)))
       |> List.sort (fun (a, _) (b, _) -> compare a b);
   }
 

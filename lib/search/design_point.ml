@@ -85,9 +85,9 @@ let evaluate (lib : Library.t) (spec : Spec.t) (cfg : Macro_rtl.config) : t =
   let macro = Macro_rtl.build lib cfg in
   let budget = Spec.search_budget_ps spec lib.Library.node in
   let sized = Sizing.speed_up macro.design lib ~target_ps:budget in
-  (* drives are final after sizing: one load map serves STA and power *)
-  let loads = Ir.fanout_loads macro.design lib () in
-  let sta = Sta.analyze ~loads macro.design lib in
+  (* sizing's last round timed the final drives: its report and load
+     map serve STA and power *)
+  let sta = sized.Sizing.sta and loads = sized.Sizing.loads in
   let stats = Stats.of_design macro.design lib in
   let power =
     measure_power ~loads lib macro ~freq_hz:spec.Spec.mac_freq_hz

@@ -8,6 +8,10 @@ type result = {
   before_ps : float;
   after_ps : float;
   upsized : int;  (** number of drive bumps applied *)
+  sta : Sta.report;
+      (** the last round's timing report: it matches the final drives, so
+          [sta.crit_ps = after_ps] and a caller need not re-run STA *)
+  loads : float array;  (** the fanout-load map [sta] was computed with *)
 }
 
 let bump = function
@@ -31,33 +35,43 @@ let speed_up ?(max_rounds = 6) ?(wire_cap = fun (_ : Ir.net) -> 0.0)
   let r0, loads0 = analyze () in
   let before = r0.Sta.crit_ps in
   let upsized = ref 0 in
+  let insts = d.insts in
   let rec go round (r : Sta.report) loads =
-    if r.Sta.crit_ps <= target_ps || round >= max_rounds then r.Sta.crit_ps
+    if r.Sta.crit_ps <= target_ps || round >= max_rounds then (r, loads)
     else begin
       let slack = Sta.slacks r d lib ~wire_cap ~loads ~target_ps () in
       let changed = ref false in
-      Array.iter
-        (fun (inst : Ir.inst) ->
-          if not (Cell.is_storage inst.kind) then
-            let violating =
-              Array.exists (fun net -> slack.(net) < -0.5) inst.outs
-            in
-            if violating then
-              match bump inst.drive with
-              | Some up ->
-                  inst.drive <- up;
-                  incr upsized;
-                  changed := true
-              | None -> ())
-        d.insts;
-      if not !changed then r.Sta.crit_ps
+      for i = 0 to Array.length insts - 1 do
+        let inst = insts.(i) in
+        if not (Cell.is_storage inst.kind) then begin
+          let outs = inst.outs in
+          let violating = ref false in
+          for o = 0 to Array.length outs - 1 do
+            if slack.(outs.(o)) < -0.5 then violating := true
+          done;
+          if !violating then
+            match bump inst.drive with
+            | Some up ->
+                inst.drive <- up;
+                incr upsized;
+                changed := true
+            | None -> ()
+        end
+      done;
+      if not !changed then (r, loads)
       else
         let r', loads' = analyze () in
         go (round + 1) r' loads'
     end
   in
-  let after = go 0 r0 loads0 in
-  { before_ps = before; after_ps = after; upsized = !upsized }
+  let sta, loads = go 0 r0 loads0 in
+  {
+    before_ps = before;
+    after_ps = sta.Sta.crit_ps;
+    upsized = !upsized;
+    sta;
+    loads;
+  }
 
 (** [relax d] returns every instance to X1 (minimum power/area), e.g.
     before re-running a power-preferring fine-tune. *)

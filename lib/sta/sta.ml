@@ -37,6 +37,7 @@ let analyze ?(wire_cap = fun (_ : Ir.net) -> 0.0)
     | Some l -> l
     | None -> Ir.fanout_loads d lib ~wire_cap ()
   in
+  let insts = d.insts in
   let arr = Array.make d.n_nets 0.0 in
   let pred = Array.make d.n_nets (-1) in
   (* predecessor net on the worst path *)
@@ -45,80 +46,106 @@ let analyze ?(wire_cap = fun (_ : Ir.net) -> 0.0)
   List.iter
     (fun (name, bus) ->
       let a = input_arrival name in
-      Array.iter (fun net -> arr.(net) <- a) bus)
+      for b = 0 to Array.length bus - 1 do
+        arr.(bus.(b)) <- a
+      done)
     (Ir.inputs d.src);
-  Array.iter
-    (fun i ->
-      let inst = d.insts.(i) in
-      let p = Library.params lib inst.kind inst.drive in
-      Array.iter
-        (fun net ->
-          arr.(net) <- p.clk_q_ps;
-          via.(net) <- i)
-        inst.outs)
-    d.seq;
-  Array.iter
-    (fun i ->
-      let inst = d.insts.(i) in
-      (* static weights: launch at 0 but still record provenance *)
-      Array.iter (fun net -> via.(net) <- i) inst.outs)
-    d.storage;
-  Array.iter
-    (fun i ->
-      let inst = d.insts.(i) in
-      let worst_in = ref Ir.const0 and worst_arr = ref neg_infinity in
-      Array.iter
-        (fun net ->
-          if arr.(net) > !worst_arr then begin
-            worst_arr := arr.(net);
-            worst_in := net
-          end)
-        inst.ins;
-      let in_arr = if Array.length inst.ins = 0 then 0.0 else !worst_arr in
-      Array.iteri
-        (fun o net ->
-          let load = loads.(net) in
-          let dly =
-            Library.delay_ps lib ~kind:inst.kind ~drive:inst.drive ~out:o
-              ~load_ff:load
-          in
-          let a = in_arr +. dly in
-          if a > arr.(net) then begin
-            arr.(net) <- a;
-            pred.(net) <- (if Array.length inst.ins = 0 then -1 else !worst_in);
-            via.(net) <- i
-          end)
-        inst.outs)
-    d.comb_order;
-  (* Endpoints *)
+  for k = 0 to Array.length d.seq - 1 do
+    let i = d.seq.(k) in
+    let inst = insts.(i) in
+    let p = Library.params lib inst.kind inst.drive in
+    let outs = inst.outs in
+    for o = 0 to Array.length outs - 1 do
+      let net = outs.(o) in
+      arr.(net) <- p.clk_q_ps;
+      via.(net) <- i
+    done
+  done;
+  for k = 0 to Array.length d.storage - 1 do
+    let i = d.storage.(k) in
+    (* static weights: launch at 0 but still record provenance *)
+    let outs = insts.(i).outs in
+    for o = 0 to Array.length outs - 1 do
+      via.(outs.(o)) <- i
+    done
+  done;
+  (* forward pass; the delay is {!Library.delay_ps} inlined *)
+  let order = d.comb_order in
+  for k = 0 to Array.length order - 1 do
+    let i = order.(k) in
+    let inst = insts.(i) in
+    let ins = inst.ins in
+    let n_ins = Array.length ins in
+    let worst_in = ref Ir.const0 and worst_arr = ref neg_infinity in
+    for q = 0 to n_ins - 1 do
+      let net = ins.(q) in
+      if arr.(net) > !worst_arr then begin
+        worst_arr := arr.(net);
+        worst_in := net
+      end
+    done;
+    let in_arr = if n_ins = 0 then 0.0 else !worst_arr in
+    let from = if n_ins = 0 then -1 else !worst_in in
+    let p = Library.params lib inst.kind inst.drive in
+    let intrinsic = p.intrinsic_ps in
+    let last = Array.length intrinsic - 1 in
+    let outs = inst.outs in
+    for o = 0 to Array.length outs - 1 do
+      let net = outs.(o) in
+      let dly =
+        intrinsic.(if o < last then o else last)
+        +. (p.drive_res_ps_per_ff *. loads.(net))
+      in
+      let a = in_arr +. dly in
+      if a > arr.(net) then begin
+        arr.(net) <- a;
+        pred.(net) <- from;
+        via.(net) <- i
+      end
+    done
+  done;
+  (* Endpoints: flip-flop D pins, then primary outputs. [worst_reg] is
+     the capturing flip-flop, or -1 when the worst endpoint is output bit
+     [worst_bit] of bus [worst_bus]. *)
   let worst = ref neg_infinity in
-  let worst_ep = ref (Primary_out ("", 0)) in
+  let worst_reg = ref (-1) and worst_bus = ref "" and worst_bit = ref 0 in
   let worst_net = ref (-1) in
-  Array.iter
-    (fun i ->
-      let inst = d.insts.(i) in
-      let p = Library.params lib inst.kind inst.drive in
-      Array.iter
-        (fun net ->
-          let a = arr.(net) +. p.setup_ps in
-          if a > !worst then begin
-            worst := a;
-            worst_ep := Reg_d i;
-            worst_net := net
-          end)
-        inst.ins)
-    d.seq;
-  List.iter
-    (fun (name, bus) ->
-      Array.iteri
-        (fun idx net ->
+  for k = 0 to Array.length d.seq - 1 do
+    let i = d.seq.(k) in
+    let inst = insts.(i) in
+    let p = Library.params lib inst.kind inst.drive in
+    let ins = inst.ins in
+    for q = 0 to Array.length ins - 1 do
+      let net = ins.(q) in
+      let a = arr.(net) +. p.setup_ps in
+      if a > !worst then begin
+        worst := a;
+        worst_reg := i;
+        worst_net := net
+      end
+    done
+  done;
+  (* a list walk, not [List.iter]: a closure would box [worst] *)
+  let outputs = ref (Ir.outputs d.src) in
+  while
+    match !outputs with
+    | [] -> false
+    | (name, bus) :: rest ->
+        outputs := rest;
+        for idx = 0 to Array.length bus - 1 do
+          let net = bus.(idx) in
           if arr.(net) > !worst then begin
             worst := arr.(net);
-            worst_ep := Primary_out (name, idx);
+            worst_reg := -1;
+            worst_bus := name;
+            worst_bit := idx;
             worst_net := net
-          end)
-        bus)
-    (Ir.outputs d.src);
+          end
+        done;
+        true
+  do
+    ()
+  done;
   (* Reconstruct the critical path by walking predecessors. *)
   let rec walk net acc =
     if net < 0 then acc
@@ -130,7 +157,9 @@ let analyze ?(wire_cap = fun (_ : Ir.net) -> 0.0)
   let path = if !worst_net >= 0 then walk !worst_net [] else [] in
   {
     crit_ps = (if !worst = neg_infinity then 0.0 else !worst);
-    endpoint = !worst_ep;
+    endpoint =
+      (if !worst_reg >= 0 then Reg_d !worst_reg
+       else Primary_out (!worst_bus, !worst_bit));
     path;
     arrivals = arr;
   }
@@ -149,35 +178,56 @@ let slacks (r : report) (d : Ir.design) (lib : Library.t)
     | Some l -> l
     | None -> Ir.fanout_loads d lib ~wire_cap ()
   in
+  let insts = d.insts in
   let req = Array.make d.n_nets infinity in
-  let relax net v = if v < req.(net) then req.(net) <- v in
-  Array.iter
-    (fun i ->
-      let inst = d.insts.(i) in
-      let p = Library.params lib inst.kind inst.drive in
-      Array.iter (fun net -> relax net (target_ps -. p.setup_ps)) inst.ins)
-    d.seq;
-  List.iter
-    (fun (_, bus) -> Array.iter (fun net -> relax net target_ps) bus)
-    (Ir.outputs d.src);
-  (* reverse topological order over combinational instances *)
-  for idx = Array.length d.comb_order - 1 downto 0 do
-    let i = d.comb_order.(idx) in
-    let inst = d.insts.(i) in
-    let worst_req = ref infinity in
-    Array.iteri
-      (fun o net ->
-        let load = loads.(net) in
-        let dly =
-          Library.delay_ps lib ~kind:inst.kind ~drive:inst.drive ~out:o
-            ~load_ff:load
-        in
-        let v = req.(net) -. dly in
-        if v < !worst_req then worst_req := v)
-      inst.outs;
-    Array.iter (fun net -> relax net !worst_req) inst.ins
+  for k = 0 to Array.length d.seq - 1 do
+    let inst = insts.(d.seq.(k)) in
+    let p = Library.params lib inst.kind inst.drive in
+    let ins = inst.ins in
+    for q = 0 to Array.length ins - 1 do
+      let net = ins.(q) in
+      let v = target_ps -. p.setup_ps in
+      if v < req.(net) then req.(net) <- v
+    done
   done;
-  Array.init d.n_nets (fun net -> req.(net) -. r.arrivals.(net))
+  List.iter
+    (fun (_, bus) ->
+      for b = 0 to Array.length bus - 1 do
+        let net = bus.(b) in
+        if target_ps < req.(net) then req.(net) <- target_ps
+      done)
+    (Ir.outputs d.src);
+  (* reverse topological order over combinational instances, with the
+     forward pass's inlined delay *)
+  let order = d.comb_order in
+  for k = Array.length order - 1 downto 0 do
+    let inst = insts.(order.(k)) in
+    let p = Library.params lib inst.kind inst.drive in
+    let intrinsic = p.intrinsic_ps in
+    let last = Array.length intrinsic - 1 in
+    let outs = inst.outs in
+    let worst_req = ref infinity in
+    for o = 0 to Array.length outs - 1 do
+      let net = outs.(o) in
+      let dly =
+        intrinsic.(if o < last then o else last)
+        +. (p.drive_res_ps_per_ff *. loads.(net))
+      in
+      let v = req.(net) -. dly in
+      if v < !worst_req then worst_req := v
+    done;
+    let ins = inst.ins in
+    for q = 0 to Array.length ins - 1 do
+      let net = ins.(q) in
+      if !worst_req < req.(net) then req.(net) <- !worst_req
+    done
+  done;
+  (* required minus arrival, in place *)
+  let arrivals = r.arrivals in
+  for net = 0 to d.n_nets - 1 do
+    req.(net) <- req.(net) -. arrivals.(net)
+  done;
+  req
 
 (** [crit_ps_at r node ~vdd] scales the nominal critical path to an
     operating voltage. *)

@@ -22,6 +22,38 @@ let test_sdp_drc_clean_after_sizing () =
   let p = Floorplan.sdp lib m in
   check_int "no violations on X4 cells" 0 (List.length (Drc.check lib p))
 
+(* The backend's ECO rollback keeps the pass it had before the resize:
+   once the drives are restored it must equal a fresh sign-off run. *)
+let test_rollback_pass_is_fresh_run () =
+  let bits_equal a b =
+    Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  in
+  List.iter
+    (fun style ->
+      let m = macro ~mcr:1 () in
+      let d = m.Macro_rtl.design in
+      let pass = Post_layout.run lib m ~style in
+      let snap = Sizing.snapshot d in
+      let wire_cap =
+        Route.wire_cap_fn pass.Post_layout.routing lib.Library.node
+      in
+      let sized = Sizing.speed_up ~wire_cap d lib ~target_ps:1.0 in
+      check_bool "resized" true (sized.Sizing.upsized > 0);
+      let resized = Post_layout.run lib m ~style in
+      check_bool "resize moved the layout" false
+        (bits_equal resized.Post_layout.area_mm2 pass.Post_layout.area_mm2);
+      Sizing.restore d snap;
+      let fresh = Post_layout.run lib m ~style in
+      check_bool "crit" true
+        (bits_equal pass.Post_layout.sta.Sta.crit_ps
+           fresh.Post_layout.sta.Sta.crit_ps);
+      check_bool "area" true
+        (bits_equal pass.Post_layout.area_mm2 fresh.Post_layout.area_mm2);
+      check_bool "wirelength" true
+        (bits_equal pass.Post_layout.total_wirelength_mm
+           fresh.Post_layout.total_wirelength_mm))
+    [ Floorplan.Sdp; Floorplan.Scattered ]
+
 let test_scattered_drc_clean () =
   let m = macro () in
   let p = Floorplan.scattered lib m ~seed:3 in
@@ -169,6 +201,8 @@ let () =
           Alcotest.test_case "SDP DRC clean" `Quick test_sdp_drc_clean;
           Alcotest.test_case "DRC clean after sizing" `Quick
             test_sdp_drc_clean_after_sizing;
+          Alcotest.test_case "ECO rollback keeps the pass" `Quick
+            test_rollback_pass_is_fresh_run;
           Alcotest.test_case "scattered DRC clean" `Quick
             test_scattered_drc_clean;
           Alcotest.test_case "bitcell grid" `Quick

@@ -39,22 +39,38 @@ let test_multiple_drivers_rejected () =
   let o = Builder.inv c a in
   (* second driver onto o *)
   ignore (Ir.add ir Cell.Buf ~ins:[| a |] ~outs:[| o |]);
-  check_bool "raises" true
+  check_bool "raises on the doubly driven net" true
     (try
        ignore (Ir.freeze ir);
        false
-     with Ir.Multiple_drivers _ -> true)
+     with Ir.Multiple_drivers net -> net = o)
 
 let test_comb_cycle_rejected () =
   let ir = Ir.create () in
   let a = Ir.new_net ir and b = Ir.new_net ir in
   ignore (Ir.add ir Cell.Inv ~ins:[| a |] ~outs:[| b |]);
   ignore (Ir.add ir Cell.Inv ~ins:[| b |] ~outs:[| a |]);
-  check_bool "raises" true
+  check_bool "raises on the first stuck instance" true
     (try
        ignore (Ir.freeze ir);
        false
-     with Ir.Combinational_cycle _ -> true)
+     with Ir.Combinational_cycle i -> i = 0);
+  (* a cycle behind a clean inverter: the payload is the lowest-numbered
+     combinational instance left with unresolved inputs *)
+  let ir = Ir.create () in
+  let c = Builder.ctx_plain ir in
+  let a = Ir.new_net ir and z = Ir.new_net ir in
+  Ir.add_input ir "a" [| a |];
+  let x = Builder.inv c a in
+  let y = Ir.new_net ir in
+  ignore (Ir.add ir Cell.Nand2 ~ins:[| x; z |] ~outs:[| y |]);
+  ignore (Ir.add ir Cell.Inv ~ins:[| y |] ~outs:[| z |]);
+  ignore (Builder.inv c z);
+  check_bool "raises on instance 1" true
+    (try
+       ignore (Ir.freeze ir);
+       false
+     with Ir.Combinational_cycle i -> i = 1)
 
 let test_register_feedback_allowed () =
   (* a register in the loop makes it legal *)
@@ -402,6 +418,164 @@ let test_csr_fanout () =
       done)
     (Lazy.force fuzz_macros)
 
+let test_driver_matches_scan () =
+  Array.iter
+    (fun (m : Macro_rtl.t) ->
+      let d = m.Macro_rtl.design in
+      let expected = Array.make d.Ir.n_nets None in
+      Array.iteri
+        (fun i (inst : Ir.inst) ->
+          Array.iteri (fun o net -> expected.(net) <- Some (i, o)) inst.outs)
+        d.Ir.insts;
+      for net = 0 to d.Ir.n_nets - 1 do
+        check_bool
+          (Printf.sprintf "net %d driver" net)
+          true
+          (Ir.driver d net = expected.(net))
+      done)
+    (Lazy.force fuzz_macros)
+
+(* Kahn's algorithm the textbook way — a [Queue] seeded with the
+   zero-in-degree combinational instances in ascending order, consumers
+   visited by output pin and then CSR order — which is the evaluation
+   order {!Ir.freeze} must reproduce exactly. *)
+let reference_comb_order (d : Ir.design) =
+  let is_comb i =
+    let k = d.Ir.insts.(i).Ir.kind in
+    (not (Cell.is_sequential k)) && not (Cell.is_storage k)
+  in
+  let indeg = Array.make (Ir.n_insts d) 0 in
+  Array.iteri
+    (fun i (inst : Ir.inst) ->
+      if is_comb i then
+        Array.iter
+          (fun net ->
+            match Ir.driver d net with
+            | Some (j, _) when is_comb j -> indeg.(i) <- indeg.(i) + 1
+            | Some _ | None -> ())
+          inst.ins)
+    d.Ir.insts;
+  let queue = Queue.create () and order = ref [] in
+  Array.iteri (fun i n -> if is_comb i && n = 0 then Queue.add i queue) indeg;
+  while not (Queue.is_empty queue) do
+    let i = Queue.pop queue in
+    order := i :: !order;
+    Array.iter
+      (fun net ->
+        for k = d.Ir.fanout_start.(net) to d.Ir.fanout_start.(net + 1) - 1 do
+          let j = d.Ir.fanout.(k) in
+          if is_comb j then begin
+            indeg.(j) <- indeg.(j) - 1;
+            if indeg.(j) = 0 then Queue.add j queue
+          end
+        done)
+      d.Ir.insts.(i).Ir.outs
+  done;
+  Array.of_list (List.rev !order)
+
+let test_comb_order_is_kahn_fifo () =
+  Array.iter
+    (fun (m : Macro_rtl.t) ->
+      let d = m.Macro_rtl.design in
+      check_bool "same order" true (d.Ir.comb_order = reference_comb_order d))
+    (Lazy.force fuzz_macros)
+
+let test_weight_index_round_trip () =
+  Array.iter
+    (fun (m : Macro_rtl.t) ->
+      let d = m.Macro_rtl.design in
+      let n_weights = ref 0 in
+      Array.iter
+        (fun i ->
+          match d.Ir.insts.(i).Ir.tag with
+          | Ir.Weight_bit { row; col; copy } ->
+              incr n_weights;
+              check_int "round trip" i (Ir.weight_inst d ~row ~col ~copy)
+          | Ir.Plain | Ir.Pipeline_reg _ | Ir.Subcircuit _ -> ())
+        d.Ir.storage;
+      check_bool "has weights" true (!n_weights > 0);
+      (* every in-range address names its own cell or none *)
+      let addressed = ref 0 in
+      for row = 0 to d.Ir.weight_rows - 1 do
+        for col = 0 to d.Ir.weight_cols - 1 do
+          for copy = 0 to d.Ir.weight_copies - 1 do
+            let i = Ir.weight_inst d ~row ~col ~copy in
+            if i >= 0 then begin
+              incr addressed;
+              check_bool "addressed cell carries the address" true
+                (d.Ir.insts.(i).Ir.tag = Ir.Weight_bit { row; col; copy })
+            end
+          done
+        done
+      done;
+      check_int "one address per weight bit" !n_weights !addressed)
+    (Lazy.force fuzz_macros)
+
+let test_bad_weight_address () =
+  let m =
+    Macro_rtl.build lib
+      (Macro_rtl.default ~rows:4 ~cols:8 ~mcr:2 ~input_prec:Precision.int4
+         ~weight_prec:Precision.int4)
+  in
+  let d = m.Macro_rtl.design in
+  let rows = d.Ir.weight_rows and cols = d.Ir.weight_cols in
+  let copies = d.Ir.weight_copies in
+  check_bool "rows x cols x copies" true (rows > 1 && cols > 1 && copies > 1);
+  let raises f =
+    try
+      f ();
+      false
+    with Invalid_argument _ -> true
+  in
+  let bad =
+    [
+      (-1, 0, 0); (0, -1, 0); (0, 0, -1); (rows, 0, 0); (0, cols, 0);
+      (0, 0, copies); (0, cols, copies - 1); (rows - 1, 0, copies);
+      (max_int, max_int, max_int); (min_int, 0, 0);
+    ]
+  in
+  let sim = Sim.create d and sliced = Sim_multiword.create d in
+  List.iter
+    (fun (row, col, copy) ->
+      let name = Printf.sprintf "(%d,%d,%d)" row col copy in
+      check_int (name ^ " unaddressed") (-1) (Ir.weight_inst d ~row ~col ~copy);
+      check_bool (name ^ " Sim.set_weight") true
+        (raises (fun () -> Sim.set_weight sim ~row ~col ~copy true));
+      check_bool (name ^ " Sim_multiword.write_weight") true
+        (raises (fun () ->
+             Sim_multiword.write_weight sliced ~row ~col ~copy (-1))))
+    bad;
+  (* no write reached a cell, so nothing was charged or stored *)
+  check_int "scalar writes" 0 sim.Sim.weight_writes;
+  check_bool "scalar cells untouched" true
+    (Array.for_all not sim.Sim.storage_state);
+  check_int "sliced writes" 0 sliced.Sim_multiword.weight_writes;
+  check_bool "sliced cells untouched" true
+    (Array.for_all (fun w -> w = 0) sliced.Sim_multiword.storage_state);
+  (* a negative address cannot be indexed, so freeze refuses it *)
+  let ir = Ir.create () in
+  ignore
+    (Ir.add
+       ~tag:(Ir.Weight_bit { row = 0; col = -1; copy = 0 })
+       ir (Cell.Sram Cell.S6t) ~ins:[||] ~outs:[| Ir.new_net ir |]);
+  check_bool "negative tag rejected at freeze" true
+    (raises (fun () -> ignore (Ir.freeze ir)));
+  (* a design without weights has no address at all *)
+  let ir = Ir.create () in
+  let c = Builder.ctx_plain ir in
+  let a = Ir.new_net ir in
+  Ir.add_input ir "a" [| a |];
+  Ir.add_output ir "y" [| Builder.inv c a |];
+  let plain = Ir.freeze ir in
+  check_bool "no weights: Sim.set_weight" true
+    (raises (fun () ->
+         Sim.set_weight (Sim.create plain) ~row:0 ~col:0 ~copy:0 true));
+  check_bool "no weights: Sim_multiword.write_weight" true
+    (raises (fun () ->
+         Sim_multiword.write_weight
+           (Sim_multiword.create plain)
+           ~row:0 ~col:0 ~copy:0 1))
+
 (* The reference settle: every combinational cell re-evaluated on every
    [eval], with {!Sim}'s counter semantics (toggles on value changes,
    enable duty per Dff_en, flips per storage write). *)
@@ -563,6 +737,12 @@ let () =
           Alcotest.test_case "arity check" `Quick test_arity_checked;
           Alcotest.test_case "fanout load" `Quick test_fanout_load;
           Alcotest.test_case "CSR fanout" `Quick test_csr_fanout;
+          Alcotest.test_case "driver map" `Quick test_driver_matches_scan;
+          Alcotest.test_case "comb order" `Quick test_comb_order_is_kahn_fifo;
+          Alcotest.test_case "weight index round trip" `Quick
+            test_weight_index_round_trip;
+          Alcotest.test_case "bad weight address" `Quick
+            test_bad_weight_address;
         ] );
       ( "builder",
         [

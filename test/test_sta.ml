@@ -128,6 +128,90 @@ let test_sizing_never_touches_storage () =
       check_bool "storage stays X1" true (inst.Ir.drive = Cell.X1))
     d.Ir.storage
 
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* [r] — what a sizing call returned — is bit for bit the load map and
+   STA report a fresh analysis of the sized design gives. *)
+let check_final_report name d (r : Sizing.result) =
+  let loads = Ir.fanout_loads d lib () in
+  let fresh = Sta.analyze ~loads d lib in
+  let sta = r.Sizing.sta in
+  check_bool (name ^ ": loads") true
+    (Array.for_all2 bits_equal loads r.Sizing.loads);
+  check_bool (name ^ ": crit") true
+    (bits_equal fresh.Sta.crit_ps sta.Sta.crit_ps);
+  check_bool (name ^ ": after_ps") true
+    (bits_equal sta.Sta.crit_ps r.Sizing.after_ps);
+  check_bool (name ^ ": endpoint") true (fresh.Sta.endpoint = sta.Sta.endpoint);
+  check_bool (name ^ ": arrivals") true
+    (Array.for_all2 bits_equal fresh.Sta.arrivals sta.Sta.arrivals);
+  check_bool (name ^ ": path") true (fresh.Sta.path = sta.Sta.path)
+
+let test_sizing_report_is_final () =
+  let m =
+    Macro_rtl.build lib
+      (Macro_rtl.default ~rows:8 ~cols:8 ~mcr:1 ~input_prec:Precision.int4
+         ~weight_prec:Precision.int4)
+  in
+  let d = m.Macro_rtl.design in
+  let crit0 = (Sta.analyze d lib).Sta.crit_ps in
+  (* exit 1: the target is met before any round *)
+  let r = Sizing.speed_up d lib ~target_ps:(crit0 +. 100.0) in
+  Alcotest.(check int) "met: no bumps" 0 r.Sizing.upsized;
+  check_final_report "met at round 0" d r;
+  (* exit 2: the round budget runs out after a round that changed drives *)
+  let r = Sizing.speed_up ~max_rounds:1 d lib ~target_ps:1.0 in
+  check_bool "capped: bumped" true (r.Sizing.upsized > 0);
+  check_bool "capped: still violating" true (r.Sizing.after_ps > 1.0);
+  check_final_report "max_rounds" d r;
+  (* exit 3: a round finds violators but every one is already at X4 *)
+  let rec saturate () =
+    let r = Sizing.speed_up d lib ~target_ps:1.0 in
+    if r.Sizing.upsized > 0 then saturate () else r
+  in
+  let r = saturate () in
+  check_bool "saturated: still violating" true (r.Sizing.after_ps > 1.0);
+  check_final_report "no change" d r
+
+(* ---------------- allocation ---------------- *)
+
+(* Minor-heap words one call of [f] allocates, after a warm-up call.
+   Arrays longer than the minor heap's block limit are allocated in the
+   major heap and do not count: this measures per-cell garbage only. *)
+let minor_words f =
+  f ();
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_kernels_allocation_free () =
+  let m =
+    Macro_rtl.build lib
+      (Macro_rtl.default ~rows:64 ~cols:64 ~mcr:1 ~input_prec:Precision.int8
+         ~weight_prec:Precision.int8)
+  in
+  let d = m.Macro_rtl.design in
+  let n = Ir.n_insts d in
+  let loads = Ir.fanout_loads d lib () in
+  let r = Sta.analyze ~loads d lib in
+  (* every net toggling, every enabled flip-flop clocked: the power loops
+     visit every driver, tag and flip-flop *)
+  let toggles = Array.make d.Ir.n_nets 3 and en_cycles = Array.make n 2 in
+  let guard name f =
+    let w = minor_words (fun () -> ignore (Sys.opaque_identity (f ()))) in
+    check_bool
+      (Printf.sprintf "%s: %.0f words for %d instances" name w n)
+      true
+      (w < float_of_int n)
+  in
+  guard "Ir.fanout_loads" (fun () -> Ir.fanout_loads d lib ());
+  guard "Sta.analyze" (fun () -> Sta.analyze ~loads d lib);
+  guard "Sta.slacks" (fun () ->
+      Sta.slacks r d lib ~loads ~target_ps:(r.Sta.crit_ps /. 2.0) ());
+  guard "Power.estimate_activity" (fun () ->
+      Power.estimate_activity d lib ~toggles ~en_cycles ~cycles:10
+        ~weight_flips:5 ~freq_hz:500e6 ~vdd:0.9 ~loads ())
+
 let test_voltage_scaled_timing () =
   let r = Sta.analyze (chain_design 8) lib in
   let at_07 = Sta.crit_ps_at r lib.Library.node ~vdd:0.7 in
@@ -163,5 +247,12 @@ let () =
             test_relax_and_snapshot;
           Alcotest.test_case "storage untouched" `Quick
             test_sizing_never_touches_storage;
+          Alcotest.test_case "returned report is final" `Quick
+            test_sizing_report_is_final;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "kernels allocation-free" `Quick
+            test_kernels_allocation_free;
         ] );
     ]
