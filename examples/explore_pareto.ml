@@ -25,7 +25,7 @@ let () =
       let dominated =
         List.exists
           (fun (f : Design_point.t) ->
-            f.Design_point.power_w <= p.Design_point.power_w
+            Design_point.power_w f <= Design_point.power_w p
             && f.Design_point.area_um2 <= p.Design_point.area_um2)
           frontier
       in
@@ -41,7 +41,7 @@ let () =
       (fun (lo, hi) p -> (Float.min lo (f p), Float.max hi (f p)))
       (infinity, neg_infinity) all
   in
-  let pw (p : Design_point.t) = p.Design_point.power_w in
+  let pw = Design_point.power_w in
   let ar (p : Design_point.t) = p.Design_point.area_um2 in
   let p0, p1 = min_max pw and a0, a1 = min_max ar in
   let cols = 48 and rows_ = 14 in

@@ -123,8 +123,11 @@ type run = {
 
 (** The retry-on-routing-miss loop, as explicit policy: when the search
     met its pre-layout budget but routed wires ate the margin, re-run the
-    pipeline with the internal clock tightened by [boost_step], up to
-    [max_boost]. [max_eco_iters] caps the backend's re-closure loop. *)
+    pipeline with the internal clock tightened by another [boost_step].
+    A retry is scheduled while the {e failed} attempt's boost is below
+    [max_boost] (see {!next_boost}), so the last retry may run one step
+    past it: with the defaults, attempts run at ×1.0, ×1.12 and ×1.2544.
+    [max_eco_iters] caps the backend's re-closure loop. *)
 type policy = {
   verify : bool;
   retry : bool;
@@ -136,6 +139,16 @@ type policy = {
 let default_policy =
   { verify = true; retry = true; max_boost = 1.2; boost_step = 1.12;
     max_eco_iters = 3 }
+
+(** [next_boost policy ~boost ~timing_closed ~search_closed] — the retry
+    decision for an attempt that ran at [boost]: [Some (boost *.
+    boost_step)] when it missed timing post-layout although its search
+    closed pre-layout, retries are on and [boost < max_boost]; [None]
+    otherwise. *)
+let next_boost (p : policy) ~boost ~timing_closed ~search_closed =
+  if (not timing_closed) && search_closed && p.retry && boost < p.max_boost
+  then Some (boost *. p.boost_step)
+  else None
 
 (** Workload assumptions for the reported power: the paper's measurement
     conditions (12.5 % input sparsity, 50 % weight sparsity). *)
@@ -374,9 +387,10 @@ let compute_metrics (spec : Spec.t) (m : Macro_rtl.t)
     ops_norm;
   }
 
-(** Stage 5 — reported PPA, the timing verdict, and the retry decision:
-    a post-layout miss whose search closed pre-layout schedules a
-    tightened re-run ([boost *. boost_step], capped at [max_boost]). *)
+(** Stage 5 — reported PPA, the timing verdict, and the retry decision
+    ({!next_boost}): a post-layout miss whose search closed pre-layout
+    schedules a re-run at [boost *. boost_step] while this attempt's
+    [boost] is below [max_boost]. *)
 let metrics_stage lib ~(policy : policy) :
     (search_art * backend_art * Power.report, verdict) Stage.t =
   Stage.v stage_metrics
@@ -390,11 +404,8 @@ let metrics_stage lib ~(policy : policy) :
         metrics.fmax_ghz *. 1e9 >= spec.Spec.mac_freq_hz *. 0.999
       in
       let retry_boost =
-        if
-          (not timing_closed) && policy.retry && sa.boost < policy.max_boost
-          && sa.search.Searcher.timing_closed
-        then Some (sa.boost *. policy.boost_step)
-        else None
+        next_boost policy ~boost:sa.boost ~timing_closed
+          ~search_closed:sa.search.Searcher.timing_closed
       in
       let note =
         if timing_closed then

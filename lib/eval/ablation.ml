@@ -98,7 +98,7 @@ let search_ladder ?(freqs_mhz = [ 300.; 500.; 800.; 1100. ]) ?jobs
         techniques =
           List.map Searcher.technique_name r.Searcher.applied;
         crit_ps = r.Searcher.final.Design_point.crit_ps;
-        power_mw = r.Searcher.final.Design_point.power_w *. 1e3;
+        power_mw = Design_point.power_w r.Searcher.final *. 1e3;
         area_mm2 = r.Searcher.final.Design_point.area_um2 /. 1e6;
       })
     freqs_mhz

@@ -42,7 +42,7 @@ let evaluate_unsized_raw lib (spec : Spec.t) cfg =
     crit_ps = sta.Sta.crit_ps;
     upsized = 0;
     area_um2 = stats.Stats.area_um2;
-    power_w = power.Power.total_w;
+    power = Design_point.measured_power power.Power.total_w;
     meets_mac =
       sta.Sta.crit_ps <= Spec.search_budget_ps spec lib.Library.node +. 0.5;
     meets_wupd = wupd_ps <= 1e12 /. spec.Spec.weight_update_freq_hz;

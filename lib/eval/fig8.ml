@@ -76,7 +76,7 @@ let point_row label (p : Design_point.t) =
     label;
     Adder_tree.topology_name p.Design_point.cfg.Macro_rtl.tree;
     Shift_adder.kind_name p.Design_point.cfg.Macro_rtl.sa_kind;
-    Table.f (p.Design_point.power_w *. 1e3);
+    Table.f (Design_point.power_w p *. 1e3);
     Table.f ~digits:4 (p.Design_point.area_um2 /. 1e6);
     Table.f ~digits:0 p.Design_point.crit_ps;
     (if p.Design_point.meets_mac then "meets" else "violates");
@@ -128,6 +128,6 @@ let print (r : result) =
 let frontier_dominates (r : result) (baseline : Design_point.t) =
   List.exists
     (fun (p : Design_point.t) ->
-      p.Design_point.power_w <= baseline.Design_point.power_w
+      Design_point.power_w p <= Design_point.power_w baseline
       && p.Design_point.area_um2 <= baseline.Design_point.area_um2)
     r.frontier

@@ -44,12 +44,19 @@ let tag_label = function
     Carlo estimate, converged over [lanes ×] the sample mass per
     simulated cycle. [cycles] must be positive.
     [loads] is the per-net fanout-load map ({!Ir.fanout_loads}); pass the
-    one the timing pass already computed to avoid rebuilding it here. *)
+    one the timing pass already computed to avoid rebuilding it here.
+    [drives] (one per instance, e.g. a {!Sizing.snapshot}) prices each
+    instance at that drive instead of its live one, so a deferred
+    estimate stays valid after a later pass resized the netlist; [loads]
+    must then have been computed under the same drives. *)
 let estimate_activity (d : Ir.design) (lib : Library.t)
     ~(toggles : int array) ~(en_cycles : int array) ~(cycles : int)
     ~(weight_flips : int) ~freq_hz ~vdd
-    ?(wire_cap = fun (_ : Ir.net) -> 0.0) ?loads () =
+    ?(wire_cap = fun (_ : Ir.net) -> 0.0) ?loads ?drives () =
   assert (cycles > 0);
+  let drive_of i (inst : Ir.inst) =
+    match drives with Some a -> a.(i) | None -> inst.drive
+  in
   let loads =
     match loads with
     | Some l -> l
@@ -95,7 +102,7 @@ let estimate_activity (d : Ir.design) (lib : Library.t)
       let i = d.driver_inst.(net) in
       if i >= 0 then begin
         let inst = d.insts.(i) in
-        let p = Library.params lib inst.kind inst.drive in
+        let p = Library.params lib inst.kind (drive_of i inst) in
         let load = loads.(net) in
         let per_toggle = (p.energy_fj *. esc) +. (0.5 *. load *. vdd *. vdd) in
         let fj = float_of_int count *. per_toggle in
@@ -114,7 +121,7 @@ let estimate_activity (d : Ir.design) (lib : Library.t)
   for k = 0 to Array.length d.seq - 1 do
     let i = d.seq.(k) in
     let inst = d.insts.(i) in
-    let p = Library.params lib inst.kind inst.drive in
+    let p = Library.params lib inst.kind (drive_of i inst) in
     let active =
       match inst.kind with
       | Cell.Dff_en -> float_of_int en_cycles.(i)
@@ -131,7 +138,8 @@ let estimate_activity (d : Ir.design) (lib : Library.t)
   let leak_nw = ref 0.0 in
   for i = 0 to Array.length d.insts - 1 do
     let inst = d.insts.(i) in
-    leak_nw := !leak_nw +. (Library.params lib inst.kind inst.drive).leakage_nw
+    leak_nw :=
+      !leak_nw +. (Library.params lib inst.kind (drive_of i inst)).leakage_nw
   done;
   let leak_nw = !leak_nw in
   let leakage_w = leak_nw *. 1e-9 *. lsc in
@@ -176,11 +184,12 @@ let estimate_at_vdds (d : Ir.design) (lib : Library.t)
         ~freq_hz ~vdd ~loads ())
     vdds
 
-(** [estimate d lib sim ~freq_hz ~vdd ?wire_cap ?loads ()] — the scalar
-    entry point: the toggle statistics of a finished {!Sim} run. [sim]
-    must have run at least one cycle. *)
+(** [estimate d lib sim ~freq_hz ~vdd ?wire_cap ?loads ?drives ()] — the
+    scalar entry point: the toggle statistics of a finished {!Sim} run.
+    [sim] must have run at least one cycle. *)
 let estimate (d : Ir.design) (lib : Library.t) (sim : Sim.t) ~freq_hz ~vdd
-    ?wire_cap ?loads () =
+    ?wire_cap ?loads ?drives () =
   estimate_activity d lib ~toggles:sim.Sim.toggles
     ~en_cycles:sim.Sim.en_cycles ~cycles:sim.Sim.cycles
-    ~weight_flips:sim.Sim.weight_flips ~freq_hz ~vdd ?wire_cap ?loads ()
+    ~weight_flips:sim.Sim.weight_flips ~freq_hz ~vdd ?wire_cap ?loads ?drives
+    ()

@@ -3,10 +3,19 @@
     operating point.
 
     Evaluation = build the netlist, size the critical path toward the
-    budget, run static timing, stream a sparse MAC workload for switching
-    power, and check both frequency constraints. This plays the role the
-    LUT-composed estimate plays in the paper's searcher, with the final
-    netlist numbers always taken from the real structure. *)
+    budget, run static timing, and check both frequency constraints.
+    Switching power (streaming a sparse MAC workload) is measured on
+    demand: Algorithm 1 reads it only in its preference fine-tune, so
+    {!evaluate} leaves it pending and {!power_w} runs the stream once, on
+    first read. This plays the role the LUT-composed estimate plays in
+    the paper's searcher, with the final netlist numbers always taken
+    from the real structure. *)
+
+(* A point's power: pending until first read, then the measured value
+   (the closure, and the loads and drives it captured, are dropped). *)
+type power_state = Pending of (unit -> float) | Done of float
+
+type power = { lock : Mutex.t; mutable state : power_state }
 
 type t = {
   cfg : Macro_rtl.config;
@@ -15,11 +24,36 @@ type t = {
   crit_ps : float;  (** nominal-voltage critical path after sizing *)
   upsized : int;  (** instances upsized by timing-driven sizing *)
   area_um2 : float;  (** standard-cell area (pre-layout) *)
-  power_w : float;  (** at the spec's frequency/voltage, streaming MACs *)
+  power : power;  (** read through {!power_w} *)
   meets_mac : bool;
   meets_wupd : bool;
   tops : float;  (** native-precision TOPS at the spec frequency *)
 }
+
+(* Deterministic: a point's stream runs once however many walks read it
+   (the memo is single-flight) and {!Eval_cache} hands every walk the
+   first stored point, so the count is invariant across job counts. *)
+let m_power_streams = Metrics.counter "search.power_streams"
+
+(** [measured_power w] — a power memo that is already settled, for a
+    point whose power was measured eagerly. *)
+let measured_power w = { lock = Mutex.create (); state = Done w }
+
+(** [power_w p] — [p]'s power at the spec's frequency/voltage, streaming
+    MACs. The first read runs the stream (counted as
+    [search.power_streams]); concurrent readers wait for it and later
+    reads return the stored value. An exception raised by the stream
+    propagates to the reader and leaves the memo pending. *)
+let power_w (p : t) =
+  let m = p.power in
+  Mutex.protect m.lock (fun () ->
+      match m.state with
+      | Done w -> w
+      | Pending f ->
+          let w = f () in
+          m.state <- Done w;
+          Metrics.incr m_power_streams;
+          w)
 
 (** Activity assumptions during search-time power evaluation. *)
 let search_input_density = 0.5
@@ -39,9 +73,11 @@ let throughput_tops (m : Macro_rtl.t) ~freq_hz =
 (** [measure_power lib m ~freq_hz ~vdd ~input_density ~weight_density
     ~macs] loads sparse random weights and streams [macs] back-to-back
     MACs. Exposed for the experiment harness, which uses the paper's
-    measurement sparsity. *)
-let measure_power ?(seed = 0xD1C) ?loads lib (m : Macro_rtl.t) ~freq_hz ~vdd
-    ~input_density ~weight_density ~macs =
+    measurement sparsity. [loads] and [drives] pass through to
+    {!Power.estimate}; the stream itself reads only the netlist's
+    structure, never its drives. *)
+let measure_power ?(seed = 0xD1C) ?loads ?drives lib (m : Macro_rtl.t) ~freq_hz
+    ~vdd ~input_density ~weight_density ~macs =
   let rng = Rng.create seed in
   let sim = Sim.create m.design in
   if m.cfg.mcr > 1 then Sim.set_bus sim "copy_sel" 0;
@@ -49,7 +85,7 @@ let measure_power ?(seed = 0xD1C) ?loads lib (m : Macro_rtl.t) ~freq_hz ~vdd
     (Testbench.random_weights rng m ~density:weight_density);
   Sim.reset_stats sim;
   Testbench.run_stream m sim ~rng ~macs ~input_density;
-  Power.estimate m.design lib sim ~freq_hz ~vdd ?loads ()
+  Power.estimate m.design lib sim ~freq_hz ~vdd ?loads ?drives ()
 
 (** [measure_power_sliced (module E) lib m ~freq_hz ~vdd ~input_density
     ~weight_density ~macs] — the bit-sliced Monte Carlo form of
@@ -80,7 +116,11 @@ let measure_power_sliced (module E : Slice.S) ?(seed = 0xD1C) ?loads
     ~cycles:(E.cycles sim * E.lanes_of sim)
     ~weight_flips:(E.weight_flips sim) ~freq_hz ~vdd ?loads ()
 
-(** [evaluate lib spec cfg] builds and measures one candidate. *)
+(** [evaluate lib spec cfg] builds, sizes and times one candidate; its
+    power stays pending until {!power_w} reads it. The pending estimate
+    captures sizing's load map and a snapshot of the sized drives, so it
+    prices exactly the netlist evaluated here even if a later pass (the
+    backend ECO) resizes the design in place first. *)
 let evaluate (lib : Library.t) (spec : Spec.t) (cfg : Macro_rtl.config) : t =
   let macro = Macro_rtl.build lib cfg in
   let budget = Spec.search_budget_ps spec lib.Library.node in
@@ -88,11 +128,13 @@ let evaluate (lib : Library.t) (spec : Spec.t) (cfg : Macro_rtl.config) : t =
   (* sizing's last round timed the final drives: its report and load
      map serve STA and power *)
   let sta = sized.Sizing.sta and loads = sized.Sizing.loads in
+  let drives = Sizing.snapshot macro.design in
   let stats = Stats.of_design macro.design lib in
-  let power =
-    measure_power ~loads lib macro ~freq_hz:spec.Spec.mac_freq_hz
-      ~vdd:spec.Spec.vdd ~input_density:search_input_density
-      ~weight_density:search_weight_density ~macs:search_macs
+  let stream () =
+    (measure_power ~loads ~drives lib macro ~freq_hz:spec.Spec.mac_freq_hz
+       ~vdd:spec.Spec.vdd ~input_density:search_input_density
+       ~weight_density:search_weight_density ~macs:search_macs)
+      .Power.total_w
   in
   let wupd_ps =
     Driver.weight_update_ps lib ~rows:spec.Spec.rows
@@ -105,7 +147,7 @@ let evaluate (lib : Library.t) (spec : Spec.t) (cfg : Macro_rtl.config) : t =
     crit_ps = sta.Sta.crit_ps;
     upsized = sized.Sizing.upsized;
     area_um2 = stats.Stats.area_um2;
-    power_w = power.Power.total_w;
+    power = { lock = Mutex.create (); state = Pending stream };
     meets_mac = sta.Sta.crit_ps <= budget +. 0.5;
     meets_wupd = wupd_ps <= 1e12 /. spec.Spec.weight_update_freq_hz;
     tops = throughput_tops macro ~freq_hz:spec.Spec.mac_freq_hz;
@@ -163,6 +205,6 @@ let summary (p : t) =
     p.cfg.tree_split
     (Cell.kind_to_string (Cell.Mul p.cfg.mul_kind))
     p.cfg.reg_after_tree p.cfg.reg_sa_to_ofu p.cfg.retime_final_rca
-    p.cfg.ofu_retime p.cfg.ofu_extra_pipe p.crit_ps (p.power_w *. 1e3)
+    p.cfg.ofu_retime p.cfg.ofu_extra_pipe p.crit_ps (power_w p *. 1e3)
     (p.area_um2 /. 1e6)
     (if p.meets_mac then "MEETS" else "VIOLATES")

@@ -8,11 +8,19 @@
     prefixes. Caching on a canonical key makes every revisit free and is
     safe to share across domains: shards are mutex-guarded, and entries
     are deterministic, so a rare double-compute race is only wasted work.
+    The first stored point wins the race and is the one every caller
+    gets, so the losing copy is dropped before anyone reads its power.
+
+    A point's power is computed on demand ({!Design_point.power_w}),
+    single-flight under the point's own lock: walks on different domains
+    that share a cached point run its power stream once between them.
 
     The cache must not outlive mutation of its values: the compiler's ECO
     loop resizes a design's instance drives in place, so cached points are
     only handed to consumers that treat the netlist as frozen (the sweep
-    machinery). Scope a cache per sweep. *)
+    machinery). A point's pending power is the exception: it prices the
+    drive snapshot taken at evaluation, not the live drives. Scope a
+    cache per sweep. *)
 
 type stats = { hits : int; misses : int }
 

@@ -169,11 +169,12 @@ let fine_tune ?cache lib spec (p : Design_point.t) =
   let visited = ref [] in
   let better (q : Design_point.t) (cur : Design_point.t) =
     match spec.Spec.preference with
-    | Spec.Prefer_power -> q.power_w < cur.power_w
+    | Spec.Prefer_power -> Design_point.power_w q < Design_point.power_w cur
     | Spec.Prefer_area -> q.area_um2 < cur.area_um2
     | Spec.Prefer_performance -> q.crit_ps < cur.crit_ps
     | Spec.Balanced ->
-        q.power_w *. q.area_um2 < cur.power_w *. cur.area_um2
+        Design_point.power_w q *. q.area_um2
+        < Design_point.power_w cur *. cur.area_um2
   in
   let try_sub name (cur : Design_point.t) cfg =
     let q = evaluate_via ?cache lib spec cfg in
@@ -330,7 +331,7 @@ let pareto_sweep ?jobs ?cache lib scl (spec : Spec.t) =
      high throughput" — throughput headroom is the (negated) critical
      path *)
   let objectives (p : Design_point.t) =
-    [| p.power_w; p.area_um2; p.crit_ps |]
+    [| Design_point.power_w p; p.area_um2; p.crit_ps |]
   in
   let front = Pareto.frontier ~objectives meeting in
   (front, meeting)

@@ -62,7 +62,7 @@ let fingerprint ?jobs (ctx : Ctx.t) (specs : (string * Spec.t) list) :
         name;
         crit_ps = p.Design_point.crit_ps;
         area_um2 = p.Design_point.area_um2;
-        power_mw = p.Design_point.power_w *. 1e3;
+        power_mw = Design_point.power_w p *. 1e3;
         tops = p.Design_point.tops;
         insts = Ir.n_insts p.Design_point.macro.Macro_rtl.design;
       })

@@ -195,7 +195,8 @@ let fingerprint_of ~jobs ~engine () =
 let test_determinism_jobs_and_engines () =
   let reference = fingerprint_of ~jobs:1 ~engine:`Packed () in
   (* the deterministic subset must actually carry the workload: stage
-     counts, signoff MACs, batch outcomes, pipeline attempts *)
+     counts, signoff MACs, batch outcomes, pipeline attempts, forced
+     search-time power streams *)
   check_bool "stage counts present" true
     (contains ~sub:"counter stage.search.runs = " reference);
   check_bool "signoff counts present" true
@@ -204,6 +205,8 @@ let test_determinism_jobs_and_engines () =
     (contains ~sub:"counter batch.items = 4" reference);
   check_bool "pipeline attempts present" true
     (contains ~sub:"pipeline.attempts" reference);
+  check_bool "search power streams present" true
+    (contains ~sub:"counter search.power_streams = " reference);
   check_bool "pool counters excluded" false (contains ~sub:"pool." reference);
   check_str "jobs=4 fingerprint matches jobs=1" reference
     (fingerprint_of ~jobs:4 ~engine:`Packed ());

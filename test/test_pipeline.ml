@@ -149,6 +149,39 @@ let test_trace_determinism_across_jobs () =
       check_string (Printf.sprintf "fingerprint %d" i) s p)
     (List.combine serial parallel)
 
+(* The retry decision, branch by branch: it checks the failed attempt's
+   boost, so the defaults run attempts at x1.0, x1.12 and x1.2544, one
+   step past [max_boost = 1.2]. *)
+let check_boost name expected actual =
+  Alcotest.(check (option (float 0.0))) name expected actual
+
+let missed ?(policy = Pipeline.default_policy) ?(search_closed = true) boost =
+  Pipeline.next_boost policy ~boost ~timing_closed:false ~search_closed
+
+let test_retry_first () =
+  check_boost "x1.0 retries at x1.12" (Some 1.12) (missed 1.0)
+
+let test_retry_second () =
+  check_boost "x1.12 retries one step past max_boost" (Some (1.12 *. 1.12))
+    (missed 1.12);
+  check_bool "past max_boost" true (1.12 *. 1.12 > 1.2)
+
+let test_retry_exhausted () =
+  check_boost "x1.2544 is the last attempt" None (missed (1.12 *. 1.12))
+
+let test_retry_closed () =
+  check_boost "closed timing never retries" None
+    (Pipeline.next_boost Pipeline.default_policy ~boost:1.0
+       ~timing_closed:true ~search_closed:true)
+
+let test_retry_search_missed () =
+  check_boost "a search that missed pre-layout never retries" None
+    (missed ~search_closed:false 1.0)
+
+let test_retry_disabled () =
+  check_boost "retry = false never retries" None
+    (missed ~policy:{ Pipeline.default_policy with Pipeline.retry = false } 1.0)
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -174,5 +207,16 @@ let () =
             test_trace_has_all_stages;
           Alcotest.test_case "fingerprints stable for any job count" `Slow
             test_trace_determinism_across_jobs;
+        ] );
+      ( "retry",
+        [
+          Alcotest.test_case "x1.0 -> x1.12" `Quick test_retry_first;
+          Alcotest.test_case "x1.12 -> x1.2544" `Quick test_retry_second;
+          Alcotest.test_case "x1.2544 -> none" `Quick test_retry_exhausted;
+          Alcotest.test_case "closed -> none" `Quick test_retry_closed;
+          Alcotest.test_case "search not closed -> none" `Quick
+            test_retry_search_missed;
+          Alcotest.test_case "retry disabled -> none" `Quick
+            test_retry_disabled;
         ] );
     ]

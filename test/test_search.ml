@@ -42,7 +42,7 @@ let test_initial_config_from_spec () =
 let test_design_point_evaluation () =
   let s = spec ~freq:500e6 () in
   let p = Design_point.evaluate lib s (Spec.initial_config s) in
-  check_bool "power positive" true (p.Design_point.power_w > 0.0);
+  check_bool "power positive" true (Design_point.power_w p > 0.0);
   check_bool "area positive" true (p.Design_point.area_um2 > 0.0);
   check_bool "tops consistent" true
     (Float.abs
@@ -50,6 +50,72 @@ let test_design_point_evaluation () =
        -. (2.0 *. 16.0 *. 2.0 *. 500e6 /. 8.0 /. 1e12))
     < 1e-9);
   check_bool "meets at 500MHz" true p.Design_point.meets_mac
+
+(* ---- power on demand: [evaluate] leaves power pending, [power_w] runs
+   the stream once and prices the drives sizing left at evaluation ---- *)
+
+let power_streams = Metrics.counter "search.power_streams"
+
+let measure_now (s : Spec.t) (p : Design_point.t) =
+  (Design_point.measure_power lib p.Design_point.macro
+     ~freq_hz:s.Spec.mac_freq_hz ~vdd:s.Spec.vdd
+     ~input_density:Design_point.search_input_density
+     ~weight_density:Design_point.search_weight_density
+     ~macs:Design_point.search_macs)
+    .Power.total_w
+
+let test_deferred_power_bit_identical () =
+  let s = spec ~freq:900e6 () in
+  let p = Design_point.evaluate lib s (Spec.initial_config s) in
+  check_bool "sizing upsized something" true (p.Design_point.upsized > 0);
+  let eager = measure_now s p in
+  let d = p.Design_point.macro.Macro_rtl.design in
+  Sizing.relax d;
+  check_bool "relaxed drives price differently" true (measure_now s p <> eager);
+  ignore (Sizing.speed_up d lib ~target_ps:1.0);
+  check_bool "deferred = eager at evaluation time (=)" true
+    (Design_point.power_w p = eager);
+  check_bool "second read returns the stored value" true
+    (Design_point.power_w p = eager)
+
+let test_deferred_power_single_flight () =
+  let s = spec ~freq:500e6 () in
+  let p = Design_point.evaluate lib s (Spec.initial_config s) in
+  let before = Metrics.counter_value power_streams in
+  let go = Atomic.make false in
+  let readers =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get go) do
+              Domain.cpu_relax ()
+            done;
+            Design_point.power_w p))
+  in
+  Atomic.set go true;
+  let values = List.map Domain.join readers in
+  let first = List.hd values in
+  List.iter
+    (fun w -> check_bool "every domain reads one value" true (w = first))
+    values;
+  Alcotest.(check int)
+    "exactly one stream ran" 1
+    (Metrics.counter_value power_streams - before)
+
+let streams_of_search pref =
+  let before = Metrics.counter_value power_streams in
+  let r = Searcher.search lib scl (spec ~freq:500e6 ~pref ()) in
+  (r, Metrics.counter_value power_streams - before)
+
+let test_search_streams_only_when_read () =
+  List.iter
+    (fun (name, pref) ->
+      let r, n = streams_of_search pref in
+      check_bool (name ^ " closes") true r.Searcher.timing_closed;
+      Alcotest.(check int) (name ^ " runs no power stream") 0 n)
+    [ ("Prefer_area", Spec.Prefer_area);
+      ("Prefer_performance", Spec.Prefer_performance) ];
+  let _, n = streams_of_search Spec.Prefer_power in
+  check_bool "Prefer_power runs at least one stream" true (n >= 1)
 
 let test_critical_stage_classification () =
   (* with the OFU unpipelined and everything else registered, the OFU owns
@@ -95,7 +161,7 @@ let test_latency_recovery_at_loose_spec () =
 let test_preferences_affect_outcome () =
   let power = Searcher.search lib scl (spec ~freq:700e6 ~pref:Spec.Prefer_power ()) in
   let area = Searcher.search lib scl (spec ~freq:700e6 ~pref:Spec.Prefer_area ()) in
-  let pw (r : Searcher.result) = r.Searcher.final.Design_point.power_w in
+  let pw (r : Searcher.result) = Design_point.power_w r.Searcher.final in
   let ar (r : Searcher.result) = r.Searcher.final.Design_point.area_um2 in
   (* each preference should be at least as good on its own axis *)
   check_bool "power preference not worse on power" true
@@ -135,7 +201,9 @@ let test_pareto_sweep () =
     (List.for_all (fun p -> List.memq p cloud) front);
   (* no frontier point dominated by a cloud point on all three axes *)
   let obj (p : Design_point.t) =
-    [| p.Design_point.power_w; p.Design_point.area_um2; p.Design_point.crit_ps |]
+    [|
+      Design_point.power_w p; p.Design_point.area_um2; p.Design_point.crit_ps;
+    |]
   in
   check_bool "frontier sound" true
     (List.for_all
@@ -153,7 +221,7 @@ let test_pareto_sweep_parallel_deterministic () =
   Alcotest.(check int) "cloud size" (List.length c1) (List.length c4);
   let same (a : Design_point.t) (b : Design_point.t) =
     a.Design_point.cfg = b.Design_point.cfg
-    && a.Design_point.power_w = b.Design_point.power_w
+    && Design_point.power_w a = Design_point.power_w b
     && a.Design_point.area_um2 = b.Design_point.area_um2
     && a.Design_point.crit_ps = b.Design_point.crit_ps
   in
@@ -307,6 +375,12 @@ let () =
           Alcotest.test_case "evaluation" `Quick test_design_point_evaluation;
           Alcotest.test_case "stage classification" `Quick
             test_critical_stage_classification;
+          Alcotest.test_case "deferred power bit-identical" `Quick
+            test_deferred_power_bit_identical;
+          Alcotest.test_case "deferred power single-flight" `Quick
+            test_deferred_power_single_flight;
+          Alcotest.test_case "search streams only when read" `Quick
+            test_search_streams_only_when_read;
         ] );
       ( "algorithm1",
         [
