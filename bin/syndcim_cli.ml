@@ -444,7 +444,8 @@ let exp_cmd =
       Ablation.print_adder_trees (Ablation.adder_trees ~heights ctx);
       Ablation.print_search_ladder (Ablation.search_ladder ctx Spec.fig8);
       let dims = if quick then [ 32 ] else [ 32; 64; 128 ] in
-      Ablation.print_placements (Ablation.placements ~dims ctx)
+      Ablation.print_placements (Ablation.placements ~dims ctx);
+      Ablation.print_mcr_sweep (Ablation.mcr_sweep ctx)
     end;
     0
   in

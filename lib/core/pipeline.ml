@@ -221,8 +221,8 @@ let search_stage lib scl ~boost : (Spec.t, search_art) Stage.t =
 (** Stage 2 — functional sign-off against the golden MAC. The default
     [`Packed] engine settles each weight copy's MAC batch as
     {!Sim_multiword} lanes (any failing lane is shrunk back to one scalar
-    transaction); [`Scalar] is the reference engine the equivalence
-    property pins it against. Both produce bit-identical verdicts. *)
+    transaction); [`Scalar] runs the same body one MAC at a time through
+    {!Slice.Scalar}. Both produce bit-identical verdicts. *)
 let verify_stage ?(engine = `Packed) ~enabled () :
     (search_art, search_art) Stage.t =
   Stage.v stage_verify (fun (sa : search_art) ->

@@ -133,9 +133,10 @@ type mcr_point = {
 (** The paper's MCR-aware design point: raising MCR multiplies on-macro
     weight storage while sharing one compute element per [mcr] cells,
     trading a little mux delay/area for much higher memory density and
-    background weight updates. Power streams through the bit-sliced
-    Monte Carlo path by default ([engine = `Packed], 63 replicas per
-    grid point); [`Scalar] keeps the single-replica reference run. *)
+    background weight updates. Power streams through
+    {!Design_point.measure_power_sliced} on the engine's slice: 63
+    Monte Carlo replicas per grid point for the default [`Packed], the
+    single-replica reference run for [`Scalar]. *)
 let mcr_sweep ?(dim = 32) ?engine ?jobs (ctx : Ctx.t) =
   let lib = Ctx.lib ctx in
   let engine = match engine with Some e -> e | None -> Ctx.engine ctx in
@@ -162,14 +163,9 @@ let mcr_sweep ?(dim = 32) ?engine ?jobs (ctx : Ctx.t) =
       let m = Macro_rtl.build lib cfg in
       let stats = Stats.of_design m.Macro_rtl.design lib in
       let power =
-        match engine with
-        | `Scalar ->
-            Design_point.measure_power lib m ~freq_hz:5e8 ~vdd:0.9
-              ~input_density:0.5 ~weight_density:0.5 ~macs:4
-        | #Engine.batch as e ->
-            Design_point.measure_power_sliced (Engine.slice e) lib m
-              ~freq_hz:5e8 ~vdd:0.9 ~input_density:0.5 ~weight_density:0.5
-              ~macs:4
+        Design_point.measure_power_sliced (Engine.slice engine) lib m
+          ~freq_hz:5e8 ~vdd:0.9 ~input_density:0.5 ~weight_density:0.5
+          ~macs:4
       in
       let memory_kb = float_of_int (dim * dim * mcr) /. 1024.0 in
       {

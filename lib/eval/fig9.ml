@@ -118,28 +118,29 @@ type measured = {
     frequency serves the entire VDD column
     ({!Power.estimate_at_vdds}). Each frequency column streams [macs]
     MACs in [n_lanes] Monte Carlo replicas with its own deterministic
-    stimulus (seeded from [seed] and the column index), pre-drawn so
-    both engines replay identical streams:
-
-    - [`Packed] (default) — one bit-sliced {!Sim_multiword} run per
-      column, replicas as lanes ([n_lanes] at most 63);
-    - [`Scalar] — the reference: [n_lanes] scalar runs per column with
-      element-wise-summed counters, bit-identical to the sliced
-      counters by the lane-equivalence property, hence bit-identical
-      energies.
-
-    The stimulus is indexed by [n_lanes], never by the engine, so both
-    engines at the same [n_lanes] replay identical streams.
+    stimulus (seeded from [seed] and the column index), pre-drawn and
+    indexed by [n_lanes], never by the engine. The engine's slice
+    ({!Engine.slice}) runs the ensemble in chunks of its lane width —
+    63 replicas per bit-sliced run for [`Packed], one per run for
+    [`Scalar] — and the chunks' counters are summed element-wise. Toggle
+    counts are exact integers, so every engine at the same [n_lanes]
+    yields bit-identical energies. Raises [Invalid_argument] when
+    [n_lanes < 1].
 
     Columns fan out over the pool; the fanout-load map is built once
-    and shared by every column and engine. *)
+    and shared by every column. *)
 let measure ?(vdds = default_vdds) ?(freqs_mhz = default_freqs_mhz)
     ?engine ?(n_lanes = Sim_multiword.word_lanes) ?(seed = 0xF19) ?(macs = 4) ?jobs
     (ctx : Ctx.t) (m : Macro_rtl.t) ~crit_ps =
+  if n_lanes < 1 then
+    invalid_arg
+      (Printf.sprintf "Fig9.measure: n_lanes must be >= 1, got %d" n_lanes);
   let lib = Ctx.lib ctx in
   let engine =
     match engine with Some e -> e | None -> Ctx.engine ctx
   in
+  let module E = (val Engine.slice engine) in
+  let module B = Testbench.Sliced (E) in
   let jobs = match jobs with Some j -> Some j | None -> Ctx.jobs ctx in
   let grid = shmoo ~vdds ~freqs_mhz ?jobs lib.Library.node ~crit_ps in
   let d = m.Macro_rtl.design in
@@ -159,52 +160,32 @@ let measure ?(vdds = default_vdds) ?(freqs_mhz = default_freqs_mhz)
                       Testbench.random_input ~realistic:true rng m
                         ~density:0.5)))
         in
-        let toggles, en_cycles, cycles, weight_flips =
-          match engine with
-          | #Engine.batch as e ->
-              let module E = (val Engine.slice e) in
-              let module B = Testbench.Sliced (E) in
-              let sim = E.create ~n_lanes d in
-              if m.Macro_rtl.cfg.Macro_rtl.mcr > 1 then
-                E.set_bus sim "copy_sel" 0;
-              B.load_weights_lanes m sim ~copy:0 weights;
-              E.reset_stats sim;
-              B.run_stream_with m sim ~macs
-                ~next_inputs:(fun k -> inputs.(k));
-              ( E.toggles sim,
-                E.en_cycles sim,
-                E.cycles sim * n_lanes,
-                E.weight_flips sim )
-          | `Scalar ->
-              (* the ensemble as [n_lanes] scalar runs, counters summed
-                 element-wise — the reference the packed counters are
-                 property-tested against *)
-              let toggles = ref [||]
-              and en_cycles = ref [||]
-              and cycles = ref 0
-              and weight_flips = ref 0 in
-              for l = 0 to n_lanes - 1 do
-                let sim = Sim.create d in
-                if m.Macro_rtl.cfg.Macro_rtl.mcr > 1 then
-                  Sim.set_bus sim "copy_sel" 0;
-                Testbench.load_weights m sim ~copy:0 weights.(l);
-                Sim.reset_stats sim;
-                Testbench.run_stream_with m sim ~macs
-                  ~next_inputs:(fun k -> inputs.(k).(l));
-                let add dst src =
-                  if Array.length !dst = 0 then dst := Array.copy src
-                  else Array.iteri (fun i v -> !dst.(i) <- !dst.(i) + v) src
-                in
-                add toggles sim.Sim.toggles;
-                add en_cycles sim.Sim.en_cycles;
-                cycles := !cycles + sim.Sim.cycles;
-                weight_flips := !weight_flips + sim.Sim.weight_flips
-              done;
-              (!toggles, !en_cycles, !cycles, !weight_flips)
+        let toggles = ref [||]
+        and en_cycles = ref [||]
+        and cycles = ref 0
+        and weight_flips = ref 0 in
+        let add dst src =
+          if Array.length !dst = 0 then dst := Array.copy src
+          else Array.iteri (fun i v -> !dst.(i) <- !dst.(i) + v) src
         in
+        let start = ref 0 in
+        while !start < n_lanes do
+          let first = !start and n = min E.max_lanes (n_lanes - !start) in
+          let sim = E.create ~n_lanes:n d in
+          if m.Macro_rtl.cfg.Macro_rtl.mcr > 1 then E.set_bus sim "copy_sel" 0;
+          B.load_weights_lanes m sim ~copy:0 (Array.sub weights first n);
+          E.reset_stats sim;
+          B.run_stream_with m sim ~macs ~next_inputs:(fun k ->
+              Array.sub inputs.(k) first n);
+          add toggles (E.toggles sim);
+          add en_cycles (E.en_cycles sim);
+          cycles := !cycles + (E.cycles sim * n);
+          weight_flips := !weight_flips + E.weight_flips sim;
+          start := first + n
+        done;
         let freq_hz = freqs_mhz.(fi) *. 1e6 in
-        Power.estimate_at_vdds d lib ~toggles ~en_cycles ~cycles
-          ~weight_flips ~freq_hz ~vdds ~loads ()
+        Power.estimate_at_vdds d lib ~toggles:!toggles ~en_cycles:!en_cycles
+          ~cycles:!cycles ~weight_flips:!weight_flips ~freq_hz ~vdds ~loads ()
         |> Array.map (fun (r : Power.report) -> r.Power.energy_per_cycle_fj))
       (List.init (Array.length freqs_mhz) Fun.id)
     |> Array.of_list

@@ -5,10 +5,14 @@
     differential checking, equivalence checking, shmoo power sweeps)
     only need the {!Slice.S} contract, so an engine value is just a name
     for which implementation {!slice} hands them: [`Packed] is the
-    one-word 63-lane slice, the default everywhere. *)
+    one-word 63-lane slice, the default everywhere; [`Scalar] is
+    {!Slice.Scalar}, the 1-lane adapter over {!Sim}. *)
 
 type batch = [ `Packed ]
-(** engines that run many lanes per pass — the ones {!slice} serves *)
+(** engines that run many lanes per pass. Every consumer takes any
+    {!t}; the name stays only because the benchmark harness
+    ([perfbench/layers.ml]) annotates with it, and that harness changes
+    only together with the benchmark definition. *)
 
 type t = [ `Scalar | batch ]
 
@@ -24,5 +28,7 @@ let of_string (s : string) : (t, string) Stdlib.result =
   | "packed" -> Ok `Packed
   | s -> Error (Printf.sprintf "unknown engine %S (scalar|packed)" s)
 
-(** [slice e] — the {!Slice.S} implementation behind a batch engine. *)
-let slice (`Packed : batch) : (module Slice.S) = (module Slice.Packed)
+(** [slice e] — the {!Slice.S} implementation behind engine [e]. *)
+let slice : [< t ] -> (module Slice.S) = function
+  | `Scalar -> (module Slice.Scalar)
+  | `Packed -> (module Slice.Packed)

@@ -5,15 +5,14 @@
     or per-lane bus drives, exact lane-summed toggle accounting. This
     module captures that contract as a module type so the sign-off
     bench, the differential checker, the equivalence checker and the
-    shmoo harness are each written once against {!S} and instantiated
-    per engine — which is also what makes the cross-engine conformance
-    suite in test/ parametric: the two implementations of {!S} are
-    checked lane-for-lane against each other.
+    shmoo harness are each written once against {!S}; {!Engine.slice}
+    picks the implementation, and the [scalar] engine is simply the
+    1-lane {!Scalar} adapter running the same body. The cross-engine
+    conformance suite in test/ pins every consumer's output under both
+    implementations to per-lane {!Sim} replicas.
 
     [max_lanes] is the implementation's slice width (the chunk size
-    batch consumers fan jobs out by), and [create]'s default width. The
-    1-lane {!Scalar} adapter over {!Sim} lets the reference engine run
-    through the same generic harnesses. *)
+    batch consumers fan jobs out by), and [create]'s default width. *)
 
 module type S = sig
   type t
@@ -89,9 +88,9 @@ module Packed : S with type t = Sim_multiword.t = struct
   let weight_writes (t : t) = t.Sim_multiword.weight_writes
 end
 
-(** The scalar {!Sim} as a 1-lane slice: the conformance harness runs
-    the reference engine through the same generic code path it runs the
-    packed engine through. *)
+(** The scalar {!Sim} as a 1-lane slice: the [scalar] engine. Every
+    batch consumer runs the reference simulator through the same body it
+    runs the packed engine through, one job per chunk. *)
 module Scalar : S with type t = Sim.t = struct
   type t = Sim.t
 

@@ -238,34 +238,13 @@ let random_weights rng (m : Macro_rtl.t) ~density =
   Array.init m.words (fun _ ->
       Array.init m.cfg.rows (fun _ -> random_weight rng m ~density))
 
-(** [verify_scalar m ~seed ~batches] builds a simulator, loads random
-    weights and checks [batches] random MACs (covering every weight
-    copy), one transaction at a time. Returns unit or raises
-    {!Mismatch}. This is the reference engine the packed sign-off is
-    property-tested against. *)
-let verify_scalar (m : Macro_rtl.t) ~seed ~batches =
-  let rng = Rng.create seed in
-  let sim = Sim.create m.design in
-  if m.cfg.mcr > 1 then Sim.set_bus sim "copy_sel" 0;
-  for copy = 0 to m.cfg.mcr - 1 do
-    let weights = random_weights rng m ~density:1.0 in
-    load_weights m sim ~copy weights;
-    if m.cfg.mcr > 1 then Sim.set_bus sim "copy_sel" copy;
-    for _ = 1 to batches do
-      let inputs =
-        Array.init m.cfg.rows (fun _ -> random_input rng m ~density:1.0)
-      in
-      ignore (check_mac m sim ~weights ~inputs)
-    done
-  done
-
 (* ---------------- bit-sliced bench path ---------------- *)
 
-(** The lane-parallel bench, written once against {!Slice.S} and run by
-    the 63-lane [packed] engine; the cross-engine conformance suite pins
-    its sign-off verdicts, Mismatch payloads and activity counters to
-    the scalar reference. Instantiate it with
-    [Sliced ((val Engine.slice e))]. *)
+(** The lane-parallel bench, written once against {!Slice.S}: the
+    63-lane [packed] engine and the 1-lane {!Slice.Scalar} adapter both
+    run through it. The cross-engine conformance suite pins its sign-off
+    verdicts, Mismatch payloads and activity counters to per-lane scalar
+    {!Sim} replicas. Instantiate it with [Sliced ((val Engine.slice e))]. *)
 module Sliced (E : Slice.S) = struct
   (* the scalar single-MAC checker, before this module shadows the name
      with its sliced counterpart: the reproducer path re-runs through it *)
@@ -416,17 +395,16 @@ module Sliced (E : Slice.S) = struct
       results;
     results
 
-  (** [verify m ~seed ~batches] — the bit-sliced sign-off engine: the
-      same random weight/input draws as {!verify_scalar} (identical RNG
-      order — all of a copy's inputs are drawn up-front, so the verdict
-      is independent of the engine's lane width), but each weight
-      copy's batch of MAC jobs packs [E.max_lanes] wide, so a whole
-      batch settles per netlist pass. A failing lane is re-run through
-      a fresh scalar simulator for a minimal single-transaction
-      reproducer: if the scalar re-run confirms, its {!Mismatch} is
-      raised verbatim; a sliced-only divergence (a lane bug in the
-      engine itself) is raised with an explicit [" (packed-only)"]
-      marker instead of being hidden. *)
+  (** [verify m ~seed ~batches] — the sign-off engine: random weights
+      into every copy, then all of a copy's random inputs drawn up-front
+      (so the verdict is independent of the engine's lane width), packed
+      [E.max_lanes] MAC jobs wide so a whole batch settles per netlist
+      pass. One simulator serves every batch and copy. A failing lane is
+      re-run through a fresh scalar {!Sim} for a minimal
+      single-transaction reproducer: if the re-run confirms, its
+      {!Mismatch} is raised verbatim; a divergence only the engine shows
+      (a lane bug in the engine itself) is raised with an explicit
+      [" (<engine>-only)"] marker instead of being hidden. *)
   let verify (m : Macro_rtl.t) ~seed ~batches =
     let rng = Rng.create seed in
     let psim = E.create m.design in
@@ -439,15 +417,15 @@ module Sliced (E : Slice.S) = struct
       if m.cfg.mcr > 1 then Sim.set_bus sim "copy_sel" copy;
       ignore (scalar_check_mac m sim ~weights ~inputs);
       (* the scalar re-run did not reproduce: surface the sliced payload *)
-      raise
-        (Mismatch { word; expected; got; detail = detail ^ " (packed-only)" })
+      let detail = Printf.sprintf "%s (%s-only)" detail E.name in
+      raise (Mismatch { word; expected; got; detail })
     in
     for copy = 0 to m.cfg.mcr - 1 do
       let weights = random_weights rng m ~density:1.0 in
       load_weights_lanes m psim ~copy [| weights |];
       if m.cfg.mcr > 1 then E.set_bus psim "copy_sel" copy;
       (* all of the copy's inputs up-front: check_mac performs no draws,
-         so the RNG stream stays bit-identical to the scalar engine's *)
+         so the RNG stream does not depend on the lane width *)
       let all =
         Array.init batches (fun _ ->
             Array.init m.cfg.rows (fun _ -> random_input rng m ~density:1.0))
@@ -468,7 +446,7 @@ module Sliced (E : Slice.S) = struct
     done
 
   (** [run_stream_with m sim ~next_inputs ~macs] — the bit-sliced
-      mirror of the top-level {!run_stream_with}: [macs] back-to-back
+      mirror of the top-level {!run_stream}: [macs] back-to-back
       MACs at full pipeline rate in every lane, [next_inputs k]
       supplying MAC [k]'s per-lane input words. One sliced run gathers
       [lanes_of sim ×] the toggle sample mass of a scalar run of the
@@ -510,12 +488,11 @@ end
 
 (** [verify ?engine m ~seed ~batches] — functional sign-off: random
     weights into every copy, [batches] random MACs per copy checked
-    against {!Golden}. Returns unit or raises {!Mismatch}. A batch
-    engine ({!Sliced}) packs each copy's MACs as {!Sim_multiword} lanes,
-    63 at a time for the default [`Packed], and shrinks any failing lane
-    back to one scalar transaction; [`Scalar] checks one MAC at a time
-    (the reference the conformance suite pins the sliced engine
-    against). Both engines draw one identical RNG stream, so the
+    against {!Golden}. Returns unit or raises {!Mismatch}. The engine's
+    slice ({!Engine.slice}) runs {!Sliced.verify}: each copy's MACs pack
+    as lanes, 63 at a time for the default [`Packed], one at a time for
+    [`Scalar], and a failing lane shrinks back to one scalar
+    transaction. Every engine draws one identical RNG stream, so the
     verdict — and any Mismatch payload — is engine-independent. *)
 let m_verify_runs = Metrics.counter "signoff.verify_runs"
 let m_macs_checked = Metrics.counter "signoff.macs_checked"
@@ -525,26 +502,23 @@ let verify ?(engine : Engine.t = `Packed) (m : Macro_rtl.t) ~seed ~batches =
      so both counts are engine-invariant: deterministic. *)
   Metrics.incr m_verify_runs;
   Metrics.add m_macs_checked (batches * m.cfg.Macro_rtl.mcr);
-  match engine with
-  | `Scalar -> verify_scalar m ~seed ~batches
-  | #Engine.batch as e ->
-      let module E = (val Engine.slice e) in
-      let module B = Sliced (E) in
-      B.verify m ~seed ~batches
+  let module E = (val Engine.slice engine) in
+  let module B = Sliced (E) in
+  B.verify m ~seed ~batches
 
-(** [run_stream_with m sim ~next_inputs ~macs] — the replayable core of
-    {!run_stream}: [next_inputs k] supplies MAC [k]'s raw input words, so
-    a caller can drive a pre-drawn stimulus deterministically (the shmoo
-    column batching replays the identical stream through the scalar and
-    the packed engine). *)
-let run_stream_with (m : Macro_rtl.t) sim ~(next_inputs : int -> int array)
-    ~macs =
+(** [run_stream m sim ~rng ~macs ~input_density] issues [macs] back-to-back
+    MACs at full pipeline rate (one per [db] cycles) for power
+    measurement; weights must already be loaded. Statistics should be read
+    from [sim] afterwards. *)
+let run_stream (m : Macro_rtl.t) sim ~rng ~macs ~input_density =
   let db = m.db in
   let total = m.align_lat + (macs * db) + m.tree_lat + m.post_lat + 1 in
   for cyc = 0 to total - 1 do
     (* present the inputs of MAC i during [i*db, (i+1)*db) *)
     if cyc mod db = 0 && cyc / db < macs then
-      present_inputs m sim (next_inputs (cyc / db));
+      present_inputs m sim
+        (Array.init m.cfg.rows (fun _ ->
+             random_input ~realistic:true rng m ~density:input_density));
     let load = cyc >= m.align_lat && (cyc - m.align_lat) mod db = 0
                && (cyc - m.align_lat) / db < macs in
     let k = cyc - m.align_lat - 1 - m.tree_lat in
@@ -561,15 +535,6 @@ let run_stream_with (m : Macro_rtl.t) sim ~(next_inputs : int -> int array)
     set_controls m sim ~load ~sa_en ~sa_clr ~sa_neg;
     Sim.step sim
   done
-
-(** [run_stream m sim ~rng ~macs ~input_density] issues [macs] back-to-back
-    MACs at full pipeline rate (one per [db] cycles) for power
-    measurement; weights must already be loaded. Statistics should be read
-    from [sim] afterwards. *)
-let run_stream (m : Macro_rtl.t) sim ~rng ~macs ~input_density =
-  run_stream_with m sim ~macs ~next_inputs:(fun _ ->
-      Array.init m.cfg.rows (fun _ ->
-          random_input ~realistic:true rng m ~density:input_density))
 
 (** [stream_cycles m ~macs] — total simulated cycles of one
     {!run_stream}/{!Sliced.run_stream} run of [macs] MACs; the

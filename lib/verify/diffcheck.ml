@@ -58,49 +58,6 @@ let is_fp (m : Macro_rtl.t) =
   | Precision.Fp _ -> true
   | Precision.Int _ -> false
 
-(* One full MAC transaction, optionally with an injected fault. Mirrors
-   the sign-off schedule in {!Testbench.run_mac}; kept separate so a
-   fault never leaks into the production bench. *)
-let run_mac ?bug (m : Macro_rtl.t) sim ~(inputs : int array) =
-  let db = m.Macro_rtl.db in
-  Testbench.present_inputs m sim inputs;
-  Testbench.set_controls m sim ~load:false ~sa_en:false ~sa_clr:false
-    ~sa_neg:false;
-  Testbench.set_align_en m sim true;
-  for _ = 1 to m.Macro_rtl.align_lat do
-    Sim.step sim
-  done;
-  Testbench.set_align_en m sim false;
-  Testbench.set_controls m sim ~load:true ~sa_en:false ~sa_clr:false
-    ~sa_neg:false;
-  Sim.step sim;
-  let last = m.Macro_rtl.tree_lat + db - 1 in
-  for k = 0 to last do
-    let first = k = m.Macro_rtl.tree_lat in
-    let sign_cycle =
-      if m.Macro_rtl.neg_on_last then k = last else first
-    in
-    let sa_neg =
-      sign_cycle && db > 1 && bug <> Some Skip_sign_cycle
-    in
-    Testbench.set_controls m sim ~load:false
-      ~sa_en:(k >= m.Macro_rtl.tree_lat)
-      ~sa_clr:first ~sa_neg;
-    Sim.step sim
-  done;
-  Testbench.set_controls m sim ~load:false ~sa_en:false ~sa_clr:false
-    ~sa_neg:false;
-  let post =
-    match bug with
-    | Some Retime_early_sample -> max 0 (m.Macro_rtl.post_lat - 1)
-    | _ -> m.Macro_rtl.post_lat
-  in
-  for _ = 1 to post do
-    Sim.step sim
-  done;
-  Sim.eval sim;
-  Testbench.read_results m sim ~shift:0
-
 (* Expected datapath values of the raw inputs (identity for INT, aligner
    for FP) plus the expected group exponent. *)
 let datapath_view (m : Macro_rtl.t) inputs =
@@ -110,42 +67,6 @@ let datapath_view (m : Macro_rtl.t) inputs =
       let a = Align.align fmt inputs in
       (a.Align.values, Some a.Align.group_exp)
 
-(* Run one vector set with the given weights already loaded; first
-   divergence wins. *)
-let check_set ?bug (m : Macro_rtl.t) sim (set : Corners.vector_set) :
-    int * failure option =
-  let results = run_mac ?bug m sim ~inputs:set.Corners.inputs in
-  let xs, exp_expected = datapath_view m set.Corners.inputs in
-  let checks = ref 0 in
-  let fail = ref None in
-  (match exp_expected with
-  | Some e ->
-      incr checks;
-      let got = Sim.read_bus sim "group_exp" in
-      if got <> e then
-        fail :=
-          Some
-            {
-              set_name = set.Corners.name ^ " (group exponent)";
-              word = -1;
-              expected = e;
-              got;
-            }
-  | None -> ());
-  Array.iteri
-    (fun g got ->
-      if !fail = None then begin
-        incr checks;
-        let expected =
-          Golden.dot ~weights:set.Corners.weights.(g) ~inputs:xs
-        in
-        if got <> expected then
-          fail :=
-            Some { set_name = set.Corners.name; word = g; expected; got }
-      end)
-    results;
-  (!checks, !fail)
-
 (* rotate rows so each weight copy stores a distinguishable pattern *)
 let rotate_rows (weights : int array array) =
   Array.map
@@ -154,83 +75,21 @@ let rotate_rows (weights : int array array) =
       Array.init n (fun r -> per_row.((r + 1) mod n)))
     weights
 
-(* Scalar engine: one simulator, one transaction per set, in order. *)
-let check_macro_scalar ?bug ~seed ~random_batches (m : Macro_rtl.t) :
-    outcome =
-  let sim = Sim.create m.Macro_rtl.design in
-  let mcr = m.Macro_rtl.cfg.Macro_rtl.mcr in
-  if mcr > 1 then Sim.set_bus sim "copy_sel" 0;
-  let rng = Rng.create seed in
-  let sets =
-    Corners.sets m @ Corners.random_sets rng m ~batches:random_batches
-  in
-  let checks = ref 0 in
-  let run_on ~copy set =
-    let weights =
-      if copy = 0 then set.Corners.weights
-      else rotate_rows set.Corners.weights
-    in
-    Testbench.load_weights m sim ~copy weights;
-    if mcr > 1 then Sim.set_bus sim "copy_sel" copy;
-    let c, f = check_set ?bug m sim { set with Corners.weights } in
-    checks := !checks + c;
-    f
-  in
-  let rec loop = function
-    | [] -> { checks = !checks; failure = None }
-    | set :: rest -> (
-        match run_on ~copy:0 set with
-        | Some f -> { checks = !checks; failure = Some f }
-        | None ->
-            if mcr > 1 then
-              match run_on ~copy:(mcr - 1) set with
-              | Some f ->
-                  {
-                    checks = !checks;
-                    failure =
-                      Some
-                        {
-                          f with
-                          set_name =
-                            Printf.sprintf "%s@copy%d" f.set_name (mcr - 1);
-                        };
-                  }
-              | None -> loop rest
-            else loop rest)
-  in
-  loop sets
+(* ---------------- the chunk engine ---------------- *)
 
-(* ---------------- bit-sliced engines ---------------- *)
-
-(* One lane of a sliced batch: a vector set checked on one weight copy
+(* One lane of a batch: a vector set checked on one weight copy
    (weights already rotated for copy > 0). *)
 type lane_job = { set : Corners.vector_set; copy : int }
 
-(* Shrink a sliced-lane divergence back to a single scalar simulation:
-   the minimal reproducer a debug session replays without the lane
-   machinery. If the scalar rerun confirms, its failure record wins;
-   a packed-only divergence (a lane-equivalence bug in the engine
-   itself) is reported with an explicit marker instead of being hidden. *)
-let scalar_reproduce ?bug (m : Macro_rtl.t) (job : lane_job)
-    (packed : failure) : failure =
-  let sim = Sim.create m.Macro_rtl.design in
-  if m.Macro_rtl.cfg.Macro_rtl.mcr > 1 then
-    Sim.set_bus sim "copy_sel" job.copy;
-  Testbench.load_weights m sim ~copy:job.copy job.set.Corners.weights;
-  match check_set ?bug m sim job.set with
-  | _, Some f -> f
-  | _, None -> { packed with set_name = packed.set_name ^ " (packed-only)" }
-
-(** The bit-sliced differential engine, written once against {!Slice.S}:
+(** The differential chunk engine, written once against {!Slice.S}:
     every (vector set × weight copy) job becomes one lane, so up to
-    [E.max_lanes] differential transactions settle per netlist pass
-    instead of one. The outcome mirrors the scalar engine's counting
-    exactly — lanes are judged in set order and the first divergence
-    wins, independent of the engine's lane width — and a failing lane is
-    re-run through the scalar simulator for a minimal reproducer. *)
-module Sliced_engine (E : Slice.S) = struct
-  (* The sliced mirror of [run_mac]: the control schedule (and any
-     injected fault) is broadcast to every lane, the inputs differ per
+    [E.max_lanes] transactions settle per netlist pass — 63 for
+    [packed], one for the {!Slice.Scalar} reference. *)
+module Chunk (E : Slice.S) = struct
+  (* One full MAC transaction per lane, optionally with an injected
+     fault: {!Testbench.Sliced.run_mac}'s schedule, kept separate so a
+     fault never leaks into the production bench. The control schedule
+     (and any fault) is broadcast to every lane, the inputs differ per
      lane. Returns results.(lane).(word). *)
   let run_mac ?bug (m : Macro_rtl.t) sim ~(inputs : int array array) =
     let module B = Testbench.Sliced (E) in
@@ -275,7 +134,7 @@ module Sliced_engine (E : Slice.S) = struct
         Array.init m.Macro_rtl.words (fun g ->
             E.read_bus_signed_lane sim (Printf.sprintf "result%d" g) l))
 
-  (* Load one chunk of lane jobs into a fresh sliced simulator: every
+  (* Load one chunk of lane jobs into a fresh simulator: every
      lane stores its own weights in the copy it reads, and (with MCR >
      1) selects that copy through a per-lane [copy_sel]. Bits written
      into a copy no lane of that copy owns are zero — never read, since
@@ -309,9 +168,8 @@ module Sliced_engine (E : Slice.S) = struct
       E.set_bus_lanes sim "copy_sel" (Array.map (fun j -> j.copy) jobs);
     sim
 
-  (* Judge one finished lane with [check_set]'s exact counting
-     semantics: exponent first (FP), then words in order, first
-     divergence wins. *)
+  (* Judge one finished lane: exponent first (FP), then words in order,
+     first divergence wins; [checks] counts the comparisons made. *)
   let judge_lane (m : Macro_rtl.t) sim (results : int array array) l
       (job : lane_job) : int * failure option =
     let set = job.set in
@@ -346,85 +204,94 @@ module Sliced_engine (E : Slice.S) = struct
       results.(l);
     (!checks, !fail)
 
-  let check_macro ?bug ~seed ~random_batches (m : Macro_rtl.t) : outcome =
-    let mcr = m.Macro_rtl.cfg.Macro_rtl.mcr in
-    let rng = Rng.create seed in
-    let sets =
-      Corners.sets m @ Corners.random_sets rng m ~batches:random_batches
+  (* [run m chunk] — load, run and judge one chunk on a fresh
+     simulator, every lane starting from reset. Lanes are judged in job
+     order up to the first divergence: the comparisons made, and the
+     failing job with its failure. *)
+  let run ?bug (m : Macro_rtl.t) (chunk : lane_job array) :
+      int * (lane_job * failure) option =
+    let sim = load_chunk m chunk in
+    let results =
+      run_mac ?bug m sim
+        ~inputs:(Array.map (fun j -> j.set.Corners.inputs) chunk)
     in
-    let jobs =
-      List.concat_map
-        (fun set ->
-          if mcr > 1 then
-            [
-              { set; copy = 0 };
-              {
-                set =
-                  {
-                    set with
-                    Corners.weights = rotate_rows set.Corners.weights;
-                  };
-                copy = mcr - 1;
-              };
-            ]
-          else [ { set; copy = 0 } ])
-        sets
-      |> Array.of_list
+    let rec judge l checks =
+      if l >= Array.length chunk then (checks, None)
+      else
+        match judge_lane m sim results l chunk.(l) with
+        | c, None -> judge (l + 1) (checks + c)
+        | c, Some f -> (checks + c, Some (chunk.(l), f))
     in
-    let total = Array.length jobs in
-    let checks = ref 0 in
-    let failure = ref None in
-    let pos = ref 0 in
-    while !failure = None && !pos < total do
-      let n = min E.max_lanes (total - !pos) in
-      let chunk = Array.sub jobs !pos n in
-      let sim = load_chunk m chunk in
-      let results =
-        run_mac ?bug m sim
-          ~inputs:(Array.map (fun j -> j.set.Corners.inputs) chunk)
-      in
-      let l = ref 0 in
-      while !failure = None && !l < n do
-        let job = chunk.(!l) in
-        let c, f = judge_lane m sim results !l job in
-        checks := !checks + c;
-        (match f with
-        | None -> ()
-        | Some f ->
-            let f = scalar_reproduce ?bug m job f in
-            let f =
-              if job.copy = 0 then f
-              else
-                {
-                  f with
-                  set_name = Printf.sprintf "%s@copy%d" f.set_name job.copy;
-                }
-            in
-            failure := Some f);
-        incr l
-      done;
-      pos := !pos + n
-    done;
-    { checks = !checks; failure = !failure }
+    judge 0 0
 end
+
+module Reference = Chunk (Slice.Scalar)
+
+(* Shrink a lane divergence to its minimal reproducer: the same chunk
+   code over {!Slice.Scalar} on a one-job chunk — one fresh {!Sim}, one
+   transaction, which a debug session replays without the lane
+   machinery. If the re-run confirms, its failure record wins; a
+   divergence only [engine] shows (a lane-equivalence bug in the engine
+   itself) is reported with an explicit marker instead of being
+   hidden. *)
+let reproduce ?bug ~engine (m : Macro_rtl.t) (job : lane_job) (f : failure) =
+  match Reference.run ?bug m [| job |] with
+  | _, Some (_, f) -> f
+  | _, None ->
+      { f with set_name = Printf.sprintf "%s (%s-only)" f.set_name engine }
 
 (** [check_macro ?engine ?bug ~seed ~random_batches m] — drive a built
     macro through every directed corner set plus [random_batches] random
     sets, comparing every transaction against {!Golden}. With MCR > 1
     each set is additionally checked on the last weight copy (with
-    row-rotated weights), covering the copy-select mux. A batch engine
-    ({!Sliced_engine}) packs the transactions as {!Sim_multiword} lanes,
-    63 at a time for the default [`Packed]; [`Scalar] runs them one by
-    one (the reference the conformance suite pins the sliced engine
-    against). *)
+    row-rotated weights), covering the copy-select mux. The engine's
+    slice ({!Engine.slice}) packs the transactions as lanes, 63 at a
+    time for the default [`Packed], one at a time for [`Scalar]; every
+    job starts from reset. Lanes are judged in set order and the first
+    divergence wins, so the outcome is independent of the lane width. *)
 let check_macro ?(engine : Engine.t = `Packed) ?bug ~seed ~random_batches
     (m : Macro_rtl.t) : outcome =
-  match engine with
-  | `Scalar -> check_macro_scalar ?bug ~seed ~random_batches m
-  | #Engine.batch as e ->
-      let module E = (val Engine.slice e) in
-      let module D = Sliced_engine (E) in
-      D.check_macro ?bug ~seed ~random_batches m
+  let module E = (val Engine.slice engine) in
+  let module C = Chunk (E) in
+  let mcr = m.Macro_rtl.cfg.Macro_rtl.mcr in
+  let rng = Rng.create seed in
+  let sets =
+    Corners.sets m @ Corners.random_sets rng m ~batches:random_batches
+  in
+  let jobs =
+    List.concat_map
+      (fun set ->
+        if mcr > 1 then
+          [
+            { set; copy = 0 };
+            {
+              set =
+                { set with Corners.weights = rotate_rows set.Corners.weights };
+              copy = mcr - 1;
+            };
+          ]
+        else [ { set; copy = 0 } ])
+      sets
+    |> Array.of_list
+  in
+  let total = Array.length jobs in
+  let rec chunks pos checks =
+    if pos >= total then { checks; failure = None }
+    else
+      let n = min E.max_lanes (total - pos) in
+      match C.run ?bug m (Array.sub jobs pos n) with
+      | c, None -> chunks (pos + n) (checks + c)
+      | c, Some (job, f) ->
+          let f = reproduce ?bug ~engine:E.name m job f in
+          let f =
+            if job.copy = 0 then f
+            else
+              let set_name = Printf.sprintf "%s@copy%d" f.set_name job.copy in
+              { f with set_name }
+          in
+          { checks = checks + c; failure = Some f }
+  in
+  chunks 0 0
 
 (** [check_spec ?engine ?bug ?random_batches ~seed ctx spec] — compile
     the spec's initial configuration over the context's library and

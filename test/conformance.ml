@@ -31,10 +31,6 @@ let contains s sub =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-let slice_of : Engine.t -> (module Slice.S) = function
-  | `Scalar -> (module Slice.Scalar)
-  | #Engine.batch as e -> Engine.slice e
-
 (* Lane widths an ensemble must survive: one lane, both ends of each
    63-lane word and the full ensemble width. *)
 let lane_edges lanes =
@@ -57,7 +53,7 @@ module type PAIR = sig
 end
 
 module Make (P : PAIR) () = struct
-  module C = (val slice_of P.candidate)
+  module C = (val Engine.slice P.candidate)
 
   (* slices of the ensemble: lane [l] is lane [l mod C.max_lanes] of
      slice [l / C.max_lanes] *)
@@ -268,7 +264,7 @@ module Make (P : PAIR) () = struct
      scalar replicas: MAC results and the summed activity counters must
      both match. *)
   let signoff_counters_agree ~seed (m : Macro_rtl.t) =
-    let module E = (val slice_of P.candidate) in
+    let module E = (val Engine.slice P.candidate) in
     let module B = Testbench.Sliced (E) in
     let d = m.Macro_rtl.design in
     let n = min 5 E.max_lanes in

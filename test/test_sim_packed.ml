@@ -220,7 +220,8 @@ let test_state_lane_bounds () =
 
 (* With a single lane, the packed Monte Carlo path must reproduce the
    scalar power estimate to float tolerance: same seed, same weight and
-   input draws, same counters, same effective cycles. *)
+   input draws, same counters, same effective cycles. The scalar slice
+   must reproduce it exactly. *)
 let test_packed_power_single_lane () =
   let m =
     Macro_rtl.build lib
@@ -243,7 +244,70 @@ let test_packed_power_single_lane () =
     (close scalar.Power.dynamic_w packed.Power.dynamic_w);
   check_bool "clock power" true (close scalar.Power.clock_w packed.Power.clock_w);
   check_bool "energy/cycle" true
-    (close scalar.Power.energy_per_cycle_fj packed.Power.energy_per_cycle_fj)
+    (close scalar.Power.energy_per_cycle_fj packed.Power.energy_per_cycle_fj);
+  (* the scalar engine's slice runs the same stream through the same
+     Sim: the whole report, breakdown included, must be equal — what lets
+     the MCR ablation price both engines through one call *)
+  List.iter
+    (fun (name, mcr, input_prec) ->
+      let m =
+        Macro_rtl.build lib
+          (Macro_rtl.default ~rows:16 ~cols:16 ~mcr ~input_prec
+             ~weight_prec:Precision.int8)
+      in
+      let direct =
+        Design_point.measure_power lib m ~freq_hz:5e8 ~vdd:0.9
+          ~input_density:0.5 ~weight_density:0.5 ~macs:4
+      in
+      let sliced =
+        Design_point.measure_power_sliced (module Slice.Scalar) lib m
+          ~freq_hz:5e8 ~vdd:0.9 ~input_density:0.5 ~weight_density:0.5
+          ~macs:4
+      in
+      check_bool (name ^ ": Slice.Scalar report = measure_power") true
+        (direct = sliced))
+    [
+      ("INT8 MCR 1", 1, Precision.int8);
+      ("INT8 MCR 2", 2, Precision.int8);
+      ("FP8 MCR 2", 2, Precision.fp8);
+    ]
+
+(* A shmoo ensemble wider than one word runs as consecutive one-word
+   slices: at 64 lanes the packed energies must stay byte-identical to
+   the scalar engine's, and an empty ensemble is rejected up front. *)
+let test_fig9_beyond_one_word () =
+  let ctx = Ctx.of_parts lib (Scl.create lib) in
+  let m =
+    Macro_rtl.build lib
+      (Macro_rtl.default ~rows:8 ~cols:16 ~mcr:1
+         ~input_prec:Precision.int4 ~weight_prec:Precision.int4)
+  in
+  let vdds = [| 0.7; 1.1 |] and freqs_mhz = [| 300.; 900. |] in
+  let measure engine =
+    Fig9.measure ~vdds ~freqs_mhz ~engine ~n_lanes:64 ~macs:2 ~jobs:1 ctx m
+      ~crit_ps:950.0
+  in
+  let packed = measure `Packed and scalar = measure `Scalar in
+  Array.iteri
+    (fun vi row ->
+      Array.iteri
+        (fun fi e ->
+          let e' = scalar.Fig9.energy_fj.(vi).(fi) in
+          if Int64.bits_of_float e <> Int64.bits_of_float e' then
+            Alcotest.failf "energy (%d,%d): packed %.17g vs scalar %.17g" vi
+              fi e e')
+        row)
+    packed.Fig9.energy_fj;
+  check_bool "positive energies" true
+    (Array.for_all (Array.for_all (fun e -> e > 0.0)) packed.Fig9.energy_fj);
+  List.iter
+    (fun n_lanes ->
+      match
+        Fig9.measure ~vdds ~freqs_mhz ~n_lanes ~jobs:1 ctx m ~crit_ps:950.0
+      with
+      | _ -> Alcotest.failf "n_lanes %d accepted" n_lanes
+      | exception Invalid_argument _ -> ())
+    [ 0; -1 ]
 
 (* full-width Monte Carlo run: sane report, lanes× sample mass *)
 let test_packed_power_full_width () =
@@ -291,5 +355,7 @@ let () =
             test_packed_power_single_lane;
           Alcotest.test_case "full-width Monte Carlo report" `Quick
             test_packed_power_full_width;
+          Alcotest.test_case "shmoo ensemble beyond one word" `Quick
+            test_fig9_beyond_one_word;
         ] );
     ]
