@@ -372,7 +372,7 @@ let batch_cmd =
         (match Ctx.cache ctx with
         | Some c ->
             Printf.printf "cache: %s (%d entries in %s)\n"
-              (Disk_cache.describe (Disk_cache.stats c))
+              (Disk_cache.describe c)
               (Disk_cache.entry_count c) (Disk_cache.root c)
         | None -> ());
         (match trace with

@@ -125,9 +125,6 @@ let seed t = t.seed
 let cache t = t.cache
 let trace t = t.trace
 
-(** [scl_stats t] — the shared memo's hit/miss/entry counters. *)
-let scl_stats t = Scl.stats t.scl
-
 (* ---------------- builders ---------------- *)
 
 (** [with_jobs j t] — pin the domain-pool width. Raises
@@ -190,7 +187,7 @@ let save_scl t : int option =
   match t.scl_cache with
   | Some path ->
       Persist.save t.scl path;
-      Some (Persist.entries t.scl)
+      Some (Scl.entries t.scl)
   | None -> None
 
 (** [describe t] — one line of context configuration, for logs. *)

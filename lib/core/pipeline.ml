@@ -621,24 +621,17 @@ let cache_algo_tag ~style (p : policy) : string =
     Searcher.algorithm_version (Floorplan.style_name style) p.verify p.retry
     p.max_boost p.boost_step p.max_eco_iters
 
-let add_cache_row trace ~ok ~wall_ms ~cells ~crit_out_ps ~hit ~boost ~note =
+let add_cache_row trace ~wall_ms ?cells ?crit_out_ps ~hit ?boost note =
   match trace with
   | None -> ()
   | Some tr ->
-      Trace.add tr
-        {
-          Trace.stage = stage_cache;
-          ok;
-          wall_ms;
-          cells;
-          crit_in_ps = None;
-          crit_out_ps;
-          cache_hits = Some (if hit then 1 else 0);
-          cache_misses = Some (if hit then 0 else 1);
-          eco_iters = None;
-          boost;
-          note;
-        }
+      let row =
+        Stage.meta ?cells ?crit_out_ps
+          ~cache_hits:(if hit then 1 else 0)
+          ~cache_misses:(if hit then 0 else 1)
+          ?boost ~note ()
+      in
+      Trace.add tr { row with Trace.stage = stage_cache; wall_ms }
 
 (** [run_cached ?style ?policy ?trace ?inject ?cache ctx spec] — {!run}
     behind the persistent compile cache. The cache defaults to the
@@ -674,11 +667,10 @@ let run_cached ?(style = Floorplan.Sdp) ?(policy = default_policy)
       Metrics.observe m_cache_lookup_ms wall_ms;
       match looked with
       | Disk_cache.Hit v ->
-          add_cache_row trace ~ok:true ~wall_ms
-            ~cells:(Some v.Disk_cache.insts)
-            ~crit_out_ps:(Some v.Disk_cache.crit_ps) ~hit:true
-            ~boost:(Some v.Disk_cache.boost)
-            ~note:(Printf.sprintf "hit %s (all stages skipped)" short);
+          add_cache_row trace ~wall_ms ~cells:v.Disk_cache.insts
+            ~crit_out_ps:v.Disk_cache.crit_ps ~hit:true
+            ~boost:v.Disk_cache.boost
+            (Printf.sprintf "hit %s (all stages skipped)" short);
           Ok (summary_of_cache_value spec v)
       | (Disk_cache.Miss | Disk_cache.Corrupt _) as l ->
           let outcome, note =
@@ -689,8 +681,7 @@ let run_cached ?(style = Floorplan.Sdp) ?(policy = default_policy)
                     reason )
             | _ -> (Cache_miss, Printf.sprintf "miss %s" short)
           in
-          add_cache_row trace ~ok:true ~wall_ms ~cells:None ~crit_out_ps:None
-            ~hit:false ~boost:None ~note;
+          add_cache_row trace ~wall_ms ~hit:false note;
           let* r =
             run ~style ~policy ?verify_engine ?trace ?inject ctx spec
           in

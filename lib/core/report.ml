@@ -1,9 +1,5 @@
 (** Human-readable compilation reports. *)
 
-(** One-line summary of a sweep's evaluation-cache effectiveness, for the
-    experiment harnesses that share an {!Eval_cache} across searches. *)
-let eval_cache_line (stats : Eval_cache.stats) = Eval_cache.describe stats
-
 let subcircuit_table lib (a : Compiler.artifact) =
   let areas =
     Stats.area_by_subcircuit a.Compiler.macro.Macro_rtl.design lib

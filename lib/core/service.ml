@@ -15,7 +15,12 @@
     Ownership follows {!Ctx}: the service never hands out netlists from
     a cache (ECO mutates them), and every request gets its own private
     {!Trace.t}, so concurrent requests never share a mutable sink. The
-    cumulative counters are mutex-guarded. *)
+    cumulative counts are {!Metrics.scoped} views of the [service.*]
+    registry instruments: each outcome is recorded once, lands in both
+    this service's view and the process-wide registry, and — like every
+    record operation — is dropped while {!Metrics.set_enabled} is
+    [false]. Request ids keep their own mutex-guarded sequence, so they
+    stay unique with metrics off. *)
 
 type stats = {
   requests : int;  (** compile requests served (batch items included) *)
@@ -23,16 +28,24 @@ type stats = {
   compiled : int;  (** ran the full pipeline (miss/corrupt/uncached) *)
   failures : int;  (** requests that returned a diagnostic *)
   wall_s : float;  (** cumulative request wall clock *)
-  scl : Scl.stats;  (** the shared subcircuit memo's counters *)
 }
+
+(* The latency histogram is deterministic because only its observation
+   count (one per request) enters the fingerprint. *)
+let m_requests = Metrics.counter "service.requests"
+let m_cache_hits = Metrics.counter "service.cache_hits"
+let m_compiled = Metrics.counter "service.compiled"
+let m_failures = Metrics.counter "service.failures"
+let m_request_ms = Metrics.histogram "service.request_ms"
 
 type t = {
   ctx : Ctx.t;
-  lock : Mutex.t;
-  mutable requests : int;
-  mutable cache_hits : int;
-  mutable compiled : int;
-  mutable failures : int;
+  requests : Metrics.counter;
+  cache_hits : Metrics.counter;
+  compiled : Metrics.counter;
+  failures : Metrics.counter;
+  request_ms : Metrics.histogram;
+  lock : Mutex.t;  (** guards [wall_s], [next_id] and the diagnostic sink *)
   mutable wall_s : float;
   mutable next_id : int;
 }
@@ -54,48 +67,35 @@ let create (ctx : Ctx.t) : t =
   ignore (Ctx.load_scl ctx);
   {
     ctx;
+    requests = Metrics.scoped m_requests;
+    cache_hits = Metrics.scoped m_cache_hits;
+    compiled = Metrics.scoped m_compiled;
+    failures = Metrics.scoped m_failures;
+    request_ms = Metrics.scoped_histogram m_request_ms;
     lock = Mutex.create ();
-    requests = 0;
-    cache_hits = 0;
-    compiled = 0;
-    failures = 0;
     wall_s = 0.0;
     next_id = 0;
   }
 
 let ctx t = t.ctx
 
-(* Request counts mirror the mutex-guarded fields into the registry;
-   the latency histogram is deterministic because only its observation
-   count (one per request) enters the fingerprint. *)
-let m_requests = Metrics.counter "service.requests"
-let m_cache_hits = Metrics.counter "service.cache_hits"
-let m_compiled = Metrics.counter "service.compiled"
-let m_failures = Metrics.counter "service.failures"
-let m_request_ms = Metrics.histogram "service.request_ms"
-
 let account t ~(outcome : (Pipeline.summary, Diag.t) Stdlib.result) ~wall_s
     =
-  Metrics.incr m_requests;
-  Metrics.observe m_request_ms (wall_s *. 1e3);
+  Metrics.incr t.requests;
+  Metrics.observe t.request_ms (wall_s *. 1e3);
   Mutex.protect t.lock (fun () ->
       let id = t.next_id in
       t.next_id <- id + 1;
-      t.requests <- t.requests + 1;
       t.wall_s <- t.wall_s +. wall_s;
       (match outcome with
       | Ok s -> (
           match s.Pipeline.sum_cache with
-          | Pipeline.Cache_hit ->
-              t.cache_hits <- t.cache_hits + 1;
-              Metrics.incr m_cache_hits
+          | Pipeline.Cache_hit -> Metrics.incr t.cache_hits
           | Pipeline.Cache_miss | Pipeline.Cache_corrupt _
           | Pipeline.Cache_off ->
-              t.compiled <- t.compiled + 1;
-              Metrics.incr m_compiled)
+              Metrics.incr t.compiled)
       | Error d ->
-          t.failures <- t.failures + 1;
-          Metrics.incr m_failures;
+          Metrics.incr t.failures;
           Ctx.emit t.ctx d);
       id)
 
@@ -152,50 +152,44 @@ let batch ?jobs ?trace (t : t) (specs : Spec.t list) : Batch.result =
   let r = Batch.run ?jobs ?trace t.ctx specs in
   let wall_s = Unix.gettimeofday () -. t0 in
   let n = List.length r.Batch.items in
-  Metrics.add m_requests n;
-  Metrics.add m_cache_hits r.Batch.hits;
-  Metrics.add m_compiled (r.Batch.misses + r.Batch.corrupt + r.Batch.uncached);
-  Metrics.add m_failures r.Batch.failed;
+  Metrics.add t.requests n;
+  Metrics.add t.cache_hits r.Batch.hits;
+  Metrics.add t.compiled (r.Batch.misses + r.Batch.corrupt + r.Batch.uncached);
+  Metrics.add t.failures r.Batch.failed;
   List.iter
-    (fun (it : Batch.item) -> Metrics.observe m_request_ms (it.Batch.wall_s *. 1e3))
+    (fun (it : Batch.item) -> Metrics.observe t.request_ms (it.Batch.wall_s *. 1e3))
     r.Batch.items;
   Mutex.protect t.lock (fun () ->
       t.next_id <- t.next_id + n;
-      t.requests <- t.requests + n;
-      t.cache_hits <- t.cache_hits + r.Batch.hits;
-      t.compiled <-
-        t.compiled + r.Batch.misses + r.Batch.corrupt + r.Batch.uncached;
-      t.failures <- t.failures + r.Batch.failed;
       t.wall_s <- t.wall_s +. wall_s);
   r
 
 let stats (t : t) : stats =
-  Mutex.protect t.lock (fun () ->
-      {
-        requests = t.requests;
-        cache_hits = t.cache_hits;
-        compiled = t.compiled;
-        failures = t.failures;
-        wall_s = t.wall_s;
-        scl = Scl.stats (Ctx.scl t.ctx);
-      })
+  {
+    requests = Metrics.counter_value t.requests;
+    cache_hits = Metrics.counter_value t.cache_hits;
+    compiled = Metrics.counter_value t.compiled;
+    failures = Metrics.counter_value t.failures;
+    wall_s = Mutex.protect t.lock (fun () -> t.wall_s);
+  }
 
-(** [describe t] — the cumulative service counters as one line,
-    including the request-latency p50/p99 from the metrics registry. *)
+(** [describe t] — this service's cumulative counters as one line,
+    including its own request-latency p50/p99 (never another service's,
+    and unaffected by {!Metrics.reset}). *)
 let describe (t : t) : string =
   let s = stats t in
   let latency =
-    if Metrics.histogram_count m_request_ms = 0 then ""
+    if Metrics.histogram_count t.request_ms = 0 then ""
     else
       Printf.sprintf "; req p50 %.1f ms / p99 %.1f ms"
-        (Metrics.quantile m_request_ms 0.5)
-        (Metrics.quantile m_request_ms 0.99)
+        (Metrics.quantile t.request_ms 0.5)
+        (Metrics.quantile t.request_ms 0.99)
   in
   Printf.sprintf
     "service: %d request(s) — %d cache hit(s), %d compiled, %d failed, \
      %.2f s; scl memo: %s%s"
     s.requests s.cache_hits s.compiled s.failures s.wall_s
-    (Scl.describe_stats s.scl) latency
+    (Scl.describe (Ctx.scl t.ctx)) latency
 
 (** [metrics _t] — the process-wide metrics registry as the one-page
     human table ({!Metrics.render}): the serving-side answer to "where

@@ -1,32 +1,25 @@
 (** The pipeline's pass abstraction: a named, typed transformation from
     one artifact to the next, returning [('b, Diag.t) result].
 
-    A stage's run function also produces a {!meta} — the instrumentation
-    the stage measured about itself (cells touched, critical path in/out,
-    cache hits, ECO iterations). {!execute} wraps the run with wall-clock
-    timing, records one {!Trace} row per invocation (successful or not),
-    and supports fault injection by stage name so the failure path can be
-    exercised end-to-end without a genuinely broken netlist. *)
+    A stage's run function also returns the {!Trace.row} of what the
+    stage measured about itself (cells touched, critical path in/out,
+    cache hits, ECO iterations), built with {!meta}. {!execute} wraps
+    the run with wall-clock timing, fills in the row's stage name,
+    status and wall clock, records it in the {!Trace} (successful or
+    not), and supports fault injection by stage name so the failure path
+    can be exercised end-to-end without a genuinely broken netlist. *)
 
-type meta = {
-  cells : int option;
-  crit_in_ps : float option;
-  crit_out_ps : float option;
-  cache_hits : int option;
-  cache_misses : int option;
-  eco_iters : int option;
-  boost : float option;
-  note : string;
-}
-
+(** [meta ?cells ... ()] — a {!Trace.row} carrying a stage's own
+    measurements. The stage name, status and wall clock are left blank
+    for {!execute} to fill in. *)
 let meta ?cells ?crit_in_ps ?crit_out_ps ?cache_hits ?cache_misses ?eco_iters
-    ?boost ?(note = "") () =
-  { cells; crit_in_ps; crit_out_ps; cache_hits; cache_misses; eco_iters;
-    boost; note }
+    ?boost ?(note = "") () : Trace.row =
+  { Trace.stage = ""; ok = true; wall_ms = 0.0; cells; crit_in_ps;
+    crit_out_ps; cache_hits; cache_misses; eco_iters; boost; note }
 
 type ('a, 'b) t = {
   name : string;
-  run : 'a -> ('b * meta, Diag.t) Stdlib.result;
+  run : 'a -> ('b * Trace.row, Diag.t) Stdlib.result;
 }
 
 let v name run = { name; run }
@@ -65,34 +58,9 @@ let execute ?trace ?inject (s : ('a, 'b) t) (x : 'a) :
   | Some tr ->
       let row =
         match outcome with
-        | Ok (_, m) ->
-            {
-              Trace.stage = s.name;
-              ok = true;
-              wall_ms;
-              cells = m.cells;
-              crit_in_ps = m.crit_in_ps;
-              crit_out_ps = m.crit_out_ps;
-              cache_hits = m.cache_hits;
-              cache_misses = m.cache_misses;
-              eco_iters = m.eco_iters;
-              boost = m.boost;
-              note = m.note;
-            }
-        | Error d ->
-            {
-              Trace.stage = s.name;
-              ok = false;
-              wall_ms;
-              cells = None;
-              crit_in_ps = None;
-              crit_out_ps = None;
-              cache_hits = None;
-              cache_misses = None;
-              eco_iters = None;
-              boost = None;
-              note = Diag.to_string d;
-            }
+        | Ok (_, m) -> m
+        | Error d -> meta ~note:(Diag.to_string d) ()
       in
-      Trace.add tr row);
+      Trace.add tr
+        { row with Trace.stage = s.name; ok = Result.is_ok outcome; wall_ms });
   Stdlib.Result.map fst outcome

@@ -2,7 +2,10 @@
 
     Every executed stage appends one {!row}: wall-clock, cells touched,
     critical path in/out, {!Eval_cache} hits/misses, ECO iterations and
-    the retry boost in effect. [syndcim compile --trace] renders the rows
+    the retry boost in effect. A stage builds its row with {!Stage.meta}
+    and {!Stage.execute} fills in the name, status and wall clock; the
+    compile-cache lookup of {!Pipeline.run_cached} records one the same
+    way. [syndcim compile --trace] renders the rows
     as a table; {!fingerprint} renders the same table without the
     wall-clock column, so two runs of a deterministic flow produce
     byte-identical fingerprints regardless of machine load or job count. *)

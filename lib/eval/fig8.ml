@@ -100,7 +100,7 @@ let print (r : result) =
        rows);
   Printf.printf "cloud: %d timing-meeting points visited, %d on frontier\n"
     (List.length r.cloud) (List.length r.frontier);
-  print_endline (Report.eval_cache_line r.cache);
+  print_endline (Eval_cache.describe r.cache);
   print_endline "implemented (post-layout, as the paper's four selections):";
   let rows =
     List.map

@@ -57,7 +57,3 @@ let load (scl : Scl.t) path =
    with End_of_file -> ());
   close_in ic;
   !count
-
-(** [entries scl] — the number of characterized entries currently cached. *)
-let entries (scl : Scl.t) =
-  Mutex.protect scl.Scl.lock (fun () -> Hashtbl.length scl.Scl.table)

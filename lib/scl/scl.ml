@@ -10,59 +10,50 @@
 
 type key = string
 
+(* The double-count race in {!memo} makes these totals
+   scheduling-dependent, so they are registered nondeterministic. *)
+let m_hits = Metrics.counter ~det:false "cache.scl.hits"
+let m_misses = Metrics.counter ~det:false "cache.scl.misses"
+
 type t = {
   lib : Library.t;
   table : (key, Ppa.t) Hashtbl.t;
   lock : Mutex.t;
-      (** guards [table] and the memo counters: parallel searcher domains
-          share one SCL, and a plain Hashtbl is not safe under concurrent
-          lookup/insert *)
-  mutable hits : int;  (** memo lookups served from [table] *)
-  mutable misses : int;  (** memo lookups that characterized *)
+      (** guards [table]: parallel searcher domains share one SCL, and a
+          plain Hashtbl is not safe under concurrent lookup/insert *)
+  hits : Metrics.counter;  (** memo lookups served from [table] *)
+  misses : Metrics.counter;  (** memo lookups that characterized *)
 }
-
-(** Memo counters, so a shared SCL can show it is actually being reused
-    (e.g. the second compile through one {!Ctx} reports hits > 0). *)
-type stats = { hits : int; misses : int; entries : int }
 
 let create lib =
   { lib; table = Hashtbl.create 256; lock = Mutex.create ();
-    hits = 0; misses = 0 }
+    hits = Metrics.scoped m_hits; misses = Metrics.scoped m_misses }
 
-let stats t : stats =
-  Mutex.protect t.lock (fun () ->
-      { hits = t.hits; misses = t.misses;
-        entries = Hashtbl.length t.table })
+(* Memo counters, so a shared SCL can show it is actually being reused
+   (e.g. the second compile through one {!Ctx} reports hits > 0). *)
+let hits t = Metrics.counter_value t.hits
+let misses t = Metrics.counter_value t.misses
 
-let describe_stats (s : stats) =
-  Printf.sprintf "%d hit(s) / %d miss(es), %d characterized entr%s" s.hits
-    s.misses s.entries
-    (if s.entries = 1 then "y" else "ies")
+(** [entries t] — the number of characterized entries currently cached. *)
+let entries t = Mutex.protect t.lock (fun () -> Hashtbl.length t.table)
 
-(* The double-count race below makes these totals scheduling-dependent,
-   so they are registered nondeterministic. *)
-let m_hits = Metrics.counter ~det:false "cache.scl.hits"
-let m_misses = Metrics.counter ~det:false "cache.scl.misses"
+let describe t =
+  let n = entries t in
+  Printf.sprintf "%d hit(s) / %d miss(es), %d characterized entr%s" (hits t)
+    (misses t) n
+    (if n = 1 then "y" else "ies")
 
 (* Characterization runs outside the lock (it is the expensive part and
    may itself build netlists); two domains racing on a cold key both
    characterize (both counting a miss), and the first insert wins —
    harmless because entries are deterministic functions of the key. *)
 let memo t key f =
-  match
-    Mutex.protect t.lock (fun () ->
-        match Hashtbl.find_opt t.table key with
-        | Some v ->
-            t.hits <- t.hits + 1;
-            Metrics.incr m_hits;
-            Some v
-        | None ->
-            t.misses <- t.misses + 1;
-            Metrics.incr m_misses;
-            None)
-  with
-  | Some v -> v
+  match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.table key) with
+  | Some v ->
+      Metrics.incr t.hits;
+      v
   | None ->
+      Metrics.incr t.misses;
       let v = f () in
       Mutex.protect t.lock (fun () ->
           match Hashtbl.find_opt t.table key with

@@ -215,24 +215,6 @@ let parse_value ~key text : value =
 (* Store                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type stats = {
-  hits : int;
-  misses : int;
-  corrupt : int;
-  stores : int;
-  swept : int;  (** stale temp files reaped when the store was opened *)
-}
-
-type t = {
-  root : string;
-  hit_n : int Atomic.t;
-  miss_n : int Atomic.t;
-  corrupt_n : int Atomic.t;
-  store_n : int Atomic.t;
-  swept_n : int Atomic.t;
-  tmp_seq : int Atomic.t;
-}
-
 (* Disk-cache outcome counts depend only on what is on disk for the keys
    asked about, so they are deterministic; the sweep count depends on
    when a previous writer died, so it is not. *)
@@ -241,6 +223,19 @@ let m_misses = Metrics.counter "cache.disk.misses"
 let m_corrupt = Metrics.counter "cache.disk.corrupt"
 let m_stores = Metrics.counter "cache.disk.stores"
 let m_swept = Metrics.counter ~det:false "cache.disk.tmp_swept"
+
+(* Each store counts its own outcomes on {!Metrics.scoped} views of the
+   registry counters, so one process with two stores can tell them
+   apart while [cache.disk.*] sums both. *)
+type t = {
+  root : string;
+  hits : Metrics.counter;
+  misses : Metrics.counter;
+  corrupt : Metrics.counter;
+  stores : Metrics.counter;
+  swept : int;  (** stale temp files reaped when the store was opened *)
+  tmp_seq : int Atomic.t;
+}
 
 (* A temp file is live for the milliseconds between open and rename; one
    older than this was left by a writer that died mid-store. Generous so
@@ -283,11 +278,11 @@ let open_root (dir : string) : (t, string) Stdlib.result =
     Ok
       {
         root = dir;
-        hit_n = Atomic.make 0;
-        miss_n = Atomic.make 0;
-        corrupt_n = Atomic.make 0;
-        store_n = Atomic.make 0;
-        swept_n = Atomic.make swept;
+        hits = Metrics.scoped m_hits;
+        misses = Metrics.scoped m_misses;
+        corrupt = Metrics.scoped m_corrupt;
+        stores = Metrics.scoped m_stores;
+        swept;
         tmp_seq = Atomic.make 0;
       }
   in
@@ -326,22 +321,18 @@ let lookup (t : t) (key : string) : lookup =
       (fun () -> really_input_string ic (in_channel_length ic))
   with
   | exception Sys_error _ ->
-      Atomic.incr t.miss_n;
-      Metrics.incr m_misses;
+      Metrics.incr t.misses;
       Miss
   | exception End_of_file ->
-      Atomic.incr t.corrupt_n;
-      Metrics.incr m_corrupt;
+      Metrics.incr t.corrupt;
       Corrupt "short read"
   | text -> (
       match parse_value ~key text with
       | v ->
-          Atomic.incr t.hit_n;
-          Metrics.incr m_hits;
+          Metrics.incr t.hits;
           Hit v
       | exception Bad reason ->
-          Atomic.incr t.corrupt_n;
-          Metrics.incr m_corrupt;
+          Metrics.incr t.corrupt;
           Corrupt reason)
 
 (** [store t key v] — write the entry atomically: a temp file in the
@@ -363,19 +354,14 @@ let store (t : t) (key : string) (v : value) : unit =
       (fun () -> output_string oc (render_value key v));
     Sys.rename tmp path
   with
-  | () ->
-      Atomic.incr t.store_n;
-      Metrics.incr m_stores
+  | () -> Metrics.incr t.stores
   | exception Sys_error _ -> (try Sys.remove tmp with Sys_error _ -> ())
 
-let stats (t : t) : stats =
-  {
-    hits = Atomic.get t.hit_n;
-    misses = Atomic.get t.miss_n;
-    corrupt = Atomic.get t.corrupt_n;
-    stores = Atomic.get t.store_n;
-    swept = Atomic.get t.swept_n;
-  }
+(* This store's own outcome counts (see {!t}). *)
+let hits (t : t) = Metrics.counter_value t.hits
+let misses (t : t) = Metrics.counter_value t.misses
+let corrupt (t : t) = Metrics.counter_value t.corrupt
+let stores (t : t) = Metrics.counter_value t.stores
 
 (** [entry_count t] — complete entries currently on disk. *)
 let entry_count (t : t) : int =
@@ -386,10 +372,10 @@ let entry_count (t : t) : int =
         (fun acc f -> if Filename.check_suffix f ".entry" then acc + 1 else acc)
         0 files
 
-let describe (s : stats) =
+let describe (t : t) =
   Printf.sprintf
     "compile cache: %d hits / %d misses (%d corrupt entries replaced), %d \
      stores%s"
-    s.hits s.misses s.corrupt s.stores
-    (if s.swept > 0 then Printf.sprintf ", %d stale temp(s) swept" s.swept
+    (hits t) (misses t) (corrupt t) (stores t)
+    (if t.swept > 0 then Printf.sprintf ", %d stale temp(s) swept" t.swept
      else "")

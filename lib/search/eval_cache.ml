@@ -22,13 +22,9 @@
     drive snapshot taken at evaluation, not the live drives. Scope a
     cache per sweep. *)
 
+(** A snapshot of one cache's counters, for values that outlive the
+    cache (a pipeline attempt, a Fig. 8 result). *)
 type stats = { hits : int; misses : int }
-
-let zero_stats = { hits = 0; misses = 0 }
-
-(** [combine_stats a b] — counter totals, for rolling per-attempt or
-    per-spec stats up into sweep and batch aggregates. *)
-let combine_stats a b = { hits = a.hits + b.hits; misses = a.misses + b.misses }
 
 let shard_count = 16
 
@@ -41,16 +37,16 @@ let m_misses = Metrics.counter ~det:false "cache.eval.misses"
 type t = {
   shards : (string, Design_point.t) Hashtbl.t array;
   locks : Mutex.t array;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
+  hits : Metrics.counter;  (** scoped to this cache, rolls up to [m_hits] *)
+  misses : Metrics.counter;
 }
 
 let create () =
   {
     shards = Array.init shard_count (fun _ -> Hashtbl.create 64);
     locks = Array.init shard_count (fun _ -> Mutex.create ());
-    hits = Atomic.make 0;
-    misses = Atomic.make 0;
+    hits = Metrics.scoped m_hits;
+    misses = Metrics.scoped m_misses;
   }
 
 (* Canonical serialization of everything [Design_point.evaluate] reads:
@@ -94,13 +90,11 @@ let evaluate (t : t) lib (spec : Spec.t) (cfg : Macro_rtl.config) :
   let tbl = t.shards.(s) and lock = t.locks.(s) in
   match Mutex.protect lock (fun () -> Hashtbl.find_opt tbl k) with
   | Some p ->
-      Atomic.incr t.hits;
-      Metrics.incr m_hits;
+      Metrics.incr t.hits;
       p
   | None ->
       let p = Design_point.evaluate lib spec cfg in
-      Atomic.incr t.misses;
-      Metrics.incr m_misses;
+      Metrics.incr t.misses;
       Mutex.protect lock (fun () ->
           (* keep the first stored point so later hits stay physically
              equal to earlier ones even if two domains raced *)
@@ -111,7 +105,7 @@ let evaluate (t : t) lib (spec : Spec.t) (cfg : Macro_rtl.config) :
               p)
 
 let stats (t : t) =
-  { hits = Atomic.get t.hits; misses = Atomic.get t.misses }
+  { hits = Metrics.counter_value t.hits; misses = Metrics.counter_value t.misses }
 
 let size (t : t) =
   Array.fold_left (fun acc tbl -> acc + Hashtbl.length tbl) 0 t.shards

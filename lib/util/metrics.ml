@@ -40,9 +40,27 @@
     [Atomic]s; each gauge and histogram carries its own mutex. Any
     number of pool domains may record concurrently. {!set_enabled}
     [false] turns every record operation into a cheap no-op — the knob
-    the [metrics_overhead] bench section uses to price instrumentation. *)
+    the [metrics_overhead] bench section uses to price instrumentation.
 
-type counter = { c_name : string; c_det : bool; c_value : int Atomic.t }
+    {2 Scoped instruments}
+
+    A cache or service instance that must answer "how many hits did
+    {e I} serve?" takes a {!scoped} counter (or {!scoped_histogram}) of
+    the registered instrument instead of keeping a private tally. The
+    scoped instrument is unregistered — it never appears in {!to_json},
+    {!render} or {!fingerprint}, and {!reset} does not zero it — and
+    every [add]/[observe] on it also lands in its parent, so the
+    registry sees exactly the increments it would see without the
+    instance view. Each count is therefore recorded at one site.
+    Because they are record operations like any other, scoped
+    instruments are silenced by {!set_enabled} [false] too. *)
+
+type counter = {
+  c_name : string;
+  c_det : bool;
+  c_value : int Atomic.t;
+  c_parent : counter option;  (** the registered instrument of a {!scoped} one *)
+}
 
 type gauge = {
   g_name : string;
@@ -59,6 +77,8 @@ type histogram = {
   counts : int array;  (** [Array.length bounds + 1]: last is overflow *)
   mutable h_sum : float;
   mutable h_count : int;
+  h_parent : histogram option;
+      (** the registered instrument of a {!scoped_histogram} *)
 }
 
 type instrument = C of counter | G of gauge | H of histogram
@@ -77,7 +97,7 @@ let enabled = Atomic.make true
 
 (** [set_enabled b] — globally enable/disable recording. Registration
     still works when disabled; [incr]/[observe]/[set_gauge] become
-    no-ops. *)
+    no-ops, on scoped instruments as on registered ones. *)
 let set_enabled b = Atomic.set enabled b
 
 let is_enabled () = Atomic.get enabled
@@ -123,11 +143,21 @@ let register (reg : t) name (build : unit -> instrument)
     kind raises [Invalid_argument]. *)
 let counter ?(registry = global) ?(det = true) name : counter =
   register registry name
-    (fun () -> C { c_name = name; c_det = det; c_value = Atomic.make 0 })
+    (fun () ->
+      C { c_name = name; c_det = det; c_value = Atomic.make 0; c_parent = None })
     (function C c -> Some c | _ -> None)
 
-let add (c : counter) n =
-  if n <> 0 && Atomic.get enabled then ignore (Atomic.fetch_and_add c.c_value n)
+(** [scoped parent] — a fresh, unregistered counter that starts at zero
+    and forwards every increment to [parent]: one instance's view of a
+    registry counter. *)
+let scoped (parent : counter) : counter =
+  { parent with c_value = Atomic.make 0; c_parent = Some parent }
+
+let rec bump (c : counter) n =
+  ignore (Atomic.fetch_and_add c.c_value n);
+  match c.c_parent with Some p -> bump p n | None -> ()
+
+let add (c : counter) n = if n <> 0 && Atomic.get enabled then bump c n
 
 let incr (c : counter) = add c 1
 let counter_value (c : counter) = Atomic.get c.c_value
@@ -170,21 +200,37 @@ let histogram ?(registry = global) ?(det = true) ?(buckets = latency_ms_buckets)
           counts = Array.make (Array.length buckets + 1) 0;
           h_sum = 0.0;
           h_count = 0;
+          h_parent = None;
         })
     (function H h -> Some h | _ -> None)
+
+(** [scoped_histogram parent] — the histogram counterpart of {!scoped}:
+    same buckets, empty, unregistered, and every observation also lands
+    in [parent]. *)
+let scoped_histogram (parent : histogram) : histogram =
+  {
+    parent with
+    h_lock = Mutex.create ();
+    counts = Array.make (Array.length parent.counts) 0;
+    h_sum = 0.0;
+    h_count = 0;
+    h_parent = Some parent;
+  }
 
 let bucket_index (h : histogram) v =
   let n = Array.length h.bounds in
   let rec go i = if i >= n then n else if v <= h.bounds.(i) then i else go (i + 1) in
   go 0
 
-let observe (h : histogram) v =
-  if Atomic.get enabled then
-    Mutex.protect h.h_lock (fun () ->
-        let i = bucket_index h v in
-        h.counts.(i) <- h.counts.(i) + 1;
-        h.h_sum <- h.h_sum +. v;
-        h.h_count <- h.h_count + 1)
+let rec record (h : histogram) v =
+  Mutex.protect h.h_lock (fun () ->
+      let i = bucket_index h v in
+      h.counts.(i) <- h.counts.(i) + 1;
+      h.h_sum <- h.h_sum +. v;
+      h.h_count <- h.h_count + 1);
+  match h.h_parent with Some p -> record p v | None -> ()
+
+let observe (h : histogram) v = if Atomic.get enabled then record h v
 
 let histogram_count (h : histogram) =
   Mutex.protect h.h_lock (fun () -> h.h_count)
@@ -224,9 +270,10 @@ let quantile (h : histogram) q = Mutex.protect h.h_lock (fun () -> quantile_lock
 (* Reset and snapshot                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(** [reset ?registry ()] — zero every instrument's value, keeping the
-    registrations. Tests use this to scope the process-wide registry to
-    one workload run. *)
+(** [reset ?registry ()] — zero every registered instrument's value,
+    keeping the registrations. Tests use this to scope the process-wide
+    registry to one workload run. Scoped instruments are not registered,
+    so an instance's own view survives a reset. *)
 let reset ?(registry = global) () =
   Mutex.protect registry.lock (fun () ->
       Hashtbl.iter
@@ -250,13 +297,6 @@ let sorted_instruments (registry : t) : instrument list =
   in
   let name = function C c -> c.c_name | G g -> g.g_name | H h -> h.h_name in
   List.sort (fun a b -> compare (name a) (name b)) all
-
-(** [family name] — the dotted prefix that groups instruments (e.g.
-    ["pool"] for ["pool.domains_spawned"]); the whole name when undotted. *)
-let family name =
-  match String.index_opt name '.' with
-  | Some i -> String.sub name 0 i
-  | None -> name
 
 (* ------------------------------------------------------------------ *)
 (* Exports                                                             *)

@@ -233,10 +233,9 @@ let test_corruption_tolerated () =
   (match Disk_cache.lookup c k with
   | Disk_cache.Miss -> ()
   | _ -> Alcotest.fail "missing entry not reported Miss");
-  let st = Disk_cache.stats c in
-  check_int "hits" 0 st.Disk_cache.hits;
-  check_int "misses" 1 st.Disk_cache.misses;
-  check_int "corrupt" 3 st.Disk_cache.corrupt;
+  check_int "hits" 0 (Disk_cache.hits c);
+  check_int "misses" 1 (Disk_cache.misses c);
+  check_int "corrupt" 3 (Disk_cache.corrupt c);
   rm_rf dir
 
 let test_corrupt_entry_recompiled () =
@@ -317,11 +316,46 @@ let test_stale_temp_sweep () =
   let c2 = open_cache dir in
   check_bool "stale temp swept" false (Sys.file_exists stale);
   check_bool "in-flight temp kept" true (Sys.file_exists fresh);
-  check_int "sweep counted in stats" 1 (Disk_cache.stats c2).Disk_cache.swept;
+  check_int "sweep counted in stats" 1 c2.Disk_cache.swept;
   (match Disk_cache.lookup c2 k with
   | Disk_cache.Hit _ -> ()
   | Disk_cache.Miss | Disk_cache.Corrupt _ ->
       Alcotest.fail "complete entry lost to the sweep");
+  rm_rf dir
+
+(* Two stores opened on one directory are two instances: each counts
+   only its own lookups and stores, while the registry's cache.disk.*
+   counters sum both. *)
+let test_store_instances_isolated () =
+  let dir = scratch () in
+  let a = open_cache dir in
+  let b = open_cache dir in
+  let registry name = Metrics.counter_value (Metrics.counter name) in
+  let hits0 = registry "cache.disk.hits"
+  and misses0 = registry "cache.disk.misses"
+  and stores0 = registry "cache.disk.stores" in
+  let k = key small_spec in
+  (match Disk_cache.lookup a k with
+  | Disk_cache.Miss -> ()
+  | _ -> Alcotest.fail "empty store did not miss");
+  Disk_cache.store a k sample_value;
+  List.iter
+    (fun c ->
+      match Disk_cache.lookup c k with
+      | Disk_cache.Hit _ -> ()
+      | _ -> Alcotest.fail "stored entry did not hit")
+    [ b; b; a ];
+  check_int "a: own hits" 1 (Disk_cache.hits a);
+  check_int "a: own misses" 1 (Disk_cache.misses a);
+  check_int "a: own stores" 1 (Disk_cache.stores a);
+  check_int "b: own hits" 2 (Disk_cache.hits b);
+  check_int "b: no misses" 0 (Disk_cache.misses b);
+  check_int "b: no stores" 0 (Disk_cache.stores b);
+  check_int "registry hits sum both" 3 (registry "cache.disk.hits" - hits0);
+  check_int "registry misses sum both" 1
+    (registry "cache.disk.misses" - misses0);
+  check_int "registry stores sum both" 1
+    (registry "cache.disk.stores" - stores0);
   rm_rf dir
 
 (* ---------------- manifest parsing and validation ---------------- *)
@@ -552,6 +586,8 @@ let () =
           Alcotest.test_case "concurrent writers" `Quick
             test_concurrent_writers;
           Alcotest.test_case "stale temp sweep" `Quick test_stale_temp_sweep;
+          Alcotest.test_case "two stores count their own lookups" `Quick
+            test_store_instances_isolated;
         ] );
       ( "validation",
         [

@@ -78,14 +78,15 @@ let compile_tight (ctx : Ctx.t) =
 let test_scl_memo_hits () =
   let ctx = Ctx.fresh () in
   compile_tight ctx;
-  let s1 = Ctx.scl_stats ctx in
-  check_bool "first compile characterizes" true (s1.Scl.misses > 0);
-  check_bool "memo populated" true (s1.Scl.entries > 0);
+  let scl = Ctx.scl ctx in
+  let hits1 = Scl.hits scl and misses1 = Scl.misses scl in
+  let entries1 = Scl.entries scl in
+  check_bool "first compile characterizes" true (misses1 > 0);
+  check_bool "memo populated" true (entries1 > 0);
   compile_tight ctx;
-  let s2 = Ctx.scl_stats ctx in
-  check_bool "second compile hits the memo" true (s2.Scl.hits > s1.Scl.hits);
-  check_int "second compile adds no misses" s1.Scl.misses s2.Scl.misses;
-  check_int "second compile adds no entries" s1.Scl.entries s2.Scl.entries
+  check_bool "second compile hits the memo" true (Scl.hits scl > hits1);
+  check_int "second compile adds no misses" misses1 (Scl.misses scl);
+  check_int "second compile adds no entries" entries1 (Scl.entries scl)
 
 (* ---------------- Service request isolation ---------------- *)
 
@@ -135,6 +136,30 @@ let test_service_isolation () =
   check_int "all compiled (no cache attached)" (List.length specs)
     st.Service.compiled;
   check_int "no cache hits without a cache" 0 st.Service.cache_hits
+
+(* Request ids are the service's own sequence, not a registry count: with
+   recording switched off they stay unique while the (silenced) counters
+   read zero. Specs that fail validation keep the requests cheap. *)
+let test_service_ids_without_metrics () =
+  let svc = Service.create (Ctx.fresh ()) in
+  let bad = { small_spec with Spec.rows = 0 } in
+  let ids =
+    Metrics.set_enabled false;
+    Fun.protect
+      ~finally:(fun () -> Metrics.set_enabled true)
+      (fun () ->
+        Pool.parallel_map ~jobs:3
+          (fun _ ->
+            let r = Service.compile svc bad in
+            (match r.Service.outcome with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.fail "invalid spec compiled");
+            r.Service.id)
+          (List.init 6 Fun.id))
+  in
+  check_int "unique request ids" 6 (List.length (List.sort_uniq compare ids));
+  check_int "disabled metrics silence the service's counts" 0
+    (Service.stats svc).Service.requests
 
 (* ---------------- Service engine overrides ---------------- *)
 
@@ -344,6 +369,8 @@ let () =
         [
           Alcotest.test_case "parallel request isolation" `Slow
             test_service_isolation;
+          Alcotest.test_case "ids unique with metrics off" `Quick
+            test_service_ids_without_metrics;
           Alcotest.test_case "engine overrides: counters and cache hits"
             `Slow test_service_engine_overrides;
         ] );

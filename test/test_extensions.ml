@@ -128,14 +128,14 @@ let test_persist_roundtrip () =
        ~rows:16);
   ignore (Scl.mulmux scl ~variant:Cell.Tg_nor ~mcr:2);
   ignore (Scl.shift_adder scl ~kind:Shift_adder.Lsb_right ~rows:16 ~serial_bits:4);
-  let n = Persist.entries scl in
+  let n = Scl.entries scl in
   check_bool "entries cached" true (n >= 3);
   let path = Filename.temp_file "scl" ".csv" in
   Persist.save scl path;
   let scl2 = Scl.create lib in
   let loaded = Persist.load scl2 path in
   check_int "all entries loaded" n loaded;
-  check_int "table sizes match" n (Persist.entries scl2);
+  check_int "table sizes match" n (Scl.entries scl2);
   (* loaded entries short-circuit characterization with identical values *)
   let a =
     Scl.adder_tree scl

@@ -149,6 +149,73 @@ let test_concurrent_recording () =
   check_float "no observation lost from the sum" 499500.0
     (Metrics.histogram_sum h)
 
+(* ---------------- scoped instruments ---------------------------------- *)
+
+let test_scoped_rollup () =
+  let r = Metrics.create () in
+  let parent = Metrics.counter ~registry:r "t.scoped" in
+  let hparent =
+    Metrics.histogram ~registry:r ~buckets:[| 1.0; 10.0 |] "t.scoped_h"
+  in
+  let a = Metrics.scoped parent and b = Metrics.scoped parent in
+  let ha = Metrics.scoped_histogram hparent
+  and hb = Metrics.scoped_histogram hparent in
+  Metrics.add a 3;
+  Metrics.incr b;
+  Metrics.incr parent;
+  Metrics.observe ha 0.5;
+  Metrics.observe ha 5.0;
+  Metrics.observe hb 50.0;
+  check_int "scoped counter a" 3 (Metrics.counter_value a);
+  check_int "sibling scoped counter b is independent" 1
+    (Metrics.counter_value b);
+  check_int "parent sums both scopes and its own adds" 5
+    (Metrics.counter_value parent);
+  check_int "scoped histogram a" 2 (Metrics.histogram_count ha);
+  check_int "sibling scoped histogram b is independent" 1
+    (Metrics.histogram_count hb);
+  check_float "scoped histogram sum" 5.5 (Metrics.histogram_sum ha);
+  check_int "parent histogram sees every observation" 3
+    (Metrics.histogram_count hparent);
+  check_float "parent histogram sum" 55.5 (Metrics.histogram_sum hparent);
+  (* b's one observation overflows, so its p50 floors at the last bound;
+     the parent's p50 (5.5) would sit inside the (1, 10] bucket *)
+  check_float "scoped quantile reads only its own buckets" 10.0
+    (Metrics.quantile hb 0.5)
+
+let test_scoped_reset_enabled_export () =
+  let r = Metrics.create () in
+  let parent = Metrics.counter ~registry:r "t.scoped" in
+  let hparent = Metrics.histogram ~registry:r "t.scoped_h" in
+  Metrics.add parent 2;
+  Metrics.observe hparent 1.0;
+  let json = Metrics.to_json ~registry:r () in
+  let fp = Metrics.fingerprint ~registry:r () in
+  let c = Metrics.scoped parent and h = Metrics.scoped_histogram hparent in
+  check_str "creating scoped instruments leaves to_json unchanged" json
+    (Metrics.to_json ~registry:r ());
+  check_str "creating scoped instruments leaves fingerprint unchanged" fp
+    (Metrics.fingerprint ~registry:r ());
+  Metrics.incr c;
+  Metrics.observe h 1.0;
+  Metrics.reset ~registry:r ();
+  check_int "reset zeroes the parent" 0 (Metrics.counter_value parent);
+  check_int "reset zeroes the parent histogram" 0
+    (Metrics.histogram_count hparent);
+  check_int "reset leaves the scoped counter" 1 (Metrics.counter_value c);
+  check_int "reset leaves the scoped histogram" 1 (Metrics.histogram_count h);
+  Metrics.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Metrics.set_enabled true)
+    (fun () ->
+      Metrics.incr c;
+      Metrics.observe h 1.0);
+  check_int "disabled: scoped counter silent" 1 (Metrics.counter_value c);
+  check_int "disabled: parent counter silent" 0 (Metrics.counter_value parent);
+  check_int "disabled: scoped histogram silent" 1 (Metrics.histogram_count h);
+  check_int "disabled: parent histogram silent" 0
+    (Metrics.histogram_count hparent)
+
 (* ---------------- pool helper-domain cap (regression) ----------------- *)
 
 let spawned () =
@@ -233,6 +300,25 @@ let test_service_metrics () =
   check_bool "metrics table renders" true
     (contains ~sub:"service.requests" (Service.metrics svc))
 
+(* Each service reports its own latency: a service that served nothing
+   prints no percentiles even when another one has, and a registry reset
+   does not blank a live service's view. *)
+let test_service_describe_own_latency () =
+  Metrics.reset ();
+  let a = Service.create (Ctx.fresh ()) and b = Service.create (Ctx.fresh ()) in
+  (match (Service.compile a (List.hd canonical_specs)).Service.outcome with
+  | Ok _ -> ()
+  | Error d -> Alcotest.fail (Diag.to_string d));
+  let requests s = (Service.stats s).Service.requests in
+  check_int "global histogram counts every request"
+    (requests a + requests b)
+    (Metrics.histogram_count (Metrics.histogram "service.request_ms"));
+  check_bool "idle service prints no latency" false
+    (contains ~sub:"req p50" (Service.describe b));
+  Metrics.reset ();
+  check_bool "busy service keeps its latency across a reset" true
+    (contains ~sub:"req p50" (Service.describe a))
+
 let () =
   Alcotest.run "metrics"
     [
@@ -248,6 +334,9 @@ let () =
           Alcotest.test_case "fingerprint subset" `Quick
             test_fingerprint_subset;
           Alcotest.test_case "json + render" `Quick test_json_export;
+          Alcotest.test_case "scoped roll-up" `Quick test_scoped_rollup;
+          Alcotest.test_case "scoped reset + enabled + export" `Quick
+            test_scoped_reset_enabled_export;
           Alcotest.test_case "concurrent recording" `Quick
             test_concurrent_recording;
         ] );
@@ -261,5 +350,9 @@ let () =
             test_determinism_jobs_and_engines;
         ] );
       ( "service",
-        [ Alcotest.test_case "service metrics" `Quick test_service_metrics ] );
+        [
+          Alcotest.test_case "service metrics" `Quick test_service_metrics;
+          Alcotest.test_case "describe reads its own latency" `Quick
+            test_service_describe_own_latency;
+        ] );
     ]

@@ -275,26 +275,30 @@ let test_cache_preference_shared () =
     (Eval_cache.key { s with Spec.preference = Spec.Prefer_area } cfg)
 
 let test_cache_stats_arithmetic () =
-  Alcotest.(check int) "zero hits" 0 Eval_cache.zero_stats.Eval_cache.hits;
-  Alcotest.(check int) "zero misses" 0 Eval_cache.zero_stats.Eval_cache.misses;
-  let c =
-    Eval_cache.combine_stats
-      { Eval_cache.hits = 3; misses = 5 }
-      { Eval_cache.hits = 4; misses = 7 }
+  (* a cache's counters are a scoped view of the registry's: a fresh cache
+     reads zero, a snapshot stays frozen while the cache keeps counting,
+     and every lookup lands once in the process-wide [cache.eval.*] *)
+  let registry name =
+    Metrics.counter_value (Metrics.counter ~det:false name)
   in
-  Alcotest.(check int) "combined hits" 7 c.Eval_cache.hits;
-  Alcotest.(check int) "combined misses" 12 c.Eval_cache.misses;
-  (* folding with the zero element is how batch rolls per-spec stats up *)
-  let folded =
-    List.fold_left Eval_cache.combine_stats Eval_cache.zero_stats
-      [
-        { Eval_cache.hits = 1; misses = 0 };
-        { Eval_cache.hits = 0; misses = 2 };
-        { Eval_cache.hits = 5; misses = 5 };
-      ]
-  in
-  Alcotest.(check int) "folded hits" 6 folded.Eval_cache.hits;
-  Alcotest.(check int) "folded misses" 7 folded.Eval_cache.misses
+  let hits0 = registry "cache.eval.hits"
+  and misses0 = registry "cache.eval.misses" in
+  let cache = Eval_cache.create () in
+  let before = Eval_cache.stats cache in
+  let s = spec ~freq:500e6 () in
+  let cfg = Spec.initial_config s in
+  ignore (Eval_cache.evaluate cache lib s cfg);
+  ignore (Eval_cache.evaluate cache lib s cfg);
+  ignore (Eval_cache.evaluate cache lib s cfg);
+  let after = Eval_cache.stats cache in
+  Alcotest.(check int) "fresh hits" 0 before.Eval_cache.hits;
+  Alcotest.(check int) "fresh misses" 0 before.Eval_cache.misses;
+  Alcotest.(check int) "hits" 2 after.Eval_cache.hits;
+  Alcotest.(check int) "misses" 1 after.Eval_cache.misses;
+  Alcotest.(check int) "registry hits" 2 (registry "cache.eval.hits" - hits0);
+  Alcotest.(check int)
+    "registry misses" 1
+    (registry "cache.eval.misses" - misses0)
 
 let test_cache_keys_distinct_over_lattice () =
   (* every lattice configuration must key differently: a collision would
@@ -313,7 +317,7 @@ let test_cache_describe () =
   (* the empty cache must not divide by zero *)
   Alcotest.(check string)
     "zero-total line" "eval cache: 0 hits / 0 misses (0 % hit rate)"
-    (Eval_cache.describe Eval_cache.zero_stats)
+    (Eval_cache.describe { Eval_cache.hits = 0; misses = 0 })
 
 let test_cache_no_eviction () =
   (* the per-sweep cache is unbounded by design: every distinct config
