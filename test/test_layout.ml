@@ -193,6 +193,130 @@ let test_lvs_detects_corruption () =
   let r = Lvs.check p in
   check_bool "corruption found" false r.Lvs.clean
 
+(* ---------------- layout snapshot ---------------- *)
+
+(* Per-spec digests of everything the back end produces — the netlist it
+   places, every placed coordinate (bit-exact, [%h]), every net's HPWL
+   and the DRC and LVS reports — in both floorplan styles, for the
+   canonical PPA specs, Fig. 8 and the Table II chip, plus two
+   non-default configs (reordered CSA trees, a split tree, other cell
+   kinds). test/snapshots/layout.snap pins them; a rewrite of any
+   back-end pass must reproduce it byte for byte. Set
+   SYNDCIM_LAYOUT_SNAP_OUT=<file> to write the rendered text there. *)
+let snap_cases =
+  let csa_reorder fa_ratio = Adder_tree.Csa { fa_ratio; reorder = true } in
+  List.map
+    (fun (name, s) -> (name, s, Spec.initial_config s))
+    (Snapshot.canonical_specs
+    @ [ ("fig8", Spec.fig8); ("table2_chip", Table2.chip_spec) ])
+  @ (let name, s = List.hd Snapshot.canonical_specs in
+     [
+       ( name ^ "+reorder_split2",
+         s,
+         {
+           (Spec.initial_config s) with
+           Macro_rtl.tree = csa_reorder 0.5;
+           tree_split = 2;
+         } );
+     ])
+  @ [
+      ( "fig8+reorder_8t_pass1t",
+        Spec.fig8,
+        {
+          (Spec.initial_config Spec.fig8) with
+          Macro_rtl.tree = csa_reorder 0.3;
+          cell_kind = Cell.S8t;
+          mul_kind = Cell.Pass_1t;
+          retime_final_rca = true;
+        } );
+    ]
+
+let md5 b = Digest.to_hex (Digest.string (Buffer.contents b))
+
+let netlist_digest (d : Ir.design) =
+  let b = Buffer.create (Ir.n_insts d * 32) in
+  let ints a = Array.iter (fun n -> Printf.bprintf b " %d" n) a in
+  Array.iter
+    (fun (inst : Ir.inst) ->
+      Printf.bprintf b "%s_%s" (Cell.kind_to_string inst.kind)
+        (Cell.drive_to_string inst.drive);
+      ints inst.ins;
+      Buffer.add_string b " ->";
+      ints inst.outs;
+      (match inst.tag with
+      | Ir.Plain -> ()
+      | Ir.Weight_bit { row; col; copy } ->
+          Printf.bprintf b " w%d.%d.%d" row col copy
+      | Ir.Pipeline_reg s -> Printf.bprintf b " reg:%s" s
+      | Ir.Subcircuit s -> Printf.bprintf b " sub:%s" s);
+      Buffer.add_char b '\n')
+    d.Ir.insts;
+  List.iter
+    (fun (dir, buses) ->
+      List.iter
+        (fun (name, bus) ->
+          Printf.bprintf b "%s %s" dir name;
+          ints bus;
+          Buffer.add_char b '\n')
+        buses)
+    [ ("in", Ir.inputs d.Ir.src); ("out", Ir.outputs d.Ir.src) ];
+  md5 b
+
+let layout_line name (m : Macro_rtl.t) style =
+  let p =
+    match style with
+    | Floorplan.Sdp -> Floorplan.sdp lib m
+    | Floorplan.Scattered -> Floorplan.scattered lib m ~seed:0x5D9
+  in
+  let r = Route.build p in
+  let place = Buffer.create (Array.length p.Floorplan.x * 40) in
+  Array.iteri
+    (fun i x -> Printf.bprintf place "%h %h\n" x p.Floorplan.y.(i))
+    p.Floorplan.x;
+  let hpwl = Buffer.create (Array.length r.Route.hpwl_um * 20) in
+  Array.iter (fun h -> Printf.bprintf hpwl "%h\n" h) r.Route.hpwl_um;
+  let drc = Buffer.create 64 in
+  List.iter
+    (fun v -> Printf.bprintf drc "%s\n" (Drc.violation_to_string v))
+    (Drc.check lib p);
+  let lvs = Lvs.check p in
+  let lvs_b = Buffer.create 64 in
+  List.iter (fun e -> Printf.bprintf lvs_b "%s\n" e) lvs.Lvs.errors;
+  Printf.sprintf
+    "%s %s | die %h x %h | wl %h | place %s | hpwl %s | drc %s | lvs %b %d \
+     %d %s"
+    name (Floorplan.style_name style) p.Floorplan.die_w p.Floorplan.die_h
+    r.Route.total_wirelength_um (md5 place) (md5 hpwl) (md5 drc)
+    lvs.Lvs.clean lvs.Lvs.instances_checked lvs.Lvs.nets_checked (md5 lvs_b)
+
+let render_layout_snapshot () =
+  let lines =
+    List.concat_map
+      (fun (name, spec, cfg) ->
+        let p = Design_point.evaluate lib spec cfg in
+        let m = p.Design_point.macro in
+        Printf.sprintf "%s netlist | insts %d nets %d | %s" name
+          (Ir.n_insts m.Macro_rtl.design) m.Macro_rtl.design.Ir.n_nets
+          (netlist_digest m.Macro_rtl.design)
+        :: List.map (layout_line name m) [ Floorplan.Sdp; Floorplan.Scattered ])
+      snap_cases
+  in
+  String.concat "\n"
+    ("# SynDCIM back-end digests: netlist, placement (%h), HPWL, DRC, LVS"
+    :: lines)
+  ^ "\n"
+
+let test_layout_snapshot () =
+  let actual = render_layout_snapshot () in
+  match Sys.getenv_opt "SYNDCIM_LAYOUT_SNAP_OUT" with
+  | Some path -> Snapshot.save path actual
+  | None ->
+      let expected = Snapshot.load (Filename.concat "snapshots" "layout.snap") in
+      let e = String.split_on_char '\n' expected
+      and a = String.split_on_char '\n' actual in
+      check_int "line count" (List.length e) (List.length a);
+      List.iter2 (Alcotest.(check string) "layout digest") e a
+
 let () =
   Alcotest.run "layout"
     [
@@ -225,5 +349,10 @@ let () =
             test_drc_detects_overlap;
           Alcotest.test_case "LVS detects corruption" `Quick
             test_lvs_detects_corruption;
+        ] );
+      ( "snapshot",
+        [
+          Alcotest.test_case "matches committed layout.snap" `Quick
+            test_layout_snapshot;
         ] );
     ]
