@@ -32,81 +32,87 @@ type t = {
 
 let row_height = 1.4
 
-let inst_width lib (inst : Ir.inst) =
+let[@inline] inst_width lib (inst : Ir.inst) =
   (Library.params lib inst.kind inst.drive).Library.area_um2 /. row_height
 
-let tag_of (d : Ir.design) i = d.insts.(i).tag
+(* Placement regions. *)
+let r_bitcell = 0 (* weight bit cells, on the (row, column, copy) grid *)
+let r_mulmux = 1 (* multiplier/mux elements, row-major creation order *)
+let r_strip = 2 (* trees + S&A, column-major creation order *)
+let r_left = 3 (* WL drivers, FP aligner *)
+let r_word = 4 (* OFU + its pipeline/output regs, word-major *)
+let r_misc = 5 (* BL drivers and everything else *)
+let n_regions = 6
 
-(* Partition instance ids into the placement regions. *)
-type regions = {
-  bitcells : (int * int * int * int) list;  (** (inst, row, col, copy) *)
-  mulmux : int list;  (** row-major creation order *)
-  column_strip : int list;  (** trees + S&A, column-major creation order *)
-  left_band : int list;  (** WL drivers, FP aligner *)
-  word_band : int list;  (** OFU + its pipeline/output regs, word-major *)
-  misc_band : int list;  (** BL drivers and everything else *)
-}
+let region_of (inst : Ir.inst) =
+  match inst.tag with
+  | Ir.Weight_bit _ -> r_bitcell
+  | Ir.Subcircuit "mulmux" -> r_mulmux
+  | Ir.Subcircuit ("adder_tree" | "shift_adder")
+  | Ir.Pipeline_reg ("tree_split" | "tree_out" | "tree_cs_a" | "tree_cs_b") ->
+      r_strip
+  | Ir.Subcircuit ("wl_driver" | "fp_align") -> r_left
+  | Ir.Subcircuit "ofu" | Ir.Pipeline_reg ("sa_ofu" | "ofu_pipe" | "macro_out")
+    ->
+      r_word
+  | Ir.Subcircuit _ | Ir.Pipeline_reg _ | Ir.Plain -> r_misc
+
+(* Instance ids partitioned into the placement regions by a counting
+   sort: region [r] is [ids.(start.(r)) .. ids.(start.(r + 1) - 1)], in
+   ascending id order. *)
+type regions = { ids : int array; start : int array }
 
 let classify (d : Ir.design) : regions =
-  let bitcells = ref []
-  and mulmux = ref []
-  and strip = ref []
-  and left = ref []
-  and word = ref []
-  and misc = ref [] in
-  Array.iteri
-    (fun i (inst : Ir.inst) ->
-      match inst.tag with
-      | Ir.Weight_bit { row; col; copy } ->
-          bitcells := (i, row, col, copy) :: !bitcells
-      | Ir.Subcircuit "mulmux" -> mulmux := i :: !mulmux
-      | Ir.Subcircuit ("adder_tree" | "shift_adder") -> strip := i :: !strip
-      | Ir.Pipeline_reg ("tree_split" | "tree_out" | "tree_cs_a" | "tree_cs_b")
-        ->
-          strip := i :: !strip
-      | Ir.Subcircuit ("wl_driver" | "fp_align") -> left := i :: !left
-      | Ir.Subcircuit "ofu"
-      | Ir.Pipeline_reg ("sa_ofu" | "ofu_pipe" | "macro_out") ->
-          word := i :: !word
-      | Ir.Subcircuit _ | Ir.Pipeline_reg _ | Ir.Plain ->
-          misc := i :: !misc)
-    d.insts;
-  {
-    bitcells = List.rev !bitcells;
-    mulmux = List.rev !mulmux;
-    column_strip = List.rev !strip;
-    left_band = List.rev !left;
-    word_band = List.rev !word;
-    misc_band = List.rev !misc;
-  }
+  let n = Ir.n_insts d in
+  let start = Array.make (n_regions + 1) 0 in
+  for i = 0 to n - 1 do
+    let r = region_of d.insts.(i) in
+    start.(r + 1) <- start.(r + 1) + 1
+  done;
+  for r = 0 to n_regions - 1 do
+    start.(r + 1) <- start.(r + 1) + start.(r)
+  done;
+  let ids = Array.make n 0 and cursor = Array.sub start 0 n_regions in
+  for i = 0 to n - 1 do
+    let r = region_of d.insts.(i) in
+    ids.(cursor.(r)) <- i;
+    cursor.(r) <- cursor.(r) + 1
+  done;
+  { ids; start }
 
-(* Fill a rectangular region row-major with the given instances; returns
-   the actually used height. *)
-let fill_region lib d ~x ~y ~x0 ~y0 ~width ids =
+(* Fill a rectangular region row-major with [ids.(lo) .. ids.(hi - 1)];
+   returns the actually used height. *)
+let fill_region lib (d : Ir.design) ~x ~y ~x0 ~y0 ~width ids lo hi =
   let cx = ref x0 and cy = ref y0 in
-  List.iter
-    (fun i ->
-      let w = inst_width lib d.Ir.insts.(i) in
-      if !cx +. w > x0 +. width +. 1e-6 then begin
-        cx := x0;
-        cy := !cy +. row_height
-      end;
-      x.(i) <- !cx +. (w /. 2.0);
-      y.(i) <- !cy +. (row_height /. 2.0);
-      cx := !cx +. w)
-    ids;
+  for k = lo to hi - 1 do
+    let i = ids.(k) in
+    let w = inst_width lib d.insts.(i) in
+    if !cx +. w > x0 +. width +. 1e-6 then begin
+      cx := x0;
+      cy := !cy +. row_height
+    end;
+    x.(i) <- !cx +. (w /. 2.0);
+    y.(i) <- !cy +. (row_height /. 2.0);
+    cx := !cx +. w
+  done;
   !cy +. row_height -. y0
 
-let region_area lib d ids =
-  List.fold_left
-    (fun a i ->
-      a
-      +. (Library.params lib d.Ir.insts.(i).kind d.Ir.insts.(i).drive)
-           .Library.area_um2)
-    0.0 ids
+(* Total cell area of [ids.(lo) .. ids.(hi - 1)], summed in id order. *)
+let region_area lib (d : Ir.design) ids lo hi =
+  let a = ref 0.0 in
+  for k = lo to hi - 1 do
+    let inst = d.insts.(ids.(k)) in
+    a := !a +. (Library.params lib inst.kind inst.drive).Library.area_um2
+  done;
+  !a
 
-let widest_cell lib d ids =
-  List.fold_left (fun w i -> Float.max w (inst_width lib d.Ir.insts.(i))) 0.0 ids
+let widest_cell lib (d : Ir.design) ids lo hi =
+  let widest = ref 0.0 in
+  for k = lo to hi - 1 do
+    let w = inst_width lib d.insts.(ids.(k)) in
+    if w > !widest then widest := w
+  done;
+  !widest
 
 (** [sdp lib macro] — structured placement of a built macro. *)
 let sdp lib (m : Macro_rtl.t) : t =
@@ -114,60 +120,61 @@ let sdp lib (m : Macro_rtl.t) : t =
   let cfg = m.Macro_rtl.cfg in
   let n = Ir.n_insts d in
   let x = Array.make n 0.0 and y = Array.make n 0.0 in
-  let r = classify d in
+  let { ids; start } = classify d in
   let cell_w =
     (Library.params lib (Cell.Sram cfg.cell_kind) Cell.X1).Library.area_um2
     /. row_height
   in
-  (* chunk the column strip ids (column-major creation order) per column *)
-  let strip_ids = Array.of_list r.column_strip in
-  let n_strip = Array.length strip_ids in
-  let per_col_strip =
-    Array.init cfg.cols (fun c ->
-        let lo = c * n_strip / cfg.cols and hi = (c + 1) * n_strip / cfg.cols in
-        Array.to_list (Array.sub strip_ids lo (hi - lo)))
-  in
-  (* chunk mulmux ids (row-major, constant count per element) *)
-  let mm_ids = Array.of_list r.mulmux in
+  (* column [c]'s strip is [ids.(strip_first c) .. ids.(strip_first (c + 1)
+     - 1)]: chunks of the column-major strip region *)
+  let strip_lo = start.(r_strip) in
+  let n_strip = start.(r_strip + 1) - strip_lo in
+  let strip_first c = strip_lo + (c * n_strip / cfg.cols) in
+  (* mulmux elements: row-major, a constant instance count per element *)
+  let mm_lo = start.(r_mulmux) in
+  let n_mm = start.(r_mulmux + 1) - mm_lo in
   let n_elems = cfg.rows * cfg.cols in
-  let per_elem =
-    if n_elems = 0 then 0 else Array.length mm_ids / max n_elems 1
-  in
+  let per_elem = if n_elems = 0 then 0 else n_mm / max n_elems 1 in
   (* the multiplier slot must fit the widest element (drives may differ) *)
   let mul_w =
-    if Array.length mm_ids = 0 || per_elem = 0 then 0.0
+    if n_mm = 0 || per_elem = 0 then 0.0
     else begin
       let widest = ref 0.0 in
       for e = 0 to n_elems - 1 do
         let w = ref 0.0 in
         for s = 0 to per_elem - 1 do
-          w := !w +. inst_width lib d.Ir.insts.(mm_ids.((e * per_elem) + s))
+          w :=
+            !w +. inst_width lib d.Ir.insts.(ids.(mm_lo + (e * per_elem) + s))
         done;
         if !w > !widest then widest := !w
       done;
       !widest
     end
   in
-  (* per-column strip width from its own area, with packing margin *)
+  (* per-column strip width from its own area, with packing margin, and
+     the column pitch; each computed once *)
   let array_h = float_of_int cfg.rows *. row_height in
-  let strip_w c =
-    let a = region_area lib d per_col_strip.(c) in
-    Float.max
-      (widest_cell lib d per_col_strip.(c))
-      (Float.max cell_w (1.12 *. a /. array_h))
-  in
+  let mcr_w = float_of_int cfg.mcr *. cell_w in
+  let strip_w = Array.make cfg.cols 0.0 and pitch = Array.make cfg.cols 0.0 in
+  for c = 0 to cfg.cols - 1 do
+    let lo = strip_first c and hi = strip_first (c + 1) in
+    let a = region_area lib d ids lo hi in
+    strip_w.(c) <-
+      Float.max
+        (widest_cell lib d ids lo hi)
+        (Float.max cell_w (1.12 *. a /. array_h));
+    pitch.(c) <- mcr_w +. mul_w +. strip_w.(c) +. 0.2
+  done;
   (* left band for WL drivers and the aligner *)
-  let left_area = region_area lib d r.left_band in
-  (* column pitch *)
-  let pitch c =
-    (float_of_int cfg.mcr *. cell_w) +. mul_w +. strip_w c +. 0.2
-  in
+  let left_lo = start.(r_left) in
+  let n_left = start.(r_left + 1) - left_lo in
+  let left_area = region_area lib d ids left_lo (left_lo + n_left) in
   (* fold the columns into stripes so the die aspect stays near square:
      a flat 1 x cols arrangement would make every cross-array net as long
      as the whole die *)
   let total_flat_w = ref 0.0 in
   for c = 0 to cfg.cols - 1 do
-    total_flat_w := !total_flat_w +. pitch c
+    total_flat_w := !total_flat_w +. pitch.(c)
   done;
   let n_stripes =
     Intmath.clamp ~lo:1 ~hi:8
@@ -176,7 +183,7 @@ let sdp lib (m : Macro_rtl.t) : t =
   let cols_per_stripe = Intmath.ceil_div cfg.cols n_stripes in
   let left_w =
     Float.max
-      (widest_cell lib d r.left_band)
+      (widest_cell lib d ids left_lo (left_lo + n_left))
       (Float.max 2.0
          (1.15 *. left_area /. (array_h *. float_of_int n_stripes)))
   in
@@ -186,67 +193,42 @@ let sdp lib (m : Macro_rtl.t) : t =
   for c = 0 to cfg.cols - 1 do
     col_x.(c) <-
       (if c mod cols_per_stripe = 0 then left_w
-       else col_x.(c - 1) +. pitch (c - 1));
-    if col_x.(c) +. pitch c > !die_w then die_w := col_x.(c) +. pitch c
+       else col_x.(c - 1) +. pitch.(c - 1));
+    if col_x.(c) +. pitch.(c) > !die_w then die_w := col_x.(c) +. pitch.(c)
   done;
   let die_w = !die_w in
-  (* place stripes bottom-up, tracking each stripe's real height *)
+  (* place stripes bottom-up, tracking each stripe's real height; the
+     bit cells and multiplier elements do not add to it and are placed
+     once every stripe's base is known *)
+  let word_lo = start.(r_word) in
+  let n_word_ids = start.(r_word + 1) - word_lo in
+  let wb = m.Macro_rtl.wb and words = m.Macro_rtl.words in
   let stripe_base = Array.make (n_stripes + 1) 0.0 in
   for s = 0 to n_stripes - 1 do
     let base = stripe_base.(s) in
     let c_lo = s * cols_per_stripe
     and c_hi = min cfg.cols ((s + 1) * cols_per_stripe) - 1 in
     let stripe_used = ref array_h in
-    (* 1. bit cells on the exact grid *)
-    List.iter
-      (fun (i, row, col, copy) ->
-        if col >= c_lo && col <= c_hi then begin
-          x.(i) <- col_x.(col) +. ((float_of_int copy +. 0.5) *. cell_w);
-          y.(i) <- base +. ((float_of_int row +. 0.5) *. row_height)
-        end)
-      r.bitcells;
-    (* 2. multiplier/mux elements beside their cells *)
-    let elem_cursor = Array.make (max n_elems 1) 0.0 in
-    Array.iteri
-      (fun idx i ->
-        let elem = if per_elem = 0 then 0 else idx / per_elem in
-        let row = elem / cfg.cols and col = elem mod cfg.cols in
-        if col >= c_lo && col <= c_hi then begin
-          let w = inst_width lib d.Ir.insts.(i) in
-          x.(i) <-
-            col_x.(col)
-            +. (float_of_int cfg.mcr *. cell_w)
-            +. elem_cursor.(elem) +. (w /. 2.0);
-          elem_cursor.(elem) <- elem_cursor.(elem) +. w;
-          y.(i) <- base +. ((float_of_int row +. 0.5) *. row_height)
-        end)
-      mm_ids;
-    (* 3. adder/S&A strips fill the gap next to each column *)
+    (* adder/S&A strips fill the gap next to each column *)
     for c = c_lo to c_hi do
-      let x0 = col_x.(c) +. (float_of_int cfg.mcr *. cell_w) +. mul_w in
+      let x0 = col_x.(c) +. mcr_w +. mul_w in
       let h =
-        fill_region lib d ~x ~y ~x0 ~y0:base ~width:(strip_w c)
-          per_col_strip.(c)
+        fill_region lib d ~x ~y ~x0 ~y0:base ~width:strip_w.(c) ids
+          (strip_first c)
+          (strip_first (c + 1))
       in
       if h > !stripe_used then stripe_used := h
     done;
-    (* 4. left band slice for this stripe's share of WL/align cells *)
-    let n_left = List.length r.left_band in
-    let slice =
-      List.filteri
-        (fun k _ ->
-          k >= s * n_left / n_stripes && k < (s + 1) * n_left / n_stripes)
-        r.left_band
+    (* left band slice for this stripe's share of WL/align cells *)
+    let lh =
+      fill_region lib d ~x ~y ~x0:0.0 ~y0:base ~width:left_w ids
+        (left_lo + (s * n_left / n_stripes))
+        (left_lo + ((s + 1) * n_left / n_stripes))
     in
-    let lh = fill_region lib d ~x ~y ~x0:0.0 ~y0:base ~width:left_w slice in
     if lh > !stripe_used then stripe_used := lh;
-    (* 5. this stripe's word band: each word's OFU block directly below
-       its own columns ("peripheral logic around the array"), so the
+    (* this stripe's word band: each word's OFU block directly below its
+       own columns ("peripheral logic around the array"), so the
        S&A-to-OFU nets never cross stripes *)
-    let wb = m.Macro_rtl.wb in
-    let words = m.Macro_rtl.words in
-    let word_ids = Array.of_list r.word_band in
-    let n_word_ids = Array.length word_ids in
     if words > 0 && n_word_ids > 0 then begin
       let band_y = base +. !stripe_used in
       let band_h = ref 0.0 in
@@ -255,13 +237,12 @@ let sdp lib (m : Macro_rtl.t) : t =
         if c_first >= c_lo && c_first <= c_hi then begin
           let c_last = min c_hi (c_first + wb - 1) in
           let x0 = col_x.(c_first) in
-          let width =
-            Float.max 6.0 (col_x.(c_last) +. pitch c_last -. x0)
+          let width = Float.max 6.0 (col_x.(c_last) +. pitch.(c_last) -. x0) in
+          let h =
+            fill_region lib d ~x ~y ~x0 ~y0:band_y ~width ids
+              (word_lo + (g * n_word_ids / words))
+              (word_lo + ((g + 1) * n_word_ids / words))
           in
-          let lo = g * n_word_ids / words
-          and hi = (g + 1) * n_word_ids / words in
-          let ids = Array.to_list (Array.sub word_ids lo (hi - lo)) in
-          let h = fill_region lib d ~x ~y ~x0 ~y0:band_y ~width ids in
           if h > !band_h then band_h := h
         end
       done;
@@ -269,10 +250,41 @@ let sdp lib (m : Macro_rtl.t) : t =
     end;
     stripe_base.(s + 1) <- base +. !stripe_used +. row_height
   done;
-  (* 6. misc band (BL drivers etc.) across the full die at the bottom *)
+  (* bit cells on the exact grid *)
+  for k = start.(r_bitcell) to start.(r_bitcell + 1) - 1 do
+    let i = ids.(k) in
+    match d.insts.(i).tag with
+    | Ir.Weight_bit { row; col; copy } when col < cfg.cols ->
+        x.(i) <- col_x.(col) +. ((float_of_int copy +. 0.5) *. cell_w);
+        y.(i) <-
+          stripe_base.(col / cols_per_stripe)
+          +. ((float_of_int row +. 0.5) *. row_height)
+    | Ir.Weight_bit _ | Ir.Plain | Ir.Pipeline_reg _ | Ir.Subcircuit _ -> ()
+  done;
+  (* multiplier/mux elements beside their cells, each element's cells
+     packed left to right *)
+  let cursor = ref 0.0 and cursor_elem = ref (-1) in
+  for idx = 0 to n_mm - 1 do
+    let i = ids.(mm_lo + idx) in
+    let elem = if per_elem = 0 then 0 else idx / per_elem in
+    if elem <> !cursor_elem then begin
+      cursor_elem := elem;
+      cursor := 0.0
+    end;
+    let row = elem / cfg.cols and col = elem mod cfg.cols in
+    let w = inst_width lib d.Ir.insts.(i) in
+    x.(i) <- col_x.(col) +. mcr_w +. !cursor +. (w /. 2.0);
+    cursor := !cursor +. w;
+    y.(i) <-
+      stripe_base.(col / cols_per_stripe)
+      +. ((float_of_int row +. 0.5) *. row_height)
+  done;
+  (* misc band (BL drivers etc.) across the full die at the bottom *)
   let band_y = stripe_base.(n_stripes) in
   let bot_h =
-    fill_region lib d ~x ~y ~x0:0.0 ~y0:band_y ~width:die_w r.misc_band
+    fill_region lib d ~x ~y ~x0:0.0 ~y0:band_y ~width:die_w ids
+      start.(r_misc)
+      start.(r_misc + 1)
   in
   let die_h = band_y +. bot_h in
   { design = d; style = Sdp; x; y; die_w; die_h; row_height }
@@ -283,15 +295,10 @@ let scattered lib (m : Macro_rtl.t) ~seed : t =
   let d = m.Macro_rtl.design in
   let n = Ir.n_insts d in
   let x = Array.make n 0.0 and y = Array.make n 0.0 in
-  let total_area =
-    Array.fold_left
-      (fun a (inst : Ir.inst) ->
-        a +. (Library.params lib inst.kind inst.drive).Library.area_um2)
-      0.0 d.insts
-  in
+  let ids = Array.init n Fun.id in
+  let total_area = region_area lib d ids 0 n in
   (* same utilization as SDP roughly: 15 % whitespace *)
   let die_w = sqrt (total_area /. 0.85) in
-  let ids = Array.init n Fun.id in
   let rng = Rng.create seed in
   for i = n - 1 downto 1 do
     let j = Rng.int rng (i + 1) in
@@ -299,9 +306,7 @@ let scattered lib (m : Macro_rtl.t) ~seed : t =
     ids.(i) <- ids.(j);
     ids.(j) <- t
   done;
-  let die_h =
-    fill_region lib d ~x ~y ~x0:0.0 ~y0:0.0 ~width:die_w (Array.to_list ids)
-  in
+  let die_h = fill_region lib d ~x ~y ~x0:0.0 ~y0:0.0 ~width:die_w ids 0 n in
   { design = d; style = Scattered; x; y; die_w; die_h; row_height }
 
 let area_mm2 (t : t) = t.die_w *. t.die_h /. 1e6

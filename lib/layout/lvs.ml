@@ -11,40 +11,47 @@ type report = {
   errors : string list;
 }
 
+(* Count every pin of [pins] on its net. *)
+let count_pins pin_count (pins : Ir.net array) =
+  for k = 0 to Array.length pins - 1 do
+    let net = pins.(k) in
+    pin_count.(net) <- pin_count.(net) + 1
+  done
+
 let check (p : Floorplan.t) : report =
   let d = p.design in
   let n = Ir.n_insts d in
   let errors = ref [] in
   if Array.length p.x <> n || Array.length p.y <> n then
     errors := "placement array size mismatch" :: !errors;
-  Array.iteri
-    (fun i (inst : Ir.inst) ->
-      if Float.is_nan p.x.(i) || Float.is_nan p.y.(i) then
-        errors :=
-          Printf.sprintf "instance %d (%s) has no location" i
-            (Cell.kind_to_string inst.kind)
-          :: !errors)
-    d.insts;
+  (* only placed instances have a location to audit *)
+  let placed = min n (min (Array.length p.x) (Array.length p.y)) in
+  for i = 0 to placed - 1 do
+    if Float.is_nan p.x.(i) || Float.is_nan p.y.(i) then
+      errors :=
+        Printf.sprintf "instance %d (%s) has no location" i
+          (Cell.kind_to_string d.insts.(i).kind)
+        :: !errors
+  done;
   (* pin-count audit per net: netlist connectivity vs placement-derived *)
   let pin_count = Array.make d.n_nets 0 in
-  Array.iter
-    (fun (inst : Ir.inst) ->
-      Array.iter (fun net -> pin_count.(net) <- pin_count.(net) + 1) inst.ins;
-      Array.iter (fun net -> pin_count.(net) <- pin_count.(net) + 1) inst.outs)
-    d.insts;
+  for i = 0 to n - 1 do
+    let inst = d.insts.(i) in
+    count_pins pin_count inst.ins;
+    count_pins pin_count inst.outs
+  done;
   let nets_checked = ref 0 in
-  Array.iteri
-    (fun net c ->
-      if net > 1 && c > 0 then begin
-        incr nets_checked;
-        let expected =
-          Ir.fanout_count d net
-          + match Ir.driver d net with Some _ -> 1 | None -> 0
-        in
-        if expected <> c then
-          errors := Printf.sprintf "net %d pin mismatch" net :: !errors
-      end)
-    pin_count;
+  for net = 2 to d.n_nets - 1 do
+    let c = pin_count.(net) in
+    if c > 0 then begin
+      incr nets_checked;
+      let expected =
+        Ir.fanout_count d net + if d.driver_inst.(net) >= 0 then 1 else 0
+      in
+      if expected <> c then
+        errors := Printf.sprintf "net %d pin mismatch" net :: !errors
+    end
+  done;
   {
     instances_checked = n;
     nets_checked = !nets_checked;

@@ -9,27 +9,52 @@ type t = {
   total_wirelength_um : float;
 }
 
+(* Per-net pin bounding boxes. *)
+type bbox = {
+  minx : float array;
+  maxx : float array;
+  miny : float array;
+  maxy : float array;
+}
+
+let[@inline] touch b net x y =
+  if x < b.minx.(net) then b.minx.(net) <- x;
+  if x > b.maxx.(net) then b.maxx.(net) <- x;
+  if y < b.miny.(net) then b.miny.(net) <- y;
+  if y > b.maxy.(net) then b.maxy.(net) <- y
+
+(* Widen the box of every net on [pins] to instance [i]'s location. *)
+let touch_pins b (p : Floorplan.t) (pins : Ir.net array) i =
+  let x = p.x.(i) and y = p.y.(i) in
+  for k = 0 to Array.length pins - 1 do
+    touch b pins.(k) x y
+  done
+
 let build (p : Floorplan.t) : t =
   let d = p.design in
-  let minx = Array.make d.n_nets infinity
-  and maxx = Array.make d.n_nets neg_infinity
-  and miny = Array.make d.n_nets infinity
-  and maxy = Array.make d.n_nets neg_infinity in
-  let touch net x y =
-    if x < minx.(net) then minx.(net) <- x;
-    if x > maxx.(net) then maxx.(net) <- x;
-    if y < miny.(net) then miny.(net) <- y;
-    if y > maxy.(net) then maxy.(net) <- y
+  let b =
+    {
+      minx = Array.make d.n_nets infinity;
+      maxx = Array.make d.n_nets neg_infinity;
+      miny = Array.make d.n_nets infinity;
+      maxy = Array.make d.n_nets neg_infinity;
+    }
   in
-  Array.iteri
-    (fun i (inst : Ir.inst) ->
-      Array.iter (fun net -> touch net p.x.(i) p.y.(i)) inst.ins;
-      Array.iter (fun net -> touch net p.x.(i) p.y.(i)) inst.outs)
-    d.insts;
+  for i = 0 to Array.length d.insts - 1 do
+    let inst = d.insts.(i) in
+    touch_pins b p inst.ins i;
+    touch_pins b p inst.outs i
+  done;
   (* primary I/O at the left edge, vertically centered *)
-  let edge net = touch net 0.0 (p.die_h /. 2.0) in
-  List.iter (fun (_, bus) -> Array.iter edge bus) (Ir.inputs d.src);
-  List.iter (fun (_, bus) -> Array.iter edge bus) (Ir.outputs d.src);
+  let edge_y = p.die_h /. 2.0 in
+  let edge (_, bus) =
+    for k = 0 to Array.length bus - 1 do
+      touch b bus.(k) 0.0 edge_y
+    done
+  in
+  List.iter edge (Ir.inputs d.src);
+  List.iter edge (Ir.outputs d.src);
+  let { minx; maxx; miny; maxy } = b in
   let hpwl = Array.make d.n_nets 0.0 in
   let total = ref 0.0 in
   for net = 2 to d.n_nets - 1 do

@@ -9,16 +9,27 @@ type t = {
 }
 
 let of_design (d : Ir.design) (lib : Library.t) =
-  let tbl = Hashtbl.create 32 in
+  let counts = Array.make Cell.n_kinds 0
+  and first = Array.make Cell.n_kinds 0 in
   let area = ref 0.0 and leak = ref 0.0 in
   for i = 0 to Array.length d.insts - 1 do
     let inst = d.insts.(i) in
-    let n = try Hashtbl.find tbl inst.kind with Not_found -> 0 in
-    Hashtbl.replace tbl inst.kind (n + 1);
+    let k = Cell.kind_index inst.kind in
+    if counts.(k) = 0 then first.(k) <- i;
+    counts.(k) <- counts.(k) + 1;
     let p = Library.params lib inst.kind inst.drive in
     area := !area +. p.area_um2;
     leak := !leak +. p.leakage_nw
   done;
+  (* [by_kind] lists kinds by descending count, ties in the order a
+     per-instance [Hashtbl] count folds them. That order depends only on
+     which kind was inserted first, so replaying the kinds into the same
+     table in first-occurrence order reproduces it. *)
+  let tbl = Hashtbl.create 32 in
+  List.filter (fun k -> counts.(Cell.kind_index k) > 0) Cell.all_kinds
+  |> List.sort (fun a b ->
+         compare first.(Cell.kind_index a) first.(Cell.kind_index b))
+  |> List.iter (fun k -> Hashtbl.replace tbl k counts.(Cell.kind_index k));
   let by_kind =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
     |> List.sort (fun (_, a) (_, b) -> compare b a)

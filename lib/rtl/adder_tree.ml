@@ -41,19 +41,9 @@ let est lib kind out =
   let p = Library.params lib kind Cell.X1 in
   p.intrinsic_ps.(out) +. (p.drive_res_ps_per_ff *. 4.0)
 
-(* Pick [n] bits from a column: earliest-arriving first when reordering
-   (so late bits wait less), FIFO otherwise. Returns (chosen, rest). *)
-let pick ~reorder n bits =
-  let bits =
-    if reorder then List.sort (fun a b -> Float.compare a.at b.at) bits
-    else bits
-  in
-  let rec take k acc = function
-    | rest when k = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | b :: rest -> take (k - 1) (b :: acc) rest
-  in
-  take n [] bits
+(* Earliest-arriving first, so late bits wait less; ties keep column
+   order. *)
+let by_arrival bits = List.stable_sort (fun a b -> Float.compare a.at b.at) bits
 
 let worst_at chosen = List.fold_left (fun m b -> Float.max m b.at) 0.0 chosen
 
@@ -84,30 +74,31 @@ let reduce c lib ~reorder ~use_fa columns =
         | [ b1; b2 ] ->
             emit w b1;
             emit w b2
-        | _ when (not fa_only) && List.length bits >= 4 -> (
-            match pick ~reorder 4 bits with
-            | [ b1; b2; b3; b4 ], rest ->
-                let s, carry, cout =
-                  Builder.comp42 c b1.net b2.net b3.net b4.net Ir.const0
-                in
-                let t0 = worst_at [ b1; b2; b3; b4 ] in
-                emit w { net = s; at = t0 +. d_c42_s };
-                emit (w + 1) { net = carry; at = t0 +. d_c42_c };
-                emit (w + 1) { net = cout; at = t0 +. d_c42_co };
-                consume rest
-            | _ -> assert false)
-        | _ -> (
+        | b1 :: b2 :: b3 :: b4 :: rest when not fa_only ->
+            let s, carry, cout =
+              Builder.comp42 c b1.net b2.net b3.net b4.net Ir.const0
+            in
+            let t0 = worst_at [ b1; b2; b3; b4 ] in
+            emit w { net = s; at = t0 +. d_c42_s };
+            emit (w + 1) { net = carry; at = t0 +. d_c42_c };
+            emit (w + 1) { net = cout; at = t0 +. d_c42_co };
+            consume rest
+        | b1 :: b2 :: b3 :: rest ->
             (* three or more bits under an FA-only policy: full adder *)
-            match pick ~reorder 3 bits with
-            | [ b1; b2; b3 ], rest ->
-                let s, carry = Builder.fa c b1.net b2.net b3.net in
-                let t0 = worst_at [ b1; b2; b3 ] in
-                emit w { net = s; at = t0 +. d_fa_s };
-                emit (w + 1) { net = carry; at = t0 +. d_fa_c };
-                consume rest
-            | _ -> assert false)
+            let s, carry = Builder.fa c b1.net b2.net b3.net in
+            let t0 = worst_at [ b1; b2; b3 ] in
+            emit w { net = s; at = t0 +. d_fa_s };
+            emit (w + 1) { net = carry; at = t0 +. d_fa_c };
+            consume rest
       in
-      consume cols.(w)
+      (* a column that needs reducing is sorted once when reordering:
+         every pick takes the front of a sorted remainder. One or two
+         bits pass through in column order. *)
+      let bits = cols.(w) in
+      consume
+        (if reorder && List.compare_length_with bits 2 > 0 then
+           by_arrival bits
+         else bits)
     done;
     (* the 2-bit pass-through keeps this loop terminating because every
        column with more than two bits shrinks each stage; half adders enter

@@ -193,6 +193,170 @@ let test_lvs_detects_corruption () =
   let r = Lvs.check p in
   check_bool "corruption found" false r.Lvs.clean
 
+(* ---------------- DRC order, short placements, allocation ---------------- *)
+
+(* The row-grouped, list-based DRC the loop form replaced: cells grouped
+   per row in a [Hashtbl] (each row's list in descending id order), each
+   row stable-sorted by left edge, then adjacent pairs scanned. Its order
+   across rows followed [Hashtbl.iter]; here the overlaps are put in the
+   canonical order — by the first cell's row, left edge, then descending
+   id — followed by the out-of-die cells in ascending id. *)
+let reference_drc (p : Floorplan.t) =
+  let d = p.Floorplan.design in
+  let n = Ir.n_insts d in
+  let outside = ref [] and overlaps = ref [] in
+  let rows = Hashtbl.create 64 in
+  let key = Hashtbl.create 64 in
+  for i = 0 to n - 1 do
+    let w = Floorplan.inst_width lib d.Ir.insts.(i) in
+    let x = p.Floorplan.x.(i) and y = p.Floorplan.y.(i) in
+    let x0 = x -. (w /. 2.0) and x1 = x +. (w /. 2.0) in
+    if x0 < -1e-3 || x1 > p.Floorplan.die_w +. 1e-3 || y < 0.0
+       || y > p.Floorplan.die_h
+    then outside := Drc.Out_of_bounds i :: !outside;
+    let row = int_of_float (y /. p.Floorplan.row_height) in
+    Hashtbl.replace key i (row, x0);
+    let cur = try Hashtbl.find rows row with Not_found -> [] in
+    Hashtbl.replace rows row ((i, x0, x1) :: cur)
+  done;
+  Hashtbl.iter
+    (fun _ cells ->
+      let sorted =
+        List.sort (fun (_, a, _) (_, b, _) -> Float.compare a b) cells
+      in
+      let rec scan = function
+        | (a, _, a1) :: ((b, b0, _) :: _ as rest) ->
+            if b0 < a1 -. 1e-3 then overlaps := (a, b) :: !overlaps;
+            scan rest
+        | [ _ ] | [] -> ()
+      in
+      scan sorted)
+    rows;
+  let canonical (a, _) (b, _) =
+    let ra, xa = Hashtbl.find key a and rb, xb = Hashtbl.find key b in
+    if ra <> rb then compare ra rb
+    else
+      let c = Float.compare xa xb in
+      if c <> 0 then c else compare b a
+  in
+  List.map (fun (a, b) -> Drc.Overlap (a, b)) (List.sort canonical !overlaps)
+  @ List.rev !outside
+
+let check_drc_matches_reference name p =
+  let render l = List.map Drc.violation_to_string l in
+  let expected = reference_drc p in
+  check_bool (name ^ ": violations found") true (expected <> []);
+  Alcotest.(check (list string)) name (render expected)
+    (render (Drc.check lib p))
+
+let test_drc_matches_reference () =
+  let m = macro () in
+  let corrupt (p : Floorplan.t) =
+    let x = p.Floorplan.x and y = p.Floorplan.y in
+    let n = Array.length x in
+    (* stack cells onto others in several rows: exact copies (a tie on
+       the left edge), half-cell shifts, and chains of three *)
+    List.iter
+      (fun (dst, src, dx) ->
+        x.(dst) <- x.(src) +. dx;
+        y.(dst) <- y.(src))
+      [
+        (1, 0, 0.0); (n / 3, n / 2, 0.3); ((n / 3) + 1, n / 2, -0.2);
+        ((n / 3) + 2, n / 2, 0.0); (n - 1, 7, 0.5); (n / 4, n / 5, 0.0);
+      ];
+    (* three bit cells (equal widths) on one spot: a three-way tie on
+       the left edge, which the descending-id rule orders *)
+    let bitcells =
+      List.filter
+        (fun i ->
+          match m.Macro_rtl.design.Ir.insts.(i).Ir.tag with
+          | Ir.Weight_bit _ -> true
+          | _ -> false)
+        (List.init n Fun.id)
+    in
+    (match bitcells with
+    | a :: _ :: b :: _ :: _ :: c :: _ ->
+        List.iter
+          (fun i ->
+            x.(i) <- x.(a);
+            y.(i) <- y.(a))
+          [ b; c ]
+    | _ -> Alcotest.fail "too few bit cells");
+    (* and push others off the die on every side *)
+    x.(n / 7) <- -3.0;
+    y.(n / 6) <- p.Floorplan.die_h +. 5.0;
+    x.(n / 8) <- p.Floorplan.die_w +. 1.0;
+    y.((n / 9) + 1) <- -0.5
+  in
+  List.iter
+    (fun style ->
+      let p =
+        match style with
+        | Floorplan.Sdp -> Floorplan.sdp lib m
+        | Floorplan.Scattered -> Floorplan.scattered lib m ~seed:3
+      in
+      corrupt p;
+      check_drc_matches_reference (Floorplan.style_name style) p;
+      (* a cell flung far off the die spreads the rows beyond a counting
+         sort: the one-pass sort must give the same violations *)
+      p.Floorplan.y.(11) <- 1e9;
+      p.Floorplan.y.(12) <- -1e9;
+      check_drc_matches_reference
+        (Floorplan.style_name style ^ " with far rows")
+        p)
+    [ Floorplan.Sdp; Floorplan.Scattered ]
+
+(* A placement whose arrays stop short of the netlist: DRC reports every
+   unplaced instance as outside the die, LVS reports the size mismatch,
+   and neither reads past the arrays. *)
+let short_placement () =
+  let m = macro ~rows:4 ~cols:8 ~mcr:1 () in
+  let p = Floorplan.sdp lib m in
+  let n = Ir.n_insts m.Macro_rtl.design in
+  let short a = Array.sub a 0 (n - 5) in
+  (n, { p with Floorplan.x = short p.Floorplan.x; y = short p.Floorplan.y })
+
+let test_drc_short_placement () =
+  let n, p = short_placement () in
+  Alcotest.(check (list string))
+    "unplaced instances are outside the die"
+    (List.init 5 (fun k -> Printf.sprintf "instance %d outside die" (n - 5 + k)))
+    (List.map Drc.violation_to_string (Drc.check lib p))
+
+let test_lvs_short_placement () =
+  let n, p = short_placement () in
+  let r = Lvs.check p in
+  check_bool "not clean" false r.Lvs.clean;
+  check_int "instances" n r.Lvs.instances_checked;
+  Alcotest.(check (list string))
+    "mismatch reported" [ "placement array size mismatch" ] r.Lvs.errors
+
+(* Minor-heap words one call of [f] allocates, after a warm-up call, as in
+   the STA kernels' guard: arrays past the minor heap's block limit are
+   allocated in the major heap and do not count. *)
+let minor_words f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+let test_backend_allocation () =
+  let m = macro ~rows:64 ~cols:64 ~mcr:1 () in
+  let n = Ir.n_insts m.Macro_rtl.design in
+  let p = Floorplan.sdp lib m in
+  let guard name ~per_inst f =
+    let w = minor_words f in
+    check_bool
+      (Printf.sprintf "%s: %.0f words for %d instances" name w n)
+      true
+      (w < per_inst *. float_of_int n)
+  in
+  guard "Route.build" ~per_inst:1.0 (fun () -> Route.build p);
+  guard "Lvs.check" ~per_inst:1.0 (fun () -> Lvs.check p);
+  guard "Drc.check" ~per_inst:0.125 (fun () -> Drc.check lib p);
+  (* a few boxed floats per column, stripe and region fill *)
+  guard "Floorplan.sdp" ~per_inst:0.125 (fun () -> Floorplan.sdp lib m)
+
 (* ---------------- layout snapshot ---------------- *)
 
 (* Per-spec digests of everything the back end produces — the netlist it
@@ -349,6 +513,20 @@ let () =
             test_drc_detects_overlap;
           Alcotest.test_case "LVS detects corruption" `Quick
             test_lvs_detects_corruption;
+        ] );
+      ( "drc order",
+        [
+          Alcotest.test_case "DRC matches list-based reference" `Quick
+            test_drc_matches_reference;
+          Alcotest.test_case "DRC on a short placement" `Quick
+            test_drc_short_placement;
+          Alcotest.test_case "LVS on a short placement" `Quick
+            test_lvs_short_placement;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "back end allocation-free" `Quick
+            test_backend_allocation;
         ] );
       ( "snapshot",
         [

@@ -326,6 +326,73 @@ let test_stats () =
   check_bool "subcircuit areas sum to total" true
     (Float.abs (sum -. st.Stats.area_um2) < 1e-6)
 
+(* [Stats.of_design] as it was before dense per-kind counting: one
+   polymorphic [Hashtbl] update per instance. [by_kind] (tie order
+   included), area and leakage must match it exactly. *)
+let reference_stats (d : Ir.design) =
+  let tbl = Hashtbl.create 32 in
+  let area = ref 0.0 and leak = ref 0.0 in
+  Array.iter
+    (fun (inst : Ir.inst) ->
+      let n = try Hashtbl.find tbl inst.Ir.kind with Not_found -> 0 in
+      Hashtbl.replace tbl inst.Ir.kind (n + 1);
+      let p = Library.params lib inst.Ir.kind inst.Ir.drive in
+      area := !area +. p.Library.area_um2;
+      leak := !leak +. p.Library.leakage_nw)
+    d.Ir.insts;
+  ( Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+    |> List.sort (fun (_, a) (_, b) -> compare b a),
+    !area,
+    !leak )
+
+let test_stats_match_reference () =
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun (name, spec) ->
+      let p = Design_point.evaluate lib spec (Spec.initial_config spec) in
+      let d = p.Design_point.macro.Macro_rtl.design in
+      let st = Stats.of_design d lib in
+      let by_kind, area, leak = reference_stats d in
+      let render l =
+        String.concat ","
+          (List.map
+             (fun (k, n) -> Printf.sprintf "%s:%d" (Cell.kind_to_string k) n)
+             l)
+      in
+      Alcotest.(check string) (name ^ " by_kind") (render by_kind)
+        (render st.Stats.by_kind);
+      check_bool (name ^ " area bits") true (bits area = bits st.Stats.area_um2);
+      check_bool (name ^ " leakage bits") true
+        (bits leak = bits st.Stats.leakage_nw))
+    Snapshot.canonical_specs;
+  (* every kind once or twice, first seen in a shuffled order: wide ties
+     whose order is the table's bucket and insertion order *)
+  let rng = Random.State.make [| 19 |] in
+  for trial = 1 to 8 do
+    let kinds = Array.of_list Cell.all_kinds in
+    for i = Array.length kinds - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = kinds.(i) in
+      kinds.(i) <- kinds.(j);
+      kinds.(j) <- t
+    done;
+    let t = Ir.create () in
+    let add k =
+      ignore
+        (Ir.add t k
+           ~ins:(Array.make (Cell.n_inputs k) Ir.const0)
+           ~outs:(Ir.new_bus t (Cell.n_outputs k)))
+    in
+    Array.iter add kinds;
+    Array.iter (fun k -> if Random.State.bool rng then add k) kinds;
+    let d = Ir.freeze t in
+    let by_kind, _, _ = reference_stats d in
+    check_bool
+      (Printf.sprintf "shuffled kinds %d: by_kind" trial)
+      true
+      (by_kind = (Stats.of_design d lib).Stats.by_kind)
+  done
+
 let test_verilog_writer () =
   let m = small_macro () in
   let v = Verilog.to_string m.Macro_rtl.design in
@@ -770,6 +837,8 @@ let () =
       ( "views",
         [
           Alcotest.test_case "stats" `Quick test_stats;
+          Alcotest.test_case "stats match per-instance Hashtbl count" `Quick
+            test_stats_match_reference;
           Alcotest.test_case "verilog writer" `Quick test_verilog_writer;
           Alcotest.test_case "sim determinism" `Quick test_sim_determinism;
           Alcotest.test_case "reset stats" `Quick test_reset_stats;
