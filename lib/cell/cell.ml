@@ -111,12 +111,22 @@ let kind_index = function
 
 let n_kinds = 24
 
+(** {!all_kinds} as an array: [kinds_by_index.(kind_index k) = k]. *)
+let kinds_by_index = Array.of_list all_kinds
+
 let all_drives = [ X1; X2; X4 ]
 
 (** [drive_index d] is [d]'s position in {!all_drives}. *)
 let drive_index = function X1 -> 0 | X2 -> 1 | X4 -> 2
 
 let n_drives = 3
+
+(** [drive_of_index i] inverts {!drive_index}. *)
+let drive_of_index = function
+  | 0 -> X1
+  | 1 -> X2
+  | 2 -> X4
+  | i -> invalid_arg (Printf.sprintf "Cell.drive_of_index: %d" i)
 
 (** [n_inputs k] is the number of logic input pins (clock excluded). *)
 let n_inputs = function

@@ -11,16 +11,15 @@ let to_string lib (p : Floorplan.t) =
        (p.die_h *. dbu));
   Buffer.add_string b
     (Printf.sprintf "COMPONENTS %d ;\n" (Ir.n_insts d));
-  Array.iteri
-    (fun i (inst : Ir.inst) ->
-      let w = Floorplan.inst_width lib inst in
-      Buffer.add_string b
-        (Printf.sprintf "  - u%d %s_%s + PLACED ( %.0f %.0f ) N ;\n" i
-           (Cell.kind_to_string inst.kind)
-           (Cell.drive_to_string inst.drive)
-           ((p.x.(i) -. (w /. 2.0)) *. dbu)
-           ((p.y.(i) -. (p.row_height /. 2.0)) *. dbu)))
-    d.insts;
+  for i = 0 to Ir.n_insts d - 1 do
+    let w = Floorplan.inst_width lib d i in
+    Buffer.add_string b
+      (Printf.sprintf "  - u%d %s_%s + PLACED ( %.0f %.0f ) N ;\n" i
+         (Cell.kind_to_string (Ir.kind d i))
+         (Cell.drive_to_string (Ir.drive d i))
+         ((p.x.(i) -. (w /. 2.0)) *. dbu)
+         ((p.y.(i) -. (p.row_height /. 2.0)) *. dbu))
+  done;
   Buffer.add_string b "END COMPONENTS\n";
   (* nets, driver first *)
   let live =
@@ -39,9 +38,8 @@ let to_string lib (p : Floorplan.t) =
       for k = d.fanout_start.(n) to d.fanout_start.(n + 1) - 1 do
         let i = d.fanout.(k) in
         if k = d.fanout_start.(n) || d.fanout.(k - 1) <> i then begin
-          let ins = d.insts.(i).ins in
-          for pin = Array.length ins - 1 downto 0 do
-            if ins.(pin) = n then
+          for pin = Ir.n_ins d i - 1 downto 0 do
+            if Ir.in_pin d i pin = n then
               Buffer.add_string b (Printf.sprintf " ( u%d I%d )" i pin)
           done
         end

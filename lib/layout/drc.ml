@@ -69,11 +69,7 @@ let check lib (p : Floorplan.t) : violation list =
   for i = 0 to placed - 1 do
     (* [Floorplan.inst_width], inlined: a float returned across modules
        is boxed *)
-    let inst = d.insts.(i) in
-    let w =
-      (Library.params lib inst.kind inst.drive).Library.area_um2
-      /. Floorplan.row_height
-    in
+    let w = (Ir.params d lib i).Library.area_um2 /. Floorplan.row_height in
     let a = p.x.(i) -. (w /. 2.0) and b = p.x.(i) +. (w /. 2.0) in
     x0.(i) <- a;
     x1.(i) <- b;

@@ -32,8 +32,10 @@ type t = {
 
 let row_height = 1.4
 
-let[@inline] inst_width lib (inst : Ir.inst) =
-  (Library.params lib inst.kind inst.drive).Library.area_um2 /. row_height
+(** [inst_width lib d i] is instance [i]'s cell width at its current
+    drive. *)
+let[@inline] inst_width lib (d : Ir.design) i =
+  (Ir.params d lib i).Library.area_um2 /. row_height
 
 (* Placement regions. *)
 let r_bitcell = 0 (* weight bit cells, on the (row, column, copy) grid *)
@@ -44,8 +46,7 @@ let r_word = 4 (* OFU + its pipeline/output regs, word-major *)
 let r_misc = 5 (* BL drivers and everything else *)
 let n_regions = 6
 
-let region_of (inst : Ir.inst) =
-  match inst.tag with
+let region_of_tag = function
   | Ir.Weight_bit _ -> r_bitcell
   | Ir.Subcircuit "mulmux" -> r_mulmux
   | Ir.Subcircuit ("adder_tree" | "shift_adder")
@@ -64,9 +65,15 @@ type regions = { ids : int array; start : int array }
 
 let classify (d : Ir.design) : regions =
   let n = Ir.n_insts d in
+  (* one region per interned tag; packed weight bits carry tag key -1 *)
+  let by_key = Array.map region_of_tag d.tag_table in
+  let region_of i =
+    let key = Ir.tag_key d i in
+    if key < 0 then r_bitcell else by_key.(key)
+  in
   let start = Array.make (n_regions + 1) 0 in
   for i = 0 to n - 1 do
-    let r = region_of d.insts.(i) in
+    let r = region_of i in
     start.(r + 1) <- start.(r + 1) + 1
   done;
   for r = 0 to n_regions - 1 do
@@ -74,7 +81,7 @@ let classify (d : Ir.design) : regions =
   done;
   let ids = Array.make n 0 and cursor = Array.sub start 0 n_regions in
   for i = 0 to n - 1 do
-    let r = region_of d.insts.(i) in
+    let r = region_of i in
     ids.(cursor.(r)) <- i;
     cursor.(r) <- cursor.(r) + 1
   done;
@@ -86,7 +93,7 @@ let fill_region lib (d : Ir.design) ~x ~y ~x0 ~y0 ~width ids lo hi =
   let cx = ref x0 and cy = ref y0 in
   for k = lo to hi - 1 do
     let i = ids.(k) in
-    let w = inst_width lib d.insts.(i) in
+    let w = inst_width lib d i in
     if !cx +. w > x0 +. width +. 1e-6 then begin
       cx := x0;
       cy := !cy +. row_height
@@ -101,15 +108,14 @@ let fill_region lib (d : Ir.design) ~x ~y ~x0 ~y0 ~width ids lo hi =
 let region_area lib (d : Ir.design) ids lo hi =
   let a = ref 0.0 in
   for k = lo to hi - 1 do
-    let inst = d.insts.(ids.(k)) in
-    a := !a +. (Library.params lib inst.kind inst.drive).Library.area_um2
+    a := !a +. (Ir.params d lib ids.(k)).Library.area_um2
   done;
   !a
 
 let widest_cell lib (d : Ir.design) ids lo hi =
   let widest = ref 0.0 in
   for k = lo to hi - 1 do
-    let w = inst_width lib d.insts.(ids.(k)) in
+    let w = inst_width lib d ids.(k) in
     if w > !widest then widest := w
   done;
   !widest
@@ -144,7 +150,7 @@ let sdp lib (m : Macro_rtl.t) : t =
         let w = ref 0.0 in
         for s = 0 to per_elem - 1 do
           w :=
-            !w +. inst_width lib d.Ir.insts.(ids.(mm_lo + (e * per_elem) + s))
+            !w +. inst_width lib d ids.(mm_lo + (e * per_elem) + s)
         done;
         if !w > !widest then widest := !w
       done;
@@ -253,13 +259,14 @@ let sdp lib (m : Macro_rtl.t) : t =
   (* bit cells on the exact grid *)
   for k = start.(r_bitcell) to start.(r_bitcell + 1) - 1 do
     let i = ids.(k) in
-    match d.insts.(i).tag with
-    | Ir.Weight_bit { row; col; copy } when col < cfg.cols ->
-        x.(i) <- col_x.(col) +. ((float_of_int copy +. 0.5) *. cell_w);
-        y.(i) <-
-          stripe_base.(col / cols_per_stripe)
-          +. ((float_of_int row +. 0.5) *. row_height)
-    | Ir.Weight_bit _ | Ir.Plain | Ir.Pipeline_reg _ | Ir.Subcircuit _ -> ()
+    let col = Ir.weight_col d i in
+    if Ir.is_weight d i && col < cfg.cols then begin
+      x.(i) <-
+        col_x.(col) +. ((float_of_int (Ir.weight_copy d i) +. 0.5) *. cell_w);
+      y.(i) <-
+        stripe_base.(col / cols_per_stripe)
+        +. ((float_of_int (Ir.weight_row d i) +. 0.5) *. row_height)
+    end
   done;
   (* multiplier/mux elements beside their cells, each element's cells
      packed left to right *)
@@ -272,7 +279,7 @@ let sdp lib (m : Macro_rtl.t) : t =
       cursor := 0.0
     end;
     let row = elem / cfg.cols and col = elem mod cfg.cols in
-    let w = inst_width lib d.Ir.insts.(i) in
+    let w = inst_width lib d i in
     x.(i) <- col_x.(col) +. mcr_w +. !cursor +. (w /. 2.0);
     cursor := !cursor +. w;
     y.(i) <-

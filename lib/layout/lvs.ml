@@ -11,13 +11,6 @@ type report = {
   errors : string list;
 }
 
-(* Count every pin of [pins] on its net. *)
-let count_pins pin_count (pins : Ir.net array) =
-  for k = 0 to Array.length pins - 1 do
-    let net = pins.(k) in
-    pin_count.(net) <- pin_count.(net) + 1
-  done
-
 let check (p : Floorplan.t) : report =
   let d = p.design in
   let n = Ir.n_insts d in
@@ -30,15 +23,15 @@ let check (p : Floorplan.t) : report =
     if Float.is_nan p.x.(i) || Float.is_nan p.y.(i) then
       errors :=
         Printf.sprintf "instance %d (%s) has no location" i
-          (Cell.kind_to_string d.insts.(i).kind)
+          (Cell.kind_to_string (Ir.kind d i))
         :: !errors
   done;
   (* pin-count audit per net: netlist connectivity vs placement-derived *)
   let pin_count = Array.make d.n_nets 0 in
-  for i = 0 to n - 1 do
-    let inst = d.insts.(i) in
-    count_pins pin_count inst.ins;
-    count_pins pin_count inst.outs
+  let pins = d.pins in
+  for q = 0 to d.pin_start.(n) - 1 do
+    let net = pins.(q) in
+    pin_count.(net) <- pin_count.(net) + 1
   done;
   let nets_checked = ref 0 in
   for net = 2 to d.n_nets - 1 do

@@ -23,13 +23,6 @@ let[@inline] touch b net x y =
   if y < b.miny.(net) then b.miny.(net) <- y;
   if y > b.maxy.(net) then b.maxy.(net) <- y
 
-(* Widen the box of every net on [pins] to instance [i]'s location. *)
-let touch_pins b (p : Floorplan.t) (pins : Ir.net array) i =
-  let x = p.x.(i) and y = p.y.(i) in
-  for k = 0 to Array.length pins - 1 do
-    touch b pins.(k) x y
-  done
-
 let build (p : Floorplan.t) : t =
   let d = p.design in
   let b =
@@ -40,10 +33,14 @@ let build (p : Floorplan.t) : t =
       maxy = Array.make d.n_nets neg_infinity;
     }
   in
-  for i = 0 to Array.length d.insts - 1 do
-    let inst = d.insts.(i) in
-    touch_pins b p inst.ins i;
-    touch_pins b p inst.outs i
+  (* widen the box of every net on instance [i]'s pins, inputs then
+     outputs, to its location *)
+  let pin_start = d.pin_start and pins = d.pins in
+  for i = 0 to Ir.n_insts d - 1 do
+    let x = p.x.(i) and y = p.y.(i) in
+    for q = pin_start.(i) to pin_start.(i + 1) - 1 do
+      touch b pins.(q) x y
+    done
   done;
   (* primary I/O at the left edge, vertically centered *)
   let edge_y = p.die_h /. 2.0 in

@@ -19,17 +19,52 @@ type tag =
       (** which paper subcircuit the instance belongs to, e.g. "adder_tree";
           used for per-subcircuit PPA breakdowns *)
 
-type inst = {
-  kind : Cell.kind;
-  mutable drive : Cell.drive;  (** mutable: the sizing fine-tuning pass *)
-  ins : net array;
-  outs : net array;
-  tag : tag;
-}
+(** [tag_label tag] — the subcircuit a tag is accounted under in the
+    per-subcircuit power and area breakdowns. *)
+let tag_label = function
+  | Subcircuit s -> s
+  | Weight_bit _ -> "memory_cell"
+  | Pipeline_reg _ -> "pipeline"
+  | Plain -> "other"
 
+(* Tag encoding in the tag column: a non-negative value is an index into
+   the netlist's interned tag table; a [Weight_bit] whose coordinates
+   each fit in [coord_bits] bits is packed into one negative int
+   instead, so the thousands of bit cells need no table entry and no
+   heap block. Any other weight address (a negative coordinate, which
+   {!freeze} rejects, or a huge one) is interned like the other tags. *)
+let coord_bits = 20
+let coord_mask = (1 lsl coord_bits) - 1
+
+let[@inline] packable c = c >= 0 && c <= coord_mask
+
+let[@inline] pack_weight row col copy =
+  lnot ((((row lsl coord_bits) lor col) lsl coord_bits) lor copy)
+
+let[@inline] packed_row v = lnot v lsr (2 * coord_bits)
+let[@inline] packed_col v = (lnot v lsr coord_bits) land coord_mask
+let[@inline] packed_copy v = lnot v land coord_mask
+
+(** A netlist under construction, stored as columns: instance [i]'s kind
+    ({!Cell.kind_index}), drive ({!Cell.drive_index}) and tag code sit at
+    index [i] of their columns, and its pins — inputs in pin order, then
+    outputs — are [pins.(pin_start.(i)) .. pins.(pin_start.(i + 1) - 1)].
+    {!add} copies into these arrays, so building a netlist creates no
+    heap block per instance. *)
 type t = {
   mutable n_nets : int;
-  insts : inst Vec.t;
+  mutable count : int;  (** instances added so far *)
+  mutable kind_col : Bytes.t;
+  mutable drive_col : Bytes.t;
+  mutable tag_col : int array;
+  mutable pin_start : int array;  (** [count + 1] live entries *)
+  mutable pins : int array;
+  tag_table : tag Vec.t;  (** interned tags; [Plain] is entry 0 *)
+  tag_ids : (tag, int) Hashtbl.t;
+  mutable last_tag : tag;
+      (** the last non-weight tag interned, and its id: builders pass one
+          tag value for a whole block, so most adds skip the hash *)
+  mutable last_tag_id : int;
   mutable rev_inputs : (string * net array) list;
       (** named input buses, most recently added first ({!inputs} gives
           declaration order) *)
@@ -41,12 +76,22 @@ let const0 : net = 0
 let const1 : net = 1
 
 let create ?(name = "top") () =
-  let dummy =
-    { kind = Cell.Inv; drive = Cell.X1; ins = [||]; outs = [||]; tag = Plain }
-  in
+  let tag_table = Vec.create ~capacity:16 Plain in
+  let tag_ids = Hashtbl.create 16 in
+  ignore (Vec.push tag_table Plain);
+  Hashtbl.add tag_ids Plain 0;
   {
     n_nets = 2;
-    insts = Vec.create dummy;
+    count = 0;
+    kind_col = Bytes.create 64;
+    drive_col = Bytes.create 64;
+    tag_col = Array.make 64 0;
+    pin_start = Array.make 65 0;
+    pins = Array.make 256 0;
+    tag_table;
+    tag_ids;
+    last_tag = Plain;
+    last_tag_id = 0;
     rev_inputs = [];
     rev_outputs = [];
     name;
@@ -61,11 +106,77 @@ let new_net t =
 (** [new_bus t width] allocates [width] fresh nets, LSB first. *)
 let new_bus t width = Array.init width (fun _ -> new_net t)
 
-(** [add t kind ~ins ~outs] appends an instance and returns its id. *)
-let add ?(tag = Plain) ?(drive = Cell.X1) t kind ~ins ~outs =
-  assert (Array.length ins = Cell.n_inputs kind);
-  assert (Array.length outs = Cell.n_outputs kind);
-  Vec.push t.insts { kind; drive; ins; outs; tag }
+let intern t tag =
+  match tag with
+  | Weight_bit { row; col; copy }
+    when packable row && packable col && packable copy ->
+      pack_weight row col copy
+  | _ when tag == t.last_tag -> t.last_tag_id
+  | _ ->
+      let id =
+        match Hashtbl.find_opt t.tag_ids tag with
+        | Some id -> id
+        | None ->
+            let id = Vec.push t.tag_table tag in
+            Hashtbl.add t.tag_ids tag id;
+            id
+      in
+      t.last_tag <- tag;
+      t.last_tag_id <- id;
+      id
+
+let grow_bytes b len =
+  let b' = Bytes.create len in
+  Bytes.blit b 0 b' 0 (Bytes.length b);
+  b'
+
+let grow_ints a len =
+  let a' = Array.make len 0 in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+(* Room for one more instance with [n_pins] pins. *)
+let reserve t n_pins =
+  let cap = Bytes.length t.kind_col in
+  if t.count >= cap then begin
+    let cap' = max 64 (2 * cap) in
+    t.kind_col <- grow_bytes t.kind_col cap';
+    t.drive_col <- grow_bytes t.drive_col cap';
+    t.tag_col <- grow_ints t.tag_col cap';
+    t.pin_start <- grow_ints t.pin_start (cap' + 1)
+  end;
+  let need = t.pin_start.(t.count) + n_pins in
+  if need > Array.length t.pins then
+    t.pins <- grow_ints t.pins (max need (max 256 (2 * Array.length t.pins)))
+
+(** [add t kind ~ins ~outs] appends an instance and returns its id. Raises
+    [Invalid_argument] when [ins] or [outs] does not match [kind]'s
+    arity. *)
+let add ?(tag = Plain) ?(drive = Cell.X1) t kind ~(ins : net array)
+    ~(outs : net array) =
+  let i = t.count in
+  let n_in = Array.length ins and n_out = Array.length outs in
+  if n_in <> Cell.n_inputs kind || n_out <> Cell.n_outputs kind then
+    invalid_arg
+      (Printf.sprintf
+         "Ir.add: instance %d (%s) takes %d inputs and %d outputs, got %d \
+          and %d"
+         i (Cell.kind_to_string kind) (Cell.n_inputs kind)
+         (Cell.n_outputs kind) n_in n_out);
+  reserve t (n_in + n_out);
+  Bytes.unsafe_set t.kind_col i (Char.unsafe_chr (Cell.kind_index kind));
+  Bytes.unsafe_set t.drive_col i (Char.unsafe_chr (Cell.drive_index drive));
+  t.tag_col.(i) <- intern t tag;
+  let pins = t.pins and base = t.pin_start.(i) in
+  for p = 0 to n_in - 1 do
+    pins.(base + p) <- ins.(p)
+  done;
+  for o = 0 to n_out - 1 do
+    pins.(base + n_in + o) <- outs.(o)
+  done;
+  t.pin_start.(i + 1) <- base + n_in + n_out;
+  t.count <- i + 1;
+  i
 
 (** [add_input t name bus] registers a named primary input bus. O(1): a
     macro declares one bus per row. *)
@@ -89,10 +200,23 @@ let find_bus buses name =
 let input_bus t = find_bus t.rev_inputs
 let output_bus t = find_bus t.rev_outputs
 
-(** A frozen, validated netlist with derived connectivity. *)
+(** A frozen, validated netlist with derived connectivity. The instance
+    columns are {!t}'s, trimmed to length and shared: a design is a fixed
+    number of flat arrays whatever its size. Read instances through the
+    accessors below, or loop over the columns directly in a kernel. *)
 type design = {
   src : t;
-  insts : inst array;
+  kinds : Bytes.t;  (** per instance: {!Cell.kind_index} of its kind *)
+  drives : Bytes.t;
+      (** per instance: {!Cell.drive_index} of its drive. Mutable: only
+          the sizing pass ({!Sizing}) writes it *)
+  tags : int array;  (** per instance: tag code (see {!tag}) *)
+  tag_table : tag array;  (** interned tags, indexed by non-negative codes *)
+  pin_start : int array;
+      (** length [n_insts + 1]: instance [i]'s pins are
+          [pins.(pin_start.(i)) .. pins.(pin_start.(i + 1) - 1)], its
+          {!n_ins} inputs first, then its outputs *)
+  pins : int array;
   n_nets : int;
   driver_inst : int array;
       (** net -> driving instance id, [-1] when nothing drives the net
@@ -121,20 +245,148 @@ type design = {
           read it through {!weight_inst} *)
 }
 
+(** One {!Cell.drive_index} byte per instance: a copy of a design's drive
+    column, e.g. {!Sizing.snapshot}. *)
+type drive_snapshot = Bytes.t
+
 exception Multiple_drivers of net
 exception Combinational_cycle of int
+
+(** Per {!Cell.kind_index}: the kind's input count, which splits an
+    instance's pins into inputs and outputs. *)
+let n_ins_by_kind = Array.map Cell.n_inputs Cell.kinds_by_index
+
+(* Per {!Cell.kind_index}: 0 combinational, 1 sequential, 2 storage. *)
+let class_by_kind =
+  Array.map
+    (fun k ->
+      if Cell.is_sequential k then 1 else if Cell.is_storage k then 2 else 0)
+    Cell.kinds_by_index
+
+(** [n_insts d] is the number of instances. *)
+let n_insts d = Bytes.length d.kinds
+
+(** [kind d i] is instance [i]'s cell kind. *)
+let kind d i = Cell.kinds_by_index.(Char.code (Bytes.get d.kinds i))
+
+(** [drive d i] is instance [i]'s current drive strength. *)
+let drive d i = Cell.drive_of_index (Char.code (Bytes.get d.drives i))
+
+(** [set_drive d i drive] resizes instance [i]. *)
+let set_drive d i drive =
+  Bytes.set d.drives i (Char.unsafe_chr (Cell.drive_index drive))
+
+(** [params d lib i] is instance [i]'s library model at its current
+    drive. *)
+let params d (lib : Library.t) i =
+  lib.Library.table.((Char.code (Bytes.get d.kinds i) * Cell.n_drives)
+                     + Char.code (Bytes.get d.drives i))
+
+(** [tag d i] is the tag instance [i] was added with (a fresh block for a
+    [Weight_bit]: cold paths and tests only). *)
+let tag d i =
+  let v = d.tags.(i) in
+  if v >= 0 then d.tag_table.(v)
+  else
+    Weight_bit
+      { row = packed_row v; col = packed_col v; copy = packed_copy v }
+
+(** [tag_key d i] names instance [i]'s tag up to its weight address: every
+    [Weight_bit] shares one key, and instances with equal keys have equal
+    {!label}s. *)
+let tag_key d i =
+  let v = d.tags.(i) in
+  if v >= 0 then v else -1
+
+(** [label d i] is {!tag_label} of instance [i]'s tag, without building
+    the tag. *)
+let label d i =
+  let v = d.tags.(i) in
+  if v >= 0 then tag_label d.tag_table.(v) else "memory_cell"
+
+(* The weight address a tag code [v] carries, decoded against its
+   [tag_table]: {!is_weight} and its readers below, and {!freeze}. *)
+let code_is_weight tag_table v =
+  v < 0
+  ||
+  match tag_table.(v) with
+  | Weight_bit _ -> true
+  | Plain | Pipeline_reg _ | Subcircuit _ -> false
+
+let code_row tag_table v =
+  if v < 0 then packed_row v
+  else match tag_table.(v) with Weight_bit w -> w.row | _ -> -1
+
+let code_col tag_table v =
+  if v < 0 then packed_col v
+  else match tag_table.(v) with Weight_bit w -> w.col | _ -> -1
+
+let code_copy tag_table v =
+  if v < 0 then packed_copy v
+  else match tag_table.(v) with Weight_bit w -> w.copy | _ -> -1
+
+(** [is_weight d i] holds when instance [i] is a [Weight_bit]; then
+    [weight_row], [weight_col] and [weight_copy] read its address
+    (they are [-1] on any other instance). *)
+let is_weight d i = code_is_weight d.tag_table d.tags.(i)
+
+let weight_row d i = code_row d.tag_table d.tags.(i)
+let weight_col d i = code_col d.tag_table d.tags.(i)
+let weight_copy d i = code_copy d.tag_table d.tags.(i)
+
+(** [n_ins d i] / [n_outs d i] are instance [i]'s input and output
+    counts. *)
+let n_ins d i = n_ins_by_kind.(Char.code (Bytes.get d.kinds i))
+
+let n_outs d i = d.pin_start.(i + 1) - d.pin_start.(i) - n_ins d i
+
+(** [in_pin d i p] is the net on input pin [p] of instance [i]. *)
+let in_pin d i p =
+  if p < 0 || p >= n_ins d i then invalid_arg "Ir.in_pin: no such pin";
+  d.pins.(d.pin_start.(i) + p)
+
+(** [out_pin d i o] is the net on output pin [o] of instance [i]. *)
+let out_pin d i o =
+  if o < 0 || o >= n_outs d i then invalid_arg "Ir.out_pin: no such pin";
+  d.pins.(d.pin_start.(i) + n_ins d i + o)
+
+(** [ins d i] / [outs d i] copy instance [i]'s input / output nets into a
+    fresh array. *)
+let ins d i = Array.sub d.pins d.pin_start.(i) (n_ins d i)
+
+let outs d i = Array.sub d.pins (d.pin_start.(i) + n_ins d i) (n_outs d i)
+
+(* [n_ins d i] on a bare kind column. *)
+let[@inline] n_ins_at kinds i =
+  n_ins_by_kind.(Char.code (Bytes.unsafe_get kinds i))
+
+(* Raise for pin [q] of instance [i], whose net [net] is not one of the
+   [n_nets] nets. *)
+let bad_net kinds pin_start i q net n_nets =
+  let k = Char.code (Bytes.get kinds i) in
+  let p = q - pin_start.(i) and n_in = n_ins_by_kind.(k) in
+  invalid_arg
+    (Printf.sprintf "Ir.freeze: instance %d (%s) %s pin %d is on net %d, \
+                     outside 0..%d (n_nets = %d)"
+       i
+       (Cell.kind_to_string Cell.kinds_by_index.(k))
+       (if p < n_in then "input" else "output")
+       (if p < n_in then p else p - n_in)
+       net (n_nets - 1) n_nets)
 
 (* Compressed sparse row fanout: count each net's input-pin incidences,
    prefix-sum the counts into segment starts, then fill every segment
    from its end while walking instances and pins in ascending order —
    which lists each net's consumers in descending (instance, pin)
    order. *)
-let build_fanout (insts : inst array) n_nets =
+let build_fanout kinds pin_start pins n_nets =
+  let n_insts = Bytes.length kinds in
   let start = Array.make (n_nets + 1) 0 in
-  for i = 0 to Array.length insts - 1 do
-    let ins = insts.(i).ins in
-    for p = 0 to Array.length ins - 1 do
-      let net = ins.(p) in
+  for i = 0 to n_insts - 1 do
+    let s = pin_start.(i) in
+    for q = s to s + n_ins_at kinds i - 1 do
+      let net = pins.(q) in
+      if net < 0 || net >= n_nets then bad_net kinds pin_start i q net n_nets;
       start.(net + 1) <- start.(net + 1) + 1
     done
   done;
@@ -143,35 +395,52 @@ let build_fanout (insts : inst array) n_nets =
   done;
   let fanout = Array.make start.(n_nets) 0 in
   let cursor = Array.sub start 1 n_nets in
-  for i = 0 to Array.length insts - 1 do
-    let ins = insts.(i).ins in
-    for p = 0 to Array.length ins - 1 do
-      let net = ins.(p) in
+  for i = 0 to n_insts - 1 do
+    let s = pin_start.(i) in
+    for q = s to s + n_ins_at kinds i - 1 do
+      let net = pins.(q) in
       cursor.(net) <- cursor.(net) - 1;
       fanout.(cursor.(net)) <- i
     done
   done;
   (start, fanout)
 
+(* Trim [t]'s columns to their live length, in place, so a design can
+   share them; a later {!add} regrows them by copying. *)
+let trim t =
+  let n = t.count in
+  if Bytes.length t.kind_col <> n then begin
+    t.kind_col <- Bytes.sub t.kind_col 0 n;
+    t.drive_col <- Bytes.sub t.drive_col 0 n;
+    t.tag_col <- Array.sub t.tag_col 0 n;
+    t.pin_start <- Array.sub t.pin_start 0 (n + 1)
+  end;
+  let n_pins = t.pin_start.(n) in
+  if Array.length t.pins <> n_pins then t.pins <- Array.sub t.pins 0 n_pins
+
 (** [freeze t] validates and derives the evaluation views. Raises
     {!Multiple_drivers} or {!Combinational_cycle} on malformed input, and
-    [Invalid_argument] on a [Weight_bit] with a negative coordinate. *)
+    [Invalid_argument] on a pin whose net is outside [0 .. n_nets - 1]
+    or on a [Weight_bit] with a negative coordinate. The design shares
+    [t]'s instance columns, drives included. *)
 let freeze (t : t) : design =
-  let insts = Vec.to_array t.insts in
-  let n_insts = Array.length insts in
+  trim t;
+  let kinds = t.kind_col and pin_start = t.pin_start and pins = t.pins in
+  let n_insts = t.count in
   let n_nets = t.n_nets in
   let driver_inst = Array.make n_nets (-1) in
   let driver_pin = Array.make n_nets (-1) in
   for i = 0 to n_insts - 1 do
-    let outs = insts.(i).outs in
-    for o = 0 to Array.length outs - 1 do
-      let net = outs.(o) in
+    let s = pin_start.(i) + n_ins_at kinds i in
+    for q = s to pin_start.(i + 1) - 1 do
+      let net = pins.(q) in
+      if net < 0 || net >= n_nets then bad_net kinds pin_start i q net n_nets;
       if driver_inst.(net) >= 0 then raise (Multiple_drivers net);
       driver_inst.(net) <- i;
-      driver_pin.(net) <- o
+      driver_pin.(net) <- q - s
     done
   done;
-  let fanout_start, fanout = build_fanout insts n_nets in
+  let fanout_start, fanout = build_fanout kinds pin_start pins n_nets in
   (* Topological order over combinational instances only: sequential and
      storage outputs are sources, so they never appear in the dependency
      graph as producers. [comb] is the combinational mask; [queue] is the
@@ -180,21 +449,20 @@ let freeze (t : t) : design =
   let comb = Bytes.make n_insts '\000' in
   let n_comb = ref 0 and n_seq = ref 0 and n_storage = ref 0 in
   for i = 0 to n_insts - 1 do
-    let k = insts.(i).kind in
-    if Cell.is_sequential k then incr n_seq
-    else if Cell.is_storage k then incr n_storage
-    else begin
-      Bytes.unsafe_set comb i '\001';
-      incr n_comb
-    end
+    match class_by_kind.(Char.code (Bytes.unsafe_get kinds i)) with
+    | 0 ->
+        Bytes.unsafe_set comb i '\001';
+        incr n_comb
+    | 1 -> incr n_seq
+    | _ -> incr n_storage
   done;
   let is_comb i = Bytes.unsafe_get comb i = '\001' in
   let indeg = Array.make n_insts 0 in
   for i = 0 to n_insts - 1 do
     if is_comb i then begin
-      let ins = insts.(i).ins in
-      for p = 0 to Array.length ins - 1 do
-        let j = driver_inst.(ins.(p)) in
+      let s = pin_start.(i) in
+      for q = s to s + n_ins_at kinds i - 1 do
+        let j = driver_inst.(pins.(q)) in
         if j >= 0 && is_comb j then indeg.(i) <- indeg.(i) + 1
       done
     end
@@ -209,10 +477,11 @@ let freeze (t : t) : design =
   done;
   let head = ref 0 in
   while !head < !tail do
-    let outs = insts.(queue.(!head)).outs in
+    let i = queue.(!head) in
     incr head;
-    for o = 0 to Array.length outs - 1 do
-      let net = outs.(o) in
+    let s = pin_start.(i) + n_ins_at kinds i in
+    for q = s to pin_start.(i + 1) - 1 do
+      let net = pins.(q) in
       for k = fanout_start.(net) to fanout_start.(net + 1) - 1 do
         let j = fanout.(k) in
         if is_comb j then begin
@@ -233,21 +502,23 @@ let freeze (t : t) : design =
     done;
     raise (Combinational_cycle !stuck)
   end;
+  let tags = t.tag_col and tag_table = Vec.to_array t.tag_table in
   let seq = Array.make !n_seq 0 and storage = Array.make !n_storage 0 in
   let rows = ref 0 and cols = ref 0 and copies = ref 0 in
   n_seq := 0;
   n_storage := 0;
   for i = 0 to n_insts - 1 do
-    let inst = insts.(i) in
-    if Cell.is_sequential inst.kind then begin
-      seq.(!n_seq) <- i;
-      incr n_seq
-    end
-    else if Cell.is_storage inst.kind then begin
-      storage.(!n_storage) <- i;
-      incr n_storage;
-      match inst.tag with
-      | Weight_bit { row; col; copy } ->
+    match class_by_kind.(Char.code (Bytes.unsafe_get kinds i)) with
+    | 1 ->
+        seq.(!n_seq) <- i;
+        incr n_seq
+    | 2 ->
+        storage.(!n_storage) <- i;
+        incr n_storage;
+        let v = tags.(i) in
+        if code_is_weight tag_table v then begin
+          let row = code_row tag_table v and col = code_col tag_table v
+          and copy = code_copy tag_table v in
           if row < 0 || col < 0 || copy < 0 then
             invalid_arg
               (Printf.sprintf "Ir.freeze: negative weight address (%d,%d,%d)"
@@ -255,21 +526,27 @@ let freeze (t : t) : design =
           rows := max !rows (row + 1);
           cols := max !cols (col + 1);
           copies := max !copies (copy + 1)
-      | Plain | Pipeline_reg _ | Subcircuit _ -> ()
-    end
+        end
+    | _ -> ()
   done;
   let rows = !rows and cols = !cols and copies = !copies in
   let weight_index = Array.make (rows * cols * copies) (-1) in
   Array.iter
     (fun i ->
-      match insts.(i).tag with
-      | Weight_bit { row; col; copy } ->
-          weight_index.((((row * cols) + col) * copies) + copy) <- i
-      | Plain | Pipeline_reg _ | Subcircuit _ -> ())
+      let v = tags.(i) in
+      if code_is_weight tag_table v then
+        weight_index.((((code_row tag_table v * cols) + code_col tag_table v)
+                       * copies)
+                      + code_copy tag_table v) <- i)
     storage;
   {
     src = t;
-    insts;
+    kinds;
+    drives = t.drive_col;
+    tags;
+    tag_table;
+    pin_start;
+    pins;
     n_nets;
     driver_inst;
     driver_pin;
@@ -301,9 +578,6 @@ let weight_inst d ~row ~col ~copy =
   then -1
   else d.weight_index.((((row * d.weight_cols) + col) * d.weight_copies) + copy)
 
-(** [n_insts d] is the number of instances. *)
-let n_insts d = Array.length d.insts
-
 (** [fanout_count d net] is the number of input pins [net] drives. *)
 let fanout_count d net = d.fanout_start.(net + 1) - d.fanout_start.(net)
 
@@ -313,8 +587,7 @@ let fanout_count d net = d.fanout_start.(net + 1) - d.fanout_start.(net)
 let fanout_load (d : design) (lib : Library.t) ?(wire_cap = fun _ -> 0.0) net =
   let pins = ref 0.0 in
   for k = d.fanout_start.(net) to d.fanout_start.(net + 1) - 1 do
-    let inst = d.insts.(d.fanout.(k)) in
-    pins := !pins +. (Library.params lib inst.kind inst.drive).input_cap_ff
+    pins := !pins +. (params d lib d.fanout.(k)).input_cap_ff
   done;
   !pins +. wire_cap net
 
@@ -327,12 +600,18 @@ let fanout_load (d : design) (lib : Library.t) ?(wire_cap = fun _ -> 0.0) net =
 let fanout_loads (d : design) (lib : Library.t) ?(wire_cap = fun _ -> 0.0) ()
     : float array =
   let loads = Array.make d.n_nets 0.0 in
-  for i = 0 to Array.length d.insts - 1 do
-    let inst = d.insts.(i) in
-    let cap = (Library.params lib inst.kind inst.drive).Library.input_cap_ff in
-    let ins = inst.ins in
-    for p = 0 to Array.length ins - 1 do
-      let net = ins.(p) in
+  let kinds = d.kinds and drives = d.drives in
+  let pin_start = d.pin_start and pins = d.pins in
+  let table = lib.Library.table and n_drives = Cell.n_drives in
+  for i = 0 to Bytes.length kinds - 1 do
+    let k = Char.code (Bytes.unsafe_get kinds i) in
+    let cap =
+      table.((k * n_drives) + Char.code (Bytes.unsafe_get drives i))
+        .Library.input_cap_ff
+    in
+    let s = pin_start.(i) in
+    for q = s to s + n_ins_by_kind.(k) - 1 do
+      let net = pins.(q) in
       loads.(net) <- loads.(net) +. cap
     done
   done;

@@ -124,7 +124,7 @@ let set_weight t ~row ~col ~copy bit =
     t.storage_state.(i) <- bit;
     t.weight_flips <- t.weight_flips + 1
   end;
-  set_net t t.d.insts.(i).outs.(0) bit
+  set_net t (Ir.out_pin t.d i 0) bit
 
 (** [eval t] settles all combinational logic from the current inputs and
     register/storage state: one pass in topological order that evaluates
@@ -137,22 +137,23 @@ let eval t =
   let d = t.d in
   let ins_buf = t.scratch_ins and outs_buf = t.scratch_outs in
   let values = t.values and dirty = t.dirty in
-  Array.iter
-    (fun i ->
-      if Bytes.get dirty i <> '\000' then begin
-        Bytes.set dirty i '\000';
-        let inst = d.insts.(i) in
-        let ins = inst.Ir.ins in
-        for p = 0 to Array.length ins - 1 do
-          ins_buf.(p) <- values.(ins.(p))
-        done;
-        Cell.eval_into inst.Ir.kind ins_buf outs_buf;
-        let outs = inst.Ir.outs in
-        for o = 0 to Array.length outs - 1 do
-          set_net t outs.(o) outs_buf.(o)
-        done
-      end)
-    d.comb_order
+  let kinds = d.kinds and pin_start = d.pin_start and pins = d.pins in
+  let n_ins_by_kind = Ir.n_ins_by_kind and order = d.comb_order in
+  for k = 0 to Array.length order - 1 do
+    let i = order.(k) in
+    if Bytes.get dirty i <> '\000' then begin
+      Bytes.set dirty i '\000';
+      let kind = Char.code (Bytes.unsafe_get kinds i) in
+      let s = pin_start.(i) and n_in = n_ins_by_kind.(kind) in
+      for p = 0 to n_in - 1 do
+        ins_buf.(p) <- values.(pins.(s + p))
+      done;
+      Cell.eval_into Cell.kinds_by_index.(kind) ins_buf outs_buf;
+      for q = s + n_in to pin_start.(i + 1) - 1 do
+        set_net t pins.(q) outs_buf.(q - s - n_in)
+      done
+    end
+  done
 
 (** [clock t] commits every flip-flop: a plain DFF captures D, an
     enabled DFF captures D only when EN is high. New Q values are driven
@@ -160,16 +161,18 @@ let eval t =
 let clock t =
   let d = t.d in
   let next = t.seq_next in
+  let kinds = d.kinds and pin_start = d.pin_start and pins = d.pins in
+  (* a flip-flop's pins: D, then EN for [Dff_en], then Q *)
   Array.iteri
     (fun idx i ->
-      let inst = d.insts.(i) in
+      let s = pin_start.(i) in
       next.(idx) <-
-        (match inst.kind with
-        | Cell.Dff -> t.values.(inst.ins.(0))
+        (match Cell.kinds_by_index.(Char.code (Bytes.get kinds i)) with
+        | Cell.Dff -> t.values.(pins.(s))
         | Cell.Dff_en ->
-            if t.values.(inst.ins.(1)) then begin
+            if t.values.(pins.(s + 1)) then begin
               t.en_cycles.(i) <- t.en_cycles.(i) + 1;
-              t.values.(inst.ins.(0))
+              t.values.(pins.(s))
             end
             else t.seq_state.(i)
         | _ -> assert false))
@@ -177,7 +180,7 @@ let clock t =
   Array.iteri
     (fun idx i ->
       t.seq_state.(i) <- next.(idx);
-      set_net t t.d.insts.(i).outs.(0) next.(idx))
+      set_net t pins.(pin_start.(i + 1) - 1) next.(idx))
     d.seq;
   t.cycles <- t.cycles + 1
 

@@ -171,7 +171,7 @@ let write_weight t ~row ~col ~copy v =
     t.storage_state.(i) <- v;
     t.weight_flips <- t.weight_flips + Intmath.popcount (old lxor v)
   end;
-  set_net t t.d.insts.(i).outs.(0) v
+  set_net t (Ir.out_pin t.d i 0) v
 
 (** [set_weight_lanes t ~row ~col ~copy bits] writes one SRAM weight bit
     per lane through its (row, col, copy) address: [bits.(l)] is lane
@@ -197,25 +197,26 @@ let eval t =
   let d = t.d in
   let ins_buf = t.scratch_ins and outs_buf = t.scratch_outs in
   let values = t.values and mask = t.mask and toggles = t.toggles in
-  Array.iter
-    (fun i ->
-      let inst = d.insts.(i) in
-      let ins = inst.Ir.ins in
-      for p = 0 to Array.length ins - 1 do
-        ins_buf.(p) <- values.(ins.(p))
-      done;
-      Cell.eval_word_into inst.Ir.kind ins_buf outs_buf;
-      let outs = inst.Ir.outs in
-      for o = 0 to Array.length outs - 1 do
-        let net = outs.(o) in
-        let v = outs_buf.(o) land mask in
-        let old = values.(net) in
-        if old <> v then begin
-          values.(net) <- v;
-          toggles.(net) <- toggles.(net) + Intmath.popcount (old lxor v)
-        end
-      done)
-    d.comb_order
+  let kinds = d.kinds and pin_start = d.pin_start and pins = d.pins in
+  let n_ins_by_kind = Ir.n_ins_by_kind and order = d.comb_order in
+  for k = 0 to Array.length order - 1 do
+    let i = order.(k) in
+    let kind = Char.code (Bytes.unsafe_get kinds i) in
+    let s = pin_start.(i) and n_in = n_ins_by_kind.(kind) in
+    for p = 0 to n_in - 1 do
+      ins_buf.(p) <- values.(pins.(s + p))
+    done;
+    Cell.eval_word_into Cell.kinds_by_index.(kind) ins_buf outs_buf;
+    for q = s + n_in to pin_start.(i + 1) - 1 do
+      let net = pins.(q) in
+      let v = outs_buf.(q - s - n_in) land mask in
+      let old = values.(net) in
+      if old <> v then begin
+        values.(net) <- v;
+        toggles.(net) <- toggles.(net) + Intmath.popcount (old lxor v)
+      end
+    done
+  done
 
 (** [clock t] commits every flip-flop in every lane: a plain DFF
     captures D, an enabled DFF captures D lane-wise where EN is high and
@@ -225,17 +226,19 @@ let clock t =
   let d = t.d in
   let next = t.seq_next in
   let values = t.values and seq_state = t.seq_state in
+  let kinds = d.kinds and pin_start = d.pin_start and pins = d.pins in
+  (* a flip-flop's pins: D, then EN for [Dff_en], then Q *)
   Array.iteri
     (fun idx i ->
-      let inst = d.insts.(i) in
+      let s = pin_start.(i) in
       next.(idx) <-
-        (match inst.kind with
-        | Cell.Dff -> values.(inst.ins.(0))
+        (match Cell.kinds_by_index.(Char.code (Bytes.get kinds i)) with
+        | Cell.Dff -> values.(pins.(s))
         | Cell.Dff_en ->
-            let en = values.(inst.ins.(1)) in
+            let en = values.(pins.(s + 1)) in
             if en <> 0 then
               t.en_cycles.(i) <- t.en_cycles.(i) + Intmath.popcount en;
-            (en land values.(inst.ins.(0))) lor (lnot en land seq_state.(i))
+            (en land values.(pins.(s))) lor (lnot en land seq_state.(i))
         | _ -> assert false))
     d.seq;
   let mask = t.mask and toggles = t.toggles in
@@ -243,7 +246,7 @@ let clock t =
     (fun idx i ->
       let v = next.(idx) land mask in
       seq_state.(i) <- v;
-      let net = d.insts.(i).outs.(0) in
+      let net = pins.(pin_start.(i + 1) - 1) in
       let old = values.(net) in
       if old <> v then begin
         values.(net) <- v;

@@ -12,12 +12,11 @@ let of_design (d : Ir.design) (lib : Library.t) =
   let counts = Array.make Cell.n_kinds 0
   and first = Array.make Cell.n_kinds 0 in
   let area = ref 0.0 and leak = ref 0.0 in
-  for i = 0 to Array.length d.insts - 1 do
-    let inst = d.insts.(i) in
-    let k = Cell.kind_index inst.kind in
+  for i = 0 to Ir.n_insts d - 1 do
+    let k = Char.code (Bytes.get d.kinds i) in
     if counts.(k) = 0 then first.(k) <- i;
     counts.(k) <- counts.(k) + 1;
-    let p = Library.params lib inst.kind inst.drive in
+    let p = Ir.params d lib i in
     area := !area +. p.area_um2;
     leak := !leak +. p.leakage_nw
   done;
@@ -47,19 +46,12 @@ let of_design (d : Ir.design) (lib : Library.t) =
     breakdown the paper's SCL tracks. *)
 let area_by_subcircuit (d : Ir.design) (lib : Library.t) =
   let tbl = Hashtbl.create 16 in
-  Array.iter
-    (fun (inst : Ir.inst) ->
-      let key =
-        match inst.tag with
-        | Ir.Subcircuit s -> s
-        | Ir.Weight_bit _ -> "memory_cell"
-        | Ir.Pipeline_reg _ -> "pipeline"
-        | Ir.Plain -> "other"
-      in
-      let p = Library.params lib inst.kind inst.drive in
-      let cur = try Hashtbl.find tbl key with Not_found -> 0.0 in
-      Hashtbl.replace tbl key (cur +. p.area_um2))
-    d.insts;
+  for i = 0 to Ir.n_insts d - 1 do
+    let key = Ir.label d i in
+    let p = Ir.params d lib i in
+    let cur = try Hashtbl.find tbl key with Not_found -> 0.0 in
+    Hashtbl.replace tbl key (cur +. p.area_um2)
+  done;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 

@@ -16,24 +16,25 @@ let bus_decl b (name, nets) ~dir =
   Buffer.add_string b
     (Printf.sprintf "  %s [%d:0] %s;\n" dir (Array.length nets - 1) name)
 
-let emit_inst b idx (inst : Ir.inst) =
+let emit_inst b (d : Ir.design) idx =
+  let kind = Ir.kind d idx in
   let cell =
-    Printf.sprintf "%s_%s"
-      (Cell.kind_to_string inst.kind)
-      (Cell.drive_to_string inst.drive)
+    Printf.sprintf "%s_%s" (Cell.kind_to_string kind)
+      (Cell.drive_to_string (Ir.drive d idx))
   in
   let pins = Buffer.create 64 in
-  Array.iteri
-    (fun i net ->
-      Buffer.add_string pins (Printf.sprintf ".I%d(%s), " i (net_name net)))
-    inst.ins;
-  if Cell.is_sequential inst.kind then Buffer.add_string pins ".CK(clk), ";
-  Array.iteri
-    (fun o net ->
-      Buffer.add_string pins
-        (Printf.sprintf ".O%d(%s)%s" o (net_name net)
-           (if o = Array.length inst.outs - 1 then "" else ", ")))
-    inst.outs;
+  for i = 0 to Ir.n_ins d idx - 1 do
+    Buffer.add_string pins
+      (Printf.sprintf ".I%d(%s), " i (net_name (Ir.in_pin d idx i)))
+  done;
+  if Cell.is_sequential kind then Buffer.add_string pins ".CK(clk), ";
+  let n_outs = Ir.n_outs d idx in
+  for o = 0 to n_outs - 1 do
+    Buffer.add_string pins
+      (Printf.sprintf ".O%d(%s)%s" o
+         (net_name (Ir.out_pin d idx o))
+         (if o = n_outs - 1 then "" else ", "))
+  done;
   Buffer.add_string b
     (Printf.sprintf "  %s u%d (%s);\n" cell idx (Buffer.contents pins))
 
@@ -66,7 +67,9 @@ let to_string (d : Ir.design) =
   in
   List.iter (alias ~input:true) inputs;
   List.iter (alias ~input:false) outputs;
-  Array.iteri (emit_inst b) d.insts;
+  for i = 0 to Ir.n_insts d - 1 do
+    emit_inst b d i
+  done;
   Buffer.add_string b "endmodule\n";
   Buffer.contents b
 

@@ -27,11 +27,7 @@ type report = {
   by_subcircuit : breakdown;
 }
 
-let tag_label = function
-  | Ir.Subcircuit s -> s
-  | Ir.Weight_bit _ -> "memory_cell"
-  | Ir.Pipeline_reg _ -> "pipeline"
-  | Ir.Plain -> "other"
+let dff_en = Cell.kind_index Cell.Dff_en
 
 (** [estimate_activity d lib ~toggles ~en_cycles ~cycles ~weight_flips
     ~freq_hz ~vdd ?wire_cap ?loads ()] converts raw switching-activity
@@ -45,7 +41,7 @@ let tag_label = function
     simulated cycle. [cycles] must be positive.
     [loads] is the per-net fanout-load map ({!Ir.fanout_loads}); pass the
     one the timing pass already computed to avoid rebuilding it here.
-    [drives] (one per instance, e.g. a {!Sizing.snapshot}) prices each
+    [drives] (a drive column, e.g. a {!Sizing.snapshot}) prices each
     instance at that drive instead of its live one, so a deferred
     estimate stays valid after a later pass resized the netlist; [loads]
     must then have been computed under the same drives. *)
@@ -54,8 +50,14 @@ let estimate_activity (d : Ir.design) (lib : Library.t)
     ~(weight_flips : int) ~freq_hz ~vdd
     ?(wire_cap = fun (_ : Ir.net) -> 0.0) ?loads ?drives () =
   assert (cycles > 0);
-  let drive_of i (inst : Ir.inst) =
-    match drives with Some a -> a.(i) | None -> inst.drive
+  let kinds = d.kinds and table = lib.Library.table in
+  let drives : Ir.drive_snapshot =
+    match drives with Some a -> a | None -> d.drives
+  in
+  (* instance [i]'s library model under [drives] *)
+  let params i =
+    table.((Char.code (Bytes.unsafe_get kinds i) * Cell.n_drives)
+           + Char.code (Bytes.get drives i))
   in
   let loads =
     match loads with
@@ -67,14 +69,15 @@ let estimate_activity (d : Ir.design) (lib : Library.t)
   let lsc = Voltage.leakage_scale node ~vdd in
   (* per-subcircuit switching energy: one slot per label, each summed in
      net order. Builders give a block's instances one shared tag, so
-     consecutive toggled nets mostly carry the same tag physically and the
-     label scan runs only when it changes. *)
+     consecutive toggled nets mostly carry the same tag key and the label
+     scan runs only when it changes. *)
   let labels = Vec.create "" and sub_fj = ref (Array.make 8 0.0) in
-  let last_tag = ref Ir.Plain and last_slot = ref (-1) in
-  let slot_of tag =
-    if !last_slot >= 0 && !last_tag == tag then !last_slot
+  let last_key = ref 0 and last_slot = ref (-1) in
+  let slot_of i =
+    let tag_key = Ir.tag_key d i in
+    if !last_slot >= 0 && !last_key = tag_key then !last_slot
     else begin
-      let key = tag_label tag in
+      let key = Ir.label d i in
       let s = ref 0 in
       while !s < Vec.length labels && not (String.equal (Vec.get labels !s) key)
       do
@@ -88,7 +91,7 @@ let estimate_activity (d : Ir.design) (lib : Library.t)
         end;
         ignore (Vec.push labels key)
       end;
-      last_tag := tag;
+      last_key := tag_key;
       last_slot := !s;
       !s
     end
@@ -101,13 +104,12 @@ let estimate_activity (d : Ir.design) (lib : Library.t)
     if count > 0 then begin
       let i = d.driver_inst.(net) in
       if i >= 0 then begin
-        let inst = d.insts.(i) in
-        let p = Library.params lib inst.kind (drive_of i inst) in
+        let p = params i in
         let load = loads.(net) in
         let per_toggle = (p.energy_fj *. esc) +. (0.5 *. load *. vdd *. vdd) in
         let fj = float_of_int count *. per_toggle in
         sw_fj := !sw_fj +. fj;
-        let s = slot_of inst.tag in
+        let s = slot_of i in
         let sub = !sub_fj in
         sub.(s) <- sub.(s) +. fj
       end
@@ -120,12 +122,10 @@ let estimate_activity (d : Ir.design) (lib : Library.t)
   let clk_fj = ref 0.0 in
   for k = 0 to Array.length d.seq - 1 do
     let i = d.seq.(k) in
-    let inst = d.insts.(i) in
-    let p = Library.params lib inst.kind (drive_of i inst) in
+    let p = params i in
     let active =
-      match inst.kind with
-      | Cell.Dff_en -> float_of_int en_cycles.(i)
-      | _ -> cycles
+      if Char.code (Bytes.get kinds i) = dff_en then float_of_int en_cycles.(i)
+      else cycles
     in
     clk_fj :=
       !clk_fj +. (p.clock_energy_fj *. esc *. clock_tree_factor *. active)
@@ -136,10 +136,8 @@ let estimate_activity (d : Ir.design) (lib : Library.t)
   let time_s = cycles /. freq_hz in
   let to_w fj = fj *. 1e-15 /. time_s in
   let leak_nw = ref 0.0 in
-  for i = 0 to Array.length d.insts - 1 do
-    let inst = d.insts.(i) in
-    leak_nw :=
-      !leak_nw +. (Library.params lib inst.kind (drive_of i inst)).leakage_nw
+  for i = 0 to Ir.n_insts d - 1 do
+    leak_nw := !leak_nw +. (params i).leakage_nw
   done;
   let leak_nw = !leak_nw in
   let leakage_w = leak_nw *. 1e-9 *. lsc in

@@ -174,10 +174,10 @@ let critical_stage (p : t) : stage =
   List.iter
     (fun (s : Sta.path_step) ->
       if s.Sta.inst >= 0 then
-        let inst = design.Ir.insts.(s.Sta.inst) in
-        if not (Cell.is_sequential inst.Ir.kind) then
+        let i = s.Sta.inst in
+        if not (Cell.is_sequential (Ir.kind design i)) then
           let key =
-            match inst.Ir.tag with
+            match Ir.tag design i with
             | Ir.Subcircuit ("wl_driver" | "mulmux" | "adder_tree") -> Mac_path
             | Ir.Weight_bit _ -> Mac_path
             | Ir.Subcircuit "ofu" -> Ofu_path

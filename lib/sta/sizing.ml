@@ -14,10 +14,9 @@ type result = {
   loads : float array;  (** the fanout-load map [sta] was computed with *)
 }
 
-let bump = function
-  | Cell.X1 -> Some Cell.X2
-  | Cell.X2 -> Some Cell.X4
-  | Cell.X4 -> None
+(* Drive indices follow the X1 -> X2 -> X4 ladder: a bump adds one, up
+   to the last. *)
+let max_drive = Cell.drive_index Cell.X4
 
 (** [speed_up d lib ~target_ps] repeatedly upsizes every combinational or
     sequential cell whose output has negative slack until the nominal
@@ -35,27 +34,27 @@ let speed_up ?(max_rounds = 6) ?(wire_cap = fun (_ : Ir.net) -> 0.0)
   let r0, loads0 = analyze () in
   let before = r0.Sta.crit_ps in
   let upsized = ref 0 in
-  let insts = d.insts in
+  let kinds = d.kinds and drives = d.drives in
+  let pin_start = d.pin_start and pins = d.pins in
   let rec go round (r : Sta.report) loads =
     if r.Sta.crit_ps <= target_ps || round >= max_rounds then (r, loads)
     else begin
       let slack = Sta.slacks r d lib ~wire_cap ~loads ~target_ps () in
       let changed = ref false in
-      for i = 0 to Array.length insts - 1 do
-        let inst = insts.(i) in
-        if not (Cell.is_storage inst.kind) then begin
-          let outs = inst.outs in
+      for i = 0 to Bytes.length kinds - 1 do
+        let kind = Char.code (Bytes.unsafe_get kinds i) in
+        if not (Cell.is_storage Cell.kinds_by_index.(kind)) then begin
           let violating = ref false in
-          for o = 0 to Array.length outs - 1 do
-            if slack.(outs.(o)) < -0.5 then violating := true
+          for q = pin_start.(i) + Ir.n_ins_by_kind.(kind)
+              to pin_start.(i + 1) - 1 do
+            if slack.(pins.(q)) < -0.5 then violating := true
           done;
-          if !violating then
-            match bump inst.drive with
-            | Some up ->
-                inst.drive <- up;
-                incr upsized;
-                changed := true
-            | None -> ()
+          let drive = Char.code (Bytes.unsafe_get drives i) in
+          if !violating && drive < max_drive then begin
+            Bytes.unsafe_set drives i (Char.unsafe_chr (drive + 1));
+            incr upsized;
+            changed := true
+          end
         end
       done;
       if not !changed then (r, loads)
@@ -76,12 +75,12 @@ let speed_up ?(max_rounds = 6) ?(wire_cap = fun (_ : Ir.net) -> 0.0)
 (** [relax d] returns every instance to X1 (minimum power/area), e.g.
     before re-running a power-preferring fine-tune. *)
 let relax (d : Ir.design) =
-  Array.iter (fun (i : Ir.inst) -> i.drive <- Cell.X1) d.insts
+  Bytes.fill d.drives 0 (Bytes.length d.drives)
+    (Char.chr (Cell.drive_index Cell.X1))
 
 (** [snapshot d] captures every instance's drive so a speculative sizing
     round can be rolled back with {!restore}. *)
-let snapshot (d : Ir.design) =
-  Array.map (fun (i : Ir.inst) -> i.drive) d.insts
+let snapshot (d : Ir.design) : Ir.drive_snapshot = Bytes.copy d.drives
 
-let restore (d : Ir.design) snap =
-  Array.iteri (fun idx (i : Ir.inst) -> i.drive <- snap.(idx)) d.insts
+let restore (d : Ir.design) (snap : Ir.drive_snapshot) =
+  Bytes.blit snap 0 d.drives 0 (Bytes.length d.drives)

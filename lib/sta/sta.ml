@@ -37,7 +37,10 @@ let analyze ?(wire_cap = fun (_ : Ir.net) -> 0.0)
     | Some l -> l
     | None -> Ir.fanout_loads d lib ~wire_cap ()
   in
-  let insts = d.insts in
+  let kinds = d.kinds and drives = d.drives in
+  let pin_start = d.pin_start and pins = d.pins in
+  let table = lib.Library.table and n_drives = Cell.n_drives in
+  let n_ins_by_kind = Ir.n_ins_by_kind in
   let arr = Array.make d.n_nets 0.0 in
   let pred = Array.make d.n_nets (-1) in
   (* predecessor net on the worst path *)
@@ -52,11 +55,12 @@ let analyze ?(wire_cap = fun (_ : Ir.net) -> 0.0)
     (Ir.inputs d.src);
   for k = 0 to Array.length d.seq - 1 do
     let i = d.seq.(k) in
-    let inst = insts.(i) in
-    let p = Library.params lib inst.kind inst.drive in
-    let outs = inst.outs in
-    for o = 0 to Array.length outs - 1 do
-      let net = outs.(o) in
+    let kind = Char.code (Bytes.unsafe_get kinds i) in
+    let p =
+      table.((kind * n_drives) + Char.code (Bytes.unsafe_get drives i))
+    in
+    for q = pin_start.(i) + n_ins_by_kind.(kind) to pin_start.(i + 1) - 1 do
+      let net = pins.(q) in
       arr.(net) <- p.clk_q_ps;
       via.(net) <- i
     done
@@ -64,21 +68,21 @@ let analyze ?(wire_cap = fun (_ : Ir.net) -> 0.0)
   for k = 0 to Array.length d.storage - 1 do
     let i = d.storage.(k) in
     (* static weights: launch at 0 but still record provenance *)
-    let outs = insts.(i).outs in
-    for o = 0 to Array.length outs - 1 do
-      via.(outs.(o)) <- i
+    let kind = Char.code (Bytes.unsafe_get kinds i) in
+    for q = pin_start.(i) + n_ins_by_kind.(kind) to pin_start.(i + 1) - 1 do
+      via.(pins.(q)) <- i
     done
   done;
   (* forward pass; the delay is {!Library.delay_ps} inlined *)
   let order = d.comb_order in
   for k = 0 to Array.length order - 1 do
     let i = order.(k) in
-    let inst = insts.(i) in
-    let ins = inst.ins in
-    let n_ins = Array.length ins in
+    let kind = Char.code (Bytes.unsafe_get kinds i) in
+    let s = pin_start.(i) in
+    let n_ins = n_ins_by_kind.(kind) in
     let worst_in = ref Ir.const0 and worst_arr = ref neg_infinity in
-    for q = 0 to n_ins - 1 do
-      let net = ins.(q) in
+    for q = s to s + n_ins - 1 do
+      let net = pins.(q) in
       if arr.(net) > !worst_arr then begin
         worst_arr := arr.(net);
         worst_in := net
@@ -86,12 +90,15 @@ let analyze ?(wire_cap = fun (_ : Ir.net) -> 0.0)
     done;
     let in_arr = if n_ins = 0 then 0.0 else !worst_arr in
     let from = if n_ins = 0 then -1 else !worst_in in
-    let p = Library.params lib inst.kind inst.drive in
+    let p =
+      table.((kind * n_drives) + Char.code (Bytes.unsafe_get drives i))
+    in
     let intrinsic = p.intrinsic_ps in
     let last = Array.length intrinsic - 1 in
-    let outs = inst.outs in
-    for o = 0 to Array.length outs - 1 do
-      let net = outs.(o) in
+    let s_out = s + n_ins in
+    for q = s_out to pin_start.(i + 1) - 1 do
+      let net = pins.(q) in
+      let o = q - s_out in
       let dly =
         intrinsic.(if o < last then o else last)
         +. (p.drive_res_ps_per_ff *. loads.(net))
@@ -112,11 +119,13 @@ let analyze ?(wire_cap = fun (_ : Ir.net) -> 0.0)
   let worst_net = ref (-1) in
   for k = 0 to Array.length d.seq - 1 do
     let i = d.seq.(k) in
-    let inst = insts.(i) in
-    let p = Library.params lib inst.kind inst.drive in
-    let ins = inst.ins in
-    for q = 0 to Array.length ins - 1 do
-      let net = ins.(q) in
+    let kind = Char.code (Bytes.unsafe_get kinds i) in
+    let p =
+      table.((kind * n_drives) + Char.code (Bytes.unsafe_get drives i))
+    in
+    let s = pin_start.(i) in
+    for q = s to s + n_ins_by_kind.(kind) - 1 do
+      let net = pins.(q) in
       let a = arr.(net) +. p.setup_ps in
       if a > !worst then begin
         worst := a;
@@ -178,14 +187,20 @@ let slacks (r : report) (d : Ir.design) (lib : Library.t)
     | Some l -> l
     | None -> Ir.fanout_loads d lib ~wire_cap ()
   in
-  let insts = d.insts in
+  let kinds = d.kinds and drives = d.drives in
+  let pin_start = d.pin_start and pins = d.pins in
+  let table = lib.Library.table and n_drives = Cell.n_drives in
+  let n_ins_by_kind = Ir.n_ins_by_kind in
   let req = Array.make d.n_nets infinity in
   for k = 0 to Array.length d.seq - 1 do
-    let inst = insts.(d.seq.(k)) in
-    let p = Library.params lib inst.kind inst.drive in
-    let ins = inst.ins in
-    for q = 0 to Array.length ins - 1 do
-      let net = ins.(q) in
+    let i = d.seq.(k) in
+    let kind = Char.code (Bytes.unsafe_get kinds i) in
+    let p =
+      table.((kind * n_drives) + Char.code (Bytes.unsafe_get drives i))
+    in
+    let s = pin_start.(i) in
+    for q = s to s + n_ins_by_kind.(kind) - 1 do
+      let net = pins.(q) in
       let v = target_ps -. p.setup_ps in
       if v < req.(net) then req.(net) <- v
     done
@@ -201,14 +216,19 @@ let slacks (r : report) (d : Ir.design) (lib : Library.t)
      forward pass's inlined delay *)
   let order = d.comb_order in
   for k = Array.length order - 1 downto 0 do
-    let inst = insts.(order.(k)) in
-    let p = Library.params lib inst.kind inst.drive in
+    let i = order.(k) in
+    let kind = Char.code (Bytes.unsafe_get kinds i) in
+    let p =
+      table.((kind * n_drives) + Char.code (Bytes.unsafe_get drives i))
+    in
     let intrinsic = p.intrinsic_ps in
     let last = Array.length intrinsic - 1 in
-    let outs = inst.outs in
+    let s = pin_start.(i) in
+    let s_out = s + n_ins_by_kind.(kind) in
     let worst_req = ref infinity in
-    for o = 0 to Array.length outs - 1 do
-      let net = outs.(o) in
+    for q = s_out to pin_start.(i + 1) - 1 do
+      let net = pins.(q) in
+      let o = q - s_out in
       let dly =
         intrinsic.(if o < last then o else last)
         +. (p.drive_res_ps_per_ff *. loads.(net))
@@ -216,9 +236,8 @@ let slacks (r : report) (d : Ir.design) (lib : Library.t)
       let v = req.(net) -. dly in
       if v < !worst_req then worst_req := v
     done;
-    let ins = inst.ins in
-    for q = 0 to Array.length ins - 1 do
-      let net = ins.(q) in
+    for q = s to s_out - 1 do
+      let net = pins.(q) in
       if !worst_req < req.(net) then req.(net) <- !worst_req
     done
   done;

@@ -66,13 +66,12 @@ let test_bitcell_grid_positions () =
   (* within one column, bit cells of consecutive rows are one row pitch
      apart; all bit cells of a column share x *)
   let pos = Hashtbl.create 64 in
-  Array.iteri
-    (fun i (inst : Ir.inst) ->
-      match inst.Ir.tag with
-      | Ir.Weight_bit { row; col; copy = 0 } ->
-          Hashtbl.replace pos (row, col) (p.Floorplan.x.(i), p.Floorplan.y.(i))
-      | _ -> ())
-    d.Ir.insts;
+  for i = 0 to Ir.n_insts d - 1 do
+    match Ir.tag d i with
+    | Ir.Weight_bit { row; col; copy = 0 } ->
+        Hashtbl.replace pos (row, col) (p.Floorplan.x.(i), p.Floorplan.y.(i))
+    | _ -> ()
+  done;
   for col = 0 to 7 do
     for row = 0 to 6 do
       let x0, y0 = Hashtbl.find pos (row, col) in
@@ -208,7 +207,7 @@ let reference_drc (p : Floorplan.t) =
   let rows = Hashtbl.create 64 in
   let key = Hashtbl.create 64 in
   for i = 0 to n - 1 do
-    let w = Floorplan.inst_width lib d.Ir.insts.(i) in
+    let w = Floorplan.inst_width lib d i in
     let x = p.Floorplan.x.(i) and y = p.Floorplan.y.(i) in
     let x0 = x -. (w /. 2.0) and x1 = x +. (w /. 2.0) in
     if x0 < -1e-3 || x1 > p.Floorplan.die_w +. 1e-3 || y < 0.0
@@ -269,7 +268,7 @@ let test_drc_matches_reference () =
     let bitcells =
       List.filter
         (fun i ->
-          match m.Macro_rtl.design.Ir.insts.(i).Ir.tag with
+          match Ir.tag m.Macro_rtl.design i with
           | Ir.Weight_bit _ -> true
           | _ -> false)
         (List.init n Fun.id)
@@ -400,21 +399,21 @@ let md5 b = Digest.to_hex (Digest.string (Buffer.contents b))
 let netlist_digest (d : Ir.design) =
   let b = Buffer.create (Ir.n_insts d * 32) in
   let ints a = Array.iter (fun n -> Printf.bprintf b " %d" n) a in
-  Array.iter
-    (fun (inst : Ir.inst) ->
-      Printf.bprintf b "%s_%s" (Cell.kind_to_string inst.kind)
-        (Cell.drive_to_string inst.drive);
-      ints inst.ins;
-      Buffer.add_string b " ->";
-      ints inst.outs;
-      (match inst.tag with
-      | Ir.Plain -> ()
-      | Ir.Weight_bit { row; col; copy } ->
-          Printf.bprintf b " w%d.%d.%d" row col copy
-      | Ir.Pipeline_reg s -> Printf.bprintf b " reg:%s" s
-      | Ir.Subcircuit s -> Printf.bprintf b " sub:%s" s);
-      Buffer.add_char b '\n')
-    d.Ir.insts;
+  for i = 0 to Ir.n_insts d - 1 do
+    Printf.bprintf b "%s_%s"
+      (Cell.kind_to_string (Ir.kind d i))
+      (Cell.drive_to_string (Ir.drive d i));
+    ints (Ir.ins d i);
+    Buffer.add_string b " ->";
+    ints (Ir.outs d i);
+    (match Ir.tag d i with
+    | Ir.Plain -> ()
+    | Ir.Weight_bit { row; col; copy } ->
+        Printf.bprintf b " w%d.%d.%d" row col copy
+    | Ir.Pipeline_reg s -> Printf.bprintf b " reg:%s" s
+    | Ir.Subcircuit s -> Printf.bprintf b " sub:%s" s);
+    Buffer.add_char b '\n'
+  done;
   List.iter
     (fun (dir, buses) ->
       List.iter

@@ -89,13 +89,76 @@ let test_register_feedback_allowed () =
   let v2 = Sim.read_bus sim "q" in
   check_bool "oscillates" true (v1 <> v2)
 
+(* The [Invalid_argument] message [f ()] raises, or [None]. *)
+let invalid_message f =
+  try
+    f ();
+    None
+  with Invalid_argument msg -> Some msg
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let check_message name ~parts msg =
+  match msg with
+  | None -> Alcotest.failf "%s: no Invalid_argument" name
+  | Some msg ->
+      List.iter
+        (fun part ->
+          check_bool (Printf.sprintf "%s: %S names %S" name msg part) true
+            (contains msg part))
+        parts
+
 let test_arity_checked () =
   let ir = Ir.create () in
-  check_bool "bad arity" true
-    (try
-       ignore (Ir.add ir Cell.Nand2 ~ins:[| 0 |] ~outs:[| Ir.new_net ir |]);
-       false
-     with Assert_failure _ -> true)
+  ignore (Ir.add ir Cell.Inv ~ins:[| 0 |] ~outs:[| Ir.new_net ir |]);
+  check_message "bad arity" ~parts:[ "instance 1"; "NAND2" ]
+    (invalid_message (fun () ->
+         ignore (Ir.add ir Cell.Nand2 ~ins:[| 0 |] ~outs:[| Ir.new_net ir |])))
+
+(* A pin on a net [freeze] cannot index: the message names the instance,
+   its kind, the pin and the net, and the net count. *)
+let test_net_out_of_range () =
+  List.iter
+    (fun (name, bad_in, bad_out, parts) ->
+      let ir = Ir.create () in
+      let a = Ir.new_net ir in
+      ignore (Ir.add ir Cell.Inv ~ins:[| a |] ~outs:[| Ir.new_net ir |]);
+      let y = Ir.new_net ir in
+      let ins = [| a; (if bad_in then 99 else a) |] in
+      let outs = [| (if bad_out then 40 else y) |] in
+      ignore (Ir.add ir Cell.Nand2 ~ins ~outs);
+      check_message name ~parts
+        (invalid_message (fun () -> ignore (Ir.freeze ir))))
+    [
+      ("input", true, false,
+       [ "instance 1"; "NAND2"; "input pin 1"; "net 99"; "n_nets = 5" ]);
+      ("output", false, true,
+       [ "instance 1"; "NAND2"; "output pin 0"; "net 40"; "n_nets = 5" ]);
+    ]
+
+let test_negative_net () =
+  List.iter
+    (fun (name, ins, outs, parts) ->
+      let ir = Ir.create () in
+      let a = Ir.new_net ir and y = Ir.new_bus ir 2 in
+      ignore (Ir.add ir Cell.Fa ~ins:(ins a) ~outs:(outs y));
+      check_message name ~parts
+        (invalid_message (fun () -> ignore (Ir.freeze ir))))
+    [
+      ( "input",
+        (fun a -> [| a; -1; a |]),
+        Fun.id,
+        [ "instance 0"; "FA"; "input pin 1"; "net -1"; "n_nets = 5" ] );
+      ( "output",
+        (fun a -> [| a; a; a |]),
+        (fun y -> [| y.(0); -7 |]),
+        [ "instance 0"; "FA"; "output pin 1"; "net -7"; "n_nets = 5" ] );
+    ]
 
 let test_fanout_load () =
   let ir = Ir.create () in
@@ -332,14 +395,14 @@ let test_stats () =
 let reference_stats (d : Ir.design) =
   let tbl = Hashtbl.create 32 in
   let area = ref 0.0 and leak = ref 0.0 in
-  Array.iter
-    (fun (inst : Ir.inst) ->
-      let n = try Hashtbl.find tbl inst.Ir.kind with Not_found -> 0 in
-      Hashtbl.replace tbl inst.Ir.kind (n + 1);
-      let p = Library.params lib inst.Ir.kind inst.Ir.drive in
-      area := !area +. p.Library.area_um2;
-      leak := !leak +. p.Library.leakage_nw)
-    d.Ir.insts;
+  for i = 0 to Ir.n_insts d - 1 do
+    let kind = Ir.kind d i in
+    let n = try Hashtbl.find tbl kind with Not_found -> 0 in
+    Hashtbl.replace tbl kind (n + 1);
+    let p = Library.params lib kind (Ir.drive d i) in
+    area := !area +. p.Library.area_um2;
+    leak := !leak +. p.Library.leakage_nw
+  done;
   ( Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
     |> List.sort (fun (_, a) (_, b) -> compare b a),
     !area,
@@ -396,11 +459,7 @@ let test_stats_match_reference () =
 let test_verilog_writer () =
   let m = small_macro () in
   let v = Verilog.to_string m.Macro_rtl.design in
-  let contains needle =
-    let n = String.length needle and h = String.length v in
-    let rec go i = i + n <= h && (String.sub v i n = needle || go (i + 1)) in
-    go 0
-  in
+  let contains = contains v in
   check_bool "module header" true (contains "module dcim_macro");
   check_bool "endmodule" true (contains "endmodule");
   check_bool "instantiates srams" true (contains "SRAM6T_X1");
@@ -460,7 +519,8 @@ let fuzz_macros =
 
 let test_csr_fanout () =
   (* the CSR segments list exactly the (instance, pin) incidences read
-     from [insts.(i).ins], in descending (instance, pin) order *)
+     from each instance's input pins, in descending (instance, pin)
+     order *)
   Array.iter
     (fun (m : Macro_rtl.t) ->
       let d = m.Macro_rtl.design in
@@ -470,10 +530,11 @@ let test_csr_fanout () =
       check_int "last segment ends the array" (Array.length d.Ir.fanout)
         start.(d.Ir.n_nets);
       let expected = Array.make d.Ir.n_nets [] in
-      Array.iteri
-        (fun i (inst : Ir.inst) ->
-          Array.iter (fun net -> expected.(net) <- i :: expected.(net)) inst.ins)
-        d.Ir.insts;
+      for i = 0 to Ir.n_insts d - 1 do
+        Array.iter
+          (fun net -> expected.(net) <- i :: expected.(net))
+          (Ir.ins d i)
+      done;
       for net = 0 to d.Ir.n_nets - 1 do
         check_bool "segment non-negative" true (start.(net) <= start.(net + 1));
         check_bool
@@ -490,10 +551,9 @@ let test_driver_matches_scan () =
     (fun (m : Macro_rtl.t) ->
       let d = m.Macro_rtl.design in
       let expected = Array.make d.Ir.n_nets None in
-      Array.iteri
-        (fun i (inst : Ir.inst) ->
-          Array.iteri (fun o net -> expected.(net) <- Some (i, o)) inst.outs)
-        d.Ir.insts;
+      for i = 0 to Ir.n_insts d - 1 do
+        Array.iteri (fun o net -> expected.(net) <- Some (i, o)) (Ir.outs d i)
+      done;
       for net = 0 to d.Ir.n_nets - 1 do
         check_bool
           (Printf.sprintf "net %d driver" net)
@@ -508,20 +568,19 @@ let test_driver_matches_scan () =
    order {!Ir.freeze} must reproduce exactly. *)
 let reference_comb_order (d : Ir.design) =
   let is_comb i =
-    let k = d.Ir.insts.(i).Ir.kind in
+    let k = Ir.kind d i in
     (not (Cell.is_sequential k)) && not (Cell.is_storage k)
   in
   let indeg = Array.make (Ir.n_insts d) 0 in
-  Array.iteri
-    (fun i (inst : Ir.inst) ->
-      if is_comb i then
-        Array.iter
-          (fun net ->
-            match Ir.driver d net with
-            | Some (j, _) when is_comb j -> indeg.(i) <- indeg.(i) + 1
-            | Some _ | None -> ())
-          inst.ins)
-    d.Ir.insts;
+  for i = 0 to Ir.n_insts d - 1 do
+    if is_comb i then
+      Array.iter
+        (fun net ->
+          match Ir.driver d net with
+          | Some (j, _) when is_comb j -> indeg.(i) <- indeg.(i) + 1
+          | Some _ | None -> ())
+        (Ir.ins d i)
+  done;
   let queue = Queue.create () and order = ref [] in
   Array.iteri (fun i n -> if is_comb i && n = 0 then Queue.add i queue) indeg;
   while not (Queue.is_empty queue) do
@@ -536,7 +595,7 @@ let reference_comb_order (d : Ir.design) =
             if indeg.(j) = 0 then Queue.add j queue
           end
         done)
-      d.Ir.insts.(i).Ir.outs
+      (Ir.outs d i)
   done;
   Array.of_list (List.rev !order)
 
@@ -554,7 +613,7 @@ let test_weight_index_round_trip () =
       let n_weights = ref 0 in
       Array.iter
         (fun i ->
-          match d.Ir.insts.(i).Ir.tag with
+          match Ir.tag d i with
           | Ir.Weight_bit { row; col; copy } ->
               incr n_weights;
               check_int "round trip" i (Ir.weight_inst d ~row ~col ~copy)
@@ -570,7 +629,7 @@ let test_weight_index_round_trip () =
             if i >= 0 then begin
               incr addressed;
               check_bool "addressed cell carries the address" true
-                (d.Ir.insts.(i).Ir.tag = Ir.Weight_bit { row; col; copy })
+                (Ir.tag d i = Ir.Weight_bit { row; col; copy })
             end
           done
         done
@@ -687,37 +746,36 @@ module Full_sweep = struct
       t.storage_state.(i) <- bit;
       t.weight_flips <- t.weight_flips + 1
     end;
-    set_net t t.d.Ir.insts.(i).Ir.outs.(0) bit
+    set_net t (Ir.out_pin t.d i 0) bit
 
   let eval t =
     Array.iter
       (fun i ->
-        let inst = t.d.Ir.insts.(i) in
         let outs =
-          Cell.eval inst.Ir.kind (Array.map (fun n -> t.values.(n)) inst.Ir.ins)
+          Cell.eval (Ir.kind t.d i)
+            (Array.map (fun n -> t.values.(n)) (Ir.ins t.d i))
         in
-        Array.iteri (fun o net -> set_net t net outs.(o)) inst.Ir.outs)
+        Array.iteri (fun o net -> set_net t net outs.(o)) (Ir.outs t.d i))
       t.d.Ir.comb_order
 
   let clock t =
     let next =
       Array.map
         (fun i ->
-          let inst = t.d.Ir.insts.(i) in
-          match inst.Ir.kind with
+          match Ir.kind t.d i with
           | Cell.Dff_en ->
-              if t.values.(inst.Ir.ins.(1)) then begin
+              if t.values.(Ir.in_pin t.d i 1) then begin
                 t.en_cycles.(i) <- t.en_cycles.(i) + 1;
-                t.values.(inst.Ir.ins.(0))
+                t.values.(Ir.in_pin t.d i 0)
               end
               else t.seq_state.(i)
-          | _ -> t.values.(inst.Ir.ins.(0)))
+          | _ -> t.values.(Ir.in_pin t.d i 0))
         t.d.Ir.seq
     in
     Array.iteri
       (fun idx i ->
         t.seq_state.(i) <- next.(idx);
-        set_net t t.d.Ir.insts.(i).Ir.outs.(0) next.(idx))
+        set_net t (Ir.out_pin t.d i 0) next.(idx))
       t.d.Ir.seq
 
   let reset_stats t =
@@ -739,7 +797,7 @@ let qtest_settle_matches_full_sweep =
         Array.of_list
           (List.filter_map
              (fun i ->
-               match d.Ir.insts.(i).Ir.tag with
+               match Ir.tag d i with
                | Ir.Weight_bit { row; col; copy } -> Some (i, row, col, copy)
                | _ -> None)
              (Array.to_list d.Ir.storage))
@@ -791,6 +849,120 @@ let qtest_rca_random =
       in
       run [ ("a", a); ("b", b) ] = a + b)
 
+(* ---------------- column storage ---------------- *)
+
+(* A random acyclic netlist through [Ir.add]: every kind (multi-output
+   cells included), inputs drawn from earlier nets, fresh output nets,
+   and every tag form — weight addresses both packed into the tag column
+   and, past 2^20 (on cells [freeze] does not index), interned. Each
+   instance reads back through the accessors exactly as it was added, at
+   drive X1, and takes any drive [Ir.set_drive] gives it. *)
+let qtest_columns_round_trip =
+  QCheck.Test.make ~name:"Ir.add columns round trip" ~count:100
+    QCheck.(pair (int_range 0 150) (int_bound 1_000_000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let ir = Ir.create () in
+      let pool = ref [| Ir.const0; Ir.const1 |] in
+      let inputs = Ir.new_bus ir 4 in
+      Ir.add_input ir "in" inputs;
+      pool := Array.append !pool inputs;
+      let kinds = Array.of_list Cell.all_kinds in
+      let names = [| "adder_tree"; "mulmux"; "ofu" |] in
+      let added =
+        List.init n (fun _ ->
+            let kind = kinds.(Rng.int rng (Array.length kinds)) in
+            let ins =
+              Array.init (Cell.n_inputs kind) (fun _ ->
+                  !pool.(Rng.int rng (Array.length !pool)))
+            in
+            let outs = Ir.new_bus ir (Cell.n_outputs kind) in
+            let tag =
+              match Rng.int rng 5 with
+              | 0 -> Ir.Plain
+              | 1 -> Ir.Subcircuit names.(Rng.int rng 3)
+              | 2 -> Ir.Pipeline_reg names.(Rng.int rng 3)
+              | 3 ->
+                  Ir.Weight_bit
+                    {
+                      row = Rng.int rng 64;
+                      col = Rng.int rng 64;
+                      copy = Rng.int rng 4;
+                    }
+              | _ when not (Cell.is_storage kind) ->
+                  (* off-grid: [freeze] indexes storage cells only *)
+                  Ir.Weight_bit
+                    {
+                      row = (1 lsl 20) + Rng.int rng 8;
+                      col = 0;
+                      copy = 1 lsl 21;
+                    }
+              | _ -> Ir.Weight_bit { row = 0; col = 0; copy = 0 }
+            in
+            let id = Ir.add ~tag ir kind ~ins ~outs in
+            pool := Array.append !pool outs;
+            (id, kind, ins, outs, tag))
+      in
+      let d = Ir.freeze ir in
+      Ir.n_insts d = n
+      && List.for_all
+           (fun (i, kind, ins, outs, tag) ->
+             let weight =
+               match tag with
+               | Ir.Weight_bit { row; col; copy } ->
+                   Ir.is_weight d i && Ir.weight_row d i = row
+                   && Ir.weight_col d i = col && Ir.weight_copy d i = copy
+               | Ir.Plain | Ir.Pipeline_reg _ | Ir.Subcircuit _ ->
+                   not (Ir.is_weight d i)
+             in
+             Ir.kind d i = kind
+             && Ir.drive d i = Cell.X1
+             && Ir.ins d i = ins && Ir.outs d i = outs
+             && Ir.n_ins d i = Array.length ins
+             && Ir.n_outs d i = Array.length outs
+             && Array.for_all Fun.id
+                  (Array.mapi (fun p net -> Ir.in_pin d i p = net) ins)
+             && Array.for_all Fun.id
+                  (Array.mapi (fun o net -> Ir.out_pin d i o = net) outs)
+             && Ir.tag d i = tag
+             && Ir.label d i = Ir.tag_label tag
+             && weight)
+           added
+      && List.for_all
+           (fun (i, _, _, _, _) ->
+             let drive = List.nth Cell.all_drives (i mod Cell.n_drives) in
+             Ir.set_drive d i drive;
+             Ir.drive d i = drive)
+           added)
+
+(* Fig. 8 as flat columns: the frozen design's heap footprint, the words
+   a build promotes out of the minor heap, and freeze's own garbage, all
+   per instance. The record-per-instance netlist measured 22.3 reachable
+   and about 13-15 promoted words per instance. *)
+let test_heap_shape () =
+  let cfg = Spec.initial_config Spec.fig8 in
+  let m = Macro_rtl.build lib cfg in
+  let d = m.Macro_rtl.design in
+  let n = float_of_int (Ir.n_insts d) in
+  let reachable = float_of_int (Obj.reachable_words (Obj.repr d)) /. n in
+  check_bool
+    (Printf.sprintf "reachable %.2f words per instance < 14" reachable)
+    true (reachable < 14.0);
+  Gc.full_major ();
+  let _, promoted0, _ = Gc.counters () in
+  ignore (Sys.opaque_identity (Macro_rtl.build lib cfg));
+  let _, promoted1, _ = Gc.counters () in
+  let promoted = (promoted1 -. promoted0) /. n in
+  check_bool
+    (Printf.sprintf "build promotes %.2f words per instance < 4" promoted)
+    true (promoted < 4.0);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Ir.freeze d.Ir.src));
+  let minor = (Gc.minor_words () -. before) /. n in
+  check_bool
+    (Printf.sprintf "freeze allocates %.3f minor words per instance < 1" minor)
+    true (minor < 1.0)
+
 let () =
   Alcotest.run "netlist"
     [
@@ -802,6 +974,9 @@ let () =
           Alcotest.test_case "register feedback" `Quick
             test_register_feedback_allowed;
           Alcotest.test_case "arity check" `Quick test_arity_checked;
+          Alcotest.test_case "net out of range" `Quick test_net_out_of_range;
+          Alcotest.test_case "negative net" `Quick test_negative_net;
+          Alcotest.test_case "heap shape" `Quick test_heap_shape;
           Alcotest.test_case "fanout load" `Quick test_fanout_load;
           Alcotest.test_case "CSR fanout" `Quick test_csr_fanout;
           Alcotest.test_case "driver map" `Quick test_driver_matches_scan;
@@ -848,5 +1023,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest qtest_rca_random;
           QCheck_alcotest.to_alcotest qtest_settle_matches_full_sweep;
+          QCheck_alcotest.to_alcotest qtest_columns_round_trip;
         ] );
     ]
