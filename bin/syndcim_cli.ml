@@ -15,44 +15,25 @@
 
 open Cmdliner
 
-let precision_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "int1" -> Ok Precision.int1
-    | "int2" -> Ok Precision.int2
-    | "int4" -> Ok Precision.int4
-    | "int8" -> Ok Precision.int8
-    | "fp4" -> Ok Precision.fp4
-    | "fp8" -> Ok Precision.fp8
-    | "bf16" -> Ok Precision.bf16
-    | other -> Error (`Msg (Printf.sprintf "unknown precision %S" other))
-  in
-  let print fmt p = Format.pp_print_string fmt (Precision.name p) in
-  Arg.conv (parse, print)
+(* Spec-field converters over the manifest parsers, so a flag and a
+   manifest field accept exactly the same spellings. *)
+let conv_of parse name =
+  let parse s = Result.map_error (fun e -> `Msg e) (parse s) in
+  Arg.conv (parse, fun fmt v -> Format.pp_print_string fmt (name v))
 
-let preference_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "power" -> Ok Spec.Prefer_power
-    | "area" -> Ok Spec.Prefer_area
-    | "performance" | "perf" -> Ok Spec.Prefer_performance
-    | "balanced" -> Ok Spec.Balanced
-    | other -> Error (`Msg (Printf.sprintf "unknown preference %S" other))
-  in
-  let print fmt p = Format.pp_print_string fmt (Spec.preference_name p) in
-  Arg.conv (parse, print)
+let precision_conv = conv_of Batch.precision_of_string Precision.name
+let preference_conv = conv_of Batch.preference_of_string Spec.preference_name
 
 (* ---------------- shared execution context ---------------- *)
 
 type ctx_args = {
   cli_jobs : int option;
   cli_scl_cache : string option;
-  cli_engine : string option;
   cli_metrics : bool;
   cli_metrics_out : string option;
 }
 
-(** The one --jobs / --scl-cache / --engine / --metrics[-out] bundle
+(** The one --jobs / --scl-cache / --metrics[-out] bundle
     every compiling subcommand reuses; the doc strings live here once
     instead of per subcommand. *)
 let ctx_term =
@@ -74,17 +55,6 @@ let ctx_term =
             "CSV file for the characterized subcircuit-library LUT; \
              loaded if present, saved after the run.")
   in
-  let engine =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Batch simulation engine: scalar (the reference \
-             simulator) or packed (the 63-lane bit-sliced simulator, \
-             the default). Both engines are bit-identical; this is a \
-             throughput knob.")
-  in
   let metrics =
     Arg.(
       value & flag
@@ -103,10 +73,10 @@ let ctx_term =
             "Write the full metrics registry as JSON to $(docv) after \
              the run (schema syndcim-metrics/1).")
   in
-  let make cli_jobs cli_scl_cache cli_engine cli_metrics cli_metrics_out =
-    { cli_jobs; cli_scl_cache; cli_engine; cli_metrics; cli_metrics_out }
+  let make cli_jobs cli_scl_cache cli_metrics cli_metrics_out =
+    { cli_jobs; cli_scl_cache; cli_metrics; cli_metrics_out }
   in
-  Term.(const make $ jobs $ scl_cache $ engine $ metrics $ metrics_out)
+  Term.(const make $ jobs $ scl_cache $ metrics $ metrics_out)
 
 (** [with_ctx a f] — validate the parsed context arguments, build the
     context over the shared world, merge the persisted SCL LUT, run
@@ -114,31 +84,19 @@ let ctx_term =
     characterization work is valid regardless of the run's verdict). *)
 let with_ctx (a : ctx_args) (f : Ctx.t -> int) : int =
   let checked =
-    let ( let* ) = Result.bind in
-    let* jobs =
-      match a.cli_jobs with
-      | None -> Ok None
-      | Some j -> Result.map Option.some (Ctx.validate_jobs j)
-    in
-    let* engine =
-      match a.cli_engine with
-      | None -> Ok None
-      | Some s -> Result.map Option.some (Ctx.validate_engine s)
-    in
-    Ok (jobs, engine)
+    match a.cli_jobs with
+    | None -> Ok None
+    | Some j -> Result.map Option.some (Ctx.validate_jobs j)
   in
   match checked with
   | Error d ->
       (* one-line diagnostic, non-zero exit, never a backtrace *)
       print_endline (Diag.to_string d);
       1
-  | Ok (jobs, engine) ->
+  | Ok jobs ->
       let ctx = Ctx.default () in
       let ctx =
         match jobs with Some j -> Ctx.with_jobs j ctx | None -> ctx
-      in
-      let ctx =
-        match engine with Some e -> Ctx.with_engines e ctx | None -> ctx
       in
       let ctx =
         match a.cli_scl_cache with
@@ -178,22 +136,23 @@ let with_ctx (a : ctx_args) (f : Ctx.t -> int) : int =
 (* ---------------- compile ---------------- *)
 
 let compile_cmd =
-  let rows = Arg.(value & opt int 64 & info [ "rows"; "H" ] ~doc:"Array height H.") in
-  let cols = Arg.(value & opt int 64 & info [ "cols"; "W" ] ~doc:"Array width W.") in
-  let mcr = Arg.(value & opt int 2 & info [ "mcr" ] ~doc:"Memory-compute ratio.") in
+  let d = Batch.default_spec in
+  let rows = Arg.(value & opt int d.Spec.rows & info [ "rows"; "H" ] ~doc:"Array height H.") in
+  let cols = Arg.(value & opt int d.Spec.cols & info [ "cols"; "W" ] ~doc:"Array width W.") in
+  let mcr = Arg.(value & opt int d.Spec.mcr & info [ "mcr" ] ~doc:"Memory-compute ratio.") in
   let iprec =
-    Arg.(value & opt precision_conv Precision.int8
+    Arg.(value & opt precision_conv d.Spec.input_prec
          & info [ "input-precision" ] ~doc:"Input format (int1..8, fp4, fp8, bf16).")
   in
   let wprec =
-    Arg.(value & opt precision_conv Precision.int8
+    Arg.(value & opt precision_conv d.Spec.weight_prec
          & info [ "weight-precision" ] ~doc:"Weight format.")
   in
-  let freq = Arg.(value & opt float 800.0 & info [ "freq-mhz" ] ~doc:"MAC clock target (MHz).") in
-  let wupd = Arg.(value & opt float 800.0 & info [ "wupd-mhz" ] ~doc:"Weight-update clock target (MHz).") in
-  let vdd = Arg.(value & opt float 0.9 & info [ "vdd" ] ~doc:"Operating supply (V).") in
+  let freq = Arg.(value & opt float (d.Spec.mac_freq_hz /. 1e6) & info [ "freq-mhz" ] ~doc:"MAC clock target (MHz).") in
+  let wupd = Arg.(value & opt float (d.Spec.weight_update_freq_hz /. 1e6) & info [ "wupd-mhz" ] ~doc:"Weight-update clock target (MHz).") in
+  let vdd = Arg.(value & opt float d.Spec.vdd & info [ "vdd" ] ~doc:"Operating supply (V).") in
   let prefer =
-    Arg.(value & opt preference_conv Spec.Balanced
+    Arg.(value & opt preference_conv d.Spec.preference
          & info [ "prefer" ] ~doc:"PPA preference: power, area, performance, balanced.")
   in
   let out = Arg.(value & opt (some string) None & info [ "o"; "out-dir" ] ~doc:"Write netlist.v, placement.def, macro.lib, macro.lef and report.txt here.") in
@@ -461,7 +420,7 @@ let verify_cmd =
              ~doc:"Bounded CI smoke run: fixed seed, 200 fuzzed specs,                    injected-bug canary and snapshot diff. Overrides --seed.")
   in
   let seed =
-    Arg.(value & opt int Ctx.default_seed
+    Arg.(value & opt int Campaign.default_seed
          & info [ "seed" ] ~doc:"Campaign seed.")
   in
   let specs =
@@ -480,11 +439,10 @@ let verify_cmd =
   let run ctx_a smoke seed specs update snapdir =
     with_ctx ctx_a @@ fun ctx ->
     let seed, specs =
-      if smoke then (Ctx.default_seed, max 200 specs) else (seed, specs)
+      if smoke then (Campaign.default_seed, max 200 specs) else (seed, specs)
     in
-    let ctx = Ctx.with_seed seed ctx in
     (* stage 1: differential fuzz campaign + metamorphic properties *)
-    let r = Campaign.run ~count:specs ctx in
+    let r = Campaign.run ~seed ~count:specs ctx in
     print_string (Campaign.describe r);
     List.iter
       (fun d -> print_endline (Diag.to_string d))
@@ -493,7 +451,7 @@ let verify_cmd =
     (* stage 2: canary — an injected retiming bug must be caught and
        shrunk, proving the checker has teeth on this very build *)
     let bug = Diffcheck.Retime_early_sample in
-    let canary = Campaign.run ~bug ~count:8 ctx in
+    let canary = Campaign.run ~bug ~seed ~count:8 ctx in
     let canary_ok = canary.Campaign.failures <> [] in
     (match canary.Campaign.failures with
     | f :: _ ->

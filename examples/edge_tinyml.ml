@@ -26,15 +26,15 @@ let () =
       preference = Spec.Prefer_power;
     }
   in
-  let a = Compiler.compile ctx spec in
+  let a = Pipeline.artifact_exn (Pipeline.run ctx spec) in
   print_string (Report.to_string lib a);
-  let m = a.Compiler.macro in
+  let m = a.Pipeline.macro in
   (* sparsity sweep: ReLU networks rarely exceed ~50 % active inputs *)
   print_endline "activation-density sweep (post-layout, 200 MHz @ 0.7 V):";
   List.iter
     (fun density ->
       let p =
-        Post_layout.power lib m a.Compiler.signoff
+        Post_layout.power lib m a.Pipeline.signoff
           ~freq_hz:spec.Spec.mac_freq_hz ~vdd:spec.Spec.vdd
           ~input_density:density ~weight_density:0.5 ~macs:8
       in
@@ -50,7 +50,7 @@ let () =
     [ 0.125; 0.25; 0.5; 0.75 ];
   (* energy for one 64x64x64 layer: 64 output words x 64 MACs *)
   let p =
-    Post_layout.power lib m a.Compiler.signoff ~freq_hz:spec.Spec.mac_freq_hz
+    Post_layout.power lib m a.Pipeline.signoff ~freq_hz:spec.Spec.mac_freq_hz
       ~vdd:spec.Spec.vdd ~input_density:0.25 ~weight_density:0.5 ~macs:8
   in
   let mac_rate =

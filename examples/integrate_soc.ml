@@ -24,9 +24,9 @@ let () =
   in
   (* the searcher decides the architecture; then rebuild the winning
      configuration with the sequencer FSM embedded *)
-  let a = Compiler.compile ctx spec in
+  let a = Pipeline.artifact_exn (Pipeline.run ctx spec) in
   let cfg =
-    { a.Compiler.search.Searcher.final.Design_point.cfg with
+    { a.Pipeline.search.Searcher.final.Design_point.cfg with
       Macro_rtl.with_controller = true }
   in
   let m = Macro_rtl.build lib cfg in
@@ -77,7 +77,7 @@ let () =
   Verilog.write_file (Filename.concat dir "dcim_macro.v") m.Macro_rtl.design;
   Def_writer.write_file lib
     (Filename.concat dir "dcim_macro.def")
-    a.Compiler.signoff.Post_layout.placement;
+    a.Pipeline.signoff.Post_layout.placement;
   let dump name text =
     let oc = open_out (Filename.concat dir name) in
     output_string oc text;

@@ -6,7 +6,7 @@
 let () =
   (* 1. The execution context: the synthetic 40nm cell library plus the
      shared subcircuit-library memo (the PPA look-up tables the searcher
-     consults), with engine/jobs/seed defaults. [Ctx.default] reuses one
+     consults) and the domain-pool width. [Ctx.default] reuses one
      process-wide world, so repeated compiles share characterization. *)
   let ctx = Ctx.default () in
   let lib = Ctx.lib ctx in
@@ -26,11 +26,11 @@ let () =
     }
   in
   (* 3. Compile: search -> verified netlist -> placed + routed macro. *)
-  let a = Compiler.compile ctx spec in
+  let a = Pipeline.artifact_exn (Pipeline.run ctx spec) in
   print_string (Report.to_string lib a);
   (* 4. Use the macro: load a weight matrix, run a MAC, compare with the
      plain dot product computed in software. *)
-  let m = a.Compiler.macro in
+  let m = a.Pipeline.macro in
   let sim = Sim.create m.Macro_rtl.design in
   let weights =
     Array.init m.Macro_rtl.words (fun g ->

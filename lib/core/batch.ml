@@ -51,7 +51,8 @@ let preference_of_string s : (Spec.preference, string) Stdlib.result =
   | "balanced" -> Ok Spec.Balanced
   | other -> Error (Printf.sprintf "unknown preference %S" other)
 
-(* Defaults match `syndcim compile` with no flags. *)
+(** The spec every manifest line, and [syndcim compile], starts from
+    before its fields apply. *)
 let default_spec : Spec.t =
   {
     Spec.rows = 64;
@@ -218,21 +219,20 @@ type result = {
 }
 
 (** [run ?jobs ?cache ?trace ctx specs] — compile every spec, fanned out
-    over the domain pool. Jobs, compile cache and trace sink all default
-    to the context's values. Per-spec failures become [Error] items; the
-    batch itself always completes, and warnings are also sent to the
-    context's diagnostic sink. Each spec records its stage rows into a
-    private trace, merged into the batch trace in manifest order after
-    the pool joins — so the trace (and its fingerprint) is independent
-    of which domain compiled what. *)
+    over the domain pool. Jobs and compile cache default to the
+    context's values. Per-spec failures become [Error] items; the batch
+    itself always completes, and corrupt-entry repairs come back as
+    [warnings]. Each spec records its stage rows into a private trace,
+    merged into [trace] in manifest order after the pool joins — so the
+    trace (and its fingerprint) is independent of which domain compiled
+    what. *)
 let run ?jobs ?cache ?trace (ctx : Ctx.t) (specs : Spec.t list) : result =
   let t0 = Unix.gettimeofday () in
   let jobs = match jobs with Some j -> Some j | None -> Ctx.jobs ctx in
   let cache = match cache with Some c -> Some c | None -> Ctx.cache ctx in
-  let trace = match trace with Some t -> Some t | None -> Ctx.trace ctx in
-  (* detach the context's own cache/trace so the per-call values above
-     are the single source of truth inside the fan-out *)
-  let call_ctx = Ctx.without_trace (Ctx.without_cache ctx) in
+  (* detach the context's own cache so the per-call value above is the
+     single source of truth inside the fan-out *)
+  let call_ctx = Ctx.without_cache ctx in
   let compiled =
     Pool.parallel_map ?jobs
       (fun (index, spec) ->
@@ -275,9 +275,8 @@ let run ?jobs ?cache ?trace (ctx : Ctx.t) (specs : Spec.t list) : result =
                 :: !warnings))
     items;
   let warnings = List.rev !warnings in
-  List.iter (Ctx.emit ctx) warnings;
   (* Outcome counts depend only on the manifest and the cache state, not
-     on scheduling or engine choice — all deterministic. *)
+     on scheduling — all deterministic. *)
   Metrics.incr (Metrics.counter "batch.runs");
   Metrics.add (Metrics.counter "batch.items") (List.length items);
   Metrics.add (Metrics.counter "batch.items_failed") !failed;

@@ -1,17 +1,16 @@
 (** The execution context: one immutable value bundling everything a
     compilation needs beyond its {!Spec.t} — the characterized cell
     library, the shared subcircuit-library memo, the domain-pool width,
-    the simulation-engine choices, default seeds, the persistent compile
-    cache and the trace/diagnostic sinks.
+    the persistent compile cache and the SCL LUT persistence path.
 
     Every layer threads a [Ctx.t]: {!Pipeline.run}, {!Batch.run}, the
     {!Service} facade, the seven [Eval] harnesses and the [Verify]
     campaign stack all take a context instead of hand-assembled
-    [lib]/[scl]/[?jobs]/[?engine]/[?cache] arguments. Per-call optional
-    arguments still exist where a caller genuinely wants to deviate for
-    one call (e.g. an engine-equivalence test), but they default to the
-    context's values, so constructing two contexts is all it takes to run
-    two corners — or two tenants — side by side.
+    [lib]/[scl]/[?jobs]/[?cache] arguments. Everything else a call can
+    vary (trace sink, seed, policy, simulation engine of a leaf checker)
+    is a per-call argument with a literal default, so constructing two
+    contexts is all it takes to run two corners — or two tenants — side
+    by side.
 
     {2 Ownership rules}
 
@@ -28,45 +27,17 @@
     - Netlists are {e not} part of the context and are never cached by
       it: an ECO pass mutates cell drives in place ({!Sizing.speed_up}),
       so a [Macro_rtl.t] belongs to exactly one compilation. Only
-      metrics-level summaries enter the compile cache.
-    - [trace] is a mutable row sink; give each concurrent request its own
-      ([?trace] override or {!with_trace}) — the batch driver already
-      records per-spec traces and merges them in manifest order. *)
-
-type engine = Engine.t
-(** [`Scalar] or [`Packed] (the 63-lane {!Sim_multiword}); the
-    conformance suite proves them bit-identical, so the choice is purely
-    a throughput knob *)
-
-let engine_name : engine -> string = Engine.name
-
-(** [validate_engine s] — parse a CLI [--engine] argument ([scalar] or
-    [packed]). A bad value is a one-line diagnostic, not an exception. *)
-let validate_engine (s : string) : (engine, Diag.t) Stdlib.result =
-  match Engine.of_string s with
-  | Ok e -> Ok e
-  | Error msg ->
-      Error (Diag.error ~stage:"ctx" ~payload:[ ("engine", s) ] msg)
+      metrics-level summaries enter the compile cache. *)
 
 type t = {
   lib : Library.t;  (** the characterized cell library (immutable) *)
   scl : Scl.t;  (** shared subcircuit-library memo (mutex-guarded) *)
   jobs : int option;
       (** domain-pool width; [None] = [SYNDCIM_JOBS], then core count *)
-  engine : engine;
-      (** batch simulation engine for sweeps/diffing (default [`Packed]) *)
-  verify_engine : engine;
-      (** sign-off verification engine (default [`Packed]) *)
-  seed : int;  (** default seed for fuzz campaigns and stimulus *)
   cache : Disk_cache.t option;  (** persistent compile cache, if open *)
   scl_cache : string option;
       (** CSV path for SCL LUT persistence ({!load_scl}/{!save_scl}) *)
-  trace : Trace.t option;  (** default instrumentation sink *)
-  on_diag : (Diag.t -> unit) option;
-      (** out-of-band diagnostic sink (warnings from batch/service) *)
 }
-
-let default_seed = 0xC1A0
 
 (* The process-wide library + SCL pair behind [default ()]. Mutex-guarded
    rather than [lazy] because two domains may race the first call. *)
@@ -83,19 +54,7 @@ let shared_pair () =
           shared_world := Some pair;
           pair)
 
-let make (lib, scl) =
-  {
-    lib;
-    scl;
-    jobs = None;
-    engine = `Packed;
-    verify_engine = `Packed;
-    seed = default_seed;
-    cache = None;
-    scl_cache = None;
-    trace = None;
-    on_diag = None;
-  }
+let make (lib, scl) = { lib; scl; jobs = None; cache = None; scl_cache = None }
 
 (** [default ()] — a context over the process-wide shared library and
     SCL memo: every [default] context reuses the same characterization
@@ -119,11 +78,12 @@ let of_parts lib scl = make (lib, scl)
 let lib t = t.lib
 let scl t = t.scl
 let jobs t = t.jobs
-let engine t = t.engine
-let verify_engine t = t.verify_engine
-let seed t = t.seed
 let cache t = t.cache
-let trace t = t.trace
+
+(** [verify_engine _] — always [`Packed], the engine every sign-off and
+    differential check runs on. Kept for the benchmark harness, which
+    reads it; the leaf checkers take their own [?engine]. *)
+let verify_engine (_ : t) : Engine.t = `Packed
 
 (* ---------------- builders ---------------- *)
 
@@ -144,18 +104,6 @@ let validate_jobs (j : int) : (int, Diag.t) Stdlib.result =
          ~payload:[ ("jobs", string_of_int j) ]
          "jobs must be >= 1")
 
-(** [with_engines e t] — set both the sweep and sign-off engines. *)
-let with_engines e t = { t with engine = e; verify_engine = e }
-
-let with_seed seed t = { t with seed }
-let with_trace tr t = { t with trace = Some tr }
-let without_trace t = { t with trace = None }
-let with_diag_sink f t = { t with on_diag = Some f }
-
-(** [emit t d] — send a diagnostic to the context's sink, if any. *)
-let emit t d = match t.on_diag with Some f -> f d | None -> ()
-
-let with_cache c t = { t with cache = Some c }
 let without_cache t = { t with cache = None }
 
 (** [with_cache_dir dir t] — open (creating if missing) a persistent
@@ -189,14 +137,3 @@ let save_scl t : int option =
       Persist.save t.scl path;
       Some (Scl.entries t.scl)
   | None -> None
-
-(** [describe t] — one line of context configuration, for logs. *)
-let describe t =
-  Printf.sprintf
-    "ctx: jobs=%s engine=%s verify=%s seed=0x%X cache=%s scl-cache=%s"
-    (match t.jobs with Some j -> string_of_int j | None -> "auto")
-    (engine_name t.engine)
-    (engine_name t.verify_engine)
-    t.seed
-    (match t.cache with Some c -> Disk_cache.root c | None -> "off")
-    (match t.scl_cache with Some p -> p | None -> "off")

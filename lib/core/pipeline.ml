@@ -26,8 +26,7 @@
     escapes by exception. Every stage execution appends an instrumented
     {!Trace} row (wall-clock, cells touched, crit in/out, cache hit/miss,
     ECO iterations, retry boost), so [syndcim compile --trace] shows not
-    just what each stage produced but {e why} a retry boost happened.
-    {!Compiler.compile} is a thin compatibility wrapper over {!run}. *)
+    just what each stage produced but {e why} a retry boost happened. *)
 
 let ( let* ) = Diag.( let* )
 
@@ -218,20 +217,17 @@ let search_stage lib scl ~boost : (Spec.t, search_art) Stage.t =
             ~cache_hits:cache.Eval_cache.hits
             ~cache_misses:cache.Eval_cache.misses ~boost ~note () ))
 
-(** Stage 2 — functional sign-off against the golden MAC. The default
-    [`Packed] engine settles each weight copy's MAC batch as
-    {!Sim_multiword} lanes (any failing lane is shrunk back to one scalar
-    transaction); [`Scalar] runs the same body one MAC at a time through
-    {!Slice.Scalar}. Both produce bit-identical verdicts. *)
-let verify_stage ?(engine = `Packed) ~enabled () :
-    (search_art, search_art) Stage.t =
+(** Stage 2 — functional sign-off against the golden MAC. The packed
+    engine settles each weight copy's MAC batch as {!Sim_multiword}
+    lanes; any failing lane is shrunk back to one scalar transaction. *)
+let verify_stage ~enabled () : (search_art, search_art) Stage.t =
   Stage.v stage_verify (fun (sa : search_art) ->
       if not enabled then
         Ok (sa, Stage.meta ~note:"skipped (verification disabled)" ())
       else
         let* () =
           Diag.guard ~stage:stage_verify ~spec:sa.search_spec (fun () ->
-              Testbench.verify ~engine sa.macro ~seed:0xACC
+              Testbench.verify sa.macro ~seed:0xACC
                 ~batches:verify_batches)
         in
         let copies = sa.macro.Macro_rtl.cfg.Macro_rtl.mcr in
@@ -241,8 +237,8 @@ let verify_stage ?(engine = `Packed) ~enabled () :
               ~cells:(Ir.n_insts sa.macro.Macro_rtl.design)
               ~note:
                 (Printf.sprintf
-                   "%d random MACs vs golden (%d weight copies, %s engine)"
-                   (copies * verify_batches) copies (Engine.name engine))
+                   "%d random MACs vs golden (%d weight copies, packed engine)"
+                   (copies * verify_batches) copies)
               () ))
 
 (** Stage 3 — back-end: place, route, sign off, and re-close timing with
@@ -450,30 +446,20 @@ let m_eco_iters = Metrics.counter "pipeline.eco_iters"
    deterministic cache.disk.* counters instead. *)
 let m_cache_lookup_ms = Metrics.histogram ~det:false "cache.disk.lookup_ms"
 
-(** [run ?style ?policy ?verify_engine ?trace ?inject ctx spec] — thread
-    the five stages over the context's library and shared SCL memo,
-    re-running the whole pipeline under the retry policy when the metrics
-    stage asks for a boost. Every stage execution (across every attempt)
-    appends a row to the trace ([?trace] overrides the context's sink);
-    [inject] forces the named stage to fail, for exercising the
-    diagnostic path. [verify_engine] selects the sign-off simulation
-    engine (default: the context's); both engines produce bit-identical
-    verdicts, so the choice never changes the compiled artifact. *)
-let run ?(style = Floorplan.Sdp) ?(policy = default_policy) ?verify_engine
-    ?trace ?inject (ctx : Ctx.t) (spec : Spec.t) :
-    (run, Diag.t) Stdlib.result =
+(** [run ?style ?policy ?trace ?inject ctx spec] — thread the five
+    stages over the context's library and shared SCL memo, re-running the
+    whole pipeline under the retry policy when the metrics stage asks for
+    a boost. Every stage execution (across every attempt) appends a row
+    to [trace], if given; [inject] forces the named stage to fail, for
+    exercising the diagnostic path. *)
+let run ?(style = Floorplan.Sdp) ?(policy = default_policy) ?trace ?inject
+    (ctx : Ctx.t) (spec : Spec.t) : (run, Diag.t) Stdlib.result =
   let lib = Ctx.lib ctx and scl = Ctx.scl ctx in
-  let verify_engine =
-    match verify_engine with Some e -> e | None -> Ctx.verify_engine ctx
-  in
-  let trace = match trace with Some t -> Some t | None -> Ctx.trace ctx in
   let exec s x = Stage.execute ?trace ?inject s x in
   let budget_ps = Spec.nominal_budget_ps spec lib.Library.node in
   let rec attempt acc boost =
     let* sa = exec (search_stage lib scl ~boost) spec in
-    let* sa =
-      exec (verify_stage ~engine:verify_engine ~enabled:policy.verify ()) sa
-    in
+    let* sa = exec (verify_stage ~enabled:policy.verify ()) sa in
     let* ba =
       exec
         (backend_stage lib ~style ~spec ~budget_ps
@@ -642,16 +628,15 @@ let add_cache_row trace ~wall_ms ?cells ?crit_out_ps ~hit ?boost note =
     row); a miss — including a corrupt entry, which is diagnosed but
     never fatal — runs the full pipeline and stores the result. Without
     a cache this is exactly [run] plus summarization. *)
-let run_cached ?(style = Floorplan.Sdp) ?(policy = default_policy)
-    ?verify_engine ?trace ?inject ?cache (ctx : Ctx.t) (spec : Spec.t) :
+let run_cached ?(style = Floorplan.Sdp) ?(policy = default_policy) ?trace
+    ?inject ?cache (ctx : Ctx.t) (spec : Spec.t) :
     (summary, Diag.t) Stdlib.result =
-  let trace = match trace with Some t -> Some t | None -> Ctx.trace ctx in
   let cache =
     match cache with Some c -> Some c | None -> Ctx.cache ctx
   in
   match cache with
   | None ->
-      let* r = run ~style ~policy ?verify_engine ?trace ?inject ctx spec in
+      let* r = run ~style ~policy ?trace ?inject ctx spec in
       Ok (summary_of_run r)
   | Some dc -> (
       let t0 = Unix.gettimeofday () in
@@ -682,9 +667,7 @@ let run_cached ?(style = Floorplan.Sdp) ?(policy = default_policy)
             | _ -> (Cache_miss, Printf.sprintf "miss %s" short)
           in
           add_cache_row trace ~wall_ms ~hit:false note;
-          let* r =
-            run ~style ~policy ?verify_engine ?trace ?inject ctx spec
-          in
+          let* r = run ~style ~policy ?trace ?inject ctx spec in
           let s = { (summary_of_run r) with sum_cache = outcome } in
           Disk_cache.store dc k (cache_value_of_summary s);
           Ok s)
@@ -696,7 +679,6 @@ let run_cached ?(style = Floorplan.Sdp) ?(policy = default_policy)
 (** [search_only ?trace ctx spec] — run just the search stage. *)
 let search_only ?trace (ctx : Ctx.t) (spec : Spec.t) :
     (search_art, Diag.t) Stdlib.result =
-  let trace = match trace with Some t -> Some t | None -> Ctx.trace ctx in
   Stage.execute ?trace
     (search_stage (Ctx.lib ctx) (Ctx.scl ctx) ~boost:1.0)
     spec
@@ -706,7 +688,6 @@ let search_only ?trace (ctx : Ctx.t) (spec : Spec.t) :
     zero iterations). *)
 let backend_once ?trace ?spec (ctx : Ctx.t) ~style (macro : Macro_rtl.t) :
     (backend_art, Diag.t) Stdlib.result =
-  let trace = match trace with Some t -> Some t | None -> Ctx.trace ctx in
   Stage.execute ?trace
     (backend_stage (Ctx.lib ctx) ~style ?spec ~budget_ps:infinity
        ~max_eco_iters:0)

@@ -45,7 +45,7 @@ type t = {
   compiled : Metrics.counter;
   failures : Metrics.counter;
   request_ms : Metrics.histogram;
-  lock : Mutex.t;  (** guards [wall_s], [next_id] and the diagnostic sink *)
+  lock : Mutex.t;  (** guards [wall_s] and [next_id] *)
   mutable wall_s : float;
   mutable next_id : int;
 }
@@ -94,23 +94,17 @@ let account t ~(outcome : (Pipeline.summary, Diag.t) Stdlib.result) ~wall_s
           | Pipeline.Cache_miss | Pipeline.Cache_corrupt _
           | Pipeline.Cache_off ->
               Metrics.incr t.compiled)
-      | Error d ->
-          Metrics.incr t.failures;
-          Ctx.emit t.ctx d);
+      | Error _ -> Metrics.incr t.failures);
       id)
 
 (** [compile t spec] — serve one metrics-level compilation through the
     warm context and the compile cache. Every request gets a fresh
-    private trace; failures are accounted, sent to the context's
-    diagnostic sink, and returned — a bad spec never takes the service
-    down. *)
-let compile ?style ?policy ?verify_engine (t : t) (spec : Spec.t) : request
-    =
+    private trace; failures are accounted and returned — a bad spec
+    never takes the service down. *)
+let compile ?style ?policy (t : t) (spec : Spec.t) : request =
   let tr = Trace.create () in
   let t0 = Unix.gettimeofday () in
-  let outcome =
-    Pipeline.run_cached ?style ?policy ?verify_engine ~trace:tr t.ctx spec
-  in
+  let outcome = Pipeline.run_cached ?style ?policy ~trace:tr t.ctx spec in
   let wall_s = Unix.gettimeofday () -. t0 in
   let id = account t ~outcome ~wall_s in
   { id; outcome; trace = tr; wall_s }
@@ -127,18 +121,15 @@ type artifact_request = {
   art_wall_s : float;
 }
 
-let compile_artifact ?style ?policy ?verify_engine ?inject (t : t)
-    (spec : Spec.t) : artifact_request =
+let compile_artifact ?style ?policy ?inject (t : t) (spec : Spec.t) :
+    artifact_request =
   let tr = Trace.create () in
   let t0 = Unix.gettimeofday () in
-  let outcome =
-    Pipeline.run ?style ?policy ?verify_engine ?inject ~trace:tr t.ctx spec
-  in
+  let outcome = Pipeline.run ?style ?policy ?inject ~trace:tr t.ctx spec in
   let wall_s = Unix.gettimeofday () -. t0 in
-  let summary_view =
-    Result.map Pipeline.summary_of_run outcome
+  let id =
+    account t ~outcome:(Result.map Pipeline.summary_of_run outcome) ~wall_s
   in
-  let id = account t ~outcome:summary_view ~wall_s in
   { art_id = id; art_outcome = outcome; art_trace = tr; art_wall_s = wall_s }
 
 (** [batch ?jobs t specs] — fan a whole manifest out over the domain

@@ -134,12 +134,10 @@ type mcr_point = {
     weight storage while sharing one compute element per [mcr] cells,
     trading a little mux delay/area for much higher memory density and
     background weight updates. Power streams through
-    {!Design_point.measure_power_sliced} on the engine's slice: 63
-    Monte Carlo replicas per grid point for the default [`Packed], the
-    single-replica reference run for [`Scalar]. *)
-let mcr_sweep ?(dim = 32) ?engine ?jobs (ctx : Ctx.t) =
+    {!Design_point.measure_power_sliced} on the packed slice: 63 Monte
+    Carlo replicas per grid point. *)
+let mcr_sweep ?(dim = 32) ?jobs (ctx : Ctx.t) =
   let lib = Ctx.lib ctx in
-  let engine = match engine with Some e -> e | None -> Ctx.engine ctx in
   let jobs = match jobs with Some j -> Some j | None -> Ctx.jobs ctx in
   let grid =
     List.concat_map
@@ -163,7 +161,7 @@ let mcr_sweep ?(dim = 32) ?engine ?jobs (ctx : Ctx.t) =
       let m = Macro_rtl.build lib cfg in
       let stats = Stats.of_design m.Macro_rtl.design lib in
       let power =
-        Design_point.measure_power_sliced (Engine.slice engine) lib m
+        Design_point.measure_power_sliced (module Slice.Packed) lib m
           ~freq_hz:5e8 ~vdd:0.9 ~input_density:0.5 ~weight_density:0.5
           ~macs:4
       in

@@ -97,11 +97,9 @@ let pure_compressor ?trace lib (spec : Spec.t) =
   evaluate_unsized ?trace ~name:"compressor" lib spec cfg
 
 (** [all ?trace ctx spec] — every baseline evaluated at [spec]'s
-    operating point over the context's library; the trace sink defaults
-    to the context's. *)
+    operating point over the context's library. *)
 let all ?trace (ctx : Ctx.t) spec =
   let lib = Ctx.lib ctx in
-  let trace = match trace with Some t -> Some t | None -> Ctx.trace ctx in
   [
     ("AutoDCIM-style template", autodcim ?trace lib spec);
     ("conventional RCA tree", rca_conventional ?trace lib spec);

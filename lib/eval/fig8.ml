@@ -27,14 +27,13 @@ type result = {
 (** [run ?jobs ?trace ?disk_cache ctx] — the sweep fans out over a
     domain pool and the four selected designs go through the staged
     pipeline in parallel as well; each back-end compile searches its own
-    configuration, so they share no mutable state. Jobs, trace and the
-    persistent compile cache all default to the context's values;
+    configuration, so they share no mutable state. Jobs and the
+    persistent compile cache default to the context's values;
     [disk_cache] overrides the latter so a repeated harness run can
     serve the four implemented designs straight from a dedicated
     cache. *)
 let run ?jobs ?trace ?disk_cache (ctx : Ctx.t) =
   let jobs = match jobs with Some j -> Some j | None -> Ctx.jobs ctx in
-  let trace = match trace with Some t -> Some t | None -> Ctx.trace ctx in
   let disk_cache =
     match disk_cache with Some c -> Some c | None -> Ctx.cache ctx
   in
@@ -121,13 +120,3 @@ let print (r : result) =
        ~header:
          [ "preference"; "power (mW)"; "area (mm2)"; "fmax (GHz)"; "timing" ]
        rows)
-
-(** Dominance check used by tests and the summary: does some searched
-    frontier point dominate the given baseline on (power, area) while
-    meeting timing? *)
-let frontier_dominates (r : result) (baseline : Design_point.t) =
-  List.exists
-    (fun (p : Design_point.t) ->
-      Design_point.power_w p <= Design_point.power_w baseline
-      && p.Design_point.area_um2 <= baseline.Design_point.area_um2)
-    r.frontier

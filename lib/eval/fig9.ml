@@ -130,15 +130,13 @@ type measured = {
     Columns fan out over the pool; the fanout-load map is built once
     and shared by every column. *)
 let measure ?(vdds = default_vdds) ?(freqs_mhz = default_freqs_mhz)
-    ?engine ?(n_lanes = Sim_multiword.word_lanes) ?(seed = 0xF19) ?(macs = 4) ?jobs
-    (ctx : Ctx.t) (m : Macro_rtl.t) ~crit_ps =
+    ?(engine : Engine.t = `Packed) ?(n_lanes = Sim_multiword.word_lanes)
+    ?(seed = 0xF19) ?(macs = 4) ?jobs (ctx : Ctx.t) (m : Macro_rtl.t)
+    ~crit_ps =
   if n_lanes < 1 then
     invalid_arg
       (Printf.sprintf "Fig9.measure: n_lanes must be >= 1, got %d" n_lanes);
   let lib = Ctx.lib ctx in
-  let engine =
-    match engine with Some e -> e | None -> Ctx.engine ctx
-  in
   let module E = (val Engine.slice engine) in
   let module B = Testbench.Sliced (E) in
   let jobs = match jobs with Some j -> Some j | None -> Ctx.jobs ctx in
@@ -195,10 +193,3 @@ let measure ?(vdds = default_vdds) ?(freqs_mhz = default_freqs_mhz)
         Array.init (Array.length freqs_mhz) (fun fi -> columns.(fi).(vi)))
   in
   { grid; energy_fj }
-
-(** [run_measured ctx artifact] — {!measure} on a compiled artifact's
-    macro and signed-off critical path. *)
-let run_measured ?engine ?n_lanes ?jobs (ctx : Ctx.t)
-    (a : Pipeline.artifact) =
-  measure ?engine ?n_lanes ?jobs ctx a.Pipeline.macro
-    ~crit_ps:a.Pipeline.metrics.Pipeline.crit_ps

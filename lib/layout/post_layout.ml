@@ -53,14 +53,10 @@ let run ?(seed = 0x5D9) (lib : Library.t) (m : Macro_rtl.t)
 (** [power lib m t ~freq_hz ~vdd ~input_density ~weight_density ~macs] —
     post-layout power: the same streaming workload as the pre-layout
     estimate, with routed wire capacitance charged on every toggle. *)
-let power ?(seed = 0xD1C) lib (m : Macro_rtl.t) (t : t) ~freq_hz ~vdd
-    ~input_density ~weight_density ~macs =
-  let rng = Rng.create seed in
-  let sim = Sim.create m.Macro_rtl.design in
-  if m.Macro_rtl.cfg.mcr > 1 then Sim.set_bus sim "copy_sel" 0;
-  Testbench.load_weights m sim ~copy:0
-    (Testbench.random_weights rng m ~density:weight_density);
-  Sim.reset_stats sim;
-  Testbench.run_stream m sim ~rng ~macs ~input_density;
+let power ?seed lib (m : Macro_rtl.t) (t : t) ~freq_hz ~vdd ~input_density
+    ~weight_density ~macs =
+  let sim =
+    Testbench.power_stream ?seed m ~input_density ~weight_density ~macs
+  in
   let wire_cap = Route.wire_cap_fn t.routing lib.Library.node in
   Power.estimate m.Macro_rtl.design lib sim ~freq_hz ~vdd ~wire_cap ()

@@ -35,8 +35,6 @@ let inv c a = gate1 c Cell.Inv a
 let buf c a = gate1 c Cell.Buf a
 let and2 c a b = gate2 c Cell.And2 a b
 let or2 c a b = gate2 c Cell.Or2 a b
-let nand2 c a b = gate2 c Cell.Nand2 a b
-let nor2 c a b = gate2 c Cell.Nor2 a b
 let xor2 c a b = gate2 c Cell.Xor2 a b
 let xnor2 c a b = gate2 c Cell.Xnor2 a b
 

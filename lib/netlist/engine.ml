@@ -20,14 +20,6 @@ let name : [< t ] -> string = function
   | `Scalar -> "scalar"
   | `Packed -> "packed"
 
-(** [of_string s] parses an [--engine] argument: [scalar] or [packed]
-    (63 lanes). *)
-let of_string (s : string) : (t, string) Stdlib.result =
-  match String.lowercase_ascii (String.trim s) with
-  | "scalar" -> Ok `Scalar
-  | "packed" -> Ok `Packed
-  | s -> Error (Printf.sprintf "unknown engine %S (scalar|packed)" s)
-
 (** [slice e] — the {!Slice.S} implementation behind engine [e]. *)
 let slice : [< t ] -> (module Slice.S) = function
   | `Scalar -> (module Slice.Scalar)

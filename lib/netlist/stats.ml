@@ -54,8 +54,3 @@ let area_by_subcircuit (d : Ir.design) (lib : Library.t) =
   done;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let pp_kind_counts fmt t =
-  List.iter
-    (fun (k, n) -> Format.fprintf fmt "%-12s %6d@." (Cell.kind_to_string k) n)
-    t.by_kind

@@ -536,6 +536,21 @@ let run_stream (m : Macro_rtl.t) sim ~rng ~macs ~input_density =
     Sim.step sim
   done
 
+(** [power_stream ?seed m ~input_density ~weight_density ~macs] — the
+    power-measurement stimulus: seeded random weights in copy 0, cleared
+    counters, then {!run_stream} of [macs] MACs, weights and inputs drawn
+    from one RNG in that order. Returns the finished simulator for
+    {!Power.estimate} to price. *)
+let power_stream ?(seed = 0xD1C) (m : Macro_rtl.t) ~input_density
+    ~weight_density ~macs =
+  let rng = Rng.create seed in
+  let sim = Sim.create m.design in
+  if m.cfg.mcr > 1 then Sim.set_bus sim "copy_sel" 0;
+  load_weights m sim ~copy:0 (random_weights rng m ~density:weight_density);
+  Sim.reset_stats sim;
+  run_stream m sim ~rng ~macs ~input_density;
+  sim
+
 (** [stream_cycles m ~macs] — total simulated cycles of one
     {!run_stream}/{!Sliced.run_stream} run of [macs] MACs; the
     denominator energy-per-MAC accounting divides by. *)

@@ -30,7 +30,3 @@ let scale n t =
     energy_fj = t.energy_fj *. f;
     leakage_nw = t.leakage_nw *. f;
   }
-
-let pp fmt t =
-  Format.fprintf fmt "%.1f ps / %.1f um2 / %.1f fJ / %.1f nW" t.delay_ps
-    t.area_um2 t.energy_fj t.leakage_nw

@@ -71,20 +71,16 @@ let throughput_tops (m : Macro_rtl.t) ~freq_hz =
   /. 1e12
 
 (** [measure_power lib m ~freq_hz ~vdd ~input_density ~weight_density
-    ~macs] loads sparse random weights and streams [macs] back-to-back
-    MACs. Exposed for the experiment harness, which uses the paper's
-    measurement sparsity. [loads] and [drives] pass through to
-    {!Power.estimate}; the stream itself reads only the netlist's
-    structure, never its drives. *)
-let measure_power ?(seed = 0xD1C) ?loads ?drives lib (m : Macro_rtl.t) ~freq_hz
-    ~vdd ~input_density ~weight_density ~macs =
-  let rng = Rng.create seed in
-  let sim = Sim.create m.design in
-  if m.cfg.mcr > 1 then Sim.set_bus sim "copy_sel" 0;
-  Testbench.load_weights m sim ~copy:0
-    (Testbench.random_weights rng m ~density:weight_density);
-  Sim.reset_stats sim;
-  Testbench.run_stream m sim ~rng ~macs ~input_density;
+    ~macs] prices {!Testbench.power_stream}: sparse random weights, then
+    [macs] back-to-back MACs. Exposed for the experiment harness, which
+    uses the paper's measurement sparsity. [loads] and [drives] pass
+    through to {!Power.estimate}; the stream itself reads only the
+    netlist's structure, never its drives. *)
+let measure_power ?seed ?loads ?drives lib (m : Macro_rtl.t) ~freq_hz ~vdd
+    ~input_density ~weight_density ~macs =
+  let sim =
+    Testbench.power_stream ?seed m ~input_density ~weight_density ~macs
+  in
   Power.estimate m.design lib sim ~freq_hz ~vdd ?loads ?drives ()
 
 (** [measure_power_sliced (module E) lib m ~freq_hz ~vdd ~input_density

@@ -100,8 +100,6 @@ let enabled = Atomic.make true
     no-ops, on scoped instruments as on registered ones. *)
 let set_enabled b = Atomic.set enabled b
 
-let is_enabled () = Atomic.get enabled
-
 (* Default latency buckets (milliseconds): log-ish spacing from 10 us to
    30 s, wide enough for a cache probe and a full multi-attempt compile
    alike. *)

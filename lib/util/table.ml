@@ -47,6 +47,3 @@ let print t =
 
 (** Format a float with [digits] decimals. *)
 let f ?(digits = 2) x = Printf.sprintf "%.*f" digits x
-
-(** Format a float in engineering style with a unit suffix. *)
-let eng ?(digits = 2) x unit = Printf.sprintf "%.*f %s" digits x unit

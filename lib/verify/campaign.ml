@@ -29,6 +29,9 @@ type report = {
   properties : property list;  (** metamorphic + monotonicity results *)
 }
 
+(** The campaign seed [run] and [syndcim verify] use when given none. *)
+let default_seed = 0xC1A0
+
 let spec_seed ~seed i = seed lxor ((i + 1) * 0x5_1C1D)
 
 (* aggregate per-name results into pass/fail counters, input order kept *)
@@ -57,12 +60,11 @@ let tally (results : Metamorph.result list) : property list =
     datapath fault into every differential check (the self-test mode:
     the campaign must then report failures and shrink them);
     metamorphic properties only run on clean campaigns, on every
-    [meta_stride]-th spec. The job count and campaign seed default to
-    the context's. *)
-let run ?jobs ?bug ?(random_batches = 2) ?(meta_stride = 25) ?seed ~count
-    (ctx : Ctx.t) : report =
+    [meta_stride]-th spec. The job count defaults to the context's, the
+    campaign seed to {!default_seed}. *)
+let run ?jobs ?bug ?(random_batches = 2) ?(meta_stride = 25)
+    ?(seed = default_seed) ~count (ctx : Ctx.t) : report =
   let jobs = match jobs with Some j -> Some j | None -> Ctx.jobs ctx in
-  let seed = match seed with Some s -> s | None -> Ctx.seed ctx in
   let specs = Specgen.generate ~seed ~count in
   let indexed = List.mapi (fun i s -> (i, s)) specs in
   let outcomes =

@@ -296,16 +296,12 @@ let check_macro ?(engine : Engine.t = `Packed) ?bug ~seed ~random_batches
 (** [check_spec ?engine ?bug ?random_batches ~seed ctx spec] — compile
     the spec's initial configuration over the context's library and
     check it differentially. This is the unit of work a fuzz campaign
-    fans out over the pool; the engine defaults to the context's
-    verification engine, and with the packed engine each unit settles
-    its whole vector batch in one lane-parallel pass. *)
+    fans out over the pool; with the default packed engine each unit
+    settles its whole vector batch in one lane-parallel pass. *)
 let check_spec ?engine ?bug ?(random_batches = 2) ~seed (ctx : Ctx.t)
     (spec : Spec.t) : outcome =
-  let engine =
-    match engine with Some e -> e | None -> Ctx.verify_engine ctx
-  in
   let m = Macro_rtl.build (Ctx.lib ctx) (Spec.initial_config spec) in
-  check_macro ~engine ?bug ~seed ~random_batches m
+  check_macro ?engine ?bug ~seed ~random_batches m
 
 (** [fails ?bug ~seed ctx spec] — predicate form for the shrinker. *)
 let fails ?bug ~seed (ctx : Ctx.t) spec =

@@ -52,37 +52,29 @@ let variants (spec : Spec.t) : (string * Macro_rtl.config) list =
        else []);
     ]
 
-(** [check_moves ?jobs ?engine ~seed ctx spec] — build every variant and
-    check it differentially; one result per move. Variants fan out over
-    the pool (width from the context unless [?jobs] overrides), and
-    within each variant the random-vector batch packs 63-wide through
-    the bit-sliced engine (default: the context's verification engine);
-    the results are engine- and job-count-invariant. *)
-let check_moves ?jobs ?engine ~seed (ctx : Ctx.t) (spec : Spec.t) :
-    result list =
+(** [check_moves ?jobs ~seed ctx spec] — build every variant and check
+    it differentially; one result per move. Variants fan out over the
+    pool (width from the context unless [?jobs] overrides), and within
+    each variant the random-vector batch packs 63-wide through the
+    bit-sliced engine; the results are job-count-invariant. *)
+let check_moves ?jobs ~seed (ctx : Ctx.t) (spec : Spec.t) : result list =
   let jobs = match jobs with Some j -> Some j | None -> Ctx.jobs ctx in
-  let engine =
-    match engine with Some e -> e | None -> Ctx.verify_engine ctx
-  in
   let lib = Ctx.lib ctx in
   Pool.parallel_map ?jobs
     (fun (name, cfg) ->
       let m = Macro_rtl.build lib cfg in
-      let o = Diffcheck.check_macro ~engine ~seed ~random_batches:1 m in
+      let o = Diffcheck.check_macro ~seed ~random_batches:1 m in
       match o.Diffcheck.failure with
       | None ->
           { name; ok = true; detail = Printf.sprintf "%d checks" o.Diffcheck.checks }
       | Some f -> { name; ok = false; detail = Diffcheck.describe_failure f })
     (variants spec)
 
-(** [check_equiv_pair ?engine ~seed ctx spec] — cycle-level equivalence
-    between the base configuration and its latency-preserving tree
-    substitution, through the glitch-proof {!Equiv.check} (vectors pack
-    as lanes under the context's default verification engine). *)
-let check_equiv_pair ?engine ~seed (ctx : Ctx.t) (spec : Spec.t) : result =
-  let engine =
-    match engine with Some e -> e | None -> Ctx.verify_engine ctx
-  in
+(** [check_equiv_pair ~seed ctx spec] — cycle-level equivalence between
+    the base configuration and its latency-preserving tree substitution,
+    through the glitch-proof {!Equiv.check} (vectors pack as lanes of
+    the packed engine). *)
+let check_equiv_pair ~seed (ctx : Ctx.t) (spec : Spec.t) : result =
   let lib = Ctx.lib ctx in
   let base = Spec.initial_config spec in
   let sub =
@@ -93,7 +85,7 @@ let check_equiv_pair ?engine ~seed (ctx : Ctx.t) (spec : Spec.t) : result =
   in
   let a = (Macro_rtl.build lib base).Macro_rtl.design in
   let b = (Macro_rtl.build lib sub).Macro_rtl.design in
-  match Equiv.check ~engine ~seed ~vectors:12 ~settle:12 ~hold:4 a b with
+  match Equiv.check ~seed ~vectors:12 ~settle:12 ~hold:4 a b with
   | Equiv.Equivalent n ->
       {
         name = "equiv:tree_substitution";

@@ -124,5 +124,3 @@ let shrink_to_minimal ~(fails : Spec.t -> bool) (s : Spec.t) :
     | None -> (s, steps)
   in
   go s 0
-
-let describe = Spec.describe

@@ -20,30 +20,33 @@ let spec ?(rows = 16) ?(cols = 16) ?(freq = 700e6)
   }
 
 let test_compile_int () =
-  let a = Compiler.compile ctx (spec ()) in
-  check_bool "timing closed" true a.Compiler.timing_closed;
+  let a = Pipeline.artifact_exn (Pipeline.run ctx (spec ())) in
+  check_bool "timing closed" true a.Pipeline.timing_closed;
   check_bool "signoff clean" true
-    (a.Compiler.signoff.Post_layout.lvs.Lvs.clean
-    && a.Compiler.signoff.Post_layout.drc_violations = []);
+    (a.Pipeline.signoff.Post_layout.lvs.Lvs.clean
+    && a.Pipeline.signoff.Post_layout.drc_violations = []);
   check_bool "power sensible" true
-    (a.Compiler.metrics.Compiler.power_w > 1e-5
-    && a.Compiler.metrics.Compiler.power_w < 1.0);
+    (a.Pipeline.metrics.Pipeline.power_w > 1e-5
+    && a.Pipeline.metrics.Pipeline.power_w < 1.0);
   check_bool "area sensible" true
-    (a.Compiler.metrics.Compiler.area_mm2 > 1e-4
-    && a.Compiler.metrics.Compiler.area_mm2 < 10.0);
+    (a.Pipeline.metrics.Pipeline.area_mm2 > 1e-4
+    && a.Pipeline.metrics.Pipeline.area_mm2 < 10.0);
   check_bool "fmax covers spec" true
-    (a.Compiler.metrics.Compiler.fmax_ghz >= 0.7)
+    (a.Pipeline.metrics.Pipeline.fmax_ghz >= 0.7)
 
 let test_compile_fp () =
-  let a = Compiler.compile ctx (spec ~ip:Precision.fp8 ~freq:500e6 ()) in
-  check_bool "fp closes" true a.Compiler.timing_closed;
+  let a =
+    Pipeline.artifact_exn
+      (Pipeline.run ctx (spec ~ip:Precision.fp8 ~freq:500e6 ()))
+  in
+  check_bool "fp closes" true a.Pipeline.timing_closed;
   (* FP macro has the aligner in its breakdown *)
   check_bool "aligner in power breakdown" true
-    (List.mem_assoc "fp_align" a.Compiler.power.Power.by_subcircuit)
+    (List.mem_assoc "fp_align" a.Pipeline.power.Power.by_subcircuit)
 
 let test_compiled_macro_computes () =
-  let a = Compiler.compile ctx (spec ()) in
-  let m = a.Compiler.macro in
+  let a = Pipeline.artifact_exn (Pipeline.run ctx (spec ())) in
+  let m = a.Pipeline.macro in
   let sim = Sim.create m.Macro_rtl.design in
   Sim.set_bus sim "copy_sel" 0;
   let rng = Rng.create 42 in
@@ -59,34 +62,38 @@ let test_compiled_macro_computes () =
 let test_verification_gate () =
   (* the compiler refuses nothing when verify is off, and verification is
      actually exercised when on (smoke: both paths return) *)
-  let a = Compiler.compile ~verify:false ctx (spec ~freq:300e6 ()) in
+  let policy = { Pipeline.default_policy with Pipeline.verify = false } in
+  let a =
+    Pipeline.artifact_exn (Pipeline.run ~policy ctx (spec ~freq:300e6 ()))
+  in
   check_bool "unverified compile still signs off" true
-    a.Compiler.signoff.Post_layout.lvs.Lvs.clean
+    a.Pipeline.signoff.Post_layout.lvs.Lvs.clean
 
 let test_scattered_style () =
   let a =
-    Compiler.compile ~style:Floorplan.Scattered ctx (spec ~freq:300e6 ())
+    Pipeline.artifact_exn
+      (Pipeline.run ~style:Floorplan.Scattered ctx (spec ~freq:300e6 ()))
   in
   check_bool "scattered signs off" true
-    a.Compiler.signoff.Post_layout.lvs.Lvs.clean
+    a.Pipeline.signoff.Post_layout.lvs.Lvs.clean
 
 let test_metrics_consistency () =
   let s = spec () in
-  let a = Compiler.compile ctx s in
-  let m = a.Compiler.metrics in
+  let a = Pipeline.artifact_exn (Pipeline.run ctx s) in
+  let m = a.Pipeline.metrics in
   check_bool "tops/w = tops / power" true
-    (Float.abs (m.Compiler.tops_per_w -. (m.Compiler.tops /. m.Compiler.power_w))
-     /. m.Compiler.tops_per_w
+    (Float.abs (m.Pipeline.tops_per_w -. (m.Pipeline.tops /. m.Pipeline.power_w))
+     /. m.Pipeline.tops_per_w
     < 1e-9);
   check_bool "tops/mm2 = tops / area" true
     (Float.abs
-       (m.Compiler.tops_per_mm2 -. (m.Compiler.tops /. m.Compiler.area_mm2))
-     /. m.Compiler.tops_per_mm2
+       (m.Pipeline.tops_per_mm2 -. (m.Pipeline.tops /. m.Pipeline.area_mm2))
+     /. m.Pipeline.tops_per_mm2
     < 1e-9);
-  Alcotest.(check (float 1e-9)) "ops norm for int8xint8" 64.0 m.Compiler.ops_norm
+  Alcotest.(check (float 1e-9)) "ops norm for int8xint8" 64.0 m.Pipeline.ops_norm
 
 let test_report_renders () =
-  let a = Compiler.compile ctx (spec ~freq:300e6 ()) in
+  let a = Pipeline.artifact_exn (Pipeline.run ctx (spec ~freq:300e6 ())) in
   let s = Report.to_string lib a in
   check_bool "report non-trivial" true (String.length s > 300);
   let contains needle =
@@ -99,12 +106,12 @@ let test_report_renders () =
 
 let test_fig8_spec_closes () =
   (* the paper's headline spec must close end to end *)
-  let a = Compiler.compile ctx Spec.fig8 in
-  check_bool "800MHz@0.9V closes post-layout" true a.Compiler.timing_closed;
+  let a = Pipeline.artifact_exn (Pipeline.run ctx Spec.fig8) in
+  check_bool "800MHz@0.9V closes post-layout" true a.Pipeline.timing_closed;
   (* and the silicon-validation points hold: >= 1 GHz at 1.2 V *)
   let fmax12 =
     Voltage.fmax lib.Library.node
-      ~crit_path_ps:a.Compiler.metrics.Compiler.crit_ps ~vdd:1.2
+      ~crit_path_ps:a.Pipeline.metrics.Pipeline.crit_ps ~vdd:1.2
   in
   check_bool "GHz-class at 1.2V" true (fmax12 >= 0.95e9)
 

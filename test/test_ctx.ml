@@ -7,11 +7,6 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-let contains s sub =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 let small_spec =
   {
     Spec.rows = 16;
@@ -161,7 +156,7 @@ let test_service_ids_without_metrics () =
   check_int "disabled metrics silence the service's counts" 0
     (Service.stats svc).Service.requests
 
-(* ---------------- Service engine overrides ---------------- *)
+(* ---------------- Service: two requests ---------------- *)
 
 let rec rm_rf path =
   if Sys.file_exists path then
@@ -173,63 +168,42 @@ let rec rm_rf path =
     end
     else Sys.remove path
 
-(* Repeated compiles through one warm service under per-request engine
-   overrides: the cumulative counters must add up, the summaries must be
-   engine-invariant (the conformance suite's bit-identity is what makes
-   that sound), and each request's trace must equal a solo compile with
-   the same engine. With a persistent cache attached, the first engine
-   compiles and every other engine hits the same entry — the cache key
-   deliberately excludes the engine, because engines never change the
-   result. *)
-let test_service_engine_overrides () =
-  let engines : Ctx.engine list = [ `Scalar; `Packed ] in
-  (* uncached service: every engine compiles, summaries identical *)
+(* Two compiles of one spec through one warm service: the cumulative
+   counters must add up, and each request's trace must equal a solo
+   compile. With a persistent cache attached, the first request compiles
+   and the second hits the entry it stored. *)
+let test_service_two_requests () =
+  (* uncached service: both requests compile *)
   let svc = Service.create (Ctx.with_jobs 2 (Ctx.fresh ())) in
-  let sums =
-    List.map
-      (fun e ->
-        let r = Service.compile ~verify_engine:e svc small_spec in
+  let traces =
+    List.init 2 (fun _ ->
+        let r = Service.compile svc small_spec in
         match r.Service.outcome with
-        | Ok s -> (e, s, r.Service.trace)
-        | Error d ->
-            Alcotest.failf "engine %s failed: %s" (Ctx.engine_name e)
-              (Diag.to_string d))
-      engines
+        | Ok _ -> r.Service.trace
+        | Error d -> Alcotest.failf "request failed: %s" (Diag.to_string d))
   in
-  (match sums with
-  | (_, first, _) :: rest ->
-      List.iter
-        (fun (e, s, _) ->
-          check_bool
-            (Printf.sprintf "metrics engine-invariant (%s)"
-               (Ctx.engine_name e))
-            true
-            (s.Pipeline.sum_metrics = first.Pipeline.sum_metrics))
-        rest
-  | [] -> assert false);
-  (* each request's trace equals a solo compile with the same engine *)
-  List.iter
-    (fun (e, _, trace) ->
-      let tr = Trace.create () in
-      (match
-         Pipeline.run_cached ~verify_engine:e ~trace:tr (Ctx.with_jobs 2 (Ctx.fresh ()))
-           small_spec
-       with
-      | Ok _ -> ()
-      | Error d -> Alcotest.failf "solo replay failed: %s" (Diag.to_string d));
+  let solo = Trace.create () in
+  (match
+     Pipeline.run_cached ~trace:solo (Ctx.with_jobs 2 (Ctx.fresh ()))
+       small_spec
+   with
+  | Ok _ -> ()
+  | Error d -> Alcotest.failf "solo replay failed: %s" (Diag.to_string d));
+  List.iteri
+    (fun i trace ->
       check_string
-        (Printf.sprintf "trace matches solo compile (%s)" (Ctx.engine_name e))
-        (Trace.fingerprint tr) (Trace.fingerprint trace))
-    sums;
+        (Printf.sprintf "trace %d matches solo compile" i)
+        (Trace.fingerprint solo) (Trace.fingerprint trace))
+    traces;
   let st = Service.stats svc in
   check_int "requests counted" 2 st.Service.requests;
   check_int "all compiled (no cache)" 2 st.Service.compiled;
   check_int "no cache hits without a cache" 0 st.Service.cache_hits;
   check_int "no failures" 0 st.Service.failures;
-  (* cached service: one miss compiles, the other engines hit *)
+  (* cached service: the first request compiles, the second hits *)
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "syndcim-engine-cache-%d" (Unix.getpid ()))
+      (Printf.sprintf "syndcim-service-cache-%d" (Unix.getpid ()))
   in
   rm_rf dir;
   let ctx =
@@ -241,14 +215,12 @@ let test_service_engine_overrides () =
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      List.iter
-        (fun e ->
-          match (Service.compile ~verify_engine:e svc small_spec).Service.outcome with
-          | Ok _ -> ()
-          | Error d ->
-              Alcotest.failf "cached request (%s) failed: %s"
-                (Ctx.engine_name e) (Diag.to_string d))
-        engines;
+      for i = 1 to 2 do
+        match (Service.compile svc small_spec).Service.outcome with
+        | Ok _ -> ()
+        | Error d ->
+            Alcotest.failf "cached request %d failed: %s" i (Diag.to_string d)
+      done;
       let st = Service.stats svc in
       check_int "cached: requests counted" 2 st.Service.requests;
       check_int "cached: one compile" 1 st.Service.compiled;
@@ -325,30 +297,6 @@ let test_ctx_builders () =
     (match Ctx.validate_jobs 0 with Error _ -> true | Ok _ -> false);
   check_bool "validate_jobs accepts positive" true
     (match Ctx.validate_jobs 2 with Ok 2 -> true | _ -> false);
-  let e = Ctx.with_engines `Scalar ctx in
-  check_string "engine builder" "scalar" (Ctx.engine_name (Ctx.engine e));
-  check_string "verify engine follows" "scalar"
-    (Ctx.engine_name (Ctx.verify_engine e));
-  check_bool "validate_engine parses packed" true
-    (Ctx.validate_engine "packed" = Ok `Packed);
-  check_bool "validate_engine parses scalar" true
-    (Ctx.validate_engine "scalar" = Ok `Scalar);
-  check_bool "validate_engine rejects junk" true
-    (match Ctx.validate_engine "vliw" with Error _ -> true | Ok _ -> false);
-  check_bool "validate_engine rejects auto" true
-    (match Ctx.validate_engine "auto" with Error _ -> true | Ok _ -> false);
-  (* the removed multi-word spelling is a one-line error naming the
-     two engines that exist *)
-  (match Ctx.validate_engine "multiword:126" with
-  | Ok _ -> Alcotest.fail "validate_engine accepted multiword:126"
-  | Error d ->
-      let msg = Diag.to_string d in
-      check_bool "multiword:126 error names scalar|packed" true
-        (contains msg "scalar|packed");
-      check_bool "multiword:126 error is one line" false
-        (String.contains msg '\n'));
-  let s = Ctx.with_seed 42 ctx in
-  check_int "seed builder" 42 (Ctx.seed s);
   check_bool "default shares the world" true
     (Ctx.lib (Ctx.default ()) == Ctx.lib (Ctx.default ()));
   check_bool "fresh isolates the world" true
@@ -371,8 +319,8 @@ let () =
             test_service_isolation;
           Alcotest.test_case "ids unique with metrics off" `Quick
             test_service_ids_without_metrics;
-          Alcotest.test_case "engine overrides: counters and cache hits"
-            `Slow test_service_engine_overrides;
+          Alcotest.test_case "two requests: counters and cache hits" `Slow
+            test_service_two_requests;
         ] );
       ( "guard",
         [

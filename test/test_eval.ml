@@ -123,7 +123,7 @@ let test_fig9_shmoo_shape () =
 
 let test_table2_rows_shape () =
   (* rows render for the published designs plus a synthetic this-design *)
-  let a = Compiler.compile ctx small_spec in
+  let a = Pipeline.artifact_exn (Pipeline.run ctx small_spec) in
   let d =
     {
       Table2.artifact = a;
@@ -209,7 +209,35 @@ let test_ablation_mcr () =
        (List.exists
           (fun (p : Ablation.mcr_point) ->
             p.Ablation.mcr = 4 && p.Ablation.mul_variant = "MUL_OAI22F")
-          pts))
+          pts));
+  (* each point's power is the 63-lane packed ensemble of a macro rebuilt
+     from the same configuration, bit for bit *)
+  List.iter
+    (fun (p : Ablation.mcr_point) ->
+      let mul_kind =
+        List.find
+          (fun k -> Cell.kind_to_string (Cell.Mul k) = p.Ablation.mul_variant)
+          [ Cell.Tg_nor; Cell.Oai22_fused ]
+      in
+      let cfg =
+        {
+          (Macro_rtl.default ~rows:16 ~cols:16 ~mcr:p.Ablation.mcr
+             ~input_prec:Precision.int8 ~weight_prec:Precision.int8)
+          with
+          Macro_rtl.mul_kind;
+        }
+      in
+      let power =
+        Design_point.measure_power_sliced (module Slice.Packed) lib
+          (Macro_rtl.build lib cfg) ~freq_hz:5e8 ~vdd:0.9 ~input_density:0.5
+          ~weight_density:0.5 ~macs:4
+      in
+      check_bool
+        (Printf.sprintf "MCR %d %s power is the packed ensemble"
+           p.Ablation.mcr p.Ablation.mul_variant)
+        true
+        (Float.equal p.Ablation.power_mw (power.Power.total_w *. 1e3)))
+    pts
 
 (* ---------------- Fig 8 (small spec) ---------------- *)
 

@@ -237,19 +237,19 @@ let test_compile_deterministic () =
   let spec =
     { Spec.fig8 with Spec.rows = 16; cols = 16; mac_freq_hz = 600e6 }
   in
-  let a = Compiler.compile (Ctx.of_parts lib scl1) spec in
-  let b = Compiler.compile (Ctx.of_parts lib scl2) spec in
+  let a = Pipeline.artifact_exn (Pipeline.run (Ctx.of_parts lib scl1) spec) in
+  let b = Pipeline.artifact_exn (Pipeline.run (Ctx.of_parts lib scl2) spec) in
   check_bool "same power" true
-    (Float.abs (a.Compiler.metrics.Compiler.power_w
-                -. b.Compiler.metrics.Compiler.power_w)
+    (Float.abs (a.Pipeline.metrics.Pipeline.power_w
+                -. b.Pipeline.metrics.Pipeline.power_w)
     < 1e-12);
   check_bool "same crit" true
-    (Float.abs (a.Compiler.metrics.Compiler.crit_ps
-                -. b.Compiler.metrics.Compiler.crit_ps)
+    (Float.abs (a.Pipeline.metrics.Pipeline.crit_ps
+                -. b.Pipeline.metrics.Pipeline.crit_ps)
     < 1e-9);
   check_bool "same area" true
-    (Float.abs (a.Compiler.metrics.Compiler.area_mm2
-                -. b.Compiler.metrics.Compiler.area_mm2)
+    (Float.abs (a.Pipeline.metrics.Pipeline.area_mm2
+                -. b.Pipeline.metrics.Pipeline.area_mm2)
     < 1e-12)
 
 let test_compile_no_retry_flag () =
@@ -258,9 +258,12 @@ let test_compile_no_retry_flag () =
     { Spec.fig8 with Spec.rows = 16; cols = 16; mac_freq_hz = 600e6 }
   in
   (* with retry disabled the call still completes and reports honestly *)
-  let a = Compiler.compile ~retry:false (Ctx.of_parts lib scl) spec in
+  let policy = { Pipeline.default_policy with Pipeline.retry = false } in
+  let a =
+    Pipeline.artifact_exn (Pipeline.run ~policy (Ctx.of_parts lib scl) spec)
+  in
   check_bool "report exists" true
-    (a.Compiler.metrics.Compiler.crit_ps > 0.0)
+    (a.Pipeline.metrics.Pipeline.crit_ps > 0.0)
 
 let () =
   Alcotest.run "extensions"

@@ -3,9 +3,9 @@
    enabled switch), concurrent recording through the domain pool, the
    pool helper-domain cap regression (3 items at jobs=16 must spawn 2
    helpers, not 15), and the determinism contract — jobs=1 vs jobs=4
-   and scalar vs packed runs of the canonical snapshot
-   specs must produce byte-identical deterministic-subset fingerprints,
-   mirroring the Trace.fingerprint discipline. *)
+   runs of the canonical snapshot specs must produce byte-identical
+   deterministic-subset fingerprints, mirroring the Trace.fingerprint
+   discipline. *)
 
 let lib = Library.n40 ()
 let scl = Scl.create lib
@@ -245,22 +245,22 @@ let test_pool_spawn_cap () =
   check_bool "parallel_map result order" true (ys = [ 11; 21; 31 ]);
   check_int "parallel_map inherits the cap" 2 (spawned ())
 
-(* ---------------- determinism across jobs and engines ----------------- *)
+(* ---------------- determinism across job counts ------------------------ *)
 
 (* Run the canonical snapshot specs through an uncached batch and return
    the deterministic-subset fingerprint. Uncached, so the disk-cache
    counters read zero in every configuration instead of varying with
    cold/warm state; the registry is process-wide, so reset scopes it to
    this run. *)
-let fingerprint_of ~jobs ~engine () =
+let fingerprint_of ~jobs =
   Metrics.reset ();
-  let ctx = Ctx.with_engines engine (Ctx.with_jobs jobs base_ctx) in
+  let ctx = Ctx.with_jobs jobs base_ctx in
   let r = Batch.run ctx canonical_specs in
   check_int "no failures" 0 r.Batch.failed;
   Metrics.fingerprint ()
 
-let test_determinism_jobs_and_engines () =
-  let reference = fingerprint_of ~jobs:1 ~engine:`Packed () in
+let test_determinism_jobs () =
+  let reference = fingerprint_of ~jobs:1 in
   (* the deterministic subset must actually carry the workload: stage
      counts, signoff MACs, batch outcomes, pipeline attempts, forced
      search-time power streams *)
@@ -276,9 +276,7 @@ let test_determinism_jobs_and_engines () =
     (contains ~sub:"counter search.power_streams = " reference);
   check_bool "pool counters excluded" false (contains ~sub:"pool." reference);
   check_str "jobs=4 fingerprint matches jobs=1" reference
-    (fingerprint_of ~jobs:4 ~engine:`Packed ());
-  check_str "scalar engine fingerprint matches packed" reference
-    (fingerprint_of ~jobs:4 ~engine:`Scalar ())
+    (fingerprint_of ~jobs:4)
 
 (* ---------------- service surface ------------------------------------ *)
 
@@ -346,8 +344,8 @@ let () =
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "jobs- and engine-invariant fingerprints" `Slow
-            test_determinism_jobs_and_engines;
+          Alcotest.test_case "jobs-invariant fingerprints" `Slow
+            test_determinism_jobs;
         ] );
       ( "service",
         [

@@ -55,14 +55,14 @@ let swapped_compile (spec : Spec.t) =
 let test_stage_order_invariance () =
   List.iter
     (fun (name, spec) ->
-      let a = Compiler.compile ctx spec in
+      let a = Pipeline.artifact_exn (Pipeline.run ctx spec) in
       match swapped_compile spec with
       | Error d -> Alcotest.failf "%s: swapped pipeline failed: %s" name (Diag.to_string d)
       | Ok (m, closed) ->
           check_bool (name ^ " metrics identical") true
-            (m = a.Compiler.metrics);
+            (m = a.Pipeline.metrics);
           check_bool (name ^ " verdict identical") true
-            (closed = a.Compiler.timing_closed))
+            (closed = a.Pipeline.timing_closed))
     Snapshot.canonical_specs
 
 (* ---------------- diagnostics instead of exceptions ---------------- *)
