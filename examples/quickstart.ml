@@ -25,7 +25,7 @@ let () =
       preference = Spec.Balanced;
     }
   in
-  (* 3. Compile: search -> verified netlist -> placed + routed macro. *)
+  (* 3. Compile: search -> placed + routed macro -> verified netlist. *)
   let a = Pipeline.artifact_exn (Pipeline.run ctx spec) in
   print_string (Report.to_string lib a);
   (* 4. Use the macro: load a weight matrix, run a MAC, compare with the

@@ -1,26 +1,36 @@
 (** The staged compilation pipeline (paper Fig. 2), as composable passes.
 
-    The flow is five typed stages threaded by {!run}:
+    The flow is five typed stages threaded by {!run}. An attempt runs the
+    first two; the backend decides whether the attempt ships, and only
+    the attempt that ships runs the last three:
 
     {v
-      Spec.t --search--> search_art --signoff_verify--> search_art
-             --backend--> backend_art --power--> Power.report
-             --metrics--> verdict
+      Spec.t --search--> search_art --backend--> backend_art
+        Retry boost: run the next attempt at the tighter clock
+        Ship layout: --signoff_verify--> search_art
+                     --power--> Power.report --metrics--> verdict
     v}
 
     1. [search]: the multi-spec-oriented searcher picks the subcircuit
        configuration and pipeline structure (Algorithm 1), evaluating
-       candidates through a per-attempt memoizing {!Eval_cache};
-    2. [signoff_verify]: functional sign-off — the generated netlist is
+       candidates through a per-attempt memoizing {!Eval_cache} that
+       draws its netlists from a per-compile {!Eval_cache.netlists}
+       table;
+    2. [backend]: SDP placement, routing estimate and wire-aware timing
+       re-closure (the ECO sizing loop, every iteration recorded), then
+       the retry policy ({!next_boost}): a routed miss whose search closed
+       pre-layout discards the attempt and re-runs search and backend
+       against a tightened internal clock. The layout that ships is
+       checked by DRC and LVS; a discarded one is not;
+    3. [signoff_verify]: functional sign-off — the shipped netlist is
        simulated against the golden MAC over randomized batches; the
        compiler refuses to emit a macro that miscomputes;
-    3. [backend]: SDP placement, routing estimate, wire-aware timing
-       re-closure (the ECO sizing loop, every iteration recorded), DRC
-       and LVS;
     4. [power]: post-layout power at the spec's operating point;
-    5. [metrics]: the reported PPA, the timing verdict, and the explicit
-       retry policy — a post-layout miss whose search closed pre-layout
-       re-runs the whole pipeline against a tightened internal clock.
+    5. [metrics]: the reported PPA and the timing verdict.
+
+    Verification reads only the netlist's function and the ECO only
+    resizes cells, so running [signoff_verify] after [backend] reports
+    what running it before would.
 
     Each stage returns [('a, Diag.t) result]; nothing inside the pipeline
     escapes by exception. Every stage execution appends an instrumented
@@ -40,8 +50,9 @@ let stage_backend = "backend"
 let stage_power = "power"
 let stage_metrics = "metrics"
 
+(** In execution order. *)
 let stage_names =
-  [ stage_search; stage_verify; stage_backend; stage_power; stage_metrics ]
+  [ stage_search; stage_backend; stage_verify; stage_power; stage_metrics ]
 
 type metrics = {
   crit_ps : float;  (** post-layout, nominal voltage *)
@@ -74,17 +85,27 @@ type eco_iteration = {
   reason : string;  (** why the loop continued, rolled back, or stopped *)
 }
 
-(** Output of the backend stage: the signed-off layout plus the full ECO
+(** What the backend decided for its attempt. *)
+type outcome =
+  | Ship of Post_layout.t  (** the kept layout, DRC- and LVS-clean *)
+  | Retry of float
+      (** the attempt is discarded, its layout never checked: the boost
+          of the next attempt *)
+
+(** Output of the backend stage: its decision plus the full ECO
     iteration record. *)
 type backend_art = {
-  signoff : Post_layout.t;
+  outcome : outcome;
   eco : eco_iteration list;  (** in iteration order *)
   eco_capped : bool;  (** budget still missed when the iteration cap hit *)
   upsized : int;  (** total cells upsized by committed ECO passes *)
 }
 
 (** The metrics stage's verdict: reported PPA, the timing decision, and
-    the retry policy's output (the boost the next attempt should use). *)
+    the retry policy's output for the attempt it measured (the boost the
+    next attempt should use). In {!run} the backend has already taken
+    that decision from the same routed timing, so a shipped attempt's
+    verdict never asks for a retry. *)
 type verdict = {
   metrics : metrics;
   timing_closed : bool;
@@ -103,7 +124,8 @@ type artifact = {
   timing_closed : bool;  (** post-layout, at the spec's operating point *)
 }
 
-(** One full pass through the five stages, kept per retry boost. *)
+(** One attempt (a search and a backend, through the last three stages
+    when it shipped), kept per retry boost. *)
 type attempt = {
   attempt_boost : float;
   attempt_cache : Eval_cache.stats;
@@ -187,13 +209,21 @@ let validate (spec : Spec.t) : (unit, Diag.t) Stdlib.result =
   else if spec.Spec.vdd <= 0.0 then err "operating voltage must be positive" []
   else Ok ()
 
-(** Stage 1 — MSO search under [boost]-tightened internal clock. *)
-let search_stage lib scl ~boost : (Spec.t, search_art) Stage.t =
+(** Stage 1 — MSO search under [boost]-tightened internal clock. With
+    [netlists], candidates take their netlists from that table (one per
+    compile), and the row notes how many it already held. *)
+let search_stage ?netlists lib scl ~boost : (Spec.t, search_art) Stage.t =
   Stage.v stage_search (fun (spec : Spec.t) ->
       let* () = validate spec in
+      let reused () =
+        match netlists with
+        | Some n -> (Eval_cache.netlist_stats n).Eval_cache.hits
+        | None -> 0
+      in
+      let reused_before = reused () in
       let* search, cache =
         Diag.guard ~stage:stage_search ~spec (fun () ->
-            let cache = Eval_cache.create () in
+            let cache = Eval_cache.create ?netlists () in
             let search_spec =
               { spec with Spec.mac_freq_hz = spec.Spec.mac_freq_hz *. boost }
             in
@@ -202,11 +232,14 @@ let search_stage lib scl ~boost : (Spec.t, search_art) Stage.t =
       in
       let macro = search.Searcher.final.Design_point.macro in
       let note =
-        Printf.sprintf "%s, %d points, %d techniques%s"
+        Printf.sprintf "%s, %d points, %d techniques%s%s"
           (if search.Searcher.timing_closed then "pre-layout closed"
            else "pre-layout NOT closed")
           (List.length search.Searcher.visited)
           (List.length search.Searcher.applied)
+          (match reused () - reused_before with
+          | 0 -> ""
+          | n -> Printf.sprintf ", %d netlists reused" n)
           (if boost > 1.0 then " [retry]" else "")
       in
       Ok
@@ -217,46 +250,31 @@ let search_stage lib scl ~boost : (Spec.t, search_art) Stage.t =
             ~cache_hits:cache.Eval_cache.hits
             ~cache_misses:cache.Eval_cache.misses ~boost ~note () ))
 
-(** Stage 2 — functional sign-off against the golden MAC. The packed
-    engine settles each weight copy's MAC batch as {!Sim_multiword}
-    lanes; any failing lane is shrunk back to one scalar transaction. *)
-let verify_stage ~enabled () : (search_art, search_art) Stage.t =
-  Stage.v stage_verify (fun (sa : search_art) ->
-      if not enabled then
-        Ok (sa, Stage.meta ~note:"skipped (verification disabled)" ())
-      else
-        let* () =
-          Diag.guard ~stage:stage_verify ~spec:sa.search_spec (fun () ->
-              Testbench.verify sa.macro ~seed:0xACC
-                ~batches:verify_batches)
-        in
-        let copies = sa.macro.Macro_rtl.cfg.Macro_rtl.mcr in
-        Ok
-          ( sa,
-            Stage.meta
-              ~cells:(Ir.n_insts sa.macro.Macro_rtl.design)
-              ~note:
-                (Printf.sprintf
-                   "%d random MACs vs golden (%d weight copies, packed engine)"
-                   (copies * verify_batches) copies)
-              () ))
+(** Stage 2 — back-end: place, route and re-close timing with the
+    wire-aware ECO sizing loop, recording every iteration, then decide
+    the attempt. The loop alternates upsizing with re-placement and
+    extraction ({!Post_layout.place_route}) until the post-route critical
+    path meets [budget_ps], stops improving, or [max_eco_iters] runs out.
+    Sizing only ever adds drive, but timing need not improve with it: a
+    resize can lengthen the routed path once its larger cells are
+    re-placed. The rollback guards against exactly this, restoring the
+    drives of the last layout that the resize did not beat.
 
-(** Stage 3 — back-end: place, route, sign off, and re-close timing with
-    the wire-aware ECO sizing loop, recording every iteration. The loop
-    alternates placement/extraction with upsizing until the post-route
-    timing stops improving (sizing only ever upsizes, so it is monotone),
-    rolls back a resize that did not survive re-placement, and caps at
-    [max_eco_iters]. *)
-let backend_stage ?spec lib ~style ~budget_ps ~max_eco_iters :
-    (Macro_rtl.t, backend_art) Stage.t =
+    [retry] maps the kept layout's routed critical path to the next
+    attempt's boost and the reason (default: never). When it asks for
+    one, the stage returns [Retry] and its row's note leads with the
+    reason; otherwise the kept layout is checked by DRC and LVS
+    ({!Post_layout.check}) and shipped. *)
+let backend_stage ?spec ?(retry = fun (_ : float) -> None) lib ~style
+    ~budget_ps ~max_eco_iters : (Macro_rtl.t, backend_art) Stage.t =
   Stage.v stage_backend (fun (macro : Macro_rtl.t) ->
       let* art =
         Diag.guard ~stage:stage_backend ?spec (fun () ->
             let design = macro.Macro_rtl.design in
             let iters = ref [] in
             let capped = ref false in
-            let rec eco_loop iter pass =
-              let crit = pass.Post_layout.sta.Sta.crit_ps in
+            let rec eco_loop iter (pass : Post_layout.routed) =
+              let crit = pass.Post_layout.r_sta.Sta.crit_ps in
               if crit <= budget_ps then pass
               else if iter >= max_eco_iters then begin
                 capped := max_eco_iters > 0;
@@ -265,13 +283,14 @@ let backend_stage ?spec lib ~style ~budget_ps ~max_eco_iters :
               else begin
                 let snap = Sizing.snapshot design in
                 let wire_cap =
-                  Route.wire_cap_fn pass.Post_layout.routing lib.Library.node
+                  Route.wire_cap_fn pass.Post_layout.r_routing
+                    lib.Library.node
                 in
                 let sized =
                   Sizing.speed_up ~wire_cap design lib ~target_ps:budget_ps
                 in
-                let next = Post_layout.run lib macro ~style in
-                let next_crit = next.Post_layout.sta.Sta.crit_ps in
+                let next = Post_layout.place_route lib macro ~style in
+                let next_crit = next.Post_layout.r_sta.Sta.crit_ps in
                 if next_crit >= crit -. 1.0 then begin
                   (* the resize did not help once re-placed: roll back *)
                   Sizing.restore design snap;
@@ -311,9 +330,15 @@ let backend_stage ?spec lib ~style ~budget_ps ~max_eco_iters :
                 end
               end
             in
-            let first = Post_layout.run lib macro ~style in
-            let first_crit = first.Post_layout.sta.Sta.crit_ps in
-            let signoff = eco_loop 0 first in
+            let first = Post_layout.place_route lib macro ~style in
+            let kept = eco_loop 0 first in
+            let crit = kept.Post_layout.r_sta.Sta.crit_ps in
+            let decision = retry crit in
+            let outcome =
+              match decision with
+              | Some (b, _) -> Retry b
+              | None -> Ship (Post_layout.check lib kept)
+            in
             let eco = List.rev !iters in
             let upsized =
               List.fold_left
@@ -321,26 +346,55 @@ let backend_stage ?spec lib ~style ~budget_ps ~max_eco_iters :
                   if i.rolled_back then acc else acc + i.upsized)
                 0 eco
             in
-            ( { signoff; eco; eco_capped = !capped; upsized },
-              first_crit ))
+            ( { outcome; eco; eco_capped = !capped; upsized },
+              first.Post_layout.r_sta.Sta.crit_ps,
+              crit,
+              Option.map snd decision ))
       in
-      let ba, first_crit = art in
+      let ba, first_crit, crit, why_retry = art in
       let note =
+        (* the rollback suffix stays last: trace readers parse it *)
         let base =
           Printf.sprintf "budget %.1f ps%s" budget_ps
             (if ba.eco_capped then
                Printf.sprintf ", ECO capped at %d iteration(s)" max_eco_iters
              else "")
         in
-        match List.rev ba.eco with
-        | last :: _ when last.rolled_back -> base ^ ", last ECO rolled back"
-        | _ -> base
+        let base =
+          match List.rev ba.eco with
+          | last :: _ when last.rolled_back -> base ^ ", last ECO rolled back"
+          | _ -> base
+        in
+        match why_retry with Some why -> why ^ "; " ^ base | None -> base
       in
       Ok
         ( ba,
-          Stage.meta ~cells:ba.upsized ~crit_in_ps:first_crit
-            ~crit_out_ps:ba.signoff.Post_layout.sta.Sta.crit_ps
+          Stage.meta ~cells:ba.upsized ~crit_in_ps:first_crit ~crit_out_ps:crit
             ~eco_iters:(List.length ba.eco) ~note () ))
+
+(** Stage 3 — functional sign-off against the golden MAC. The packed
+    engine settles each weight copy's MAC batch as {!Sim_multiword}
+    lanes; any failing lane is shrunk back to one scalar transaction. *)
+let verify_stage ~enabled () : (search_art, search_art) Stage.t =
+  Stage.v stage_verify (fun (sa : search_art) ->
+      if not enabled then
+        Ok (sa, Stage.meta ~note:"skipped (verification disabled)" ())
+      else
+        let* () =
+          Diag.guard ~stage:stage_verify ~spec:sa.search_spec (fun () ->
+              Testbench.verify sa.macro ~seed:0xACC
+                ~batches:verify_batches)
+        in
+        let copies = sa.macro.Macro_rtl.cfg.Macro_rtl.mcr in
+        Ok
+          ( sa,
+            Stage.meta
+              ~cells:(Ir.n_insts sa.macro.Macro_rtl.design)
+              ~note:
+                (Printf.sprintf
+                   "%d random MACs vs golden (%d weight copies, packed engine)"
+                   (copies * verify_batches) copies)
+              () ))
 
 (** Stage 4 — post-layout power at the spec's operating point. *)
 let power_stage lib ~(spec : Spec.t) :
@@ -365,16 +419,44 @@ let power_stage lib ~(spec : Spec.t) :
                  (report_weight_density *. 100.))
             () ))
 
+(* A routed critical path's fmax at the spec's voltage, and whether it
+   meets the spec's clock: shared by the backend's retry decision and the
+   metrics verdict, so the two agree bit for bit. *)
+let fmax_ghz node (spec : Spec.t) crit_ps =
+  Voltage.fmax node ~crit_path_ps:crit_ps ~vdd:spec.Spec.vdd /. 1e9
+
+let meets_clock (spec : Spec.t) fmax_ghz =
+  fmax_ghz *. 1e9 >= spec.Spec.mac_freq_hz *. 0.999
+
+let retry_note (spec : Spec.t) ~fmax_ghz boost =
+  Printf.sprintf
+    "post-route miss (fmax %.2f GHz < %.0f MHz) but search closed \
+     pre-layout: retry at boost x%.2f"
+    fmax_ghz
+    (spec.Spec.mac_freq_hz /. 1e6)
+    boost
+
+(** [retry_decision lib policy sa crit_ps] — {!next_boost} for attempt
+    [sa] once its ECO loop kept a layout with routed critical path
+    [crit_ps]: the next attempt's boost and the reason, or [None] when
+    [sa] ships. The backend's [retry] argument in {!run}. *)
+let retry_decision lib (policy : policy) (sa : search_art) crit_ps =
+  let spec = sa.search_spec in
+  let fmax_ghz = fmax_ghz lib.Library.node spec crit_ps in
+  next_boost policy ~boost:sa.boost
+    ~timing_closed:(meets_clock spec fmax_ghz)
+    ~search_closed:sa.search.Searcher.timing_closed
+  |> Option.map (fun b -> (b, retry_note spec ~fmax_ghz b))
+
 let compute_metrics (spec : Spec.t) (m : Macro_rtl.t)
     (signoff : Post_layout.t) (power : Power.report) node =
   let crit_ps = signoff.Post_layout.sta.Sta.crit_ps in
-  let fmax_hz = Voltage.fmax node ~crit_path_ps:crit_ps ~vdd:spec.Spec.vdd in
   let tops = Design_point.throughput_tops m ~freq_hz:spec.Spec.mac_freq_hz in
   let area_mm2 = signoff.Post_layout.area_mm2 in
   let ops_norm = float_of_int (m.Macro_rtl.db * m.Macro_rtl.wb) in
   {
     crit_ps;
-    fmax_ghz = fmax_hz /. 1e9;
+    fmax_ghz = fmax_ghz node spec crit_ps;
     power_w = power.Power.total_w;
     area_mm2;
     tops;
@@ -383,22 +465,20 @@ let compute_metrics (spec : Spec.t) (m : Macro_rtl.t)
     ops_norm;
   }
 
-(** Stage 5 — reported PPA, the timing verdict, and the retry decision
-    ({!next_boost}): a post-layout miss whose search closed pre-layout
-    schedules a re-run at [boost *. boost_step] while this attempt's
-    [boost] is below [max_boost]. *)
+(** Stage 5 — reported PPA, the timing verdict, and the policy's retry
+    decision for the measured attempt ({!next_boost}, as the backend
+    takes it in {!run}). *)
 let metrics_stage lib ~(policy : policy) :
-    (search_art * backend_art * Power.report, verdict) Stage.t =
+    (search_art * Post_layout.t * Power.report, verdict) Stage.t =
   Stage.v stage_metrics
-    (fun ((sa : search_art), (ba : backend_art), (power : Power.report)) ->
+    (fun ((sa : search_art), (signoff : Post_layout.t), (power : Power.report))
+    ->
       let spec = sa.search_spec in
       let* metrics =
         Diag.guard ~stage:stage_metrics ~spec (fun () ->
-            compute_metrics spec sa.macro ba.signoff power lib.Library.node)
+            compute_metrics spec sa.macro signoff power lib.Library.node)
       in
-      let timing_closed =
-        metrics.fmax_ghz *. 1e9 >= spec.Spec.mac_freq_hz *. 0.999
-      in
+      let timing_closed = meets_clock spec metrics.fmax_ghz in
       let retry_boost =
         next_boost policy ~boost:sa.boost ~timing_closed
           ~search_closed:sa.search.Searcher.timing_closed
@@ -410,13 +490,7 @@ let metrics_stage lib ~(policy : policy) :
             (spec.Spec.mac_freq_hz /. 1e6)
         else
           match retry_boost with
-          | Some b ->
-              Printf.sprintf
-                "post-route miss (fmax %.2f GHz < %.0f MHz) but search \
-                 closed pre-layout: retry at boost x%.2f"
-                metrics.fmax_ghz
-                (spec.Spec.mac_freq_hz /. 1e6)
-                b
+          | Some b -> retry_note spec ~fmax_ghz:metrics.fmax_ghz b
           | None ->
               Printf.sprintf "timing NOT closed (fmax %.2f GHz), no retry %s"
                 metrics.fmax_ghz
@@ -427,7 +501,7 @@ let metrics_stage lib ~(policy : policy) :
       in
       Ok
         ( { metrics; timing_closed; retry_boost },
-          Stage.meta ~crit_in_ps:ba.signoff.Post_layout.sta.Sta.crit_ps
+          Stage.meta ~crit_in_ps:signoff.Post_layout.sta.Sta.crit_ps
             ~crit_out_ps:metrics.crit_ps ~boost:sa.boost ~note () ))
 
 (* ------------------------------------------------------------------ *)
@@ -446,47 +520,52 @@ let m_eco_iters = Metrics.counter "pipeline.eco_iters"
    deterministic cache.disk.* counters instead. *)
 let m_cache_lookup_ms = Metrics.histogram ~det:false "cache.disk.lookup_ms"
 
-(** [run ?style ?policy ?trace ?inject ctx spec] — thread the five
-    stages over the context's library and shared SCL memo, re-running the
-    whole pipeline under the retry policy when the metrics stage asks for
-    a boost. Every stage execution (across every attempt) appends a row
-    to [trace], if given; [inject] forces the named stage to fail, for
-    exercising the diagnostic path. *)
+(** [run ?style ?policy ?trace ?inject ctx spec] — compile [spec] over
+    the context's library and shared SCL memo. Each attempt runs search
+    and backend; the backend applies the retry policy to the routed
+    timing its ECO loop kept, and a discarded attempt goes no further: the
+    next one searches again under the boost it asked for. The attempt
+    that ships runs [signoff_verify], [power] and [metrics]. One netlist
+    table serves every attempt, so a configuration is built once per
+    compile; it is dropped when [run] returns. Every stage execution
+    (across every attempt) appends a row to [trace], if given; [inject]
+    forces the named stage to fail, for exercising the diagnostic path. *)
 let run ?(style = Floorplan.Sdp) ?(policy = default_policy) ?trace ?inject
     (ctx : Ctx.t) (spec : Spec.t) : (run, Diag.t) Stdlib.result =
   let lib = Ctx.lib ctx and scl = Ctx.scl ctx in
   let exec s x = Stage.execute ?trace ?inject s x in
   let budget_ps = Spec.nominal_budget_ps spec lib.Library.node in
+  let netlists = Eval_cache.netlists () in
   let rec attempt acc boost =
-    let* sa = exec (search_stage lib scl ~boost) spec in
-    let* sa = exec (verify_stage ~enabled:policy.verify ()) sa in
+    let* sa = exec (search_stage ~netlists lib scl ~boost) spec in
     let* ba =
       exec
         (backend_stage lib ~style ~spec ~budget_ps
-           ~max_eco_iters:policy.max_eco_iters)
+           ~max_eco_iters:policy.max_eco_iters
+           ~retry:(retry_decision lib policy sa))
         sa.macro
     in
-    let* power = exec (power_stage lib ~spec) (sa.macro, ba.signoff) in
-    let* v = exec (metrics_stage lib ~policy) (sa, ba, power) in
     Metrics.incr m_attempts;
     Metrics.add m_eco_iters (List.length ba.eco);
-    (match v.retry_boost with
-    | Some _ -> Metrics.incr m_retries
-    | None -> ());
-    let acc =
+    let with_this ~closed =
       acc
       @ [
           {
             attempt_boost = boost;
             attempt_cache = sa.cache;
             attempt_eco = ba.eco;
-            attempt_closed = v.timing_closed;
+            attempt_closed = closed;
           };
         ]
     in
-    match v.retry_boost with
-    | Some b -> attempt acc b
-    | None ->
+    match ba.outcome with
+    | Retry b ->
+        Metrics.incr m_retries;
+        attempt (with_this ~closed:false) b
+    | Ship signoff ->
+        let* sa = exec (verify_stage ~enabled:policy.verify ()) sa in
+        let* power = exec (power_stage lib ~spec) (sa.macro, signoff) in
+        let* v = exec (metrics_stage lib ~policy) (sa, signoff, power) in
         Ok
           {
             artifact =
@@ -494,12 +573,12 @@ let run ?(style = Floorplan.Sdp) ?(policy = default_policy) ?trace ?inject
                 spec;
                 search = sa.search;
                 macro = sa.macro;
-                signoff = ba.signoff;
+                signoff;
                 power;
                 metrics = v.metrics;
                 timing_closed = v.timing_closed;
               };
-            attempts = acc;
+            attempts = with_this ~closed:v.timing_closed;
           }
   in
   Metrics.incr m_pipeline_runs;
@@ -685,13 +764,18 @@ let search_only ?trace (ctx : Ctx.t) (spec : Spec.t) :
 
 (** [backend_once ?trace ?spec ctx ~style macro] — one
     place/route/sign-off pass with no ECO re-closure (infinite budget,
-    zero iterations). *)
+    zero iterations); returns the signed-off layout. *)
 let backend_once ?trace ?spec (ctx : Ctx.t) ~style (macro : Macro_rtl.t) :
-    (backend_art, Diag.t) Stdlib.result =
-  Stage.execute ?trace
-    (backend_stage (Ctx.lib ctx) ~style ?spec ~budget_ps:infinity
-       ~max_eco_iters:0)
-    macro
+    (Post_layout.t, Diag.t) Stdlib.result =
+  let* ba =
+    Stage.execute ?trace
+      (backend_stage (Ctx.lib ctx) ~style ?spec ~budget_ps:infinity
+         ~max_eco_iters:0)
+      macro
+  in
+  match ba.outcome with
+  | Ship signoff -> Ok signoff
+  | Retry _ -> assert false (* no [retry] was given *)
 
 (* ------------------------------------------------------------------ *)
 (* Stage artifact serialization (--dump-stage)                         *)

@@ -228,7 +228,7 @@ let placements ?(dims = [ 32; 64; 128 ]) ?jobs (ctx : Ctx.t) =
       let m = Macro_rtl.build lib cfg in
       let s =
         match Pipeline.backend_once ctx ~style m with
-        | Ok ba -> ba.Pipeline.signoff
+        | Ok s -> s
         | Error d -> raise (Diag.Failed d)
       in
       {

@@ -116,9 +116,14 @@ let measure_power_sliced (module E : Slice.S) ?(seed = 0xD1C) ?loads
     power stays pending until {!power_w} reads it. The pending estimate
     captures sizing's load map and a snapshot of the sized drives, so it
     prices exactly the netlist evaluated here even if a later pass (the
-    backend ECO) resizes the design in place first. *)
-let evaluate (lib : Library.t) (spec : Spec.t) (cfg : Macro_rtl.config) : t =
-  let macro = Macro_rtl.build lib cfg in
+    backend ECO) resizes the design in place first. [macro], when given,
+    replaces the build: [cfg]'s netlist at its as-built drives, with a
+    drive column no other point shares (sizing writes it in place). *)
+let evaluate ?macro (lib : Library.t) (spec : Spec.t) (cfg : Macro_rtl.config)
+    : t =
+  let macro =
+    match macro with Some m -> m | None -> Macro_rtl.build lib cfg
+  in
   let budget = Spec.search_budget_ps spec lib.Library.node in
   let sized = Sizing.speed_up macro.design lib ~target_ps:budget in
   (* sizing's last round timed the final drives: its report and load

@@ -20,7 +20,12 @@
     only handed to consumers that treat the netlist as frozen (the sweep
     machinery). A point's pending power is the exception: it prices the
     drive snapshot taken at evaluation, not the live drives. Scope a
-    cache per sweep. *)
+    cache per sweep.
+
+    A cache may also draw its netlists from a {!netlists} table, which
+    outlives it: the compiler keeps one table per compile, so an attempt
+    retried at a tighter clock re-sizes a configuration an earlier
+    attempt built instead of building it again. *)
 
 (** A snapshot of one cache's counters, for values that outlive the
     cache (a pipeline attempt, a Fig. 8 result). *)
@@ -34,28 +39,10 @@ let shard_count = 16
 let m_hits = Metrics.counter ~det:false "cache.eval.hits"
 let m_misses = Metrics.counter ~det:false "cache.eval.misses"
 
-type t = {
-  shards : (string, Design_point.t) Hashtbl.t array;
-  locks : Mutex.t array;
-  hits : Metrics.counter;  (** scoped to this cache, rolls up to [m_hits] *)
-  misses : Metrics.counter;
-}
-
-let create () =
-  {
-    shards = Array.init shard_count (fun _ -> Hashtbl.create 64);
-    locks = Array.init shard_count (fun _ -> Mutex.create ());
-    hits = Metrics.scoped m_hits;
-    misses = Metrics.scoped m_misses;
-  }
-
-(* Canonical serialization of everything [Design_point.evaluate] reads:
-   every [Macro_rtl.config] field plus the spec's operating point (MAC and
-   weight-update frequency targets and VDD — the preference does not
-   influence an evaluation, which is exactly why walks under different
-   preferences can share entries). Floats print as %h so distinct
-   operating points can never collide. *)
-let key (spec : Spec.t) (cfg : Macro_rtl.config) : string =
+(* Canonical serialization of every [Macro_rtl.config] field: all that
+   [Macro_rtl.build] reads besides the library. Floats print as %h so
+   distinct configurations can never collide. *)
+let config_key (cfg : Macro_rtl.config) : string =
   let tree =
     match cfg.Macro_rtl.tree with
     | Adder_tree.Rca_tree -> "rca"
@@ -63,7 +50,7 @@ let key (spec : Spec.t) (cfg : Macro_rtl.config) : string =
         Printf.sprintf "csa:%h:%b" fa_ratio reorder
   in
   Printf.sprintf
-    "%dx%dx%d|i%s|w%s|cell%s|mul%s|tree%s|sa%s|split%d|rt%b|rca%b|rs%b|or%b|op%b|of%b|ap%d|ro%b|wc%b|f%h|wu%h|v%h"
+    "%dx%dx%d|i%s|w%s|cell%s|mul%s|tree%s|sa%s|split%d|rt%b|rca%b|rs%b|or%b|op%b|of%b|ap%d|ro%b|wc%b"
     cfg.Macro_rtl.rows cfg.Macro_rtl.cols cfg.Macro_rtl.mcr
     (Precision.name cfg.Macro_rtl.input_prec)
     (Precision.name cfg.Macro_rtl.weight_prec)
@@ -76,7 +63,97 @@ let key (spec : Spec.t) (cfg : Macro_rtl.config) : string =
     cfg.Macro_rtl.ofu_retime cfg.Macro_rtl.ofu_extra_pipe
     cfg.Macro_rtl.ofu_fast_adder cfg.Macro_rtl.align_pipeline
     cfg.Macro_rtl.reg_output cfg.Macro_rtl.with_controller
-    spec.Spec.mac_freq_hz spec.Spec.weight_update_freq_hz spec.Spec.vdd
+
+(* Everything [Design_point.evaluate] reads: the configuration plus the
+   spec's operating point (MAC and weight-update frequency targets and
+   VDD — the preference does not influence an evaluation, which is
+   exactly why walks under different preferences can share entries). *)
+let key (spec : Spec.t) (cfg : Macro_rtl.config) : string =
+  Printf.sprintf "%s|f%h|wu%h|v%h" (config_key cfg) spec.Spec.mac_freq_hz
+    spec.Spec.weight_update_freq_hz spec.Spec.vdd
+
+(* ------------------------------------------------------------------ *)
+(* Netlist table                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Deterministic: lookups are single-flight under the table's lock, so a
+   table's misses are its distinct configurations and its hits the rest,
+   whatever the domain count. *)
+let m_netlist_hits = Metrics.counter "cache.netlist.hits"
+let m_netlist_misses = Metrics.counter "cache.netlist.misses"
+
+(** A table of built netlists keyed by configuration alone:
+    [Macro_rtl.build] is a pure function of the library and the config,
+    so one table serves every operating point of one library. It keeps
+    each netlist at its as-built drives and hands out copies whose drive
+    column is fresh, so that neither sizing nor the backend ECO, which
+    resize a point's netlist in place, can reach the table or another
+    point. Everything else (instance kinds, pins, connectivity) is shared
+    with the table. *)
+type netlists = {
+  built : (string, Macro_rtl.t) Hashtbl.t;
+  built_lock : Mutex.t;
+  netlist_hits : Metrics.counter;  (** scoped, rolls up to [m_netlist_hits] *)
+  netlist_misses : Metrics.counter;
+}
+
+let netlists () =
+  {
+    built = Hashtbl.create 16;
+    built_lock = Mutex.create ();
+    netlist_hits = Metrics.scoped m_netlist_hits;
+    netlist_misses = Metrics.scoped m_netlist_misses;
+  }
+
+(** [netlist n lib cfg] — [cfg]'s netlist with a drive column of its own,
+    at the as-built drives; built on the table's first request for
+    [cfg]. [lib] must be the library of every earlier request. *)
+let netlist (n : netlists) lib (cfg : Macro_rtl.config) : Macro_rtl.t =
+  let k = config_key cfg in
+  let m =
+    Mutex.protect n.built_lock (fun () ->
+        match Hashtbl.find_opt n.built k with
+        | Some m ->
+            Metrics.incr n.netlist_hits;
+            m
+        | None ->
+            let m = Macro_rtl.build lib cfg in
+            Hashtbl.add n.built k m;
+            Metrics.incr n.netlist_misses;
+            m)
+  in
+  let d = m.Macro_rtl.design in
+  { m with Macro_rtl.design = { d with Ir.drives = Bytes.copy d.Ir.drives } }
+
+(** The table's counters so far. *)
+let netlist_stats (n : netlists) =
+  {
+    hits = Metrics.counter_value n.netlist_hits;
+    misses = Metrics.counter_value n.netlist_misses;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Design-point cache                                                  *)
+(* ------------------------------------------------------------------ *)
+
+type t = {
+  shards : (string, Design_point.t) Hashtbl.t array;
+  locks : Mutex.t array;
+  hits : Metrics.counter;  (** scoped to this cache, rolls up to [m_hits] *)
+  misses : Metrics.counter;
+  netlists : netlists option;  (** where misses take their netlists *)
+}
+
+(** [create ?netlists ()] — an empty cache. With [netlists], a miss takes
+    its netlist from that table instead of building it. *)
+let create ?netlists () =
+  {
+    shards = Array.init shard_count (fun _ -> Hashtbl.create 64);
+    locks = Array.init shard_count (fun _ -> Mutex.create ());
+    hits = Metrics.scoped m_hits;
+    misses = Metrics.scoped m_misses;
+    netlists;
+  }
 
 let shard_of t k = Hashtbl.hash k mod Array.length t.shards
 
@@ -93,7 +170,8 @@ let evaluate (t : t) lib (spec : Spec.t) (cfg : Macro_rtl.config) :
       Metrics.incr t.hits;
       p
   | None ->
-      let p = Design_point.evaluate lib spec cfg in
+      let macro = Option.map (fun n -> netlist n lib cfg) t.netlists in
+      let p = Design_point.evaluate ?macro lib spec cfg in
       Metrics.incr t.misses;
       Mutex.protect lock (fun () ->
           (* keep the first stored point so later hits stay physically

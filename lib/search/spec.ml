@@ -57,9 +57,10 @@ let nominal_budget_ps (s : t) (node : Node.t) =
   period_ps /. Voltage.delay_scale node ~vdd:s.vdd
 
 (** Fraction of the cycle reserved for routed-wire delay during the
-    pre-layout search, so the post-layout netlist still closes once
-    extraction adds wire load — the synthesis wire-load margin every
-    physical flow carries. *)
+    pre-layout search: the first attempt's wire-load margin. It is often
+    not enough (7 of the 15 attempts of the eight paper-scale macros miss
+    routed timing), and the pipeline's retry policy then tightens the
+    search's clock for the next attempt. *)
 let wire_derate = 0.22
 
 (** Pre-layout timing target used by the searcher. *)

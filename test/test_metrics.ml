@@ -263,7 +263,7 @@ let test_determinism_jobs () =
   let reference = fingerprint_of ~jobs:1 in
   (* the deterministic subset must actually carry the workload: stage
      counts, signoff MACs, batch outcomes, pipeline attempts, forced
-     search-time power streams *)
+     search-time power streams, netlist-table builds *)
   check_bool "stage counts present" true
     (contains ~sub:"counter stage.search.runs = " reference);
   check_bool "signoff counts present" true
@@ -274,6 +274,8 @@ let test_determinism_jobs () =
     (contains ~sub:"pipeline.attempts" reference);
   check_bool "search power streams present" true
     (contains ~sub:"counter search.power_streams = " reference);
+  check_bool "netlist table counts present" true
+    (contains ~sub:"counter cache.netlist.misses = " reference);
   check_bool "pool counters excluded" false (contains ~sub:"pool." reference);
   check_str "jobs=4 fingerprint matches jobs=1" reference
     (fingerprint_of ~jobs:4)

@@ -1,6 +1,7 @@
-(* Staged-pipeline tests: stage-order invariance against the monolithic
-   entry point, diagnostic (not exception) failure paths, and trace
-   determinism across job counts. *)
+(* Staged-pipeline tests: stage-order invariance against a hand-threaded
+   reference flow, diagnostic (not exception) failure paths, trace shape
+   and determinism across job counts, the retry policy, sign-off of the
+   attempt that ships, and the per-compile netlist table. *)
 
 let lib = Library.n40 ()
 let scl = Scl.create lib
@@ -24,28 +25,37 @@ let small_spec =
 
 (* ---------------- stage-order invariance ---------------- *)
 
-(* Hand-threaded pipeline with the two independent stages swapped:
-   backend before signoff_verify. Verification only reads the netlist's
-   function and the ECO loop only resizes cells, so the swap must not
-   change any reported metric. *)
-let swapped_compile (spec : Spec.t) =
+(* Hand-threaded reference: the flow before the backend decided retries.
+   Every attempt runs all five stages, signoff_verify before backend, and
+   the retry comes from the metrics verdict. Verification only reads the
+   netlist's function and the ECO loop only resizes cells, so the order
+   must not change any reported metric, and a retry decided from the
+   same routed timing must not either. *)
+let reference_compile (spec : Spec.t) =
   let p = Pipeline.default_policy in
   let budget_ps = Spec.nominal_budget_ps spec lib.Library.node in
   let ( let* ) = Stdlib.Result.bind in
   let rec go boost =
     let* sa = Stage.execute (Pipeline.search_stage lib scl ~boost) spec in
+    let* sa = Stage.execute (Pipeline.verify_stage ~enabled:true ()) sa in
     let* ba =
       Stage.execute
         (Pipeline.backend_stage lib ~style:Floorplan.Sdp ~spec ~budget_ps
            ~max_eco_iters:p.Pipeline.max_eco_iters)
         sa.Pipeline.macro
     in
-    let* sa = Stage.execute (Pipeline.verify_stage ~enabled:true ()) sa in
+    let signoff =
+      match ba.Pipeline.outcome with
+      | Pipeline.Ship s -> s
+      | Pipeline.Retry _ -> Alcotest.fail "backend retried without a policy"
+    in
     let* power =
       Stage.execute (Pipeline.power_stage lib ~spec)
-        (sa.Pipeline.macro, ba.Pipeline.signoff)
+        (sa.Pipeline.macro, signoff)
     in
-    let* v = Stage.execute (Pipeline.metrics_stage lib ~policy:p) (sa, ba, power) in
+    let* v =
+      Stage.execute (Pipeline.metrics_stage lib ~policy:p) (sa, signoff, power)
+    in
     match v.Pipeline.retry_boost with
     | Some b -> go b
     | None -> Ok (v.Pipeline.metrics, v.Pipeline.timing_closed)
@@ -56,8 +66,10 @@ let test_stage_order_invariance () =
   List.iter
     (fun (name, spec) ->
       let a = Pipeline.artifact_exn (Pipeline.run ctx spec) in
-      match swapped_compile spec with
-      | Error d -> Alcotest.failf "%s: swapped pipeline failed: %s" name (Diag.to_string d)
+      match reference_compile spec with
+      | Error d ->
+          Alcotest.failf "%s: reference pipeline failed: %s" name
+            (Diag.to_string d)
       | Ok (m, closed) ->
           check_bool (name ^ " metrics identical") true
             (m = a.Pipeline.metrics);
@@ -99,12 +111,105 @@ let test_guard_converts_bench_error () =
       check_bool "detail in message" true
         (Diag.message d = "run_mac_auto: done never asserted")
 
-let test_failing_verify_raises_wrapper_exn () =
-  (* the Compiler wrapper still surfaces verify failures as the legacy
-     Verification_failed, but the pipeline itself returns a Diag *)
+let test_backend_injection_is_diag () =
+  (* a failure injected into the backend comes back as that stage's
+     diagnostic, not as an exception *)
   match Pipeline.run ~inject:Pipeline.stage_backend ctx small_spec with
   | Ok _ -> Alcotest.fail "injected backend failure produced a clean run"
   | Error d -> check_string "stage" Pipeline.stage_backend (Diag.stage d)
+
+(* ---------------- sign-off of the attempt that ships ---------------- *)
+
+(* [Batch.default_spec] is Fig. 8's macro: its routed timing misses twice,
+   so the compile takes three attempts. *)
+let retried_spec = Batch.default_spec
+
+let test_retried_compile_signs_off_once () =
+  let trace = Trace.create () in
+  (match Pipeline.run ~trace ctx retried_spec with
+  | Error d -> Alcotest.failf "compile failed: %s" (Diag.to_string d)
+  | Ok r ->
+      let n = List.length r.Pipeline.attempts in
+      check_bool "the compile retried" true (n > 1);
+      let rows = Trace.rows trace in
+      let expected =
+        List.concat
+          (List.init n (fun _ ->
+               [ Pipeline.stage_search; Pipeline.stage_backend ]))
+        @ [
+            Pipeline.stage_verify; Pipeline.stage_power; Pipeline.stage_metrics;
+          ]
+      in
+      Alcotest.(check (list string))
+        "search and backend per attempt, then one sign-off" expected
+        (List.map (fun (row : Trace.row) -> row.Trace.stage) rows);
+      List.iteri
+        (fun i (row : Trace.row) ->
+          if row.Trace.stage = Pipeline.stage_backend && i < 2 * (n - 1) then
+            check_bool "a discarded backend row says why first" true
+              (String.starts_with ~prefix:"post-route miss" row.Trace.note))
+        rows;
+      let a = r.Pipeline.artifact in
+      let so = a.Pipeline.signoff in
+      check_int "LVS checked every instance"
+        (Ir.n_insts a.Pipeline.macro.Macro_rtl.design)
+        so.Post_layout.lvs.Lvs.instances_checked;
+      check_bool "LVS clean" true so.Post_layout.lvs.Lvs.clean;
+      check_int "no DRC violations" 0 (List.length so.Post_layout.drc_violations));
+  match Pipeline.run ~inject:Pipeline.stage_verify ctx retried_spec with
+  | Ok _ -> Alcotest.fail "injected sign-off failure produced a clean run"
+  | Error d -> check_string "failing stage" Pipeline.stage_verify (Diag.stage d)
+
+(* ---------------- the per-compile netlist table ---------------- *)
+
+let test_netlist_table () =
+  let spec = retried_spec in
+  let netlists = Eval_cache.netlists () in
+  let search boost =
+    match
+      Stage.execute (Pipeline.search_stage ~netlists lib scl ~boost) spec
+    with
+    | Ok sa -> sa
+    | Error d -> Alcotest.failf "search failed: %s" (Diag.to_string d)
+  in
+  let first = search 1.0 in
+  let retry = search Pipeline.default_policy.Pipeline.boost_step in
+  check_bool "the retry reused netlists" true
+    ((Eval_cache.netlist_stats netlists).Eval_cache.hits > 0);
+  let cfg0 = Spec.initial_config spec in
+  let design (sa : Pipeline.search_art) =
+    (List.find
+       (fun (p : Design_point.t) -> p.Design_point.cfg = cfg0)
+       sa.Pipeline.search.Searcher.visited)
+      .Design_point.macro.Macro_rtl.design
+  in
+  let d1 = design first and d2 = design retry in
+  check_bool "kinds shared across attempts" true (d1.Ir.kinds == d2.Ir.kinds);
+  check_bool "pins shared across attempts" true (d1.Ir.pins == d2.Ir.pins);
+  check_bool "drives not shared" false (d1.Ir.drives == d2.Ir.drives);
+  (* the ECO resizes the shipped macro in place; the table must not see it *)
+  let shipped = first.Pipeline.macro in
+  let cfg = shipped.Macro_rtl.cfg in
+  let as_built = (Macro_rtl.build lib cfg).Macro_rtl.design.Ir.drives in
+  (match
+     Stage.execute
+       (Pipeline.backend_stage lib ~style:Floorplan.Sdp ~spec
+          ~budget_ps:(Spec.nominal_budget_ps spec lib.Library.node)
+          ~max_eco_iters:Pipeline.default_policy.Pipeline.max_eco_iters)
+       shipped
+   with
+  | Ok ba ->
+      check_bool "the ECO committed upsizes" true (ba.Pipeline.upsized > 0)
+  | Error d -> Alcotest.failf "backend failed: %s" (Diag.to_string d));
+  let again = Eval_cache.netlist netlists lib cfg in
+  check_bool "a new evaluation starts from the as-built drives" true
+    (Bytes.equal again.Macro_rtl.design.Ir.drives as_built);
+  let p_table =
+    Eval_cache.evaluate (Eval_cache.create ~netlists ()) lib spec cfg
+  and p_fresh = Design_point.evaluate lib spec cfg in
+  check_bool "same timing as a fresh build" true
+    (p_table.Design_point.crit_ps = p_fresh.Design_point.crit_ps
+    && p_table.Design_point.upsized = p_fresh.Design_point.upsized)
 
 (* ---------------- trace shape and determinism ---------------- *)
 
@@ -199,7 +304,17 @@ let () =
           Alcotest.test_case "guard converts Bench_error" `Quick
             test_guard_converts_bench_error;
           Alcotest.test_case "backend injection is a diagnostic" `Quick
-            test_failing_verify_raises_wrapper_exn;
+            test_backend_injection_is_diag;
+        ] );
+      ( "signoff",
+        [
+          Alcotest.test_case "a retried compile signs off once" `Slow
+            test_retried_compile_signs_off_once;
+        ] );
+      ( "netlists",
+        [
+          Alcotest.test_case "one build per config per compile" `Slow
+            test_netlist_table;
         ] );
       ( "trace",
         [
