@@ -101,16 +101,8 @@ type backend_art = {
   upsized : int;  (** total cells upsized by committed ECO passes *)
 }
 
-(** The metrics stage's verdict: reported PPA, the timing decision, and
-    the retry policy's output for the attempt it measured (the boost the
-    next attempt should use). In {!run} the backend has already taken
-    that decision from the same routed timing, so a shipped attempt's
-    verdict never asks for a retry. *)
-type verdict = {
-  metrics : metrics;
-  timing_closed : bool;
-  retry_boost : float option;
-}
+(** The metrics stage's verdict: reported PPA and the timing decision. *)
+type verdict = { metrics : metrics; timing_closed : bool }
 
 (** The final compilation artifact: every intermediate result, so
     reports, experiments and the CLI can drill in. *)
@@ -210,17 +202,10 @@ let validate (spec : Spec.t) : (unit, Diag.t) Stdlib.result =
   else Ok ()
 
 (** Stage 1 — MSO search under [boost]-tightened internal clock. With
-    [netlists], candidates take their netlists from that table (one per
-    compile), and the row notes how many it already held. *)
+    [netlists], candidates take their netlists from that table. *)
 let search_stage ?netlists lib scl ~boost : (Spec.t, search_art) Stage.t =
   Stage.v stage_search (fun (spec : Spec.t) ->
       let* () = validate spec in
-      let reused () =
-        match netlists with
-        | Some n -> (Eval_cache.netlist_stats n).Eval_cache.hits
-        | None -> 0
-      in
-      let reused_before = reused () in
       let* search, cache =
         Diag.guard ~stage:stage_search ~spec (fun () ->
             let cache = Eval_cache.create ?netlists () in
@@ -232,14 +217,11 @@ let search_stage ?netlists lib scl ~boost : (Spec.t, search_art) Stage.t =
       in
       let macro = search.Searcher.final.Design_point.macro in
       let note =
-        Printf.sprintf "%s, %d points, %d techniques%s%s"
+        Printf.sprintf "%s, %d points, %d techniques%s"
           (if search.Searcher.timing_closed then "pre-layout closed"
            else "pre-layout NOT closed")
           (List.length search.Searcher.visited)
           (List.length search.Searcher.applied)
-          (match reused () - reused_before with
-          | 0 -> ""
-          | n -> Printf.sprintf ", %d netlists reused" n)
           (if boost > 1.0 then " [retry]" else "")
       in
       Ok
@@ -465,9 +447,9 @@ let compute_metrics (spec : Spec.t) (m : Macro_rtl.t)
     ops_norm;
   }
 
-(** Stage 5 — reported PPA, the timing verdict, and the policy's retry
-    decision for the measured attempt ({!next_boost}, as the backend
-    takes it in {!run}). *)
+(** Stage 5 — reported PPA and the timing verdict. The retry decision
+    is the backend's ({!retry_decision}); a miss measured here is one
+    the policy ships, and the note says why. *)
 let metrics_stage lib ~(policy : policy) :
     (search_art * Post_layout.t * Power.report, verdict) Stage.t =
   Stage.v stage_metrics
@@ -479,28 +461,21 @@ let metrics_stage lib ~(policy : policy) :
             compute_metrics spec sa.macro signoff power lib.Library.node)
       in
       let timing_closed = meets_clock spec metrics.fmax_ghz in
-      let retry_boost =
-        next_boost policy ~boost:sa.boost ~timing_closed
-          ~search_closed:sa.search.Searcher.timing_closed
-      in
       let note =
         if timing_closed then
           Printf.sprintf "timing closed: fmax %.2f GHz >= %.0f MHz"
             metrics.fmax_ghz
             (spec.Spec.mac_freq_hz /. 1e6)
         else
-          match retry_boost with
-          | Some b -> retry_note spec ~fmax_ghz:metrics.fmax_ghz b
-          | None ->
-              Printf.sprintf "timing NOT closed (fmax %.2f GHz), no retry %s"
-                metrics.fmax_ghz
-                (if not sa.search.Searcher.timing_closed then
-                   "(search missed pre-layout)"
-                 else if not policy.retry then "(retry disabled)"
-                 else "(boost exhausted)")
+          Printf.sprintf "timing NOT closed (fmax %.2f GHz), no retry %s"
+            metrics.fmax_ghz
+            (if not sa.search.Searcher.timing_closed then
+               "(search missed pre-layout)"
+             else if not policy.retry then "(retry disabled)"
+             else "(boost exhausted)")
       in
       Ok
-        ( { metrics; timing_closed; retry_boost },
+        ( { metrics; timing_closed },
           Stage.meta ~crit_in_ps:signoff.Post_layout.sta.Sta.crit_ps
             ~crit_out_ps:metrics.crit_ps ~boost:sa.boost ~note () ))
 

@@ -56,7 +56,10 @@ let reference_compile (spec : Spec.t) =
     let* v =
       Stage.execute (Pipeline.metrics_stage lib ~policy:p) (sa, signoff, power)
     in
-    match v.Pipeline.retry_boost with
+    match
+      Pipeline.next_boost p ~boost ~timing_closed:v.Pipeline.timing_closed
+        ~search_closed:sa.Pipeline.search.Searcher.timing_closed
+    with
     | Some b -> go b
     | None -> Ok (v.Pipeline.metrics, v.Pipeline.timing_closed)
   in
