@@ -153,6 +153,19 @@ let test_key_algorithm_sensitivity () =
   check_bool "policy in tag" false (t1 = t2);
   check_bool "style in tag" false (t1 = t3)
 
+(* The key format is a compatibility contract: every user's store is
+   addressed by it, so a change that silently re-keys (a new rendering of
+   the library, the spec or the tag) turns every store cold. These hex
+   literals were recorded from the byte-level format; change them only
+   together with {!Disk_cache.format_version}. *)
+let test_key_format_pinned () =
+  let fp = Disk_cache.library_fingerprint (Library.n40 ()) in
+  check_str "n40 library fingerprint" "55fb00e5a960d4a5b264c79c7b0efbaa" fp;
+  check_str "default-spec compile key" "5bbbbc8719f2d01cebdef64129404d66"
+    (Disk_cache.key ~lib_fp:fp
+       ~algo:(Pipeline.cache_algo_tag ~style:Floorplan.Sdp Pipeline.default_policy)
+       Batch.default_spec)
+
 (* ---------------- entry round-trip and corruption ---------------- *)
 
 let sample_value =
@@ -576,6 +589,8 @@ let () =
               test_key_library_sensitivity;
             Alcotest.test_case "algorithm tag invalidates" `Quick
               test_key_algorithm_sensitivity;
+            Alcotest.test_case "key format pinned" `Quick
+              test_key_format_pinned;
           ] );
       ( "robustness",
         [
