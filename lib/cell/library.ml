@@ -13,7 +13,16 @@
     inverter following standard-cell-library proportions. The paper's
     claims (compressors smaller/lower-power but slower than full adders;
     carry outputs faster than sum outputs; 1T pass-gate muxes small but slow
-    and leaky) are encoded in these relative numbers. *)
+    and leaky) are encoded in these relative numbers.
+
+    A library value is shared by every domain that compiles against it.
+    Its (kind, drive) table is filled once by {!n40} (or {!map}) and never
+    mutated, so reads need no lock. The one field written after
+    construction is the fingerprint memo ({!memo_fingerprint}): it starts
+    empty, is set at most once through [Atomic.compare_and_set], and only
+    ever holds the digest of the immutable table, so a racing reader sees
+    either nothing (and computes the same digest itself) or the final
+    string. *)
 
 type params = {
   kind : Cell.kind;
@@ -158,6 +167,9 @@ type t = {
   table : params array;
       (** dense (kind, drive) table: slot
           [Cell.kind_index k * Cell.n_drives + Cell.drive_index d] *)
+  fingerprint : string option Atomic.t;
+      (** the characterization digest, filled on first use by
+          {!memo_fingerprint} *)
 }
 
 let slot k d = (Cell.kind_index k * Cell.n_drives) + Cell.drive_index d
@@ -165,7 +177,8 @@ let slot k d = (Cell.kind_index k * Cell.n_drives) + Cell.drive_index d
 (** [n40 ()] builds the synthetic 40 nm library. The table is filled
     eagerly over {!Cell.all_kinds} x {!Cell.all_drives} and never mutated
     afterwards — which is what lets parallel searcher domains share one
-    library without locking. *)
+    library without locking. The fingerprint memo starts empty: a
+    compile that never opens a compile cache never pays for the digest. *)
 let n40 () =
   let table = Array.make (Cell.n_kinds * Cell.n_drives) (base_params Cell.Inv) in
   List.iter
@@ -174,7 +187,7 @@ let n40 () =
         (fun d -> table.(slot k d) <- apply_drive (base_params k) d)
         Cell.all_drives)
     Cell.all_kinds;
-  { node = Node.n40; table }
+  { node = Node.n40; table; fingerprint = Atomic.make None }
 
 (** [params t k d] looks up the PPA model of kind [k] at drive [d]: one
     array read, on the path every sizing, timing, power and placement
@@ -182,8 +195,25 @@ let n40 () =
 let params t k d = t.table.(slot k d)
 
 (** [map f t] is [t] with every (kind, drive) model passed through [f] —
-    a recharacterized library. *)
-let map f t = { t with table = Array.map f t.table }
+    a recharacterized library. Its fingerprint memo starts empty: the
+    new table needs its own digest, and inheriting [t]'s would address
+    the recharacterized library's compiles under [t]'s cache keys. *)
+let map f t =
+  { t with table = Array.map f t.table; fingerprint = Atomic.make None }
+
+(** [memo_fingerprint t digest] is [digest t], computed on the first call
+    for this library value and returned — physically the same string — on
+    every later one. [digest] must be a pure function of the library.
+    Racing domains may each compute it; the first [compare_and_set] wins
+    and every caller returns the winner. (A [Lazy.t] would not do: forcing
+    one from two domains at once raises [Lazy.Undefined].) *)
+let memo_fingerprint t digest =
+  match Atomic.get t.fingerprint with
+  | Some fp -> fp
+  | None ->
+      let fp = digest t in
+      if Atomic.compare_and_set t.fingerprint None (Some fp) then fp
+      else Option.get (Atomic.get t.fingerprint)
 
 (** [delay_ps t ~kind ~drive ~out ~load_ff] is the nominal-voltage delay of
     output pin [out] driving [load_ff]. [Sta.analyze] and [Sta.slacks]

@@ -14,8 +14,10 @@
 
     {2 Ownership rules}
 
-    - [lib] and [scl] are shared and safe to share: the library is
-      immutable after {!Library.n40} builds it, and the SCL memo is
+    - [lib] and [scl] are shared and safe to share: the library's
+      characterization is immutable after {!Library.n40} builds it (its
+      only later write is the atomic, set-once fingerprint memo that
+      {!Disk_cache.library_fingerprint} fills), and the SCL memo is
       mutex-guarded ({!Scl.memo}), so any number of domains — and any
       number of contexts built over the same pair — may compile
       concurrently. {!default} returns contexts over one process-wide

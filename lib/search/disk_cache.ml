@@ -50,11 +50,9 @@ let canonical_spec (s : Spec.t) : string =
 
 let drive_name = function Cell.X1 -> "X1" | Cell.X2 -> "X2" | Cell.X4 -> "X4"
 
-(** [library_fingerprint lib] — digest of the full characterization: all
-    (kind, drive) parameter records and the process-node constants. Any
-    recharacterization changes the fingerprint and invalidates every
-    entry keyed under it. *)
-let library_fingerprint (lib : Library.t) : string =
+(* The digest over the rendered characterization: every (kind, drive)
+   parameter record at [%h] plus the process-node constants. *)
+let digest_library (lib : Library.t) : string =
   let b = Buffer.create 4096 in
   let node = lib.Library.node in
   Buffer.add_string b
@@ -81,6 +79,16 @@ let library_fingerprint (lib : Library.t) : string =
         Cell.all_drives)
     Cell.all_kinds;
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+(** [library_fingerprint lib] — digest of the full characterization: all
+    (kind, drive) parameter records and the process-node constants. Any
+    recharacterization ({!Library.map}) changes the fingerprint and
+    invalidates every entry keyed under it. It is computed once per
+    library value and memoized on the library ({!Library.memo_fingerprint}),
+    so a cache hit pays for its key and its entry read, not for
+    re-rendering ~700 floats. *)
+let library_fingerprint (lib : Library.t) : string =
+  Library.memo_fingerprint lib digest_library
 
 (** [key ~lib_fp ~algo spec] — the content address: a hex digest over the
     format version, the library fingerprint, the algorithm tag and the

@@ -166,6 +166,92 @@ let test_key_format_pinned () =
        ~algo:(Pipeline.cache_algo_tag ~style:Floorplan.Sdp Pipeline.default_policy)
        Batch.default_spec)
 
+(* ---------------- library fingerprint memo ---------------- *)
+
+(* a recharacterization that moves power only *)
+let double_leakage =
+  Library.map (fun p -> { p with Library.leakage_nw = p.Library.leakage_nw *. 2.0 })
+
+(* The fingerprint is computed once per library value: a cache hit must
+   not re-render and re-digest the whole characterization. *)
+let test_fingerprint_memoized () =
+  let l = Library.n40 () in
+  let fp = Disk_cache.library_fingerprint l in
+  check_bool "second call returns the memoized string" true
+    (fp == Disk_cache.library_fingerprint l)
+
+(* A recharacterized library gets its own digest and leaves the source's
+   memo alone; even an identity map starts with an empty memo, so the
+   copy never serves the source's value. *)
+let test_fingerprint_map_starts_empty () =
+  let l = Library.n40 () in
+  let fp = Disk_cache.library_fingerprint l in
+  check_bool "mapped library has its own digest" false
+    (Disk_cache.library_fingerprint (double_leakage l) = fp);
+  check_str "source digest unchanged" fp (Disk_cache.library_fingerprint l);
+  let same = Library.map Fun.id l in
+  let fp_same = Disk_cache.library_fingerprint same in
+  check_str "identity map digests equal" fp fp_same;
+  check_bool "identity map computed its own digest" false (fp_same == fp)
+
+(* Service.batch forces the memo from several domains at once: every
+   racer must get the same digest and none may raise. *)
+let test_fingerprint_domain_race () =
+  let l = Library.n40 () in
+  let n = 4 in
+  let ready = Atomic.make 0 in
+  let racers =
+    List.init n (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < n do
+              Domain.cpu_relax ()
+            done;
+            Disk_cache.library_fingerprint l))
+  in
+  let fps = List.map Domain.join racers in
+  List.iter (check_str "racers agree" (Disk_cache.library_fingerprint l)) fps
+
+(* Two services over two libraries share one store and alternate
+   requests: each repeat is a hit on its own entry, and the
+   recharacterized service is never served the n40 entry. *)
+let test_two_libraries_share_a_store () =
+  let dir = scratch () in
+  let service l =
+    match Ctx.with_cache_dir dir (Ctx.of_parts l (Scl.create l)) with
+    | Ok c -> Service.create c
+    | Error d -> Alcotest.fail (Diag.to_string d)
+  in
+  let n40 = Library.n40 () in
+  let a = service n40 and b = service (double_leakage n40) in
+  let spec16 = { Spec.fig8 with Spec.rows = 16; cols = 16; mcr = 1 } in
+  let serve svc =
+    match (Service.compile svc spec16).Service.outcome with
+    | Ok s -> s
+    | Error d -> Alcotest.fail (Diag.to_string d)
+  in
+  let a1 = serve a in
+  let b1 = serve b in
+  let a2 = serve a in
+  let b2 = serve b in
+  check_bool "n40 cold request compiles" true
+    (a1.Pipeline.sum_cache = Pipeline.Cache_miss);
+  check_bool "recharacterized cold request compiles, not the n40 entry" true
+    (b1.Pipeline.sum_cache = Pipeline.Cache_miss);
+  check_bool "n40 repeat hits" true (a2.Pipeline.sum_cache = Pipeline.Cache_hit);
+  check_bool "recharacterized repeat hits" true
+    (b2.Pipeline.sum_cache = Pipeline.Cache_hit);
+  check_bool "n40 hit is its own entry" true
+    (a2.Pipeline.sum_metrics = a1.Pipeline.sum_metrics);
+  check_bool "recharacterized hit is its own entry" true
+    (b2.Pipeline.sum_metrics = b1.Pipeline.sum_metrics);
+  check_bool "the two libraries compile to different power" false
+    (b2.Pipeline.sum_metrics = a2.Pipeline.sum_metrics);
+  (match Ctx.cache (Service.ctx a) with
+  | Some c -> check_int "one entry per library" 2 (Disk_cache.entry_count c)
+  | None -> Alcotest.fail "service lost its compile cache");
+  rm_rf dir
+
 (* ---------------- entry round-trip and corruption ---------------- *)
 
 let sample_value =
@@ -592,6 +678,17 @@ let () =
             Alcotest.test_case "key format pinned" `Quick
               test_key_format_pinned;
           ] );
+      ( "fingerprint_memo",
+        [
+          Alcotest.test_case "computed once per library" `Quick
+            test_fingerprint_memoized;
+          Alcotest.test_case "Library.map starts empty" `Quick
+            test_fingerprint_map_starts_empty;
+          Alcotest.test_case "four domains race the memo" `Quick
+            test_fingerprint_domain_race;
+          Alcotest.test_case "two libraries share a store" `Quick
+            test_two_libraries_share_a_store;
+        ] );
       ( "robustness",
         [
           Alcotest.test_case "corrupt entries tolerated" `Quick
