@@ -678,7 +678,7 @@ let () =
             Alcotest.test_case "key format pinned" `Quick
               test_key_format_pinned;
           ] );
-      ( "fingerprint_memo",
+      ( "fingerprint",
         [
           Alcotest.test_case "computed once per library" `Quick
             test_fingerprint_memoized;
