@@ -80,7 +80,7 @@ type eco_iteration = {
   iter : int;
   crit_before_ps : float;  (** post-route critical path entering the pass *)
   crit_after_ps : float;  (** post-route critical path after re-placement *)
-  upsized : int;  (** cells the wire-aware sizing pass touched *)
+  upsized : int;  (** drive bumps the wire-aware sizing pass kept *)
   rolled_back : bool;
   reason : string;  (** why the loop continued, rolled back, or stopped *)
 }
@@ -98,7 +98,7 @@ type backend_art = {
   outcome : outcome;
   eco : eco_iteration list;  (** in iteration order *)
   eco_capped : bool;  (** budget still missed when the iteration cap hit *)
-  upsized : int;  (** total cells upsized by committed ECO passes *)
+  upsized : int;  (** total drive bumps of committed ECO passes *)
 }
 
 (** The metrics stage's verdict: reported PPA and the timing decision. *)
@@ -175,12 +175,18 @@ let verify_batches = 2
 (* Stages                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Reject malformed specs with a spec-context diagnostic before they can
-   trip an [invalid_arg] deep inside Macro_rtl/Mulmux. *)
+(* Reject malformed specs with a spec-context diagnostic before any stage
+   runs: they would trip an [invalid_arg] deep inside Macro_rtl/Mulmux,
+   or (a NaN or infinite clock or voltage) compile to NaN PPA. *)
 let validate (spec : Spec.t) : (unit, Diag.t) Stdlib.result =
   let err msg payload = Error (Diag.error ~stage:stage_search ~spec ~payload msg) in
   let is_pow2 n = n > 0 && n land (n - 1) = 0 in
   let wb = Precision.datapath_bits spec.Spec.weight_prec in
+  (* NaN fails [x > 0.0] and infinity fails [is_finite]; either would
+     walk the whole ladder and report NaN PPA *)
+  let bad x = not (Float.is_finite x && x > 0.0) in
+  let field name x = (name, Printf.sprintf "%g" x) in
+  let clock_msg = "clock targets must be positive and finite" in
   if spec.Spec.rows <= 0 || spec.Spec.cols <= 0 then
     err "array dimensions must be positive"
       [
@@ -196,16 +202,21 @@ let validate (spec : Spec.t) : (unit, Diag.t) Stdlib.result =
         ("cols", string_of_int spec.Spec.cols);
         ("weight_bits", string_of_int wb);
       ]
-  else if spec.Spec.mac_freq_hz <= 0.0 || spec.Spec.weight_update_freq_hz <= 0.0
-  then err "clock targets must be positive" []
-  else if spec.Spec.vdd <= 0.0 then err "operating voltage must be positive" []
+  else if bad spec.Spec.mac_freq_hz then
+    err clock_msg [ field "mac_freq_hz" spec.Spec.mac_freq_hz ]
+  else if bad spec.Spec.weight_update_freq_hz then
+    err clock_msg
+      [ field "weight_update_freq_hz" spec.Spec.weight_update_freq_hz ]
+  else if bad spec.Spec.vdd then
+    err "operating voltage must be positive and finite"
+      [ field "vdd" spec.Spec.vdd ]
   else Ok ()
 
 (** Stage 1 — MSO search under [boost]-tightened internal clock. With
-    [netlists], candidates take their netlists from that table. *)
+    [netlists], candidates take their netlists from that table. The spec
+    must have passed {!validate}, as {!run} and {!search_only} check. *)
 let search_stage ?netlists lib scl ~boost : (Spec.t, search_art) Stage.t =
   Stage.v stage_search (fun (spec : Spec.t) ->
-      let* () = validate spec in
       let* search, cache =
         Diag.guard ~stage:stage_search ~spec (fun () ->
             let cache = Eval_cache.create ?netlists () in
@@ -237,10 +248,11 @@ let search_stage ?netlists lib scl ~boost : (Spec.t, search_art) Stage.t =
     the attempt. The loop alternates upsizing with re-placement and
     extraction ({!Post_layout.place_route}) until the post-route critical
     path meets [budget_ps], stops improving, or [max_eco_iters] runs out.
-    Sizing only ever adds drive, but timing need not improve with it: a
-    resize can lengthen the routed path once its larger cells are
-    re-placed. The rollback guards against exactly this, restoring the
-    drives of the last layout that the resize did not beat.
+    Sizing keeps only rounds that shorten the path it times (with the
+    previous pass's wire loads), but the routed path need not follow: a
+    resize can lengthen it once its larger cells are re-placed. The
+    rollback guards against exactly this, restoring the drives of the
+    last layout that the resize did not beat.
 
     [retry] maps the kept layout's routed critical path to the next
     attempt's boost and the reason (default: never). When it asks for
@@ -496,7 +508,8 @@ let m_eco_iters = Metrics.counter "pipeline.eco_iters"
 let m_cache_lookup_ms = Metrics.histogram ~det:false "cache.disk.lookup_ms"
 
 (** [run ?style ?policy ?trace ?inject ctx spec] — compile [spec] over
-    the context's library and shared SCL memo. Each attempt runs search
+    the context's library and shared SCL memo. A spec that fails
+    {!validate} is an [Error] before any stage runs. Each attempt runs search
     and backend; the backend applies the retry policy to the routed
     timing its ECO loop kept, and a discarded attempt goes no further: the
     next one searches again under the boost it asked for. The attempt
@@ -507,6 +520,7 @@ let m_cache_lookup_ms = Metrics.histogram ~det:false "cache.disk.lookup_ms"
     forces the named stage to fail, for exercising the diagnostic path. *)
 let run ?(style = Floorplan.Sdp) ?(policy = default_policy) ?trace ?inject
     (ctx : Ctx.t) (spec : Spec.t) : (run, Diag.t) Stdlib.result =
+  let* () = validate spec in
   let lib = Ctx.lib ctx and scl = Ctx.scl ctx in
   let exec s x = Stage.execute ?trace ?inject s x in
   let budget_ps = Spec.nominal_budget_ps spec lib.Library.node in
@@ -685,6 +699,8 @@ let add_cache_row trace ~wall_ms ?cells ?crit_out_ps ~hit ?boost note =
 let run_cached ?(style = Floorplan.Sdp) ?(policy = default_policy) ?trace
     ?inject ?cache (ctx : Ctx.t) (spec : Spec.t) :
     (summary, Diag.t) Stdlib.result =
+  (* before the lookup: a malformed spec is never served from a store *)
+  let* () = validate spec in
   let cache =
     match cache with Some c -> Some c | None -> Ctx.cache ctx
   in
@@ -733,6 +749,7 @@ let run_cached ?(style = Floorplan.Sdp) ?(policy = default_policy) ?trace
 (** [search_only ?trace ctx spec] — run just the search stage. *)
 let search_only ?trace (ctx : Ctx.t) (spec : Spec.t) :
     (search_art, Diag.t) Stdlib.result =
+  let* () = validate spec in
   Stage.execute ?trace
     (search_stage (Ctx.lib ctx) (Ctx.scl ctx) ~boost:1.0)
     spec

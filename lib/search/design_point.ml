@@ -22,7 +22,8 @@ type t = {
   macro : Macro_rtl.t;
   sta : Sta.report;  (** post-sizing *)
   crit_ps : float;  (** nominal-voltage critical path after sizing *)
-  upsized : int;  (** instances upsized by timing-driven sizing *)
+  upsized : int;
+      (** drive bumps timing-driven sizing kept (X1 -> X4 counts two) *)
   area_um2 : float;  (** standard-cell area (pre-layout) *)
   power : power;  (** read through {!power_w} *)
   meets_mac : bool;
@@ -126,7 +127,7 @@ let evaluate ?macro (lib : Library.t) (spec : Spec.t) (cfg : Macro_rtl.config)
   in
   let budget = Spec.search_budget_ps spec lib.Library.node in
   let sized = Sizing.speed_up macro.design lib ~target_ps:budget in
-  (* sizing's last round timed the final drives: its report and load
+  (* sizing's kept round timed the final drives: its report and load
      map serve STA and power *)
   let sta = sized.Sizing.sta and loads = sized.Sizing.loads in
   let drives = Sizing.snapshot macro.design in

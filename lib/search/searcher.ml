@@ -49,7 +49,7 @@ let technique_name = function
     technique ladders, the evaluation model or the walk order can alter
     which design a spec compiles to, so a newer searcher never serves a
     stale cached result. *)
-let algorithm_version = "mso-hhs-1"
+let algorithm_version = "mso-hhs-2"
 
 type result = {
   spec : Spec.t;

@@ -142,7 +142,7 @@ let test_key_library_sensitivity () =
 
 let test_key_algorithm_sensitivity () =
   check_bool "algorithm tag versions the key" false
-    (Disk_cache.key ~lib_fp ~algo:"mso-hhs-2" small_spec = key small_spec);
+    (Disk_cache.key ~lib_fp ~algo:"mso-hhs-1" small_spec = key small_spec);
   (* the pipeline folds style and policy into the tag *)
   let t1 = Pipeline.cache_algo_tag ~style:Floorplan.Sdp Pipeline.default_policy in
   let t2 =
@@ -161,7 +161,7 @@ let test_key_algorithm_sensitivity () =
 let test_key_format_pinned () =
   let fp = Disk_cache.library_fingerprint (Library.n40 ()) in
   check_str "n40 library fingerprint" "55fb00e5a960d4a5b264c79c7b0efbaa" fp;
-  check_str "default-spec compile key" "5bbbbc8719f2d01cebdef64129404d66"
+  check_str "default-spec compile key" "bbb63f392879a7207d72c7a8ab2ab6d0"
     (Disk_cache.key ~lib_fp:fp
        ~algo:(Pipeline.cache_algo_tag ~style:Floorplan.Sdp Pipeline.default_policy)
        Batch.default_spec)
@@ -589,6 +589,19 @@ let test_failed_spec_is_an_item () =
         | _ -> false)
   | _ -> Alcotest.fail "bad spec did not fail its item"
 
+let test_non_finite_manifest_line_fails () =
+  (* a NaN clock or infinite voltage parses as a float, but must fail its
+     item and never reach the store *)
+  match Batch.parse_manifest "rows=8 cols=8 freq_mhz=nan\nrows=8 cols=8 vdd=inf\n" with
+  | Error d -> Alcotest.failf "manifest rejected: %s" (Diag.to_string d)
+  | Ok specs ->
+      let dir = scratch () in
+      let c = open_cache dir in
+      let r = Batch.run ~jobs:1 ~cache:c ctx specs in
+      check_int "both items failed" 2 r.Batch.failed;
+      check_int "nothing stored" 0 (Disk_cache.stores c);
+      rm_rf dir
+
 (* Decode the JSON string literal whose opening quote is at [i]:
    [Some (decoded, index after the closing quote)], or [None] when a raw
    control character or a bad escape makes it invalid JSON. *)
@@ -715,6 +728,8 @@ let () =
             test_batch_determinism;
           Alcotest.test_case "per-spec failure isolation" `Quick
             test_failed_spec_is_an_item;
+          Alcotest.test_case "non-finite clock or voltage fails its item"
+            `Quick test_non_finite_manifest_line_fails;
           Alcotest.test_case "manifest JSON escapes diagnostics" `Quick
             test_manifest_json_escapes_diagnostic;
         ] );

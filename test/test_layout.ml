@@ -22,6 +22,19 @@ let test_sdp_drc_clean_after_sizing () =
   let p = Floorplan.sdp lib m in
   check_int "no violations on X4 cells" 0 (List.length (Drc.check lib p))
 
+(* Sizing keeps no bumps on [macro ()] (its first round does not shorten
+   the path), so the widest footprints are forced: every cell but the
+   storage ones, which sizing never touches, at X4. *)
+let test_sdp_drc_clean_at_x4 () =
+  let m = macro () in
+  let d = m.Macro_rtl.design in
+  let x4 = Char.chr (Cell.drive_index Cell.X4) in
+  for i = 0 to Ir.n_insts d - 1 do
+    if not (Cell.is_storage (Ir.kind d i)) then Bytes.set d.Ir.drives i x4
+  done;
+  let p = Floorplan.sdp lib m in
+  check_int "no violations on X4 cells" 0 (List.length (Drc.check lib p))
+
 (* The backend's ECO rollback keeps the pass it had before the resize:
    once the drives are restored it must equal a fresh sign-off run. *)
 let test_rollback_pass_is_fresh_run () =
@@ -488,6 +501,8 @@ let () =
           Alcotest.test_case "SDP DRC clean" `Quick test_sdp_drc_clean;
           Alcotest.test_case "DRC clean after sizing" `Quick
             test_sdp_drc_clean_after_sizing;
+          Alcotest.test_case "DRC clean with logic at X4" `Quick
+            test_sdp_drc_clean_at_x4;
           Alcotest.test_case "ECO rollback keeps the pass" `Quick
             test_rollback_pass_is_fresh_run;
           Alcotest.test_case "scattered DRC clean" `Quick

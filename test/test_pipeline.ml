@@ -98,6 +98,32 @@ let test_bad_spec_is_diag () =
       check_string "rejected by search" Pipeline.stage_search (Diag.stage d);
       check_bool "spec context attached" true (d.Diag.context <> None)
 
+(* NaN and infinity pass a bare [<= 0.0] test: each must be rejected
+   before any stage runs, naming the field *)
+let test_non_finite_spec_is_diag () =
+  let nan = Float.nan and inf = Float.infinity in
+  List.iter
+    (fun (field, spec) ->
+      let trace = Trace.create () in
+      match Pipeline.run ~trace ctx spec with
+      | Ok _ -> Alcotest.failf "%s: non-finite value compiled" field
+      | Error d ->
+          check_string (field ^ ": rejected by search") Pipeline.stage_search
+            (Diag.stage d);
+          check_bool (field ^ ": field in payload") true
+            (List.mem_assoc field d.Diag.payload);
+          check_int (field ^ ": no stage row") 0 (Trace.length trace))
+    [
+      ("mac_freq_hz", { small_spec with Spec.mac_freq_hz = nan });
+      ("mac_freq_hz", { small_spec with Spec.mac_freq_hz = inf });
+      ("weight_update_freq_hz",
+        { small_spec with Spec.weight_update_freq_hz = nan });
+      ("weight_update_freq_hz",
+        { small_spec with Spec.weight_update_freq_hz = inf });
+      ("vdd", { small_spec with Spec.vdd = nan });
+      ("vdd", { small_spec with Spec.vdd = inf });
+    ]
+
 let test_guard_converts_bench_error () =
   let r =
     Diag.guard ~stage:"bench" ~spec:small_spec (fun () ->
@@ -304,6 +330,8 @@ let () =
             test_injected_failure_is_diag;
           Alcotest.test_case "bad spec is a diagnostic" `Quick
             test_bad_spec_is_diag;
+          Alcotest.test_case "non-finite clock or voltage is a diagnostic"
+            `Quick test_non_finite_spec_is_diag;
           Alcotest.test_case "guard converts Bench_error" `Quick
             test_guard_converts_bench_error;
           Alcotest.test_case "backend injection is a diagnostic" `Quick

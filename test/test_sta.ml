@@ -159,12 +159,16 @@ let test_sizing_report_is_final () =
   let r = Sizing.speed_up d lib ~target_ps:(crit0 +. 100.0) in
   Alcotest.(check int) "met: no bumps" 0 r.Sizing.upsized;
   check_final_report "met at round 0" d r;
-  (* exit 2: the round budget runs out after a round that changed drives *)
-  let r = Sizing.speed_up ~max_rounds:1 d lib ~target_ps:1.0 in
+  (* exit 2: the round budget runs out after a round that changed drives
+     and shortened the path *)
+  let fd = fanout_design () in
+  let before = (Sta.analyze fd lib).Sta.crit_ps in
+  let r = Sizing.speed_up ~max_rounds:1 fd lib ~target_ps:(before /. 2.0) in
   check_bool "capped: bumped" true (r.Sizing.upsized > 0);
   check_bool "capped: still violating" true (r.Sizing.after_ps > 1.0);
-  check_final_report "max_rounds" d r;
-  (* exit 3: a round finds violators but every one is already at X4 *)
+  check_final_report "max_rounds" fd r;
+  (* exit 3: a call that keeps no bump (on this macro its first round is
+     undone; exit 5 below forces the all-X4 case) *)
   let rec saturate () =
     let r = Sizing.speed_up d lib ~target_ps:1.0 in
     if r.Sizing.upsized > 0 then saturate () else r
@@ -172,6 +176,74 @@ let test_sizing_report_is_final () =
   let r = saturate () in
   check_bool "saturated: still violating" true (r.Sizing.after_ps > 1.0);
   check_final_report "no change" d r
+
+let drive_indices d =
+  List.init (Ir.n_insts d) (fun i -> Cell.drive_index (Ir.drive d i))
+
+(* exit 4: the default 8x8 macro's first all-violators round lengthens
+   its path (the bigger cells load their drivers more than they speed
+   up), so the round is undone; then exit 5 on the same macro *)
+let test_sizing_undoes_lengthening_round () =
+  let m =
+    Macro_rtl.build lib
+      (Macro_rtl.default ~rows:8 ~cols:8 ~mcr:1 ~input_prec:Precision.int4
+         ~weight_prec:Precision.int4)
+  in
+  let d = m.Macro_rtl.design in
+  let entry = drive_indices d in
+  let r = Sizing.speed_up ~max_rounds:1 d lib ~target_ps:1.0 in
+  check_bool "drives as at entry" true (drive_indices d = entry);
+  Alcotest.(check int) "no bumps kept" 0 r.Sizing.upsized;
+  check_bool "after = before" true
+    (bits_equal r.Sizing.after_ps r.Sizing.before_ps);
+  check_final_report "undone round" d r;
+  (* exit 5: a round finds violators but every one is already at X4 *)
+  let x4 = Char.chr (Cell.drive_index Cell.X4) in
+  for i = 0 to Ir.n_insts d - 1 do
+    if not (Cell.is_storage (Ir.kind d i)) then Bytes.set d.Ir.drives i x4
+  done;
+  let r = Sizing.speed_up d lib ~target_ps:1.0 in
+  Alcotest.(check int) "saturated: no bumps" 0 r.Sizing.upsized;
+  check_bool "saturated: still violating" true (r.Sizing.after_ps > 1.0);
+  check_final_report "all X4" d r
+
+(* Small fuzzed initial configurations: sizing toward any target never
+   lengthens the path, counts exactly the drive rises it kept, leaves
+   storage cells at X1, and returns the report of the drives it leaves. *)
+let small_specs =
+  Array.of_list
+    (List.filter
+       (fun (s : Spec.t) -> s.Spec.rows <= 8)
+       (Specgen.generate ~seed:7 ~count:40))
+
+let prop_sizing_contract =
+  QCheck.Test.make ~count:40
+    ~name:"never slower, counts kept rises, final report"
+    QCheck.(
+      pair (int_bound (Array.length small_specs - 1)) (float_range 0.3 1.1))
+    (fun (k, frac) ->
+      let s = small_specs.(k) in
+      let d = (Macro_rtl.build lib (Spec.initial_config s)).Macro_rtl.design in
+      let entry = drive_indices d in
+      let x1 = (Sta.analyze d lib).Sta.crit_ps in
+      let r = Sizing.speed_up d lib ~target_ps:(frac *. x1) in
+      let rises =
+        List.fold_left2 (fun acc a b -> acc + b - a) 0 entry (drive_indices d)
+      in
+      if r.Sizing.after_ps > r.Sizing.before_ps then
+        QCheck.Test.fail_reportf "%s: %.3f -> %.3f ps" (Spec.describe s)
+          r.Sizing.before_ps r.Sizing.after_ps;
+      if rises <> r.Sizing.upsized then
+        QCheck.Test.fail_reportf "%s: %d drive rises, %d counted"
+          (Spec.describe s) rises r.Sizing.upsized;
+      Array.iter
+        (fun i ->
+          if Ir.drive d i <> Cell.X1 then
+            QCheck.Test.fail_reportf "%s: storage cell %d resized"
+              (Spec.describe s) i)
+        d.Ir.storage;
+      check_final_report (Spec.describe s) d r;
+      true)
 
 (* ---------------- allocation ---------------- *)
 
@@ -249,6 +321,9 @@ let () =
             test_sizing_never_touches_storage;
           Alcotest.test_case "returned report is final" `Quick
             test_sizing_report_is_final;
+          Alcotest.test_case "a round that does not shorten the path is undone"
+            `Quick test_sizing_undoes_lengthening_round;
+          QCheck_alcotest.to_alcotest prop_sizing_contract;
         ] );
       ( "allocation",
         [
