@@ -51,7 +51,7 @@ let packed_sim lib =
   banner
     (Printf.sprintf
        "Packed simulation — scalar vs %d-lane bit-sliced MAC streaming"
-       Sim_multiword.word_lanes);
+       Sim_sliced.word_lanes);
   let m = macro16 lib and macs = 200 in
   let rng = Rng.create 0xB175 in
   let scalar_sim = Sim.create m.Macro_rtl.design in
@@ -210,7 +210,7 @@ let () =
       Printf.sprintf
         "\"packed_sim\": {\"lanes\": %d, \"scalar_lane_cps\": %.6g, \
          \"packed_lane_cps\": %.6g, \"speedup\": %.6g}"
-        Sim_multiword.word_lanes scalar_cps packed_cps
+        Sim_sliced.word_lanes scalar_cps packed_cps
         (ratio packed_cps scalar_cps);
       Printf.sprintf
         "\"packed_signoff\": {\"batches\": %d, \"scalar_checks_ps\": %.6g, \

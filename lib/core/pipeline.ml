@@ -367,7 +367,7 @@ let backend_stage ?spec ?(retry = fun (_ : float) -> None) lib ~style
             ~eco_iters:(List.length ba.eco) ~note () ))
 
 (** Stage 3 — functional sign-off against the golden MAC. The packed
-    engine settles each weight copy's MAC batch as {!Sim_multiword}
+    engine settles each weight copy's MAC batch as {!Sim_sliced}
     lanes; any failing lane is shrunk back to one scalar transaction. *)
 let verify_stage ~enabled () : (search_art, search_art) Stage.t =
   Stage.v stage_verify (fun (sa : search_art) ->

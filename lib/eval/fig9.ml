@@ -130,7 +130,7 @@ type measured = {
     Columns fan out over the pool; the fanout-load map is built once
     and shared by every column. *)
 let measure ?(vdds = default_vdds) ?(freqs_mhz = default_freqs_mhz)
-    ?(engine : Engine.t = `Packed) ?(n_lanes = Sim_multiword.word_lanes)
+    ?(engine : Engine.t = `Packed) ?(n_lanes = Sim_sliced.word_lanes)
     ?(seed = 0xF19) ?(macs = 4) ?jobs (ctx : Ctx.t) (m : Macro_rtl.t)
     ~crit_ps =
   if n_lanes < 1 then

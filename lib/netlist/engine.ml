@@ -1,7 +1,7 @@
 (** Simulation-engine selection: which backend batch consumers run on.
 
     Two simulators exist: the scalar reference {!Sim} and the bit-sliced
-    {!Sim_multiword}. The batch consumers (sign-off verification,
+    {!Sim_sliced}. The batch consumers (sign-off verification,
     differential checking, equivalence checking, shmoo power sweeps)
     only need the {!Slice.S} contract, so an engine value is just a name
     for which implementation {!slice} hands them: [`Packed] is the

@@ -56,7 +56,7 @@ let create ?(n_lanes = word_lanes) (d : Ir.design) =
   if n_lanes < 1 || n_lanes > word_lanes then
     invalid_arg
       (Printf.sprintf
-         "Sim_multiword.create: requested %d lanes, valid range is 1..%d"
+         "Sim_sliced.create: requested %d lanes, valid range is 1..%d"
          n_lanes word_lanes);
   let mask = if n_lanes = word_lanes then -1 else (1 lsl n_lanes) - 1 in
   let n = Ir.n_insts d in
@@ -162,7 +162,7 @@ let write_weight t ~row ~col ~copy v =
   let i = Ir.weight_inst t.d ~row ~col ~copy in
   if i < 0 then
     invalid_arg
-      (Printf.sprintf "Sim_multiword.write_weight: no weight bit (%d,%d,%d)"
+      (Printf.sprintf "Sim_sliced.write_weight: no weight bit (%d,%d,%d)"
          row col copy);
   t.weight_writes <- t.weight_writes + t.n_lanes;
   let v = v land t.mask in

@@ -1,6 +1,6 @@
 (** The bit-sliced simulator abstraction every batch consumer drives.
 
-    The 63-lane {!Sim_multiword} ({!Packed}) and the scalar {!Sim}
+    The 63-lane {!Sim_sliced} ({!Packed}) and the scalar {!Sim}
     ({!Scalar}) expose the same semantics: independent lanes, broadcast
     or per-lane bus drives, exact lane-summed toggle accounting. This
     module captures that contract as a module type so the sign-off
@@ -60,32 +60,32 @@ module type S = sig
   val weight_writes : t -> int
 end
 
-(** The 63-lane {!Sim_multiword} slice: the [packed] engine. *)
-module Packed : S with type t = Sim_multiword.t = struct
-  type t = Sim_multiword.t
+(** The 63-lane {!Sim_sliced} slice: the [packed] engine. *)
+module Packed : S with type t = Sim_sliced.t = struct
+  type t = Sim_sliced.t
 
   let name = "packed"
-  let max_lanes = Sim_multiword.word_lanes
-  let create = Sim_multiword.create
-  let lanes_of = Sim_multiword.lanes_of
-  let set_bus = Sim_multiword.set_bus
-  let set_bus_lanes = Sim_multiword.set_bus_lanes
-  let read_bus_lane = Sim_multiword.read_bus_lane
-  let read_bus_signed_lane = Sim_multiword.read_bus_signed_lane
-  let extract_lane = Sim_multiword.extract_lane
-  let seq_state_lane = Sim_multiword.seq_state_lane
-  let storage_state_lane = Sim_multiword.storage_state_lane
-  let set_weight_lanes = Sim_multiword.set_weight_lanes
-  let set_weight_all = Sim_multiword.set_weight_all
-  let eval = Sim_multiword.eval
-  let clock = Sim_multiword.clock
-  let step = Sim_multiword.step
-  let reset_stats = Sim_multiword.reset_stats
-  let toggles (t : t) = t.Sim_multiword.toggles
-  let en_cycles (t : t) = t.Sim_multiword.en_cycles
-  let cycles (t : t) = t.Sim_multiword.cycles
-  let weight_flips (t : t) = t.Sim_multiword.weight_flips
-  let weight_writes (t : t) = t.Sim_multiword.weight_writes
+  let max_lanes = Sim_sliced.word_lanes
+  let create = Sim_sliced.create
+  let lanes_of = Sim_sliced.lanes_of
+  let set_bus = Sim_sliced.set_bus
+  let set_bus_lanes = Sim_sliced.set_bus_lanes
+  let read_bus_lane = Sim_sliced.read_bus_lane
+  let read_bus_signed_lane = Sim_sliced.read_bus_signed_lane
+  let extract_lane = Sim_sliced.extract_lane
+  let seq_state_lane = Sim_sliced.seq_state_lane
+  let storage_state_lane = Sim_sliced.storage_state_lane
+  let set_weight_lanes = Sim_sliced.set_weight_lanes
+  let set_weight_all = Sim_sliced.set_weight_all
+  let eval = Sim_sliced.eval
+  let clock = Sim_sliced.clock
+  let step = Sim_sliced.step
+  let reset_stats = Sim_sliced.reset_stats
+  let toggles (t : t) = t.Sim_sliced.toggles
+  let en_cycles (t : t) = t.Sim_sliced.en_cycles
+  let cycles (t : t) = t.Sim_sliced.cycles
+  let weight_flips (t : t) = t.Sim_sliced.weight_flips
+  let weight_writes (t : t) = t.Sim_sliced.weight_writes
 end
 
 (** The scalar {!Sim} as a 1-lane slice: the [scalar] engine. Every

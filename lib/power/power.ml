@@ -33,7 +33,7 @@ let dff_en = Cell.kind_index Cell.Dff_en
     ~freq_hz ~vdd ?wire_cap ?loads ()] converts raw switching-activity
     counters into a power report at the given operating point. This is
     the accounting core both simulators share: the scalar {!Sim} passes
-    its counters through {!estimate}; a bit-sliced {!Sim_multiword} run
+    its counters through {!estimate}; a bit-sliced {!Sim_sliced} run
     passes lane-summed counters with [cycles] inflated by the lane count
     ([Design_point.measure_power_sliced]), which yields the *average*
     power of one macro replica over the whole lane ensemble — the Monte

@@ -61,22 +61,9 @@ let default ~rows ~cols ~mcr ~input_prec ~weight_prec =
     with_controller = false;
   }
 
-(** The bench-facing primary ports, resolved once at build time so a test
-    bench drives and reads nets directly instead of looking each bus up
-    by name on every cycle. *)
-type ports = {
-  x : Ir.net array array;  (** row input buses, ["x%d"] *)
-  results : Ir.net array array;  (** word result buses, ["result%d"] *)
-  controls : Ir.net array option;
-      (** [load; sa_en; sa_clr; sa_neg]; [None] when the embedded
-          controller drives them *)
-  align_en : Ir.net option;  (** FP aligner enable, when it is an input *)
-}
-
 type t = {
   cfg : config;
   design : Ir.design;
-  ports : ports;
   db : int;  (** serial datapath bits of one input *)
   wb : int;  (** stored bits of one weight *)
   words : int;
@@ -121,7 +108,6 @@ let build (lib : Library.t) (cfg : config) : t =
   let copy_sel = Ir.new_bus ir (max sel_bits 1) in
   if cfg.mcr > 1 then Ir.add_input ir "copy_sel" copy_sel;
   (* ---- input boundary + optional FP alignment ---- *)
-  let align_en_net = ref None in
   let storage = Precision.storage_bits cfg.input_prec in
   let x_buses =
     Array.init cfg.rows (fun r ->
@@ -129,21 +115,20 @@ let build (lib : Library.t) (cfg : config) : t =
         Ir.add_input ir (Printf.sprintf "x%d" r) b;
         b)
   in
-  let aligned, align_lat =
+  let aligned, align_lat, align_en_net =
     match cfg.input_prec with
-    | Precision.Int _ -> (x_buses, 0)
+    | Precision.Int _ -> (x_buses, 0, None)
     | Precision.Fp fmt ->
         let cal = Builder.in_subcircuit ir "fp_align" in
         let align_en = Ir.new_net ir in
         if not cfg.with_controller then
           Ir.add_input ir "align_en" [| align_en |];
-        align_en_net := Some align_en;
         let a =
           Fp_align.build cal fmt ~pipeline:cfg.align_pipeline ~en:align_en
             ~rows_packed:x_buses
         in
         Ir.add_output ir "group_exp" a.group_exp;
-        (a.aligned, a.latency)
+        (a.aligned, a.latency, Some align_en)
   in
   (* ---- WL drivers: serializers + row fanout ---- *)
   let cwl = Builder.in_subcircuit ir "wl_driver" in
@@ -239,7 +224,6 @@ let build (lib : Library.t) (cfg : config) : t =
     if cfg.ofu_extra_pipe then Some (Ofu.n_levels wb / 2) else None
   in
   let post_lat = ref 0 in
-  let results = Array.make words [||] in
   let build_word g =
     let columns = Array.init wb (fun j -> accs.((g * wb) + j)) in
     let result, lat =
@@ -291,7 +275,6 @@ let build (lib : Library.t) (cfg : config) : t =
       else (result, lat)
     in
     post_lat := lat;
-    results.(g) <- result;
     Ir.add_output ir (Printf.sprintf "result%d" g) result
   in
   for g = 0 to words - 1 do
@@ -316,7 +299,7 @@ let build (lib : Library.t) (cfg : config) : t =
     Builder.buf_into cctl ~src:fsm.Controller.sa_en ~dst:sa_en;
     Builder.buf_into cctl ~src:fsm.Controller.sa_clr ~dst:sa_clr;
     Builder.buf_into cctl ~src:fsm.Controller.sa_neg ~dst:sa_neg;
-    (match !align_en_net with
+    (match align_en_net with
     | Some net -> Builder.buf_into cctl ~src:fsm.Controller.align_en ~dst:net
     | None -> ());
     Ir.add_output ir "done" [| fsm.Controller.done_ |]
@@ -324,15 +307,6 @@ let build (lib : Library.t) (cfg : config) : t =
   {
     cfg;
     design = Ir.freeze ir;
-    ports =
-      {
-        x = x_buses;
-        results;
-        controls =
-          (if cfg.with_controller then None
-           else Some [| load; sa_en; sa_clr; sa_neg |]);
-        align_en = (if cfg.with_controller then None else !align_en_net);
-      };
     db;
     wb;
     words;

@@ -96,18 +96,13 @@ let measure_power ?seed ?loads ?drives lib (m : Macro_rtl.t) ~freq_hz ~vdd
     draws the identical stimulus and produces bit-identical counters,
     hence bit-identical reports — the conformance property the test
     suite pins. *)
-let measure_power_sliced (module E : Slice.S) ?(seed = 0xD1C) ?loads
+let measure_power_sliced (module E : Slice.S) ?seed ?loads
     ?n_lanes lib (m : Macro_rtl.t) ~freq_hz ~vdd ~input_density
     ~weight_density ~macs =
-  let module B = Testbench.Sliced (E) in
-  let rng = Rng.create seed in
-  let sim = E.create ?n_lanes m.Macro_rtl.design in
-  if m.cfg.mcr > 1 then E.set_bus sim "copy_sel" 0;
-  B.load_weights_lanes m sim ~copy:0
-    (Array.init (E.lanes_of sim) (fun _ ->
-         Testbench.random_weights rng m ~density:weight_density));
-  E.reset_stats sim;
-  B.run_stream m sim ~rng ~macs ~input_density;
+  let module B = Testbench.Body (E) in
+  let sim =
+    B.power_stream ?seed ?n_lanes m ~input_density ~weight_density ~macs
+  in
   Power.estimate_activity m.design lib ~toggles:(E.toggles sim)
     ~en_cycles:(E.en_cycles sim)
     ~cycles:(E.cycles sim * E.lanes_of sim)

@@ -53,20 +53,6 @@ let diag_of_failure ?(stage = "diffcheck") (spec : Spec.t) (f : failure) :
       ]
     (describe_failure f)
 
-let is_fp (m : Macro_rtl.t) =
-  match m.Macro_rtl.cfg.Macro_rtl.input_prec with
-  | Precision.Fp _ -> true
-  | Precision.Int _ -> false
-
-(* Expected datapath values of the raw inputs (identity for INT, aligner
-   for FP) plus the expected group exponent. *)
-let datapath_view (m : Macro_rtl.t) inputs =
-  match m.Macro_rtl.cfg.Macro_rtl.input_prec with
-  | Precision.Int _ -> (inputs, None)
-  | Precision.Fp fmt ->
-      let a = Align.align fmt inputs in
-      (a.Align.values, Some a.Align.group_exp)
-
 (* rotate rows so each weight copy stores a distinguishable pattern *)
 let rotate_rows (weights : int array array) =
   Array.map
@@ -95,14 +81,14 @@ module Chunk (E : Slice.S) = struct
     let module B = Testbench.Sliced (E) in
     let db = m.Macro_rtl.db in
     B.present_inputs_lanes m sim inputs;
-    B.set_controls sim ~load:false ~sa_en:false ~sa_clr:false
+    B.set_controls m sim ~load:false ~sa_en:false ~sa_clr:false
       ~sa_neg:false;
-    if is_fp m then E.set_bus sim "align_en" 1;
+    B.set_align_en m sim true;
     for _ = 1 to m.Macro_rtl.align_lat do
       E.step sim
     done;
-    if is_fp m then E.set_bus sim "align_en" 0;
-    B.set_controls sim ~load:true ~sa_en:false ~sa_clr:false
+    B.set_align_en m sim false;
+    B.set_controls m sim ~load:true ~sa_en:false ~sa_clr:false
       ~sa_neg:false;
     E.step sim;
     let last = m.Macro_rtl.tree_lat + db - 1 in
@@ -114,12 +100,12 @@ module Chunk (E : Slice.S) = struct
       let sa_neg =
         sign_cycle && db > 1 && bug <> Some Skip_sign_cycle
       in
-      B.set_controls sim ~load:false
+      B.set_controls m sim ~load:false
         ~sa_en:(k >= m.Macro_rtl.tree_lat)
         ~sa_clr:first ~sa_neg;
       E.step sim
     done;
-    B.set_controls sim ~load:false ~sa_en:false ~sa_clr:false
+    B.set_controls m sim ~load:false ~sa_en:false ~sa_clr:false
       ~sa_neg:false;
     let post =
       match bug with
@@ -130,9 +116,7 @@ module Chunk (E : Slice.S) = struct
       E.step sim
     done;
     E.eval sim;
-    Array.init (E.lanes_of sim) (fun l ->
-        Array.init m.Macro_rtl.words (fun g ->
-            E.read_bus_signed_lane sim (Printf.sprintf "result%d" g) l))
+    B.read_results m sim ~n:(E.lanes_of sim) ~shift:0
 
   (* Load one chunk of lane jobs into a fresh simulator: every
      lane stores its own weights in the copy it reads, and (with MCR >
@@ -173,7 +157,7 @@ module Chunk (E : Slice.S) = struct
   let judge_lane (m : Macro_rtl.t) sim (results : int array array) l
       (job : lane_job) : int * failure option =
     let set = job.set in
-    let xs, exp_expected = datapath_view m set.Corners.inputs in
+    let xs, exp_expected = Testbench.datapath_inputs m set.Corners.inputs in
     let checks = ref 0 in
     let fail = ref None in
     (match exp_expected with

@@ -10,7 +10,7 @@
    packed) pair at one 63-lane word and again with the packed engine
    driven across a two-word (126-lane) ensemble, the way every batch
    consumer runs work wider than one word: as consecutive one-word
-   slices. The same checks that once lived ad hoc in test_sim_packed.ml
+   slices. The same checks that once lived ad hoc in test_sim_sliced.ml
    and test_lane_parallel.ml run here, so any future engine earns its
    place by passing the identical battery the packed engine passed. *)
 

@@ -12,14 +12,14 @@
 module Scalar_vs_packed = Conformance.Make (struct
   let reference = `Scalar
   let candidate = `Packed
-  let lanes = Sim_multiword.word_lanes
+  let lanes = Sim_sliced.word_lanes
   let fuzz_count = 21
 end) ()
 
 module Scalar_vs_packed_two_words = Conformance.Make (struct
   let reference = `Scalar
   let candidate = `Packed
-  let lanes = 2 * Sim_multiword.word_lanes
+  let lanes = 2 * Sim_sliced.word_lanes
   let fuzz_count = 4
 end) ()
 

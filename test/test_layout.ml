@@ -16,12 +16,6 @@ let test_sdp_drc_clean () =
   Alcotest.(check (list Alcotest.reject)) "no violations" []
     (List.map (fun _ -> Alcotest.fail "violation") (Drc.check lib p))
 
-let test_sdp_drc_clean_after_sizing () =
-  let m = macro () in
-  ignore (Sizing.speed_up m.Macro_rtl.design lib ~target_ps:1.0);
-  let p = Floorplan.sdp lib m in
-  check_int "no violations on X4 cells" 0 (List.length (Drc.check lib p))
-
 (* Sizing keeps no bumps on [macro ()] (its first round does not shorten
    the path), so the widest footprints are forced: every cell but the
    storage ones, which sizing never touches, at X4. *)
@@ -499,8 +493,6 @@ let () =
       ( "placement",
         [
           Alcotest.test_case "SDP DRC clean" `Quick test_sdp_drc_clean;
-          Alcotest.test_case "DRC clean after sizing" `Quick
-            test_sdp_drc_clean_after_sizing;
           Alcotest.test_case "DRC clean with logic at X4" `Quick
             test_sdp_drc_clean_at_x4;
           Alcotest.test_case "ECO rollback keeps the pass" `Quick

@@ -660,24 +660,24 @@ let test_bad_weight_address () =
       (max_int, max_int, max_int); (min_int, 0, 0);
     ]
   in
-  let sim = Sim.create d and sliced = Sim_multiword.create d in
+  let sim = Sim.create d and sliced = Sim_sliced.create d in
   List.iter
     (fun (row, col, copy) ->
       let name = Printf.sprintf "(%d,%d,%d)" row col copy in
       check_int (name ^ " unaddressed") (-1) (Ir.weight_inst d ~row ~col ~copy);
       check_bool (name ^ " Sim.set_weight") true
         (raises (fun () -> Sim.set_weight sim ~row ~col ~copy true));
-      check_bool (name ^ " Sim_multiword.write_weight") true
+      check_bool (name ^ " Sim_sliced.write_weight") true
         (raises (fun () ->
-             Sim_multiword.write_weight sliced ~row ~col ~copy (-1))))
+             Sim_sliced.write_weight sliced ~row ~col ~copy (-1))))
     bad;
   (* no write reached a cell, so nothing was charged or stored *)
   check_int "scalar writes" 0 sim.Sim.weight_writes;
   check_bool "scalar cells untouched" true
     (Array.for_all not sim.Sim.storage_state);
-  check_int "sliced writes" 0 sliced.Sim_multiword.weight_writes;
+  check_int "sliced writes" 0 sliced.Sim_sliced.weight_writes;
   check_bool "sliced cells untouched" true
-    (Array.for_all (fun w -> w = 0) sliced.Sim_multiword.storage_state);
+    (Array.for_all (fun w -> w = 0) sliced.Sim_sliced.storage_state);
   (* a negative address cannot be indexed, so freeze refuses it *)
   let ir = Ir.create () in
   ignore
@@ -696,10 +696,10 @@ let test_bad_weight_address () =
   check_bool "no weights: Sim.set_weight" true
     (raises (fun () ->
          Sim.set_weight (Sim.create plain) ~row:0 ~col:0 ~copy:0 true));
-  check_bool "no weights: Sim_multiword.write_weight" true
+  check_bool "no weights: Sim_sliced.write_weight" true
     (raises (fun () ->
-         Sim_multiword.write_weight
-           (Sim_multiword.create plain)
+         Sim_sliced.write_weight
+           (Sim_sliced.create plain)
            ~row:0 ~col:0 ~copy:0 1))
 
 (* The reference settle: every combinational cell re-evaluated on every

@@ -505,6 +505,36 @@ let test_controller_macro () =
       r.(0)
   done
 
+(* A controller macro has no schedule pins: every path into the bench's
+   one MAC schedule — sign-off on either engine, the single MAC and the
+   power stream — refuses it with a structured Bench_error. *)
+let test_controller_macro_bench_error () =
+  List.iter
+    (fun input_prec ->
+      let m =
+        Macro_rtl.build lib
+          { (base 8 8 1 input_prec Precision.int8) with
+            Macro_rtl.with_controller = true }
+      in
+      let expect_bench_error name f =
+        match f () with
+        | () -> Alcotest.failf "%s: drove a controller macro" name
+        | exception Testbench.Bench_error { op; _ } ->
+            Alcotest.(check string) (name ^ ": op") "set_controls" op
+      in
+      expect_bench_error "verify scalar" (fun () ->
+          Testbench.verify ~engine:`Scalar m ~seed:1 ~batches:1);
+      expect_bench_error "verify packed" (fun () ->
+          Testbench.verify ~engine:`Packed m ~seed:1 ~batches:1);
+      let sim = Sim.create m.Macro_rtl.design in
+      expect_bench_error "run_mac" (fun () ->
+          ignore (Testbench.run_mac m sim ~inputs:(Array.make 8 0)));
+      expect_bench_error "power_stream" (fun () ->
+          ignore
+            (Testbench.power_stream m ~input_density:0.5 ~weight_density:0.5
+               ~macs:1)))
+    [ Precision.int8; Precision.fp8 ]
+
 let test_macro_latency_metadata () =
   let m = Macro_rtl.build lib (base 8 8 1 Precision.int8 Precision.int8) in
   check_int "serial cycles" 8 (Macro_rtl.serial_cycles m);
@@ -603,6 +633,8 @@ let () =
           Alcotest.test_case "MAC-write concurrency" `Quick
             test_macro_mac_write_concurrency;
           Alcotest.test_case "controller" `Quick test_controller_macro;
+          Alcotest.test_case "controller macro: bench refuses" `Quick
+            test_controller_macro_bench_error;
           Alcotest.test_case "latency metadata" `Quick
             test_macro_latency_metadata;
         ] );

@@ -12,7 +12,7 @@ let lib = Library.n40 ()
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* The default engine: the 63-lane Sim_multiword slice. *)
+(* The default engine: the 63-lane Sim_sliced slice. *)
 module P = (val Engine.slice `Packed)
 
 (* ---------------- popcount ---------------- *)
@@ -47,7 +47,7 @@ let test_eval_word_exhaustive () =
       if not (Cell.is_sequential k || Cell.is_storage k) then begin
         let n = Cell.n_inputs k in
         let combos = 1 lsl n in
-        assert (combos <= Sim_multiword.word_lanes);
+        assert (combos <= Sim_sliced.word_lanes);
         let ins_w =
           Array.init n (fun p ->
               let w = ref 0 in
@@ -148,7 +148,7 @@ let test_lane_count_validation () =
     (Printf.sprintf "requested 0 lanes, valid range is 1..%d" P.max_lanes);
   (* the simulator itself (P.create) caps a slice at one word *)
   check_rejects "64 lanes rejected"
-    (fun () -> ignore (Sim_multiword.create ~n_lanes:64 d))
+    (fun () -> ignore (Sim_sliced.create ~n_lanes:64 d))
     "requested 64 lanes, valid range is 1..63";
   let one = P.create ~n_lanes:1 d in
   check_int "single lane" 1 (P.lanes_of one)
@@ -199,29 +199,28 @@ let test_state_lane_bounds () =
   in
   List.iter
     (fun (n_lanes, bad) ->
-      let sim = Sim_multiword.create ~n_lanes d in
+      let sim = Sim_sliced.create ~n_lanes d in
       check_int
         (Printf.sprintf "lane %d of %d: seq slots" (n_lanes - 1) n_lanes)
         (Ir.n_insts d)
-        (Array.length (Sim_multiword.seq_state_lane sim (n_lanes - 1)));
+        (Array.length (Sim_sliced.seq_state_lane sim (n_lanes - 1)));
       List.iter
         (fun lane ->
           rejects
             (Printf.sprintf "seq_state_lane %d of %d" lane n_lanes)
-            (fun () -> Sim_multiword.seq_state_lane sim lane);
+            (fun () -> Sim_sliced.seq_state_lane sim lane);
           rejects
             (Printf.sprintf "storage_state_lane %d of %d" lane n_lanes)
-            (fun () -> Sim_multiword.storage_state_lane sim lane))
+            (fun () -> Sim_sliced.storage_state_lane sim lane))
         bad)
-    [ (Sim_multiword.word_lanes, [ -1; Sim_multiword.word_lanes ]);
+    [ (Sim_sliced.word_lanes, [ -1; Sim_sliced.word_lanes ]);
       (40, [ 40; 62 ]) ]
 
 (* ---------------- packed power accounting ---------------- *)
 
 (* With a single lane, the packed Monte Carlo path must reproduce the
    scalar power estimate to float tolerance: same seed, same weight and
-   input draws, same counters, same effective cycles. The scalar slice
-   must reproduce it exactly. *)
+   input draws, same counters, same effective cycles. *)
 let test_packed_power_single_lane () =
   let m =
     Macro_rtl.build lib
@@ -239,15 +238,19 @@ let test_packed_power_single_lane () =
   let close a b =
     abs_float (a -. b) <= 1e-9 *. (abs_float a +. abs_float b +. 1.0)
   in
-  check_bool "total power" true (close scalar.Power.total_w packed.Power.total_w);
-  check_bool "dynamic power" true
-    (close scalar.Power.dynamic_w packed.Power.dynamic_w);
-  check_bool "clock power" true (close scalar.Power.clock_w packed.Power.clock_w);
-  check_bool "energy/cycle" true
-    (close scalar.Power.energy_per_cycle_fj packed.Power.energy_per_cycle_fj);
-  (* the scalar engine's slice runs the same stream through the same
-     Sim: the whole report, breakdown included, must be equal — what lets
-     the MCR ablation price both engines through one call *)
+  let agree prefix (scalar : Power.report) (packed : Power.report) =
+    check_bool (prefix ^ "total power") true
+      (close scalar.total_w packed.total_w);
+    check_bool (prefix ^ "dynamic power") true
+      (close scalar.dynamic_w packed.dynamic_w);
+    check_bool (prefix ^ "clock power") true
+      (close scalar.clock_w packed.clock_w);
+    check_bool (prefix ^ "energy/cycle") true
+      (close scalar.energy_per_cycle_fj packed.energy_per_cycle_fj)
+  in
+  agree "" scalar packed;
+  (* one packed lane against the scalar bench across weight copies and
+     FP alignment: the same stream through the other engine *)
   List.iter
     (fun (name, mcr, input_prec) ->
       let m =
@@ -255,17 +258,16 @@ let test_packed_power_single_lane () =
           (Macro_rtl.default ~rows:16 ~cols:16 ~mcr ~input_prec
              ~weight_prec:Precision.int8)
       in
-      let direct =
+      let scalar =
         Design_point.measure_power lib m ~freq_hz:5e8 ~vdd:0.9
           ~input_density:0.5 ~weight_density:0.5 ~macs:4
       in
-      let sliced =
-        Design_point.measure_power_sliced (module Slice.Scalar) lib m
+      let packed =
+        Design_point.measure_power_sliced (module P) ~n_lanes:1 lib m
           ~freq_hz:5e8 ~vdd:0.9 ~input_density:0.5 ~weight_density:0.5
           ~macs:4
       in
-      check_bool (name ^ ": Slice.Scalar report = measure_power") true
-        (direct = sliced))
+      agree (name ^ ": ") scalar packed)
     [
       ("INT8 MCR 1", 1, Precision.int8);
       ("INT8 MCR 2", 2, Precision.int8);
@@ -327,7 +329,7 @@ let test_packed_power_full_width () =
 (* ---------------- suite ---------------- *)
 
 let () =
-  Alcotest.run "sim_packed"
+  Alcotest.run "sim_sliced"
     [
       ( "popcount",
         [

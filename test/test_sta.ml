@@ -115,19 +115,6 @@ let test_relax_and_snapshot () =
   check_bool "restored" true
     (List.exists (fun drive -> drive <> Cell.X1) (drives ()))
 
-let test_sizing_never_touches_storage () =
-  let m =
-    Macro_rtl.build lib
-      (Macro_rtl.default ~rows:8 ~cols:8 ~mcr:1 ~input_prec:Precision.int4
-         ~weight_prec:Precision.int4)
-  in
-  let d = m.Macro_rtl.design in
-  ignore (Sizing.speed_up d lib ~target_ps:1.0);
-  Array.iter
-    (fun i ->
-      check_bool "storage stays X1" true (Ir.drive d i = Cell.X1))
-    d.Ir.storage
-
 let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* [r] — what a sizing call returned — is bit for bit the load map and
@@ -317,8 +304,6 @@ let () =
             test_sizing_idempotent_when_met;
           Alcotest.test_case "relax/snapshot/restore" `Quick
             test_relax_and_snapshot;
-          Alcotest.test_case "storage untouched" `Quick
-            test_sizing_never_touches_storage;
           Alcotest.test_case "returned report is final" `Quick
             test_sizing_report_is_final;
           Alcotest.test_case "a round that does not shorten the path is undone"
