@@ -191,10 +191,10 @@ let compile_cmd =
     let print_trace () =
       if trace_on then begin
         print_endline "pipeline trace:";
-        print_string (Trace.render req.Service.art_trace)
+        print_string (Trace.render req.Service.trace)
       end
     in
-    match req.Service.art_outcome with
+    match req.Service.outcome with
     | Error d ->
         (* the structured diagnostic is the report: stage, spec context,
            message, payload — and a non-zero exit, never a backtrace *)
@@ -312,8 +312,7 @@ let batch_cmd =
                  "no input: give a manifest file or --gen SEED:COUNT")
       in
       let* ctx =
-        if no_cache then Ok (Ctx.without_cache ctx)
-        else Ctx.with_cache_dir cache_dir ctx
+        if no_cache then Ok ctx else Ctx.with_cache_dir cache_dir ctx
       in
       Ok (specs, ctx)
     in

@@ -33,7 +33,7 @@ let () =
     (fun f_mhz ->
       let spec = { base with Spec.mac_freq_hz = f_mhz *. 1e6 } in
       let req = Service.compile_artifact svc spec in
-      match req.Service.art_outcome with
+      match req.Service.outcome with
       | Error d -> Printf.printf "  %4.0f MHz: %s\n%!" f_mhz (Diag.to_string d)
       | Ok r ->
           let a = r.Pipeline.artifact in

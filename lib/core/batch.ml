@@ -186,16 +186,6 @@ let load_manifest (path : string) : (Spec.t list, Diag.t) Stdlib.result =
       | Error d -> Error { d with Diag.payload = ("path", path) :: d.Diag.payload }
       | ok -> ok)
 
-(** [validate_jobs j] — [--jobs 0] or a negative pool width is a user
-    error, not a degenerate pool. *)
-let validate_jobs (j : int) : (int, Diag.t) Stdlib.result =
-  if j >= 1 then Ok j
-  else
-    Error
-      (Diag.error ~stage
-         ~payload:[ ("jobs", string_of_int j) ]
-         "jobs must be >= 1")
-
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -218,27 +208,23 @@ type result = {
   warnings : Diag.t list;  (** one per replaced corrupt entry *)
 }
 
-(** [run ?jobs ?cache ?trace ctx specs] — compile every spec, fanned out
-    over the domain pool. Jobs and compile cache default to the
-    context's values. Per-spec failures become [Error] items; the batch
-    itself always completes, and corrupt-entry repairs come back as
-    [warnings]. Each spec records its stage rows into a private trace,
+(** [run ?jobs ?trace ctx specs] — compile every spec, fanned out over
+    the domain pool, through the context's compile cache. Jobs default
+    to the context's value. Per-spec failures become [Error] items; the
+    batch itself always completes, and corrupt-entry repairs come back
+    as [warnings]. Each spec records its stage rows into a private trace,
     merged into [trace] in manifest order after the pool joins — so the
     trace (and its fingerprint) is independent of which domain compiled
     what. *)
-let run ?jobs ?cache ?trace (ctx : Ctx.t) (specs : Spec.t list) : result =
+let run ?jobs ?trace (ctx : Ctx.t) (specs : Spec.t list) : result =
   let t0 = Unix.gettimeofday () in
   let jobs = match jobs with Some j -> Some j | None -> Ctx.jobs ctx in
-  let cache = match cache with Some c -> Some c | None -> Ctx.cache ctx in
-  (* detach the context's own cache so the per-call value above is the
-     single source of truth inside the fan-out *)
-  let call_ctx = Ctx.without_cache ctx in
   let compiled =
     Pool.parallel_map ?jobs
       (fun (index, spec) ->
         let tr = Option.map (fun _ -> Trace.create ()) trace in
         let w0 = Unix.gettimeofday () in
-        let outcome = Pipeline.run_cached ?trace:tr ?cache call_ctx spec in
+        let outcome = Pipeline.run_cached ?trace:tr ctx spec in
         let wall_s = Unix.gettimeofday () -. w0 in
         ({ index; spec; outcome; wall_s }, tr))
       (List.mapi (fun i s -> (i, s)) specs)

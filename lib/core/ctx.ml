@@ -6,9 +6,13 @@
     Every layer threads a [Ctx.t]: {!Pipeline.run}, {!Batch.run}, the
     {!Service} facade, the seven [Eval] harnesses and the [Verify]
     campaign stack all take a context instead of hand-assembled
-    [lib]/[scl]/[?jobs]/[?cache] arguments. Everything else a call can
-    vary (trace sink, seed, policy, simulation engine of a leaf checker)
-    is a per-call argument with a literal default, so constructing two
+    [lib]/[scl]/[?jobs]/[?cache] arguments, and none of them overrides
+    the context's pool width or compile cache for one call ({!Batch.run},
+    [Campaign.run] and [Metamorph.check_moves] keep a [?jobs]; see
+    DESIGN.md). A compile's only inputs are its spec and its context:
+    placement style and retry policy are fixed. What else a call can
+    vary (trace sink, seed, simulation engine of a leaf checker) is a
+    per-call argument with a literal default, so constructing two
     contexts is all it takes to run two corners — or two tenants — side
     by side.
 
@@ -105,8 +109,6 @@ let validate_jobs (j : int) : (int, Diag.t) Stdlib.result =
       (Diag.error ~stage:"ctx"
          ~payload:[ ("jobs", string_of_int j) ]
          "jobs must be >= 1")
-
-let without_cache t = { t with cache = None }
 
 (** [with_cache_dir dir t] — open (creating if missing) a persistent
     compile cache under [dir] and attach it. The error is a one-line

@@ -134,33 +134,29 @@ type run = {
 (* Policy                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(** The retry-on-routing-miss loop, as explicit policy: when the search
-    met its pre-layout budget but routed wires ate the margin, re-run the
-    pipeline with the internal clock tightened by another [boost_step].
-    A retry is scheduled while the {e failed} attempt's boost is below
-    [max_boost] (see {!next_boost}), so the last retry may run one step
-    past it: with the defaults, attempts run at ×1.0, ×1.12 and ×1.2544.
-    [max_eco_iters] caps the backend's re-closure loop. *)
-type policy = {
-  verify : bool;
-  retry : bool;
-  max_boost : float;
-  boost_step : float;
-  max_eco_iters : int;
-}
+(** The retry-on-routing-miss loop: when the search met its pre-layout
+    budget but routed wires ate the margin, re-run the pipeline with the
+    internal clock tightened by another [boost_step]. A retry is
+    scheduled while the {e failed} attempt's boost is below [max_boost]
+    (see {!next_boost}), so the last retry may run one step past it:
+    attempts run at ×1.0, ×1.12 and ×1.2544. [max_eco_iters] caps the
+    backend's re-closure loop. Every compile signs off and retries; the
+    one policy is {!default_policy}. *)
+type policy = { max_boost : float; boost_step : float; max_eco_iters : int }
 
-let default_policy =
-  { verify = true; retry = true; max_boost = 1.2; boost_step = 1.12;
-    max_eco_iters = 3 }
+let default_policy = { max_boost = 1.2; boost_step = 1.12; max_eco_iters = 3 }
+
+(** The placement style every compile uses; Ablation C's scattered
+    placement goes through {!backend_once} instead. *)
+let placement = Floorplan.Sdp
 
 (** [next_boost policy ~boost ~timing_closed ~search_closed] — the retry
     decision for an attempt that ran at [boost]: [Some (boost *.
     boost_step)] when it missed timing post-layout although its search
-    closed pre-layout, retries are on and [boost < max_boost]; [None]
-    otherwise. *)
+    closed pre-layout and [boost < max_boost]; [None] otherwise. *)
 let next_boost (p : policy) ~boost ~timing_closed ~search_closed =
-  if (not timing_closed) && search_closed && p.retry && boost < p.max_boost
-  then Some (boost *. p.boost_step)
+  if (not timing_closed) && search_closed && boost < p.max_boost then
+    Some (boost *. p.boost_step)
   else None
 
 (** Workload assumptions for the reported power: the paper's measurement
@@ -369,26 +365,22 @@ let backend_stage ?spec ?(retry = fun (_ : float) -> None) lib ~style
 (** Stage 3 — functional sign-off against the golden MAC. The packed
     engine settles each weight copy's MAC batch as {!Sim_sliced}
     lanes; any failing lane is shrunk back to one scalar transaction. *)
-let verify_stage ~enabled () : (search_art, search_art) Stage.t =
+let verify_stage : (search_art, search_art) Stage.t =
   Stage.v stage_verify (fun (sa : search_art) ->
-      if not enabled then
-        Ok (sa, Stage.meta ~note:"skipped (verification disabled)" ())
-      else
-        let* () =
-          Diag.guard ~stage:stage_verify ~spec:sa.search_spec (fun () ->
-              Testbench.verify sa.macro ~seed:0xACC
-                ~batches:verify_batches)
-        in
-        let copies = sa.macro.Macro_rtl.cfg.Macro_rtl.mcr in
-        Ok
-          ( sa,
-            Stage.meta
-              ~cells:(Ir.n_insts sa.macro.Macro_rtl.design)
-              ~note:
-                (Printf.sprintf
-                   "%d random MACs vs golden (%d weight copies, packed engine)"
-                   (copies * verify_batches) copies)
-              () ))
+      let* () =
+        Diag.guard ~stage:stage_verify ~spec:sa.search_spec (fun () ->
+            Testbench.verify sa.macro ~seed:0xACC ~batches:verify_batches)
+      in
+      let copies = sa.macro.Macro_rtl.cfg.Macro_rtl.mcr in
+      Ok
+        ( sa,
+          Stage.meta
+            ~cells:(Ir.n_insts sa.macro.Macro_rtl.design)
+            ~note:
+              (Printf.sprintf
+                 "%d random MACs vs golden (%d weight copies, packed engine)"
+                 (copies * verify_batches) copies)
+            () ))
 
 (** Stage 4 — post-layout power at the spec's operating point. *)
 let power_stage lib ~(spec : Spec.t) :
@@ -430,14 +422,15 @@ let retry_note (spec : Spec.t) ~fmax_ghz boost =
     (spec.Spec.mac_freq_hz /. 1e6)
     boost
 
-(** [retry_decision lib policy sa crit_ps] — {!next_boost} for attempt
-    [sa] once its ECO loop kept a layout with routed critical path
-    [crit_ps]: the next attempt's boost and the reason, or [None] when
-    [sa] ships. The backend's [retry] argument in {!run}. *)
-let retry_decision lib (policy : policy) (sa : search_art) crit_ps =
+(** [retry_decision lib sa crit_ps] — {!next_boost} under
+    {!default_policy} for attempt [sa] once its ECO loop kept a layout
+    with routed critical path [crit_ps]: the next attempt's boost and the
+    reason, or [None] when [sa] ships. The backend's [retry] argument in
+    {!run}. *)
+let retry_decision lib (sa : search_art) crit_ps =
   let spec = sa.search_spec in
   let fmax_ghz = fmax_ghz lib.Library.node spec crit_ps in
-  next_boost policy ~boost:sa.boost
+  next_boost default_policy ~boost:sa.boost
     ~timing_closed:(meets_clock spec fmax_ghz)
     ~search_closed:sa.search.Searcher.timing_closed
   |> Option.map (fun b -> (b, retry_note spec ~fmax_ghz b))
@@ -462,7 +455,7 @@ let compute_metrics (spec : Spec.t) (m : Macro_rtl.t)
 (** Stage 5 — reported PPA and the timing verdict. The retry decision
     is the backend's ({!retry_decision}); a miss measured here is one
     the policy ships, and the note says why. *)
-let metrics_stage lib ~(policy : policy) :
+let metrics_stage lib :
     (search_art * Post_layout.t * Power.report, verdict) Stage.t =
   Stage.v stage_metrics
     (fun ((sa : search_art), (signoff : Post_layout.t), (power : Power.report))
@@ -483,7 +476,6 @@ let metrics_stage lib ~(policy : policy) :
             metrics.fmax_ghz
             (if not sa.search.Searcher.timing_closed then
                "(search missed pre-layout)"
-             else if not policy.retry then "(retry disabled)"
              else "(boost exhausted)")
       in
       Ok
@@ -507,19 +499,20 @@ let m_eco_iters = Metrics.counter "pipeline.eco_iters"
    deterministic cache.disk.* counters instead. *)
 let m_cache_lookup_ms = Metrics.histogram ~det:false "cache.disk.lookup_ms"
 
-(** [run ?style ?policy ?trace ?inject ctx spec] — compile [spec] over
-    the context's library and shared SCL memo. A spec that fails
-    {!validate} is an [Error] before any stage runs. Each attempt runs search
-    and backend; the backend applies the retry policy to the routed
-    timing its ECO loop kept, and a discarded attempt goes no further: the
-    next one searches again under the boost it asked for. The attempt
-    that ships runs [signoff_verify], [power] and [metrics]. One netlist
-    table serves every attempt, so a configuration is built once per
-    compile; it is dropped when [run] returns. Every stage execution
-    (across every attempt) appends a row to [trace], if given; [inject]
-    forces the named stage to fail, for exercising the diagnostic path. *)
-let run ?(style = Floorplan.Sdp) ?(policy = default_policy) ?trace ?inject
-    (ctx : Ctx.t) (spec : Spec.t) : (run, Diag.t) Stdlib.result =
+(** [run ?trace ?inject ctx spec] — compile [spec] over the context's
+    library and shared SCL memo, with {!placement} and
+    {!default_policy}. A spec that fails {!validate} is an [Error] before
+    any stage runs. Each attempt runs search and backend; the backend
+    applies the retry policy to the routed timing its ECO loop kept, and
+    a discarded attempt goes no further: the next one searches again
+    under the boost it asked for. The attempt that ships runs
+    [signoff_verify], [power] and [metrics]. One netlist table serves
+    every attempt, so a configuration is built once per compile; it is
+    dropped when [run] returns. Every stage execution (across every
+    attempt) appends a row to [trace], if given; [inject] forces the
+    named stage to fail, for exercising the diagnostic path. *)
+let run ?trace ?inject (ctx : Ctx.t) (spec : Spec.t) :
+    (run, Diag.t) Stdlib.result =
   let* () = validate spec in
   let lib = Ctx.lib ctx and scl = Ctx.scl ctx in
   let exec s x = Stage.execute ?trace ?inject s x in
@@ -529,9 +522,9 @@ let run ?(style = Floorplan.Sdp) ?(policy = default_policy) ?trace ?inject
     let* sa = exec (search_stage ~netlists lib scl ~boost) spec in
     let* ba =
       exec
-        (backend_stage lib ~style ~spec ~budget_ps
-           ~max_eco_iters:policy.max_eco_iters
-           ~retry:(retry_decision lib policy sa))
+        (backend_stage lib ~style:placement ~spec ~budget_ps
+           ~max_eco_iters:default_policy.max_eco_iters
+           ~retry:(retry_decision lib sa))
         sa.macro
     in
     Metrics.incr m_attempts;
@@ -552,9 +545,9 @@ let run ?(style = Floorplan.Sdp) ?(policy = default_policy) ?trace ?inject
         Metrics.incr m_retries;
         attempt (with_this ~closed:false) b
     | Ship signoff ->
-        let* sa = exec (verify_stage ~enabled:policy.verify ()) sa in
+        let* sa = exec verify_stage sa in
         let* power = exec (power_stage lib ~spec) (sa.macro, signoff) in
-        let* v = exec (metrics_stage lib ~policy) (sa, signoff, power) in
+        let* v = exec (metrics_stage lib) (sa, signoff, power) in
         Ok
           {
             artifact =
@@ -669,11 +662,14 @@ let summary_of_cache_value (spec : Spec.t) (v : Disk_cache.value) : summary =
 
 (** Pipeline-level inputs to the cache key: the floorplan style and the
     retry policy both steer the compiled result, so they version the key
-    alongside {!Searcher.algorithm_version}. *)
+    alongside {!Searcher.algorithm_version}. [run] compiles with
+    {!placement} and {!default_policy}. The tag keeps the [vtrue,rtrue]
+    sign-off and retry flags, both always on, so the keys of existing
+    stores do not change. *)
 let cache_algo_tag ~style (p : policy) : string =
-  Printf.sprintf "%s|style=%s|policy=v%b,r%b,mb%h,bs%h,eco%d"
-    Searcher.algorithm_version (Floorplan.style_name style) p.verify p.retry
-    p.max_boost p.boost_step p.max_eco_iters
+  Printf.sprintf "%s|style=%s|policy=vtrue,rtrue,mb%h,bs%h,eco%d"
+    Searcher.algorithm_version (Floorplan.style_name style) p.max_boost
+    p.boost_step p.max_eco_iters
 
 let add_cache_row trace ~wall_ms ?cells ?crit_out_ps ~hit ?boost note =
   match trace with
@@ -687,33 +683,27 @@ let add_cache_row trace ~wall_ms ?cells ?crit_out_ps ~hit ?boost note =
       in
       Trace.add tr { row with Trace.stage = stage_cache; wall_ms }
 
-(** [run_cached ?style ?policy ?trace ?inject ?cache ctx spec] — {!run}
-    behind the persistent compile cache. The cache defaults to the
-    context's ([?cache] overrides for one call; detach with
-    {!Ctx.without_cache}). With a cache attached, the spec's content
+(** [run_cached ?trace ctx spec] — {!run} behind the context's
+    persistent compile cache. With a cache attached, the spec's content
     address is looked up first: a hit skips every stage and reconstructs
     the {!summary} from the store (appending a single [cache] trace
     row); a miss — including a corrupt entry, which is diagnosed but
     never fatal — runs the full pipeline and stores the result. Without
     a cache this is exactly [run] plus summarization. *)
-let run_cached ?(style = Floorplan.Sdp) ?(policy = default_policy) ?trace
-    ?inject ?cache (ctx : Ctx.t) (spec : Spec.t) :
+let run_cached ?trace (ctx : Ctx.t) (spec : Spec.t) :
     (summary, Diag.t) Stdlib.result =
   (* before the lookup: a malformed spec is never served from a store *)
   let* () = validate spec in
-  let cache =
-    match cache with Some c -> Some c | None -> Ctx.cache ctx
-  in
-  match cache with
+  match Ctx.cache ctx with
   | None ->
-      let* r = run ~style ~policy ?trace ?inject ctx spec in
+      let* r = run ?trace ctx spec in
       Ok (summary_of_run r)
   | Some dc -> (
       let t0 = Unix.gettimeofday () in
       let k =
         Disk_cache.key
           ~lib_fp:(Disk_cache.library_fingerprint (Ctx.lib ctx))
-          ~algo:(cache_algo_tag ~style policy)
+          ~algo:(cache_algo_tag ~style:placement default_policy)
           spec
       in
       let short = String.sub k 0 12 in
@@ -737,7 +727,7 @@ let run_cached ?(style = Floorplan.Sdp) ?(policy = default_policy) ?trace
             | _ -> (Cache_miss, Printf.sprintf "miss %s" short)
           in
           add_cache_row trace ~wall_ms ~hit:false note;
-          let* r = run ~style ~policy ?trace ?inject ctx spec in
+          let* r = run ?trace ctx spec in
           let s = { (summary_of_run r) with sum_cache = outcome } in
           Disk_cache.store dc k (cache_value_of_summary s);
           Ok s)

@@ -50,11 +50,12 @@ type t = {
   mutable next_id : int;
 }
 
-(** One served compile request: the metrics-level outcome plus the
+(** One served compile request: its outcome (a {!Pipeline.summary} from
+    {!compile}, a full {!Pipeline.run} from {!compile_artifact}) plus the
     request's own stage trace (cache row included on cached paths). *)
-type request = {
+type 'a request = {
   id : int;  (** monotonically increasing per service *)
-  outcome : (Pipeline.summary, Diag.t) Stdlib.result;
+  outcome : ('a, Diag.t) Stdlib.result;
   trace : Trace.t;  (** this request's private instrumentation rows *)
   wall_s : float;
 }
@@ -97,50 +98,41 @@ let account t ~(outcome : (Pipeline.summary, Diag.t) Stdlib.result) ~wall_s
       | Error _ -> Metrics.incr t.failures);
       id)
 
+(* One timed, accounted request: [run] compiles into the request's
+   private trace and [summary] reduces its result for the counters. *)
+let serve t ~summary run : 'a request =
+  let trace = Trace.create () in
+  let t0 = Unix.gettimeofday () in
+  let outcome = run trace in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  let id = account t ~outcome:(Result.map summary outcome) ~wall_s in
+  { id; outcome; trace; wall_s }
+
 (** [compile t spec] — serve one metrics-level compilation through the
     warm context and the compile cache. Every request gets a fresh
     private trace; failures are accounted and returned — a bad spec
     never takes the service down. *)
-let compile ?style ?policy (t : t) (spec : Spec.t) : request =
-  let tr = Trace.create () in
-  let t0 = Unix.gettimeofday () in
-  let outcome = Pipeline.run_cached ?style ?policy ~trace:tr t.ctx spec in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let id = account t ~outcome ~wall_s in
-  { id; outcome; trace = tr; wall_s }
+let compile (t : t) (spec : Spec.t) : Pipeline.summary request =
+  serve t ~summary:Fun.id (fun trace -> Pipeline.run_cached ~trace t.ctx spec)
 
 (** Full-artifact variant of {!compile}, for callers that need the
     netlist and layout (the CLI's [compile] subcommand, artifact
     export). Never served from the compile cache — artifacts cannot be
     reconstructed from a metrics-level entry — but still warms and
-    reuses the shared SCL memo, and still accounts the request. *)
-type artifact_request = {
-  art_id : int;
-  art_outcome : (Pipeline.run, Diag.t) Stdlib.result;
-  art_trace : Trace.t;
-  art_wall_s : float;
-}
+    reuses the shared SCL memo, and still accounts the request. [inject]
+    is {!Pipeline.run}'s failure hook. *)
+let compile_artifact ?inject (t : t) (spec : Spec.t) : Pipeline.run request =
+  serve t ~summary:Pipeline.summary_of_run (fun trace ->
+      Pipeline.run ?inject ~trace t.ctx spec)
 
-let compile_artifact ?style ?policy ?inject (t : t) (spec : Spec.t) :
-    artifact_request =
-  let tr = Trace.create () in
+(** [batch ?trace t specs] — fan a whole manifest out over the domain
+    pool through the warm context, and fold the per-item cache outcomes
+    into the service's cumulative counters. The returned {!Batch.result}
+    is exactly what {!Batch.run} produces — manifest order, per-spec
+    isolation, deterministic PPA rendering. *)
+let batch ?trace (t : t) (specs : Spec.t list) : Batch.result =
   let t0 = Unix.gettimeofday () in
-  let outcome = Pipeline.run ?style ?policy ?inject ~trace:tr t.ctx spec in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let id =
-    account t ~outcome:(Result.map Pipeline.summary_of_run outcome) ~wall_s
-  in
-  { art_id = id; art_outcome = outcome; art_trace = tr; art_wall_s = wall_s }
-
-(** [batch ?jobs t specs] — fan a whole manifest out over the domain
-    pool through the warm context (jobs defaults to the context's), and
-    fold the per-item cache outcomes into the service's cumulative
-    counters. The returned {!Batch.result} is exactly what
-    {!Batch.run} produces — manifest order, per-spec isolation,
-    deterministic PPA rendering. *)
-let batch ?jobs ?trace (t : t) (specs : Spec.t list) : Batch.result =
-  let t0 = Unix.gettimeofday () in
-  let r = Batch.run ?jobs ?trace t.ctx specs in
+  let r = Batch.run ?trace t.ctx specs in
   let wall_s = Unix.gettimeofday () -. t0 in
   let n = List.length r.Batch.items in
   Metrics.add t.requests n;

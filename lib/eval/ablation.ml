@@ -32,15 +32,14 @@ let tree_menu_with_baseline =
   (Scl.tree_baseline :: Scl.tree_menu)
   @ [ Adder_tree.Csa { fa_ratio = 1.0; reorder = false } ]
 
-let adder_trees ?(heights = [ 16; 32; 64; 128 ]) ?jobs (ctx : Ctx.t) =
+let adder_trees ?(heights = [ 16; 32; 64; 128 ]) (ctx : Ctx.t) =
   let scl = Ctx.scl ctx in
-  let jobs = match jobs with Some j -> Some j | None -> Ctx.jobs ctx in
   let grid =
     List.concat_map
       (fun rows -> List.map (fun t -> (rows, t)) tree_menu_with_baseline)
       heights
   in
-  Pool.parallel_map ?jobs
+  Pool.parallel_map ?jobs:(Ctx.jobs ctx)
     (fun (rows, topology) ->
       let p = Scl.adder_tree scl ~topology ~rows in
       {
@@ -81,10 +80,9 @@ type search_point = {
   area_mm2 : float;
 }
 
-let search_ladder ?(freqs_mhz = [ 300.; 500.; 800.; 1100. ]) ?jobs
-    (ctx : Ctx.t) (base : Spec.t) =
-  let jobs = match jobs with Some j -> Some j | None -> Ctx.jobs ctx in
-  Pool.parallel_map ?jobs
+let search_ladder ?(freqs_mhz = [ 300.; 500.; 800.; 1100. ]) (ctx : Ctx.t)
+    (base : Spec.t) =
+  Pool.parallel_map ?jobs:(Ctx.jobs ctx)
     (fun f ->
       let spec = { base with Spec.mac_freq_hz = f *. 1e6 } in
       let r =
@@ -136,9 +134,8 @@ type mcr_point = {
     background weight updates. Power streams through
     {!Design_point.measure_power_sliced} on the packed slice: 63 Monte
     Carlo replicas per grid point. *)
-let mcr_sweep ?(dim = 32) ?jobs (ctx : Ctx.t) =
+let mcr_sweep ?(dim = 32) (ctx : Ctx.t) =
   let lib = Ctx.lib ctx in
-  let jobs = match jobs with Some j -> Some j | None -> Ctx.jobs ctx in
   let grid =
     List.concat_map
       (fun mcr ->
@@ -148,7 +145,7 @@ let mcr_sweep ?(dim = 32) ?jobs (ctx : Ctx.t) =
         List.map (fun mul_kind -> (mcr, mul_kind)) variants)
       [ 1; 2; 4 ]
   in
-  Pool.parallel_map ?jobs
+  Pool.parallel_map ?jobs:(Ctx.jobs ctx)
     (fun (mcr, mul_kind) ->
       let cfg =
         {
@@ -208,9 +205,8 @@ type placement_point = {
   area_mm2 : float;
 }
 
-let placements ?(dims = [ 32; 64; 128 ]) ?jobs (ctx : Ctx.t) =
+let placements ?(dims = [ 32; 64; 128 ]) (ctx : Ctx.t) =
   let lib = Ctx.lib ctx in
-  let jobs = match jobs with Some j -> Some j | None -> Ctx.jobs ctx in
   let grid =
     List.concat_map
       (fun dim ->
@@ -219,7 +215,7 @@ let placements ?(dims = [ 32; 64; 128 ]) ?jobs (ctx : Ctx.t) =
       dims
   in
   (* each worker builds its own netlist so no two domains share a design *)
-  Pool.parallel_map ?jobs
+  Pool.parallel_map ?jobs:(Ctx.jobs ctx)
     (fun (dim, style) ->
       let cfg =
         Macro_rtl.default ~rows:dim ~cols:dim ~mcr:1

@@ -70,14 +70,13 @@ let run_point ctx ~dim ~name ~input_prec ~weight_prec =
 
 (** [run ctx ~dims] computes the full figure; [dims] defaults to the
     paper's four sizes. The (dimension, precision) grid points are
-    independent compilations, so they fan out over the domain pool
-    (width from the context unless [?jobs] overrides). *)
-let run ?(dims = [ 32; 64; 128; 256 ]) ?jobs (ctx : Ctx.t) =
-  let jobs = match jobs with Some j -> Some j | None -> Ctx.jobs ctx in
+    independent compilations, so they fan out over the context's domain
+    pool. *)
+let run ?(dims = [ 32; 64; 128; 256 ]) (ctx : Ctx.t) =
   let grid =
     List.concat_map (fun dim -> List.map (fun p -> (dim, p)) precisions) dims
   in
-  Pool.parallel_map ?jobs
+  Pool.parallel_map ?jobs:(Ctx.jobs ctx)
     (fun (dim, (name, ip, wp)) ->
       run_point ctx ~dim ~name ~input_prec:ip ~weight_prec:wp)
     grid

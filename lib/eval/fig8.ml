@@ -12,7 +12,7 @@ type selected = {
   preference : string;
   summary : Pipeline.summary;
       (** metrics-level result: served from the persistent compile cache
-          when [run] is given one *)
+          when the context carries one *)
 }
 
 type result = {
@@ -24,19 +24,14 @@ type result = {
       (** hit/miss counters of the sweep's shared evaluation cache *)
 }
 
-(** [run ?jobs ?trace ?disk_cache ctx] — the sweep fans out over a
-    domain pool and the four selected designs go through the staged
-    pipeline in parallel as well; each back-end compile searches its own
-    configuration, so they share no mutable state. Jobs and the
-    persistent compile cache default to the context's values;
-    [disk_cache] overrides the latter so a repeated harness run can
-    serve the four implemented designs straight from a dedicated
-    cache. *)
-let run ?jobs ?trace ?disk_cache (ctx : Ctx.t) =
-  let jobs = match jobs with Some j -> Some j | None -> Ctx.jobs ctx in
-  let disk_cache =
-    match disk_cache with Some c -> Some c | None -> Ctx.cache ctx
-  in
+(** [run ?trace ctx] — the sweep fans out over the context's domain
+    pool and the four selected designs go through the staged pipeline in
+    parallel as well; each back-end compile searches its own
+    configuration, so they share no mutable state. The four go through
+    the context's persistent compile cache, so a repeated harness run
+    serves them straight from the store. *)
+let run ?trace (ctx : Ctx.t) =
+  let jobs = Ctx.jobs ctx in
   let spec = Spec.fig8 in
   let cache = Eval_cache.create () in
   let frontier, cloud =
@@ -48,11 +43,7 @@ let run ?jobs ?trace ?disk_cache (ctx : Ctx.t) =
         {
           preference = Spec.preference_name preference;
           summary =
-            (match
-               Pipeline.run_cached ?cache:disk_cache
-                 (Ctx.without_cache ctx)
-                 { spec with Spec.preference }
-             with
+            (match Pipeline.run_cached ctx { spec with Spec.preference } with
             | Ok s -> s
             | Error d -> raise (Diag.Failed d));
         })

@@ -39,9 +39,8 @@ let shmoo ?(vdds = default_vdds) ?(freqs_mhz = default_freqs_mhz) ?jobs node
 (** [run ctx artifact] derives the shmoo of a compiled macro — any
     pipeline artifact works, so an experiment can reuse the compile
     another harness already ran. *)
-let run ?jobs (ctx : Ctx.t) (a : Pipeline.artifact) =
-  let jobs = match jobs with Some j -> Some j | None -> Ctx.jobs ctx in
-  shmoo ?jobs (Ctx.lib ctx).Library.node
+let run (ctx : Ctx.t) (a : Pipeline.artifact) =
+  shmoo ?jobs:(Ctx.jobs ctx) (Ctx.lib ctx).Library.node
     ~crit_ps:a.Pipeline.metrics.Pipeline.crit_ps
 
 (** [vdd_index t ~vdd] — grid row of supply [vdd], [None] when the grid
@@ -131,7 +130,7 @@ type measured = {
     and shared by every column. *)
 let measure ?(vdds = default_vdds) ?(freqs_mhz = default_freqs_mhz)
     ?(engine : Engine.t = `Packed) ?(n_lanes = Sim_sliced.word_lanes)
-    ?(seed = 0xF19) ?(macs = 4) ?jobs (ctx : Ctx.t) (m : Macro_rtl.t)
+    ?(seed = 0xF19) ?(macs = 4) (ctx : Ctx.t) (m : Macro_rtl.t)
     ~crit_ps =
   if n_lanes < 1 then
     invalid_arg
@@ -139,7 +138,7 @@ let measure ?(vdds = default_vdds) ?(freqs_mhz = default_freqs_mhz)
   let lib = Ctx.lib ctx in
   let module E = (val Engine.slice engine) in
   let module B = Testbench.Sliced (E) in
-  let jobs = match jobs with Some j -> Some j | None -> Ctx.jobs ctx in
+  let jobs = Ctx.jobs ctx in
   let grid = shmoo ~vdds ~freqs_mhz ?jobs lib.Library.node ~crit_ps in
   let d = m.Macro_rtl.design in
   let loads = Ir.fanout_loads d lib () in

@@ -69,6 +69,9 @@ type t = {
       (** named input buses, most recently added first ({!inputs} gives
           declaration order) *)
   mutable rev_outputs : (string * net array) list;  (** same, outputs *)
+  input_index : (string, net array) Hashtbl.t;
+      (** the input buses by name, newest wins: {!input_bus} in O(1) *)
+  output_index : (string, net array) Hashtbl.t;  (** same, outputs *)
   mutable name : string;
 }
 
@@ -94,6 +97,8 @@ let create ?(name = "top") () =
     last_tag_id = 0;
     rev_inputs = [];
     rev_outputs = [];
+    input_index = Hashtbl.create 16;
+    output_index = Hashtbl.create 16;
     name;
   }
 
@@ -179,11 +184,16 @@ let add ?(tag = Plain) ?(drive = Cell.X1) t kind ~(ins : net array)
   i
 
 (** [add_input t name bus] registers a named primary input bus. O(1): a
-    macro declares one bus per row. *)
-let add_input t name bus = t.rev_inputs <- (name, bus) :: t.rev_inputs
+    macro declares one bus per row. A repeated name shadows the earlier
+    bus in {!input_bus}; both stay in {!inputs}. *)
+let add_input t name bus =
+  t.rev_inputs <- (name, bus) :: t.rev_inputs;
+  Hashtbl.replace t.input_index name bus
 
 (** [add_output t name bus] registers a named primary output bus. *)
-let add_output t name bus = t.rev_outputs <- (name, bus) :: t.rev_outputs
+let add_output t name bus =
+  t.rev_outputs <- (name, bus) :: t.rev_outputs;
+  Hashtbl.replace t.output_index name bus
 
 (** [inputs t] — the named input buses in declaration order (the order
     ports are emitted in, e.g. by {!Verilog}). *)
@@ -192,13 +202,16 @@ let inputs t = List.rev t.rev_inputs
 (** [outputs t] — the named output buses in declaration order. *)
 let outputs t = List.rev t.rev_outputs
 
-let find_bus buses name =
-  match List.assoc_opt name buses with
+let find_bus index name =
+  match Hashtbl.find_opt index name with
   | Some b -> b
   | None -> invalid_arg (Printf.sprintf "Ir: no bus named %s" name)
 
-let input_bus t = find_bus t.rev_inputs
-let output_bus t = find_bus t.rev_outputs
+(** [input_bus t name] — the input bus last added as [name], in O(1);
+    raises [Invalid_argument] when there is none. *)
+let input_bus t = find_bus t.input_index
+
+let output_bus t = find_bus t.output_index
 
 (** A frozen, validated netlist with derived connectivity. The instance
     columns are {!t}'s, trimmed to length and shared: a design is a fixed

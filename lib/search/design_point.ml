@@ -155,12 +155,6 @@ let evaluate ?macro (lib : Library.t) (spec : Spec.t) (cfg : Macro_rtl.config)
     branch between MAC-path and OFU-path techniques. *)
 type stage = Mac_path | Ofu_path | Sa_path | Align_path
 
-let stage_name = function
-  | Mac_path -> "mac"
-  | Ofu_path -> "ofu"
-  | Sa_path -> "shift_adder"
-  | Align_path -> "fp_align"
-
 let critical_stage (p : t) : stage =
   let share = Hashtbl.create 8 in
   let bump key w =

@@ -12,8 +12,9 @@
       (kind, drive) parameter record plus the process node, so editing a
       single timing/power/area number invalidates every entry cleanly;
     - an {e algorithm version tag} supplied by the caller (the searcher
-      version plus the pipeline's style and retry policy), so a semantic
-      change to the search can never resurrect stale results.
+      version plus the placement style and retry policy the pipeline
+      compiles with, [Pipeline.cache_algo_tag]), so a semantic change to
+      the search can never resurrect stale results.
 
     Values carry the stage artifacts a batch report needs without
     re-running the pipeline: final metrics, netlist shape, attempt count

@@ -47,15 +47,12 @@ let canonical_specs : (string * Spec.t) list =
     mk ~mcr:2 ~rows:32 ~cols:32 ~mhz:800.0 "int8_32x32_mcr2_800MHz";
   ]
 
-(** [fingerprint ?jobs ctx specs] — evaluate each spec's initial
-    configuration over the context's library; order follows the input
-    list for any job count (width from the context unless [?jobs]
-    overrides). *)
-let fingerprint ?jobs (ctx : Ctx.t) (specs : (string * Spec.t) list) :
-    entry list =
-  let jobs = match jobs with Some j -> Some j | None -> Ctx.jobs ctx in
+(** [fingerprint ctx specs] — evaluate each spec's initial configuration
+    over the context's library and domain pool; order follows the input
+    list for any job count. *)
+let fingerprint (ctx : Ctx.t) (specs : (string * Spec.t) list) : entry list =
   let lib = Ctx.lib ctx in
-  Pool.parallel_map ?jobs
+  Pool.parallel_map ?jobs:(Ctx.jobs ctx)
     (fun (name, s) ->
       let p = Design_point.evaluate lib s (Spec.initial_config s) in
       {
@@ -133,14 +130,14 @@ let load path =
   close_in ic;
   s
 
-(** [check ?jobs ~dir ctx] — compare current fingerprints against the
+(** [check ~dir ctx] — compare current fingerprints against the
     snapshot file under [dir]; [Ok checked] or [Error report]. A missing
     snapshot file is an error naming the update command. *)
 let file = "ppa.snap"
 
-let check ?jobs ~dir (ctx : Ctx.t) : (int, string) Stdlib.result =
+let check ~dir (ctx : Ctx.t) : (int, string) Stdlib.result =
   let path = Filename.concat dir file in
-  let actual = render (fingerprint ?jobs ctx canonical_specs) in
+  let actual = render (fingerprint ctx canonical_specs) in
   if not (Sys.file_exists path) then
     Error
       (Printf.sprintf
@@ -152,11 +149,11 @@ let check ?jobs ~dir (ctx : Ctx.t) : (int, string) Stdlib.result =
     | None -> Ok (List.length canonical_specs)
     | Some report -> Error report
 
-(** [check_diag ?jobs ~dir ctx] — {!check} with the mismatch carried as a
+(** [check_diag ~dir ctx] — {!check} with the mismatch carried as a
     structured diagnostic (stage ["snapshot"], per-spec payload), so the
     CLI reports it through the same channel as pipeline diagnostics. *)
-let check_diag ?jobs ~dir (ctx : Ctx.t) : (int, Diag.t) Stdlib.result =
-  match check ?jobs ~dir ctx with
+let check_diag ~dir (ctx : Ctx.t) : (int, Diag.t) Stdlib.result =
+  match check ~dir ctx with
   | Ok n -> Ok n
   | Error report ->
       Error
@@ -164,7 +161,7 @@ let check_diag ?jobs ~dir (ctx : Ctx.t) : (int, Diag.t) Stdlib.result =
            ~payload:[ ("dir", dir); ("file", file) ]
            report)
 
-(** [update ?jobs ~dir ctx] — re-record the snapshot; returns the path. *)
+(** [update ~dir ctx] — re-record the snapshot; returns the path. *)
 let rec mkdirs dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir)
   then begin
@@ -172,8 +169,8 @@ let rec mkdirs dir =
     Sys.mkdir dir 0o755
   end
 
-let update ?jobs ~dir (ctx : Ctx.t) : string =
+let update ~dir (ctx : Ctx.t) : string =
   mkdirs dir;
   let path = Filename.concat dir file in
-  save path (render (fingerprint ?jobs ctx canonical_specs));
+  save path (render (fingerprint ctx canonical_specs));
   path

@@ -452,11 +452,11 @@ module Make (P : PAIR) () = struct
     let vdds = [| 0.7; 0.9; 1.1 |] and freqs_mhz = [| 300.; 600.; 900. |] in
     let a =
       Fig9.measure ~vdds ~freqs_mhz ~engine:P.reference ~n_lanes:fig9_lanes
-        ~macs:2 ~jobs:1 (Lazy.force ctx) m ~crit_ps:950.0
+        ~macs:2 (Ctx.with_jobs 1 (Lazy.force ctx)) m ~crit_ps:950.0
     in
     let b =
       Fig9.measure ~vdds ~freqs_mhz ~engine:P.candidate ~n_lanes:fig9_lanes
-        ~macs:2 ~jobs:1 (Lazy.force ctx) m ~crit_ps:950.0
+        ~macs:2 (Ctx.with_jobs 1 (Lazy.force ctx)) m ~crit_ps:950.0
     in
     check_bool (named "pass grids identical") true (a.Fig9.grid = b.Fig9.grid);
     Array.iteri

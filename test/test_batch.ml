@@ -38,6 +38,13 @@ let open_cache dir =
   | Ok c -> c
   | Error e -> Alcotest.fail e
 
+(* [ctx] with a store opened under [dir] attached, and that store: a
+   compile reaches the cache only through its context *)
+let cached_ctx dir =
+  match Ctx.with_cache_dir dir ctx with
+  | Ok c -> (c, Option.get (Ctx.cache c))
+  | Error d -> Alcotest.fail (Diag.to_string d)
+
 let read_file path =
   let ic = open_in_bin path in
   let s = really_input_string ic (in_channel_length ic) in
@@ -341,9 +348,9 @@ let test_corrupt_entry_recompiled () =
   (* end-to-end: a corrupted entry must recompute (same numbers), emit a
      batch diagnostic, and leave a repaired entry behind *)
   let dir = scratch () in
-  let c = open_cache dir in
+  let cctx, c = cached_ctx dir in
   let s1 =
-    match Pipeline.run_cached ~cache:c ctx small_spec with
+    match Pipeline.run_cached cctx small_spec with
     | Ok s -> s
     | Error d -> Alcotest.fail (Diag.to_string d)
   in
@@ -355,7 +362,7 @@ let test_corrupt_entry_recompiled () =
          small_spec)
   in
   write_file path (String.sub (read_file path) 0 40);
-  let r = Batch.run ~jobs:1 ~cache:c ctx [ small_spec ] in
+  let r = Batch.run ~jobs:1 cctx [ small_spec ] in
   check_int "batch completed" 0 r.Batch.failed;
   check_int "corrupt entry recompiled" 1 r.Batch.corrupt;
   (match r.Batch.warnings with
@@ -370,7 +377,7 @@ let test_corrupt_entry_recompiled () =
         (s2.Pipeline.sum_metrics = s1.Pipeline.sum_metrics)
   | _ -> Alcotest.fail "unexpected batch items");
   (* the store is repaired: next run hits *)
-  (match Pipeline.run_cached ~cache:c ctx small_spec with
+  (match Pipeline.run_cached cctx small_spec with
   | Ok s3 ->
       check_bool "repaired entry hits" true (s3.Pipeline.sum_cache = Pipeline.Cache_hit);
       check_bool "hit reproduces the metrics" true
@@ -521,17 +528,6 @@ let test_manifest_crlf () =
       | Error d -> Alcotest.fail (Diag.to_string d))
   | Error d, _ | _, Error d -> Alcotest.fail (Diag.to_string d)
 
-let test_jobs_validation () =
-  (match Batch.validate_jobs 0 with
-  | Error d -> ignore (one_line d)
-  | Ok _ -> Alcotest.fail "jobs=0 accepted");
-  (match Batch.validate_jobs (-4) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "negative jobs accepted");
-  (match Batch.validate_jobs 1 with
-  | Ok 1 -> ()
-  | _ -> Alcotest.fail "jobs=1 rejected")
-
 let test_cache_dir_validation () =
   (match Disk_cache.open_root "runtest-test_batch-no-such-parent/sub/cache" with
   | Error msg -> check_bool "parent named" true (String.length msg > 0)
@@ -550,17 +546,17 @@ let canonical_specs = List.map snd Snapshot.canonical_specs
 
 let test_batch_determinism () =
   let dir = scratch () in
-  let c = open_cache dir in
+  let cctx, _ = cached_ctx dir in
   let n = List.length canonical_specs in
   (* cold: every spec compiles and is stored *)
-  let r_cold = Batch.run ~jobs:2 ~cache:c ctx canonical_specs in
+  let r_cold = Batch.run ~jobs:2 cctx canonical_specs in
   check_int "cold: no failures" 0 r_cold.Batch.failed;
   check_int "cold: all misses" n r_cold.Batch.misses;
   let ppa_cold = Batch.render_ppa r_cold in
   (* warm, jobs=1 and jobs=4: all hits, identical PPA, identical traces *)
   let t1 = Trace.create () and t4 = Trace.create () in
-  let r_w1 = Batch.run ~jobs:1 ~cache:c ~trace:t1 ctx canonical_specs in
-  let r_w4 = Batch.run ~jobs:4 ~cache:c ~trace:t4 ctx canonical_specs in
+  let r_w1 = Batch.run ~jobs:1 ~trace:t1 cctx canonical_specs in
+  let r_w4 = Batch.run ~jobs:4 ~trace:t4 cctx canonical_specs in
   check_int "warm j1: all hits" n r_w1.Batch.hits;
   check_int "warm j4: all hits" n r_w4.Batch.hits;
   check_str "warm j1 PPA == cold PPA" ppa_cold (Batch.render_ppa r_w1);
@@ -596,8 +592,8 @@ let test_non_finite_manifest_line_fails () =
   | Error d -> Alcotest.failf "manifest rejected: %s" (Diag.to_string d)
   | Ok specs ->
       let dir = scratch () in
-      let c = open_cache dir in
-      let r = Batch.run ~jobs:1 ~cache:c ctx specs in
+      let cctx, c = cached_ctx dir in
+      let r = Batch.run ~jobs:1 cctx specs in
       check_int "both items failed" 2 r.Batch.failed;
       check_int "nothing stored" 0 (Disk_cache.stores c);
       rm_rf dir
@@ -719,7 +715,6 @@ let () =
           Alcotest.test_case "manifest errors" `Quick test_manifest_errors;
           Alcotest.test_case "spec line errors" `Quick test_spec_line_errors;
           Alcotest.test_case "CRLF manifests" `Quick test_manifest_crlf;
-          Alcotest.test_case "jobs" `Quick test_jobs_validation;
           Alcotest.test_case "cache dir" `Quick test_cache_dir_validation;
         ] );
       ( "determinism",

@@ -59,24 +59,6 @@ let test_compiled_macro_computes () =
     ignore (Testbench.check_mac m sim ~weights ~inputs)
   done
 
-let test_verification_gate () =
-  (* the compiler refuses nothing when verify is off, and verification is
-     actually exercised when on (smoke: both paths return) *)
-  let policy = { Pipeline.default_policy with Pipeline.verify = false } in
-  let a =
-    Pipeline.artifact_exn (Pipeline.run ~policy ctx (spec ~freq:300e6 ()))
-  in
-  check_bool "unverified compile still signs off" true
-    a.Pipeline.signoff.Post_layout.lvs.Lvs.clean
-
-let test_scattered_style () =
-  let a =
-    Pipeline.artifact_exn
-      (Pipeline.run ~style:Floorplan.Scattered ctx (spec ~freq:300e6 ()))
-  in
-  check_bool "scattered signs off" true
-    a.Pipeline.signoff.Post_layout.lvs.Lvs.clean
-
 let test_metrics_consistency () =
   let s = spec () in
   let a = Pipeline.artifact_exn (Pipeline.run ctx s) in
@@ -124,9 +106,6 @@ let () =
           Alcotest.test_case "FP end-to-end" `Quick test_compile_fp;
           Alcotest.test_case "compiled macro computes" `Quick
             test_compiled_macro_computes;
-          Alcotest.test_case "verification gate" `Quick
-            test_verification_gate;
-          Alcotest.test_case "scattered style" `Quick test_scattered_style;
           Alcotest.test_case "metrics consistency" `Quick
             test_metrics_consistency;
           Alcotest.test_case "report" `Quick test_report_renders;

@@ -102,12 +102,12 @@ let test_service_isolation () =
     Pool.parallel_map ~jobs:3 (fun s -> (s, Service.compile svc s)) specs
   in
   let ids =
-    List.map (fun (_, (r : Service.request)) -> r.Service.id) reqs
+    List.map (fun (_, (r : Pipeline.summary Service.request)) -> r.Service.id) reqs
   in
   check_int "unique request ids" (List.length specs)
     (List.length (List.sort_uniq compare ids));
   List.iter
-    (fun (s, (r : Service.request)) ->
+    (fun (s, (r : Pipeline.summary Service.request)) ->
       match r.Service.outcome with
       | Error d -> Alcotest.failf "request failed: %s" (Diag.to_string d)
       | Ok sum ->
@@ -295,6 +295,10 @@ let test_ctx_builders () =
   check_int "with_jobs" 4 (match Ctx.jobs ctx4 with Some j -> j | None -> -1);
   check_bool "with_jobs rejects zero" true
     (match Ctx.validate_jobs 0 with Error _ -> true | Ok _ -> false);
+  check_bool "validate_jobs rejects negative" true
+    (match Ctx.validate_jobs (-4) with Error _ -> true | Ok _ -> false);
+  check_bool "validate_jobs accepts one" true
+    (match Ctx.validate_jobs 1 with Ok 1 -> true | _ -> false);
   check_bool "validate_jobs accepts positive" true
     (match Ctx.validate_jobs 2 with Ok 2 -> true | _ -> false);
   check_bool "default shares the world" true

@@ -252,19 +252,6 @@ let test_compile_deterministic () =
                 -. b.Pipeline.metrics.Pipeline.area_mm2)
     < 1e-12)
 
-let test_compile_no_retry_flag () =
-  let scl = Scl.create lib in
-  let spec =
-    { Spec.fig8 with Spec.rows = 16; cols = 16; mac_freq_hz = 600e6 }
-  in
-  (* with retry disabled the call still completes and reports honestly *)
-  let policy = { Pipeline.default_policy with Pipeline.retry = false } in
-  let a =
-    Pipeline.artifact_exn (Pipeline.run ~policy (Ctx.of_parts lib scl) spec)
-  in
-  check_bool "report exists" true
-    (a.Pipeline.metrics.Pipeline.crit_ps > 0.0)
-
 let () =
   Alcotest.run "extensions"
     [
@@ -300,7 +287,5 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick
             test_compile_deterministic;
-          Alcotest.test_case "no-retry flag" `Quick
-            test_compile_no_retry_flag;
         ] );
     ]

@@ -637,6 +637,35 @@ let test_weight_index_round_trip () =
       check_int "one address per weight bit" !n_weights !addressed)
     (Lazy.force fuzz_macros)
 
+(* Bus lookup by name: a repeated name resolves to the newest bus while
+   both stay in declaration order, and an unknown name is a one-line
+   [Invalid_argument]. *)
+let test_bus_lookup () =
+  let ir = Ir.create () in
+  let old_a = Ir.new_bus ir 2 and new_a = Ir.new_bus ir 3 in
+  let b = Ir.new_bus ir 1 and o = Ir.new_bus ir 1 in
+  Ir.add_input ir "a" old_a;
+  Ir.add_input ir "b" b;
+  Ir.add_input ir "a" new_a;
+  Ir.add_output ir "o" o;
+  check_bool "newest input wins" true (Ir.input_bus ir "a" == new_a);
+  check_bool "other input found" true (Ir.input_bus ir "b" == b);
+  check_bool "output found" true (Ir.output_bus ir "o" == o);
+  check_bool "declaration order kept" true
+    (List.map fst (Ir.inputs ir) = [ "a"; "b"; "a" ]
+    && snd (List.hd (Ir.inputs ir)) == old_a);
+  let message f =
+    match f () with
+    | (_ : Ir.net array) -> "no exception"
+    | exception Invalid_argument msg -> msg
+  in
+  Alcotest.(check string)
+    "unknown input" "Ir: no bus named o"
+    (message (fun () -> Ir.input_bus ir "o"));
+  Alcotest.(check string)
+    "unknown output" "Ir: no bus named a"
+    (message (fun () -> Ir.output_bus ir "a"))
+
 let test_bad_weight_address () =
   let m =
     Macro_rtl.build lib
@@ -985,6 +1014,7 @@ let () =
             test_weight_index_round_trip;
           Alcotest.test_case "bad weight address" `Quick
             test_bad_weight_address;
+          Alcotest.test_case "bus lookup" `Quick test_bus_lookup;
         ] );
       ( "builder",
         [

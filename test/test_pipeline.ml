@@ -37,7 +37,7 @@ let reference_compile (spec : Spec.t) =
   let ( let* ) = Stdlib.Result.bind in
   let rec go boost =
     let* sa = Stage.execute (Pipeline.search_stage lib scl ~boost) spec in
-    let* sa = Stage.execute (Pipeline.verify_stage ~enabled:true ()) sa in
+    let* sa = Stage.execute Pipeline.verify_stage sa in
     let* ba =
       Stage.execute
         (Pipeline.backend_stage lib ~style:Floorplan.Sdp ~spec ~budget_ps
@@ -54,7 +54,7 @@ let reference_compile (spec : Spec.t) =
         (sa.Pipeline.macro, signoff)
     in
     let* v =
-      Stage.execute (Pipeline.metrics_stage lib ~policy:p) (sa, signoff, power)
+      Stage.execute (Pipeline.metrics_stage lib) (sa, signoff, power)
     in
     match
       Pipeline.next_boost p ~boost ~timing_closed:v.Pipeline.timing_closed
@@ -289,8 +289,9 @@ let test_trace_determinism_across_jobs () =
 let check_boost name expected actual =
   Alcotest.(check (option (float 0.0))) name expected actual
 
-let missed ?(policy = Pipeline.default_policy) ?(search_closed = true) boost =
-  Pipeline.next_boost policy ~boost ~timing_closed:false ~search_closed
+let missed ?(search_closed = true) boost =
+  Pipeline.next_boost Pipeline.default_policy ~boost ~timing_closed:false
+    ~search_closed
 
 let test_retry_first () =
   check_boost "x1.0 retries at x1.12" (Some 1.12) (missed 1.0)
@@ -311,10 +312,6 @@ let test_retry_closed () =
 let test_retry_search_missed () =
   check_boost "a search that missed pre-layout never retries" None
     (missed ~search_closed:false 1.0)
-
-let test_retry_disabled () =
-  check_boost "retry = false never retries" None
-    (missed ~policy:{ Pipeline.default_policy with Pipeline.retry = false } 1.0)
 
 let () =
   Alcotest.run "pipeline"
@@ -362,7 +359,5 @@ let () =
           Alcotest.test_case "closed -> none" `Quick test_retry_closed;
           Alcotest.test_case "search not closed -> none" `Quick
             test_retry_search_missed;
-          Alcotest.test_case "retry disabled -> none" `Quick
-            test_retry_disabled;
         ] );
     ]

@@ -278,7 +278,7 @@ let test_packed_power_single_lane () =
    slices: at 64 lanes the packed energies must stay byte-identical to
    the scalar engine's, and an empty ensemble is rejected up front. *)
 let test_fig9_beyond_one_word () =
-  let ctx = Ctx.of_parts lib (Scl.create lib) in
+  let ctx = Ctx.with_jobs 1 (Ctx.of_parts lib (Scl.create lib)) in
   let m =
     Macro_rtl.build lib
       (Macro_rtl.default ~rows:8 ~cols:16 ~mcr:1
@@ -286,7 +286,7 @@ let test_fig9_beyond_one_word () =
   in
   let vdds = [| 0.7; 1.1 |] and freqs_mhz = [| 300.; 900. |] in
   let measure engine =
-    Fig9.measure ~vdds ~freqs_mhz ~engine ~n_lanes:64 ~macs:2 ~jobs:1 ctx m
+    Fig9.measure ~vdds ~freqs_mhz ~engine ~n_lanes:64 ~macs:2 ctx m
       ~crit_ps:950.0
   in
   let packed = measure `Packed and scalar = measure `Scalar in
@@ -305,7 +305,7 @@ let test_fig9_beyond_one_word () =
   List.iter
     (fun n_lanes ->
       match
-        Fig9.measure ~vdds ~freqs_mhz ~n_lanes ~jobs:1 ctx m ~crit_ps:950.0
+        Fig9.measure ~vdds ~freqs_mhz ~n_lanes ctx m ~crit_ps:950.0
       with
       | _ -> Alcotest.failf "n_lanes %d accepted" n_lanes
       | exception Invalid_argument _ -> ())

@@ -250,13 +250,18 @@ let test_lut_monotonicity () =
 (* ---------------- Snapshot ---------------- *)
 
 let test_snapshot_stable_across_jobs () =
-  let a = Snapshot.render (Snapshot.fingerprint ~jobs:1 ctx Snapshot.canonical_specs) in
-  let b = Snapshot.render (Snapshot.fingerprint ~jobs:4 ctx Snapshot.canonical_specs) in
+  let fingerprint jobs =
+    Snapshot.render
+      (Snapshot.fingerprint (Ctx.with_jobs jobs ctx) Snapshot.canonical_specs)
+  in
+  let a = fingerprint 1 and b = fingerprint 4 in
   Alcotest.(check string) "rendering job-count invariant" a b;
   check_bool "self-diff empty" true (Snapshot.diff ~expected:a ~actual:b = None)
 
 let test_snapshot_perturbation_diff_readable () =
-  let entries = Snapshot.fingerprint ~jobs:1 ctx Snapshot.canonical_specs in
+  let entries =
+    Snapshot.fingerprint (Ctx.with_jobs 1 ctx) Snapshot.canonical_specs
+  in
   let expected = Snapshot.render entries in
   let perturbed =
     List.mapi
@@ -279,14 +284,15 @@ let test_snapshot_roundtrip_and_missing () =
   in
   let path = Filename.concat dir Snapshot.file in
   if Sys.file_exists path then Sys.remove path;
-  (match Snapshot.check ~jobs:2 ~dir ctx with
+  let ctx = Ctx.with_jobs 2 ctx in
+  (match Snapshot.check ~dir ctx with
   | Error msg ->
       check_bool "missing snapshot names the update command" true
         (contains msg "--update-snapshots")
   | Ok _ -> Alcotest.fail "missing snapshot must be an error");
-  let written = Snapshot.update ~jobs:2 ~dir ctx in
+  let written = Snapshot.update ~dir ctx in
   Alcotest.(check string) "path" path written;
-  (match Snapshot.check ~jobs:2 ~dir ctx with
+  (match Snapshot.check ~dir ctx with
   | Ok n -> check_int "fingerprints" (List.length Snapshot.canonical_specs) n
   | Error msg -> Alcotest.fail msg);
   Sys.remove path
