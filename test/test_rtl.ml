@@ -587,6 +587,267 @@ let qtest_macro_random_configs =
         true
       end)
 
+
+(* ---------------- netlist snapshot ---------------- *)
+
+(* One digest per macro configuration of the instance columns (kind,
+   drive, pins), [n_nets], every instance's tag (its label, its pipeline
+   register or subcircuit name, or its weight address), the interned tag
+   table in order, and the named buses in declaration order.
+   test/snapshots/netlist.snap pins them, so any rewrite of netlist
+   construction must reproduce every configuration byte for byte. Each
+   line starts with the configuration's {!Eval_cache.config_key}, from
+   which the check rebuilds it.
+
+   The configurations: every one {!Searcher.search} visits on the eight
+   paper-scale specs (the benchmark's paper_macros set) at the compile
+   retry boosts x1.0, x1.12 and x1.2544; Fig. 8's exploration lattice;
+   Specgen seed 1's first 60 initial configurations, each also with one
+   structural toggle; and a few arrays whose column count is not a
+   multiple of 16, where the row fanout trees group columns unevenly.
+   Set SYNDCIM_NETLIST_SNAP_OUT=<file> to re-run the searches and write
+   the rendered text there. *)
+
+let paper_specs =
+  let corner ~rows ~cols ~mcr ~iprec ~wprec ~mhz preference =
+    {
+      Spec.rows;
+      cols;
+      mcr;
+      input_prec = iprec;
+      weight_prec = wprec;
+      mac_freq_hz = mhz *. 1e6;
+      weight_update_freq_hz = mhz *. 1e6;
+      vdd = 0.9;
+      preference;
+    }
+  in
+  let open Precision in
+  [
+    Spec.fig8;
+    Table2.chip_spec;
+    corner ~rows:64 ~cols:64 ~mcr:1 ~iprec:int4 ~wprec:int4 ~mhz:1000.0
+      Spec.Prefer_performance;
+    corner ~rows:64 ~cols:64 ~mcr:2 ~iprec:fp8 ~wprec:int8 ~mhz:600.0
+      Spec.Prefer_area;
+    corner ~rows:64 ~cols:128 ~mcr:1 ~iprec:int8 ~wprec:int8 ~mhz:800.0
+      Spec.Prefer_performance;
+    corner ~rows:128 ~cols:64 ~mcr:2 ~iprec:int4 ~wprec:int8 ~mhz:600.0
+      Spec.Prefer_power;
+    corner ~rows:128 ~cols:128 ~mcr:1 ~iprec:int4 ~wprec:int4 ~mhz:600.0
+      Spec.Prefer_performance;
+    corner ~rows:64 ~cols:64 ~mcr:1 ~iprec:fp8 ~wprec:int4 ~mhz:1000.0
+      Spec.Balanced;
+  ]
+
+let searched_configs () =
+  let scl = Scl.create lib in
+  List.concat_map
+    (fun (spec : Spec.t) ->
+      List.concat_map
+        (fun boost ->
+          let r =
+            Searcher.search lib scl
+              { spec with Spec.mac_freq_hz = spec.Spec.mac_freq_hz *. boost }
+          in
+          List.map (fun p -> p.Design_point.cfg) r.Searcher.visited)
+        [ 1.0; 1.12; 1.12 *. 1.12 ])
+    paper_specs
+
+(* The toggles that change a block's shape: split trees, OFU retiming
+   and pipelining, the S&A-to-OFU register, the S&A kinds, the 1T
+   multiplier and the embedded controller. *)
+let toggles =
+  [|
+    (fun (c : Macro_rtl.config) ->
+      { c with Macro_rtl.tree_split = 2 });
+    (fun c ->
+      { c with Macro_rtl.tree_split = (if c.Macro_rtl.rows mod 4 = 0 then 4 else 2) });
+    (fun c -> { c with Macro_rtl.ofu_retime = true });
+    (fun c -> { c with Macro_rtl.ofu_extra_pipe = true });
+    (fun c -> { c with Macro_rtl.reg_sa_to_ofu = false });
+    (fun c -> { c with Macro_rtl.sa_kind = Shift_adder.Carry_save });
+    (fun c -> { c with Macro_rtl.sa_kind = Shift_adder.Ripple });
+    (fun c -> { c with Macro_rtl.mul_kind = Cell.Pass_1t });
+    (fun c -> { c with Macro_rtl.with_controller = true });
+  |]
+
+(* Configurations that cost no search: recomputed by the check, which
+   fails if the snapshot lacks one. *)
+let fixed_configs () =
+  let specgen =
+    List.concat
+      (List.mapi
+         (fun i s ->
+           let c = Spec.initial_config s in
+           [ c; toggles.(i mod Array.length toggles) c ])
+         (Specgen.generate ~seed:1 ~count:60))
+  in
+  let uneven =
+    let open Precision in
+    List.map
+      (fun (rows, cols, mcr, ip, wp) ->
+        Macro_rtl.default ~rows ~cols ~mcr ~input_prec:ip ~weight_prec:wp)
+      [
+        (32, 40, 4, int8, int8);
+        (16, 24, 2, int4, int4);
+        (64, 72, 1, fp8, int8);
+        (8, 40, 4, int2, int4);
+      ]
+  in
+  Searcher.exploration_lattice Spec.fig8 @ specgen @ uneven
+
+let all_precisions =
+  Precision.[ int1; int2; int4; int8; fp4; fp8; bf16 ]
+
+(* Inverse of {!Eval_cache.config_key}. *)
+let parse_config key : Macro_rtl.config =
+  let field prefix s =
+    let n = String.length prefix in
+    if String.length s < n || String.sub s 0 n <> prefix then
+      failwith (Printf.sprintf "netlist.snap: %S lacks %s" key prefix);
+    String.sub s n (String.length s - n)
+  in
+  let by_name what names v =
+    match List.find_opt (fun (n, _) -> n = v) names with
+    | Some (_, x) -> x
+    | None -> failwith (Printf.sprintf "netlist.snap: unknown %s %S" what v)
+  in
+  let prec = by_name "precision" (List.map (fun p -> (Precision.name p, p)) all_precisions) in
+  let kind = by_name "cell" (List.map (fun k -> (Cell.kind_to_string k, k)) Cell.all_kinds) in
+  match String.split_on_char '|' key with
+  | [ dims; ip; wp; cell; mul; tree; sa; split; rt; rca; rs; ort; op; ofa;
+      ap; ro; wc ] ->
+      let rows, cols, mcr =
+        Scanf.sscanf dims "%dx%dx%d%!" (fun r c m -> (r, c, m))
+      in
+      let b prefix s = bool_of_string (field prefix s) in
+      {
+        Macro_rtl.rows;
+        cols;
+        mcr;
+        input_prec = prec (field "i" ip);
+        weight_prec = prec (field "w" wp);
+        cell_kind =
+          (match kind (field "cell" cell) with
+          | Cell.Sram k -> k
+          | _ -> failwith "netlist.snap: not a bit cell");
+        mul_kind =
+          (match kind (field "mul" mul) with
+          | Cell.Mul k -> k
+          | _ -> failwith "netlist.snap: not a multiplier");
+        tree =
+          (match String.split_on_char ':' (field "tree" tree) with
+          | [ "rca" ] -> Adder_tree.Rca_tree
+          | [ "csa"; f; r ] ->
+              Adder_tree.Csa
+                { fa_ratio = float_of_string f; reorder = bool_of_string r }
+          | _ -> failwith "netlist.snap: bad tree");
+        sa_kind =
+          by_name "S&A"
+            (List.map
+               (fun k -> (Shift_adder.kind_name k, k))
+               Shift_adder.[ Lsb_right; Ripple; Carry_save ])
+            (field "sa" sa);
+        tree_split = int_of_string (field "split" split);
+        reg_after_tree = b "rt" rt;
+        retime_final_rca = b "rca" rca;
+        reg_sa_to_ofu = b "rs" rs;
+        ofu_retime = b "or" ort;
+        ofu_extra_pipe = b "op" op;
+        ofu_fast_adder = b "of" ofa;
+        align_pipeline = int_of_string (field "ap" ap);
+        reg_output = b "ro" ro;
+        with_controller = b "wc" wc;
+      }
+  | _ -> failwith (Printf.sprintf "netlist.snap: bad configuration %S" key)
+
+let netlist_digest (d : Ir.design) =
+  let b = Buffer.create (Ir.n_insts d * 24) in
+  let int v = Buffer.add_int64_le b (Int64.of_int v) in
+  let n = Ir.n_insts d in
+  int n;
+  int d.Ir.n_nets;
+  Buffer.add_bytes b d.Ir.kinds;
+  Buffer.add_bytes b d.Ir.drives;
+  Array.iter int d.Ir.pin_start;
+  Array.iter int d.Ir.pins;
+  for i = 0 to n - 1 do
+    if Ir.is_weight d i then begin
+      int (-1);
+      int (Ir.weight_row d i);
+      int (Ir.weight_col d i);
+      int (Ir.weight_copy d i)
+    end
+    else int d.Ir.tags.(i)
+  done;
+  Array.iter
+    (fun tag ->
+      Buffer.add_string b
+        (match tag with
+        | Ir.Plain -> "plain"
+        | Ir.Weight_bit { row; col; copy } ->
+            Printf.sprintf "w%d.%d.%d" row col copy
+        | Ir.Pipeline_reg s -> "reg:" ^ s
+        | Ir.Subcircuit s -> "sub:" ^ s);
+      Buffer.add_char b '\n')
+    d.Ir.tag_table;
+  List.iter
+    (fun (dir, buses) ->
+      List.iter
+        (fun (name, bus) ->
+          Printf.bprintf b "%s %s %d\n" dir name (Array.length bus);
+          Array.iter int bus)
+        buses)
+    [ ("in", Ir.inputs d.Ir.src); ("out", Ir.outputs d.Ir.src) ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let snap_line key =
+  let d = (Macro_rtl.build lib (parse_config key)).Macro_rtl.design in
+  Printf.sprintf "%s | insts %d nets %d | %s" key (Ir.n_insts d) d.Ir.n_nets
+    (netlist_digest d)
+
+let snap_header =
+  "# SynDCIM netlist digests: config key | instances, nets | md5 of \
+   columns, tags, buses"
+
+(* Configuration keys in first-seen order, without repeats. *)
+let unique_keys cfgs =
+  let seen = Hashtbl.create 256 in
+  List.filter_map
+    (fun c ->
+      let k = Eval_cache.config_key c in
+      if Hashtbl.mem seen k then None
+      else begin
+        Hashtbl.add seen k ();
+        Some k
+      end)
+    cfgs
+
+let test_netlist_snapshot () =
+  match Sys.getenv_opt "SYNDCIM_NETLIST_SNAP_OUT" with
+  | Some path ->
+      let keys = unique_keys (searched_configs () @ fixed_configs ()) in
+      Snapshot.save path
+        (String.concat "\n" (snap_header :: List.map snap_line keys) ^ "\n")
+  | None ->
+      let expected =
+        Snapshot.load (Filename.concat "snapshots" "netlist.snap")
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+      in
+      (* a configuration key holds no space *)
+      let key l = String.sub l 0 (String.index l ' ') in
+      let keys = List.map key expected in
+      List.iter
+        (fun k ->
+          check_bool (Printf.sprintf "netlist.snap has %s" k) true
+            (List.mem k keys))
+        (unique_keys (fixed_configs ()));
+      List.iter2
+        (fun e k -> Alcotest.(check string) "netlist digest" e (snap_line k))
+        expected keys
+
 let () =
   Alcotest.run "rtl"
     [
@@ -619,6 +880,11 @@ let () =
         [
           Alcotest.test_case "fanout tree" `Quick test_fanout_tree_limits;
           Alcotest.test_case "weight update" `Quick test_weight_update_model;
+        ] );
+      ( "netlist snapshot",
+        [
+          Alcotest.test_case "matches committed netlist.snap" `Quick
+            test_netlist_snapshot;
         ] );
       ( "macro",
         [
