@@ -130,29 +130,62 @@ let intern t tag =
       t.last_tag_id <- id;
       id
 
-let grow_bytes b len =
+(* The first [n] bytes of [b] in a fresh buffer of [len]. *)
+let resize_bytes b n len =
   let b' = Bytes.create len in
-  Bytes.blit b 0 b' 0 (Bytes.length b);
+  Bytes.blit b 0 b' 0 n;
   b'
 
-let grow_ints a len =
+(* [dst.(dst_pos + k) <- src.(src_pos + k)] for [k < len]. A typed loop,
+   not [Array.blit]/[Array.sub]: those do not know the elements are
+   immediate and run the write barrier on every element of a major-heap
+   destination, at over twice the cost of the plain stores. *)
+let copy_ints (src : int array) src_pos (dst : int array) dst_pos len =
+  for k = 0 to len - 1 do
+    Array.unsafe_set dst (dst_pos + k) (Array.unsafe_get src (src_pos + k))
+  done
+
+(* The first [n] entries of [a] in a fresh array of [len]. *)
+let resize_ints (a : int array) n len =
   let a' = Array.make len 0 in
-  Array.blit a 0 a' 0 (Array.length a);
+  copy_ints a 0 a' 0 n;
   a'
 
-(* Room for one more instance with [n_pins] pins. *)
-let reserve t n_pins =
-  let cap = Bytes.length t.kind_col in
-  if t.count >= cap then begin
-    let cap' = max 64 (2 * cap) in
-    t.kind_col <- grow_bytes t.kind_col cap';
-    t.drive_col <- grow_bytes t.drive_col cap';
-    t.tag_col <- grow_ints t.tag_col cap';
-    t.pin_start <- grow_ints t.pin_start (cap' + 1)
+(* Resize the instance columns to hold [cap] instances and the pin
+   column to hold [pin_cap] pins, keeping the live entries. *)
+let resize t ~cap ~pin_cap =
+  let n = t.count in
+  if cap <> Bytes.length t.kind_col then begin
+    t.kind_col <- resize_bytes t.kind_col n cap;
+    t.drive_col <- resize_bytes t.drive_col n cap;
+    t.tag_col <- resize_ints t.tag_col n cap;
+    t.pin_start <- resize_ints t.pin_start (n + 1) (cap + 1)
   end;
-  let need = t.pin_start.(t.count) + n_pins in
-  if need > Array.length t.pins then
-    t.pins <- grow_ints t.pins (max need (max 256 (2 * Array.length t.pins)))
+  if pin_cap <> Array.length t.pins then
+    t.pins <- resize_ints t.pins t.pin_start.(n) pin_cap
+
+(* Room for [insts] more instances with [pins] pins between them,
+   doubling the columns that are short. *)
+let[@inline] room t ~insts ~pins =
+  let cap = Bytes.length t.kind_col and pin_cap = Array.length t.pins in
+  let need = t.count + insts and pin_need = t.pin_start.(t.count) + pins in
+  if need > cap || pin_need > pin_cap then
+    resize t
+      ~cap:(if need > cap then max need (max 64 (2 * cap)) else cap)
+      ~pin_cap:
+        (if pin_need > pin_cap then max pin_need (max 256 (2 * pin_cap))
+         else pin_cap)
+
+(** [reserve t ~insts ~pins] sizes the columns to hold exactly [insts]
+    more instances with [pins] pins between them, when they are short of
+    that. A builder that knows its totals reserves once: adding exactly
+    that much then never regrows a column, and {!freeze} shares the
+    columns without trimming them. *)
+let reserve t ~insts ~pins =
+  let cap = Bytes.length t.kind_col and pin_cap = Array.length t.pins in
+  let need = t.count + insts and pin_need = t.pin_start.(t.count) + pins in
+  if need > cap || pin_need > pin_cap then
+    resize t ~cap:(max need cap) ~pin_cap:(max pin_need pin_cap)
 
 (** [add t kind ~ins ~outs] appends an instance and returns its id. Raises
     [Invalid_argument] when [ins] or [outs] does not match [kind]'s
@@ -168,7 +201,7 @@ let add ?(tag = Plain) ?(drive = Cell.X1) t kind ~(ins : net array)
           and %d"
          i (Cell.kind_to_string kind) (Cell.n_inputs kind)
          (Cell.n_outputs kind) n_in n_out);
-  reserve t (n_in + n_out);
+  room t ~insts:1 ~pins:(n_in + n_out);
   Bytes.unsafe_set t.kind_col i (Char.unsafe_chr (Cell.kind_index kind));
   Bytes.unsafe_set t.drive_col i (Char.unsafe_chr (Cell.drive_index drive));
   t.tag_col.(i) <- intern t tag;
@@ -212,6 +245,90 @@ let find_bus index name =
 let input_bus t = find_bus t.input_index
 
 let output_bus t = find_bus t.output_index
+
+(** A repeated block, built once and copied wherever it repeats. The
+    block is built by the ordinary builders into a scratch netlist of its
+    own, on one placeholder net per input position; {!stamp} appends a
+    copy of its instances to a netlist, wiring input position [k] to the
+    [k]th given net and allocating the copy's fresh nets in the order the
+    block allocated its own. A stamped block is therefore identical,
+    instance for instance and net for net, to the same block built in
+    place on the same inputs — provided no input is a constant net:
+    builders fold [Ir.const0] operands away, which a block built on
+    placeholders did not, so {!stamp} rejects constant inputs. Inputs map
+    by position, never by net identity, so one net may feed several
+    positions. *)
+type template = {
+  body : t;  (** nets [2 .. 1 + n_inputs] are the input placeholders *)
+  n_inputs : int;
+  outputs : net array;  (** the block's outputs, as [body]'s nets *)
+}
+
+(** [template ~inputs f] builds the block [f body ins] on [inputs]
+    placeholder nets [ins]; [f] returns the block's output nets and a
+    value of its own, returned beside the template. Raises
+    [Invalid_argument] when the block declares a named bus or holds a
+    [Weight_bit] instance: a weight address is not relative to the
+    inputs, so copies would share it. *)
+let template ~inputs f =
+  let body = create ~name:"template" () in
+  let ins = new_bus body inputs in
+  let outputs, x = f body ins in
+  if body.rev_inputs <> [] || body.rev_outputs <> [] then
+    invalid_arg "Ir.template: a block declares no named bus";
+  let no_weight () = invalid_arg "Ir.template: a block holds no weight bit" in
+  for i = 0 to body.count - 1 do
+    if body.tag_col.(i) < 0 then no_weight ()
+  done;
+  Vec.iter (function Weight_bit _ -> no_weight () | _ -> ()) body.tag_table;
+  ({ body; n_inputs = inputs; outputs }, x)
+
+(** [template_insts tm] / [template_pins tm] — the instances and pins one
+    {!stamp} of [tm] adds. *)
+let template_insts tm = tm.body.count
+
+let template_pins tm = tm.body.pin_start.(tm.body.count)
+
+(** [stamp t tm ins] appends a copy of [tm] wired to [ins] and returns the
+    copy's outputs. Raises [Invalid_argument] when [ins] does not have
+    one net per input position or holds a constant net. *)
+let stamp t tm (ins : net array) =
+  let n_in = tm.n_inputs in
+  if Array.length ins <> n_in then
+    invalid_arg
+      (Printf.sprintf "Ir.stamp: the block takes %d inputs, got %d" n_in
+         (Array.length ins));
+  for k = 0 to n_in - 1 do
+    if ins.(k) = const0 || ins.(k) = const1 then
+      invalid_arg (Printf.sprintf "Ir.stamp: input %d is a constant net" k)
+  done;
+  let b = tm.body in
+  (* body net [v >= first] is the copy's net [v + shift] *)
+  let first = 2 + n_in in
+  let shift = t.n_nets - first in
+  t.n_nets <- t.n_nets + (b.n_nets - first);
+  let n = b.count and n_pins = b.pin_start.(b.count) in
+  room t ~insts:n ~pins:n_pins;
+  (* interning the block's tags in its own first-use order gives them the
+     ids a build in place would *)
+  let codes = Array.make (Vec.length b.tag_table) 0 in
+  Vec.iteri (fun c tag -> codes.(c) <- intern t tag) b.tag_table;
+  let i0 = t.count in
+  let p0 = t.pin_start.(i0) in
+  Bytes.blit b.kind_col 0 t.kind_col i0 n;
+  Bytes.blit b.drive_col 0 t.drive_col i0 n;
+  let tag_col = t.tag_col and pin_start = t.pin_start and pins = t.pins in
+  for i = 0 to n - 1 do
+    tag_col.(i0 + i) <- codes.(b.tag_col.(i));
+    pin_start.(i0 + i + 1) <- p0 + b.pin_start.(i + 1)
+  done;
+  let map v = if v >= first then v + shift else if v >= 2 then ins.(v - 2) else v in
+  let body_pins = b.pins in
+  for q = 0 to n_pins - 1 do
+    pins.(p0 + q) <- map body_pins.(q)
+  done;
+  t.count <- i0 + n;
+  Array.map map tm.outputs
 
 (** A frozen, validated netlist with derived connectivity. The instance
     columns are {!t}'s, trimmed to length and shared: a design is a fixed
@@ -388,10 +505,10 @@ let bad_net kinds pin_start i q net n_nets =
        net (n_nets - 1) n_nets)
 
 (* Compressed sparse row fanout: count each net's input-pin incidences,
-   prefix-sum the counts into segment starts, then fill every segment
-   from its end while walking instances and pins in ascending order —
-   which lists each net's consumers in descending (instance, pin)
-   order. *)
+   prefix-sum the counts into segment ends, then fill every segment from
+   its end while walking instances and pins in ascending order — which
+   lists each net's consumers in descending (instance, pin) order and
+   leaves each net's entry at its segment's start. *)
 let build_fanout kinds pin_start pins n_nets =
   let n_insts = Bytes.length kinds in
   let start = Array.make (n_nets + 1) 0 in
@@ -400,36 +517,28 @@ let build_fanout kinds pin_start pins n_nets =
     for q = s to s + n_ins_at kinds i - 1 do
       let net = pins.(q) in
       if net < 0 || net >= n_nets then bad_net kinds pin_start i q net n_nets;
-      start.(net + 1) <- start.(net + 1) + 1
+      start.(net) <- start.(net) + 1
     done
   done;
-  for net = 0 to n_nets - 1 do
-    start.(net + 1) <- start.(net + 1) + start.(net)
+  for net = 1 to n_nets - 1 do
+    start.(net) <- start.(net) + start.(net - 1)
   done;
+  if n_nets > 0 then start.(n_nets) <- start.(n_nets - 1);
   let fanout = Array.make start.(n_nets) 0 in
-  let cursor = Array.sub start 1 n_nets in
   for i = 0 to n_insts - 1 do
     let s = pin_start.(i) in
     for q = s to s + n_ins_at kinds i - 1 do
       let net = pins.(q) in
-      cursor.(net) <- cursor.(net) - 1;
-      fanout.(cursor.(net)) <- i
+      start.(net) <- start.(net) - 1;
+      fanout.(start.(net)) <- i
     done
   done;
   (start, fanout)
 
 (* Trim [t]'s columns to their live length, in place, so a design can
-   share them; a later {!add} regrows them by copying. *)
-let trim t =
-  let n = t.count in
-  if Bytes.length t.kind_col <> n then begin
-    t.kind_col <- Bytes.sub t.kind_col 0 n;
-    t.drive_col <- Bytes.sub t.drive_col 0 n;
-    t.tag_col <- Array.sub t.tag_col 0 n;
-    t.pin_start <- Array.sub t.pin_start 0 (n + 1)
-  end;
-  let n_pins = t.pin_start.(n) in
-  if Array.length t.pins <> n_pins then t.pins <- Array.sub t.pins 0 n_pins
+   share them; a later {!add} regrows them by copying. A netlist built
+   to its {!reserve}d size is already trimmed. *)
+let trim t = resize t ~cap:t.count ~pin_cap:t.pin_start.(t.count)
 
 (** [freeze t] validates and derives the evaluation views. Raises
     {!Multiple_drivers} or {!Combinational_cycle} on malformed input, and

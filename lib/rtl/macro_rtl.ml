@@ -11,7 +11,12 @@
     accelerator) can schedule MACs: [load] (capture parallel inputs into
     the serializers), [sa_en]/[sa_clr]/[sa_neg] (accumulator enable, clear,
     sign cycle) and, when MCR > 1, [copy_sel]. The latency fields say when
-    to assert what; {!Testbench} implements the schedule. *)
+    to assert what; {!Testbench} implements the schedule.
+
+    The blocks that repeat per row, column or word — the mul/mux row,
+    the adder tree + S&A column and the OFU word — are each built once
+    as an {!Ir.template} and stamped; their sizes fix the netlist's size
+    before the bit cells, so its columns are allocated once, exactly. *)
 
 type config = {
   rows : int;  (** H: inputs accumulated per column *)
@@ -172,138 +177,213 @@ let build (lib : Library.t) (cfg : config) : t =
   (* ---- BL drivers (write path: static area/leakage) ---- *)
   let cbl = Builder.in_subcircuit ir "bl_driver" in
   Driver.bl_drivers cbl ~cols:cfg.cols;
-  (* ---- bit cells and multiplier/mux plane ---- *)
-  let cells = Bitcell.build ir ~kind:cfg.cell_kind ~rows:cfg.rows
-      ~cols:cfg.cols ~mcr:cfg.mcr
+  (* ---- the repeated blocks, each built once and stamped per row,
+     column or word (see {!Ir.template}) ---- *)
+  let n_sel = if cfg.mcr > 1 then sel_bits else 0 in
+  let per_cell = 1 + cfg.mcr + n_sel in
+  (* one row of compute elements; column [col] takes its serial input
+     bit, its [mcr] stored bits and its copy-select bits *)
+  let mulmux_row, () =
+    Ir.template ~inputs:(cfg.cols * per_cell) (fun body ins ->
+        let cmm = Builder.in_subcircuit body "mulmux" in
+        ( Array.init cfg.cols (fun col ->
+              let at k = ins.((col * per_cell) + k) in
+              Mulmux.build cmm ~variant:cfg.mul_kind ~x:(at 0)
+                ~weights:(Array.init cfg.mcr (fun c -> at (1 + c)))
+                ~sel:(Array.init n_sel (fun b -> at (1 + cfg.mcr + b)))),
+          () ))
   in
-  let cmm = Builder.in_subcircuit ir "mulmux" in
-  let products =
-    Array.init cfg.rows (fun r ->
-        Array.init cfg.cols (fun col ->
-            let sel =
-              if cfg.mcr > 1 then
-                Array.init sel_bits (fun b ->
-                    sel_leaves.(b).((r * cfg.cols) + col))
-              else [||]
-            in
-            Mulmux.build cmm ~variant:cfg.mul_kind ~x:row_leaves.(r).(col)
-              ~weights:cells.(r).(col) ~sel))
-  in
-  (* ---- per-column adder tree + S&A ---- *)
-  let ctree = Builder.in_subcircuit ir "adder_tree" in
-  let csa = Builder.in_subcircuit ir "shift_adder" in
-  let en_leaves =
-    Driver.fanout_tree csa sa_en ~consumers:cfg.cols ~max_fanout:16
-  and clr_leaves =
-    Driver.fanout_tree csa sa_clr ~consumers:cfg.cols ~max_fanout:16
-  and neg_leaves =
-    Driver.fanout_tree csa sa_neg ~consumers:cfg.cols ~max_fanout:16
-  in
-  let tree_lat = ref 0 in
-  let accs =
-    Array.init cfg.cols (fun col ->
-        let leaves = Array.init cfg.rows (fun r -> products.(r).(col)) in
-        let tree =
-          Adder_tree.build ctree lib ~topology:cfg.tree
-            ~split:cfg.tree_split ~reg_out:cfg.reg_after_tree
-            ~retime_final_rca:cfg.retime_final_rca ~leaves
+  (* the S&A control fanout: [cols] enable, clear and negate leaves *)
+  let column_ctl, () =
+    Ir.template ~inputs:3 (fun body ins ->
+        let csa = Builder.in_subcircuit body "shift_adder" in
+        let en_leaves =
+          Driver.fanout_tree csa ins.(0) ~consumers:cfg.cols ~max_fanout:16
+        and clr_leaves =
+          Driver.fanout_tree csa ins.(1) ~consumers:cfg.cols ~max_fanout:16
+        and neg_leaves =
+          Driver.fanout_tree csa ins.(2) ~consumers:cfg.cols ~max_fanout:16
         in
-        tree_lat := tree.latency;
+        (Array.concat [ en_leaves; clr_leaves; neg_leaves ], ()))
+  in
+  (* one column: adder tree over the [rows] products, then the S&A on
+     the column's negate, clear and enable leaves *)
+  let column, (tree_lat, w_acc) =
+    Ir.template ~inputs:(cfg.rows + 3) (fun body ins ->
+        let ctree = Builder.in_subcircuit body "adder_tree" in
+        let csa = Builder.in_subcircuit body "shift_adder" in
+        let tree =
+          Adder_tree.build ctree lib ~topology:cfg.tree ~split:cfg.tree_split
+            ~reg_out:cfg.reg_after_tree
+            ~retime_final_rca:cfg.retime_final_rca
+            ~leaves:(Array.sub ins 0 cfg.rows)
+        in
         let sa =
           Shift_adder.build ~kind:cfg.sa_kind csa ~rows:cfg.rows
-            ~serial_bits:db ~sum:tree.sum ~neg:neg_leaves.(col)
-            ~clr:clr_leaves.(col) ~en:en_leaves.(col)
+            ~serial_bits:db ~sum:tree.sum ~neg:ins.(cfg.rows)
+            ~clr:ins.(cfg.rows + 1) ~en:ins.(cfg.rows + 2)
         in
-        sa.acc)
+        (sa.acc, (tree.latency, Array.length sa.acc)))
   in
-  (* ---- OFU per word, with the retiming/pipeline knobs ---- *)
-  let cofu = Builder.in_subcircuit ir "ofu" in
+  (* one OFU word over its [wb] column accumulators, with the
+     retiming/pipeline knobs *)
   let arch = if cfg.ofu_fast_adder then Builder.Csel 4 else Builder.Rca in
   let signed_weights = wb > 1 in
   let extra_pipe_level =
     if cfg.ofu_extra_pipe then Some (Ofu.n_levels wb / 2) else None
   in
-  let post_lat = ref 0 in
-  let build_word g =
-    let columns = Array.init wb (fun j -> accs.((g * wb) + j)) in
-    let result, lat =
-      if cfg.reg_sa_to_ofu && cfg.ofu_retime then begin
-        let parts = Ofu.prepare cofu ~signed_weights ~result_width columns in
-        let parts = Ofu.fuse_level ~arch cofu ~result_width ~level:0 parts in
-        let parts =
-          List.map (Ofu.reg_part cofu ~tag:(Ir.Pipeline_reg "sa_ofu")) parts
+  let word, post_lat =
+    Ir.template ~inputs:(wb * w_acc) (fun body ins ->
+        let cofu = Builder.in_subcircuit body "ofu" in
+        let columns = Array.init wb (fun j -> Array.sub ins (j * w_acc) w_acc) in
+        let result, lat =
+          if cfg.reg_sa_to_ofu && cfg.ofu_retime then begin
+            let parts =
+              Ofu.prepare cofu ~signed_weights ~result_width columns
+            in
+            let parts =
+              Ofu.fuse_level ~arch cofu ~result_width ~level:0 parts
+            in
+            let parts =
+              List.map (Ofu.reg_part cofu ~tag:(Ir.Pipeline_reg "sa_ofu")) parts
+            in
+            let r, pl =
+              Ofu.fuse ~arch cofu ~result_width ~from_level:1
+                ~pipe_after_level:extra_pipe_level parts
+            in
+            (r, 1 + pl)
+          end
+          else if cfg.reg_sa_to_ofu then begin
+            let columns =
+              Array.map
+                (Builder.reg_bus ~tag:(Ir.Pipeline_reg "sa_ofu") cofu)
+                columns
+            in
+            let b =
+              Ofu.build ~arch cofu ~signed_weights ~result_width
+                ~pipe_after_level:extra_pipe_level ~columns
+            in
+            (b.result, 1 + b.latency)
+          end
+          else begin
+            let b =
+              Ofu.build ~arch cofu ~signed_weights ~result_width
+                ~pipe_after_level:extra_pipe_level ~columns
+            in
+            (b.result, b.latency)
+          end
         in
-        let r, pl =
-          Ofu.fuse ~arch cofu ~result_width ~from_level:1
-            ~pipe_after_level:extra_pipe_level parts
+        (* tt5 fallback: if the word is too narrow for an internal level,
+           the extra pipeline stage lands on the OFU output *)
+        let result, lat =
+          if cfg.ofu_extra_pipe && lat = (if cfg.reg_sa_to_ofu then 1 else 0)
+          then
+            ( Builder.reg_bus ~tag:(Ir.Pipeline_reg "ofu_pipe") cofu result,
+              lat + 1 )
+          else (result, lat)
         in
-        (r, 1 + pl)
-      end
-      else if cfg.reg_sa_to_ofu then begin
-        let columns =
-          Array.map
-            (Builder.reg_bus ~tag:(Ir.Pipeline_reg "sa_ofu") cofu)
-            columns
-        in
-        let b =
-          Ofu.build ~arch cofu ~signed_weights ~result_width
-            ~pipe_after_level:extra_pipe_level ~columns
-        in
-        (b.result, 1 + b.latency)
-      end
-      else begin
-        let b =
-          Ofu.build ~arch cofu ~signed_weights ~result_width
-            ~pipe_after_level:extra_pipe_level ~columns
-        in
-        (b.result, b.latency)
-      end
-    in
-    (* tt5 fallback: if the word is too narrow for an internal level, the
-       extra pipeline stage lands on the OFU output *)
-    let result, lat =
-      if cfg.ofu_extra_pipe && lat = (if cfg.reg_sa_to_ofu then 1 else 0)
-      then
-        ( Builder.reg_bus ~tag:(Ir.Pipeline_reg "ofu_pipe") cofu result,
-          lat + 1 )
-      else (result, lat)
-    in
-    let result, lat =
-      if cfg.reg_output then
-        ( Builder.reg_bus ~tag:(Ir.Pipeline_reg "macro_out") cofu result,
-          lat + 1 )
-      else (result, lat)
-    in
-    post_lat := lat;
-    Ir.add_output ir (Printf.sprintf "result%d" g) result
+        if cfg.reg_output then
+          ( Builder.reg_bus ~tag:(Ir.Pipeline_reg "macro_out") cofu result,
+            lat + 1 )
+        else (result, lat))
   in
+  (* the optional embedded sequencer, on [start] and the control nets it
+     drives: load, S&A enable, clear and negate, and the aligner enable *)
+  let ctl_nets =
+    match align_en_net with
+    | Some n -> [| load; sa_en; sa_clr; sa_neg; n |]
+    | None -> [| load; sa_en; sa_clr; sa_neg |]
+  in
+  let controller =
+    if not cfg.with_controller then None
+    else
+      let tm, () =
+        Ir.template ~inputs:(1 + Array.length ctl_nets) (fun body ins ->
+            let cctl = Builder.in_subcircuit body "controller" in
+            let schedule =
+              {
+                Controller.align_lat;
+                tree_lat;
+                serial_bits = db;
+                post_lat;
+                neg_on_last = Shift_adder.lsb_first cfg.sa_kind;
+              }
+            in
+            let fsm = Controller.build cctl ~schedule ~start:ins.(0) in
+            let drive src k = Builder.buf_into cctl ~src ~dst:ins.(k) in
+            drive fsm.Controller.load 1;
+            drive fsm.Controller.sa_en 2;
+            drive fsm.Controller.sa_clr 3;
+            drive fsm.Controller.sa_neg 4;
+            if Array.length ins > 5 then drive fsm.Controller.align_en 5;
+            ([| fsm.Controller.done_ |], ()))
+      in
+      Some tm
+  in
+  (* the blocks fix the rest of the netlist's size: size the columns
+     once, exactly *)
+  let n_cells = cfg.rows * cfg.cols * cfg.mcr in
+  let cell_pins =
+    Cell.n_inputs (Cell.Sram cfg.cell_kind)
+    + Cell.n_outputs (Cell.Sram cfg.cell_kind)
+  in
+  let stamps =
+    [ (cfg.rows, mulmux_row); (1, column_ctl); (cfg.cols, column);
+      (words, word) ]
+    @ match controller with Some tm -> [ (1, tm) ] | None -> []
+  in
+  let total f = List.fold_left (fun acc (k, tm) -> acc + (k * f tm)) 0 stamps in
+  Ir.reserve ir
+    ~insts:(n_cells + total Ir.template_insts)
+    ~pins:((n_cells * cell_pins) + total Ir.template_pins);
+  (* ---- bit cells and multiplier/mux plane ---- *)
+  let cells = Bitcell.build ir ~kind:cfg.cell_kind ~rows:cfg.rows
+      ~cols:cfg.cols ~mcr:cfg.mcr
+  in
+  let ins = Array.make (cfg.cols * per_cell) 0 in
+  let products =
+    Array.init cfg.rows (fun r ->
+        for col = 0 to cfg.cols - 1 do
+          let at = col * per_cell in
+          ins.(at) <- row_leaves.(r).(col);
+          for c = 0 to cfg.mcr - 1 do
+            ins.(at + 1 + c) <- cells.(r).(col).(c)
+          done;
+          for b = 0 to n_sel - 1 do
+            ins.(at + 1 + cfg.mcr + b) <- sel_leaves.(b).((r * cfg.cols) + col)
+          done
+        done;
+        Ir.stamp ir mulmux_row ins)
+  in
+  (* ---- per-column adder tree + S&A ---- *)
+  let leaves = Ir.stamp ir column_ctl [| sa_en; sa_clr; sa_neg |] in
+  let ins = Array.make (cfg.rows + 3) 0 in
+  let accs =
+    Array.init cfg.cols (fun col ->
+        for r = 0 to cfg.rows - 1 do
+          ins.(r) <- products.(r).(col)
+        done;
+        ins.(cfg.rows) <- leaves.((2 * cfg.cols) + col);
+        ins.(cfg.rows + 1) <- leaves.(cfg.cols + col);
+        ins.(cfg.rows + 2) <- leaves.(col);
+        Ir.stamp ir column ins)
+  in
+  (* ---- OFU per word ---- *)
+  let ins = Array.make (wb * w_acc) 0 in
   for g = 0 to words - 1 do
-    build_word g
+    for j = 0 to wb - 1 do
+      Array.iteri (fun k n -> ins.((j * w_acc) + k) <- n) accs.((g * wb) + j)
+    done;
+    Ir.add_output ir (Printf.sprintf "result%d" g) (Ir.stamp ir word ins)
   done;
   (* ---- optional embedded sequencer ---- *)
-  if cfg.with_controller then begin
-    let cctl = Builder.in_subcircuit ir "controller" in
-    let start = Ir.new_net ir in
-    Ir.add_input ir "start" [| start |];
-    let schedule =
-      {
-        Controller.align_lat;
-        tree_lat = !tree_lat;
-        serial_bits = db;
-        post_lat = !post_lat;
-        neg_on_last = Shift_adder.lsb_first cfg.sa_kind;
-      }
-    in
-    let fsm = Controller.build cctl ~schedule ~start in
-    Builder.buf_into cctl ~src:fsm.Controller.load ~dst:load;
-    Builder.buf_into cctl ~src:fsm.Controller.sa_en ~dst:sa_en;
-    Builder.buf_into cctl ~src:fsm.Controller.sa_clr ~dst:sa_clr;
-    Builder.buf_into cctl ~src:fsm.Controller.sa_neg ~dst:sa_neg;
-    (match align_en_net with
-    | Some net -> Builder.buf_into cctl ~src:fsm.Controller.align_en ~dst:net
-    | None -> ());
-    Ir.add_output ir "done" [| fsm.Controller.done_ |]
-  end;
+  Option.iter
+    (fun tm ->
+      let start = Ir.new_net ir in
+      Ir.add_input ir "start" [| start |];
+      let done_ = Ir.stamp ir tm (Array.append [| start |] ctl_nets) in
+      Ir.add_output ir "done" done_)
+    controller;
   {
     cfg;
     design = Ir.freeze ir;
@@ -314,6 +394,6 @@ let build (lib : Library.t) (cfg : config) : t =
     result_width;
     neg_on_last = Shift_adder.lsb_first cfg.sa_kind;
     align_lat;
-    tree_lat = !tree_lat;
-    post_lat = !post_lat;
+    tree_lat;
+    post_lat;
   }
