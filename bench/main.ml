@@ -1,6 +1,6 @@
 (* SynDCIM gate benchmark.
 
-   Times the four measurements CI gates on and writes them to
+   Times the five measurements CI gates on and writes them to
    BENCH_RESULTS.json in the invocation directory:
 
      packed_sim        bit-sliced vs scalar lane-cycles/s   (gate >= 8x)
@@ -8,6 +8,10 @@
      service_warm      warm Service repeat vs cold compile   (gate > 1x,
                        and the repeat must be a cache hit)
      metrics_overhead  search with the registry on vs off    (gate <= 5 %)
+     netlist_build     Fig. 8 Macro_rtl.build: major-heap words
+                       allocated per instance, and its time  (gate <= 18
+                       words; allocation counts are deterministic, so
+                       this gate reads no clock)
 
    The paper's tables and figures are reprinted by `syndcim exp`; the
    compiler's end-to-end and per-layer timings live in perfbench/.
@@ -198,6 +202,24 @@ let metrics_overhead ctx =
     metrics_max_overhead_pct;
   (on_s, off_s)
 
+(* One Fig. 8 netlist build: its instance count, the major-heap words it
+   allocates per instance, and the best of five build times. *)
+let netlist_build lib =
+  banner "Netlist build — Fig. 8 initial configuration";
+  let cfg = Spec.initial_config Spec.fig8 in
+  let n = Ir.n_insts (Macro_rtl.build lib cfg).Macro_rtl.design in
+  Gc.full_major ();
+  let _, _, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (Macro_rtl.build lib cfg));
+  let _, _, major1 = Gc.counters () in
+  let words = (major1 -. major0) /. float_of_int n in
+  let _, build_s = best_of 5 (fun () -> ignore (Macro_rtl.build lib cfg)) in
+  Printf.printf
+    "%d instances, %.2f major words per instance (gate: <= 18), %.2f ms \
+     (best of 5)\n%!"
+    n words (build_s *. 1e3);
+  (n, words, build_s)
+
 let () =
   let ctx = Ctx.default () in
   let lib = Ctx.lib ctx in
@@ -205,6 +227,7 @@ let () =
   let batches, scalar_checks, packed_checks = packed_signoff lib in
   let cold_s, warm_s, warm_hit = service_warm () in
   let on_s, off_s = metrics_overhead ctx in
+  let insts, words, build_s = netlist_build lib in
   let gates =
     [
       Printf.sprintf
@@ -227,6 +250,10 @@ let () =
         on_s off_s
         (ratio (on_s -. off_s) off_s *. 100.0)
         metrics_max_overhead_pct;
+      Printf.sprintf
+        "\"netlist_build\": {\"insts\": %d, \"major_words_per_inst\": %.6g, \
+         \"ms\": %.6g}"
+        insts words (build_s *. 1e3);
     ]
   in
   let oc = open_out "BENCH_RESULTS.json" in

@@ -50,10 +50,9 @@ let evaluate_unsized_raw lib (spec : Spec.t) cfg =
       Design_point.throughput_tops macro ~freq_hz:spec.Spec.mac_freq_hz;
   }
 
-(* Each baseline evaluation runs as a named pipeline stage, so a trace
-   shows the baselines alongside the compiled design's stage rows and a
+(* Each baseline evaluation runs as a named pipeline stage, so a
    malformed template surfaces as a diagnostic, not an exception. *)
-let evaluate_unsized ?trace ~name lib (spec : Spec.t) cfg =
+let evaluate_unsized ~name lib (spec : Spec.t) cfg =
   let stage_name = "baseline:" ^ name in
   let stage =
     Stage.v stage_name (fun () ->
@@ -66,12 +65,12 @@ let evaluate_unsized ?trace ~name lib (spec : Spec.t) cfg =
                    ~crit_out_ps:p.Design_point.crit_ps
                    ~note:"unsized template, no search" () )))
   in
-  match Stage.execute ?trace stage () with
+  match Stage.execute stage () with
   | Ok p -> p
   | Error d -> raise (Diag.Failed d)
 
 (** AutoDCIM-style template: area-greedy fixed choices, no optimization. *)
-let autodcim ?trace lib (spec : Spec.t) =
+let autodcim lib (spec : Spec.t) =
   let cfg =
     {
       (template_base spec) with
@@ -79,29 +78,29 @@ let autodcim ?trace lib (spec : Spec.t) =
       tree = Adder_tree.Rca_tree;
     }
   in
-  evaluate_unsized ?trace ~name:"autodcim" lib spec cfg
+  evaluate_unsized ~name:"autodcim" lib spec cfg
 
 (** Conventional signed-RCA adder-tree macro. *)
-let rca_conventional ?trace lib (spec : Spec.t) =
+let rca_conventional lib (spec : Spec.t) =
   let cfg = { (template_base spec) with Macro_rtl.tree = Adder_tree.Rca_tree } in
-  evaluate_unsized ?trace ~name:"rca" lib spec cfg
+  evaluate_unsized ~name:"rca" lib spec cfg
 
 (** Pure 4-2 compressor CSA macro (no reordering, no FA mixing). *)
-let pure_compressor ?trace lib (spec : Spec.t) =
+let pure_compressor lib (spec : Spec.t) =
   let cfg =
     {
       (template_base spec) with
       Macro_rtl.tree = Adder_tree.Csa { fa_ratio = 0.0; reorder = false };
     }
   in
-  evaluate_unsized ?trace ~name:"compressor" lib spec cfg
+  evaluate_unsized ~name:"compressor" lib spec cfg
 
-(** [all ?trace ctx spec] — every baseline evaluated at [spec]'s
+(** [all ctx spec] — every baseline evaluated at [spec]'s
     operating point over the context's library. *)
-let all ?trace (ctx : Ctx.t) spec =
+let all (ctx : Ctx.t) spec =
   let lib = Ctx.lib ctx in
   [
-    ("AutoDCIM-style template", autodcim ?trace lib spec);
-    ("conventional RCA tree", rca_conventional ?trace lib spec);
-    ("pure 4-2 compressor", pure_compressor ?trace lib spec);
+    ("AutoDCIM-style template", autodcim lib spec);
+    ("conventional RCA tree", rca_conventional lib spec);
+    ("pure 4-2 compressor", pure_compressor lib spec);
   ]

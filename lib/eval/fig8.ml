@@ -24,13 +24,13 @@ type result = {
       (** hit/miss counters of the sweep's shared evaluation cache *)
 }
 
-(** [run ?trace ctx] — the sweep fans out over the context's domain
+(** [run ctx] — the sweep fans out over the context's domain
     pool and the four selected designs go through the staged pipeline in
     parallel as well; each back-end compile searches its own
     configuration, so they share no mutable state. The four go through
     the context's persistent compile cache, so a repeated harness run
     serves them straight from the store. *)
-let run ?trace (ctx : Ctx.t) =
+let run (ctx : Ctx.t) =
   let jobs = Ctx.jobs ctx in
   let spec = Spec.fig8 in
   let cache = Eval_cache.create () in
@@ -52,7 +52,7 @@ let run ?trace (ctx : Ctx.t) =
         Spec.Balanced;
       ]
   in
-  let baseline_points = Baselines.all ?trace ctx spec in
+  let baseline_points = Baselines.all ctx spec in
   {
     frontier;
     cloud;

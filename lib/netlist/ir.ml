@@ -136,19 +136,16 @@ let resize_bytes b n len =
   Bytes.blit b 0 b' 0 n;
   b'
 
-(* [dst.(dst_pos + k) <- src.(src_pos + k)] for [k < len]. A typed loop,
-   not [Array.blit]/[Array.sub]: those do not know the elements are
-   immediate and run the write barrier on every element of a major-heap
-   destination, at over twice the cost of the plain stores. *)
-let copy_ints (src : int array) src_pos (dst : int array) dst_pos len =
-  for k = 0 to len - 1 do
-    Array.unsafe_set dst (dst_pos + k) (Array.unsafe_get src (src_pos + k))
-  done
-
-(* The first [n] entries of [a] in a fresh array of [len]. *)
+(* The first [n] entries of [a] in a fresh array of [len], copied by a
+   typed loop, not [Array.blit]/[Array.sub]: those do not know the
+   elements are immediate and run the write barrier on every element of
+   a major-heap destination, which makes the copy about 1.5x slower
+   (DESIGN.md, "Netlist construction"). *)
 let resize_ints (a : int array) n len =
   let a' = Array.make len 0 in
-  copy_ints a 0 a' 0 n;
+  for k = 0 to n - 1 do
+    Array.unsafe_set a' k (Array.unsafe_get a k)
+  done;
   a'
 
 (* Resize the instance columns to hold [cap] instances and the pin

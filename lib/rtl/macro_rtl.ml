@@ -208,7 +208,7 @@ let build (lib : Library.t) (cfg : config) : t =
   in
   (* one column: adder tree over the [rows] products, then the S&A on
      the column's negate, clear and enable leaves *)
-  let column, (tree_lat, w_acc) =
+  let column, tree_lat =
     Ir.template ~inputs:(cfg.rows + 3) (fun body ins ->
         let ctree = Builder.in_subcircuit body "adder_tree" in
         let csa = Builder.in_subcircuit body "shift_adder" in
@@ -223,7 +223,7 @@ let build (lib : Library.t) (cfg : config) : t =
             ~serial_bits:db ~sum:tree.sum ~neg:ins.(cfg.rows)
             ~clr:ins.(cfg.rows + 1) ~en:ins.(cfg.rows + 2)
         in
-        (sa.acc, (tree.latency, Array.length sa.acc)))
+        (sa.acc, tree.latency))
   in
   (* one OFU word over its [wb] column accumulators, with the
      retiming/pipeline knobs *)
@@ -233,9 +233,9 @@ let build (lib : Library.t) (cfg : config) : t =
     if cfg.ofu_extra_pipe then Some (Ofu.n_levels wb / 2) else None
   in
   let word, post_lat =
-    Ir.template ~inputs:(wb * w_acc) (fun body ins ->
+    Ir.template ~inputs:(wb * w_sa) (fun body ins ->
         let cofu = Builder.in_subcircuit body "ofu" in
-        let columns = Array.init wb (fun j -> Array.sub ins (j * w_acc) w_acc) in
+        let columns = Array.init wb (fun j -> Array.sub ins (j * w_sa) w_sa) in
         let result, lat =
           if cfg.reg_sa_to_ofu && cfg.ofu_retime then begin
             let parts =
@@ -369,10 +369,10 @@ let build (lib : Library.t) (cfg : config) : t =
         Ir.stamp ir column ins)
   in
   (* ---- OFU per word ---- *)
-  let ins = Array.make (wb * w_acc) 0 in
+  let ins = Array.make (wb * w_sa) 0 in
   for g = 0 to words - 1 do
     for j = 0 to wb - 1 do
-      Array.iteri (fun k n -> ins.((j * w_acc) + k) <- n) accs.((g * wb) + j)
+      Array.iteri (fun k n -> ins.((j * w_sa) + k) <- n) accs.((g * wb) + j)
     done;
     Ir.add_output ir (Printf.sprintf "result%d" g) (Ir.stamp ir word ins)
   done;

@@ -965,8 +965,8 @@ let qtest_columns_round_trip =
            added)
 
 (* Fig. 8 as flat columns: the frozen design's heap footprint, the words
-   a build promotes out of the minor heap, and freeze's own garbage, all
-   per instance. The record-per-instance netlist measured 22.3 reachable
+   a build promotes out of the minor heap and allocates in the major
+   heap, and freeze's own garbage, all per instance. The record-per-instance netlist measured 22.3 reachable
    and about 13-15 promoted words per instance. *)
 let test_heap_shape () =
   let cfg = Spec.initial_config Spec.fig8 in
@@ -978,19 +978,162 @@ let test_heap_shape () =
     (Printf.sprintf "reachable %.2f words per instance < 14" reachable)
     true (reachable < 14.0);
   Gc.full_major ();
-  let _, promoted0, _ = Gc.counters () in
+  let _, promoted0, major0 = Gc.counters () in
   ignore (Sys.opaque_identity (Macro_rtl.build lib cfg));
-  let _, promoted1, _ = Gc.counters () in
+  let _, promoted1, major1 = Gc.counters () in
   let promoted = (promoted1 -. promoted0) /. n in
   check_bool
     (Printf.sprintf "build promotes %.2f words per instance < 4" promoted)
     true (promoted < 4.0);
+  (* the stamped build allocates its columns once, at exact size; built
+     instance by instance into doubling columns it took 30.9 *)
+  let major = (major1 -. major0) /. n in
+  check_bool
+    (Printf.sprintf "build allocates %.2f major words per instance <= 18"
+       major)
+    true (major <= 18.0);
   let before = Gc.minor_words () in
   ignore (Sys.opaque_identity (Ir.freeze d.Ir.src));
   let minor = (Gc.minor_words () -. before) /. n in
   check_bool
     (Printf.sprintf "freeze allocates %.3f minor words per instance < 1" minor)
     true (minor < 1.0)
+
+
+(* ---------------- templates ---------------- *)
+
+(* A random block of builder combinators over [ins]: each step draws its
+   operands from the inputs, the constant 0 and every net built so far,
+   under one of two subcircuit tags or a pipeline-register tag. Returns
+   the block's last few nets as its outputs. *)
+let random_block steps ir ins =
+  let plain = Builder.ctx_plain ir and sub = Builder.in_subcircuit ir "blk" in
+  let pool = Vec.create Ir.const0 in
+  let push n = ignore (Vec.push pool n) in
+  Array.iter push ins;
+  push Ir.const0;
+  let pick k = Vec.get pool (k mod Vec.length pool) in
+  List.iter
+    (fun (op, a, b, d) ->
+      let c = if d land 1 = 0 then plain else sub in
+      match op mod 7 with
+      | 0 -> push (Builder.and2 c (pick a) (pick b))
+      | 1 -> push (Builder.xor2 c (pick a) (pick b))
+      | 2 -> push (Builder.inv c (pick a))
+      | 3 -> push (Builder.mux2 c ~sel:(pick d) (pick a) (pick b))
+      | 4 ->
+          let s, co = Builder.fa c (pick a) (pick b) (pick d) in
+          push s;
+          push co
+      | 5 -> push (Builder.dff ~tag:(Ir.Pipeline_reg "blk") c (pick a))
+      | _ ->
+          (* folds wherever an operand is the constant *)
+          let s, co =
+            Builder.rca_add c [| pick a; pick b |] [| pick d; pick (a + b) |]
+              Ir.const0
+          in
+          Array.iter push s;
+          push co)
+    steps;
+  let n = Vec.length pool in
+  Array.init (min 3 n) (fun k -> Vec.get pool (n - 1 - k))
+
+(* [copies] blocks on a shared set of [prefix] primary inputs, each copy
+   on its own choice of them (positions may repeat a net), built in
+   place or stamped from one template. *)
+let build_copies ~stamped ~prefix ~n_inputs ~choices steps =
+  let ir = Ir.create () in
+  let p = Ir.new_bus ir prefix in
+  Ir.add_input ir "p" p;
+  let tm = lazy (fst (Ir.template ~inputs:n_inputs (fun body ins -> (random_block steps body ins, ())))) in
+  List.iteri
+    (fun k choice ->
+      let ins = Array.map (fun j -> p.(j)) choice in
+      let outs =
+        if stamped then Ir.stamp ir (Lazy.force tm) ins
+        else random_block steps ir ins
+      in
+      Ir.add_output ir (Printf.sprintf "o%d" k) outs)
+    choices;
+  Ir.freeze ir
+
+let same_design (a : Ir.design) (b : Ir.design) =
+  a.Ir.n_nets = b.Ir.n_nets
+  && Bytes.equal a.Ir.kinds b.Ir.kinds
+  && Bytes.equal a.Ir.drives b.Ir.drives
+  && a.Ir.tags = b.Ir.tags && a.Ir.tag_table = b.Ir.tag_table
+  && a.Ir.pin_start = b.Ir.pin_start && a.Ir.pins = b.Ir.pins
+  && Ir.inputs a.Ir.src = Ir.inputs b.Ir.src
+  && Ir.outputs a.Ir.src = Ir.outputs b.Ir.src
+
+(* Stamping a random block k times builds, column for column, what
+   building it k times in place builds. *)
+let qtest_stamp_matches_direct =
+  QCheck.Test.make ~name:"Ir.stamp equals building in place" ~count:200
+    QCheck.(pair (int_range 1 30) (int_bound 1_000_000))
+    (fun (n_steps, seed) ->
+      let rng = Rng.create seed in
+      let n_inputs = 1 + Rng.int rng 5 and prefix = 1 + Rng.int rng 6 in
+      let steps =
+        List.init n_steps (fun _ ->
+            (Rng.int rng 7, Rng.int rng 64, Rng.int rng 64, Rng.int rng 64))
+      in
+      let choices =
+        List.init (1 + Rng.int rng 4) (fun _ ->
+            Array.init n_inputs (fun _ -> Rng.int rng prefix))
+      in
+      let build stamped = build_copies ~stamped ~prefix ~n_inputs ~choices steps in
+      same_design (build false) (build true))
+
+(* One net on two input positions: the copy wires both to it, as a build
+   in place would. *)
+let test_stamp_aliased_inputs () =
+  let full_adder body ins =
+    let s, co = Builder.fa (Builder.ctx_plain body) ins.(0) ins.(1) ins.(2) in
+    ([| s; co |], ())
+  in
+  let tm, () = Ir.template ~inputs:3 full_adder in
+  let build stamp =
+    let ir = Ir.create () in
+    let x = Ir.new_net ir and y = Ir.new_net ir in
+    Ir.add_input ir "x" [| x |];
+    Ir.add_input ir "y" [| y |];
+    let ins = [| x; x; y |] in
+    let outs = if stamp then Ir.stamp ir tm ins else fst (full_adder ir ins) in
+    Ir.add_output ir "o" outs;
+    Ir.freeze ir
+  in
+  let d = build true in
+  check_bool "same as in place" true (same_design (build false) d);
+  Alcotest.(check (array int)) "both positions on x" [| 2; 2; 3 |] (Ir.ins d 0)
+
+(* A constant input would have been folded by a build in place, so a
+   stamp refuses it; so does a wrong input count. A block holding a
+   weight bit is no template. *)
+let test_stamp_rejects () =
+  let tm, () =
+    Ir.template ~inputs:2 (fun body ins ->
+        ([| Builder.and2 (Builder.ctx_plain body) ins.(0) ins.(1) |], ()))
+  in
+  let ir = Ir.create () in
+  let x = Ir.new_net ir in
+  Alcotest.check_raises "constant input"
+    (Invalid_argument "Ir.stamp: input 1 is a constant net") (fun () ->
+      ignore (Ir.stamp ir tm [| x; Ir.const0 |]));
+  Alcotest.check_raises "one input short"
+    (Invalid_argument "Ir.stamp: the block takes 2 inputs, got 1") (fun () ->
+      ignore (Ir.stamp ir tm [| x |]));
+  check_int "nothing stamped" 0 ir.Ir.count;
+  Alcotest.check_raises "weight bit"
+    (Invalid_argument "Ir.template: a block holds no weight bit") (fun () ->
+      ignore
+        (Ir.template ~inputs:0 (fun body _ ->
+             let o = Ir.new_net body in
+             ignore
+               (Ir.add
+                  ~tag:(Ir.Weight_bit { row = 0; col = 0; copy = 0 })
+                  body (Cell.Sram Cell.S6t) ~ins:[||] ~outs:[| o |]);
+             ([| o |], ()))))
 
 let () =
   Alcotest.run "netlist"
@@ -1015,6 +1158,12 @@ let () =
           Alcotest.test_case "bad weight address" `Quick
             test_bad_weight_address;
           Alcotest.test_case "bus lookup" `Quick test_bus_lookup;
+        ] );
+      ( "template",
+        [
+          Alcotest.test_case "aliased inputs" `Quick test_stamp_aliased_inputs;
+          Alcotest.test_case "rejects" `Quick test_stamp_rejects;
+          QCheck_alcotest.to_alcotest qtest_stamp_matches_direct;
         ] );
       ( "builder",
         [
