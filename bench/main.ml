@@ -7,7 +7,8 @@
      packed_signoff    packed vs scalar Testbench.verify     (gate >= 4x)
      service_warm      warm Service repeat vs cold compile   (gate > 1x,
                        and the repeat must be a cache hit)
-     metrics_overhead  search with the registry on vs off    (gate <= 5 %)
+     metrics_overhead  search with the registry on vs off,   (gate <= 5 %)
+                       median of 21 alternated pairs
      netlist_build     Fig. 8 Macro_rtl.build: major-heap words
                        allocated per instance, and its time  (gate <= 18
                        words; allocation counts are deterministic, so
@@ -175,32 +176,56 @@ let service_warm () =
     (ratio cold_s warm_s);
   (cold_s, warm_s, warm_hit)
 
-(* A full MSO search with the metrics registry on, then off. Returns
-   (instrumented, baseline). *)
+(* The median of a non-empty list. *)
+let median xs =
+  let a = Array.of_list (List.sort compare xs) in
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+(* Full MSO searches with the metrics registry on and off, in [pairs]
+   back-to-back pairs whose arm order alternates, so drift in the host's
+   speed lands on both arms alike. Each arm times [reps] searches. Returns
+   (median on, median off, median per-pair overhead in %). *)
 let metrics_overhead ctx =
   banner "Metrics overhead — full MSO search, registry on vs off";
   let lib = Ctx.lib ctx and scl = Ctx.scl ctx in
   let run () =
     ignore (Searcher.search ~cache:(Eval_cache.create ()) lib scl spec16)
   in
+  let pairs = 21 and reps = 4 in
+  let arm enabled =
+    Metrics.set_enabled enabled;
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      run ()
+    done;
+    Metrics.set_enabled true;
+    Unix.gettimeofday () -. t0
+  in
   (* one throwaway run warms the SCL memo so both arms measure search
      evaluation, not first-touch characterization *)
   run ();
-  let reps = 3 in
-  let (), on_s = best_of reps run in
-  Metrics.set_enabled false;
-  let (), off_s = best_of reps run in
-  Metrics.set_enabled true;
+  let timed =
+    List.init pairs (fun i ->
+        if i mod 2 = 0 then
+          let on = arm true in
+          (on, arm false)
+        else
+          let off = arm false in
+          (arm true, off))
+  in
+  let on_s = median (List.map fst timed) and off_s = median (List.map snd timed) in
+  let pct =
+    median (List.map (fun (on, off) -> ratio (on -. off) off *. 100.0) timed)
+  in
   Printf.printf
-    "16x16 INT8 search, best of %d:\n\
-    \  instrumented: %.4f s\n\
-    \  disabled:     %.4f s\n\
-     overhead: %.2f %% (gate: <= %.1f %%)\n\
+    "16x16 INT8 search, %d alternated pairs of %d searches per arm:\n\
+    \  instrumented: %.4f s (median)\n\
+    \  disabled:     %.4f s (median)\n\
+     overhead: %.2f %% (median per pair; gate: <= %.1f %%)\n\
      %!"
-    reps on_s off_s
-    (ratio (on_s -. off_s) off_s *. 100.0)
-    metrics_max_overhead_pct;
-  (on_s, off_s)
+    pairs reps on_s off_s pct metrics_max_overhead_pct;
+  (on_s, off_s, pct)
 
 (* One Fig. 8 netlist build: its instance count, the major-heap words it
    allocates per instance, and the best of five build times. *)
@@ -226,7 +251,7 @@ let () =
   let scalar_cps, packed_cps = packed_sim lib in
   let batches, scalar_checks, packed_checks = packed_signoff lib in
   let cold_s, warm_s, warm_hit = service_warm () in
-  let on_s, off_s = metrics_overhead ctx in
+  let on_s, off_s, overhead_pct = metrics_overhead ctx in
   let insts, words, build_s = netlist_build lib in
   let gates =
     [
@@ -247,9 +272,7 @@ let () =
       Printf.sprintf
         "\"metrics_overhead\": {\"instrumented_s\": %.6g, \"baseline_s\": \
          %.6g, \"overhead_pct\": %.6g, \"max_pct\": %.1f}"
-        on_s off_s
-        (ratio (on_s -. off_s) off_s *. 100.0)
-        metrics_max_overhead_pct;
+        on_s off_s overhead_pct metrics_max_overhead_pct;
       Printf.sprintf
         "\"netlist_build\": {\"insts\": %d, \"major_words_per_inst\": %.6g, \
          \"ms\": %.6g}"

@@ -81,32 +81,37 @@ let ctx_term =
 (** [with_ctx a f] — validate the parsed context arguments, build the
     context over the shared world, merge the persisted SCL LUT, run
     [f ctx], then persist the warmed LUT (even when [f] fails: the
-    characterization work is valid regardless of the run's verdict). *)
+    characterization work is valid regardless of the run's verdict). A
+    bad job count or a malformed LUT is a one-line diagnostic and exit 1,
+    before anything runs. *)
 let with_ctx (a : ctx_args) (f : Ctx.t -> int) : int =
-  let checked =
-    match a.cli_jobs with
-    | None -> Ok None
-    | Some j -> Result.map Option.some (Ctx.validate_jobs j)
+  let opened =
+    let ( let* ) = Result.bind in
+    let* jobs =
+      match a.cli_jobs with
+      | None -> Ok None
+      | Some j -> Result.map Option.some (Ctx.validate_jobs j)
+    in
+    let ctx = Ctx.default () in
+    let ctx = match jobs with Some j -> Ctx.with_jobs j ctx | None -> ctx in
+    let ctx =
+      match a.cli_scl_cache with
+      | Some p -> Ctx.with_scl_cache p ctx
+      | None -> ctx
+    in
+    let* n = Ctx.load_scl ctx in
+    (match a.cli_scl_cache with
+    | Some p when Sys.file_exists p ->
+        Printf.printf "loaded %d characterized subcircuits from %s\n" n p
+    | _ -> ());
+    Ok ctx
   in
-  match checked with
+  match opened with
   | Error d ->
       (* one-line diagnostic, non-zero exit, never a backtrace *)
       print_endline (Diag.to_string d);
       1
-  | Ok jobs ->
-      let ctx = Ctx.default () in
-      let ctx =
-        match jobs with Some j -> Ctx.with_jobs j ctx | None -> ctx
-      in
-      let ctx =
-        match a.cli_scl_cache with
-        | Some p -> Ctx.with_scl_cache p ctx
-        | None -> ctx
-      in
-      (match (a.cli_scl_cache, Ctx.load_scl ctx) with
-      | Some p, n when Sys.file_exists p ->
-          Printf.printf "loaded %d characterized subcircuits from %s\n" n p
-      | _ -> ());
+  | Ok ctx ->
       let code = f ctx in
       (match (Ctx.save_scl ctx, a.cli_scl_cache) with
       | Some n, Some p ->

@@ -22,8 +22,8 @@
       characterization is immutable after {!Library.n40} builds it (its
       only later write is the atomic, set-once fingerprint memo that
       {!Disk_cache.library_fingerprint} fills), and the SCL memo is
-      mutex-guarded ({!Scl.memo}), so any number of domains — and any
-      number of contexts built over the same pair — may compile
+      a single-flight {!Memo} ({!Scl.memo}), so any number of domains —
+      and any number of contexts built over the same pair — may compile
       concurrently. {!default} returns contexts over one process-wide
       memoized pair; {!fresh} builds an isolated pair (first compile
       re-characterizes).
@@ -37,7 +37,7 @@
 
 type t = {
   lib : Library.t;  (** the characterized cell library (immutable) *)
-  scl : Scl.t;  (** shared subcircuit-library memo (mutex-guarded) *)
+  scl : Scl.t;  (** shared subcircuit-library memo (single-flight) *)
   jobs : int option;
       (** domain-pool width; [None] = [SYNDCIM_JOBS], then core count *)
   cache : Disk_cache.t option;  (** persistent compile cache, if open *)
@@ -126,11 +126,20 @@ let with_scl_cache path t = { t with scl_cache = Some path }
 (** [load_scl t] — merge the persisted SCL LUT into the shared memo, if
     the context names a CSV that exists. Returns the number of entries
     loaded (0 when no path is set or the file is absent — a cold first
-    run is not an error). *)
-let load_scl t : int =
+    run is not an error). A malformed or unreadable file is a one-line
+    diagnostic and merges nothing ({!Persist.load}). *)
+let load_scl t : (int, Diag.t) Stdlib.result =
   match t.scl_cache with
-  | Some path when Sys.file_exists path -> Persist.load t.scl path
-  | Some _ | None -> 0
+  | Some path when Sys.file_exists path -> (
+      let fail msg =
+        Error (Diag.error ~stage:"ctx" ~payload:[ ("scl-cache", path) ] msg)
+      in
+      match Persist.load t.scl path with
+      | n -> Ok n
+      | exception Persist.Bad_format line ->
+          fail ("malformed SCL LUT line: " ^ line)
+      | exception Sys_error msg -> fail msg)
+  | Some _ | None -> Ok 0
 
 (** [save_scl t] — persist the shared memo to the context's CSV, if a
     path is set. Returns the entry count written ([None] when no path

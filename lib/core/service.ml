@@ -63,9 +63,10 @@ type 'a request = {
 (** [create ctx] — bring the world up: force the shared library pair,
     merge the persisted SCL LUT if the context names one
     ({!Ctx.load_scl}), and hold the compile cache open. Returns a
-    service with zeroed counters. *)
+    service with zeroed counters. Raises {!Diag.Failed} when the
+    persisted LUT is malformed or unreadable. *)
 let create (ctx : Ctx.t) : t =
-  ignore (Ctx.load_scl ctx);
+  (match Ctx.load_scl ctx with Ok _ -> () | Error d -> raise (Diag.Failed d));
   {
     ctx;
     requests = Metrics.scoped m_requests;

@@ -6,36 +6,25 @@
     by delay/power/area when applying its techniques ("the searcher checks
     if faster adders are available in the SCL"). Entries are characterized
     on demand through {!Standalone} and cached, which is the in-memory
-    equivalent of the paper's pre-characterized LUT files. *)
+    equivalent of the paper's pre-characterized LUT files. The memo is a
+    single-flight {!Memo} that parallel searcher domains share: a cold
+    entry is characterized once, so [cache.scl.*] are deterministic. *)
 
-type key = string
+let m_hits = Metrics.counter "cache.scl.hits"
+let m_misses = Metrics.counter "cache.scl.misses"
 
-(* The double-count race in {!memo} makes these totals
-   scheduling-dependent, so they are registered nondeterministic. *)
-let m_hits = Metrics.counter ~det:false "cache.scl.hits"
-let m_misses = Metrics.counter ~det:false "cache.scl.misses"
-
-type t = {
-  lib : Library.t;
-  table : (key, Ppa.t) Hashtbl.t;
-  lock : Mutex.t;
-      (** guards [table]: parallel searcher domains share one SCL, and a
-          plain Hashtbl is not safe under concurrent lookup/insert *)
-  hits : Metrics.counter;  (** memo lookups served from [table] *)
-  misses : Metrics.counter;  (** memo lookups that characterized *)
-}
+type t = { lib : Library.t; memo : (string, Ppa.t) Memo.t }
 
 let create lib =
-  { lib; table = Hashtbl.create 256; lock = Mutex.create ();
-    hits = Metrics.scoped m_hits; misses = Metrics.scoped m_misses }
+  { lib; memo = Memo.create ~hits:m_hits ~misses:m_misses () }
 
 (* Memo counters, so a shared SCL can show it is actually being reused
    (e.g. the second compile through one {!Ctx} reports hits > 0). *)
-let hits t = Metrics.counter_value t.hits
-let misses t = Metrics.counter_value t.misses
+let hits t = Memo.hits t.memo
+let misses t = Memo.misses t.memo
 
 (** [entries t] — the number of characterized entries currently cached. *)
-let entries t = Mutex.protect t.lock (fun () -> Hashtbl.length t.table)
+let entries t = Memo.length t.memo
 
 let describe t =
   let n = entries t in
@@ -43,24 +32,12 @@ let describe t =
     (misses t) n
     (if n = 1 then "y" else "ies")
 
-(* Characterization runs outside the lock (it is the expensive part and
-   may itself build netlists); two domains racing on a cold key both
-   characterize (both counting a miss), and the first insert wins —
-   harmless because entries are deterministic functions of the key. *)
-let memo t key f =
-  match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.table key) with
-  | Some v ->
-      Metrics.incr t.hits;
-      v
-  | None ->
-      Metrics.incr t.misses;
-      let v = f () in
-      Mutex.protect t.lock (fun () ->
-          match Hashtbl.find_opt t.table key with
-          | Some v' -> v'
-          | None ->
-              Hashtbl.add t.table key v;
-              v)
+let memo t key f = Memo.find_or_add t.memo key f
+
+(* The LUT persistence ({!Persist}) reads the entries and stores loaded
+   rows without characterizing them. *)
+let bindings t = Memo.bindings t.memo
+let replace t key v = Memo.replace t.memo key v
 
 (** Adder-tree topologies offered by the library, ordered from most
     power/area-efficient to fastest (the order tt1 walks). *)

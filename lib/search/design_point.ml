@@ -32,8 +32,8 @@ type t = {
 }
 
 (* Deterministic: a point's stream runs once however many walks read it
-   (the memo is single-flight) and {!Eval_cache} hands every walk the
-   first stored point, so the count is invariant across job counts. *)
+   (the memo is single-flight) and {!Eval_cache} evaluates each point
+   once for every walk, so the count is invariant across job counts. *)
 let m_power_streams = Metrics.counter "search.power_streams"
 
 (** [measured_power w] — a power memo that is already settled, for a

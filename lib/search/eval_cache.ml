@@ -6,10 +6,10 @@
     same early configurations over and over — Algorithm 1 step 1 starts
     every walk from the same initial config, and steps 2/3 retrace shared
     prefixes. Caching on a canonical key makes every revisit free and is
-    safe to share across domains: shards are mutex-guarded, and entries
-    are deterministic, so a rare double-compute race is only wasted work.
-    The first stored point wins the race and is the one every caller
-    gets, so the losing copy is dropped before anyone reads its power.
+    safe to share across domains: the cache is a single-flight {!Memo},
+    so a point is evaluated once however many walks race it, and every
+    caller gets that one point. A cache's misses are therefore its
+    distinct keys and its hits the rest, whatever the domain count.
 
     A point's power is computed on demand ({!Design_point.power_w}),
     single-flight under the point's own lock: walks on different domains
@@ -31,13 +31,8 @@
     cache (a pipeline attempt, a Fig. 8 result). *)
 type stats = { hits : int; misses : int }
 
-let shard_count = 16
-
-(* Nondeterministic by design: two domains racing a cold key both count
-   a miss (the "rare double-compute race" above), so the totals vary
-   with scheduling and must stay out of the deterministic fingerprint. *)
-let m_hits = Metrics.counter ~det:false "cache.eval.hits"
-let m_misses = Metrics.counter ~det:false "cache.eval.misses"
+let m_hits = Metrics.counter "cache.eval.hits"
+let m_misses = Metrics.counter "cache.eval.misses"
 
 (* Canonical serialization of every [Macro_rtl.config] field: all that
    [Macro_rtl.build] reads besides the library. Floats print as %h so
@@ -76,9 +71,6 @@ let key (spec : Spec.t) (cfg : Macro_rtl.config) : string =
 (* Netlist table                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Deterministic: lookups are single-flight under the table's lock, so a
-   table's misses are its distinct configurations and its hits the rest,
-   whatever the domain count. *)
 let m_netlist_hits = Metrics.counter "cache.netlist.hits"
 let m_netlist_misses = Metrics.counter "cache.netlist.misses"
 
@@ -89,104 +81,50 @@ let m_netlist_misses = Metrics.counter "cache.netlist.misses"
     column is fresh, so that neither sizing nor the backend ECO, which
     resize a point's netlist in place, can reach the table or another
     point. Everything else (instance kinds, pins, connectivity) is shared
-    with the table. *)
-type netlists = {
-  built : (string, Macro_rtl.t) Hashtbl.t;
-  built_lock : Mutex.t;
-  netlist_hits : Metrics.counter;  (** scoped, rolls up to [m_netlist_hits] *)
-  netlist_misses : Metrics.counter;
-}
+    with the table. Builds of different configurations run in parallel. *)
+type netlists = (string, Macro_rtl.t) Memo.t
 
-let netlists () =
-  {
-    built = Hashtbl.create 16;
-    built_lock = Mutex.create ();
-    netlist_hits = Metrics.scoped m_netlist_hits;
-    netlist_misses = Metrics.scoped m_netlist_misses;
-  }
+let netlists () : netlists =
+  Memo.create ~hits:m_netlist_hits ~misses:m_netlist_misses ()
 
 (** [netlist n lib cfg] — [cfg]'s netlist with a drive column of its own,
     at the as-built drives; built on the table's first request for
     [cfg]. [lib] must be the library of every earlier request. *)
 let netlist (n : netlists) lib (cfg : Macro_rtl.config) : Macro_rtl.t =
-  let k = config_key cfg in
-  let m =
-    Mutex.protect n.built_lock (fun () ->
-        match Hashtbl.find_opt n.built k with
-        | Some m ->
-            Metrics.incr n.netlist_hits;
-            m
-        | None ->
-            let m = Macro_rtl.build lib cfg in
-            Hashtbl.add n.built k m;
-            Metrics.incr n.netlist_misses;
-            m)
-  in
+  let build () = Macro_rtl.build lib cfg in
+  let m = Memo.find_or_add n (config_key cfg) build in
   let d = m.Macro_rtl.design in
   { m with Macro_rtl.design = { d with Ir.drives = Bytes.copy d.Ir.drives } }
 
 (** The table's counters so far. *)
 let netlist_stats (n : netlists) =
-  {
-    hits = Metrics.counter_value n.netlist_hits;
-    misses = Metrics.counter_value n.netlist_misses;
-  }
+  { hits = Memo.hits n; misses = Memo.misses n }
 
 (* ------------------------------------------------------------------ *)
 (* Design-point cache                                                  *)
 (* ------------------------------------------------------------------ *)
 
 type t = {
-  shards : (string, Design_point.t) Hashtbl.t array;
-  locks : Mutex.t array;
-  hits : Metrics.counter;  (** scoped to this cache, rolls up to [m_hits] *)
-  misses : Metrics.counter;
+  points : (string, Design_point.t) Memo.t;
   netlists : netlists option;  (** where misses take their netlists *)
 }
 
 (** [create ?netlists ()] — an empty cache. With [netlists], a miss takes
     its netlist from that table instead of building it. *)
 let create ?netlists () =
-  {
-    shards = Array.init shard_count (fun _ -> Hashtbl.create 64);
-    locks = Array.init shard_count (fun _ -> Mutex.create ());
-    hits = Metrics.scoped m_hits;
-    misses = Metrics.scoped m_misses;
-    netlists;
-  }
-
-let shard_of t k = Hashtbl.hash k mod Array.length t.shards
+  { points = Memo.create ~hits:m_hits ~misses:m_misses (); netlists }
 
 (** [evaluate t lib spec cfg] — {!Design_point.evaluate} through the
     cache. A hit returns the stored point itself (physical equality), so
     overlapping walks share one evaluation. *)
 let evaluate (t : t) lib (spec : Spec.t) (cfg : Macro_rtl.config) :
     Design_point.t =
-  let k = key spec cfg in
-  let s = shard_of t k in
-  let tbl = t.shards.(s) and lock = t.locks.(s) in
-  match Mutex.protect lock (fun () -> Hashtbl.find_opt tbl k) with
-  | Some p ->
-      Metrics.incr t.hits;
-      p
-  | None ->
+  Memo.find_or_add t.points (key spec cfg) (fun () ->
       let macro = Option.map (fun n -> netlist n lib cfg) t.netlists in
-      let p = Design_point.evaluate ?macro lib spec cfg in
-      Metrics.incr t.misses;
-      Mutex.protect lock (fun () ->
-          (* keep the first stored point so later hits stay physically
-             equal to earlier ones even if two domains raced *)
-          match Hashtbl.find_opt tbl k with
-          | Some p' -> p'
-          | None ->
-              Hashtbl.add tbl k p;
-              p)
+      Design_point.evaluate ?macro lib spec cfg)
 
-let stats (t : t) =
-  { hits = Metrics.counter_value t.hits; misses = Metrics.counter_value t.misses }
-
-let size (t : t) =
-  Array.fold_left (fun acc tbl -> acc + Hashtbl.length tbl) 0 t.shards
+let stats (t : t) = { hits = Memo.hits t.points; misses = Memo.misses t.points }
+let size (t : t) = Memo.length t.points
 
 let describe (s : stats) =
   let total = s.hits + s.misses in

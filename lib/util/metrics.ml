@@ -19,13 +19,13 @@
 
     - {e deterministic} ([~det:true], the default): invariant across job
       counts, simulation engines and machine load — stage execution
-      counts, disk-cache hit/miss/store counts, batch item outcomes,
-      sign-off MAC counts. These enter the {!fingerprint}.
+      counts, the cache hit/miss counts ({!Memo}'s misses are distinct
+      keys), batch item outcomes, sign-off MAC counts. These enter the
+      {!fingerprint}.
     - {e nondeterministic} ([~det:false]): anything that legitimately
       varies run-to-run — pool domain counts (jobs-dependent by
-      definition), the racy in-memory cache counters (two domains racing
-      a cold key both count a miss), wall-clock-derived values. These
-      appear in {!to_json}/{!render} but never in the fingerprint.
+      definition), wall-clock-derived values. These appear in
+      {!to_json}/{!render} but never in the fingerprint.
 
     Histograms straddle the line: latency {e distributions} are
     nondeterministic, but the {e observation count} of a deterministic

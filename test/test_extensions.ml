@@ -165,6 +165,36 @@ let test_persist_bad_format () =
      with Persist.Bad_format _ -> true);
   Sys.remove path
 
+let test_persist_torn () =
+  (* a valid row before a bad one: the load fails whole, merging nothing,
+     and the context and service layers report it as a diagnostic *)
+  let path = Filename.temp_file "scl" ".csv" in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        "key,delay_ps,area_um2,energy_fj,leakage_nw\n\
+         wl/c32,1,2,3,4\n\
+         wl/c64,1,2,oops,4\n");
+  let scl = Scl.create lib in
+  check_bool "rejects the bad row" true
+    (try
+       ignore (Persist.load scl path);
+       false
+     with Persist.Bad_format _ -> true);
+  check_int "nothing merged" 0 (Scl.entries scl);
+  let ctx = Ctx.with_scl_cache path (Ctx.of_parts lib scl) in
+  (match Ctx.load_scl ctx with
+  | Ok _ -> Alcotest.fail "malformed LUT loaded"
+  | Error d ->
+      Alcotest.(check string) "ctx diagnostic" "ctx" (Diag.stage d);
+      check_bool "one line" false (String.contains (Diag.to_string d) '\n'));
+  check_bool "service raises Diag.Failed" true
+    (try
+       ignore (Service.create ctx);
+       false
+     with Diag.Failed _ -> true);
+  check_int "still nothing merged" 0 (Scl.entries scl);
+  Sys.remove path
+
 (* ---------------- controller waveform ---------------- *)
 
 let test_controller_waveform () =
@@ -276,6 +306,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_persist_roundtrip;
           Alcotest.test_case "bad format" `Quick test_persist_bad_format;
+          Alcotest.test_case "bad row merges nothing" `Quick test_persist_torn;
         ] );
       ( "controller",
         [

@@ -250,11 +250,12 @@ let test_pool_spawn_cap () =
 (* Run the canonical snapshot specs through an uncached batch and return
    the deterministic-subset fingerprint. Uncached, so the disk-cache
    counters read zero in every configuration instead of varying with
-   cold/warm state; the registry is process-wide, so reset scopes it to
-   this run. *)
+   cold/warm state; over a fresh SCL, so its memo counters start cold in
+   every configuration too; the registry is process-wide, so reset
+   scopes it to this run. *)
 let fingerprint_of ~jobs =
   Metrics.reset ();
-  let ctx = Ctx.with_jobs jobs base_ctx in
+  let ctx = Ctx.with_jobs jobs (Ctx.of_parts lib (Scl.create lib)) in
   let r = Batch.run ctx canonical_specs in
   check_int "no failures" 0 r.Batch.failed;
   Metrics.fingerprint ()
@@ -263,7 +264,8 @@ let test_determinism_jobs () =
   let reference = fingerprint_of ~jobs:1 in
   (* the deterministic subset must actually carry the workload: stage
      counts, signoff MACs, batch outcomes, pipeline attempts, forced
-     search-time power streams, netlist-table builds *)
+     search-time power streams, netlist-table builds, eval-cache and SCL
+     memo counts *)
   check_bool "stage counts present" true
     (contains ~sub:"counter stage.search.runs = " reference);
   check_bool "signoff counts present" true
@@ -276,6 +278,10 @@ let test_determinism_jobs () =
     (contains ~sub:"counter search.power_streams = " reference);
   check_bool "netlist table counts present" true
     (contains ~sub:"counter cache.netlist.misses = " reference);
+  check_bool "eval cache counts present" true
+    (contains ~sub:"counter cache.eval.misses = " reference);
+  check_bool "SCL memo counts present" true
+    (contains ~sub:"counter cache.scl.misses = " reference);
   check_bool "pool counters excluded" false (contains ~sub:"pool." reference);
   check_str "jobs=4 fingerprint matches jobs=1" reference
     (fingerprint_of ~jobs:4)

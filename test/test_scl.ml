@@ -49,6 +49,30 @@ let test_memoization () =
   check_bool "cached lookup much faster" true
     (second < first /. 5.0 || second < 1e-4)
 
+let test_memo_race () =
+  (* four domains racing one cold entry: it is characterized once, and
+     the other three callers wait for it and count as hits *)
+  let scl = Scl.create lib in
+  let computed = Atomic.make 0 and ready = Atomic.make 0 in
+  let slow () =
+    Atomic.incr computed;
+    Unix.sleepf 0.05;
+    Ppa.zero
+  in
+  let caller () =
+    Atomic.incr ready;
+    while Atomic.get ready < 4 do
+      Domain.cpu_relax ()
+    done;
+    Scl.memo scl "race/k" slow
+  in
+  let got = List.map Domain.join (List.init 4 (fun _ -> Domain.spawn caller)) in
+  check_int "characterized once" 1 (Atomic.get computed);
+  List.iter (fun p -> check_bool "one entry for all" true (p == List.hd got)) got;
+  check_int "one miss" 1 (Scl.misses scl);
+  check_int "three hits" 3 (Scl.hits scl);
+  check_int "one entry" 1 (Scl.entries scl)
+
 let test_menus () =
   check_int "tree menu" 5 (List.length Scl.tree_menu);
   check_int "mul menu" 3 (List.length Scl.mul_menu);
@@ -136,6 +160,7 @@ let () =
         [
           Alcotest.test_case "entries positive" `Quick test_entries_positive;
           Alcotest.test_case "memoization" `Quick test_memoization;
+          Alcotest.test_case "memo race" `Quick test_memo_race;
           Alcotest.test_case "menus" `Quick test_menus;
           Alcotest.test_case "faster-tree query" `Quick
             test_faster_tree_query;

@@ -183,6 +183,89 @@ let test_pool_empty_and_single () =
   Alcotest.(check (list int)) "singleton" [ 42 ]
     (Pool.parallel_map ~jobs:4 (fun i -> i) [ 42 ])
 
+(* ---------------- Memo ---------------- *)
+
+(* [race n f] — run [f] on [n] fresh domains released together, in
+   domain order. *)
+let race n f =
+  let ready = Atomic.make 0 in
+  let spawn _ =
+    Domain.spawn (fun () ->
+        Atomic.incr ready;
+        while Atomic.get ready < n do
+          Domain.cpu_relax ()
+        done;
+        f ())
+  in
+  List.map Domain.join (List.init n spawn)
+
+let memo_counters () =
+  let r = Metrics.create () in
+  (Metrics.counter ~registry:r "t.hits", Metrics.counter ~registry:r "t.misses")
+
+let test_memo_single_flight () =
+  let hits, misses = memo_counters () in
+  let t = Memo.create ~hits ~misses () in
+  let computed = Atomic.make 0 in
+  let slow () =
+    Atomic.incr computed;
+    Unix.sleepf 0.05;
+    ref 42
+  in
+  let got = race 4 (fun () -> Memo.find_or_add t "k" slow) in
+  check_int "one computation" 1 (Atomic.get computed);
+  List.iter
+    (fun v -> check_bool "every caller gets the one value" true (v == List.hd got))
+    got;
+  check_int "one miss" 1 (Memo.misses t);
+  check_int "three hits" 3 (Memo.hits t);
+  check_int "registered misses" 1 (Metrics.counter_value misses);
+  check_int "registered hits" 3 (Metrics.counter_value hits);
+  check_int "one ready key" 1 (Memo.length t)
+
+exception Boom
+
+let test_memo_exception () =
+  let hits, misses = memo_counters () in
+  let t = Memo.create ~hits ~misses () in
+  Alcotest.check_raises "failure re-raised" Boom (fun () ->
+      ignore (Memo.find_or_add t "k" (fun () -> raise Boom)));
+  check_int "nothing cached" 0 (Memo.length t);
+  check_int "a later call recomputes" 7 (Memo.find_or_add t "k" (fun () -> 7));
+  check_int "two misses" 2 (Memo.misses t);
+  (* a caller waiting on a computation that fails retries instead of
+     hanging: it computes the key itself *)
+  let started = Atomic.make false and retried = Atomic.make 0 in
+  let failing () =
+    Atomic.set started true;
+    Unix.sleepf 0.05;
+    raise Boom
+  in
+  let waiter () =
+    while not (Atomic.get started) do
+      Domain.cpu_relax ()
+    done;
+    Memo.find_or_add t "w" (fun () ->
+        Atomic.incr retried;
+        1)
+  in
+  let d = Domain.spawn waiter in
+  Alcotest.check_raises "computing caller gets the failure" Boom (fun () ->
+      ignore (Memo.find_or_add t "w" failing));
+  check_int "waiter computed after the failure" 1 (Domain.join d);
+  check_int "waiter computed once" 1 (Atomic.get retried);
+  check_int "stored after the retry" 1 (Memo.find_or_add t "w" (fun () -> 2))
+
+let test_memo_replace () =
+  let hits, misses = memo_counters () in
+  let t = Memo.create ~hits ~misses () in
+  Memo.replace t "a" 1;
+  Memo.replace t "a" 2;
+  check_int "replace overwrites" 2 (Memo.find_or_add t "a" (fun () -> 3));
+  check_int "replace counts nothing" 0 (Memo.misses t);
+  check_int "a replaced key hits" 1 (Memo.hits t);
+  check_bool "bindings" true (Memo.bindings t = [ ("a", 2) ])
+
 (* ---------------- Table ---------------- *)
 
 let test_table_render () =
@@ -237,6 +320,12 @@ let () =
           Alcotest.test_case "nested sequentializes" `Quick test_pool_nested;
           Alcotest.test_case "empty/singleton" `Quick
             test_pool_empty_and_single;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "single flight" `Quick test_memo_single_flight;
+          Alcotest.test_case "exception" `Quick test_memo_exception;
+          Alcotest.test_case "replace" `Quick test_memo_replace;
         ] );
       ("table", [ Alcotest.test_case "render" `Quick test_table_render ]);
       ("properties", qtests);
