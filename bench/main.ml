@@ -50,7 +50,7 @@ let macro16 lib =
 
 let spec16 = { Spec.fig8 with Spec.rows = 16; cols = 16; mcr = 1 }
 
-(* Simulated lane-cycles per second: the scalar engine advances 1 lane
+(* Simulated lane-cycles per second: the scalar oracle advances 1 lane
    per cycle, the packed engine 63. Returns (scalar, packed). *)
 let packed_sim lib =
   banner
@@ -60,12 +60,13 @@ let packed_sim lib =
   let m = macro16 lib and macs = 200 in
   let rng = Rng.create 0xB175 in
   let scalar_sim = Sim.create m.Macro_rtl.design in
-  Testbench.load_weights m scalar_sim ~copy:0
+  Oracle.Bench.load_weights m scalar_sim ~copy:0
     (Testbench.random_weights rng m ~density:0.5);
   let scalar_cycles, scalar_s =
     best_of 3 (fun () ->
         Sim.reset_stats scalar_sim;
-        Testbench.run_stream m scalar_sim ~rng ~macs ~input_density:0.5;
+        Oracle.Bench.Lanes.run_stream m scalar_sim ~rng ~macs
+          ~input_density:0.5;
         scalar_sim.Sim.cycles)
   in
   let module E = Slice.Packed in
@@ -95,19 +96,19 @@ let packed_sim lib =
     (ratio packed_cps scalar_cps);
   (scalar_cps, packed_cps)
 
-(* Sign-off MAC checks per second through Testbench.verify. Returns
-   (batches, scalar, packed). *)
+(* Sign-off MAC checks per second through the sign-off loop
+   (Testbench.Sliced.verify) on the scalar oracle and on the packed
+   engine. Returns (batches, scalar, packed). *)
 let packed_signoff lib =
-  banner "Packed signoff — Testbench.verify, scalar vs packed engine";
+  banner "Packed signoff — Testbench.verify, scalar oracle vs packed engine";
   let m = macro16 lib and batches = 63 in
-  let checks_ps engine =
-    let (), s =
-      best_of 3 (fun () -> Testbench.verify ~engine m ~seed:0xACC ~batches)
-    in
+  let checks_ps (module E : Slice.S) =
+    let module B = Testbench.Sliced (E) in
+    let (), s = best_of 3 (fun () -> B.verify m ~seed:0xACC ~batches) in
     (s, float_of_int batches /. s)
   in
-  let scalar_s, sc = checks_ps `Scalar in
-  let packed_s, pc = checks_ps `Packed in
+  let scalar_s, sc = checks_ps (module Oracle.Scalar) in
+  let packed_s, pc = checks_ps (module Slice.Packed) in
   Printf.printf
     "16x16 INT8, %d MAC checks vs golden, best of 3:\n\
     \  scalar: %.3f s = %.3g checks/s\n\

@@ -55,7 +55,7 @@ let () =
       print_string (Report.to_string lib a);
       (* verify a BF16 MAC end to end, exponent handling included *)
       let m = a.Pipeline.macro in
-      let sim = Sim.create m.Macro_rtl.design in
+      let sim = Sim_sliced.create ~n_lanes:1 m.Macro_rtl.design in
       let rng = Rng.create 2024 in
       let weights = Testbench.random_weights rng m ~density:1.0 in
       Testbench.load_weights m sim ~copy:0 weights;
@@ -63,7 +63,7 @@ let () =
         Array.init base.Spec.rows (fun _ -> Fpfmt.random rng Fpfmt.bf16)
       in
       let results = Testbench.check_mac m sim ~weights ~inputs in
-      let exp = Sim.read_bus sim "group_exp" in
+      let exp = Sim_sliced.read_bus_lane sim "group_exp" 0 in
       Printf.printf
         "BF16 MAC verified: %d words, shared exponent field %d\n"
         (Array.length results) exp

@@ -34,8 +34,8 @@ let () =
     (Ir.n_insts m.Macro_rtl.design);
 
   (* drive it the way an SoC would: start pulse, wait for done *)
-  let sim = Sim.create m.Macro_rtl.design in
-  Sim.set_bus sim "copy_sel" 0;
+  let sim = Sim_sliced.create ~n_lanes:1 m.Macro_rtl.design in
+  Sim_sliced.set_bus sim "copy_sel" 0;
   let weights =
     Array.init m.Macro_rtl.words (fun g ->
         Array.init spec.Spec.rows (fun r -> ((g * 13) + (r * 7) mod 31) - 15))
@@ -55,8 +55,8 @@ let () =
   let m2 =
     Macro_rtl.build lib { cfg with Macro_rtl.with_controller = false }
   in
-  let sim2 = Sim.create m2.Macro_rtl.design in
-  Sim.set_bus sim2 "copy_sel" 0;
+  let sim2 = Sim_sliced.create ~n_lanes:1 m2.Macro_rtl.design in
+  Sim_sliced.set_bus sim2 "copy_sel" 0;
   Testbench.load_weights m2 sim2 ~copy:0 weights;
   List.iter
     (fun bits ->

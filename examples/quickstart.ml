@@ -31,7 +31,7 @@ let () =
   (* 4. Use the macro: load a weight matrix, run a MAC, compare with the
      plain dot product computed in software. *)
   let m = a.Pipeline.macro in
-  let sim = Sim.create m.Macro_rtl.design in
+  let sim = Sim_sliced.create ~n_lanes:1 m.Macro_rtl.design in
   let weights =
     Array.init m.Macro_rtl.words (fun g ->
         Array.init spec.Spec.rows (fun r -> ((g + 3) * (r + 7) mod 23) - 11))

@@ -159,55 +159,20 @@ let is_sequential = function
 
 let is_storage = function Sram _ -> true | _ -> false
 
-let maj3 a b c = (a && b) || (a && c) || (b && c)
-
 (** Widest input/output arity over all kinds — the scratch-buffer sizes a
     zero-allocation simulator needs. *)
 let max_inputs = 5
 
 let max_outputs = 3
 
-(** [eval_into k ins outs] computes the combinational function of kind [k]
-    from [ins.(0 .. n_inputs k - 1)] into [outs.(0 .. n_outputs k - 1)].
-    Both buffers may be longer than the cell's arity, so one preallocated
-    pair ({!max_inputs} / {!max_outputs} wide) serves every instance: this
-    is the allocation-free hot path the cycle simulator runs per instance
-    per cycle. *)
-let eval_into k (ins : bool array) (outs : bool array) : unit =
-  match k with
-  | Inv -> outs.(0) <- not ins.(0)
-  | Buf -> outs.(0) <- ins.(0)
-  | Nand2 -> outs.(0) <- not (ins.(0) && ins.(1))
-  | Nor2 -> outs.(0) <- not (ins.(0) || ins.(1))
-  | And2 -> outs.(0) <- ins.(0) && ins.(1)
-  | Or2 -> outs.(0) <- ins.(0) || ins.(1)
-  | Xor2 -> outs.(0) <- ins.(0) <> ins.(1)
-  | Xnor2 -> outs.(0) <- ins.(0) = ins.(1)
-  | Mux2 | Tgmux2 | Ptmux2 ->
-      outs.(0) <- (if ins.(2) then ins.(1) else ins.(0))
-  | Aoi22 -> outs.(0) <- not ((ins.(0) && ins.(1)) || (ins.(2) && ins.(3)))
-  | Oai22 -> outs.(0) <- not ((ins.(0) || ins.(1)) && (ins.(2) || ins.(3)))
-  | Ha ->
-      outs.(0) <- ins.(0) <> ins.(1);
-      outs.(1) <- ins.(0) && ins.(1)
-  | Fa ->
-      outs.(0) <- ins.(0) <> ins.(1) <> ins.(2);
-      outs.(1) <- maj3 ins.(0) ins.(1) ins.(2)
-  | Comp42 ->
-      let s1 = ins.(0) <> ins.(1) <> ins.(2)
-      and co = maj3 ins.(0) ins.(1) ins.(2) in
-      outs.(0) <- s1 <> ins.(3) <> ins.(4);
-      outs.(1) <- maj3 s1 ins.(3) ins.(4);
-      outs.(2) <- co
-  | Mul (Tg_nor | Pass_1t) -> outs.(0) <- ins.(0) && ins.(1)
-  | Mul Oai22_fused ->
-      outs.(0) <- ins.(0) && (if ins.(3) then ins.(2) else ins.(1))
-  | Dff | Dff_en | Sram _ ->
-      invalid_arg "Cell.eval: sequential/storage cell"
-
-(** [eval_word_into k ins outs] is {!eval_into} on bit-sliced words: every
-    input and output [int] carries one simulation lane per bit, and the
-    cell function is applied to all lanes at once with bitwise ops. The
+(** [eval_word_into k ins outs] computes the combinational function of
+    kind [k] on bit-sliced words, from [ins.(0 .. n_inputs k - 1)] into
+    [outs.(0 .. n_outputs k - 1)]: every input and output [int] carries
+    one simulation lane per bit, and the cell function is applied to all
+    lanes at once with bitwise ops. Both buffers may be longer than the
+    cell's arity, so one preallocated pair ({!max_inputs} /
+    {!max_outputs} wide) serves every instance: the allocation-free hot
+    path the simulator runs per dirty instance per cycle. The
     XOR/majority identities make every arithmetic cell a handful of
     word ops: [maj3 a b c = (a&b) | (a&c) | (b&c)], a mux is
     [(sel&b) | (~sel&a)]. Complemented outputs may carry set bits above
@@ -248,30 +213,3 @@ let eval_word_into k (ins : int array) (outs : int array) : unit =
       outs.(0) <- ins.(0) land ((sel land ins.(2)) lor (lnot sel land ins.(1)))
   | Dff | Dff_en | Sram _ ->
       invalid_arg "Cell.eval_word: sequential/storage cell"
-
-(** [eval_word k ins] — allocating form of {!eval_word_into}, mirroring
-    {!eval}. Hot loops use {!eval_word_into} with preallocated buffers. *)
-let eval_word k (ins : int array) : int array =
-  (match k with
-  | Dff | Dff_en | Sram _ ->
-      invalid_arg "Cell.eval_word: sequential/storage cell"
-  | _ ->
-      if Array.length ins <> n_inputs k then
-        invalid_arg "Cell.eval_word: arity mismatch");
-  let outs = Array.make (n_outputs k) 0 in
-  eval_word_into k ins outs;
-  outs
-
-(** [eval k ins] computes the combinational function of kind [k]. For
-    sequential and storage kinds this is the identity on the held state and
-    must not be called by the simulator's combinational phase. Allocates
-    the result; hot loops use {!eval_into} instead. *)
-let eval k (ins : bool array) : bool array =
-  (match k with
-  | Dff | Dff_en | Sram _ -> invalid_arg "Cell.eval: sequential/storage cell"
-  | _ ->
-      if Array.length ins <> n_inputs k then
-        invalid_arg "Cell.eval: arity mismatch");
-  let outs = Array.make (n_outputs k) false in
-  eval_into k ins outs;
-  outs

@@ -88,8 +88,9 @@ let cache t = t.cache
 
 (** [verify_engine _] — always [`Packed], the engine every sign-off and
     differential check runs on. Kept for the benchmark harness, which
-    reads it; the leaf checkers take their own [?engine]. *)
-let verify_engine (_ : t) : Engine.t = `Packed
+    reads it (and still matches a second name, hence the open type);
+    the leaf checkers take their own [?engine]. *)
+let verify_engine (_ : t) : [> `Packed ] = `Packed
 
 (* ---------------- builders ---------------- *)
 
@@ -123,6 +124,9 @@ let with_scl_cache path t = { t with scl_cache = Some path }
 
 (* ---------------- SCL LUT persistence ---------------- *)
 
+(* files read by {!load_scl}: one per run that names a LUT *)
+let m_scl_lut_loads = Metrics.counter "scl.lut_loads"
+
 (** [load_scl t] — merge the persisted SCL LUT into the shared memo, if
     the context names a CSV that exists. Returns the number of entries
     loaded (0 when no path is set or the file is absent — a cold first
@@ -131,6 +135,7 @@ let with_scl_cache path t = { t with scl_cache = Some path }
 let load_scl t : (int, Diag.t) Stdlib.result =
   match t.scl_cache with
   | Some path when Sys.file_exists path -> (
+      Metrics.incr m_scl_lut_loads;
       let fail msg =
         Error (Diag.error ~stage:"ctx" ~payload:[ ("scl-cache", path) ] msg)
       in

@@ -364,7 +364,7 @@ let backend_stage ?spec ?(retry = fun (_ : float) -> None) lib ~style
 
 (** Stage 3 — functional sign-off against the golden MAC. The packed
     engine settles each weight copy's MAC batch as {!Sim_sliced}
-    lanes; any failing lane is shrunk back to one scalar transaction. *)
+    lanes; any failing lane is shrunk back to one 1-lane transaction. *)
 let verify_stage : (search_art, search_art) Stage.t =
   Stage.v stage_verify (fun (sa : search_art) ->
       let* () =

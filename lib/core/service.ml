@@ -60,13 +60,11 @@ type 'a request = {
   wall_s : float;
 }
 
-(** [create ctx] — bring the world up: force the shared library pair,
-    merge the persisted SCL LUT if the context names one
-    ({!Ctx.load_scl}), and hold the compile cache open. Returns a
-    service with zeroed counters. Raises {!Diag.Failed} when the
-    persisted LUT is malformed or unreadable. *)
+(** [create ctx] — a service over [ctx] and its compile cache, with
+    zeroed counters. A persisted SCL LUT is the context owner's to merge
+    ({!Ctx.load_scl}), once, before the first request: the service never
+    reads the file. *)
 let create (ctx : Ctx.t) : t =
-  (match Ctx.load_scl ctx with Ok _ -> () | Error d -> raise (Diag.Failed d));
   {
     ctx;
     requests = Metrics.scoped m_requests;

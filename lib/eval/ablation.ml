@@ -158,7 +158,7 @@ let mcr_sweep ?(dim = 32) (ctx : Ctx.t) =
       let m = Macro_rtl.build lib cfg in
       let stats = Stats.of_design m.Macro_rtl.design lib in
       let power =
-        Design_point.measure_power_sliced (module Slice.Packed) lib m
+        Design_point.measure_power ~n_lanes:Sim_sliced.word_lanes lib m
           ~freq_hz:5e8 ~vdd:0.9 ~input_density:0.5 ~weight_density:0.5
           ~macs:4
       in

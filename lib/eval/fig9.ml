@@ -97,98 +97,3 @@ let render (t : t) =
   Buffer.contents b
 
 let print (t : t) = print_string (render t)
-
-(* ---------------- energy-annotated (measured) shmoo ---------------- *)
-
-type measured = {
-  grid : t;
-  energy_fj : float array array;
-      (** [energy_fj.(vi).(fi)] — average switching + clock + write
-          energy per cycle (fJ) of one macro replica at the operating
-          point, from simulated toggle counts *)
-}
-
-(** [measure lib m ~crit_ps] — the shmoo grid annotated with simulated
-    energy per cycle at every operating point.
-
-    The voltage axis of the grid costs no extra simulation: toggle
-    counters depend only on the stimulus, and supply voltage only
-    rescales each toggle's energy, so *one* toggle-accounting run per
-    frequency serves the entire VDD column
-    ({!Power.estimate_at_vdds}). Each frequency column streams [macs]
-    MACs in [n_lanes] Monte Carlo replicas with its own deterministic
-    stimulus (seeded from [seed] and the column index), pre-drawn and
-    indexed by [n_lanes], never by the engine. The engine's slice
-    ({!Engine.slice}) runs the ensemble in chunks of its lane width —
-    63 replicas per bit-sliced run for [`Packed], one per run for
-    [`Scalar] — and the chunks' counters are summed element-wise. Toggle
-    counts are exact integers, so every engine at the same [n_lanes]
-    yields bit-identical energies. Raises [Invalid_argument] when
-    [n_lanes < 1].
-
-    Columns fan out over the pool; the fanout-load map is built once
-    and shared by every column. *)
-let measure ?(vdds = default_vdds) ?(freqs_mhz = default_freqs_mhz)
-    ?(engine : Engine.t = `Packed) ?(n_lanes = Sim_sliced.word_lanes)
-    ?(seed = 0xF19) ?(macs = 4) (ctx : Ctx.t) (m : Macro_rtl.t)
-    ~crit_ps =
-  if n_lanes < 1 then
-    invalid_arg
-      (Printf.sprintf "Fig9.measure: n_lanes must be >= 1, got %d" n_lanes);
-  let lib = Ctx.lib ctx in
-  let module E = (val Engine.slice engine) in
-  let module B = Testbench.Sliced (E) in
-  let jobs = Ctx.jobs ctx in
-  let grid = shmoo ~vdds ~freqs_mhz ?jobs lib.Library.node ~crit_ps in
-  let d = m.Macro_rtl.design in
-  let loads = Ir.fanout_loads d lib () in
-  let columns =
-    Pool.parallel_map ?jobs
-      (fun fi ->
-        let rng = Rng.create (seed + (fi * 7919)) in
-        let weights =
-          Array.init n_lanes (fun _ ->
-              Testbench.random_weights rng m ~density:0.5)
-        in
-        let inputs =
-          Array.init macs (fun _ ->
-              Array.init n_lanes (fun _ ->
-                  Array.init m.Macro_rtl.cfg.Macro_rtl.rows (fun _ ->
-                      Testbench.random_input ~realistic:true rng m
-                        ~density:0.5)))
-        in
-        let toggles = ref [||]
-        and en_cycles = ref [||]
-        and cycles = ref 0
-        and weight_flips = ref 0 in
-        let add dst src =
-          if Array.length !dst = 0 then dst := Array.copy src
-          else Array.iteri (fun i v -> !dst.(i) <- !dst.(i) + v) src
-        in
-        let start = ref 0 in
-        while !start < n_lanes do
-          let first = !start and n = min E.max_lanes (n_lanes - !start) in
-          let sim = E.create ~n_lanes:n d in
-          if m.Macro_rtl.cfg.Macro_rtl.mcr > 1 then E.set_bus sim "copy_sel" 0;
-          B.load_weights_lanes m sim ~copy:0 (Array.sub weights first n);
-          E.reset_stats sim;
-          B.run_stream_with m sim ~macs ~next_inputs:(fun k ->
-              Array.sub inputs.(k) first n);
-          add toggles (E.toggles sim);
-          add en_cycles (E.en_cycles sim);
-          cycles := !cycles + (E.cycles sim * n);
-          weight_flips := !weight_flips + E.weight_flips sim;
-          start := first + n
-        done;
-        let freq_hz = freqs_mhz.(fi) *. 1e6 in
-        Power.estimate_at_vdds d lib ~toggles:!toggles ~en_cycles:!en_cycles
-          ~cycles:!cycles ~weight_flips:!weight_flips ~freq_hz ~vdds ~loads ()
-        |> Array.map (fun (r : Power.report) -> r.Power.energy_per_cycle_fj))
-      (List.init (Array.length freqs_mhz) Fun.id)
-    |> Array.of_list
-  in
-  let energy_fj =
-    Array.init (Array.length vdds) (fun vi ->
-        Array.init (Array.length freqs_mhz) (fun fi -> columns.(fi).(vi)))
-  in
-  { grid; energy_fj }

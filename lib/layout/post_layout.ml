@@ -80,7 +80,8 @@ let run ?seed (lib : Library.t) (m : Macro_rtl.t) ~(style : Floorplan.style) :
 let power ?seed lib (m : Macro_rtl.t) (t : t) ~freq_hz ~vdd ~input_density
     ~weight_density ~macs =
   let sim =
-    Testbench.power_stream ?seed m ~input_density ~weight_density ~macs
+    Testbench.power_stream ?seed ~n_lanes:1 m ~input_density ~weight_density
+      ~macs
   in
   let wire_cap = Route.wire_cap_fn t.routing lib.Library.node in
   Power.estimate m.Macro_rtl.design lib sim ~freq_hz ~vdd ~wire_cap ()

@@ -28,7 +28,7 @@ let interfaces_match (a : Ir.design) (b : Ir.design) =
   sig_of a = sig_of b
 
 (* Per-round input values, drawn in round order with a fixed per-bus
-   order, so every engine consumes one identical RNG stream. *)
+   order, so every slice consumes one identical RNG stream. *)
 let draw_round rng (a : Ir.design) =
   List.map
     (fun (name, bus) ->
@@ -46,21 +46,22 @@ let draw_round rng (a : Ir.design) =
     single-cycle glitch between sample points cannot slip through the
     comparison grid.
 
-    [engine] selects the simulation backend through {!Engine.slice}:
+    [slice] is the simulation backend, {!Slice.Packed} by default:
     vectors become lanes. Each chunk of up to [E.max_lanes] vectors (63
-    for the default [`Packed], one for [`Scalar]) runs on a fresh
-    simulator pair with every lane starting from reset, so rounds are
-    independent — no cross-round state leakage. Vectors are drawn in
+    for the packed slice) runs on a fresh simulator pair with every lane
+    starting from reset, so rounds are independent — no cross-round
+    state leakage. Vectors are drawn in
     round order from one RNG stream, so the verdict does not depend on
     the chunk width, and mismatches are reported lowest vector first,
     then lowest cycle, then output-bus declaration order. *)
-let check ?(engine : Engine.t = `Packed) ?(seed = 0xE9) ?(vectors = 24)
-    ?(settle = 8) ?(hold = 4) (a : Ir.design) (b : Ir.design) : verdict =
+let check ?(slice : (module Slice.S) = (module Slice.Packed)) ?(seed = 0xE9)
+    ?(vectors = 24) ?(settle = 8) ?(hold = 4) (a : Ir.design) (b : Ir.design)
+    : verdict =
   if not (interfaces_match a b) then
     invalid_arg "Equiv.check: interface mismatch";
   if settle < 1 || hold < 0 then
     invalid_arg "Equiv.check: settle must be >= 1 and hold >= 0";
-  let module E = (val Engine.slice engine) in
+  let module E = (val slice) in
   let rng = Rng.create seed in
   let outputs = bus_names a in
   let rec chunks start =

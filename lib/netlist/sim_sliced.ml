@@ -1,23 +1,33 @@
 (** Bit-sliced cycle simulator: up to 63 independent simulations of one
-    design, packed one lane per bit of a single native word per net.
+    design, packed one lane per bit of a single native word per net. It
+    is the one simulator the compiler runs: search-time and report power,
+    subcircuit characterization and every sign-off and differential
+    check, at 1 lane or many.
 
     Gate evaluation is word-level ({!Cell.eval_word_into}): one bitwise
     expression settles a cell for every lane at once, so a run advances
-    63 simulations for roughly the cost the scalar {!Sim} pays for one.
-    The lanes are completely independent — different inputs, different
-    weights, different register histories — which is exactly the shape
-    of the two workloads that dominate the compiler:
+    63 simulations for roughly the cost of one. The lanes are completely
+    independent — different inputs, different weights, different
+    register histories — which is exactly the shape of the two workloads
+    that dominate the compiler:
 
     - power Monte Carlo: one random MAC replica per lane, so toggle
       statistics converge with a fraction of the wall clock;
     - verification fan-out: spec-fuzzer vectors checked against
       {!Golden} one per lane, with a failing lane shrunk back to a
-      single scalar reproduction.
+      single-lane reproduction.
 
     Lane [l] is bit [l] of its net's word, so every net read and commit
     in {!eval} and {!clock} is a direct array access. This one-word
     slice is the only bit-sliced width (the [packed] engine); DESIGN.md,
     "Bit-sliced engine", records why.
+
+    The settle is event-driven within one topological pass: a net whose
+    word changes in any lane marks its consumers dirty, and {!eval}
+    re-evaluates only dirty cells. A clean cell's input words are
+    unchanged since its last evaluation, and cells are pure functions of
+    their inputs, so skipping it leaves every value and counter exactly
+    as a full sweep would.
 
     Toggle accounting stays exact per lane: a net's counter advances by
     [popcount ((old lxor new) land mask)], which is bit-for-bit the sum
@@ -25,12 +35,16 @@
     popcounts, and weight writes charge every active lane. OCaml's
     boxed-free [int] has 63 usable bits (one bit of the machine word is
     the pointer tag), hence 63 lanes, not 64. The cross-engine
-    conformance suite in test/ proves the equivalence with the scalar
-    {!Sim} bit-for-bit. *)
+    conformance suite in test/ proves the equivalence with a scalar
+    oracle simulator bit-for-bit. *)
 
 (** Lanes carried per word: the native [int] width (63 on 64-bit hosts),
     and the widest slice {!create} accepts. *)
 let word_lanes = Sys.int_size
+
+(* this module is the {!Slice.S} engine [packed] *)
+let name = "packed"
+let max_lanes = word_lanes
 
 type t = {
   d : Ir.design;
@@ -50,6 +64,9 @@ type t = {
   scratch_ins : int array;  (** word staging, {!Cell.max_inputs} wide *)
   scratch_outs : int array;  (** same, {!Cell.max_outputs} wide *)
   seq_next : int array;  (** {!clock}'s next-state staging, per seq slot *)
+  dirty : Bytes.t;
+      (** per instance: non-zero when an input word changed since the
+          cell was last evaluated; every cell starts dirty *)
 }
 
 let create ?(n_lanes = word_lanes) (d : Ir.design) =
@@ -76,6 +93,7 @@ let create ?(n_lanes = word_lanes) (d : Ir.design) =
       scratch_ins = Array.make Cell.max_inputs 0;
       scratch_outs = Array.make Cell.max_outputs 0;
       seq_next = Array.make (max (Array.length d.seq) 1) 0;
+      dirty = Bytes.make (max n 1) '\001';
     }
   in
   t.values.(Ir.const1) <- mask;
@@ -83,15 +101,25 @@ let create ?(n_lanes = word_lanes) (d : Ir.design) =
 
 let lanes_of t = t.n_lanes
 
-(** [set_net t net v] drives [net] with the lane word [v] (masked to the
-    active lanes) and charges one toggle per lane that changed. *)
-let set_net t net v =
-  let v = v land t.mask in
+(* Store the lane word [v] (already masked) on [net]: one toggle per
+   changed lane, and the net's consumers marked dirty. *)
+let commit t net v =
   let old = t.values.(net) in
   if old <> v then begin
     t.values.(net) <- v;
-    t.toggles.(net) <- t.toggles.(net) + Intmath.popcount (old lxor v)
+    t.toggles.(net) <- t.toggles.(net) + Intmath.popcount (old lxor v);
+    let d = t.d and dirty = t.dirty in
+    for k = d.fanout_start.(net) to d.fanout_start.(net + 1) - 1 do
+      Bytes.unsafe_set dirty d.fanout.(k) '\001'
+    done
   end
+
+(** [set_net t net v] drives [net] with the lane word [v] (masked to the
+    active lanes), charging one toggle per lane that changed. [net] must
+    not be the output of a combinational cell: {!eval} owns those. *)
+let set_net t net v = commit t net (v land t.mask)
+
+let broadcast t bit = if bit then t.mask else 0
 
 (** [set_bus t name v] drives the named input bus with the low bits of
     [v], broadcast identically to every lane — the control-signal path:
@@ -99,8 +127,15 @@ let set_net t net v =
 let set_bus t name v =
   let bus = Ir.input_bus t.d.src name in
   Array.iteri
-    (fun i net -> set_net t net (if (v asr i) land 1 = 1 then t.mask else 0))
+    (fun i net -> set_net t net (broadcast t ((v asr i) land 1 = 1)))
     bus
+
+(** [set_bus_bits t name bits] drives the named input bus bit by bit,
+    broadcast to every lane: the form for buses wider than one [int]. *)
+let set_bus_bits t name (bits : bool array) =
+  let bus = Ir.input_bus t.d.src name in
+  assert (Array.length bits = Array.length bus);
+  Array.iteri (fun i net -> set_net t net (broadcast t bits.(i))) bus
 
 (** [set_bus_lanes t name vs] drives the named input bus with a distinct
     integer per lane: bit [i] of [vs.(l)] lands in lane [l] of bus bit
@@ -136,16 +171,16 @@ let read_bus_signed_lane t name lane =
 
 let lane_bit (state : int array) lane slot = (state.(slot) lsr lane) land 1 = 1
 
-(** [extract_lane t lane] snapshots one lane's net values as the bool
-    array the scalar simulator holds — the cross-check hook the
-    conformance suite drives. *)
+(** [extract_lane t lane] snapshots one lane's net values as a bool
+    array, one entry per net — the cross-check hook the conformance
+    suite drives. *)
 let extract_lane t lane : bool array =
   assert (lane >= 0 && lane < t.n_lanes);
   Array.init t.d.n_nets (fun net -> lane_bit t.values lane net)
 
 (** [seq_state_lane t lane] / [storage_state_lane t lane] — one lane's
-    register / SRAM state, for cross-checking against [Sim.seq_state] /
-    [Sim.storage_state]. *)
+    register / SRAM state, one entry per instance, for cross-checking
+    against a scalar simulator. *)
 let seq_state_lane t lane : bool array =
   assert (lane >= 0 && lane < t.n_lanes);
   Array.init (Array.length t.seq_state) (fun i -> lane_bit t.seq_state lane i)
@@ -187,41 +222,43 @@ let set_weight_lanes t ~row ~col ~copy (bits : bool array) =
 (** [set_weight_all t ~row ~col ~copy bit] — the broadcast form: every
     lane stores the same [bit]. *)
 let set_weight_all t ~row ~col ~copy bit =
-  write_weight t ~row ~col ~copy (if bit then t.mask else 0)
+  write_weight t ~row ~col ~copy (broadcast t bit)
 
 (** [eval t] settles all combinational logic, all lanes at once: one
-    {!Cell.eval_word_into} per instance. Complemented cell outputs may
-    carry set bits above the active lanes (see {!Cell}), so commits
-    mask. *)
+    pass in topological order that evaluates the dirty cells only (a
+    changed output dirties its consumers, which come later in the
+    order), one {!Cell.eval_word_into} per cell. Complemented cell
+    outputs may carry set bits above the active lanes (see {!Cell}), so
+    commits mask. Allocation-free: words stage through the simulator's
+    scratch buffers. *)
 let eval t =
   let d = t.d in
   let ins_buf = t.scratch_ins and outs_buf = t.scratch_outs in
-  let values = t.values and mask = t.mask and toggles = t.toggles in
+  let values = t.values and mask = t.mask and dirty = t.dirty in
   let kinds = d.kinds and pin_start = d.pin_start and pins = d.pins in
   let n_ins_by_kind = Ir.n_ins_by_kind and order = d.comb_order in
   for k = 0 to Array.length order - 1 do
     let i = order.(k) in
-    let kind = Char.code (Bytes.unsafe_get kinds i) in
-    let s = pin_start.(i) and n_in = n_ins_by_kind.(kind) in
-    for p = 0 to n_in - 1 do
-      ins_buf.(p) <- values.(pins.(s + p))
-    done;
-    Cell.eval_word_into Cell.kinds_by_index.(kind) ins_buf outs_buf;
-    for q = s + n_in to pin_start.(i + 1) - 1 do
-      let net = pins.(q) in
-      let v = outs_buf.(q - s - n_in) land mask in
-      let old = values.(net) in
-      if old <> v then begin
-        values.(net) <- v;
-        toggles.(net) <- toggles.(net) + Intmath.popcount (old lxor v)
-      end
-    done
+    if Bytes.unsafe_get dirty i <> '\000' then begin
+      Bytes.unsafe_set dirty i '\000';
+      let kind = Char.code (Bytes.unsafe_get kinds i) in
+      let s = pin_start.(i) and n_in = n_ins_by_kind.(kind) in
+      for p = 0 to n_in - 1 do
+        ins_buf.(p) <- values.(pins.(s + p))
+      done;
+      Cell.eval_word_into Cell.kinds_by_index.(kind) ins_buf outs_buf;
+      for q = s + n_in to pin_start.(i + 1) - 1 do
+        commit t pins.(q) (outs_buf.(q - s - n_in) land mask)
+      done
+    end
   done
 
 (** [clock t] commits every flip-flop in every lane: a plain DFF
     captures D, an enabled DFF captures D lane-wise where EN is high and
     holds elsewhere. Enabled-cycle accounting advances by the popcount
-    of the enable word, the lane-summed duty the power model charges. *)
+    of the enable word, the lane-summed duty the power model charges.
+    New Q words are committed onto the nets, dirtying their consumers;
+    call {!eval} afterwards to propagate. *)
 let clock t =
   let d = t.d in
   let next = t.seq_next in
@@ -241,17 +278,12 @@ let clock t =
             (en land values.(pins.(s))) lor (lnot en land seq_state.(i))
         | _ -> assert false))
     d.seq;
-  let mask = t.mask and toggles = t.toggles in
+  let mask = t.mask in
   Array.iteri
     (fun idx i ->
       let v = next.(idx) land mask in
       seq_state.(i) <- v;
-      let net = pins.(pin_start.(i + 1) - 1) in
-      let old = values.(net) in
-      if old <> v then begin
-        values.(net) <- v;
-        toggles.(net) <- toggles.(net) + Intmath.popcount (old lxor v)
-      end)
+      commit t pins.(pin_start.(i + 1) - 1) v)
     d.seq;
   t.cycles <- t.cycles + 1
 
@@ -267,3 +299,10 @@ let reset_stats t =
   t.cycles <- 0;
   t.weight_flips <- 0;
   t.weight_writes <- 0
+
+(* the counters as {!Slice.S} reads them *)
+let toggles t = t.toggles
+let en_cycles t = t.en_cycles
+let cycles t = t.cycles
+let weight_flips t = t.weight_flips
+let weight_writes t = t.weight_writes

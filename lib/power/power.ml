@@ -1,7 +1,7 @@
 (** Switching-activity power estimation.
 
-    Consumes the toggle counters a {!Netlist.Sim} run accumulated and turns
-    them into watts: every output toggle costs the driving cell's internal
+    Consumes the toggle counters a {!Sim_sliced} run accumulated and
+    turns them into watts: every output toggle costs the driving cell's internal
     energy plus (1/2)·C_load·VDD², every clock edge costs each flip-flop its
     clock-pin energy (inflated by a clock-tree factor), every SRAM bit flip
     costs a write energy, and leakage integrates over time. This is the
@@ -32,13 +32,11 @@ let dff_en = Cell.kind_index Cell.Dff_en
 (** [estimate_activity d lib ~toggles ~en_cycles ~cycles ~weight_flips
     ~freq_hz ~vdd ?wire_cap ?loads ()] converts raw switching-activity
     counters into a power report at the given operating point. This is
-    the accounting core both simulators share: the scalar {!Sim} passes
-    its counters through {!estimate}; a bit-sliced {!Sim_sliced} run
-    passes lane-summed counters with [cycles] inflated by the lane count
-    ([Design_point.measure_power_sliced]), which yields the *average*
-    power of one macro replica over the whole lane ensemble — the Monte
-    Carlo estimate, converged over [lanes ×] the sample mass per
-    simulated cycle. [cycles] must be positive.
+    the accounting core: {!estimate} passes a {!Sim_sliced} run's
+    lane-summed counters with [cycles] inflated by the lane count, which
+    yields the *average* power of one macro replica over the whole lane
+    ensemble — the Monte Carlo estimate, converged over [lanes ×] the
+    sample mass per simulated cycle. [cycles] must be positive.
     [loads] is the per-net fanout-load map ({!Ir.fanout_loads}); pass the
     one the timing pass already computed to avoid rebuilding it here.
     [drives] (a drive column, e.g. a {!Sizing.snapshot}) prices each
@@ -158,36 +156,15 @@ let estimate_activity (d : Ir.design) (lib : Library.t)
       |> List.sort (fun (a, _) (b, _) -> compare a b);
   }
 
-(** [estimate_at_vdds d lib ~toggles .. ~vdds ()] — one set of counters,
-    a whole supply-voltage column of reports. Switching activity is
-    voltage-independent (the stimulus fixes which nets toggle; the
-    supply only rescales each toggle's energy through
-    {!Voltage.energy_scale}/{!Voltage.leakage_scale}), so a single
-    simulation run serves every VDD point of a shmoo column. The
-    fanout-load map is built once and shared, which makes each column
-    entry perform float arithmetic bit-identical to a standalone
-    {!estimate_activity} call given the same [loads]. *)
-let estimate_at_vdds (d : Ir.design) (lib : Library.t)
-    ~(toggles : int array) ~(en_cycles : int array) ~(cycles : int)
-    ~(weight_flips : int) ~freq_hz ~(vdds : float array) ?wire_cap ?loads
-    () =
-  let loads =
-    match loads with
-    | Some l -> l
-    | None -> Ir.fanout_loads d lib ?wire_cap ()
-  in
-  Array.map
-    (fun vdd ->
-      estimate_activity d lib ~toggles ~en_cycles ~cycles ~weight_flips
-        ~freq_hz ~vdd ~loads ())
-    vdds
-
 (** [estimate d lib sim ~freq_hz ~vdd ?wire_cap ?loads ?drives ()] — the
-    scalar entry point: the toggle statistics of a finished {!Sim} run.
+    toggle statistics of a finished {!Sim_sliced} run, priced as the
+    average power of one lane: its lane-summed counters over [lanes ×
+    cycles] effective cycles. At one lane that is the run's own power.
     [sim] must have run at least one cycle. *)
-let estimate (d : Ir.design) (lib : Library.t) (sim : Sim.t) ~freq_hz ~vdd
-    ?wire_cap ?loads ?drives () =
-  estimate_activity d lib ~toggles:sim.Sim.toggles
-    ~en_cycles:sim.Sim.en_cycles ~cycles:sim.Sim.cycles
-    ~weight_flips:sim.Sim.weight_flips ~freq_hz ~vdd ?wire_cap ?loads ?drives
-    ()
+let estimate (d : Ir.design) (lib : Library.t) (sim : Sim_sliced.t) ~freq_hz
+    ~vdd ?wire_cap ?loads ?drives () =
+  estimate_activity d lib ~toggles:sim.Sim_sliced.toggles
+    ~en_cycles:sim.Sim_sliced.en_cycles
+    ~cycles:(sim.Sim_sliced.cycles * sim.Sim_sliced.n_lanes)
+    ~weight_flips:sim.Sim_sliced.weight_flips ~freq_hz ~vdd ?wire_cap ?loads
+    ?drives ()

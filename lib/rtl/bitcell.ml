@@ -2,7 +2,7 @@
 
     Each (row, column, copy) address instantiates one storage cell of the
     configured kind, tagged {!Ir.Weight_bit} so the BL-driver write path
-    (modelled by {!Sim.set_weight}) can address it. *)
+    (modelled by {!Sim_sliced.set_weight_lanes}) can address it. *)
 
 (** [build ir ~kind ~rows ~cols ~mcr] returns
     [cells.(row).(col).(copy) : Ir.net], the read-port nets. *)

@@ -9,9 +9,11 @@
     power measurements use (12.5 % input, 50 % weight sparsity).
 
     Each schedule exists once, in {!Body}, written against {!Slice.S}.
-    The scalar entry points ({!load_weights}, {!run_mac}, {!check_mac},
-    {!run_stream}, {!power_stream}) are its 1-lane {!Slice.Scalar}
-    instance over {!Sim}; {!Sliced} runs the same body on any engine. *)
+    {!Single} narrows it to one MAC on lane 0; the top-level entry points
+    ({!load_weights}, {!run_mac}, {!check_mac}, {!run_mac_auto}) are
+    that view over a 1-lane {!Sim_sliced}, and {!power_stream} is the
+    body's stream at any lane count. {!Sliced} runs the same body and
+    the sign-off loop on any engine. *)
 
 exception
   Mismatch of {
@@ -30,6 +32,13 @@ exception
     op : string;  (** the bench entry point that failed *)
     detail : string;
   }
+
+(** A searcher-move defect the differential checker injects into the MAC
+    schedule ([Diffcheck.bug]). *)
+type fault =
+  | Retime_early_sample
+      (** read the result one cycle before the retimed pipeline commits *)
+  | Skip_sign_cycle  (** never assert [sa_neg]: the two's-complement bug *)
 
 let is_fp (m : Macro_rtl.t) =
   match m.cfg.input_prec with
@@ -84,10 +93,10 @@ let random_weights rng (m : Macro_rtl.t) ~density =
 (* ---------------- the bench body ---------------- *)
 
 (** The bench, written once against {!Slice.S}: one weight-load loop,
-    one MAC schedule, one lane judge and one stream schedule. The
-    63-lane [packed] engine and the 1-lane {!Slice.Scalar} adapter both
-    run through it; every lane sees the same control schedule and its
-    own inputs and weights. Ports are driven and read by bus name. *)
+    one MAC schedule, one lane judge and one stream schedule. Any
+    {!Slice.S} runs through it, at 1 lane or many; every lane sees the
+    same control schedule and its own inputs and weights. Ports are
+    driven and read by bus name. *)
 module Body (E : Slice.S) = struct
   (** [set_controls m sim ~load ~sa_en ~sa_clr ~sa_neg] drives one step
       of the MAC schedule, broadcast to every lane. Raises
@@ -178,8 +187,11 @@ module Body (E : Slice.S) = struct
       (MSB-first datapaths take the value pre-shifted into the top
       bits, LSB-first datapaths consume the low bits directly) and the
       sign cycle moves to the narrow width's sign position. Throughput
-      scales accordingly. *)
-  let run_mac ?active_bits (m : Macro_rtl.t) sim
+      scales accordingly.
+
+      [fault] injects a {!fault} into the schedule; only the
+      differential checker passes one. *)
+  let run_mac ?active_bits ?fault (m : Macro_rtl.t) sim
       ~(inputs : int array array) =
     let ab =
       match active_bits with
@@ -209,11 +221,15 @@ module Body (E : Slice.S) = struct
       set_controls m sim ~load:false
         ~sa_en:(k >= m.tree_lat)
         ~sa_clr:first
-        ~sa_neg:(sign_cycle && ab > 1);
+        ~sa_neg:(sign_cycle && ab > 1 && fault <> Some Skip_sign_cycle);
       E.step sim
     done;
     set_controls m sim ~load:false ~sa_en:false ~sa_clr:false ~sa_neg:false;
-    for _ = 1 to m.post_lat do
+    let post_lat =
+      if fault = Some Retime_early_sample then max 0 (m.post_lat - 1)
+      else m.post_lat
+    in
+    for _ = 1 to post_lat do
       E.step sim
     done;
     E.eval sim;
@@ -321,82 +337,88 @@ module Body (E : Slice.S) = struct
     sim
 end
 
-(* ---------------- the scalar bench ---------------- *)
+(* ---------------- the single-MAC bench ---------------- *)
 
-(** The body's 1-lane instance over the reference {!Sim}. *)
-module Scalar = Body (Slice.Scalar)
+(** The body narrowed to one transaction on lane 0 of [E]: the bench a
+    test, an example or an integrator drives one MAC at a time. *)
+module Single (E : Slice.S) = struct
+  module Lanes = Body (E)
 
-(** [load_weights m sim ~copy weights] writes [weights.(word).(row)]
-    (signed [wb]-bit integers) into weight copy [copy]. *)
-let load_weights m sim ~copy weights =
-  Scalar.load_weights_lanes m sim ~copy [| weights |]
+  (** [load_weights m sim ~copy weights] writes [weights.(word).(row)]
+      (signed [wb]-bit integers) into weight copy [copy]. *)
+  let load_weights m sim ~copy weights =
+    Lanes.load_weights_lanes m sim ~copy [| weights |]
 
-let set_controls = Scalar.set_controls
-let present_inputs m sim inputs = Scalar.present_inputs_lanes m sim [| inputs |]
+  let set_controls = Lanes.set_controls
+  let present_inputs m sim inputs =
+    Lanes.present_inputs_lanes m sim [| inputs |]
 
-(** [run_mac ?active_bits m sim ~inputs] — one MAC on the raw input
-    words [inputs.(row)]; returns the per-word signed results
-    ({!Body.run_mac}). *)
-let run_mac ?active_bits m sim ~inputs =
-  (Scalar.run_mac ?active_bits m sim ~inputs:[| inputs |]).(0)
+  (** [run_mac ?active_bits m sim ~inputs] — one MAC on the raw input
+      words [inputs.(row)]; returns the per-word signed results
+      ({!Body.run_mac}). *)
+  let run_mac ?active_bits m sim ~inputs =
+    (Lanes.run_mac ?active_bits m sim ~inputs:[| inputs |]).(0)
 
-(** [check_mac m sim ~weights ~inputs] runs one MAC and raises
-    {!Mismatch} if any word (or the FP group exponent) deviates from the
-    golden model. [weights] are the datapath (signed integer) weights. *)
-let check_mac m sim ~weights ~inputs =
-  (Scalar.check_mac m sim ~weights:[| weights |] ~inputs:[| inputs |]).(0)
+  (** [check_mac m sim ~weights ~inputs] runs one MAC and raises
+      {!Mismatch} if any word (or the FP group exponent) deviates from
+      the golden model. [weights] are the datapath (signed integer)
+      weights. *)
+  let check_mac m sim ~weights ~inputs =
+    (Lanes.check_mac m sim ~weights:[| weights |] ~inputs:[| inputs |]).(0)
 
-(** [run_stream m sim ~rng ~macs ~input_density] issues [macs]
-    back-to-back MACs for power measurement ({!Body.run_stream}). *)
-let run_stream = Scalar.run_stream
-
-(** [power_stream ?seed m ~input_density ~weight_density ~macs] — the
-    power-measurement stimulus ({!Body.power_stream}) on one {!Sim},
-    for {!Power.estimate} to price. *)
-let power_stream ?seed m ~input_density ~weight_density ~macs =
-  Scalar.power_stream ?seed m ~input_density ~weight_density ~macs
-
-(** [run_mac_auto m sim ~inputs] — the controller-driven variant of
-    {!run_mac}: pulse [start], hold the inputs, wait for the [done] pulse
-    (bounded by twice the expected latency) and read the results. Only
-    valid for macros built with [with_controller = true]. *)
-let run_mac_auto (m : Macro_rtl.t) sim ~(inputs : int array) =
-  if not m.cfg.with_controller then
-    raise
-      (Bench_error
-         {
-           op = "run_mac_auto";
-           detail = "macro was built without the controller FSM";
-         });
-  present_inputs m sim inputs;
-  Sim.set_bus sim "start" 1;
-  Sim.step sim;
-  Sim.set_bus sim "start" 0;
-  let limit = 2 * (Macro_rtl.mac_latency m + 2) in
-  let rec wait k =
-    if k > limit then
+  (** [run_mac_auto m sim ~inputs] — the controller-driven variant of
+      {!run_mac}: pulse [start], hold the inputs, wait for the [done]
+      pulse (bounded by twice the expected latency) and read the
+      results. Only valid for macros built with
+      [with_controller = true]. *)
+  let run_mac_auto (m : Macro_rtl.t) sim ~(inputs : int array) =
+    if not m.cfg.with_controller then
       raise
         (Bench_error
            {
              op = "run_mac_auto";
-             detail =
-               Printf.sprintf "done never asserted within %d cycles" limit;
+             detail = "macro was built without the controller FSM";
            });
-    Sim.eval sim;
-    if Sim.read_bus sim "done" = 1 then ()
-    else begin
-      Sim.clock sim;
-      wait (k + 1)
-    end
-  in
-  wait 0;
-  (Scalar.read_results m sim ~n:1 ~shift:0).(0)
+    present_inputs m sim inputs;
+    E.set_bus sim "start" 1;
+    E.step sim;
+    E.set_bus sim "start" 0;
+    let limit = 2 * (Macro_rtl.mac_latency m + 2) in
+    let rec wait k =
+      if k > limit then
+        raise
+          (Bench_error
+             {
+               op = "run_mac_auto";
+               detail =
+                 Printf.sprintf "done never asserted within %d cycles" limit;
+             });
+      E.eval sim;
+      if E.read_bus_lane sim "done" 0 = 1 then ()
+      else begin
+        E.clock sim;
+        wait (k + 1)
+      end
+    in
+    wait 0;
+    (Lanes.read_results m sim ~n:1 ~shift:0).(0)
+end
+
+(** The single-MAC bench over a 1-lane {!Sim_sliced}
+    ([Sim_sliced.create ~n_lanes:1]). *)
+include Single (Slice.Packed)
+
+(** [power_stream ?seed ?n_lanes m ~input_density ~weight_density ~macs]
+    — the power-measurement stimulus ({!Body.power_stream}) on a
+    {!Sim_sliced} of [n_lanes] replicas (default one word), for
+    {!Power.estimate} to price. *)
+let power_stream = Lanes.power_stream
 
 (* ---------------- the sliced bench and sign-off ---------------- *)
 
 (** The body on any engine, plus the sign-off loop. The cross-engine
     conformance suite pins its verdicts, Mismatch payloads and activity
-    counters to per-lane scalar {!Sim} replicas. Instantiate it with
+    counters to a scalar oracle simulator. Instantiate it with
     [Sliced ((val Engine.slice e))]. *)
 module Sliced (E : Slice.S) = struct
   include Body (E)
@@ -406,10 +428,10 @@ module Sliced (E : Slice.S) = struct
       (so the verdict is independent of the engine's lane width), packed
       [E.max_lanes] MAC jobs wide so a whole batch settles per netlist
       pass. One simulator serves every batch and copy. A failing lane is
-      re-run through a fresh scalar {!Sim} for a minimal
+      re-run alone on a fresh 1-lane simulator for a minimal
       single-transaction reproducer: if the re-run confirms, its
-      {!Mismatch} is raised verbatim; a divergence only the engine shows
-      (a lane bug in the engine itself) is raised with an explicit
+      {!Mismatch} is raised verbatim; a divergence only the wide run
+      shows (a lane bug in the engine itself) is raised with an explicit
       [" (<engine>-only)"] marker instead of being hidden. *)
   let verify (m : Macro_rtl.t) ~seed ~batches =
     let rng = Rng.create seed in
@@ -417,13 +439,12 @@ module Sliced (E : Slice.S) = struct
     if m.cfg.mcr > 1 then E.set_bus psim "copy_sel" 0;
     let n_lanes = E.lanes_of psim in
     let reproduce ~copy ~weights ~inputs ~word ~expected ~got ~detail =
-      let sim = Sim.create m.design in
-      if m.cfg.mcr > 1 then Sim.set_bus sim "copy_sel" 0;
-      load_weights m sim ~copy weights;
-      if m.cfg.mcr > 1 then Sim.set_bus sim "copy_sel" copy;
-      ignore
-        (Scalar.check_mac m sim ~weights:[| weights |] ~inputs:[| inputs |]);
-      (* the scalar re-run did not reproduce: surface the sliced payload *)
+      let sim = E.create ~n_lanes:1 m.design in
+      if m.cfg.mcr > 1 then E.set_bus sim "copy_sel" 0;
+      load_weights_lanes m sim ~copy [| weights |];
+      if m.cfg.mcr > 1 then E.set_bus sim "copy_sel" copy;
+      ignore (check_mac m sim ~weights:[| weights |] ~inputs:[| inputs |]);
+      (* the 1-lane re-run did not reproduce: surface the wide payload *)
       let detail = Printf.sprintf "%s (%s-only)" detail E.name in
       raise (Mismatch { word; expected; got; detail })
     in
@@ -457,10 +478,10 @@ end
     weights into every copy, [batches] random MACs per copy checked
     against {!Golden}. Returns unit or raises {!Mismatch}. The engine's
     slice ({!Engine.slice}) runs {!Sliced.verify}: each copy's MACs pack
-    as lanes, 63 at a time for the default [`Packed], one at a time for
-    [`Scalar], and a failing lane shrinks back to one scalar
-    transaction. Every engine draws one identical RNG stream, so the
-    verdict — and any Mismatch payload — is engine-independent. *)
+    as lanes, 63 at a time, and a failing lane shrinks back to one
+    1-lane transaction. The RNG stream does not depend on the lane
+    width, so the verdict — and any Mismatch payload — is
+    engine-independent. *)
 let m_verify_runs = Metrics.counter "signoff.verify_runs"
 let m_macs_checked = Metrics.counter "signoff.macs_checked"
 

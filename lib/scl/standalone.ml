@@ -12,15 +12,15 @@ let sim_cycles = 32
 (* Run [drive] each cycle to randomize the named input buses, return
    average switching energy per cycle (fJ, nominal VDD). *)
 let measure_energy (d : Ir.design) lib ~drive =
-  let sim = Sim.create d in
+  let sim = Sim_sliced.create ~n_lanes:1 d in
   let rng = Rng.create 0xC1AC in
   (* warm up one cycle so initial X-settling is not charged *)
   drive rng sim;
-  Sim.step sim;
-  Sim.reset_stats sim;
+  Sim_sliced.step sim;
+  Sim_sliced.reset_stats sim;
   for _ = 1 to sim_cycles do
     drive rng sim;
-    Sim.step sim
+    Sim_sliced.step sim
   done;
   let p =
     Power.estimate d lib sim ~freq_hz:1e9 ~vdd:lib.Library.node.vdd_nominal ()
@@ -41,7 +41,7 @@ let finish lib ir ~drive =
 let drive_buses buses rng sim =
   List.iter
     (fun (name, width) ->
-      Sim.set_bus sim name (Rng.int rng (Intmath.pow2 (min width 30))))
+      Sim_sliced.set_bus sim name (Rng.int rng (Intmath.pow2 (min width 30))))
     buses
 
 (** Adder tree over [rows] one-bit inputs. *)
@@ -58,7 +58,7 @@ let adder_tree lib ~topology ~rows =
   finish lib ir ~drive:(fun rng sim ->
       (* half-dense products, the array's typical activity *)
       let bits = Array.init rows (fun _ -> Rng.bit rng ~p1:0.5 = 1) in
-      Sim.set_bus_bits sim "in" bits)
+      Sim_sliced.set_bus_bits sim "in" bits)
 
 (** One multiplier/mux compute element at the given MCR. *)
 let mulmux lib ~variant ~mcr =
@@ -113,7 +113,7 @@ let fp_align lib ~fmt ~pipeline ~rows =
            (Printf.sprintf "x%d" r, Fpfmt.storage_bits fmt))
   in
   finish lib ir ~drive:(fun rng sim ->
-      Sim.set_bus sim "en" 1;
+      Sim_sliced.set_bus sim "en" 1;
       drive_buses (List.tl buses) rng sim)
 
 (** Shift-and-adder column. *)
@@ -130,10 +130,10 @@ let shift_adder lib ~kind ~rows ~serial_bits =
   let sa = Shift_adder.build ~kind c ~rows ~serial_bits ~sum ~neg ~clr ~en in
   Ir.add_output ir "acc" sa.acc;
   finish lib ir ~drive:(fun rng sim ->
-      Sim.set_bus sim "sum" (Rng.int rng rows);
-      Sim.set_bus sim "en" 1;
-      Sim.set_bus sim "clr" (Rng.bit rng ~p1:0.12);
-      Sim.set_bus sim "neg" (Rng.bit rng ~p1:0.12))
+      Sim_sliced.set_bus sim "sum" (Rng.int rng rows);
+      Sim_sliced.set_bus sim "en" 1;
+      Sim_sliced.set_bus sim "clr" (Rng.bit rng ~p1:0.12);
+      Sim_sliced.set_bus sim "neg" (Rng.bit rng ~p1:0.12))
 
 (** Output fusion unit for a [wb]-column word of [w_sa]-bit aggregates. *)
 let ofu lib ~wb ~w_sa ~result_width ~pipe ~fast =

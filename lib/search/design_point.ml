@@ -71,42 +71,22 @@ let throughput_tops (m : Macro_rtl.t) ~freq_hz =
   /. float_of_int (Macro_rtl.serial_cycles m)
   /. 1e12
 
-(** [measure_power lib m ~freq_hz ~vdd ~input_density ~weight_density
-    ~macs] prices {!Testbench.power_stream}: sparse random weights, then
-    [macs] back-to-back MACs. Exposed for the experiment harness, which
-    uses the paper's measurement sparsity. [loads] and [drives] pass
-    through to {!Power.estimate}; the stream itself reads only the
-    netlist's structure, never its drives. *)
-let measure_power ?seed ?loads ?drives lib (m : Macro_rtl.t) ~freq_hz ~vdd
-    ~input_density ~weight_density ~macs =
+(** [measure_power ?n_lanes lib m ~freq_hz ~vdd ~input_density
+    ~weight_density ~macs] prices {!Testbench.power_stream}: sparse
+    random weights, then [macs] back-to-back MACs, in [n_lanes]
+    (default 1) replicas of one {!Sim_sliced} run, each with its own
+    weights and inputs. {!Power.estimate} reports the average replica:
+    [n_lanes ×] the sample mass for the same simulated cycles. Search
+    and report run one lane. [loads] and [drives] pass through to
+    {!Power.estimate}; the stream itself reads only the netlist's
+    structure, never its drives. *)
+let measure_power ?seed ?loads ?drives ?(n_lanes = 1) lib (m : Macro_rtl.t)
+    ~freq_hz ~vdd ~input_density ~weight_density ~macs =
   let sim =
-    Testbench.power_stream ?seed m ~input_density ~weight_density ~macs
+    Testbench.power_stream ?seed ~n_lanes m ~input_density ~weight_density
+      ~macs
   in
   Power.estimate m.design lib sim ~freq_hz ~vdd ?loads ?drives ()
-
-(** [measure_power_sliced (module E) lib m ~freq_hz ~vdd ~input_density
-    ~weight_density ~macs] — the bit-sliced Monte Carlo form of
-    {!measure_power}: one run of any {!Slice.S} engine streams [macs]
-    MACs in [n_lanes] (default the engine's width, 63 for [packed])
-    concurrent replicas, each with its own random weights and input
-    stream, and folds the lane-summed counters through
-    {!Power.estimate_activity} with [lanes × cycles] effective cycles:
-    the average power of one replica. Same simulated cycle count,
-    [n_lanes ×] the sample mass. Given the same [n_lanes], every engine
-    draws the identical stimulus and produces bit-identical counters,
-    hence bit-identical reports — the conformance property the test
-    suite pins. *)
-let measure_power_sliced (module E : Slice.S) ?seed ?loads
-    ?n_lanes lib (m : Macro_rtl.t) ~freq_hz ~vdd ~input_density
-    ~weight_density ~macs =
-  let module B = Testbench.Body (E) in
-  let sim =
-    B.power_stream ?seed ?n_lanes m ~input_density ~weight_density ~macs
-  in
-  Power.estimate_activity m.design lib ~toggles:(E.toggles sim)
-    ~en_cycles:(E.en_cycles sim)
-    ~cycles:(E.cycles sim * E.lanes_of sim)
-    ~weight_flips:(E.weight_flips sim) ~freq_hz ~vdd ?loads ()
 
 (** [evaluate lib spec cfg] builds, sizes and times one candidate; its
     power stays pending until {!power_w} reads it. The pending estimate

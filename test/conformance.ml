@@ -4,22 +4,18 @@
    toggle/enable/weight counters, sign-off verdicts with their Mismatch
    payloads, differential-check outcomes (clean and with injected
    faults, reproducer parity included), equivalence-check verdicts and
-   measured shmoo energy floats.
+   measured power floats.
 
-   [Make] is instantiated in test_conformance.ml for the (scalar,
+   [Make] is instantiated in test_conformance.ml for the (scalar oracle,
    packed) pair at one 63-lane word and again with the packed engine
    driven across a two-word (126-lane) ensemble, the way every batch
    consumer runs work wider than one word: as consecutive one-word
-   slices. The same checks that once lived ad hoc in test_sim_sliced.ml
-   and test_lane_parallel.ml run here, so any future engine earns its
-   place by passing the identical battery the packed engine passed. *)
+   slices. Each engine is a Slice.S module, handed to the consumers
+   (Testbench.Sliced, Diffcheck.Check, Equiv.check) as they run in
+   production, so any future engine earns its place by passing the
+   identical battery the packed engine passed. *)
 
 let lib = lazy (Library.n40 ())
-
-let ctx =
-  lazy
-    (let l = Lazy.force lib in
-     Ctx.of_parts l (Scl.create l))
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -38,8 +34,8 @@ let lane_edges lanes =
   |> fun l -> List.sort_uniq compare (lanes :: l)
 
 module type PAIR = sig
-  val reference : Engine.t
-  val candidate : Engine.t
+  module Reference : Slice.S
+  module Candidate : Slice.S
 
   val lanes : int
   (** ensemble width the candidate is driven at; beyond one slice it
@@ -53,15 +49,16 @@ module type PAIR = sig
 end
 
 module Make (P : PAIR) () = struct
-  module C = (val Engine.slice P.candidate)
+  module R = P.Reference
+  module C = P.Candidate
 
   (* slices of the ensemble: lane [l] is lane [l mod C.max_lanes] of
      slice [l / C.max_lanes] *)
   let n_slices = (P.lanes + C.max_lanes - 1) / C.max_lanes
 
   let label =
-    Printf.sprintf "%s-vs-%s" (Engine.name P.reference)
-      (if n_slices = 1 then Engine.name P.candidate
+    Printf.sprintf "%s-vs-%s" R.name
+      (if n_slices = 1 then C.name
        else Printf.sprintf "multiword:%d" P.lanes)
 
   let named s = Printf.sprintf "%s: %s" label s
@@ -103,7 +100,7 @@ module Make (P : PAIR) () = struct
             Testbench.random_weights rng m ~density:0.7)
       in
       Array.iteri
-        (fun l sim -> Testbench.load_weights m sim ~copy weights.(l))
+        (fun l sim -> Oracle.Bench.load_weights m sim ~copy weights.(l))
         sims;
       Array.iter2
         (fun psim w -> B.load_weights_lanes m psim ~copy w)
@@ -212,8 +209,9 @@ module Make (P : PAIR) () = struct
      Mismatch payload for a failure. Engine equivalence = equal
      outcomes — verdict, word index, expected/got values and the
      shrunk reproducer detail string. *)
-  let verify_outcome engine (m : Macro_rtl.t) ~seed =
-    match Testbench.verify ~engine m ~seed ~batches:signoff_batches with
+  let verify_outcome (module E : Slice.S) (m : Macro_rtl.t) ~seed =
+    let module B = Testbench.Sliced (E) in
+    match B.verify m ~seed ~batches:signoff_batches with
     | () -> None
     | exception Testbench.Mismatch { word; expected; got; detail } ->
         Some (word, expected, got, detail)
@@ -222,8 +220,8 @@ module Make (P : PAIR) () = struct
     List.iter
       (fun (name, spec) ->
         let m = macro_of spec in
-        let r = verify_outcome P.reference m ~seed:0xACC in
-        let c = verify_outcome P.candidate m ~seed:0xACC in
+        let r = verify_outcome (module R) m ~seed:0xACC in
+        let c = verify_outcome (module C) m ~seed:0xACC in
         check_bool (named (name ^ ": reference passes")) true (r = None);
         check_bool (named (name ^ ": verdicts identical")) true (r = c))
       Snapshot.canonical_specs
@@ -234,8 +232,8 @@ module Make (P : PAIR) () = struct
       QCheck.small_nat
       (fun seed ->
         let m = macro_of (gen_spec seed) in
-        verify_outcome P.reference m ~seed:(seed + 3)
-        = verify_outcome P.candidate m ~seed:(seed + 3))
+        verify_outcome (module R) m ~seed:(seed + 3)
+        = verify_outcome (module C) m ~seed:(seed + 3))
 
   (* An early-sampled post pipeline (the Retime_early_sample fault
      class) must be caught by both engines with the exact same
@@ -250,8 +248,8 @@ module Make (P : PAIR) () = struct
     check_bool (named "macro has a post pipeline stage") true
       (m.Macro_rtl.post_lat >= 1);
     let buggy = { m with Macro_rtl.post_lat = m.Macro_rtl.post_lat - 1 } in
-    let r = verify_outcome P.reference buggy ~seed:7 in
-    let c = verify_outcome P.candidate buggy ~seed:7 in
+    let r = verify_outcome (module R) buggy ~seed:7 in
+    let c = verify_outcome (module C) buggy ~seed:7 in
     check_bool (named "reference engine catches the fault") true (r <> None);
     check_bool (named "reproducers identical") true (r = c);
     match c with
@@ -264,7 +262,7 @@ module Make (P : PAIR) () = struct
      scalar replicas: MAC results and the summed activity counters must
      both match. *)
   let signoff_counters_agree ~seed (m : Macro_rtl.t) =
-    let module E = (val Engine.slice P.candidate) in
+    let module E = C in
     let module B = Testbench.Sliced (E) in
     let d = m.Macro_rtl.design in
     let n = min 5 E.max_lanes in
@@ -287,8 +285,9 @@ module Make (P : PAIR) () = struct
         (fun l sim ->
           if m.Macro_rtl.cfg.Macro_rtl.mcr > 1 then
             Sim.set_bus sim "copy_sel" 0;
-          Testbench.load_weights m sim ~copy:0 weights.(l);
-          Testbench.check_mac m sim ~weights:weights.(l) ~inputs:inputs.(l))
+          Oracle.Bench.load_weights m sim ~copy:0 weights.(l);
+          Oracle.Bench.check_mac m sim ~weights:weights.(l)
+            ~inputs:inputs.(l))
         sims
     in
     if sliced_results <> scalar_results then
@@ -317,19 +316,20 @@ module Make (P : PAIR) () = struct
 
   (* ---------------- differential checking parity ---------------- *)
 
+  module R_check = Diffcheck.Check (R)
+  module C_check = Diffcheck.Check (C)
+
   let test_diffcheck_clean_agree () =
     List.iter
       (fun seed ->
-        let spec = gen_spec seed in
+        let m = macro_of (gen_spec seed) in
         let r =
-          Diffcheck.check_spec ~engine:P.reference
-            ~random_batches:signoff_batches ~seed:(seed + 100)
-            (Lazy.force ctx) spec
+          R_check.check_macro ~random_batches:signoff_batches
+            ~seed:(seed + 100) m
         in
         let c =
-          Diffcheck.check_spec ~engine:P.candidate
-            ~random_batches:signoff_batches ~seed:(seed + 100)
-            (Lazy.force ctx) spec
+          C_check.check_macro ~random_batches:signoff_batches
+            ~seed:(seed + 100) m
         in
         check_bool
           (named (Printf.sprintf "seed %d: both engines pass" seed))
@@ -346,11 +346,10 @@ module Make (P : PAIR) () = struct
       (fun bug ->
         List.iter
           (fun seed ->
-            let spec = gen_spec seed in
-            let fails engine =
-              (Diffcheck.check_spec ~engine ~bug
-                 ~random_batches:signoff_batches ~seed:(seed + 7)
-                 (Lazy.force ctx) spec)
+            let m = macro_of (gen_spec seed) in
+            let fails check_macro =
+              (check_macro ?bug:(Some bug) ~seed:(seed + 7)
+                 ~random_batches:signoff_batches m)
                 .Diffcheck.failure
               <> None
             in
@@ -358,7 +357,7 @@ module Make (P : PAIR) () = struct
               (named
                  (Printf.sprintf "%s seed %d: engines agree"
                     (Diffcheck.bug_name bug) seed))
-              (fails P.reference) (fails P.candidate))
+              (fails R_check.check_macro) (fails C_check.check_macro))
           [ 1; 2; 3; 4 ])
       [ Diffcheck.Retime_early_sample; Diffcheck.Skip_sign_cycle ]
 
@@ -388,14 +387,14 @@ module Make (P : PAIR) () = struct
         check_bool
           (named (Printf.sprintf "%d vectors equivalent" vectors))
           true
-          (Equiv.check ~engine:P.candidate ~vectors ~settle:2 ~hold:2 d d
+          (Equiv.check ~slice:(module C) ~vectors ~settle:2 ~hold:2 d d
           = Equiv.Equivalent vectors))
       [ 1; 62; 63; 64; 65; 126; 127; 252; 253 ]
 
   let test_equiv_mismatch_agreement () =
     let a = harness Cell.Inv and b = harness Cell.Buf in
-    let r = Equiv.check ~engine:P.reference ~vectors:5 ~settle:2 ~hold:2 a b in
-    let c = Equiv.check ~engine:P.candidate ~vectors:5 ~settle:2 ~hold:2 a b in
+    let r = Equiv.check ~slice:(module R) ~vectors:5 ~settle:2 ~hold:2 a b in
+    let c = Equiv.check ~slice:(module C) ~vectors:5 ~settle:2 ~hold:2 a b in
     (match r with
     | Equiv.Mismatch { vector; _ } -> check_int (named "first vector") 0 vector
     | Equiv.Equivalent _ -> Alcotest.fail (named "inverter equals buffer?"));
@@ -420,59 +419,50 @@ module Make (P : PAIR) () = struct
         let l = Lazy.force lib in
         let a = (Macro_rtl.build l base).Macro_rtl.design in
         let b = (Macro_rtl.build l sub).Macro_rtl.design in
-        let check engine =
-          Equiv.check ~engine ~seed ~vectors:equiv_vectors ~settle:12 ~hold:3
+        let check slice =
+          Equiv.check ~slice ~seed ~vectors:equiv_vectors ~settle:12 ~hold:3
             a b
         in
-        check P.reference = check P.candidate)
+        check (module R) = check (module C))
 
-  (* ---------------- measured shmoo energy parity ---------------- *)
+  (* ---------------- measured power parity ---------------- *)
 
-  (* The stimulus is indexed by n_lanes, never by the engine, so the
-     two engines must produce byte-identical energy floats at any
-     common ensemble width. Scalar pairs pay one scalar run per lane,
-     so they use a small ensemble; sliced pairs run the full common
-     width. *)
-  let fig9_lanes =
-    let cap : Engine.t -> int = function
-      | `Scalar -> max_int
-      | #Engine.batch as e ->
-          let module E = (val Engine.slice e) in
-          E.max_lanes
-    in
-    let c = min (cap P.reference) (cap P.candidate) in
-    if P.reference = `Scalar || P.candidate = `Scalar then min c 4 else c
-
-  let test_fig9_bit_identical () =
-    let m =
-      Macro_rtl.build (Lazy.force lib)
-        (Macro_rtl.default ~rows:8 ~cols:16 ~mcr:1 ~input_prec:Precision.int4
-           ~weight_prec:Precision.int4)
-    in
-    let vdds = [| 0.7; 0.9; 1.1 |] and freqs_mhz = [| 300.; 600.; 900. |] in
-    let a =
-      Fig9.measure ~vdds ~freqs_mhz ~engine:P.reference ~n_lanes:fig9_lanes
-        ~macs:2 (Ctx.with_jobs 1 (Lazy.force ctx)) m ~crit_ps:950.0
-    in
-    let b =
-      Fig9.measure ~vdds ~freqs_mhz ~engine:P.candidate ~n_lanes:fig9_lanes
-        ~macs:2 (Ctx.with_jobs 1 (Lazy.force ctx)) m ~crit_ps:950.0
-    in
-    check_bool (named "pass grids identical") true (a.Fig9.grid = b.Fig9.grid);
-    Array.iteri
-      (fun vi row ->
-        Array.iteri
-          (fun fi e ->
-            let e' = b.Fig9.energy_fj.(vi).(fi) in
-            (* byte-identical, not approximately equal *)
-            if Int64.bits_of_float e <> Int64.bits_of_float e' then
-              Alcotest.failf "%s: energy (%d,%d) diverges: %.17g vs %.17g"
-                label vi fi e e')
-          row)
-      a.Fig9.energy_fj;
-    (* energies are real measurements, not zeros *)
-    check_bool (named "positive energies") true
-      (Array.for_all (Array.for_all (fun e -> e > 0.0)) a.Fig9.energy_fj)
+  (* The production power measurement at one lane (search and report)
+     and at one full word (the Monte Carlo ensemble), pinned byte for
+     byte to the oracle: the same stimulus run as independent scalar
+     simulations, counters summed. *)
+  let test_measure_power_pinned () =
+    let l = Lazy.force lib in
+    List.iter
+      (fun (name, spec) ->
+        let m = macro_of spec in
+        List.iter
+          (fun n_lanes ->
+            let freq_hz = spec.Spec.mac_freq_hz and vdd = spec.Spec.vdd in
+            let input_density = Design_point.search_input_density
+            and weight_density = Design_point.search_weight_density in
+            let o =
+              Oracle.measure_power ~seed:0x90E ~n_lanes l m ~freq_hz ~vdd
+                ~input_density ~weight_density ~macs:2
+            and p =
+              Design_point.measure_power ~seed:0x90E ~n_lanes l m ~freq_hz
+                ~vdd ~input_density ~weight_density ~macs:2
+            in
+            let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+            if
+              not
+                (same o.Power.total_w p.Power.total_w
+                && same o.Power.energy_per_cycle_fj p.Power.energy_per_cycle_fj
+                && List.equal
+                     (fun (ka, a) (kb, b) -> String.equal ka kb && same a b)
+                     o.Power.by_subcircuit p.Power.by_subcircuit)
+            then
+              Alcotest.failf
+                "%s: %s at %d lanes: packed %.17g W vs oracle %.17g W" label
+                name n_lanes p.Power.total_w o.Power.total_w;
+            check_bool (named "positive power") true (p.Power.total_w > 0.0))
+          [ 1; min C.max_lanes P.lanes ])
+      Snapshot.canonical_specs
 
   (* ---------------- the suite ---------------- *)
 
@@ -511,8 +501,8 @@ module Make (P : PAIR) () = struct
         ] );
       ( label ^ ":power",
         [
-          Alcotest.test_case "measured shmoo grid bit-identical" `Quick
-            test_fig9_bit_identical;
+          Alcotest.test_case "measure_power pinned to the oracle" `Quick
+            test_measure_power_pinned;
         ] );
     ]
 end

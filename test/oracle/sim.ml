@@ -1,4 +1,8 @@
-(** Cycle-accurate functional simulator with toggle counting.
+(** The scalar oracle: a cycle-accurate functional simulator with toggle
+    counting, one [bool] per net. The compiler runs the bit-sliced
+    {!Sim_sliced}; this simulator stays in the test tree as the
+    independent reference the conformance suite, the unit tests and the
+    bench gates pin it to.
 
     Drives a frozen design one clock cycle at a time: set the primary
     inputs, {!eval} settles combinational logic in topological order,
@@ -12,8 +16,66 @@
     evaluation, and cells are pure functions of their inputs, so skipping
     it leaves every value and counter exactly as a full sweep would.
 
-    Toggle counts per net accumulate across the run; the power engine
-    multiplies them by per-cell switching energies. *)
+    Toggle counts per net accumulate across the run; {!Oracle.estimate}
+    prices them through the power model. *)
+
+(* ---------------- the scalar cell model ---------------- *)
+
+let maj3 a b c = (a && b) || (a && c) || (b && c)
+
+(** [eval_cell_into k ins outs] computes the combinational function of
+    kind [k] on [bool]s, from [ins.(0 .. n_inputs k - 1)] into
+    [outs.(0 .. n_outputs k - 1)]: the reference the word-level
+    {!Cell.eval_word_into} is checked against. Both buffers may be
+    longer than the cell's arity, so one preallocated pair
+    ({!Cell.max_inputs} / {!Cell.max_outputs} wide) serves every
+    instance. *)
+let eval_cell_into (k : Cell.kind) (ins : bool array) (outs : bool array) :
+    unit =
+  match k with
+  | Inv -> outs.(0) <- not ins.(0)
+  | Buf -> outs.(0) <- ins.(0)
+  | Nand2 -> outs.(0) <- not (ins.(0) && ins.(1))
+  | Nor2 -> outs.(0) <- not (ins.(0) || ins.(1))
+  | And2 -> outs.(0) <- ins.(0) && ins.(1)
+  | Or2 -> outs.(0) <- ins.(0) || ins.(1)
+  | Xor2 -> outs.(0) <- ins.(0) <> ins.(1)
+  | Xnor2 -> outs.(0) <- ins.(0) = ins.(1)
+  | Mux2 | Tgmux2 | Ptmux2 ->
+      outs.(0) <- (if ins.(2) then ins.(1) else ins.(0))
+  | Aoi22 -> outs.(0) <- not ((ins.(0) && ins.(1)) || (ins.(2) && ins.(3)))
+  | Oai22 -> outs.(0) <- not ((ins.(0) || ins.(1)) && (ins.(2) || ins.(3)))
+  | Ha ->
+      outs.(0) <- ins.(0) <> ins.(1);
+      outs.(1) <- ins.(0) && ins.(1)
+  | Fa ->
+      outs.(0) <- ins.(0) <> ins.(1) <> ins.(2);
+      outs.(1) <- maj3 ins.(0) ins.(1) ins.(2)
+  | Comp42 ->
+      let s1 = ins.(0) <> ins.(1) <> ins.(2)
+      and co = maj3 ins.(0) ins.(1) ins.(2) in
+      outs.(0) <- s1 <> ins.(3) <> ins.(4);
+      outs.(1) <- maj3 s1 ins.(3) ins.(4);
+      outs.(2) <- co
+  | Mul (Tg_nor | Pass_1t) -> outs.(0) <- ins.(0) && ins.(1)
+  | Mul Oai22_fused ->
+      outs.(0) <- ins.(0) && (if ins.(3) then ins.(2) else ins.(1))
+  | Dff | Dff_en | Sram _ ->
+      invalid_arg "Sim.eval_cell: sequential/storage cell"
+
+(** [eval_cell k ins] — allocating form of {!eval_cell_into}. *)
+let eval_cell k (ins : bool array) : bool array =
+  (match k with
+  | Cell.Dff | Cell.Dff_en | Cell.Sram _ ->
+      invalid_arg "Sim.eval_cell: sequential/storage cell"
+  | _ ->
+      if Array.length ins <> Cell.n_inputs k then
+        invalid_arg "Sim.eval_cell: arity mismatch");
+  let outs = Array.make (Cell.n_outputs k) false in
+  eval_cell_into k ins outs;
+  outs
+
+(* ---------------- the simulator ---------------- *)
 
 type t = {
   d : Ir.design;
@@ -130,7 +192,7 @@ let set_weight t ~row ~col ~copy bit =
     register/storage state: one pass in topological order that evaluates
     the dirty cells only (a changed output dirties its consumers, which
     come later in the order). Allocation-free: inputs and outputs stage
-    through the simulator's scratch buffers ({!Cell.eval_into}), which
+    through the simulator's scratch buffers ({!eval_cell_into}), which
     matters because this loop runs on every cycle of every power
     simulation the searcher issues. *)
 let eval t =
@@ -148,7 +210,7 @@ let eval t =
       for p = 0 to n_in - 1 do
         ins_buf.(p) <- values.(pins.(s + p))
       done;
-      Cell.eval_into Cell.kinds_by_index.(kind) ins_buf outs_buf;
+      eval_cell_into Cell.kinds_by_index.(kind) ins_buf outs_buf;
       for q = s + n_in to pin_start.(i + 1) - 1 do
         set_net t pins.(q) outs_buf.(q - s - n_in)
       done

@@ -8,7 +8,8 @@ let check_int = Alcotest.(check int)
 
 (* ---------------- logic functions ---------------- *)
 
-let eval1 k ins = (Cell.eval k ins).(0)
+(* the scalar reference model the word-level evaluator is pinned to *)
+let eval1 k ins = (Sim.eval_cell k ins).(0)
 
 let test_basic_gates () =
   let t = true and f = false in
@@ -41,7 +42,7 @@ let int_of_bool b = if b then 1 else 0
 let test_ha_exhaustive () =
   for n = 0 to 3 do
     let ins = bits_of n 2 in
-    let o = Cell.eval Cell.Ha ins in
+    let o = Sim.eval_cell Cell.Ha ins in
     let expect = int_of_bool ins.(0) + int_of_bool ins.(1) in
     check_int "ha sum" expect
       (int_of_bool o.(0) + (2 * int_of_bool o.(1)))
@@ -50,7 +51,7 @@ let test_ha_exhaustive () =
 let test_fa_exhaustive () =
   for n = 0 to 7 do
     let ins = bits_of n 3 in
-    let o = Cell.eval Cell.Fa ins in
+    let o = Sim.eval_cell Cell.Fa ins in
     let expect = Array.fold_left (fun a b -> a + int_of_bool b) 0 ins in
     check_int "fa sum" expect
       (int_of_bool o.(0) + (2 * int_of_bool o.(1)))
@@ -60,7 +61,7 @@ let test_comp42_exhaustive () =
   (* sum + 2*(carry + cout) must equal the number of set inputs *)
   for n = 0 to 31 do
     let ins = bits_of n 5 in
-    let o = Cell.eval Cell.Comp42 ins in
+    let o = Sim.eval_cell Cell.Comp42 ins in
     let expect = Array.fold_left (fun a b -> a + int_of_bool b) 0 ins in
     check_int "comp42 value" expect
       (int_of_bool o.(0) + (2 * (int_of_bool o.(1) + int_of_bool o.(2))))
@@ -78,8 +79,8 @@ let test_mul_cells () =
 
 let test_eval_rejects_sequential () =
   Alcotest.check_raises "dff eval"
-    (Invalid_argument "Cell.eval: sequential/storage cell") (fun () ->
-      ignore (Cell.eval Cell.Dff [| true |]))
+    (Invalid_argument "Sim.eval_cell: sequential/storage cell") (fun () ->
+      ignore (Sim.eval_cell Cell.Dff [| true |]))
 
 let test_arity_tables () =
   List.iter

@@ -51,12 +51,12 @@ let test_compiled_macro_computes () =
   Sim.set_bus sim "copy_sel" 0;
   let rng = Rng.create 42 in
   let weights = Testbench.random_weights rng m ~density:1.0 in
-  Testbench.load_weights m sim ~copy:0 weights;
+  Oracle.Bench.load_weights m sim ~copy:0 weights;
   for _ = 1 to 3 do
     let inputs =
       Array.init 16 (fun _ -> Testbench.random_input rng m ~density:1.0)
     in
-    ignore (Testbench.check_mac m sim ~weights ~inputs)
+    ignore (Oracle.Bench.check_mac m sim ~weights ~inputs)
   done
 
 let test_metrics_consistency () =

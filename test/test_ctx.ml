@@ -306,6 +306,23 @@ let test_ctx_builders () =
   check_bool "fresh isolates the world" true
     (Ctx.lib (Ctx.fresh ()) != Ctx.lib (Ctx.default ()))
 
+(* The CLI's compile and batch path: the context merges the persisted
+   LUT once, then a service runs over it; the file is read exactly once. *)
+let test_scl_lut_loaded_once () =
+  let loads = Metrics.counter "scl.lut_loads" in
+  let path = Filename.temp_file "scl" ".csv" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        "key,delay_ps,area_um2,energy_fj,leakage_nw\nwl/c32,1,2,3,4\n");
+  let ctx = Ctx.with_scl_cache path (Ctx.fresh ()) in
+  let before = Metrics.counter_value loads in
+  check_bool "merged" true (Ctx.load_scl ctx = Ok 1);
+  let svc = Service.create ctx in
+  ignore (Service.describe svc);
+  check_int "one load" 1 (Metrics.counter_value loads - before);
+  check_int "one entry" 1 (Scl.entries (Ctx.scl ctx))
+
 let () =
   Alcotest.run "ctx"
     [
@@ -332,5 +349,9 @@ let () =
             test_no_bare_world_constructors;
         ] );
       ( "builders",
-        [ Alcotest.test_case "ctx builders" `Quick test_ctx_builders ] );
+        [
+          Alcotest.test_case "ctx builders" `Quick test_ctx_builders;
+          Alcotest.test_case "scl LUT loaded once" `Quick
+            test_scl_lut_loaded_once;
+        ] );
     ]

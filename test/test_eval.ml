@@ -228,7 +228,7 @@ let test_ablation_mcr () =
         }
       in
       let power =
-        Design_point.measure_power_sliced (module Slice.Packed) lib
+        Design_point.measure_power ~n_lanes:Sim_sliced.word_lanes lib
           (Macro_rtl.build lib cfg) ~freq_hz:5e8 ~vdd:0.9 ~input_density:0.5
           ~weight_density:0.5 ~macs:4
       in

@@ -3,9 +3,9 @@
    the Fig. 9 shmoo rendering.
 
    The per-engine equivalence battery (lane state, counters, verify /
-   diffcheck / equiv verdict parity, measured-energy bit-identity)
+   diffcheck / equiv verdict parity, measured-power bit-identity)
    lives in conformance.ml and runs from test_conformance.ml for the
-   scalar/packed pair. *)
+   scalar-oracle/packed pair. *)
 
 let lib = Library.n40 ()
 let scl = Scl.create lib
@@ -15,8 +15,8 @@ let check_bool = Alcotest.(check bool)
 (* ---------------- metamorphic checking ---------------- *)
 
 (* check_moves runs the packed engine; replaying every variant through
-   the scalar checker must give the same verdicts and check counts, and
-   the result must not depend on the job count. *)
+   the checker on the scalar oracle must give the same verdicts and
+   check counts, and the result must not depend on the job count. *)
 let test_check_moves_engine_and_jobs_invariant () =
   let spec = snd (List.hd Snapshot.canonical_specs) in
   let p1 = Metamorph.check_moves ~jobs:1 ~seed:13 ctx spec in
@@ -26,9 +26,9 @@ let test_check_moves_engine_and_jobs_invariant () =
   check_bool "scalar replay agrees" true
     (List.for_all2
        (fun (r : Metamorph.result) (name, cfg) ->
+         let module D = Diffcheck.Check (Oracle.Scalar) in
          let o =
-           Diffcheck.check_macro ~engine:`Scalar ~seed:13 ~random_batches:1
-             (Macro_rtl.build lib cfg)
+           D.check_macro ~seed:13 ~random_batches:1 (Macro_rtl.build lib cfg)
          in
          r.Metamorph.name = name
          && r.Metamorph.ok = (o.Diffcheck.failure = None)

@@ -474,8 +474,8 @@ let test_sim_determinism () =
     let sim = Sim.create m.Macro_rtl.design in
     let rng = Rng.create 77 in
     let w = Testbench.random_weights rng m ~density:0.5 in
-    Testbench.load_weights m sim ~copy:0 w;
-    Testbench.run_stream m sim ~rng ~macs:3 ~input_density:0.5;
+    Oracle.Bench.load_weights m sim ~copy:0 w;
+    Oracle.Bench.Lanes.run_stream m sim ~rng ~macs:3 ~input_density:0.5;
     (Array.fold_left ( + ) 0 sim.Sim.toggles, sim.Sim.cycles)
   in
   let t1, c1 = mk () and t2, c2 = mk () in
@@ -486,9 +486,9 @@ let test_reset_stats () =
   let m = small_macro () in
   let sim = Sim.create m.Macro_rtl.design in
   let rng = Rng.create 3 in
-  Testbench.load_weights m sim ~copy:0
+  Oracle.Bench.load_weights m sim ~copy:0
     (Testbench.random_weights rng m ~density:0.5);
-  Testbench.run_stream m sim ~rng ~macs:2 ~input_density:0.5;
+  Oracle.Bench.Lanes.run_stream m sim ~rng ~macs:2 ~input_density:0.5;
   check_bool "activity happened" true
     (Array.exists (fun t -> t > 0) sim.Sim.toggles);
   Sim.reset_stats sim;
@@ -781,7 +781,7 @@ module Full_sweep = struct
     Array.iter
       (fun i ->
         let outs =
-          Cell.eval (Ir.kind t.d i)
+          Sim.eval_cell (Ir.kind t.d i)
             (Array.map (fun n -> t.values.(n)) (Ir.ins t.d i))
         in
         Array.iteri (fun o net -> set_net t net outs.(o)) (Ir.outs t.d i))
@@ -813,6 +813,11 @@ module Full_sweep = struct
     t.weight_flips <- 0
 end
 
+(* Both event-driven settles — the scalar oracle's and the packed
+   engine's at 1 and 63 lanes, every lane driven alike — against the full
+   sweep, lane by lane: every lane's value of every net after each
+   operation, and counters that are the full sweep's times the lane
+   count. *)
 let qtest_settle_matches_full_sweep =
   QCheck.Test.make ~name:"dirty-flag settle = full sweep" ~count:40
     QCheck.(pair (int_bound 7) (int_bound 1_000_000))
@@ -820,6 +825,11 @@ let qtest_settle_matches_full_sweep =
       let m = (Lazy.force fuzz_macros).(which) in
       let d = m.Macro_rtl.design in
       let sim = Sim.create d and full = Full_sweep.create d in
+      let packed =
+        List.map
+          (fun n_lanes -> Sim_sliced.create ~n_lanes d)
+          [ 1; Sim_sliced.word_lanes ]
+      in
       let rng = Rng.create seed in
       let buses = Array.of_list (Ir.inputs d.Ir.src) in
       let weights =
@@ -831,11 +841,24 @@ let qtest_settle_matches_full_sweep =
                | _ -> None)
              (Array.to_list d.Ir.storage))
       in
+      let packed_agrees (p : Sim_sliced.t) =
+        let n = p.Sim_sliced.n_lanes in
+        let times = Array.for_all2 (fun (c : int) f -> c = f * n) in
+        (* every lane of a net's word holds the full sweep's value *)
+        let all_lanes = Sim_sliced.broadcast p true in
+        Array.for_all2
+          (fun (word : int) v -> word = if v then all_lanes else 0)
+          p.Sim_sliced.values full.Full_sweep.values
+        && times p.Sim_sliced.toggles full.Full_sweep.toggles
+        && times p.Sim_sliced.en_cycles full.Full_sweep.en_cycles
+        && p.Sim_sliced.weight_flips = n * full.Full_sweep.weight_flips
+      in
       let agree () =
         sim.Sim.values = full.Full_sweep.values
         && sim.Sim.toggles = full.Full_sweep.toggles
         && sim.Sim.en_cycles = full.Full_sweep.en_cycles
         && sim.Sim.weight_flips = full.Full_sweep.weight_flips
+        && List.for_all packed_agrees packed
       in
       let ok = ref true in
       for _ = 1 to 300 do
@@ -845,6 +868,7 @@ let qtest_settle_matches_full_sweep =
             let name, bus = buses.(Rng.int rng (Array.length buses)) in
             let v = Rng.int rng (1 lsl min 30 (Array.length bus)) in
             Sim.set_bus sim name v;
+            List.iter (fun p -> Sim_sliced.set_bus p name v) packed;
             Full_sweep.set_bus full name v
         | 3 when Array.length weights > 0 ->
             let i, row, col, copy =
@@ -852,15 +876,21 @@ let qtest_settle_matches_full_sweep =
             in
             let bit = Rng.bit rng ~p1:0.5 = 1 in
             Sim.set_weight sim ~row ~col ~copy bit;
+            List.iter
+              (fun p -> Sim_sliced.set_weight_all p ~row ~col ~copy bit)
+              packed;
             Full_sweep.set_weight full i bit
         | 4 ->
             Sim.eval sim;
+            List.iter Sim_sliced.eval packed;
             Full_sweep.eval full
         | 5 when Rng.int rng 8 = 0 ->
             Sim.reset_stats sim;
+            List.iter Sim_sliced.reset_stats packed;
             Full_sweep.reset_stats full
         | _ ->
             Sim.step sim;
+            List.iter Sim_sliced.step packed;
             Full_sweep.eval full;
             Full_sweep.clock full);
         ok := !ok && agree ()

@@ -15,10 +15,10 @@ let toggler_design n =
   Ir.freeze ir
 
 let run_activity d ~cycles ~toggle =
-  let sim = Sim.create d in
+  let sim = Sim_sliced.create ~n_lanes:1 d in
   for i = 0 to cycles - 1 do
-    Sim.set_bus sim "a" (if toggle then i mod 2 else 0);
-    Sim.step sim
+    Sim_sliced.set_bus sim "a" (if toggle then i mod 2 else 0);
+    Sim_sliced.step sim
   done;
   sim
 
@@ -77,11 +77,11 @@ let test_clock_gating_accounting () =
     Ir.freeze ir
   in
   let run d duty =
-    let sim = Sim.create d in
+    let sim = Sim_sliced.create ~n_lanes:1 d in
     for i = 0 to 31 do
-      Sim.set_bus sim "a" 0;
-      Sim.set_bus sim "en" (if i mod 4 < duty then 1 else 0);
-      Sim.step sim
+      Sim_sliced.set_bus sim "a" 0;
+      Sim_sliced.set_bus sim "en" (if i mod 4 < duty then 1 else 0);
+      Sim_sliced.step sim
     done;
     estimate d sim
   in
@@ -99,10 +99,10 @@ let test_weight_update_energy () =
        ir (Cell.Sram Cell.S6t) ~ins:[||] ~outs:[| out |]);
   Ir.add_output ir "w" [| out |];
   let d = Ir.freeze ir in
-  let sim = Sim.create d in
+  let sim = Sim_sliced.create ~n_lanes:1 d in
   for i = 0 to 9 do
-    Sim.set_weight sim ~row:0 ~col:0 ~copy:0 (i mod 2 = 0);
-    Sim.step sim
+    Sim_sliced.set_weight_all sim ~row:0 ~col:0 ~copy:0 (i mod 2 = 0);
+    Sim_sliced.step sim
   done;
   let p = estimate d sim in
   check_bool "write energy charged" true (p.Power.weight_update_w > 0.0)

@@ -439,13 +439,13 @@ let test_macro_copies_independent () =
   let m = Macro_rtl.build lib cfg in
   let sim = Sim.create m.Macro_rtl.design in
   let w0 = [| [| 1; 2; 3; 4 |] |] and w1 = [| [| -1; -2; -3; -4 |] |] in
-  Testbench.load_weights m sim ~copy:0 w0;
-  Testbench.load_weights m sim ~copy:1 w1;
+  Oracle.Bench.load_weights m sim ~copy:0 w0;
+  Oracle.Bench.load_weights m sim ~copy:1 w1;
   let inputs = [| 1; 1; 1; 1 |] in
   Sim.set_bus sim "copy_sel" 0;
-  let r0 = Testbench.run_mac m sim ~inputs in
+  let r0 = Oracle.Bench.run_mac m sim ~inputs in
   Sim.set_bus sim "copy_sel" 1;
-  let r1 = Testbench.run_mac m sim ~inputs in
+  let r1 = Oracle.Bench.run_mac m sim ~inputs in
   check_int "copy 0" 10 r0.(0);
   check_int "copy 1" (-10) r1.(0)
 
@@ -457,10 +457,10 @@ let test_macro_mac_write_concurrency () =
   let sim = Sim.create m.Macro_rtl.design in
   let rng = Rng.create 3 in
   let weights = Testbench.random_weights rng m ~density:1.0 in
-  Testbench.load_weights m sim ~copy:0 weights;
+  Oracle.Bench.load_weights m sim ~copy:0 weights;
   Sim.set_bus sim "copy_sel" 0;
-  Testbench.present_inputs m sim (Array.init 8 (fun i -> i - 4));
-  Testbench.set_controls m sim ~load:true ~sa_en:false ~sa_clr:false
+  Oracle.Bench.present_inputs m sim (Array.init 8 (fun i -> i - 4));
+  Oracle.Bench.set_controls m sim ~load:true ~sa_en:false ~sa_clr:false
     ~sa_neg:false;
   Sim.step sim;
   (* serial cycles, writing copy 1 in the middle *)
@@ -468,14 +468,14 @@ let test_macro_mac_write_concurrency () =
   let last = tl + db - 1 in
   for k = 0 to last do
     if k = 2 then
-      Testbench.load_weights m sim ~copy:1
+      Oracle.Bench.load_weights m sim ~copy:1
         (Testbench.random_weights rng m ~density:1.0);
-    Testbench.set_controls m sim ~load:false ~sa_en:(k >= tl)
+    Oracle.Bench.set_controls m sim ~load:false ~sa_en:(k >= tl)
       ~sa_clr:(k = tl)
       ~sa_neg:(if m.Macro_rtl.neg_on_last then k = last else k = tl);
     Sim.step sim
   done;
-  Testbench.set_controls m sim ~load:false ~sa_en:false ~sa_clr:false
+  Oracle.Bench.set_controls m sim ~load:false ~sa_en:false ~sa_clr:false
     ~sa_neg:false;
   for _ = 1 to m.Macro_rtl.post_lat do
     Sim.step sim
@@ -496,10 +496,10 @@ let test_controller_macro () =
   let sim = Sim.create m.Macro_rtl.design in
   let rng = Rng.create 5 in
   let weights = Testbench.random_weights rng m ~density:1.0 in
-  Testbench.load_weights m sim ~copy:0 weights;
+  Oracle.Bench.load_weights m sim ~copy:0 weights;
   for _ = 1 to 5 do
     let inputs = Array.init 8 (fun _ -> Rng.signed rng ~width:8) in
-    let r = Testbench.run_mac_auto m sim ~inputs in
+    let r = Oracle.Bench.run_mac_auto m sim ~inputs in
     check_int "controller-sequenced MAC"
       (Golden.dot ~weights:weights.(0) ~inputs)
       r.(0)
@@ -523,12 +523,13 @@ let test_controller_macro_bench_error () =
             Alcotest.(check string) (name ^ ": op") "set_controls" op
       in
       expect_bench_error "verify scalar" (fun () ->
-          Testbench.verify ~engine:`Scalar m ~seed:1 ~batches:1);
+          let module B = Testbench.Sliced (Oracle.Scalar) in
+          B.verify m ~seed:1 ~batches:1);
       expect_bench_error "verify packed" (fun () ->
           Testbench.verify ~engine:`Packed m ~seed:1 ~batches:1);
       let sim = Sim.create m.Macro_rtl.design in
       expect_bench_error "run_mac" (fun () ->
-          ignore (Testbench.run_mac m sim ~inputs:(Array.make 8 0)));
+          ignore (Oracle.Bench.run_mac m sim ~inputs:(Array.make 8 0)));
       expect_bench_error "power_stream" (fun () ->
           ignore
             (Testbench.power_stream m ~input_density:0.5 ~weight_density:0.5

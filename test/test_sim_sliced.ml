@@ -6,7 +6,7 @@
 
    The cross-engine equivalence battery (per-lane state, counters,
    verify/diffcheck/equiv verdict parity) lives in conformance.ml and
-   runs from test_conformance.ml for the scalar/packed pair. *)
+   runs from test_conformance.ml for the scalar-oracle/packed pair. *)
 
 let lib = Library.n40 ()
 let check_bool = Alcotest.(check bool)
@@ -39,8 +39,8 @@ let popcount_prop =
 (* ---------------- word-level cell eval, exhaustive ---------------- *)
 
 (* Every input combination of a cell packed as one lane each: lane [c]
-   carries combination [c], so a single eval_word call checks the whole
-   truth table against the scalar eval. *)
+   carries combination [c], so a single eval_word_into call checks the
+   whole truth table against the scalar oracle's model. *)
 let test_eval_word_exhaustive () =
   List.iter
     (fun k ->
@@ -56,10 +56,11 @@ let test_eval_word_exhaustive () =
               done;
               !w)
         in
-        let outs_w = Cell.eval_word k ins_w in
+        let outs_w = Array.make (Cell.n_outputs k) 0 in
+        Cell.eval_word_into k ins_w outs_w;
         for c = 0 to combos - 1 do
           let ins = Array.init n (fun p -> (c lsr p) land 1 = 1) in
-          let outs = Cell.eval k ins in
+          let outs = Sim.eval_cell k ins in
           Array.iteri
             (fun o expected ->
               check_bool
@@ -218,98 +219,43 @@ let test_state_lane_bounds () =
 
 (* ---------------- packed power accounting ---------------- *)
 
-(* With a single lane, the packed Monte Carlo path must reproduce the
-   scalar power estimate to float tolerance: same seed, same weight and
-   input draws, same counters, same effective cycles. *)
+(* With a single lane, the packed power path must reproduce the scalar
+   oracle's estimate bit for bit: same seed, same weight and input
+   draws, same counters, same effective cycles. *)
 let test_packed_power_single_lane () =
-  let m =
-    Macro_rtl.build lib
-      (Macro_rtl.default ~rows:8 ~cols:16 ~mcr:1
-         ~input_prec:Precision.int4 ~weight_prec:Precision.int4)
-  in
-  let scalar =
-    Design_point.measure_power ~seed:0xACC lib m ~freq_hz:5e8 ~vdd:0.9
-      ~input_density:0.5 ~weight_density:0.5 ~macs:3
-  in
-  let packed =
-    Design_point.measure_power_sliced (module P) ~seed:0xACC ~n_lanes:1 lib
-      m ~freq_hz:5e8 ~vdd:0.9 ~input_density:0.5 ~weight_density:0.5 ~macs:3
-  in
-  let close a b =
-    abs_float (a -. b) <= 1e-9 *. (abs_float a +. abs_float b +. 1.0)
-  in
+  let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
   let agree prefix (scalar : Power.report) (packed : Power.report) =
     check_bool (prefix ^ "total power") true
-      (close scalar.total_w packed.total_w);
+      (same scalar.total_w packed.total_w);
     check_bool (prefix ^ "dynamic power") true
-      (close scalar.dynamic_w packed.dynamic_w);
+      (same scalar.dynamic_w packed.dynamic_w);
     check_bool (prefix ^ "clock power") true
-      (close scalar.clock_w packed.clock_w);
+      (same scalar.clock_w packed.clock_w);
     check_bool (prefix ^ "energy/cycle") true
-      (close scalar.energy_per_cycle_fj packed.energy_per_cycle_fj)
+      (same scalar.energy_per_cycle_fj packed.energy_per_cycle_fj)
   in
-  agree "" scalar packed;
-  (* one packed lane against the scalar bench across weight copies and
-     FP alignment: the same stream through the other engine *)
+  (* across weight copies and FP alignment *)
   List.iter
-    (fun (name, mcr, input_prec) ->
+    (fun (name, rows, mcr, input_prec, weight_prec, macs) ->
       let m =
         Macro_rtl.build lib
-          (Macro_rtl.default ~rows:16 ~cols:16 ~mcr ~input_prec
-             ~weight_prec:Precision.int8)
+          (Macro_rtl.default ~rows ~cols:16 ~mcr ~input_prec ~weight_prec)
       in
       let scalar =
-        Design_point.measure_power lib m ~freq_hz:5e8 ~vdd:0.9
-          ~input_density:0.5 ~weight_density:0.5 ~macs:4
+        Oracle.measure_power ~seed:0xACC ~n_lanes:1 lib m ~freq_hz:5e8
+          ~vdd:0.9 ~input_density:0.5 ~weight_density:0.5 ~macs
       in
       let packed =
-        Design_point.measure_power_sliced (module P) ~n_lanes:1 lib m
-          ~freq_hz:5e8 ~vdd:0.9 ~input_density:0.5 ~weight_density:0.5
-          ~macs:4
+        Design_point.measure_power ~seed:0xACC lib m ~freq_hz:5e8 ~vdd:0.9
+          ~input_density:0.5 ~weight_density:0.5 ~macs
       in
       agree (name ^ ": ") scalar packed)
     [
-      ("INT8 MCR 1", 1, Precision.int8);
-      ("INT8 MCR 2", 2, Precision.int8);
-      ("FP8 MCR 2", 2, Precision.fp8);
+      ("INT4 MCR 1", 8, 1, Precision.int4, Precision.int4, 3);
+      ("INT8 MCR 1", 16, 1, Precision.int8, Precision.int8, 4);
+      ("INT8 MCR 2", 16, 2, Precision.int8, Precision.int8, 4);
+      ("FP8 MCR 2", 16, 2, Precision.fp8, Precision.int8, 4);
     ]
-
-(* A shmoo ensemble wider than one word runs as consecutive one-word
-   slices: at 64 lanes the packed energies must stay byte-identical to
-   the scalar engine's, and an empty ensemble is rejected up front. *)
-let test_fig9_beyond_one_word () =
-  let ctx = Ctx.with_jobs 1 (Ctx.of_parts lib (Scl.create lib)) in
-  let m =
-    Macro_rtl.build lib
-      (Macro_rtl.default ~rows:8 ~cols:16 ~mcr:1
-         ~input_prec:Precision.int4 ~weight_prec:Precision.int4)
-  in
-  let vdds = [| 0.7; 1.1 |] and freqs_mhz = [| 300.; 900. |] in
-  let measure engine =
-    Fig9.measure ~vdds ~freqs_mhz ~engine ~n_lanes:64 ~macs:2 ctx m
-      ~crit_ps:950.0
-  in
-  let packed = measure `Packed and scalar = measure `Scalar in
-  Array.iteri
-    (fun vi row ->
-      Array.iteri
-        (fun fi e ->
-          let e' = scalar.Fig9.energy_fj.(vi).(fi) in
-          if Int64.bits_of_float e <> Int64.bits_of_float e' then
-            Alcotest.failf "energy (%d,%d): packed %.17g vs scalar %.17g" vi
-              fi e e')
-        row)
-    packed.Fig9.energy_fj;
-  check_bool "positive energies" true
-    (Array.for_all (Array.for_all (fun e -> e > 0.0)) packed.Fig9.energy_fj);
-  List.iter
-    (fun n_lanes ->
-      match
-        Fig9.measure ~vdds ~freqs_mhz ~n_lanes ctx m ~crit_ps:950.0
-      with
-      | _ -> Alcotest.failf "n_lanes %d accepted" n_lanes
-      | exception Invalid_argument _ -> ())
-    [ 0; -1 ]
 
 (* full-width Monte Carlo run: sane report, lanes× sample mass *)
 let test_packed_power_full_width () =
@@ -319,8 +265,8 @@ let test_packed_power_full_width () =
          ~input_prec:Precision.int4 ~weight_prec:Precision.int4)
   in
   let p =
-    Design_point.measure_power_sliced (module P) lib m ~freq_hz:5e8 ~vdd:0.9
-      ~input_density:0.5 ~weight_density:0.5 ~macs:3
+    Design_point.measure_power ~n_lanes:P.max_lanes lib m ~freq_hz:5e8
+      ~vdd:0.9 ~input_density:0.5 ~weight_density:0.5 ~macs:3
   in
   check_bool "positive total" true (p.Power.total_w > 0.0);
   check_bool "dynamic dominated sanity" true
@@ -357,7 +303,5 @@ let () =
             test_packed_power_single_lane;
           Alcotest.test_case "full-width Monte Carlo report" `Quick
             test_packed_power_full_width;
-          Alcotest.test_case "shmoo ensemble beyond one word" `Quick
-            test_fig9_beyond_one_word;
         ] );
     ]
