@@ -96,9 +96,11 @@ let packed_sim lib =
     (ratio packed_cps scalar_cps);
   (scalar_cps, packed_cps)
 
-(* Sign-off MAC checks per second through the sign-off loop
+(* Sign-off MAC checks per second through the sign-off job builder
    (Testbench.Sliced.verify) on the scalar oracle and on the packed
-   engine. Returns (batches, scalar, packed). *)
+   engine. The checker loads every chunk on a fresh simulator, so the
+   one-lane oracle runs one fresh simulator per MAC and the packed
+   engine one per 63. Returns (batches, scalar, packed). *)
 let packed_signoff lib =
   banner "Packed signoff — Testbench.verify, scalar oracle vs packed engine";
   let m = macro16 lib and batches = 63 in

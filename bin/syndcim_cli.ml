@@ -24,6 +24,51 @@ let conv_of parse name =
 let precision_conv = conv_of Batch.precision_of_string Precision.name
 let preference_conv = conv_of Batch.preference_of_string Spec.preference_name
 
+(* ---------------- output paths ---------------- *)
+
+(* [write_out ~stage path f] — run [f], the writer of [path]: true when
+   it succeeds, false after printing an I/O failure as a one-line
+   diagnostic instead of letting it escape. *)
+let write_out ~stage path f =
+  let fail msg =
+    print_endline
+      (Diag.to_string
+         (Diag.error ~stage ~payload:[ ("path", path) ]
+            ("cannot write " ^ msg)));
+    false
+  in
+  match f () with
+  | () -> true
+  | exception Sys_error msg -> fail msg
+  | exception Unix.Unix_error (e, _, arg) ->
+      fail (Printf.sprintf "%s: %s" arg (Unix.error_message e))
+
+let write_text path text =
+  Out_channel.with_open_text path (fun oc -> output_string oc text)
+
+(* [with_out_dir out f] — check the -o directory before anything runs,
+   the way --cache-dir is checked: an existing non-directory is an error,
+   and a missing directory needs an existing parent. A bad path is a
+   one-line diagnostic and exit 1. *)
+let with_out_dir out (f : unit -> int) : int =
+  let fail dir msg =
+    print_endline
+      (Diag.to_string
+         (Diag.error ~stage:"compile" ~payload:[ ("out-dir", dir) ] msg));
+    1
+  in
+  match out with
+  | None -> f ()
+  | Some dir ->
+      let parent = Filename.dirname dir in
+      if Sys.file_exists dir then
+        if Sys.is_directory dir then f ()
+        else fail dir (Printf.sprintf "%s exists and is not a directory" dir)
+      else if Sys.file_exists parent && Sys.is_directory parent then f ()
+      else
+        fail dir
+          (Printf.sprintf "output directory parent %s does not exist" parent)
+
 (* ---------------- shared execution context ---------------- *)
 
 type ctx_args = {
@@ -83,7 +128,7 @@ let ctx_term =
     [f ctx], then persist the warmed LUT (even when [f] fails: the
     characterization work is valid regardless of the run's verdict). A
     bad job count or a malformed LUT is a one-line diagnostic and exit 1,
-    before anything runs. *)
+    before anything runs; an unwritable [--metrics-out] is one after. *)
 let with_ctx (a : ctx_args) (f : Ctx.t -> int) : int =
   let opened =
     let ( let* ) = Result.bind in
@@ -123,20 +168,15 @@ let with_ctx (a : ctx_args) (f : Ctx.t -> int) : int =
         print_endline "metrics:";
         print_string (Metrics.render ())
       end;
-      (match a.cli_metrics_out with
-      | None -> ()
-      | Some path -> (
-          match
-            let oc = open_out path in
-            Fun.protect
-              ~finally:(fun () -> close_out_noerr oc)
-              (fun () -> output_string oc (Metrics.to_json ()))
-          with
-          | () -> Printf.printf "metrics written to %s\n" path
-          | exception Sys_error msg ->
-              Printf.eprintf "error: cannot write metrics to %s: %s\n" path
-                msg));
-      code
+      let metrics_ok =
+        match a.cli_metrics_out with
+        | None -> true
+        | Some path ->
+            write_out ~stage:"ctx" path (fun () ->
+                write_text path (Metrics.to_json ());
+                Printf.printf "metrics written to %s\n" path)
+      in
+      if metrics_ok then code else 1
 
 (* ---------------- compile ---------------- *)
 
@@ -179,6 +219,7 @@ let compile_cmd =
   let run ctx_a rows cols mcr iprec wprec freq wupd vdd prefer out
       trace_on dump inject =
     with_ctx ctx_a @@ fun ctx ->
+    with_out_dir out @@ fun () ->
     let spec =
       {
         Spec.rows; cols; mcr;
@@ -210,24 +251,22 @@ let compile_cmd =
         let a = r.Pipeline.artifact in
         print_string (Report.to_string lib a);
         print_trace ();
-        (match out with
-        | None -> ()
-        | Some dir ->
-            (try Unix.mkdir dir 0o755
-             with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-            Verilog.write_file (Filename.concat dir "netlist.v")
-              a.Pipeline.macro.Macro_rtl.design;
-            Def_writer.write_file lib (Filename.concat dir "placement.def")
-              a.Pipeline.signoff.Post_layout.placement;
-            let dump_file name text =
-              let oc = open_out (Filename.concat dir name) in
-              output_string oc text;
-              close_out oc
-            in
-            dump_file "macro.lib" (Liberty.lib_text lib);
-            dump_file "macro.lef" (Liberty.lef_text lib);
-            dump_file "report.txt" (Report.to_string lib a);
-            Printf.printf "artifacts written to %s/\n" dir);
+        let out_ok =
+          match out with
+          | None -> true
+          | Some dir ->
+              write_out ~stage:"compile" dir (fun () ->
+                  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+                  let file = Filename.concat dir in
+                  Verilog.write_file (file "netlist.v")
+                    a.Pipeline.macro.Macro_rtl.design;
+                  Def_writer.write_file lib (file "placement.def")
+                    a.Pipeline.signoff.Post_layout.placement;
+                  write_text (file "macro.lib") (Liberty.lib_text lib);
+                  write_text (file "macro.lef") (Liberty.lef_text lib);
+                  write_text (file "report.txt") (Report.to_string lib a);
+                  Printf.printf "artifacts written to %s/\n" dir)
+        in
         let dump_ok =
           match dump with
           | None -> true
@@ -241,7 +280,7 @@ let compile_cmd =
                   print_endline (Diag.to_string d);
                   false)
         in
-        if a.Pipeline.timing_closed && dump_ok then 0 else 1
+        if a.Pipeline.timing_closed && out_ok && dump_ok then 0 else 1
   in
   let term =
     Term.(const run $ ctx_term $ rows $ cols $ mcr $ iprec $ wprec $ freq
@@ -343,15 +382,17 @@ let batch_cmd =
             print_endline "batch trace:";
             print_string (Trace.render t)
         | None -> ());
-        let write path text =
-          let oc = open_out path in
-          output_string oc text;
-          close_out oc;
-          Printf.printf "wrote %s\n" path
+        let write out text =
+          match out with
+          | None -> true
+          | Some path ->
+              write_out ~stage:"batch" path (fun () ->
+                  write_text path (text ());
+                  Printf.printf "wrote %s\n" path)
         in
-        Option.iter (fun p -> write p (Batch.manifest_json r)) manifest_out;
-        Option.iter (fun p -> write p (Batch.render_ppa r)) ppa_out;
-        if r.Batch.failed = 0 then 0 else 1
+        let manifest_ok = write manifest_out (fun () -> Batch.manifest_json r) in
+        let ppa_ok = write ppa_out (fun () -> Batch.render_ppa r) in
+        if r.Batch.failed = 0 && manifest_ok && ppa_ok then 0 else 1
   in
   Cmd.v
     (Cmd.info "batch"

@@ -1,19 +1,22 @@
-(** Macro test benches: weight loading, single verified MACs, and streaming
-    stimulus for power measurement.
+(** Macro test benches: weight loading, single verified MACs, the MAC
+    checker, and streaming stimulus for power measurement.
 
-    The single-MAC bench is the repository's DRC/LVS/post-simulation
-    sign-off equivalent: it drives the generated netlist cycle by cycle and
+    The MAC checker is the repository's DRC/LVS/post-simulation sign-off
+    equivalent: it drives the generated netlist cycle by cycle and
     compares every word's result against {!Golden}. The streaming bench
     issues back-to-back MACs at full throughput (one MAC per [db] cycles)
     with configurable input/weight sparsity, which is what the paper's
     power measurements use (12.5 % input, 50 % weight sparsity).
 
     Each schedule exists once, in {!Body}, written against {!Slice.S}.
-    {!Single} narrows it to one MAC on lane 0; the top-level entry points
-    ({!load_weights}, {!run_mac}, {!check_mac}, {!run_mac_auto}) are
-    that view over a 1-lane {!Sim_sliced}, and {!power_stream} is the
-    body's stream at any lane count. {!Sliced} runs the same body and
-    the sign-off loop on any engine. *)
+    {!Body.check_jobs} is the one MAC checker: a list of {!job}s packs
+    as lanes, [E.max_lanes] per fresh simulator, and the first failing
+    job shrinks to a 1-lane reproducer. Two builders feed it: sign-off
+    ({!Sliced.verify}) and the differential checker ([Diffcheck]).
+    {!Single} narrows the body to one MAC on lane 0; the top-level entry
+    points ({!load_weights}, {!run_mac}, {!check_mac}, {!run_mac_auto})
+    are that view over a 1-lane {!Sim_sliced}, and {!power_stream} is
+    the body's stream at any lane count. *)
 
 exception
   Mismatch of {
@@ -39,6 +42,24 @@ type fault =
   | Retime_early_sample
       (** read the result one cycle before the retimed pipeline commits *)
   | Skip_sign_cycle  (** never assert [sa_neg]: the two's-complement bug *)
+
+(** One MAC transaction for the checker ({!Body.check_jobs}). *)
+type job = {
+  name : string;  (** the label a failure reports *)
+  weights : int array array;  (** [word][row], signed datapath weights *)
+  inputs : int array;  (** [row], raw macro inputs (packed bits for FP) *)
+  copy : int;  (** the weight copy the job stores its weights in and reads *)
+}
+
+(** The checker's first divergence: the failing job and its {!Mismatch}
+    payload. *)
+type failure = {
+  job : job;
+  word : int;
+  expected : int;
+  got : int;
+  detail : string;
+}
 
 let is_fp (m : Macro_rtl.t) =
   match m.cfg.input_prec with
@@ -93,7 +114,8 @@ let random_weights rng (m : Macro_rtl.t) ~density =
 (* ---------------- the bench body ---------------- *)
 
 (** The bench, written once against {!Slice.S}: one weight-load loop,
-    one MAC schedule, one lane judge and one stream schedule. Any
+    one MAC schedule, one lane judge, one MAC checker and one stream
+    schedule. Any
     {!Slice.S} runs through it, at 1 lane or many; every lane sees the
     same control schedule and its own inputs and weights. Ports are
     driven and read by bus name. *)
@@ -277,6 +299,70 @@ module Body (E : Slice.S) = struct
       results;
     results
 
+  (* Load one chunk of jobs into a fresh simulator, one lane each: every
+     lane stores its own weights in the copy it reads and (MCR > 1)
+     selects that copy through a per-lane [copy_sel]. Bits written into
+     a copy no lane of that copy owns are zero — never read, since each
+     lane only observes its selected copy. *)
+  let load_chunk (m : Macro_rtl.t) (jobs : job array) =
+    let sim = E.create ~n_lanes:(Array.length jobs) m.design in
+    let zero = Array.make_matrix m.words m.cfg.rows 0 in
+    List.sort_uniq compare (Array.to_list (Array.map (fun j -> j.copy) jobs))
+    |> List.iter (fun c ->
+           load_weights_lanes m sim ~copy:c
+             (Array.map (fun j -> if j.copy = c then j.weights else zero) jobs));
+    if m.cfg.mcr > 1 then
+      E.set_bus_lanes sim "copy_sel" (Array.map (fun j -> j.copy) jobs);
+    sim
+
+  (* Load, run and judge one chunk; lanes are judged in job order up
+     to the first divergence: the comparisons made and the failure. *)
+  let run_chunk ?fault (m : Macro_rtl.t) (chunk : job array) =
+    let sim = load_chunk m chunk in
+    let results =
+      run_mac ?fault m sim ~inputs:(Array.map (fun j -> j.inputs) chunk)
+    in
+    let exp = if is_fp m then 1 else 0 in
+    let rec judge l checks =
+      if l >= Array.length chunk then (checks, None)
+      else
+        let job = chunk.(l) in
+        match
+          judge_mac_lane m sim ~weights:job.weights ~inputs:job.inputs
+            results.(l) l
+        with
+        | () -> judge (l + 1) (checks + exp + m.words)
+        | exception Mismatch { word; expected; got; detail } ->
+            (checks + exp + word + 1, Some { job; word; expected; got; detail })
+    in
+    judge 0 0
+
+  (** [check_jobs ?fault m jobs] — the MAC checker: the comparisons
+      made and the first failure. Jobs pack as lanes, [E.max_lanes] per
+      fresh simulator, and are judged in job order, so the result is
+      independent of the lane width. The first failing job re-runs
+      alone on a 1-lane chunk, a minimal reproducer: its failure wins
+      if it confirms; a divergence only the wide run shows (a lane bug
+      in the engine itself) keeps a [" (<engine>-only)"] detail marker. *)
+  let check_jobs ?fault (m : Macro_rtl.t) (jobs : job array) =
+    let total = Array.length jobs in
+    let rec chunks pos checks =
+      if pos >= total then (checks, None)
+      else
+        let n = min E.max_lanes (total - pos) in
+        match run_chunk ?fault m (Array.sub jobs pos n) with
+        | c, None -> chunks (pos + n) (checks + c)
+        | c, Some f ->
+            let f =
+              match run_chunk ?fault m [| f.job |] with
+              | _, Some f -> f
+              | _, None ->
+                  { f with detail = Printf.sprintf "%s (%s-only)" f.detail E.name }
+            in
+            (checks + c, Some f)
+    in
+    chunks 0 0
+
   (** [run_stream_with m sim ~next_inputs ~macs] issues [macs]
       back-to-back MACs at full pipeline rate (one per [db] cycles) in
       every lane, [next_inputs k] supplying MAC [k]'s per-lane input
@@ -416,75 +502,45 @@ let power_stream = Lanes.power_stream
 
 (* ---------------- the sliced bench and sign-off ---------------- *)
 
-(** The body on any engine, plus the sign-off loop. The cross-engine
-    conformance suite pins its verdicts, Mismatch payloads and activity
-    counters to a scalar oracle simulator. Instantiate it with
-    [Sliced ((val Engine.slice e))]. *)
+(** The body on any engine, plus the sign-off job builder. The
+    cross-engine conformance suite pins its verdicts, Mismatch payloads
+    and activity counters to a scalar oracle simulator. Instantiate it
+    with [Sliced ((val Engine.slice e))]. *)
 module Sliced (E : Slice.S) = struct
   include Body (E)
 
-  (** [verify m ~seed ~batches] — the sign-off engine: random weights
-      into every copy, then all of a copy's random inputs drawn up-front
-      (so the verdict is independent of the engine's lane width), packed
-      [E.max_lanes] MAC jobs wide so a whole batch settles per netlist
-      pass. One simulator serves every batch and copy. A failing lane is
-      re-run alone on a fresh 1-lane simulator for a minimal
-      single-transaction reproducer: if the re-run confirms, its
-      {!Mismatch} is raised verbatim; a divergence only the wide run
-      shows (a lane bug in the engine itself) is raised with an explicit
-      [" (<engine>-only)"] marker instead of being hidden. *)
+  (** [verify m ~seed ~batches] — the sign-off job builder: per copy,
+      random weights and then [batches] random inputs, drawn before any
+      simulation so the stimulus does not depend on the lane width.
+      Every copy's jobs share {!check_jobs}'s chunks, so the macro signs
+      off in [ceil (batches * mcr / E.max_lanes)] passes; the first
+      failure is raised as {!Mismatch}. *)
   let verify (m : Macro_rtl.t) ~seed ~batches =
     let rng = Rng.create seed in
-    let psim = E.create m.design in
-    if m.cfg.mcr > 1 then E.set_bus psim "copy_sel" 0;
-    let n_lanes = E.lanes_of psim in
-    let reproduce ~copy ~weights ~inputs ~word ~expected ~got ~detail =
-      let sim = E.create ~n_lanes:1 m.design in
-      if m.cfg.mcr > 1 then E.set_bus sim "copy_sel" 0;
-      load_weights_lanes m sim ~copy [| weights |];
-      if m.cfg.mcr > 1 then E.set_bus sim "copy_sel" copy;
-      ignore (check_mac m sim ~weights:[| weights |] ~inputs:[| inputs |]);
-      (* the 1-lane re-run did not reproduce: surface the wide payload *)
-      let detail = Printf.sprintf "%s (%s-only)" detail E.name in
-      raise (Mismatch { word; expected; got; detail })
+    let jobs =
+      Array.init m.cfg.mcr (fun copy ->
+          let weights = random_weights rng m ~density:1.0 in
+          Array.init batches (fun _ ->
+              let inputs =
+                Array.init m.cfg.rows (fun _ -> random_input rng m ~density:1.0)
+              in
+              { name = "signoff"; weights; inputs; copy }))
     in
-    for copy = 0 to m.cfg.mcr - 1 do
-      let weights = random_weights rng m ~density:1.0 in
-      load_weights_lanes m psim ~copy [| weights |];
-      if m.cfg.mcr > 1 then E.set_bus psim "copy_sel" copy;
-      (* all of the copy's inputs up-front: check_mac performs no draws,
-         so the RNG stream does not depend on the lane width *)
-      let all =
-        Array.init batches (fun _ ->
-            Array.init m.cfg.rows (fun _ -> random_input rng m ~density:1.0))
-      in
-      let pos = ref 0 in
-      while !pos < batches do
-        let n = min n_lanes (batches - !pos) in
-        let chunk = Array.sub all !pos n in
-        let results = run_mac m psim ~inputs:chunk in
-        for l = 0 to n - 1 do
-          try judge_mac_lane m psim ~weights ~inputs:chunk.(l) results.(l) l
-          with Mismatch { word; expected; got; detail } ->
-            reproduce ~copy ~weights ~inputs:chunk.(l) ~word ~expected ~got
-              ~detail
-        done;
-        pos := !pos + n
-      done
-    done
+    match check_jobs m (Array.concat (Array.to_list jobs)) with
+    | _, None -> ()
+    | _, Some { word; expected; got; detail; _ } ->
+        raise (Mismatch { word; expected; got; detail })
 end
 
-(** [verify ?engine m ~seed ~batches] — functional sign-off: random
-    weights into every copy, [batches] random MACs per copy checked
-    against {!Golden}. Returns unit or raises {!Mismatch}. The engine's
-    slice ({!Engine.slice}) runs {!Sliced.verify}: each copy's MACs pack
-    as lanes, 63 at a time, and a failing lane shrinks back to one
-    1-lane transaction. The RNG stream does not depend on the lane
-    width, so the verdict — and any Mismatch payload — is
-    engine-independent. *)
 let m_verify_runs = Metrics.counter "signoff.verify_runs"
 let m_macs_checked = Metrics.counter "signoff.macs_checked"
 
+(** [verify ?engine m ~seed ~batches] — functional sign-off:
+    {!Sliced.verify} on the engine's slice ({!Engine.slice}), [batches]
+    random MACs per weight copy checked against {!Golden}. Returns unit
+    or raises {!Mismatch}; the stimulus does not depend on the lane
+    width, so the verdict — and any Mismatch payload — is
+    engine-independent. *)
 let verify ?(engine : Engine.t = `Packed) (m : Macro_rtl.t) ~seed ~batches =
   (* Every engine checks the same MACs against the same golden stream,
      so both counts are engine-invariant: deterministic. *)

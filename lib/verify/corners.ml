@@ -1,4 +1,5 @@
-(** Directed corner vectors for the differential checker.
+(** Directed corner vectors for the differential checker, as
+    {!Testbench.job}s on weight copy 0.
 
     Random vectors almost never hit the corners DCIM datapaths break on:
     the two's-complement sign boundary (INT_MIN has no positive
@@ -9,12 +10,6 @@
     signed zeros). Each vector set below targets one of those corners;
     the checker runs all of them on every fuzzed spec, before any random
     batches. *)
-
-type vector_set = {
-  name : string;
-  weights : int array array;  (** [word][row], signed datapath weights *)
-  inputs : int array;  (** [row], raw macro inputs (packed bits for FP) *)
-}
 
 let int_min w = if w = 1 then 0 else - (Intmath.pow2 (w - 1))
 let int_max w = if w = 1 then 1 else Intmath.pow2 (w - 1) - 1
@@ -30,19 +25,17 @@ let alternating_words m a b =
           if r mod 2 = 0 then a else b))
 
 (* FP input patterns *)
-let fp_pack f ~sign ~exp ~man = Fpfmt.pack f ~sign ~exp ~man
-
 let fp_max f =
-  fp_pack f ~sign:false
+  Fpfmt.pack f ~sign:false
     ~exp:(Intmath.pow2 f.Fpfmt.exp_bits - 1)
     ~man:(Intmath.pow2 f.Fpfmt.man_bits - 1)
 
-let fp_min_subnormal f = fp_pack f ~sign:false ~exp:0 ~man:1
-let fp_neg_zero f = fp_pack f ~sign:true ~exp:0 ~man:0
+let fp_min_subnormal f = Fpfmt.pack f ~sign:false ~exp:0 ~man:1
+let fp_neg_zero f = Fpfmt.pack f ~sign:true ~exp:0 ~man:0
 
 (** [sets m] — the directed vector sets for macro [m]: weight corners
     crossed with input corners chosen for the macro's input precision. *)
-let sets (m : Macro_rtl.t) : vector_set list =
+let sets (m : Macro_rtl.t) : Testbench.job list =
   let rows = m.Macro_rtl.cfg.Macro_rtl.rows in
   let wb = m.Macro_rtl.wb in
   let weight_corners =
@@ -82,7 +75,7 @@ let sets (m : Macro_rtl.t) : vector_set list =
           ( "x=neg_zero/one",
             Array.init rows (fun r ->
                 if r mod 2 = 0 then fp_neg_zero f
-                else fp_pack f ~sign:false ~exp:(Fpfmt.bias f) ~man:0) );
+                else Fpfmt.pack f ~sign:false ~exp:(Fpfmt.bias f) ~man:0) );
           (* subnormals only: group exponent pinned at 1 *)
           ("x=denorm", Array.make rows (fp_min_subnormal f));
         ]
@@ -91,18 +84,20 @@ let sets (m : Macro_rtl.t) : vector_set list =
     (fun (wn, weights) ->
       List.map
         (fun (xn, inputs) ->
-          { name = Printf.sprintf "%s,%s" wn xn; weights; inputs })
+          { Testbench.name = Printf.sprintf "%s,%s" wn xn; weights; inputs;
+            copy = 0 })
         input_corners)
     weight_corners
 
 (** [random_sets rng m ~batches] — dense random vectors, the classic
     differential batch, as the tail of every campaign. *)
-let random_sets rng (m : Macro_rtl.t) ~batches : vector_set list =
+let random_sets rng (m : Macro_rtl.t) ~batches : Testbench.job list =
   List.init batches (fun i ->
       {
-        name = Printf.sprintf "random#%d" i;
+        Testbench.name = Printf.sprintf "random#%d" i;
         weights = Testbench.random_weights rng m ~density:1.0;
         inputs =
           Array.init m.Macro_rtl.cfg.Macro_rtl.rows (fun _ ->
               Testbench.random_input rng m ~density:1.0);
+        copy = 0;
       })

@@ -544,6 +544,90 @@ let test_macro_latency_metadata () =
    + m.Macro_rtl.post_lat)
     (Macro_rtl.mac_latency m)
 
+(* The packed slice, recording what sign-off asks of it: the lane count
+   of every simulator created, every weight copy a lane selects, and the
+   steps run. *)
+module Rec = struct
+  include Slice.Packed
+
+  let created = ref []
+  let selected = ref []
+  let steps = ref 0
+
+  let create ?n_lanes d =
+    let t = Slice.Packed.create ?n_lanes d in
+    created := lanes_of t :: !created;
+    t
+
+  let set_bus t name v =
+    if name = "copy_sel" then selected := v :: !selected;
+    Slice.Packed.set_bus t name v
+
+  let set_bus_lanes t name vs =
+    if name = "copy_sel" then selected := Array.to_list vs @ !selected;
+    Slice.Packed.set_bus_lanes t name vs
+
+  let step t =
+    incr steps;
+    Slice.Packed.step t
+end
+
+(* Sign-off checks every weight copy, and packs all copies' MACs into
+   the fewest passes: ceil (batches * mcr / max_lanes), each pass one
+   MAC schedule of [mac_latency] steps over a fresh simulator. *)
+let test_signoff_covers_copies_in_fewest_passes () =
+  let m = Macro_rtl.build lib (base 16 16 4 Precision.int8 Precision.int8) in
+  let module B = Testbench.Sliced (Rec) in
+  List.iter
+    (fun (batches, passes) ->
+      Rec.created := [];
+      Rec.selected := [];
+      Rec.steps := 0;
+      B.verify m ~seed:5 ~batches;
+      let jobs = batches * 4 in
+      let name s = Printf.sprintf "batches %d: %s" batches s in
+      Alcotest.(check (list int))
+        (name "copies selected") [ 0; 1; 2; 3 ]
+        (List.sort_uniq compare !Rec.selected);
+      check_int (name "passes") passes
+        (!Rec.steps / Macro_rtl.mac_latency m);
+      check_int (name "steps") (passes * Macro_rtl.mac_latency m) !Rec.steps;
+      check_int (name "simulators") passes (List.length !Rec.created);
+      check_int (name "lanes") jobs (List.fold_left ( + ) 0 !Rec.created))
+    [ (3, (12 + Rec.max_lanes - 1) / Rec.max_lanes); (20, 2) ]
+
+(* The packed slice with a lane bug: any run wider than one lane reads
+   every lane's word 0 one too high. *)
+module Liar = struct
+  include Slice.Packed
+
+  let name = "liar"
+
+  let read_bus_signed_lane t bus l =
+    Slice.Packed.read_bus_signed_lane t bus l
+    + if lanes_of t > 1 && bus = "result0" then 1 else 0
+end
+
+(* A divergence only the wide run shows does not reproduce on the
+   checker's 1-lane re-run: both job builders report the wide failure
+   with the engine's marker instead of hiding it. *)
+let test_checker_marks_engine_only_divergence () =
+  let m = Macro_rtl.build lib (base 16 16 1 Precision.int8 Precision.int8) in
+  let module B = Testbench.Sliced (Liar) in
+  (match B.verify m ~seed:5 ~batches:2 with
+  | () -> Alcotest.fail "sign-off missed the lane bug"
+  | exception Testbench.Mismatch { word; expected; got; detail } ->
+      check_int "word" 0 word;
+      check_int "got" (expected + 1) got;
+      Alcotest.(check string) "detail" "word result (liar-only)" detail);
+  let module D = Diffcheck.Check (Liar) in
+  match (D.check_macro ~seed:5 ~random_batches:1 m).Diffcheck.failure with
+  | None -> Alcotest.fail "diffcheck missed the lane bug"
+  | Some f ->
+      Alcotest.(check string) "set name"
+        "w=-1(all-bits),x=-1(all-bits) (word result (liar-only))"
+        f.Diffcheck.set_name
+
 let qtest_macro_random_configs =
   (* randomized configuration fuzzing: any legal config must verify *)
   let gen =
@@ -904,6 +988,10 @@ let () =
             test_controller_macro_bench_error;
           Alcotest.test_case "latency metadata" `Quick
             test_macro_latency_metadata;
+          Alcotest.test_case "sign-off: every copy, fewest passes" `Quick
+            test_signoff_covers_copies_in_fewest_passes;
+          Alcotest.test_case "checker: engine-only divergence marked" `Quick
+            test_checker_marks_engine_only_divergence;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest qtest_macro_random_configs ] );
