@@ -46,28 +46,20 @@ let write_out ~stage path f =
 let write_text path text =
   Out_channel.with_open_text path (fun oc -> output_string oc text)
 
-(* [with_out_dir out f] — check the -o directory before anything runs,
-   the way --cache-dir is checked: an existing non-directory is an error,
-   and a missing directory needs an existing parent. A bad path is a
-   one-line diagnostic and exit 1. *)
+(* [with_out_dir out f] — make sure the -o directory exists before
+   anything runs, under the --cache-dir policy ({!Fsutil.ensure_dir}). A
+   bad path is a one-line diagnostic and exit 1. *)
 let with_out_dir out (f : unit -> int) : int =
-  let fail dir msg =
-    print_endline
-      (Diag.to_string
-         (Diag.error ~stage:"compile" ~payload:[ ("out-dir", dir) ] msg));
-    1
-  in
   match out with
   | None -> f ()
-  | Some dir ->
-      let parent = Filename.dirname dir in
-      if Sys.file_exists dir then
-        if Sys.is_directory dir then f ()
-        else fail dir (Printf.sprintf "%s exists and is not a directory" dir)
-      else if Sys.file_exists parent && Sys.is_directory parent then f ()
-      else
-        fail dir
-          (Printf.sprintf "output directory parent %s does not exist" parent)
+  | Some dir -> (
+      match Fsutil.ensure_dir ~what:"output directory" dir with
+      | Ok () -> f ()
+      | Error msg ->
+          print_endline
+            (Diag.to_string
+               (Diag.error ~stage:"compile" ~payload:[ ("out-dir", dir) ] msg));
+          1)
 
 (* ---------------- shared execution context ---------------- *)
 
@@ -256,7 +248,6 @@ let compile_cmd =
           | None -> true
           | Some dir ->
               write_out ~stage:"compile" dir (fun () ->
-                  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
                   let file = Filename.concat dir in
                   Verilog.write_file (file "netlist.v")
                     a.Pipeline.macro.Macro_rtl.design;

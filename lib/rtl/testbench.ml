@@ -59,6 +59,7 @@ type failure = {
   expected : int;
   got : int;
   detail : string;
+  marker : string;  (** [" (<engine>-only)"] if the 1-lane re-run passed *)
 }
 
 let is_fp (m : Macro_rtl.t) =
@@ -115,10 +116,9 @@ let random_weights rng (m : Macro_rtl.t) ~density =
 
 (** The bench, written once against {!Slice.S}: one weight-load loop,
     one MAC schedule, one lane judge, one MAC checker and one stream
-    schedule. Any
-    {!Slice.S} runs through it, at 1 lane or many; every lane sees the
-    same control schedule and its own inputs and weights. Ports are
-    driven and read by bus name. *)
+    schedule. Any {!Slice.S} runs through it, at 1 lane or many; every
+    lane sees the same control schedule and its own inputs and weights.
+    Ports are driven and read by bus name. *)
 module Body (E : Slice.S) = struct
   (** [set_controls m sim ~load ~sa_en ~sa_clr ~sa_neg] drives one step
       of the MAC schedule, broadcast to every lane. Raises
@@ -299,26 +299,22 @@ module Body (E : Slice.S) = struct
       results;
     results
 
-  (* Load one chunk of jobs into a fresh simulator, one lane each: every
-     lane stores its own weights in the copy it reads and (MCR > 1)
-     selects that copy through a per-lane [copy_sel]. Bits written into
-     a copy no lane of that copy owns are zero — never read, since each
-     lane only observes its selected copy. *)
-  let load_chunk (m : Macro_rtl.t) (jobs : job array) =
-    let sim = E.create ~n_lanes:(Array.length jobs) m.design in
-    let zero = Array.make_matrix m.words m.cfg.rows 0 in
-    List.sort_uniq compare (Array.to_list (Array.map (fun j -> j.copy) jobs))
-    |> List.iter (fun c ->
-           load_weights_lanes m sim ~copy:c
-             (Array.map (fun j -> if j.copy = c then j.weights else zero) jobs));
+  (* Load, run and judge one chunk on a fresh simulator, one lane per
+     job: each lane stores its own weights in the copy it reads, the
+     copy's [fill] weights in every other copy the jobs use, and
+     (MCR > 1) selects its copy through a per-lane [copy_sel]. Lanes are
+     judged in job order up to the first divergence: the comparisons
+     made and the failure. *)
+  let run_chunk ?fault (m : Macro_rtl.t) ~fill (chunk : job array) =
+    let sim = E.create ~n_lanes:(Array.length chunk) m.design in
+    Array.iteri
+      (fun c ->
+        Option.iter (fun w ->
+            load_weights_lanes m sim ~copy:c
+              (Array.map (fun j -> if j.copy = c then j.weights else w) chunk)))
+      fill;
     if m.cfg.mcr > 1 then
-      E.set_bus_lanes sim "copy_sel" (Array.map (fun j -> j.copy) jobs);
-    sim
-
-  (* Load, run and judge one chunk; lanes are judged in job order up
-     to the first divergence: the comparisons made and the failure. *)
-  let run_chunk ?fault (m : Macro_rtl.t) (chunk : job array) =
-    let sim = load_chunk m chunk in
+      E.set_bus_lanes sim "copy_sel" (Array.map (fun j -> j.copy) chunk);
     let results =
       run_mac ?fault m sim ~inputs:(Array.map (fun j -> j.inputs) chunk)
     in
@@ -333,31 +329,39 @@ module Body (E : Slice.S) = struct
         with
         | () -> judge (l + 1) (checks + exp + m.words)
         | exception Mismatch { word; expected; got; detail } ->
-            (checks + exp + word + 1, Some { job; word; expected; got; detail })
+            ( checks + exp + word + 1,
+              Some { job; word; expected; got; detail; marker = "" } )
     in
     judge 0 0
 
   (** [check_jobs ?fault m jobs] — the MAC checker: the comparisons
       made and the first failure. Jobs pack as lanes, [E.max_lanes] per
       fresh simulator, and are judged in job order, so the result is
-      independent of the lane width. The first failing job re-runs
-      alone on a 1-lane chunk, a minimal reproducer: its failure wins
-      if it confirms; a divergence only the wide run shows (a lane bug
-      in the engine itself) keeps a [" (<engine>-only)"] detail marker. *)
+      independent of the lane width. Every copy the jobs read holds, in
+      the lanes that do not read it, the weights of its first job, so a
+      copy-select mux that leaks another copy reads as a wrong sum. The
+      first failing job re-runs alone on a 1-lane chunk, a minimal
+      reproducer: its failure wins if it confirms; a divergence only the
+      wide run shows (a lane bug in the engine itself) gets the
+      [" (<engine>-only)"] marker. *)
   let check_jobs ?fault (m : Macro_rtl.t) (jobs : job array) =
+    let fill = Array.make m.cfg.mcr None in
+    Array.iter
+      (fun j ->
+        if Option.is_none fill.(j.copy) then fill.(j.copy) <- Some j.weights)
+      jobs;
     let total = Array.length jobs in
     let rec chunks pos checks =
       if pos >= total then (checks, None)
       else
         let n = min E.max_lanes (total - pos) in
-        match run_chunk ?fault m (Array.sub jobs pos n) with
+        match run_chunk ?fault m ~fill (Array.sub jobs pos n) with
         | c, None -> chunks (pos + n) (checks + c)
         | c, Some f ->
             let f =
-              match run_chunk ?fault m [| f.job |] with
+              match run_chunk ?fault m ~fill [| f.job |] with
               | _, Some f -> f
-              | _, None ->
-                  { f with detail = Printf.sprintf "%s (%s-only)" f.detail E.name }
+              | _, None -> { f with marker = " (" ^ E.name ^ "-only)" }
             in
             (checks + c, Some f)
     in
@@ -528,8 +532,8 @@ module Sliced (E : Slice.S) = struct
     in
     match check_jobs m (Array.concat (Array.to_list jobs)) with
     | _, None -> ()
-    | _, Some { word; expected; got; detail; _ } ->
-        raise (Mismatch { word; expected; got; detail })
+    | _, Some { word; expected; got; detail; marker; _ } ->
+        raise (Mismatch { word; expected; got; detail = detail ^ marker })
 end
 
 let m_verify_runs = Metrics.counter "signoff.verify_runs"

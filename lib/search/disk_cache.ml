@@ -278,40 +278,23 @@ let sweep_stale_temps (dir : string) : int =
 
 (** [open_root dir] — open (creating if needed) the store at [dir],
     reaping any stale temp files a previously killed writer orphaned.
-    The parent of [dir] must already exist: a typo'd [--cache-dir]
-    should be a one-line error, not a silently created directory tree. *)
+    The parent of [dir] must already exist ({!Fsutil.ensure_dir}): a
+    typo'd [--cache-dir] should be a one-line error, not a silently
+    created directory tree. *)
 let open_root (dir : string) : (t, string) Stdlib.result =
-  let mk () =
-    let swept = sweep_stale_temps dir in
-    Metrics.add m_swept swept;
-    Ok
-      {
-        root = dir;
-        hits = Metrics.scoped m_hits;
-        misses = Metrics.scoped m_misses;
-        corrupt = Metrics.scoped m_corrupt;
-        stores = Metrics.scoped m_stores;
-        swept;
-        tmp_seq = Atomic.make 0;
-      }
-  in
-  if Sys.file_exists dir then
-    if Sys.is_directory dir then mk ()
-    else Error (Printf.sprintf "cache path %s exists and is not a directory" dir)
-  else
-    let parent = Filename.dirname dir in
-    if Sys.file_exists parent && Sys.is_directory parent then begin
-      (match Sys.mkdir dir 0o755 with
-      | () -> ()
-      | exception Sys_error _ when Sys.file_exists dir ->
-          (* another domain/process created it between the check and the
-             mkdir: that is exactly the directory we wanted *)
-          ());
-      mk ()
-    end
-    else
-      Error
-        (Printf.sprintf "cache directory parent %s does not exist" parent)
+  Fsutil.ensure_dir ~what:"cache directory" dir
+  |> Result.map (fun () ->
+         let swept = sweep_stale_temps dir in
+         Metrics.add m_swept swept;
+         {
+           root = dir;
+           hits = Metrics.scoped m_hits;
+           misses = Metrics.scoped m_misses;
+           corrupt = Metrics.scoped m_corrupt;
+           stores = Metrics.scoped m_stores;
+           swept;
+           tmp_seq = Atomic.make 0;
+         })
 
 let root (t : t) = t.root
 let path_of_key (t : t) k = Filename.concat t.root (k ^ ".entry")

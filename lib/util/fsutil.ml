@@ -1,0 +1,22 @@
+(** Filesystem policy shared by the paths the tools create (the compile
+    cache store, the artifact directory), so every entry point refuses a
+    bad path the same way. *)
+
+(** [ensure_dir ~what dir] — [dir] as an existing or freshly created
+    directory. An existing non-directory is an error, and so is a
+    missing parent: a typo'd path is a one-line error, not a silently
+    created directory tree. [what] names the path in the message. *)
+let ensure_dir ~what dir : (unit, string) result =
+  let parent = Filename.dirname dir in
+  if Sys.file_exists dir then
+    if Sys.is_directory dir then Ok ()
+    else Error (Printf.sprintf "%s %s exists and is not a directory" what dir)
+  else if Sys.file_exists parent && Sys.is_directory parent then
+    match Sys.mkdir dir 0o755 with
+    | () -> Ok ()
+    | exception Sys_error _ when Sys.file_exists dir && Sys.is_directory dir ->
+        (* another domain/process created it between the check and the
+           mkdir: that is exactly the directory we wanted *)
+        Ok ()
+    | exception Sys_error msg -> Error msg
+  else Error (Printf.sprintf "%s parent %s does not exist" what parent)

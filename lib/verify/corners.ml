@@ -14,15 +14,10 @@
 let int_min w = if w = 1 then 0 else - (Intmath.pow2 (w - 1))
 let int_max w = if w = 1 then 1 else Intmath.pow2 (w - 1) - 1
 
-(* weight patterns over [words][rows] *)
-let all_words m v =
-  Array.init m.Macro_rtl.words (fun _ ->
-      Array.make m.Macro_rtl.cfg.Macro_rtl.rows v)
-
-let alternating_words m a b =
-  Array.init m.Macro_rtl.words (fun _ ->
-      Array.init m.Macro_rtl.cfg.Macro_rtl.rows (fun r ->
-          if r mod 2 = 0 then a else b))
+(* a weight pattern over [words][rows]: [a] on even rows, [b] on odd *)
+let alternating_words (m : Macro_rtl.t) a b =
+  Array.init m.words (fun _ ->
+      Array.init m.cfg.rows (fun r -> if r mod 2 = 0 then a else b))
 
 (* FP input patterns *)
 let fp_max f =
@@ -38,13 +33,14 @@ let fp_neg_zero f = Fpfmt.pack f ~sign:true ~exp:0 ~man:0
 let sets (m : Macro_rtl.t) : Testbench.job list =
   let rows = m.Macro_rtl.cfg.Macro_rtl.rows in
   let wb = m.Macro_rtl.wb in
+  let all v = alternating_words m v v in
   let weight_corners =
     [
       (* all-ones bit pattern: for wb>1 this is -1 (every column active,
          sign column included); for wb=1 it is the full popcount *)
-      ("w=-1(all-bits)", all_words m (if wb = 1 then 1 else -1));
-      ("w=max", all_words m (int_max wb));
-      ("w=min", all_words m (int_min wb));
+      ("w=-1(all-bits)", all (if wb = 1 then 1 else -1));
+      ("w=max", all (int_max wb));
+      ("w=min", all (int_min wb));
       ("w=min/max", alternating_words m (int_min wb) (int_max wb));
     ]
   in

@@ -57,13 +57,12 @@ let rotate_rows (weights : int array array) =
       Array.init n (fun r -> per_row.((r + 1) mod n)))
     weights
 
-(* The checker's failure as a labelled record: the job's name, the
-   mismatch detail unless it is a plain word result, and the weight copy
-   when it is not copy 0. *)
-let failure_of ({ job; word; expected; got; detail } : Testbench.failure) =
+(* The checker's failure as a labelled record: the job's name, the FP
+   group exponent when that diverged, the engine-only marker, and the
+   weight copy when it is not copy 0. *)
+let failure_of ({ job; word; expected; got; marker; _ } : Testbench.failure) =
   let label =
-    if detail = "word result" then job.name
-    else Printf.sprintf "%s (%s)" job.name detail
+    job.name ^ (if word < 0 then " (group exponent)" else "") ^ marker
   in
   let set_name =
     if job.copy = 0 then label else Printf.sprintf "%s@copy%d" label job.copy

@@ -625,8 +625,52 @@ let test_checker_marks_engine_only_divergence () =
   | None -> Alcotest.fail "diffcheck missed the lane bug"
   | Some f ->
       Alcotest.(check string) "set name"
-        "w=-1(all-bits),x=-1(all-bits) (word result (liar-only))"
+        "w=-1(all-bits),x=-1(all-bits) (liar-only)"
         f.Diffcheck.set_name
+
+(* The packed slice with a copy-select leak: a lane reading weight copy
+   1 sees copy 1 ORed with copy 0, as if copy 0's select line were stuck
+   active. The stored bits of both copies are mirrored here, so the leak
+   does not depend on the order the copies are written in. *)
+module Leak = struct
+  include Slice.Packed
+
+  let stored = Hashtbl.create 64
+
+  let create ?n_lanes d =
+    Hashtbl.reset stored;
+    Slice.Packed.create ?n_lanes d
+
+  let set_weight_lanes t ~row ~col ~copy bits =
+    Hashtbl.replace stored (row, col, copy) (Array.copy bits);
+    Slice.Packed.set_weight_lanes t ~row ~col ~copy bits;
+    let get c =
+      match Hashtbl.find_opt stored (row, col, c) with
+      | Some b -> b
+      | None -> Array.make (Array.length bits) false
+    in
+    Slice.Packed.set_weight_lanes t ~row ~col ~copy:1
+      (Array.map2 ( || ) (get 0) (get 1))
+end
+
+(* Every lane holds real weights in every copy the checker uses, so a
+   copy-select leak reads as a wrong sum in both job builders, and the
+   1-lane reproducer confirms it rather than blaming the engine. *)
+let test_checker_catches_copy_select_leak () =
+  let m = Macro_rtl.build lib (base 16 16 2 Precision.int8 Precision.int8) in
+  Testbench.verify m ~seed:5 ~batches:2;
+  let module B = Testbench.Sliced (Leak) in
+  (match B.verify m ~seed:5 ~batches:2 with
+  | () -> Alcotest.fail "sign-off missed the copy-select leak"
+  | exception Testbench.Mismatch { detail; _ } ->
+      Alcotest.(check string) "confirmed by the reproducer" "word result"
+        detail);
+  let module D = Diffcheck.Check (Leak) in
+  match (D.check_macro ~seed:5 ~random_batches:1 m).Diffcheck.failure with
+  | None -> Alcotest.fail "diffcheck missed the copy-select leak"
+  | Some f ->
+      check_bool "fails on copy 1" true
+        (String.ends_with ~suffix:"@copy1" f.Diffcheck.set_name)
 
 let qtest_macro_random_configs =
   (* randomized configuration fuzzing: any legal config must verify *)
@@ -992,6 +1036,8 @@ let () =
             test_signoff_covers_copies_in_fewest_passes;
           Alcotest.test_case "checker: engine-only divergence marked" `Quick
             test_checker_marks_engine_only_divergence;
+          Alcotest.test_case "checker: copy-select leak caught" `Quick
+            test_checker_catches_copy_select_leak;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest qtest_macro_random_configs ] );

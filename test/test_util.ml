@@ -282,6 +282,27 @@ let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_sign_extend_roundtrip; prop_ceil_log2_bound; prop_frontier_sound ]
 
+(* The shared path policy: a missing directory under an existing parent
+   is created, an existing one accepted, and a missing parent or a file
+   in the way is an error naming the path. *)
+let test_ensure_dir () =
+  let dir = Filename.temp_dir "syndcim-test-fsutil" "" in
+  let sub = Filename.concat dir "out" and file = Filename.concat dir "f" in
+  let ok what r = check_bool what true (r = Ok ()) in
+  ok "created" (Fsutil.ensure_dir ~what:"out" sub);
+  check_bool "is a directory" true (Sys.is_directory sub);
+  ok "existing" (Fsutil.ensure_dir ~what:"out" sub);
+  Out_channel.with_open_text file (fun oc -> output_string oc "x");
+  (match Fsutil.ensure_dir ~what:"out" file with
+  | Error msg -> check_bool "file named" true (String.length msg > 0)
+  | Ok () -> Alcotest.fail "file accepted as a directory");
+  (match Fsutil.ensure_dir ~what:"out" (Filename.concat file "sub") with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "missing parent accepted");
+  Sys.remove file;
+  Sys.rmdir sub;
+  Sys.rmdir dir
+
 let () =
   Alcotest.run "util"
     [
@@ -296,6 +317,8 @@ let () =
           Alcotest.test_case "sign_extend" `Quick test_sign_extend;
           Alcotest.test_case "bits_for_unsigned" `Quick test_bits_for_unsigned;
         ] );
+      ( "fsutil",
+        [ Alcotest.test_case "ensure_dir" `Quick test_ensure_dir ] );
       ( "pareto",
         [
           Alcotest.test_case "dominates" `Quick test_dominates;
