@@ -43,9 +43,6 @@ let write_out ~stage path f =
   | exception Unix.Unix_error (e, _, arg) ->
       fail (Printf.sprintf "%s: %s" arg (Unix.error_message e))
 
-let write_text path text =
-  Out_channel.with_open_text path (fun oc -> output_string oc text)
-
 (* [with_out_dir out f] — make sure the -o directory exists before
    anything runs, under the --cache-dir policy ({!Fsutil.ensure_dir}). A
    bad path is a one-line diagnostic and exit 1. *)
@@ -120,7 +117,8 @@ let ctx_term =
     [f ctx], then persist the warmed LUT (even when [f] fails: the
     characterization work is valid regardless of the run's verdict). A
     bad job count or a malformed LUT is a one-line diagnostic and exit 1,
-    before anything runs; an unwritable [--metrics-out] is one after. *)
+    before anything runs; an unwritable [--scl-cache] or [--metrics-out]
+    is one after. *)
 let with_ctx (a : ctx_args) (f : Ctx.t -> int) : int =
   let opened =
     let ( let* ) = Result.bind in
@@ -150,10 +148,16 @@ let with_ctx (a : ctx_args) (f : Ctx.t -> int) : int =
       1
   | Ok ctx ->
       let code = f ctx in
-      (match (Ctx.save_scl ctx, a.cli_scl_cache) with
-      | Some n, Some p ->
-          Printf.printf "subcircuit LUT (%d entries) saved to %s\n" n p
-      | _ -> ());
+      let scl_ok =
+        match (Ctx.save_scl ctx, a.cli_scl_cache) with
+        | Ok (Some n), Some p ->
+            Printf.printf "subcircuit LUT (%d entries) saved to %s\n" n p;
+            true
+        | Ok _, _ -> true
+        | Error d, _ ->
+            print_endline (Diag.to_string d);
+            false
+      in
       (* metrics reporting runs whatever f's verdict was: a failed run
          is exactly when "where did the time go" matters *)
       if a.cli_metrics then begin
@@ -165,10 +169,10 @@ let with_ctx (a : ctx_args) (f : Ctx.t -> int) : int =
         | None -> true
         | Some path ->
             write_out ~stage:"ctx" path (fun () ->
-                write_text path (Metrics.to_json ());
+                Fsutil.write_atomic path (Metrics.to_json ());
                 Printf.printf "metrics written to %s\n" path)
       in
-      if metrics_ok then code else 1
+      if metrics_ok && scl_ok then code else 1
 
 (* ---------------- compile ---------------- *)
 
@@ -192,16 +196,18 @@ let compile_cmd =
     Arg.(value & opt preference_conv d.Spec.preference
          & info [ "prefer" ] ~doc:"PPA preference: power, area, performance, balanced.")
   in
-  let out = Arg.(value & opt (some string) None & info [ "o"; "out-dir" ] ~doc:"Write netlist.v, placement.def, macro.lib, macro.lef and report.txt here.") in
+  let out =
+    Arg.(value & opt (some string) None
+         & info [ "o"; "out-dir" ]
+             ~doc:"Write the compiled macro here: netlist.v, placement.def, \
+                   macro.lib, macro.lef and report.txt, plus the stage \
+                   summaries search.txt, verify.txt, sta.txt, power.txt and \
+                   metrics.txt.")
+  in
   let trace_flag =
     Arg.(value & flag
          & info [ "trace" ]
              ~doc:"Print the per-stage instrumentation table: wall-clock,                    cells touched, critical path in/out, evaluation-cache                    hits/misses, ECO iterations and retry boosts.")
-  in
-  let dump_stage =
-    Arg.(value & opt (some (pair ~sep:':' string string)) None
-         & info [ "dump-stage" ] ~docv:"STAGE:DIR"
-             ~doc:"Serialize a stage artifact into DIR: netlist + search                    summary (search), verification summary (signoff_verify),                    floorplan DEF + STA/ECO summary (backend), power                    breakdown (power), or the metric record (metrics).")
   in
   let inject =
     Arg.(value & opt (some string) None
@@ -209,7 +215,7 @@ let compile_cmd =
              ~doc:"Force the named pipeline stage to fail with a                    diagnostic (failure-path test hook).")
   in
   let run ctx_a rows cols mcr iprec wprec freq wupd vdd prefer out
-      trace_on dump inject =
+      trace_on inject =
     with_ctx ctx_a @@ fun ctx ->
     with_out_dir out @@ fun () ->
     let spec =
@@ -248,34 +254,17 @@ let compile_cmd =
           | None -> true
           | Some dir ->
               write_out ~stage:"compile" dir (fun () ->
-                  let file = Filename.concat dir in
-                  Verilog.write_file (file "netlist.v")
-                    a.Pipeline.macro.Macro_rtl.design;
-                  Def_writer.write_file lib (file "placement.def")
-                    a.Pipeline.signoff.Post_layout.placement;
-                  write_text (file "macro.lib") (Liberty.lib_text lib);
-                  write_text (file "macro.lef") (Liberty.lef_text lib);
-                  write_text (file "report.txt") (Report.to_string lib a);
+                  List.iter
+                    (fun (name, text) ->
+                      Fsutil.write_atomic (Filename.concat dir name) text)
+                    (Report.files lib r);
                   Printf.printf "artifacts written to %s/\n" dir)
         in
-        let dump_ok =
-          match dump with
-          | None -> true
-          | Some (name, dir) -> (
-              match Pipeline.dump_stage ctx r ~name ~dir with
-              | Ok files ->
-                  Printf.printf "stage %s dumped to %s/ (%s)\n" name dir
-                    (String.concat ", " files);
-                  true
-              | Error d ->
-                  print_endline (Diag.to_string d);
-                  false)
-        in
-        if a.Pipeline.timing_closed && out_ok && dump_ok then 0 else 1
+        if a.Pipeline.timing_closed && out_ok then 0 else 1
   in
   let term =
     Term.(const run $ ctx_term $ rows $ cols $ mcr $ iprec $ wprec $ freq
-          $ wupd $ vdd $ prefer $ out $ trace_flag $ dump_stage $ inject)
+          $ wupd $ vdd $ prefer $ out $ trace_flag $ inject)
   in
   Cmd.v (Cmd.info "compile" ~doc:"Compile a DCIM macro from a specification")
     term
@@ -378,7 +367,7 @@ let batch_cmd =
           | None -> true
           | Some path ->
               write_out ~stage:"batch" path (fun () ->
-                  write_text path (text ());
+                  Fsutil.write_atomic path (text ());
                   Printf.printf "wrote %s\n" path)
         in
         let manifest_ok = write manifest_out (fun () -> Batch.manifest_json r) in
@@ -500,19 +489,21 @@ let verify_cmd =
           "canary: FAIL — injected retiming bug escaped the differential checker\n");
     (* stage 3: golden PPA snapshot *)
     let snap_ok =
-      if update then begin
-        Printf.printf "snapshot: recorded %s\n"
-          (Snapshot.update ~dir:snapdir ctx);
-        true
-      end
-      else
-        match Snapshot.check_diag ~dir:snapdir ctx with
-        | Ok n ->
-            Printf.printf "snapshot: %d fingerprints match\n" n;
-            true
-        | Error d ->
-            Printf.printf "snapshot: FAIL\n%s\n" (Diag.to_string d);
-            false
+      let outcome =
+        if update then
+          Snapshot.update ~dir:snapdir ctx
+          |> Result.map (Printf.sprintf "snapshot: recorded %s\n")
+        else
+          Snapshot.check_diag ~dir:snapdir ctx
+          |> Result.map (Printf.sprintf "snapshot: %d fingerprints match\n")
+      in
+      match outcome with
+      | Ok line ->
+          print_string line;
+          true
+      | Error d ->
+          Printf.printf "snapshot: FAIL\n%s\n" (Diag.to_string d);
+          false
     in
     if campaign_ok && canary_ok && snap_ok then begin
       print_string "verify: PASS\n";

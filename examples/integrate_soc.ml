@@ -74,17 +74,13 @@ let () =
   (* artifact export *)
   let dir = "soc_handoff" in
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  Verilog.write_file (Filename.concat dir "dcim_macro.v") m.Macro_rtl.design;
-  Def_writer.write_file lib
-    (Filename.concat dir "dcim_macro.def")
-    a.Pipeline.signoff.Post_layout.placement;
-  let dump name text =
-    let oc = open_out (Filename.concat dir name) in
-    output_string oc text;
-    close_out oc
-  in
-  dump "cells.lib" (Liberty.lib_text lib);
-  dump "cells.lef" (Liberty.lef_text lib);
+  let write name text = Fsutil.write_atomic (Filename.concat dir name) text in
+  let design = m.Macro_rtl.design in
+  write "dcim_macro.v" (Verilog.stats_header design ^ Verilog.to_string design);
+  write "dcim_macro.def"
+    (Def_writer.to_string lib a.Pipeline.signoff.Post_layout.placement);
+  write "cells.lib" (Liberty.lib_text lib);
+  write "cells.lef" (Liberty.lef_text lib);
   Persist.save (Ctx.scl ctx) (Filename.concat dir "scl_lut.csv");
   Printf.printf "hand-off written to %s/: %s\n" dir
     (String.concat ", " (Array.to_list (Sys.readdir dir)))

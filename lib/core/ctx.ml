@@ -148,10 +148,14 @@ let load_scl t : (int, Diag.t) Stdlib.result =
 
 (** [save_scl t] — persist the shared memo to the context's CSV, if a
     path is set. Returns the entry count written ([None] when no path
-    is configured). *)
-let save_scl t : int option =
+    is configured); an unwritable path is a one-line diagnostic. *)
+let save_scl t : (int option, Diag.t) Stdlib.result =
   match t.scl_cache with
-  | Some path ->
-      Persist.save t.scl path;
-      Some (Scl.entries t.scl)
-  | None -> None
+  | Some path -> (
+      match Persist.save t.scl path with
+      | () -> Ok (Some (Scl.entries t.scl))
+      | exception Sys_error msg ->
+          Error
+            (Diag.error ~stage:"ctx" ~payload:[ ("scl-cache", path) ]
+               ("cannot write " ^ msg)))
+  | None -> Ok None

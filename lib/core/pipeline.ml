@@ -36,7 +36,12 @@
     escapes by exception. Every stage execution appends an instrumented
     {!Trace} row (wall-clock, cells touched, crit in/out, cache hit/miss,
     ECO iterations, retry boost), so [syndcim compile --trace] shows not
-    just what each stage produced but {e why} a retry boost happened. *)
+    just what each stage produced but {e why} a retry boost happened.
+
+    This module holds the compile and nothing else: the files a compile
+    hands back are rendered by {!Report.files}, and the experiment
+    harnesses that need one stage's work call {!Searcher.search} or
+    {!Post_layout.run} directly. *)
 
 let ( let* ) = Diag.( let* )
 
@@ -146,8 +151,8 @@ type policy = { max_boost : float; boost_step : float; max_eco_iters : int }
 
 let default_policy = { max_boost = 1.2; boost_step = 1.12; max_eco_iters = 3 }
 
-(** The placement style every compile uses; Ablation C's scattered
-    placement goes through {!backend_once} instead. *)
+(** The placement style every compile uses; Ablation C compares it with
+    scattered placement by calling {!Post_layout.run} directly. *)
 let placement = Floorplan.Sdp
 
 (** [next_boost policy ~boost ~timing_closed ~search_closed] — the retry
@@ -166,6 +171,7 @@ let report_input_density = 0.125
 let report_weight_density = 0.5
 let report_macs = 8
 let verify_batches = 2
+let verify_seed = 0xACC
 
 (* ------------------------------------------------------------------ *)
 (* Stages                                                              *)
@@ -208,14 +214,14 @@ let validate (spec : Spec.t) : (unit, Diag.t) Stdlib.result =
       [ field "vdd" spec.Spec.vdd ]
   else Ok ()
 
-(** Stage 1 — MSO search under [boost]-tightened internal clock. With
-    [netlists], candidates take their netlists from that table. The spec
-    must have passed {!validate}, as {!run} and {!search_only} check. *)
-let search_stage ?netlists lib scl ~boost : (Spec.t, search_art) Stage.t =
+(** Stage 1 — MSO search under [boost]-tightened internal clock, its
+    candidates taking their netlists from the compile's [netlists]
+    table. The spec must have passed {!validate}, as {!run} checks. *)
+let search_stage ~netlists lib scl ~boost : (Spec.t, search_art) Stage.t =
   Stage.v stage_search (fun (spec : Spec.t) ->
       let* search, cache =
         Diag.guard ~stage:stage_search ~spec (fun () ->
-            let cache = Eval_cache.create ?netlists () in
+            let cache = Eval_cache.create ~netlists () in
             let search_spec =
               { spec with Spec.mac_freq_hz = spec.Spec.mac_freq_hz *. boost }
             in
@@ -243,7 +249,8 @@ let search_stage ?netlists lib scl ~boost : (Spec.t, search_art) Stage.t =
     wire-aware ECO sizing loop, recording every iteration, then decide
     the attempt. The loop alternates upsizing with re-placement and
     extraction ({!Post_layout.place_route}) until the post-route critical
-    path meets [budget_ps], stops improving, or [max_eco_iters] runs out.
+    path meets [budget_ps], stops improving, or {!default_policy}'s
+    [max_eco_iters] runs out.
     Sizing keeps only rounds that shorten the path it times (with the
     previous pass's wire loads), but the routed path need not follow: a
     resize can lengthen it once its larger cells are re-placed. The
@@ -251,15 +258,16 @@ let search_stage ?netlists lib scl ~boost : (Spec.t, search_art) Stage.t =
     last layout that the resize did not beat.
 
     [retry] maps the kept layout's routed critical path to the next
-    attempt's boost and the reason (default: never). When it asks for
-    one, the stage returns [Retry] and its row's note leads with the
-    reason; otherwise the kept layout is checked by DRC and LVS
-    ({!Post_layout.check}) and shipped. *)
-let backend_stage ?spec ?(retry = fun (_ : float) -> None) lib ~style
-    ~budget_ps ~max_eco_iters : (Macro_rtl.t, backend_art) Stage.t =
+    attempt's boost and the reason. When it asks for one, the stage
+    returns [Retry] and its row's note leads with the reason; otherwise
+    the kept layout is checked by DRC and LVS ({!Post_layout.check}) and
+    shipped. *)
+let backend_stage ~spec ~retry lib ~budget_ps :
+    (Macro_rtl.t, backend_art) Stage.t =
+  let max_eco_iters = default_policy.max_eco_iters in
   Stage.v stage_backend (fun (macro : Macro_rtl.t) ->
       let* art =
-        Diag.guard ~stage:stage_backend ?spec (fun () ->
+        Diag.guard ~stage:stage_backend ~spec (fun () ->
             let design = macro.Macro_rtl.design in
             let iters = ref [] in
             let capped = ref false in
@@ -267,7 +275,7 @@ let backend_stage ?spec ?(retry = fun (_ : float) -> None) lib ~style
               let crit = pass.Post_layout.r_sta.Sta.crit_ps in
               if crit <= budget_ps then pass
               else if iter >= max_eco_iters then begin
-                capped := max_eco_iters > 0;
+                capped := true;
                 pass
               end
               else begin
@@ -279,7 +287,7 @@ let backend_stage ?spec ?(retry = fun (_ : float) -> None) lib ~style
                 let sized =
                   Sizing.speed_up ~wire_cap design lib ~target_ps:budget_ps
                 in
-                let next = Post_layout.place_route lib macro ~style in
+                let next = Post_layout.place_route lib macro ~style:placement in
                 let next_crit = next.Post_layout.r_sta.Sta.crit_ps in
                 if next_crit >= crit -. 1.0 then begin
                   (* the resize did not help once re-placed: roll back *)
@@ -320,7 +328,7 @@ let backend_stage ?spec ?(retry = fun (_ : float) -> None) lib ~style
                 end
               end
             in
-            let first = Post_layout.place_route lib macro ~style in
+            let first = Post_layout.place_route lib macro ~style:placement in
             let kept = eco_loop 0 first in
             let crit = kept.Post_layout.r_sta.Sta.crit_ps in
             let decision = retry crit in
@@ -369,7 +377,7 @@ let verify_stage : (search_art, search_art) Stage.t =
   Stage.v stage_verify (fun (sa : search_art) ->
       let* () =
         Diag.guard ~stage:stage_verify ~spec:sa.search_spec (fun () ->
-            Testbench.verify sa.macro ~seed:0xACC ~batches:verify_batches)
+            Testbench.verify sa.macro ~seed:verify_seed ~batches:verify_batches)
       in
       let copies = sa.macro.Macro_rtl.cfg.Macro_rtl.mcr in
       Ok
@@ -522,9 +530,7 @@ let run ?trace ?inject (ctx : Ctx.t) (spec : Spec.t) :
     let* sa = exec (search_stage ~netlists lib scl ~boost) spec in
     let* ba =
       exec
-        (backend_stage lib ~style:placement ~spec ~budget_ps
-           ~max_eco_iters:default_policy.max_eco_iters
-           ~retry:(retry_decision lib sa))
+        (backend_stage ~spec ~retry:(retry_decision lib sa) lib ~budget_ps)
         sa.macro
     in
     Metrics.incr m_attempts;
@@ -731,158 +737,3 @@ let run_cached ?trace (ctx : Ctx.t) (spec : Spec.t) :
           let s = { (summary_of_run r) with sum_cache = outcome } in
           Disk_cache.store dc k (cache_value_of_summary s);
           Ok s)
-
-(* ------------------------------------------------------------------ *)
-(* Stage-level entry points for the experiment harnesses               *)
-(* ------------------------------------------------------------------ *)
-
-(** [search_only ?trace ctx spec] — run just the search stage. *)
-let search_only ?trace (ctx : Ctx.t) (spec : Spec.t) :
-    (search_art, Diag.t) Stdlib.result =
-  let* () = validate spec in
-  Stage.execute ?trace
-    (search_stage (Ctx.lib ctx) (Ctx.scl ctx) ~boost:1.0)
-    spec
-
-(** [backend_once ?trace ?spec ctx ~style macro] — one
-    place/route/sign-off pass with no ECO re-closure (infinite budget,
-    zero iterations); returns the signed-off layout. *)
-let backend_once ?trace ?spec (ctx : Ctx.t) ~style (macro : Macro_rtl.t) :
-    (Post_layout.t, Diag.t) Stdlib.result =
-  let* ba =
-    Stage.execute ?trace
-      (backend_stage (Ctx.lib ctx) ~style ?spec ~budget_ps:infinity
-         ~max_eco_iters:0)
-      macro
-  in
-  match ba.outcome with
-  | Ship signoff -> Ok signoff
-  | Retry _ -> assert false (* no [retry] was given *)
-
-(* ------------------------------------------------------------------ *)
-(* Stage artifact serialization (--dump-stage)                         *)
-(* ------------------------------------------------------------------ *)
-
-let describe_eco (eco : eco_iteration list) =
-  if eco = [] then "eco: no iterations (budget met at first sign-off)\n"
-  else
-    String.concat ""
-      (List.map
-         (fun (i : eco_iteration) ->
-           Printf.sprintf "eco[%d]: %s%s\n" i.iter i.reason
-             (if i.rolled_back then " [rolled back]" else ""))
-         eco)
-
-let rec mkdirs dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir)
-  then begin
-    mkdirs (Filename.dirname dir);
-    Sys.mkdir dir 0o755
-  end
-
-(** [dump_stage ctx r ~name ~dir] — serialize the named stage's artifact
-    (netlist + stats, floorplan DEF, STA summary with the ECO record,
-    power breakdown, metrics) into [dir]; returns the files written. *)
-let dump_stage (ctx : Ctx.t) (r : run) ~name ~dir :
-    (string list, Diag.t) Stdlib.result =
-  let lib = Ctx.lib ctx in
-  let a = r.artifact in
-  Diag.guard ~stage:name ~spec:a.spec (fun () ->
-      mkdirs dir;
-      let file fname text =
-        let oc = open_out (Filename.concat dir fname) in
-        output_string oc text;
-        close_out oc;
-        fname
-      in
-      match name with
-      | "search" ->
-          Verilog.write_file
-            (Filename.concat dir "netlist.v")
-            a.macro.Macro_rtl.design;
-          let stats = Stats.of_design a.macro.Macro_rtl.design lib in
-          let txt =
-            Printf.sprintf
-              "spec: %s\nattempts: %d (final boost x%.2f)\npre-layout crit: \
-               %.1f ps\npre-layout timing: %s\ninstances: %d\nnets: %d\n\
-               area: %.0f um2\ncache: %d hits / %d misses\ntechniques:\n%s"
-              (Spec.describe a.spec) (List.length r.attempts)
-              (match List.rev r.attempts with
-              | last :: _ -> last.attempt_boost
-              | [] -> 1.0)
-              a.search.Searcher.final.Design_point.crit_ps
-              (if a.search.Searcher.timing_closed then "closed"
-               else "NOT closed")
-              (Ir.n_insts a.macro.Macro_rtl.design)
-              a.macro.Macro_rtl.design.Ir.n_nets stats.Stats.area_um2
-              (match List.rev r.attempts with
-              | last :: _ -> last.attempt_cache.Eval_cache.hits
-              | [] -> 0)
-              (match List.rev r.attempts with
-              | last :: _ -> last.attempt_cache.Eval_cache.misses
-              | [] -> 0)
-              (String.concat ""
-                 (List.map
-                    (fun t ->
-                      Printf.sprintf "  - %s\n" (Searcher.technique_name t))
-                    a.search.Searcher.applied))
-          in
-          [ "netlist.v"; file "search.txt" txt ]
-      | "signoff_verify" ->
-          [
-            file "verify.txt"
-              (Printf.sprintf
-                 "spec: %s\nverified: %d random MAC batches per weight copy \
-                  (%d copies) against the golden model, seed 0x%X\n"
-                 (Spec.describe a.spec) verify_batches
-                 a.macro.Macro_rtl.cfg.Macro_rtl.mcr 0xACC);
-          ]
-      | "backend" ->
-          Def_writer.write_file lib
-            (Filename.concat dir "floorplan.def")
-            a.signoff.Post_layout.placement;
-          let eco =
-            match List.rev r.attempts with
-            | last :: _ -> last.attempt_eco
-            | [] -> []
-          in
-          let txt =
-            Printf.sprintf
-              "post-layout crit: %.1f ps\narea: %.4f mm2\nwirelength: %.1f \
-               mm\nDRC violations: %d\nLVS: %s\n%s"
-              a.signoff.Post_layout.sta.Sta.crit_ps
-              a.signoff.Post_layout.area_mm2
-              a.signoff.Post_layout.total_wirelength_mm
-              (List.length a.signoff.Post_layout.drc_violations)
-              (if a.signoff.Post_layout.lvs.Lvs.clean then "clean" else "DIRTY")
-              (describe_eco eco)
-          in
-          [ "floorplan.def"; file "sta.txt" txt ]
-      | "power" ->
-          let b = Buffer.create 512 in
-          Buffer.add_string b
-            (Printf.sprintf "total: %.4f mW @ %.0f MHz, %.2f V\n"
-               (a.power.Power.total_w *. 1e3)
-               (a.spec.Spec.mac_freq_hz /. 1e6)
-               a.spec.Spec.vdd);
-          List.iter
-            (fun (name, w) ->
-              Buffer.add_string b
-                (Printf.sprintf "  %-16s %.4f mW\n" name (w *. 1e3)))
-            a.power.Power.by_subcircuit;
-          [ file "power.txt" (Buffer.contents b) ]
-      | "metrics" ->
-          let m = a.metrics in
-          [
-            file "metrics.txt"
-              (Printf.sprintf
-                 "crit_ps: %.1f\nfmax_ghz: %.3f\npower_w: %.6f\narea_mm2: \
-                  %.6f\ntops: %.4f\ntops_per_w: %.2f\ntops_per_mm2: %.2f\n\
-                  ops_norm: %.0f\ntiming_closed: %b\n"
-                 m.crit_ps m.fmax_ghz m.power_w m.area_mm2 m.tops
-                 m.tops_per_w m.tops_per_mm2 m.ops_norm a.timing_closed);
-          ]
-      | other ->
-          failwith
-            (Printf.sprintf "unknown stage %S (expected one of: %s)" other
-               (String.concat ", " stage_names)))

@@ -186,4 +186,4 @@ let metrics_json (_ : t) : string = Metrics.to_json ()
     ({!Ctx.save_scl}); the compile cache needs no closing (entries are
     written atomically as they are produced). Returns the entry count
     written, if persistence is configured. *)
-let close (t : t) : int option = Ctx.save_scl t.ctx
+let close (t : t) : (int option, Diag.t) Stdlib.result = Ctx.save_scl t.ctx

@@ -86,9 +86,8 @@ let search_ladder ?(freqs_mhz = [ 300.; 500.; 800.; 1100. ]) (ctx : Ctx.t)
     (fun f ->
       let spec = { base with Spec.mac_freq_hz = f *. 1e6 } in
       let r =
-        match Pipeline.search_only ctx spec with
-        | Ok sa -> sa.Pipeline.search
-        | Error d -> raise (Diag.Failed d)
+        Searcher.search ~cache:(Eval_cache.create ()) (Ctx.lib ctx)
+          (Ctx.scl ctx) spec
       in
       {
         freq_mhz = f;
@@ -132,8 +131,8 @@ type mcr_point = {
     weight storage while sharing one compute element per [mcr] cells,
     trading a little mux delay/area for much higher memory density and
     background weight updates. Power streams through
-    {!Design_point.measure_power_sliced} on the packed slice: 63 Monte
-    Carlo replicas per grid point. *)
+    {!Design_point.measure_power} on {!Sim_sliced.word_lanes} packed
+    lanes: 63 Monte Carlo replicas per grid point. *)
 let mcr_sweep ?(dim = 32) (ctx : Ctx.t) =
   let lib = Ctx.lib ctx in
   let grid =
@@ -222,11 +221,7 @@ let placements ?(dims = [ 32; 64; 128 ]) (ctx : Ctx.t) =
           ~input_prec:Precision.int8 ~weight_prec:Precision.int8
       in
       let m = Macro_rtl.build lib cfg in
-      let s =
-        match Pipeline.backend_once ctx ~style m with
-        | Ok s -> s
-        | Error d -> raise (Diag.Failed d)
-      in
+      let s = Post_layout.run lib m ~style in
       {
         dim;
         style = Floorplan.style_name style;

@@ -48,8 +48,3 @@ let to_string lib (p : Floorplan.t) =
     live;
   Buffer.add_string b "END NETS\nEND DESIGN\n";
   Buffer.contents b
-
-let write_file lib path p =
-  let oc = open_out path in
-  output_string oc (to_string lib p);
-  close_out oc

@@ -79,9 +79,3 @@ let stats_header (d : Ir.design) =
     "// generated by SynDCIM\n// instances: %d, nets: %d, registers: %d, \
      storage bits: %d\n"
     (Ir.n_insts d) d.n_nets (Array.length d.seq) (Array.length d.storage)
-
-let write_file path d =
-  let oc = open_out path in
-  output_string oc (stats_header d);
-  output_string oc (to_string d);
-  close_out oc

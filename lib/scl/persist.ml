@@ -6,15 +6,20 @@
     leakage_nw]. Keys are the same strings {!Scl} memoizes under, so a
     loaded table short-circuits characterization exactly. *)
 
+(** [save scl path] writes the table atomically ({!Fsutil.write_atomic}):
+    a writer killed mid-save leaves the previous file, never a torn one.
+    [%.17g] round-trips every float, so a reloaded entry is bit for bit
+    the characterized one. *)
 let save (scl : Scl.t) path =
   let rows = List.sort (fun (a, _) (b, _) -> compare a b) (Scl.bindings scl) in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc "key,delay_ps,area_um2,energy_fj,leakage_nw\n";
-      List.iter
-        (fun (k, (v : Ppa.t)) ->
-          Printf.fprintf oc "%s,%.6g,%.6g,%.6g,%.6g\n" k v.Ppa.delay_ps
-            v.Ppa.area_um2 v.Ppa.energy_fj v.Ppa.leakage_nw)
-        rows)
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "key,delay_ps,area_um2,energy_fj,leakage_nw\n";
+  List.iter
+    (fun (k, (v : Ppa.t)) ->
+      Printf.bprintf b "%s,%.17g,%.17g,%.17g,%.17g\n" k v.Ppa.delay_ps
+        v.Ppa.area_um2 v.Ppa.energy_fj v.Ppa.leakage_nw)
+    rows;
+  Fsutil.write_atomic path (Buffer.contents b)
 
 exception Bad_format of string
 

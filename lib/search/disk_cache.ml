@@ -243,7 +243,6 @@ type t = {
   corrupt : Metrics.counter;
   stores : Metrics.counter;
   swept : int;  (** stale temp files reaped when the store was opened *)
-  tmp_seq : int Atomic.t;
 }
 
 (* A temp file is live for the milliseconds between open and rename; one
@@ -293,7 +292,6 @@ let open_root (dir : string) : (t, string) Stdlib.result =
            corrupt = Metrics.scoped m_corrupt;
            stores = Metrics.scoped m_stores;
            swept;
-           tmp_seq = Atomic.make 0;
          })
 
 let root (t : t) = t.root
@@ -327,27 +325,15 @@ let lookup (t : t) (key : string) : lookup =
           Metrics.incr t.corrupt;
           Corrupt reason)
 
-(** [store t key v] — write the entry atomically: a temp file in the
-    store directory, then [rename] over the final name, so a concurrent
-    reader (or a second writer racing on the same key) only ever sees a
-    complete entry. Write failures are swallowed: the cache is an
-    accelerator, and a read-only or full disk must not fail the build. *)
+(** [store t key v] — write the entry atomically ({!Fsutil.write_atomic}),
+    so a concurrent reader (or a second writer racing on the same key)
+    only ever sees a complete entry. Write failures are swallowed: the
+    cache is an accelerator, and a read-only or full disk must not fail
+    the build. *)
 let store (t : t) (key : string) (v : value) : unit =
-  let path = path_of_key t key in
-  let tmp =
-    Filename.concat t.root
-      (Printf.sprintf ".tmp-%s-%d-%d" key (Unix.getpid ())
-         (Atomic.fetch_and_add t.tmp_seq 1))
-  in
-  match
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (render_value key v));
-    Sys.rename tmp path
-  with
+  match Fsutil.write_atomic (path_of_key t key) (render_value key v) with
   | () -> Metrics.incr t.stores
-  | exception Sys_error _ -> (try Sys.remove tmp with Sys_error _ -> ())
+  | exception Sys_error _ -> ()
 
 (* This store's own outcome counts (see {!t}). *)
 let hits (t : t) = Metrics.counter_value t.hits

@@ -118,17 +118,9 @@ let diff ~expected ~actual : string option =
             (max (List.length e) (List.length a))
          :: lines))
 
-let save path text =
-  let oc = open_out path in
-  output_string oc text;
-  close_out oc
+let save = Fsutil.write_atomic
 
-let load path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let load path = In_channel.with_open_text path In_channel.input_all
 
 (** [check ~dir ctx] — compare current fingerprints against the
     snapshot file under [dir]; [Ok checked] or [Error report]. A missing
@@ -161,16 +153,17 @@ let check_diag ~dir (ctx : Ctx.t) : (int, Diag.t) Stdlib.result =
            ~payload:[ ("dir", dir); ("file", file) ]
            report)
 
-(** [update ~dir ctx] — re-record the snapshot; returns the path. *)
-let rec mkdirs dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir)
-  then begin
-    mkdirs (Filename.dirname dir);
-    Sys.mkdir dir 0o755
-  end
-
-let update ~dir (ctx : Ctx.t) : string =
-  mkdirs dir;
-  let path = Filename.concat dir file in
-  save path (render (fingerprint ctx canonical_specs));
-  path
+(** [update ~dir ctx] — re-record the snapshot; returns the path. [dir]
+    follows {!Fsutil.ensure_dir}, checked before any spec compiles; a
+    bad directory or a failed write is a stage ["snapshot"] diagnostic. *)
+let update ~dir (ctx : Ctx.t) : (string, Diag.t) Stdlib.result =
+  let fail msg =
+    Error (Diag.error ~stage:"snapshot" ~payload:[ ("dir", dir) ] msg)
+  in
+  match Fsutil.ensure_dir ~what:"snapshot directory" dir with
+  | Error msg -> fail msg
+  | Ok () -> (
+      let path = Filename.concat dir file in
+      match save path (render (fingerprint ctx canonical_specs)) with
+      | () -> Ok path
+      | exception Sys_error msg -> fail ("cannot write " ^ msg))

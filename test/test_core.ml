@@ -86,6 +86,40 @@ let test_report_renders () =
   check_bool "mentions post-layout" true (contains "post-layout");
   check_bool "subcircuit table" true (contains "shift_adder")
 
+(* The one exporter: [syndcim compile -o] writes exactly this list. *)
+let test_report_files () =
+  let r =
+    match Pipeline.run ctx (spec ~freq:300e6 ()) with
+    | Ok r -> r
+    | Error d -> Alcotest.failf "compile failed: %s" (Diag.to_string d)
+  in
+  let a = r.Pipeline.artifact in
+  let files = Report.files lib r in
+  Alcotest.(check (list string))
+    "file set"
+    [ "netlist.v"; "placement.def"; "macro.lib"; "macro.lef"; "report.txt";
+      "search.txt"; "verify.txt"; "sta.txt"; "power.txt"; "metrics.txt" ]
+    (List.map fst files);
+  let file name = List.assoc name files in
+  let starts_with prefix s = String.starts_with ~prefix s in
+  check_bool "netlist carries its stats header" true
+    (starts_with
+       (Verilog.stats_header a.Pipeline.macro.Macro_rtl.design)
+       (file "netlist.v"));
+  check_bool "report is the printed report" true
+    (file "report.txt" = Report.to_string lib a);
+  check_bool "search summary leads with the spec" true
+    (starts_with
+       ("spec: " ^ Spec.describe a.Pipeline.spec)
+       (file "search.txt"));
+  let eco = (List.hd (List.rev r.Pipeline.attempts)).Pipeline.attempt_eco in
+  check_bool "sta summary ends with the ECO record" true
+    (String.ends_with ~suffix:(Report.describe_eco eco) (file "sta.txt"));
+  check_bool "metrics summary carries the verdict" true
+    (String.ends_with
+       ~suffix:(Printf.sprintf "timing_closed: %b\n" a.Pipeline.timing_closed)
+       (file "metrics.txt"))
+
 let test_fig8_spec_closes () =
   (* the paper's headline spec must close end to end *)
   let a = Pipeline.artifact_exn (Pipeline.run ctx Spec.fig8) in
@@ -109,6 +143,7 @@ let () =
           Alcotest.test_case "metrics consistency" `Quick
             test_metrics_consistency;
           Alcotest.test_case "report" `Quick test_report_renders;
+          Alcotest.test_case "report files" `Quick test_report_files;
           Alcotest.test_case "fig8 spec closes" `Slow test_fig8_spec_closes;
         ] );
     ]

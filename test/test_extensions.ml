@@ -152,6 +152,35 @@ let test_persist_roundtrip () =
     && Float.abs (a.Ppa.area_um2 -. b.Ppa.area_um2) < 1e-3);
   Sys.remove path
 
+(* Save -> load must reproduce the characterized table bit for bit: a
+   loaded entry stands in for characterization, so a rounded float would
+   steer the search differently from the run that saved it. *)
+let test_persist_exact () =
+  let scl = Scl.create lib in
+  ignore
+    (Scl.adder_tree scl
+       ~topology:(Adder_tree.Csa { fa_ratio = 0.5; reorder = true })
+       ~rows:32);
+  ignore (Scl.mulmux scl ~variant:Cell.Tg_nor ~mcr:4);
+  ignore
+    (Scl.shift_adder scl ~kind:Shift_adder.Lsb_right ~rows:32 ~serial_bits:8);
+  let path = Filename.temp_file "scl" ".csv" in
+  Persist.save scl path;
+  let scl2 = Scl.create lib in
+  ignore (Persist.load scl2 path);
+  Sys.remove path;
+  let bits scl =
+    List.sort compare
+      (List.map
+         (fun (k, (v : Ppa.t)) ->
+           ( k,
+             List.map Int64.bits_of_float
+               [ v.Ppa.delay_ps; v.Ppa.area_um2; v.Ppa.energy_fj;
+                 v.Ppa.leakage_nw ] ))
+         (Scl.bindings scl))
+  in
+  check_bool "reloaded table is bit-identical" true (bits scl = bits scl2)
+
 let test_persist_bad_format () =
   let path = Filename.temp_file "scl" ".csv" in
   let oc = open_out path in
@@ -302,6 +331,7 @@ let () =
       ( "persistence",
         [
           Alcotest.test_case "roundtrip" `Quick test_persist_roundtrip;
+          Alcotest.test_case "roundtrip is bit-exact" `Quick test_persist_exact;
           Alcotest.test_case "bad format" `Quick test_persist_bad_format;
           Alcotest.test_case "bad row merges nothing" `Quick test_persist_torn;
         ] );

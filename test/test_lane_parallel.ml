@@ -54,16 +54,10 @@ let test_fmax_absent_vdd () =
   check_bool "highest passing frequency" true
     (Fig9.fmax_mhz t ~vdd:0.9 = Some 200.)
 
-(* dune runtest runs with cwd = _build/default/test; a direct dune exec
-   runs from the project root — accept either *)
-let fig9_snap =
-  let local = Filename.concat "snapshots" "fig9.snap" in
-  if Sys.file_exists local then local else Filename.concat "test" local
-
 let test_shmoo_render_snapshot () =
   let t = Fig9.shmoo lib.Library.node ~crit_ps:950.0 in
   let actual = Fig9.render t in
-  let expected = Snapshot.load fig9_snap in
+  let expected = Snapshot.load (Snapshot_dir.path "fig9.snap") in
   if expected <> actual then
     Alcotest.failf
       "Fig. 9 rendered grid drifted from test/snapshots/fig9.snap:\n\

@@ -481,7 +481,7 @@ let test_layout_snapshot () =
   match Sys.getenv_opt "SYNDCIM_LAYOUT_SNAP_OUT" with
   | Some path -> Snapshot.save path actual
   | None ->
-      let expected = Snapshot.load (Filename.concat "snapshots" "layout.snap") in
+      let expected = Snapshot.load (Snapshot_dir.path "layout.snap") in
       let e = String.split_on_char '\n' expected
       and a = String.split_on_char '\n' actual in
       check_int "line count" (List.length e) (List.length a);

@@ -34,14 +34,16 @@ let small_spec =
 let reference_compile (spec : Spec.t) =
   let p = Pipeline.default_policy in
   let budget_ps = Spec.nominal_budget_ps spec lib.Library.node in
+  let netlists = Eval_cache.netlists () in
   let ( let* ) = Stdlib.Result.bind in
   let rec go boost =
-    let* sa = Stage.execute (Pipeline.search_stage lib scl ~boost) spec in
+    let* sa =
+      Stage.execute (Pipeline.search_stage ~netlists lib scl ~boost) spec
+    in
     let* sa = Stage.execute Pipeline.verify_stage sa in
     let* ba =
       Stage.execute
-        (Pipeline.backend_stage lib ~style:Floorplan.Sdp ~spec ~budget_ps
-           ~max_eco_iters:p.Pipeline.max_eco_iters)
+        (Pipeline.backend_stage ~spec ~retry:(fun _ -> None) lib ~budget_ps)
         sa.Pipeline.macro
     in
     let signoff =
@@ -222,9 +224,8 @@ let test_netlist_table () =
   let as_built = (Macro_rtl.build lib cfg).Macro_rtl.design.Ir.drives in
   (match
      Stage.execute
-       (Pipeline.backend_stage lib ~style:Floorplan.Sdp ~spec
-          ~budget_ps:(Spec.nominal_budget_ps spec lib.Library.node)
-          ~max_eco_iters:Pipeline.default_policy.Pipeline.max_eco_iters)
+       (Pipeline.backend_stage ~spec ~retry:(fun _ -> None) lib
+          ~budget_ps:(Spec.nominal_budget_ps spec lib.Library.node))
        shipped
    with
   | Ok ba ->

@@ -961,7 +961,7 @@ let test_netlist_snapshot () =
         (String.concat "\n" (snap_header :: List.map snap_line keys) ^ "\n")
   | None ->
       let expected =
-        Snapshot.load (Filename.concat "snapshots" "netlist.snap")
+        Snapshot.load (Snapshot_dir.path "netlist.snap")
         |> String.split_on_char '\n'
         |> List.filter (fun l -> l <> "" && l.[0] <> '#')
       in

@@ -290,8 +290,9 @@ let test_snapshot_roundtrip_and_missing () =
       check_bool "missing snapshot names the update command" true
         (contains msg "--update-snapshots")
   | Ok _ -> Alcotest.fail "missing snapshot must be an error");
-  let written = Snapshot.update ~dir ctx in
-  Alcotest.(check string) "path" path written;
+  (match Snapshot.update ~dir ctx with
+  | Ok written -> Alcotest.(check string) "path" path written
+  | Error d -> Alcotest.fail (Diag.to_string d));
   (match Snapshot.check ~dir ctx with
   | Ok n -> check_int "fingerprints" (List.length Snapshot.canonical_specs) n
   | Error msg -> Alcotest.fail msg);
@@ -300,7 +301,7 @@ let test_snapshot_roundtrip_and_missing () =
 let test_snapshot_matches_committed () =
   (* the committed golden PPA fingerprints (test/snapshots/ppa.snap):
      any drift in timing, area, power or structure fails tier-1 *)
-  match Snapshot.check ~dir:"snapshots" ctx with
+  match Snapshot.check ~dir:Snapshot_dir.dir ctx with
   | Ok n -> check_int "fingerprints" (List.length Snapshot.canonical_specs) n
   | Error report -> Alcotest.fail report
 
